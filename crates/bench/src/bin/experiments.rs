@@ -20,7 +20,7 @@
 //! a transaction open); `crash-verify` reopens the database and checks
 //! every acknowledged commit survived and no aborted value resurfaced.
 
-use spgist_bench::loc::table7;
+use spgist_bench::loc::{crate_report, table7};
 use spgist_bench::stats::{log10_ratio, ratio_pct};
 use spgist_bench::{
     point_sizes, run_build_experiment, run_checkpoint_experiment, run_clustering_ablation,
@@ -224,11 +224,10 @@ fn print_io_patterns(opts: &Options) {
             .map_or(f64::NAN, |r| r.hit_rate)
     };
     println!(
-        "scan+point @ 10% pool hit rates: sieve {:.4}, clock {:.4}, lru {:.4}, lru-scan {:.4}",
+        "scan+point @ 10% pool hit rates: sieve {:.4}, clock {:.4}, lru {:.4}",
         hit("sieve"),
         hit("clock"),
-        hit("lru"),
-        hit("lru-scan")
+        hit("lru")
     );
     println!();
     emit_json(
@@ -289,16 +288,6 @@ fn print_io_patterns(opts: &Options) {
             r.elapsed_ms,
             r.fetches_per_sec,
             r.physical_reads
-        );
-    }
-    let scan = overhead.iter().find(|r| r.policy == "lru-scan");
-    let sieve = overhead.iter().find(|r| r.policy == "sieve");
-    if let (Some(scan), Some(sieve)) = (scan, sieve) {
-        println!(
-            "O(1) eviction speedup vs linear victim scan: {:.1}x ({:.0} vs {:.0} fetches/s)",
-            sieve.fetches_per_sec / scan.fetches_per_sec.max(1e-9),
-            sieve.fetches_per_sec,
-            scan.fetches_per_sec
         );
     }
     println!();
@@ -847,6 +836,29 @@ fn print_table7(opts: &Options) {
                     r.percent_of_total.into(),
                 ]
             })
+            .collect::<Vec<_>>(),
+    );
+
+    let report = crate_report();
+    println!("== Lines of code per crate (counted: non-blank, non-comment) ==");
+    println!("{:<14} {:>12} {:>12}", "crate", "production", "test");
+    for loc in &report {
+        println!("{:<14} {:>12} {:>12}", loc.name, loc.production, loc.test);
+    }
+    println!(
+        "{:<14} {:>12} {:>12}",
+        "total",
+        report.iter().map(|l| l.production).sum::<usize>(),
+        report.iter().map(|l| l.test).sum::<usize>()
+    );
+    println!();
+    emit_json(
+        opts,
+        "loc",
+        &["crate", "production_lines", "test_lines"],
+        &report
+            .iter()
+            .map(|l| vec![l.name.clone().into(), l.production.into(), l.test.into()])
             .collect::<Vec<_>>(),
     );
 }

@@ -5,6 +5,12 @@
 //! recomputes the same table for this repository by counting non-blank,
 //! non-comment-only lines of the instantiation files against the shared
 //! crates.
+//!
+//! The paper's extensibility argument *is* a line count, so the same count
+//! is applied to this repository as a whole: [`crate_report`] gives every
+//! crate's counted lines split into production and test code, and a test
+//! holds each crate's production count under the ceiling committed in
+//! `crates/bench/loc_budget.txt`.
 
 use std::path::{Path, PathBuf};
 
@@ -19,14 +25,94 @@ pub struct LocRow {
     pub percent_of_total: f64,
 }
 
+/// Whether a line counts: non-blank and not a pure `//` comment.
+fn is_counted(line: &str) -> bool {
+    let line = line.trim();
+    !line.is_empty() && !line.starts_with("//")
+}
+
 /// Counts the meaningful lines of one Rust source file (non-blank lines that
 /// are not pure `//` comments).
 pub fn count_lines(source: &str) -> usize {
-    source
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with("//"))
-        .count()
+    source.lines().filter(|l| is_counted(l)).count()
+}
+
+/// Counted lines of one crate, split by whether they ship.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CrateLoc {
+    /// Directory name under `crates/`.
+    pub name: String,
+    /// Counted lines outside `tests/` directories and before a file's
+    /// `#[cfg(test)]` module.
+    pub production: usize,
+    /// Counted lines under `tests/` directories and from a file's
+    /// `#[cfg(test)]` line on.
+    pub test: usize,
+}
+
+/// Splits one source file's counted lines into `(production, test)`:
+/// everything from the first line starting `#[cfg(test)]` on is test code
+/// (unit-test modules close their file throughout this workspace).
+pub fn split_lines(source: &str) -> (usize, usize) {
+    let lines: Vec<&str> = source.lines().collect();
+    let test_start = lines
+        .iter()
+        .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
+        .unwrap_or(lines.len());
+    let (production, test) = lines.split_at(test_start);
+    (
+        production.iter().filter(|l| is_counted(l)).count(),
+        test.iter().filter(|l| is_counted(l)).count(),
+    )
+}
+
+/// Counted `(production, test)` lines of every `.rs` file under `dir`;
+/// everything below a `tests/` directory is test code.
+fn dir_loc(dir: &Path, in_tests: bool) -> (usize, usize) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return (0, 0);
+    };
+    entries
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .map(|path| {
+            if path.is_dir() {
+                dir_loc(&path, in_tests || path.ends_with("tests"))
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let (production, test) =
+                    split_lines(&std::fs::read_to_string(&path).unwrap_or_default());
+                if in_tests {
+                    (0, production + test)
+                } else {
+                    (production, test)
+                }
+            } else {
+                (0, 0)
+            }
+        })
+        .fold((0, 0), |(p, t), (dp, dt)| (p + dp, t + dt))
+}
+
+/// Counted lines of every crate under `crates/`, sorted by crate name.
+pub fn crate_report() -> Vec<CrateLoc> {
+    let Ok(entries) = std::fs::read_dir(workspace_root().join("crates")) else {
+        return Vec::new();
+    };
+    let mut report: Vec<CrateLoc> = entries
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.join("Cargo.toml").is_file())
+        .map(|p| {
+            let (production, test) = dir_loc(&p, false);
+            CrateLoc {
+                name: p.file_name().unwrap_or_default().to_string_lossy().into(),
+                production,
+                test,
+            }
+        })
+        .collect();
+    report.sort_by(|a, b| a.name.cmp(&b.name));
+    report
 }
 
 fn file_lines(path: &Path) -> usize {
@@ -35,16 +121,10 @@ fn file_lines(path: &Path) -> usize {
         .unwrap_or(0)
 }
 
+/// All counted lines (production and test) under `dir`.
 fn dir_lines(dir: &Path) -> usize {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0;
-    };
-    entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "rs"))
-        .map(|p| file_lines(&p))
-        .sum()
+    let (production, test) = dir_loc(dir, false);
+    production + test
 }
 
 /// Locates the workspace root relative to this crate's manifest.
@@ -92,6 +172,49 @@ mod tests {
     fn count_lines_skips_blanks_and_comments() {
         let src = "fn f() {\n\n// comment\n  let x = 1; // trailing\n}\n";
         assert_eq!(count_lines(src), 3);
+    }
+
+    #[test]
+    fn split_lines_separates_the_unit_test_module() {
+        let src = "fn f() {}\n// note\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        assert_eq!(split_lines(src), (1, 4));
+        assert_eq!(split_lines("fn f() {}\n"), (1, 0));
+    }
+
+    /// The line-count ratchet: no crate's production code may outgrow the
+    /// ceiling committed in `loc_budget.txt`.
+    #[test]
+    fn no_crate_exceeds_its_line_budget() {
+        let budget_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("loc_budget.txt");
+        let budget = std::fs::read_to_string(&budget_path).expect("loc_budget.txt is committed");
+        let ceiling = |name: &str| {
+            budget
+                .lines()
+                .filter_map(|line| line.split_once(' '))
+                .find(|(krate, _)| *krate == name)
+                .map(|(_, lines)| lines.trim().parse::<usize>().expect("ceiling is a number"))
+        };
+        let report = crate_report();
+        assert!(!report.is_empty(), "no crates found under crates/");
+        for loc in &report {
+            let Some(ceiling) = ceiling(&loc.name) else {
+                panic!(
+                    "crate `{}` has no line in crates/bench/loc_budget.txt; add \
+                     `{} {}` (its current production line count)",
+                    loc.name, loc.name, loc.production
+                );
+            };
+            assert!(
+                loc.production <= ceiling,
+                "crate `{}` has {} counted production lines, over its ceiling of {}.  \
+                 If the growth is intended, raise the ceiling in \
+                 crates/bench/loc_budget.txt in the same PR and give the reason in the \
+                 PR description; otherwise find what to delete.",
+                loc.name,
+                loc.production,
+                ceiling
+            );
+        }
     }
 
     #[test]

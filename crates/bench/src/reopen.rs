@@ -19,7 +19,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use spgist_catalog::exec::{Database, IndexSpec, KeyType, Predicate};
+use spgist_catalog::{Database, IndexSpec, KeyType, Predicate};
 use spgist_core::RowId;
 use spgist_datagen::words;
 

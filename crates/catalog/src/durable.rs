@@ -44,7 +44,7 @@
 //! fails [`read_catalog`] with [`StorageError::Corrupt`] rather than
 //! returning wrong rows.
 //!
-//! [`Database`]: crate::exec::Database
+//! [`Database`]: crate::Database
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;

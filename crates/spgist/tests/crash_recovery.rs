@@ -1155,3 +1155,77 @@ fn recovery_is_stable_across_repeated_crashes() {
     );
     db.close().unwrap();
 }
+
+/// Builds the crash image the two replayed-delete tests doctor: rows 0..3
+/// inserted and row 2 deleted, every statement its own sealed one-record
+/// batch on the last log segment.  Returns the segment's bytes split at the
+/// statement boundaries: `(through Insert(1), Insert(2), Delete(2))`.
+fn log_ending_in_a_delete(tmp: &TempDb) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let mut db = Database::create(tmp.path()).unwrap();
+    db.create_table("words", KeyType::Varchar).unwrap();
+    let segment = tmp.last_segment();
+    let len = || std::fs::metadata(&segment).unwrap().len() as usize;
+    let table = db.table_handle("words").unwrap();
+    table.insert(word(0)).unwrap();
+    table.insert(word(1)).unwrap();
+    let before_insert = len();
+    table.insert(word(2)).unwrap();
+    let before_delete = len();
+    assert!(table.delete(2).unwrap());
+    drop(table);
+    drop(db); // crash
+    let bytes = std::fs::read(&segment).unwrap();
+    (
+        bytes[..before_insert].to_vec(),
+        bytes[before_insert..before_delete].to_vec(),
+        bytes[before_delete..].to_vec(),
+    )
+}
+
+/// A logged delete always names an allocated row-directory slot: a live
+/// delete of an unknown row returns before logging, and a loser's inserts
+/// still allocate (dead) slots.  So a committed `Delete` whose row id is
+/// past the end of the directory means the log and the checkpoint disagree
+/// — recovery must stop with `Corrupt`, as it does for an insert gap,
+/// rather than silently skip the record.
+#[test]
+fn replayed_delete_past_the_row_directory_is_corrupt() {
+    let tmp = TempDb::new("delete-gap");
+    let (head, _insert_2, delete_2) = log_ending_in_a_delete(&tmp);
+    // Cut the insert of row 2 out of the log: Delete(2) now names a row id
+    // the two-slot directory never allocated.
+    let mut doctored = head;
+    doctored.extend_from_slice(&delete_2);
+    std::fs::write(tmp.last_segment(), &doctored).unwrap();
+    match Database::open(tmp.path()) {
+        Err(spgist::storage::StorageError::Corrupt(msg)) => {
+            assert!(msg.contains("deletes row 2"), "unexpected message: {msg}")
+        }
+        other => panic!("a delete past the row directory must fail Corrupt, got {other:?}"),
+    }
+}
+
+/// The idempotent half of the same rule: a committed `Delete` of a slot
+/// that is allocated but already dead (the checkpoint image, or an earlier
+/// record, already reflects it) replays as a no-op.
+#[test]
+fn replayed_delete_of_a_dead_slot_is_a_no_op() {
+    let tmp = TempDb::new("delete-dead");
+    let (head, insert_2, delete_2) = log_ending_in_a_delete(&tmp);
+    // Append the Delete(2) batch a second time: the replay meets row 2
+    // already dead.
+    let mut doctored = head;
+    doctored.extend_from_slice(&insert_2);
+    doctored.extend_from_slice(&delete_2);
+    doctored.extend_from_slice(&delete_2);
+    std::fs::write(tmp.last_segment(), &doctored).unwrap();
+    let db = Database::open(tmp.path()).unwrap();
+    assert_words(&db, 2);
+    let table = db.table("words").unwrap();
+    assert_eq!(table.try_datum(2).unwrap(), None, "row 2 stays deleted");
+    assert_eq!(
+        table.insert(word(3)).unwrap(),
+        3,
+        "its slot stays allocated"
+    );
+}

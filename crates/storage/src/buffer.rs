@@ -1037,13 +1037,11 @@ mod tests {
         };
         // (policy, unhinted reads, reads with the cold sweep scan-hinted).
         // Unhinted, every policy degenerates to the same miss count on this
-        // trace; the hints are what separate the scan-resistant policies
-        // from the hint-oblivious baseline.
+        // trace; the hints are what let each policy keep the hot pair.
         let expect = [
             (ReplacementPolicyKind::Lru, 16, 14),
             (ReplacementPolicyKind::Clock, 16, 13),
             (ReplacementPolicyKind::Sieve, 16, 13),
-            (ReplacementPolicyKind::LruScan, 16, 16),
         ];
         for (policy, want_plain, want_hinted) in expect {
             // Materialize the 8 pages through a writer pool, then run the

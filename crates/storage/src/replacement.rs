@@ -9,7 +9,7 @@
 //! [`ReplacementPolicyKind`] in `BufferPoolConfig`, and every policy decides
 //! victims in amortized O(1).
 //!
-//! Three production policies plus one measured baseline:
+//! Three policies:
 //!
 //! * [`LruList`] — classic LRU over an intrusive doubly-linked list: O(1)
 //!   touch (unlink + relink at head) and O(1) evict (pop tail).  Scan-hinted
@@ -26,10 +26,6 @@
 //!   which keeps hits O(1) with a single bit write and makes the policy
 //!   naturally resistant to one-touch pollution; scan-hinted pages are
 //!   additionally inserted at the hand.  This is the default.
-//! * [`LruScan`] — the pre-refactor pool verbatim: a recency counter and an
-//!   O(n) linear scan for the minimum on every eviction, oblivious to access
-//!   hints.  Kept **only** as the measured baseline of the `io_patterns`
-//!   benchmark; do not use it for real pools.
 //!
 //! Policies order *frame slots* (stable indices into the pool's frame slab);
 //! they never see page ids or page contents.  Pin and dirty discipline stay
@@ -72,18 +68,14 @@ pub enum ReplacementPolicyKind {
     /// SIEVE: FIFO with lazy promotion — the scan-resistant default.
     #[default]
     Sieve,
-    /// The legacy O(n) linear-scan LRU, hint-oblivious.  Benchmark baseline
-    /// only.
-    LruScan,
 }
 
 impl ReplacementPolicyKind {
     /// Every selectable policy, in display order.
-    pub const ALL: [ReplacementPolicyKind; 4] = [
+    pub const ALL: [ReplacementPolicyKind; 3] = [
         ReplacementPolicyKind::Lru,
         ReplacementPolicyKind::Clock,
         ReplacementPolicyKind::Sieve,
-        ReplacementPolicyKind::LruScan,
     ];
 
     /// Stable lowercase name, used in `IoStats` and benchmark artifacts.
@@ -92,7 +84,6 @@ impl ReplacementPolicyKind {
             ReplacementPolicyKind::Lru => "lru",
             ReplacementPolicyKind::Clock => "clock",
             ReplacementPolicyKind::Sieve => "sieve",
-            ReplacementPolicyKind::LruScan => "lru-scan",
         }
     }
 
@@ -107,7 +98,6 @@ impl ReplacementPolicyKind {
             ReplacementPolicyKind::Lru => Box::new(LruList::new()),
             ReplacementPolicyKind::Clock => Box::new(ClockRing::new()),
             ReplacementPolicyKind::Sieve => Box::new(SieveHand::new()),
-            ReplacementPolicyKind::LruScan => Box::new(LruScan::new()),
         }
     }
 }
@@ -658,79 +648,6 @@ impl ReplacementPolicy for SieveHand {
     }
 }
 
-// ---------------------------------------------------------------------------
-// LruScan: the legacy O(n) pool, kept as a measured baseline
-// ---------------------------------------------------------------------------
-
-/// The pre-refactor pool's victim selection, verbatim: a global recency
-/// counter and a full linear scan for the minimum on every eviction.  Hint
-/// oblivious.  Exists so `io_patterns` can measure what the O(n) scan costs
-/// at realistic frame counts; never the right choice for a real pool.
-pub struct LruScan {
-    last_used: Vec<u64>,
-    tracked: Vec<bool>,
-    clock: u64,
-    len: usize,
-}
-
-impl LruScan {
-    /// An empty baseline policy.
-    pub fn new() -> Self {
-        LruScan {
-            last_used: Vec::new(),
-            tracked: Vec::new(),
-            clock: 0,
-            len: 0,
-        }
-    }
-}
-
-impl Default for LruScan {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReplacementPolicy for LruScan {
-    fn name(&self) -> &'static str {
-        "lru-scan"
-    }
-
-    fn insert(&mut self, slot: usize, _hint: AccessHint) {
-        ensure_slot(&mut self.last_used, slot, 0);
-        ensure_slot(&mut self.tracked, slot, false);
-        debug_assert!(!self.tracked[slot], "slot inserted twice");
-        self.tracked[slot] = true;
-        self.len += 1;
-        self.clock += 1;
-        self.last_used[slot] = self.clock;
-    }
-
-    fn touch(&mut self, slot: usize, _hint: AccessHint) {
-        self.clock += 1;
-        self.last_used[slot] = self.clock;
-    }
-
-    fn remove(&mut self, slot: usize) {
-        debug_assert!(self.tracked[slot], "removing untracked slot");
-        self.tracked[slot] = false;
-        self.len -= 1;
-    }
-
-    fn evict(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
-        // Deliberately O(n): this is the baseline being measured against.
-        let victim = (0..self.tracked.len())
-            .filter(|&s| self.tracked[s] && evictable(s))
-            .min_by_key(|&s| self.last_used[s])?;
-        self.remove(victim);
-        Some(victim)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -887,16 +804,6 @@ mod tests {
         p.insert(3, AccessHint::Scan);
         p.touch(3, AccessHint::Scan); // scan touch: no promotion
         assert_eq!(p.evict(&mut |_| true), Some(3), "scan page sieved first");
-    }
-
-    #[test]
-    fn lru_scan_matches_recency_order_and_ignores_hints() {
-        let mut p = LruScan::new();
-        p.insert(0, AccessHint::Scan);
-        p.insert(1, AccessHint::Normal);
-        p.touch(0, AccessHint::Scan); // hint-oblivious: this DOES refresh 0
-        assert_eq!(p.evict(&mut |_| true), Some(1));
-        assert_eq!(p.evict(&mut |_| true), Some(0));
     }
 
     /// The core safety property: whatever the access pattern, `evict` never

@@ -18,8 +18,10 @@
 //!   while a dedicated flusher thread batches one `fsync` per group
 //!   ([`WalConfig::max_wait`] / [`WalConfig::max_batch`]; `max_batch = 1`
 //!   degenerates to a per-commit fsync, the baseline the bench suite
-//!   compares against),
-//! * [`crc`] — a dependency-free CRC-32 (the build environment is offline).
+//!   compares against).
+//!
+//! Record and batch-seal checksums use `spgist_storage::crc::crc32`, the
+//! same dependency-free CRC-32 the checkpoint journal uses.
 //!
 //! The catalog layer (`spgist-catalog`) owns the integration: it logs
 //! before acknowledging DML, replays surviving records on open, and turns
@@ -28,11 +30,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod crc;
 pub mod log;
 pub mod record;
 
-pub use crc::crc32;
 pub use log::{Wal, WalConfig};
 pub use record::{Lsn, TxnId, WalRecord, AUTOCOMMIT};
 

@@ -68,9 +68,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use spgist_storage::crc::crc32;
 use spgist_storage::{Codec, StorageError, StorageResult};
 
-use crate::crc::crc32;
 use crate::record::{Lsn, WalRecord};
 
 /// Magic marker leading every WAL segment file (`"SPGW"`).
