@@ -31,9 +31,7 @@ use std::collections::HashSet;
 use std::mem::discriminant;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use spgist_core::{RowId, TreeStats};
+use spgist_core::RowId;
 use spgist_indexes::geom::{Point, Rect, Segment};
 use spgist_indexes::query::{PointQuery, SegmentQuery, StringQuery};
 use spgist_indexes::{
@@ -370,8 +368,9 @@ pub(crate) trait IndexAccess: Send + Sync {
 
     /// Builds the index from the full `(datum, row)` set in one
     /// `spgistbuild` pass (see [`SpIndex::bulk_build`]); the index must be
-    /// freshly created and empty.
-    fn bulk_build(&self, items: &[(Datum, RowId)]) -> StorageResult<TreeStats>;
+    /// freshly created and empty.  The tree keeps the height it built, so
+    /// the next plan needs no walk.
+    fn bulk_build(&self, items: &[(Datum, RowId)]) -> StorageResult<()>;
 
     /// Removes one `(datum, row)` item; returns whether it was there.
     fn delete(&self, datum: &Datum, row: RowId) -> StorageResult<bool>;
@@ -385,8 +384,10 @@ pub(crate) trait IndexAccess: Send + Sync {
     /// type mismatch or a missing distance function is a planning bug.
     fn scan<'t>(&'t self, predicate: &Predicate, ordered: bool) -> StorageResult<RowIds<'t>>;
 
-    /// Structural statistics of the backing tree (a full tree walk).
-    fn stats(&self) -> StorageResult<TreeStats>;
+    /// The planner's `(pages, page_height)` view of the backing tree: an
+    /// O(1) read the tree's writers keep current (see
+    /// [`SpIndex::planner_stats`]).
+    fn planner_stats(&self) -> StorageResult<(u64, u32)>;
 
     /// The durable identity of this index, created from `spec` under
     /// `name`: kind, configuration, tree meta page, owned-page list, and
@@ -408,8 +409,8 @@ where
         SpIndex::insert_batch(self, typed_items(items)?)
     }
 
-    fn bulk_build(&self, items: &[(Datum, RowId)]) -> StorageResult<TreeStats> {
-        SpIndex::bulk_build(self, typed_items(items)?)
+    fn bulk_build(&self, items: &[(Datum, RowId)]) -> StorageResult<()> {
+        SpIndex::bulk_build(self, typed_items(items)?).map(|_| ())
     }
 
     fn delete(&self, datum: &Datum, row: RowId) -> StorageResult<bool> {
@@ -435,8 +436,8 @@ where
         Ok(Box::new(cursor.map(|item| item.map(|(_, row)| row))))
     }
 
-    fn stats(&self) -> StorageResult<TreeStats> {
-        SpIndex::stats(self)
+    fn planner_stats(&self) -> StorageResult<(u64, u32)> {
+        SpIndex::planner_stats(self)
     }
 
     fn persisted(&self, name: &str, spec: &IndexSpec) -> PersistedIndex {
@@ -457,29 +458,12 @@ where
     }
 }
 
-/// Memoized planner statistics with an invalidation epoch: a write that
-/// lands while a planner is mid-way through the slow `stats()` tree walk
-/// bumps the epoch, so the stale result is returned to that one planner but
-/// never cached.
-#[derive(Default)]
-struct StatsCache {
-    epoch: u64,
-    value: Option<(u64, u32)>,
-}
-
 /// A physical index registered on a table: its name, the spec it was
-/// created from, the index itself behind the class-independent seam, and
-/// the planner's memoized view of it.
+/// created from, and the index itself behind the class-independent seam.
 pub(crate) struct NamedIndex {
     pub(crate) name: String,
     pub(crate) spec: IndexSpec,
     pub(crate) index: Box<dyn IndexAccess>,
-    /// Memoized planner statistics `(pages, page_height)`.  Deriving them
-    /// from [`TreeStats`] walks the whole tree, so the result is cached
-    /// until the next write invalidates it — planning a query must not cost
-    /// more than running it.  A `Mutex` (not a `Cell`) so that concurrent
-    /// planners and writers share the memo safely.
-    cached_stats: Mutex<StatsCache>,
 }
 
 impl NamedIndex {
@@ -508,39 +492,12 @@ impl NamedIndex {
             name: name.to_string(),
             spec,
             index,
-            cached_stats: Mutex::new(StatsCache::default()),
         }
     }
 
     /// The durable identity of this index (see [`IndexAccess::persisted`]).
     pub(crate) fn persisted(&self) -> PersistedIndex {
         self.index.persisted(&self.name, &self.spec)
-    }
-
-    /// The planner's `(pages, page_height)` view of the index, memoized
-    /// until the next write.
-    pub(crate) fn planner_stats(&self) -> StorageResult<(u64, u32)> {
-        let epoch = {
-            let cache = self.cached_stats.lock();
-            if let Some(cached) = cache.value {
-                return Ok(cached);
-            }
-            cache.epoch
-        };
-        let stats = self.index.stats()?;
-        let derived = (stats.pages, stats.max_page_height);
-        let mut cache = self.cached_stats.lock();
-        if cache.epoch == epoch {
-            cache.value = Some(derived);
-        }
-        Ok(derived)
-    }
-
-    /// Drops the memoized planner statistics after a write.
-    pub(crate) fn invalidate_stats(&self) {
-        let mut cache = self.cached_stats.lock();
-        cache.epoch += 1;
-        cache.value = None;
     }
 }
 
@@ -1475,7 +1432,11 @@ mod tests {
             let mut mixed: Vec<(Datum, RowId)> = keys.iter().cloned().zip(0..).collect();
             mixed.push((foreign_datum, 99));
             assert_eq!(unsupported(ix.insert_batch(&mixed)), WRONG_DATUM);
-            assert_eq!(ix.stats().unwrap().items, 0, "{spec:?}: nothing landed");
+            assert_eq!(
+                ix.scan(&predicate, false).unwrap().count(),
+                0,
+                "{spec:?}: nothing landed"
+            );
 
             // A predicate of another key type — or a composite, which has
             // no single typed query — is refused on both scan paths.

@@ -3,17 +3,17 @@
 //!
 //! A [`Table`] registers heap data plus physical indexes (any of the five
 //! index classes, behind the physical layer's class-independent seam),
-//! derives the planner's [`AvailableIndex`] statistics automatically from
-//! each index's tree statistics, and executes the chosen plan.
+//! reads the planner's [`AvailableIndex`] statistics from each index's
+//! O(1) page-count and page-height hint, and executes the chosen plan.
 //!
 //! **One way to change a row.**  Auto-commit DML, transactional statements,
 //! WAL replay and transaction undo all funnel into two private primitives:
 //! `apply_rows` makes rows live at given ids and `remove_row` makes one
 //! dead.  Each applies the full set of effects — heap record, row-directory
-//! slot, distinct-value statistic, dirty checkpoint chunk, every index, and
-//! the planner-statistics invalidation — so no path can forget one.  The
-//! public and crate-internal entry points around them differ only in what
-//! they check first and what they log after.
+//! slot, distinct-value statistic, dirty checkpoint chunk, every index —
+//! so no path can forget one.  The public and crate-internal entry points
+//! around them differ only in what they check first and what they log
+//! after.
 //!
 //! **Shared access.** Tables are handed out as `Arc<Table>` handles that
 //! are `Send + Sync`: DML (`insert` / `delete`) and queries take `&self`.
@@ -476,11 +476,11 @@ impl Table {
     /// **DML primitive 1 of 2: apply rows at these ids.**  Makes every
     /// `(datum, row id)` of `items` live — heap record (`records[i]` is the
     /// encoded form of `items[i]`), row-directory slot, distinct-value
-    /// statistic, dirty checkpoint chunk, an entry in every index, and the
-    /// planner-statistics invalidation.  Each row id must be either the
-    /// next unallocated one (an append) or an allocated dead slot (the undo
-    /// of a delete).  Unlogged: callers hold the DML lock and decide what,
-    /// if anything, reaches the WAL.
+    /// statistic, dirty checkpoint chunk and an entry in every index (the
+    /// trees keep their own planner statistics current).  Each row id must
+    /// be either the next unallocated one (an append) or an allocated dead
+    /// slot (the undo of a delete).  Unlogged: callers hold the DML lock and
+    /// decide what, if anything, reaches the WAL.
     ///
     /// The heap changes land under the table latch, which is released
     /// before the indexes are touched — so a concurrent query sees either
@@ -503,7 +503,6 @@ impl Table {
         }
         for named in &self.indexes {
             named.index.insert_batch(items)?;
-            named.invalidate_stats();
         }
         Ok(())
     }
@@ -511,10 +510,9 @@ impl Table {
     /// **DML primitive 2 of 2: remove the row at this id.**  Makes `row`
     /// dead — heap record deleted, row-directory slot emptied (it stays
     /// allocated, so ids handed to later statements are unaffected), dirty
-    /// checkpoint chunk marked, its entry removed from every index, planner
-    /// statistics invalidated — and returns the datum it held.  `None`, and
-    /// no change, if the id is unallocated or already dead.  Unlogged;
-    /// callers hold the DML lock.
+    /// checkpoint chunk marked, its entry removed from every index — and
+    /// returns the datum it held.  `None`, and no change, if the id is
+    /// unallocated or already dead.  Unlogged; callers hold the DML lock.
     fn remove_row(&self, row: RowId) -> StorageResult<Option<Datum>> {
         let datum = {
             let mut inner = self.inner.write();
@@ -529,7 +527,6 @@ impl Table {
         };
         for named in &self.indexes {
             named.index.delete(&datum, row)?;
-            named.invalidate_stats();
         }
         Ok(Some(datum))
     }
@@ -771,13 +768,14 @@ impl Table {
         }
     }
 
-    /// The planner's view of the physical indexes, derived automatically
-    /// from each index's measured [`TreeStats`](spgist_core::TreeStats) (memoized between writes).
+    /// The planner's view of the physical indexes: each index's page count
+    /// and writer-maintained page-height hint, an O(1) read per index (see
+    /// [`SpIndex::planner_stats`](spgist_indexes::SpIndex::planner_stats)).
     pub fn available_indexes(&self) -> StorageResult<Vec<AvailableIndex>> {
         self.indexes
             .iter()
             .map(|named| {
-                let (pages, page_height) = named.planner_stats()?;
+                let (pages, page_height) = named.index.planner_stats()?;
                 Ok(AvailableIndex {
                     name: named.name.clone(),
                     operator_class: named.spec.operator_class().to_string(),
@@ -1161,6 +1159,82 @@ mod tests {
             9,
             "the bulk-build scan seeds the exact live distinct count"
         );
+    }
+
+    /// Planning is an O(1) statistics read however the trees got to their
+    /// current shape: `CREATE INDEX` keeps the height its bulk build
+    /// accumulated, DML keeps it current, and none of them makes the next
+    /// plan walk a tree.  Exactness is checked against a full walk through
+    /// a second, typed handle on each index's pages.
+    #[test]
+    fn planning_reads_no_pages_after_ddl_and_dml() {
+        use spgist_indexes::geom::Rect;
+        use spgist_indexes::{
+            KdTreeIndex, KdTreeOps, PointQuadtreeIndex, PointQuadtreeOps, SpIndex,
+        };
+
+        let mut db = Database::in_memory();
+        db.create_table("points", KeyType::Point).unwrap();
+        let point =
+            |i: u64| Point::new((i * 37 % 1000) as f64 / 10.0, (i * 91 % 997) as f64 / 10.0);
+        db.table("points")
+            .unwrap()
+            .insert_many((0..6000).map(point))
+            .unwrap();
+        let table = db.table_mut("points").unwrap();
+        table.create_index("kd", IndexSpec::KdTree).unwrap();
+        table
+            .create_index("pquad", IndexSpec::PointQuadtree)
+            .unwrap();
+
+        let check = |db: &Database, when: &str| {
+            let table = db.table("points").unwrap();
+            let before = db.pool().stats().logical_reads;
+            db.plan(
+                "points",
+                Predicate::point_in_rect(Rect::new(10.0, 10.0, 12.0, 12.0)),
+            )
+            .unwrap();
+            let reads = db.pool().stats().logical_reads - before;
+            assert_eq!(reads, 0, "{when}: planning read {reads} pages");
+            let exact: Vec<(u64, u32)> = table
+                .indexes
+                .iter()
+                .map(|named| {
+                    let pi = named.persisted();
+                    let (pool, pages) = (Arc::clone(db.pool()), pi.pages.clone());
+                    let stats = if named.name == "kd" {
+                        let ops = KdTreeOps::with_config(pi.config);
+                        KdTreeIndex::open_with_ops(pool, ops, pi.meta_page, pages)
+                            .and_then(|ix| ix.stats())
+                    } else {
+                        let ops = PointQuadtreeOps::with_config(pi.config);
+                        PointQuadtreeIndex::open_with_ops(pool, ops, pi.meta_page, pages)
+                            .and_then(|ix| ix.stats())
+                    }
+                    .unwrap();
+                    (stats.pages, stats.max_page_height)
+                })
+                .collect();
+            let reported: Vec<(u64, u32)> = table
+                .available_indexes()
+                .unwrap()
+                .iter()
+                .map(|ix| (ix.pages, ix.page_height))
+                .collect();
+            assert_eq!(reported, exact, "{when}: planner statistics vs a full walk");
+        };
+
+        check(&db, "after create_index");
+        let row = db.table("points").unwrap().insert(point(7001)).unwrap();
+        check(&db, "after an insert");
+        db.table("points").unwrap().delete(row).unwrap();
+        check(&db, "after a delete");
+        let mut txn = db.begin().unwrap();
+        txn.insert_many("points", (8000..8040).map(point)).unwrap();
+        txn.delete("points", 17).unwrap();
+        txn.abort().unwrap();
+        check(&db, "after an aborted transaction");
     }
 
     #[test]

@@ -198,10 +198,7 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         path_pages: u32,
         node_depth: u32,
     ) -> u32 {
-        let my_path = match parent_page {
-            Some(parent) if parent == page => path_pages,
-            _ => path_pages + 1,
-        };
+        let my_path = crate::tree::path_pages(parent_page, path_pages, page);
         self.stats.max_node_height = self.stats.max_node_height.max(node_depth);
         self.stats.max_page_height = self.stats.max_page_height.max(my_path);
         my_path

@@ -29,7 +29,7 @@
 //! is always a valid tree, but a long scan may observe some effects of
 //! writes that committed after it started.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -65,6 +65,10 @@ pub struct SpGistTree<O: SpGistOps> {
     /// writers flip it with one atomic store (under `meta_lock`).
     root_cell: AtomicU64,
     item_count: AtomicU64,
+    /// The planner's page-height hint: a high-water mark of the pages on any
+    /// root-to-leaf path, kept current by writers; 0 = not yet measured (see
+    /// [`SpGistTree::planner_stats`]).  Not persisted.
+    page_height: AtomicU32,
     /// Serializes root-pointer flips, count updates and meta-page writes.
     meta_lock: Mutex<()>,
     /// Per-page writer latches for crabbing descents.
@@ -91,6 +95,14 @@ fn unpack_root(cell: u64) -> Option<NodeId> {
     }
 }
 
+/// Pages on the root-to-node path of a node placed on `page`, whose parent
+/// sits on `parent_page` at the end of a path of `parent_pages` pages
+/// (`None` and 0 at the root): the page-height rule, written once for the
+/// bulk builder, the statistics walk and the insert descent.
+pub(crate) fn path_pages(parent_page: Option<PageId>, parent_pages: u32, page: PageId) -> u32 {
+    parent_pages + u32::from(parent_page != Some(page))
+}
+
 impl<O: SpGistOps> SpGistTree<O> {
     /// Creates a new, empty tree whose pages are allocated from `pool`.
     pub fn create(pool: Arc<BufferPool>, ops: O) -> StorageResult<Self> {
@@ -104,6 +116,7 @@ impl<O: SpGistOps> SpGistTree<O> {
             meta_page,
             root_cell: AtomicU64::new(pack_root(None)),
             item_count: AtomicU64::new(0),
+            page_height: AtomicU32::new(0),
             meta_lock: Mutex::new(()),
             latches: LatchTable::new(),
             write_gate: RwLock::new(()),
@@ -162,6 +175,7 @@ impl<O: SpGistOps> SpGistTree<O> {
             meta_page,
             root_cell: AtomicU64::new(pack_root(root)),
             item_count: AtomicU64::new(item_count),
+            page_height: AtomicU32::new(0),
             meta_lock: Mutex::new(()),
             latches: LatchTable::new(),
             write_gate: RwLock::new(()),
@@ -241,6 +255,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                     let _meta = self.meta_lock.lock();
                     self.set_root(Some(id));
                     self.item_count.fetch_add(1, Ordering::Relaxed);
+                    self.page_height.store(1, Ordering::Relaxed);
                     self.write_meta_locked()?;
                     break;
                 }
@@ -254,7 +269,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                         continue;
                     }
                     let ctx = self.ops.root_context();
-                    match self.insert_at(root, None, 0, &key, row, &ctx, &mut latches)? {
+                    match self.insert_at(root, None, 0, 0, &key, row, &ctx, &mut latches)? {
                         Descent::Done => {
                             drop(latches);
                             let _meta = self.meta_lock.lock();
@@ -335,6 +350,8 @@ impl<O: SpGistOps> SpGistTree<O> {
             let _meta = self.meta_lock.lock();
             self.set_root(Some(root));
             self.item_count.store(logical, Ordering::Relaxed);
+            self.page_height
+                .store(stats.max_page_height, Ordering::Relaxed);
             self.write_meta_locked()?;
         }
         Ok(stats)
@@ -344,11 +361,15 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// parent's page (when `parent` is `Some`) and `node_id`'s page, so this
     /// node cannot be modified or relocated by another writer while we work
     /// on it, and its parent pointer can be patched if *we* relocate it.
+    /// `parent_pages` is the number of pages on the root-to-parent path (0 at
+    /// the root); it feeds the page-height hint wherever this insert can
+    /// lengthen a path.
     #[allow(clippy::too_many_arguments)]
     fn insert_at(
         &self,
         node_id: NodeId,
         parent: Option<(NodeId, usize)>,
+        parent_pages: u32,
         level: u32,
         key: &O::Key,
         row: RowId,
@@ -356,12 +377,14 @@ impl<O: SpGistOps> SpGistTree<O> {
         latches: &mut LatchSet<'_>,
     ) -> StorageResult<Descent> {
         let node: Node<O> = self.store.read(node_id)?;
+        let parent_page = parent.map(|(p, _)| p.page);
         match node {
             Node::Leaf { mut items } => {
                 let cfg = self.ops.config();
                 items.push((key.clone(), row));
                 if items.len() <= cfg.bucket_size || level >= cfg.resolution {
-                    self.write_node(node_id, &Node::Leaf { items }, parent)?;
+                    let at = self.write_node(node_id, &Node::Leaf { items }, parent)?;
+                    self.note_height(path_pages(parent_page, parent_pages, at.page));
                     return Ok(Descent::Done);
                 }
                 // The data node is overfull: decompose it with PickSplit.
@@ -370,14 +393,17 @@ impl<O: SpGistOps> SpGistTree<O> {
                 if split.is_degenerate(items.len()) {
                     // No further decomposition is possible (all keys identical
                     // or resolution exhausted); allow the oversized leaf.
-                    self.write_node(node_id, &Node::Leaf { items }, parent)?;
+                    let at = self.write_node(node_id, &Node::Leaf { items }, parent)?;
+                    self.note_height(path_pages(parent_page, parent_pages, at.page));
                     return Ok(Descent::Done);
                 }
                 // The replacement subtree is built in fresh, unlinked records
                 // (invisible to every other thread) and becomes reachable in
                 // one write of the old leaf's record.
                 let inner = self.build_split(node_id.page, &items, split, level, ctx)?;
-                self.write_node(node_id, &inner, parent)?;
+                let at = self.write_node(node_id, &inner, parent)?;
+                let mut built = TreeStats::default();
+                self.note_height(self.walk(at, parent_page, parent_pages, &mut built)?);
                 Ok(Descent::Done)
             }
             Node::Inner { prefix, entries } => {
@@ -431,6 +457,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                             let descent = self.insert_at(
                                 child,
                                 Some((node_id, idx)),
+                                path_pages(parent_page, parent_pages, node_id.page),
                                 level + delta,
                                 key,
                                 row,
@@ -462,7 +489,10 @@ impl<O: SpGistOps> SpGistTree<O> {
                         let child = self.store.allocate(&leaf, Some(node_id.page))?;
                         let mut entries = entries;
                         entries.push(Entry { pred, child });
-                        self.write_node(node_id, &Node::Inner { prefix, entries }, parent)?;
+                        let at =
+                            self.write_node(node_id, &Node::Inner { prefix, entries }, parent)?;
+                        let pages = path_pages(parent_page, parent_pages, at.page);
+                        self.note_height(pages + u32::from(child.page != at.page));
                         Ok(Descent::Done)
                     }
                     Choose::SplitPrefix {
@@ -494,7 +524,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                             return Ok(Descent::Restart);
                         }
                         // Retry the insertion at the restructured node.
-                        self.insert_at(current, parent, level, key, row, ctx, latches)
+                        self.insert_at(current, parent, parent_pages, level, key, row, ctx, latches)
                     }
                 }
             }
@@ -647,49 +677,6 @@ impl<O: SpGistOps> SpGistTree<O> {
         SearchCursor::over(self, query)
     }
 
-    /// Streams every matching `(key, row)` item to `visit`.
-    pub fn search_visit(
-        &self,
-        query: &O::Query,
-        mut visit: impl FnMut(&O::Key, RowId),
-    ) -> StorageResult<()> {
-        // Pin before capturing the root: everything reachable from this root
-        // stays readable for the duration of the traversal.
-        let _pin = self.store.pin();
-        let Some(root) = self.root() else {
-            return Ok(());
-        };
-        let mut stack = vec![(root, 0u32)];
-        while let Some((node_id, level)) = stack.pop() {
-            match self.store.read::<O>(node_id)? {
-                Node::Leaf { items } => {
-                    for (key, row) in &items {
-                        if self.ops.leaf_consistent(key, query, level) {
-                            visit(key, *row);
-                        }
-                    }
-                }
-                Node::Inner { prefix, entries } => {
-                    if let Some(p) = &prefix {
-                        if !self.ops.prefix_consistent(p, query, level) {
-                            continue;
-                        }
-                    }
-                    let delta = self.ops.descend_levels(prefix.as_ref());
-                    for entry in &entries {
-                        if self
-                            .ops
-                            .consistent(prefix.as_ref(), &entry.pred, query, level)
-                        {
-                            stack.push((entry.child, level + delta));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Incremental nearest-neighbour search (paper Section 5): returns an
     /// iterator yielding items in non-decreasing distance from `query`.
     ///
@@ -838,6 +825,8 @@ impl<O: SpGistOps> SpGistTree<O> {
         {
             let _meta = self.meta_lock.lock();
             self.set_root(Some(new_root));
+            // Every path moved: the next planner read measures the new layout.
+            self.page_height.store(0, Ordering::Relaxed);
             self.write_meta_locked()?;
         }
         self.store.finish_repack(&old_pages);
@@ -929,20 +918,63 @@ impl<O: SpGistOps> SpGistTree<O> {
             utilization: self.store.utilization()?,
             ..TreeStats::default()
         };
-        let Some(root) = self.root() else {
-            return Ok(stats);
-        };
-        // Depth-first traversal tracking (node depth, pages on path).
-        let mut stack: Vec<(NodeId, u32, u32, PageId)> = vec![(root, 1, 1, root.page)];
-        while let Some((node_id, node_depth, page_depth, last_page)) = stack.pop() {
-            let page_depth = if node_id.page == last_page {
-                page_depth
-            } else {
-                page_depth + 1
-            };
+        if let Some(root) = self.root() {
+            self.walk(root, None, 0, &mut stats)?;
+        }
+        Ok(stats)
+    }
+
+    /// The planner's `(pages, page_height)` view of the tree, an O(1) read:
+    /// `pages` is the node store's page count and `page_height` a high-water
+    /// mark that writers keep current.  [`SpGistTree::bulk_build`] stores the
+    /// height it accumulated and every insert raises the mark to the length
+    /// of the path it wrote; deletes never restructure, so the mark loses
+    /// nothing to them.  Only the first read after opening or repacking a
+    /// tree measures (one latch-free walk, no utilization sweep).  Exact
+    /// except that an inner node relocating to another page shifts its
+    /// *sibling* paths by one page until a write walks them;
+    /// [`SpGistTree::stats`] stays exact.  An empty tree reports height 0.
+    pub fn planner_stats(&self) -> StorageResult<(u64, u32)> {
+        let mut height = self.page_height.load(Ordering::Relaxed);
+        if height == 0 {
+            let _pin = self.store.pin();
+            if let Some(root) = self.root() {
+                let measured = self.walk(root, None, 0, &mut TreeStats::default())?;
+                // Writers leave an unmeasured hint alone, so what this meets
+                // is 0 or another reader's measurement (since raised, maybe).
+                height = measured.max(self.page_height.fetch_max(measured, Ordering::Relaxed));
+            }
+        }
+        Ok((self.store.page_count() as u64, height))
+    }
+
+    /// Raises the page-height hint to `pages`, the length of a path an
+    /// insert just wrote.  An unmeasured hint (0) stays unmeasured: one path
+    /// says nothing about the others, the first planner read walks them all.
+    /// Most inserts lengthen nothing and only load the shared word.
+    fn note_height(&self, pages: u32) {
+        if (1..pages).contains(&self.page_height.load(Ordering::Relaxed)) {
+            self.page_height.fetch_max(pages, Ordering::Relaxed);
+        }
+    }
+
+    /// Depth-first walk of the subtree at `start`, whose parent sits on
+    /// `parent_page` with `parent_pages` pages on the root-to-parent path
+    /// (0 and `None` at the root), adding every node to `stats`.  Returns
+    /// the largest number of pages on a root-to-leaf path it has seen.
+    fn walk(
+        &self,
+        start: NodeId,
+        parent_page: Option<PageId>,
+        parent_pages: u32,
+        stats: &mut TreeStats,
+    ) -> StorageResult<u32> {
+        let mut stack = vec![(start, 1u32, parent_page, parent_pages)];
+        while let Some((node_id, node_depth, last_page, pages)) = stack.pop() {
+            let pages = path_pages(last_page, pages, node_id.page);
             stats.max_node_height = stats.max_node_height.max(node_depth);
-            stats.max_page_height = stats.max_page_height.max(page_depth);
-            // A stats pass touches every node exactly once.
+            stats.max_page_height = stats.max_page_height.max(pages);
+            // A walk touches every node exactly once.
             match self.store.read_hinted::<O>(node_id, AccessHint::Scan)? {
                 Node::Leaf { items } => {
                     stats.leaf_nodes += 1;
@@ -951,12 +983,12 @@ impl<O: SpGistOps> SpGistTree<O> {
                 Node::Inner { entries, .. } => {
                     stats.inner_nodes += 1;
                     for entry in &entries {
-                        stack.push((entry.child, node_depth + 1, page_depth, node_id.page));
+                        stack.push((entry.child, node_depth + 1, Some(node_id.page), pages));
                     }
                 }
             }
         }
-        Ok(stats)
+        Ok(stats.max_page_height)
     }
 
     /// Releases every page this tree owns (node pages and the meta page) to

@@ -193,6 +193,11 @@ pub trait SpIndex {
     /// backing tree.
     fn stats(&self) -> StorageResult<TreeStats>;
 
+    /// The planner's `(pages, page_height)` view of the backing tree — an
+    /// O(1) read that writes keep current, unlike the full walk of
+    /// [`SpIndex::stats`] (see [`SpGistTree::planner_stats`]).
+    fn planner_stats(&self) -> StorageResult<(u64, u32)>;
+
     /// The meta page identifying the backing tree on its pager — one half of
     /// the index's durable identity (persist it, plus
     /// [`SpIndex::owned_pages`], and the index reopens from disk).
@@ -364,6 +369,10 @@ impl<T: SpGistBacked> SpIndex for T {
 
     fn stats(&self) -> StorageResult<TreeStats> {
         self.backing().stats()
+    }
+
+    fn planner_stats(&self) -> StorageResult<(u64, u32)> {
+        self.backing().planner_stats()
     }
 
     fn meta_page(&self) -> PageId {

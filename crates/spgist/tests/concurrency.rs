@@ -603,3 +603,86 @@ fn seeded_multi_writer_multi_reader_stress_loses_no_inserts() {
         "after the dust settles every insert is present once"
     );
 }
+
+/// Planner statistics under writers: four threads insert into one table
+/// while a fifth plans against it in a loop.  Planning reads each tree's
+/// page-height high-water mark and takes neither the DML lock, a page latch
+/// nor a write gate, so the writers keep inserting *until the planner has
+/// finished its quota* — every plan overlaps live writers, and a planner
+/// that waited on them would hang this test.  The reported heights never
+/// decrease, and once the writers stop they are within one page of the
+/// exact walk (what a freshly reopened database measures on its first
+/// read).  The database is reopened before the threads start, so the first
+/// plan's measuring walk races the first inserts.
+#[test]
+fn planning_under_concurrent_writers_is_monotone_and_close_to_exact() {
+    const PRELOADED: u64 = 3_000;
+    const WRITERS: u64 = 4;
+    const PER_WRITER: u64 = 400;
+    const PLANS: u64 = 300;
+    let dir = std::env::temp_dir().join(format!("spgist-plan-stress-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.pages");
+    {
+        let mut db = Database::create(&path).unwrap();
+        db.create_table("points", KeyType::Point).unwrap();
+        let table = db.table_handle("points").unwrap();
+        table.insert_many((0..PRELOADED).map(point_for)).unwrap();
+        drop(table);
+        db.create_index("points", "kd", IndexSpec::KdTree).unwrap();
+        db.create_index("points", "pquad", IndexSpec::PointQuadtree)
+            .unwrap();
+        db.close().unwrap();
+    }
+
+    let heights = |db: &Database| -> Vec<u32> {
+        let indexes = db.table("points").unwrap().available_indexes().unwrap();
+        indexes.iter().map(|ix| ix.page_height).collect()
+    };
+    let db = Database::open(&path).unwrap();
+    let handle = db.table_handle("points").unwrap();
+    let plans = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let (handle, plans) = (Arc::clone(&handle), &plans);
+            scope.spawn(move || {
+                // Scattered keys, so inserts keep splitting leaves all over
+                // both trees.
+                let mut i = 0;
+                while i < PER_WRITER || plans.load(Ordering::Acquire) < PLANS {
+                    let key = PRELOADED + (i * WRITERS + w) * 7919;
+                    handle.insert(point_for(key)).unwrap();
+                    i += 1;
+                }
+            });
+        }
+        let (db, plans) = (&db, &plans);
+        scope.spawn(move || {
+            let window = Rect::new(20.0, 20.0, 24.0, 24.0);
+            let mut last = vec![0; 2];
+            for _ in 0..PLANS {
+                db.plan("points", Predicate::point_in_rect(window)).unwrap();
+                let now = heights(db);
+                assert!(now.iter().all(|&h| h > 0), "a built tree has a height");
+                assert!(
+                    now.iter().zip(&last).all(|(now, last)| now >= last),
+                    "page heights went backwards: {last:?} then {now:?}"
+                );
+                last = now;
+                plans.fetch_add(1, Ordering::Release);
+            }
+        });
+    });
+
+    let reported = heights(&db);
+    drop(handle);
+    db.close().unwrap();
+    let exact = heights(&Database::open(&path).unwrap());
+    for (reported, exact) in reported.iter().zip(&exact) {
+        assert!(
+            reported.abs_diff(*exact) <= 1,
+            "heights after the writers stopped: hint {reported}, exact walk {exact}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
