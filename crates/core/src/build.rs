@@ -27,9 +27,13 @@
 //!   queries as an insert-built one from a (usually) shallower, fuller tree.
 //!   The one brake: a split that copies the whole input into two or more
 //!   partitions ([`PickSplit::replicates_without_separating`] — identical or
-//!   heavily overlapping segments past the threshold) ends in an oversized
-//!   leaf, since recursing would multiply replicas without separating
-//!   anything.
+//!   heavily overlapping segments past the threshold) ends the key
+//!   decomposition, since recursing would multiply replicas without
+//!   separating anything.
+//! * Wherever keys stop separating a partition (that brake, a degenerate
+//!   split, the resolution), `BulkBuilder::build_rows` takes over: one
+//!   leaf within the byte budget, row nodes above small leaves past it — the
+//!   shape the insert path grows, which calls the same function.
 //! * Items that [`SpGistOps::picksplit`] assigns to *no* partition (a PMR
 //!   segment outside the world rectangle) are parked in the first partition,
 //!   mirroring the `Choose::Descend(vec![0])` fallback of the insert path,
@@ -41,14 +45,25 @@
 //! partitions in half instead of wherever insertion order happened to put
 //! the first key.
 
-use spgist_storage::{PageId, StorageError, StorageResult};
+use spgist_storage::{PageId, StorageResult};
 
 use crate::config::NodeShrink;
-use crate::node::{Entry, Node, NodeId};
+use crate::node::{row_slot, Entry, Node, NodeId, ROW_BITS, ROW_FANOUT};
 use crate::ops::{PickSplit, SpGistOps};
 use crate::stats::TreeStats;
 use crate::store::NodeStore;
 use crate::RowId;
+
+/// What lies above the node about to be built: the page to place it near
+/// (its parent's, below the root), the root-to-parent path for the
+/// page-height statistic, and the node height it will have.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Above {
+    pub near: PageId,
+    pub parent_page: Option<PageId>,
+    pub path_pages: u32,
+    pub node_depth: u32,
+}
 
 /// One bulk build over an empty tree's node store; created by
 /// [`SpGistTree::bulk_build`](crate::SpGistTree::bulk_build), which owns the
@@ -56,7 +71,7 @@ use crate::RowId;
 pub struct BulkBuilder<'a, O: SpGistOps> {
     ops: &'a O,
     store: &'a NodeStore,
-    stats: TreeStats,
+    pub(crate) stats: TreeStats,
 }
 
 impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
@@ -76,7 +91,13 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         items: Vec<(O::Key, RowId)>,
     ) -> StorageResult<NodeId> {
         let ctx = self.ops.root_context();
-        self.build_partition(near, None, 0, 1, items, 0, &ctx)
+        let above = Above {
+            near,
+            parent_page: None,
+            path_pages: 0,
+            node_depth: 1,
+        };
+        self.build_partition(above, items, 0, &ctx)
     }
 
     /// The statistics accumulated while building, completed with the store's
@@ -91,22 +112,19 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
 
     /// Recursively builds the subtree holding `items`, which the caller
     /// reaches at decomposition depth `level` through traversal context
-    /// `ctx`.  `parent_page`/`path_pages` track the distinct pages on the
-    /// root-to-here path for the page-height statistic; `node_depth` is the
-    /// node height of the node about to be created.
-    #[allow(clippy::too_many_arguments)]
+    /// `ctx`.
     fn build_partition(
         &mut self,
-        near: PageId,
-        parent_page: Option<PageId>,
-        path_pages: u32,
-        node_depth: u32,
+        above: Above,
         mut items: Vec<(O::Key, RowId)>,
         level: u32,
         ctx: &O::Context,
     ) -> StorageResult<NodeId> {
         let cfg = self.ops.config();
-        let split = if items.len() <= cfg.bucket_size || level >= cfg.resolution {
+        if items.len() <= cfg.bucket_size {
+            return self.build_leaf(above, items);
+        }
+        let split = if level >= cfg.resolution {
             None
         } else {
             self.ops.bulk_prepare(&mut items, level, ctx);
@@ -116,8 +134,8 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
             // world rectangle intersects no quadrant): park strays with the
             // insert fallback rule before judging progress.
             split.park_unassigned(items.len());
-            // Degenerate splits end the recursion with an oversized leaf.
-            // Beyond the insert path's check, a replicating picksplit (PMR)
+            // Degenerate splits end the key decomposition.  Beyond the
+            // insert path's check, a replicating picksplit (PMR)
             // that copies the *whole* input into two or more partitions has
             // separated nothing — recursing would multiply identical
             // replicas level after level (identical or heavily overlapping
@@ -128,14 +146,7 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
                 .then_some(split)
         };
         let Some(split) = split else {
-            let len = items.len() as u64;
-            let id = self
-                .store
-                .allocate(&Node::<O>::Leaf { items }, Some(near))?;
-            self.note_node(id.page, parent_page, path_pages, node_depth);
-            self.stats.leaf_nodes += 1;
-            self.stats.items += len;
-            return Ok(id);
+            return self.build_rows(above, items, 0);
         };
 
         let PickSplit { prefix, partitions } = split;
@@ -160,8 +171,8 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
                 })
                 .collect(),
         };
-        let inner_id = self.store.allocate(&placeholder, Some(near))?;
-        let my_path = self.note_node(inner_id.page, parent_page, path_pages, node_depth);
+        let inner_id = self.store.allocate(&placeholder, Some(above.near))?;
+        let below = self.note_node(inner_id.page, above);
         self.stats.inner_nodes += 1;
 
         let mut entries = Vec::with_capacity(kept.len());
@@ -169,39 +180,68 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
             let part_items: Vec<(O::Key, RowId)> =
                 members.iter().map(|&idx| items[idx].clone()).collect();
             let child_ctx = self.ops.child_context(ctx, prefix.as_ref(), &pred, level);
-            let child = self.build_partition(
-                inner_id.page,
-                Some(inner_id.page),
-                my_path,
-                node_depth + 1,
-                part_items,
-                level + delta,
-                &child_ctx,
-            )?;
+            let child = self.build_partition(below, part_items, level + delta, &child_ctx)?;
             entries.push(Entry { pred, child });
         }
-        let patched = Node::<O>::Inner { prefix, entries };
-        if self.store.update(inner_id, &patched, None)?.is_some() {
-            return Err(StorageError::Corrupt(
-                "bulk-built inner node relocated while patching fixed-width child pointers".into(),
-            ));
-        }
+        self.store
+            .patch(inner_id, &Node::<O>::Inner { prefix, entries })?;
         Ok(inner_id)
     }
 
-    /// Records a node placed at `page` into the height statistics and
-    /// returns the number of distinct pages on the root-to-it path.
-    fn note_node(
+    /// Builds the subtree for `items` that keys cannot separate, below row
+    /// nodes that consumed `shift` row-id bits: one leaf while it fits the
+    /// byte budget, else a row node over [`ROW_FANOUT`] such subtrees.  The
+    /// insert path calls this too when a leaf outgrows the budget, so both
+    /// grow one shape.
+    pub(crate) fn build_rows(
         &mut self,
-        page: PageId,
-        parent_page: Option<PageId>,
-        path_pages: u32,
-        node_depth: u32,
-    ) -> u32 {
-        let my_path = crate::tree::path_pages(parent_page, path_pages, page);
-        self.stats.max_node_height = self.stats.max_node_height.max(node_depth);
-        self.stats.max_page_height = self.stats.max_page_height.max(my_path);
-        my_path
+        above: Above,
+        items: Vec<(O::Key, RowId)>,
+        shift: u32,
+    ) -> StorageResult<NodeId> {
+        if !Node::<O>::outgrows_leaf(&items, shift) {
+            return self.build_leaf(above, items);
+        }
+        let mut children = vec![NodeId::new(0, 0); ROW_FANOUT];
+        let placeholder = Node::<O>::Rows {
+            shift,
+            children: children.clone(),
+        };
+        let id = self.store.allocate(&placeholder, Some(above.near))?;
+        let below = self.note_node(id.page, above);
+        self.stats.inner_nodes += 1;
+        let mut buckets = vec![Vec::new(); ROW_FANOUT];
+        for item in items {
+            buckets[row_slot(item.1, shift)].push(item);
+        }
+        for (child, bucket) in children.iter_mut().zip(buckets) {
+            *child = self.build_rows(below, bucket, shift + ROW_BITS)?;
+        }
+        self.store.patch(id, &Node::<O>::Rows { shift, children })?;
+        Ok(id)
+    }
+
+    fn build_leaf(&mut self, above: Above, items: Vec<(O::Key, RowId)>) -> StorageResult<NodeId> {
+        self.stats.leaf_nodes += 1;
+        self.stats.items += items.len() as u64;
+        let leaf = Node::<O>::Leaf { items };
+        let id = self.store.allocate(&leaf, Some(above.near))?;
+        self.note_node(id.page, above);
+        Ok(id)
+    }
+
+    /// Records a node placed at `page` into the height statistics and
+    /// returns what lies above its children.
+    fn note_node(&mut self, page: PageId, above: Above) -> Above {
+        let path_pages = crate::tree::path_pages(above.parent_page, above.path_pages, page);
+        self.stats.max_node_height = self.stats.max_node_height.max(above.node_depth);
+        self.stats.max_page_height = self.stats.max_page_height.max(path_pages);
+        Above {
+            near: page,
+            parent_page: Some(page),
+            path_pages,
+            node_depth: above.node_depth + 1,
+        }
     }
 }
 

@@ -145,6 +145,13 @@ where
                         discovered.push((dist, QueueItem::Object { key, row }));
                     }
                 }
+                Node::Rows { children, .. } => {
+                    // Rows say nothing about distance: every child inherits
+                    // the node's bound.
+                    for id in children {
+                        discovered.push((parent_dist, QueueItem::Node { id, level }));
+                    }
+                }
                 Node::Inner { prefix, entries } => {
                     let delta = ops.descend_levels(prefix.as_ref());
                     for entry in entries {

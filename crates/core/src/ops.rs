@@ -52,8 +52,9 @@ pub struct PickSplit<Prefix, Pred> {
 impl<Prefix, Pred> PickSplit<Prefix, Pred> {
     /// True if the split made no progress: everything would end up in a
     /// single partition identical to the input and no prefix was extracted.
-    /// The internal methods stop splitting in that case and allow an
-    /// oversized leaf instead.
+    /// The internal methods stop splitting by key in that case; past the
+    /// byte budget the leaf fans out by row id instead
+    /// ([`crate::node::Node::Rows`]).
     pub fn is_degenerate(&self, input_len: usize) -> bool {
         self.prefix.is_none()
             && self.partitions.len() <= 1
@@ -90,7 +91,7 @@ impl<Prefix, Pred> PickSplit<Prefix, Pred> {
     /// two or more partitions each received every item.  Recursing into such
     /// a split multiplies identical copies level after level (identical or
     /// heavily overlapping PMR segments) without ever shrinking a partition,
-    /// so the bulk builder stops and allows an oversized leaf instead.  A
+    /// so the bulk builder stops and partitions by row id instead.  A
     /// *single* full partition is fine — that is a plain descent chain,
     /// bounded by the resolution.
     pub fn replicates_without_separating(&self, input_len: usize) -> bool {
@@ -196,6 +197,19 @@ pub trait SpGistOps {
     /// Decompose the items of an overfull data node into new partitions
     /// (paper Table 1).  `level` is the depth of the node being split and
     /// `ctx` the traversal context reconstructed on the way down to it.
+    ///
+    /// **A degenerate answer is final.**  Once a leaf whose split
+    /// [`PickSplit::is_degenerate`] outgrows the byte budget it fans out by
+    /// row id ([`crate::node::Node::Rows`]), and every key `choose` routes
+    /// there later is filed by its row and never offered to `picksplit`
+    /// again.  Answer with a single full partition (and no prefix) only when
+    /// no key that can reach this node is separable from these — not merely
+    /// because the keys at hand agree at this level.  The built-in classes
+    /// comply: the tries extract the common prefix or end on the terminator
+    /// partition, which only that one word reaches; the spatial classes
+    /// always emit their full fan-out and chain down to the resolution.  A
+    /// class that breaks the rule stays correct (searches filter at the
+    /// leaves) but scans the whole pile for every query that reaches it.
     fn picksplit(
         &self,
         items: &[Self::Key],

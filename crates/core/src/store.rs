@@ -56,12 +56,16 @@ const OPEN_PAGE_LIMIT: usize = 16;
 /// Record-header tags.  Every node record starts with one byte saying how
 /// the node's bytes are laid out.
 ///
-/// A node is usually far smaller than a page, but a data node full of
-/// duplicate keys (rampant in the suffix tree, where short suffixes repeat
-/// across thousands of words) cannot be decomposed by `PickSplit` and may
-/// outgrow a page.  Such nodes are spilled transparently across a chain of
-/// records — the TOAST idea scaled down to tree nodes — so the internal
-/// methods never see a size limit.
+/// A node is usually far smaller than a page, and a leaf of duplicate keys
+/// fans out by row id long before it fills one
+/// ([`crate::node::ROW_SPLIT_BYTES`]).  What can still outgrow a page is a
+/// single record no partitioning shrinks: a key longer than a page, a bucket
+/// of very long keys, a giant inner-node prefix, or one `(key, row)` pair
+/// inserted so often that the row-id bits run out.  Such a node is spilled
+/// transparently across a chain of records — the TOAST idea scaled down to
+/// tree nodes — so the internal methods never see a size limit.  The chain
+/// is rewritten whole on every update, which is fine for a rarity and was
+/// ruinous as the duplicate-key path.
 const TAG_INLINE: u8 = 0;
 const TAG_CHAIN_HEAD: u8 = 1;
 const TAG_CHAIN_CONT: u8 = 2;
@@ -104,6 +108,15 @@ fn decode_chain_rest(mut buf: &[u8]) -> StorageResult<(NodeId, &[u8])> {
     let page = u32::decode(&mut buf)?;
     let slot = u16::decode(&mut buf)?;
     Ok((NodeId::new(page, slot), buf))
+}
+
+/// The first continuation record named by a node record, or [`CHAIN_END`]
+/// for an inline one.
+fn chain_start(mut record: &[u8]) -> StorageResult<NodeId> {
+    match u8::decode(&mut record)? {
+        TAG_CHAIN_HEAD => Ok(decode_chain_rest(record)?.0),
+        _ => Ok(CHAIN_END),
+    }
 }
 
 /// Placement bookkeeping, shared behind a mutex so allocation decisions
@@ -354,16 +367,10 @@ impl NodeStore {
     /// The first continuation record of `id`, or [`CHAIN_END`] for inline
     /// records.
     fn continuation_of(&self, id: NodeId) -> StorageResult<NodeId> {
-        let record = self
-            .pool
+        self.pool
             .with_page_hinted(id.page, self.access_hint(), |p| {
-                p.get(id.slot).map(<[u8]>::to_vec)
-            })??;
-        let mut buf = record.as_slice();
-        match u8::decode(&mut buf)? {
-            TAG_CHAIN_HEAD => Ok(decode_chain_rest(buf)?.0),
-            _ => Ok(CHAIN_END),
-        }
+                chain_start(p.get(id.slot)?)
+            })?
     }
 
     /// Rewrites the node at `id` in place when possible.  If the new encoding
@@ -373,7 +380,9 @@ impl NodeStore {
     /// the caller must fix the parent's child pointer and then call
     /// [`NodeStore::retire_node`] on the old address.  Returns `None` when
     /// the update happened in place (any superseded spill chain is retired
-    /// here).
+    /// here).  Even a shrinking update can relocate — an inline record is up
+    /// to `CHAIN_HEADER - 1` bytes larger than the chain head it replaces —
+    /// so every caller knows the parent pointer.
     pub fn update<O: SpGistOps>(
         &self,
         id: NodeId,
@@ -383,49 +392,32 @@ impl NodeStore {
         // Any previous spill chain is replaced wholesale by fresh
         // continuation records; the old ones are retired, never mutated, so
         // a reader holding the old head still reassembles the old node.
-        let old_chain = self.continuation_of(id)?;
-        let bytes = node.encode();
-        let record = self.encode_node_record(&bytes)?;
-        let updated = self
-            .pool
-            .with_page_mut_hinted(id.page, self.access_hint(), |p| p.update(id.slot, &record))??;
+        let record = self.encode_node_record(&node.encode())?;
+        let (updated, old_chain) =
+            self.pool
+                .with_page_mut_hinted(id.page, self.access_hint(), |p| {
+                    let old_chain = chain_start(p.get(id.slot)?)?;
+                    StorageResult::Ok((p.update(id.slot, &record)?, old_chain))
+                })??;
         if updated {
             self.retire_chain_from(old_chain)?;
             return Ok(None);
-        }
-        // A node shrinking out of chain format can still miss the in-place
-        // window: an inline record is up to CHAIN_HEADER-1 bytes *larger*
-        // than the chain head it replaces, and the head's page may have no
-        // slack.  Deletion call sites rely on shrinking updates never
-        // relocating (they do not know the parent pointer), so retry in
-        // chain format — the head record is capped at the old head's size,
-        // and `read` handles an immediate CHAIN_END.
-        if record.first() == Some(&TAG_INLINE) {
-            let head_len = bytes.len().min(MAX_CHUNK);
-            let next = if bytes.len() > MAX_CHUNK {
-                self.place_continuations(&bytes)?
-            } else {
-                CHAIN_END
-            };
-            let chain_head = encode_chain_record(TAG_CHAIN_HEAD, next, &bytes[..head_len]);
-            let updated = self
-                .pool
-                .with_page_mut_hinted(id.page, self.access_hint(), |p| {
-                    p.update(id.slot, &chain_head)
-                })??;
-            if updated {
-                self.retire_chain_from(old_chain)?;
-                return Ok(None);
-            }
-            // The retry failed too; its freshly placed continuations were
-            // never linked anywhere, so free them outright before
-            // relocating the inline record.
-            self.free_chain_from(next)?;
         }
         // Relocate copy-on-write: the old record keeps its content (and its
         // chain) until the caller retires it.
         let new_id = self.place(&record, near)?;
         Ok(Some(new_id))
+    }
+
+    /// Rewrites in place an index node whose child pointers changed: they
+    /// are fixed-width, so the record keeps its size and cannot move.
+    pub fn patch<O: SpGistOps>(&self, id: NodeId, node: &Node<O>) -> StorageResult<()> {
+        match self.update(id, node, None)? {
+            None => Ok(()),
+            Some(_) => Err(StorageError::Corrupt(
+                "fixed-width child-pointer patch relocated its node".into(),
+            )),
+        }
     }
 
     /// Retires the node record at `id` and its spill chain, handing them to
@@ -831,7 +823,7 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_a_chained_node_never_relocates() {
+    fn shrinking_a_chained_node_keeps_its_contents_wherever_it_lands() {
         let store = store(ClusteringPolicy::ParentFirst);
         let huge = leaf(3500);
         let id = store.allocate(&huge, None).unwrap();
@@ -848,8 +840,9 @@ mod tests {
         }
         // Shrink into the awkward window just below the inline threshold,
         // where the inline record (1 + len) is larger than the chain head
-        // record it replaces (MAX_RECORD_SIZE - 256 bytes).  Deletion call
-        // sites assume shrinks stay in place.
+        // record it replaces (MAX_RECORD_SIZE - 256 bytes): the one shrink
+        // that may have to move, which is why every caller of `update`
+        // (deletes included) carries the parent pointer.
         let n = (0..u32::MAX)
             .find(|&n| {
                 let len = leaf(n).encode().len();
@@ -857,10 +850,11 @@ mod tests {
             })
             .expect("item granularity is far below the 250-byte window");
         let shrunk = leaf(n);
-        let relocated = store.update(id, &shrunk, None).unwrap();
-        assert!(relocated.is_none(), "shrinking update must stay in place");
+        let id = update_retiring(&store, id, &shrunk);
         assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), shrunk);
-        // Shrinking all the way down to a trivial node also stays in place.
+        store.reclaim().unwrap();
+        assert_eq!(store.epochs().backlog(), 0, "the old chain is reclaimed");
+        // Shrinking all the way down to a trivial node stays in place.
         let tiny = leaf(2);
         assert!(store.update(id, &tiny, None).unwrap().is_none());
         assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), tiny);

@@ -38,13 +38,23 @@ use spgist_storage::{
     StorageError, StorageResult,
 };
 
+use crate::build::{Above, BulkBuilder};
 use crate::config::NodeShrink;
 use crate::nn::NnIter;
-use crate::node::{Entry, Node, NodeId};
+use crate::node::{row_slot, Entry, Node, NodeId, ROW_BITS};
 use crate::ops::{Choose, PickSplit, SpGistOps};
 use crate::stats::TreeStats;
 use crate::store::NodeStore;
 use crate::RowId;
+
+/// Where a delete found an item: its leaf, its index there, and the leaf's
+/// parent entry.
+type Located = (NodeId, usize, Option<(NodeId, usize)>);
+
+/// Pairs [`SpGistTree::insert_all`] inserts per hold of the write gate, meta
+/// write and reclamation pass: a statement's worth (a word's suffixes), few
+/// enough that the retired records a batch cannot yet reuse stay a handful.
+const INSERT_CHUNK: usize = 32;
 
 /// Outcome of one latched descent attempt.
 enum Descent {
@@ -236,7 +246,43 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// other inserts (and with all readers); on latch contention the descent
     /// restarts from the root.
     pub fn insert(&self, key: O::Key, row: RowId) -> StorageResult<()> {
-        let _gate = self.write_gate.read();
+        self.insert_all([(key, row)])
+    }
+
+    /// Inserts every `(key, row)` pair from an iterator, one descent per
+    /// pair from the root — the reference insert loop the equivalence tests
+    /// compare [`SpGistTree::bulk_build`] against, and the statement form of
+    /// [`SpGistTree::insert`]: the write gate is taken, the item count
+    /// persisted and retired records reclaimed once per `INSERT_CHUNK` (32)
+    /// pairs (the suffix tree inserts a word's suffixes this way) — not once
+    /// per call, so a long batch neither starves deleters of the gate nor
+    /// piles up retired records it could have reused.  On an error the pairs
+    /// already inserted stay, and stay counted.
+    pub fn insert_all<I>(&self, items: I) -> StorageResult<()>
+    where
+        I: IntoIterator<Item = (O::Key, RowId)>,
+    {
+        let mut items = items.into_iter().peekable();
+        while items.peek().is_some() {
+            let _gate = self.write_gate.read();
+            let mut inserted = 0;
+            let mut chunk = items.by_ref().take(INSERT_CHUNK);
+            let result =
+                chunk.try_for_each(|(key, row)| self.insert_one(&key, row).map(|()| inserted += 1));
+            {
+                let _meta = self.meta_lock.lock();
+                self.item_count.fetch_add(inserted, Ordering::Relaxed);
+                self.write_meta_locked()?;
+            }
+            result?;
+            // Opportunistically reclaim records retired past the oldest reader.
+            self.store.reclaim()?;
+        }
+        Ok(())
+    }
+
+    /// One uncounted insert; the caller holds the write gate shared.
+    fn insert_one(&self, key: &O::Key, row: RowId) -> StorageResult<()> {
         loop {
             let mut latches = LatchSet::new(&self.latches);
             match self.root() {
@@ -252,12 +298,12 @@ impl<O: SpGistOps> SpGistTree<O> {
                         items: vec![(key.clone(), row)],
                     };
                     let id = self.store.allocate(&leaf, Some(self.meta_page))?;
+                    // In memory only: the caller's one meta write persists the
+                    // root together with the count.
                     let _meta = self.meta_lock.lock();
                     self.set_root(Some(id));
-                    self.item_count.fetch_add(1, Ordering::Relaxed);
                     self.page_height.store(1, Ordering::Relaxed);
-                    self.write_meta_locked()?;
-                    break;
+                    return Ok(());
                 }
                 Some(root) => {
                     if !latches.acquire(root.page) {
@@ -269,39 +315,14 @@ impl<O: SpGistOps> SpGistTree<O> {
                         continue;
                     }
                     let ctx = self.ops.root_context();
-                    match self.insert_at(root, None, 0, 0, &key, row, &ctx, &mut latches)? {
-                        Descent::Done => {
-                            drop(latches);
-                            let _meta = self.meta_lock.lock();
-                            self.item_count.fetch_add(1, Ordering::Relaxed);
-                            self.write_meta_locked()?;
-                            break;
-                        }
-                        Descent::Restart => continue,
+                    if let Descent::Done =
+                        self.insert_at(root, None, 0, 0, None, key, row, &ctx, &mut latches)?
+                    {
+                        return Ok(());
                     }
                 }
             }
         }
-        // Opportunistically reclaim records retired past the oldest reader.
-        self.store.reclaim()
-    }
-
-    /// Inserts every `(key, row)` pair from an iterator, one
-    /// [`SpGistTree::insert`] at a time.
-    ///
-    /// This is the reference insert loop: every key walks the tree from the
-    /// root and pages are rewritten as later splits reshape them.  It is the
-    /// behavior the equivalence tests compare against; to *load* a known
-    /// data set, use [`SpGistTree::bulk_build`], which partitions the whole
-    /// set top-down and writes each node exactly once.
-    pub fn insert_all<I>(&self, items: I) -> StorageResult<()>
-    where
-        I: IntoIterator<Item = (O::Key, RowId)>,
-    {
-        for (key, row) in items {
-            self.insert(key, row)?;
-        }
-        Ok(())
     }
 
     /// Builds the whole tree from `items` in one pass — the paper's
@@ -339,7 +360,7 @@ impl<O: SpGistOps> SpGistTree<O> {
         // other tree's hot pages; point operations restore Normal below.
         self.store.set_access_hint(AccessHint::Scan);
         let result: StorageResult<_> = (|| {
-            let mut builder = crate::build::BulkBuilder::new(&self.ops, &self.store);
+            let mut builder = BulkBuilder::new(&self.ops, &self.store);
             let root = builder.build_root(meta, items)?;
             let stats = builder.finish()?;
             Ok((root, stats))
@@ -363,7 +384,8 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// on it, and its parent pointer can be patched if *we* relocate it.
     /// `parent_pages` is the number of pages on the root-to-parent path (0 at
     /// the root); it feeds the page-height hint wherever this insert can
-    /// lengthen a path.
+    /// lengthen a path.  `rows` is the number of row-id bits consumed by the
+    /// row nodes above, `None` above them all.
     #[allow(clippy::too_many_arguments)]
     fn insert_at(
         &self,
@@ -371,6 +393,7 @@ impl<O: SpGistOps> SpGistTree<O> {
         parent: Option<(NodeId, usize)>,
         parent_pages: u32,
         level: u32,
+        rows: Option<u32>,
         key: &O::Key,
         row: RowId,
         ctx: &O::Context,
@@ -382,29 +405,59 @@ impl<O: SpGistOps> SpGistTree<O> {
             Node::Leaf { mut items } => {
                 let cfg = self.ops.config();
                 items.push((key.clone(), row));
-                if items.len() <= cfg.bucket_size || level >= cfg.resolution {
+                // Keys have a say only above row nodes and past the bucket.
+                let overfull = rows.is_none() && items.len() > cfg.bucket_size;
+                if overfull && level < cfg.resolution {
+                    // The data node is overfull: decompose it with PickSplit.
+                    let keys: Vec<O::Key> = items.iter().map(|(k, _)| k.clone()).collect();
+                    let split = self.ops.picksplit(&keys, level, ctx);
+                    if !split.is_degenerate(items.len()) {
+                        // The replacement subtree is built in fresh, unlinked
+                        // records (invisible to every other thread) and
+                        // becomes reachable in one write of the old leaf's
+                        // record.
+                        let inner = self.build_split(node_id.page, &items, split, level, ctx)?;
+                        let at = self.write_node(node_id, &inner, parent)?;
+                        let mut built = TreeStats::default();
+                        self.note_height(self.walk(at, parent_page, parent_pages, &mut built)?);
+                        return Ok(Descent::Done);
+                    }
+                }
+                // Where no key decomposition is possible (all keys identical,
+                // resolution exhausted, or already below a row node) a leaf
+                // past the byte budget fans out by row id instead, built like
+                // a split: fresh records, published by one pointer swing.
+                let shift = rows.unwrap_or(0);
+                if (overfull || rows.is_some()) && Node::<O>::outgrows_leaf(&items, shift) {
+                    let mut builder = BulkBuilder::new(&self.ops, &self.store);
+                    let above = Above {
+                        near: node_id.page,
+                        parent_page,
+                        path_pages: parent_pages,
+                        node_depth: 1,
+                    };
+                    let fan = builder.build_rows(above, items, shift)?;
+                    self.relink(node_id, fan, parent)?;
+                    self.note_height(builder.stats.max_page_height);
+                } else {
                     let at = self.write_node(node_id, &Node::Leaf { items }, parent)?;
                     self.note_height(path_pages(parent_page, parent_pages, at.page));
-                    return Ok(Descent::Done);
                 }
-                // The data node is overfull: decompose it with PickSplit.
-                let keys: Vec<O::Key> = items.iter().map(|(k, _)| k.clone()).collect();
-                let split = self.ops.picksplit(&keys, level, ctx);
-                if split.is_degenerate(items.len()) {
-                    // No further decomposition is possible (all keys identical
-                    // or resolution exhausted); allow the oversized leaf.
-                    let at = self.write_node(node_id, &Node::Leaf { items }, parent)?;
-                    self.note_height(path_pages(parent_page, parent_pages, at.page));
-                    return Ok(Descent::Done);
-                }
-                // The replacement subtree is built in fresh, unlinked records
-                // (invisible to every other thread) and becomes reachable in
-                // one write of the old leaf's record.
-                let inner = self.build_split(node_id.page, &items, split, level, ctx)?;
-                let at = self.write_node(node_id, &inner, parent)?;
-                let mut built = TreeStats::default();
-                self.note_height(self.walk(at, parent_page, parent_pages, &mut built)?);
                 Ok(Descent::Done)
+            }
+            Node::Rows { shift, children } => {
+                // Follow the row to its one small leaf, crabbing like a
+                // single-entry descent; level and context pass through.
+                latches.retain(&[node_id.page]);
+                let idx = row_slot(row, shift);
+                let child = children[idx];
+                if !latches.acquire(child.page) {
+                    return Ok(Descent::Restart);
+                }
+                let pages = path_pages(parent_page, parent_pages, node_id.page);
+                let below = Some(shift + ROW_BITS);
+                let at = Some((node_id, idx));
+                self.insert_at(child, at, pages, level, below, key, row, ctx, latches)
             }
             Node::Inner { prefix, entries } => {
                 let preds: Vec<O::Pred> = entries.iter().map(|e| e.pred.clone()).collect();
@@ -459,6 +512,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                                 Some((node_id, idx)),
                                 path_pages(parent_page, parent_pages, node_id.page),
                                 level + delta,
+                                None,
                                 key,
                                 row,
                                 &child_ctx,
@@ -524,7 +578,17 @@ impl<O: SpGistOps> SpGistTree<O> {
                             return Ok(Descent::Restart);
                         }
                         // Retry the insertion at the restructured node.
-                        self.insert_at(current, parent, parent_pages, level, key, row, ctx, latches)
+                        self.insert_at(
+                            current,
+                            parent,
+                            parent_pages,
+                            level,
+                            None,
+                            key,
+                            row,
+                            ctx,
+                            latches,
+                        )
                     }
                 }
             }
@@ -590,10 +654,7 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// Returns the node's current address.
     ///
     /// The caller must hold the page latches for `node_id` and the parent
-    /// (insert descents do; gate-exclusive paths hold the whole tree).  On
-    /// relocation the old record is retired only *after* the parent pointer
-    /// flips, so a reader pinned at any moment sees either the old record
-    /// (still intact) or the new one — never a dangling pointer.
+    /// (insert descents do; gate-exclusive paths hold the whole tree).
     fn write_node(
         &self,
         node_id: NodeId,
@@ -604,44 +665,39 @@ impl<O: SpGistOps> SpGistTree<O> {
         match self.store.update(node_id, node, Some(near))? {
             None => Ok(node_id),
             Some(new_id) => {
-                match parent {
-                    None => {
-                        let _meta = self.meta_lock.lock();
-                        self.set_root(Some(new_id));
-                        self.write_meta_locked()?;
-                    }
-                    Some((parent_id, entry_idx)) => {
-                        let mut parent_node: Node<O> = self.store.read(parent_id)?;
-                        match &mut parent_node {
-                            Node::Inner { entries, .. } => {
-                                entries
-                                    .get_mut(entry_idx)
-                                    .ok_or_else(|| {
-                                        StorageError::Corrupt(
-                                            "parent entry index out of range".into(),
-                                        )
-                                    })?
-                                    .child = new_id;
-                            }
-                            Node::Leaf { .. } => {
-                                return Err(StorageError::Corrupt(
-                                    "parent of a relocated node is a leaf".into(),
-                                ))
-                            }
-                        }
-                        // The child pointer has a fixed encoded size, so this
-                        // update always succeeds in place.
-                        if self.store.update(parent_id, &parent_node, None)?.is_some() {
-                            return Err(StorageError::Corrupt(
-                                "fixed-size parent pointer update relocated the parent".into(),
-                            ));
-                        }
-                    }
-                }
-                self.store.retire_node(node_id)?;
+                self.relink(node_id, new_id, parent)?;
                 Ok(new_id)
             }
         }
+    }
+
+    /// Swings the pointer to `old` (entry `parent.1` of `parent.0`, or the
+    /// root) over to `new` and retires `old` — only *after* the pointer
+    /// flips, so a reader pinned at any moment sees either the old record
+    /// (still intact) or the new one, never a dangling pointer.
+    fn relink(
+        &self,
+        old: NodeId,
+        new: NodeId,
+        parent: Option<(NodeId, usize)>,
+    ) -> StorageResult<()> {
+        match parent {
+            None => {
+                let _meta = self.meta_lock.lock();
+                self.set_root(Some(new));
+                self.write_meta_locked()?;
+            }
+            Some((parent_id, entry_idx)) => {
+                let mut parent_node: Node<O> = self.store.read(parent_id)?;
+                **parent_node
+                    .children_mut()
+                    .get_mut(entry_idx)
+                    .ok_or_else(|| StorageError::Corrupt("parent entry out of range".into()))? =
+                    new;
+                self.store.patch(parent_id, &parent_node)?;
+            }
+        }
+        self.store.retire_node(old)
     }
 
     // ------------------------------------------------------------------
@@ -698,7 +754,7 @@ impl<O: SpGistOps> SpGistTree<O> {
 
     /// Deletes the item `(key, row)`.  Returns `true` if an item was removed.
     pub fn delete(&self, key: &O::Key, row: RowId) -> StorageResult<bool> {
-        self.delete_impl(key, row, false)
+        self.delete_items(&[(key, row)], false)
     }
 
     /// Deletes every physical occurrence of the item `(key, row)`, counting
@@ -711,41 +767,94 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// matching `(key, row)` occurrence from *every* leaf that holds one and
     /// decrements the item count once.
     pub fn delete_replicated(&self, key: &O::Key, row: RowId) -> StorageResult<bool> {
-        self.delete_impl(key, row, true)
+        self.delete_items(&[(key, row)], true)
     }
 
-    /// Shared deletion: locate leaves holding `(key, row)` by consistent
-    /// descent (the first matching item per leaf; one leaf, or every leaf
-    /// when `all_replicas` is set), remove the occurrences, and count one
-    /// logical removal.
+    /// Deletes every `(key, row)` pair of `items`, or nothing: the pairs are
+    /// removed only if every one was found (equal pairs must be present that
+    /// many times).  Returns whether the batch was removed.  One descent per
+    /// pair and one rewrite per touched leaf under one hold of the write
+    /// gate — how the suffix tree deletes a word.
+    pub fn delete_batch(&self, items: &[(O::Key, RowId)]) -> StorageResult<bool> {
+        let items: Vec<_> = items.iter().map(|(key, row)| (key, *row)).collect();
+        self.delete_items(&items, false)
+    }
+
+    /// Shared deletion: locate every item, then remove what was located, one
+    /// logical removal per item.
     ///
     /// Deletion takes the write gate exclusively — it excludes other writers
     /// (so its captured node addresses stay valid without crabbing) but not
     /// readers, which epoch pins keep safe across the copy-on-write removal
     /// rewrites.
-    fn delete_impl(&self, key: &O::Key, row: RowId, all_replicas: bool) -> StorageResult<bool> {
+    fn delete_items(&self, items: &[(&O::Key, RowId)], all_replicas: bool) -> StorageResult<bool> {
         let _gate = self.write_gate.write();
-        let Some(root) = self.root() else {
-            return Ok(false);
-        };
+        let mut targets = Vec::new();
+        for (key, row) in items {
+            if !self.locate(key, *row, all_replicas, &mut targets)? {
+                return Ok(false);
+            }
+        }
+        // Group by leaf, highest item first so earlier indices stay valid.
+        targets.sort_unstable_by_key(|t| (t.0, std::cmp::Reverse(t.1)));
+        let mut rest = targets.as_slice();
+        while let Some(&(leaf_id, _, parent)) = rest.first() {
+            let Node::Leaf { mut items } = self.store.read::<O>(leaf_id)? else {
+                return Err(StorageError::Corrupt("located node is not a leaf".into()));
+            };
+            let group = rest.iter().take_while(|t| t.0 == leaf_id).count();
+            for (_, idx, _) in &rest[..group] {
+                items.remove(*idx);
+            }
+            // A shrinking leaf normally stays in place; should it move,
+            // write_node fixes the captured parent pointer (valid under the
+            // exclusive gate — only leaves move here).
+            self.write_node(leaf_id, &Node::Leaf { items }, parent)?;
+            rest = &rest[group..];
+        }
+        {
+            let _meta = self.meta_lock.lock();
+            self.item_count
+                .fetch_sub(items.len() as u64, Ordering::Relaxed);
+            self.write_meta_locked()?;
+        }
+        self.store.reclaim()?;
+        Ok(true)
+    }
+
+    /// Finds `(key, row)` by consistent descent — following the row through
+    /// row nodes — and appends its position (the first occurrence not yet in
+    /// `targets`; one leaf, or one per leaf holding it when `all_replicas`
+    /// is set) to `targets`.  Returns whether any was found.
+    fn locate(
+        &self,
+        key: &O::Key,
+        row: RowId,
+        all_replicas: bool,
+        targets: &mut Vec<Located>,
+    ) -> StorageResult<bool> {
         let query = self.ops.key_query(key);
-        type Parent = Option<(NodeId, usize)>;
-        let mut stack: Vec<(NodeId, u32, Parent)> = vec![(root, 0u32, None)];
-        let mut targets: Vec<(NodeId, usize, Parent)> = Vec::new();
-        'outer: while let Some((node_id, level, parent)) = stack.pop() {
+        let mut found = false;
+        let mut stack = Vec::from_iter(self.root().map(|root| (root, 0, None)));
+        while let Some((node_id, level, parent)) = stack.pop() {
             match self.store.read::<O>(node_id)? {
                 Node::Leaf { items } => {
-                    for (idx, (k, r)) in items.iter().enumerate() {
-                        if *r == row && self.ops.leaf_consistent(k, &query, level) {
-                            if !targets.iter().any(|(id, _, _)| *id == node_id) {
-                                targets.push((node_id, idx, parent));
-                            }
-                            if !all_replicas {
-                                break 'outer;
-                            }
+                    let hit = items.iter().enumerate().position(|(idx, (k, r))| {
+                        *r == row
+                            && self.ops.leaf_consistent(k, &query, level)
+                            && !targets.iter().any(|t| (t.0, t.1) == (node_id, idx))
+                    });
+                    if let Some(idx) = hit {
+                        targets.push((node_id, idx, parent));
+                        found = true;
+                        if !all_replicas {
                             break;
                         }
                     }
+                }
+                Node::Rows { shift, children } => {
+                    let idx = row_slot(row, shift);
+                    stack.push((children[idx], level, Some((node_id, idx))));
                 }
                 Node::Inner { prefix, entries } => {
                     if let Some(p) = &prefix {
@@ -765,26 +874,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                 }
             }
         }
-        if targets.is_empty() {
-            return Ok(false);
-        }
-        for (leaf_id, item_idx, parent) in targets {
-            let mut node: Node<O> = self.store.read(leaf_id)?;
-            if let Node::Leaf { items } = &mut node {
-                items.remove(item_idx);
-            }
-            // Shrinking updates normally stay in place; when one relocates
-            // anyway, write_node fixes the captured parent pointer (valid
-            // under the exclusive gate — only leaves move here).
-            self.write_node(leaf_id, &node, parent)?;
-        }
-        {
-            let _meta = self.meta_lock.lock();
-            self.item_count.fetch_sub(1, Ordering::Relaxed);
-            self.write_meta_locked()?;
-        }
-        self.store.reclaim()?;
-        Ok(true)
+        Ok(found)
     }
 
     // ------------------------------------------------------------------
@@ -861,11 +951,7 @@ impl<O: SpGistOps> SpGistTree<O> {
             }
             used += cost;
             in_group.insert(id, group.len());
-            if let Node::Inner { entries, .. } = &node {
-                for entry in entries {
-                    queue.push_back(entry.child);
-                }
-            }
+            queue.extend(node.children());
             group.push((id, node));
         }
 
@@ -877,30 +963,17 @@ impl<O: SpGistOps> SpGistTree<O> {
         for (_, node) in &group {
             new_ids.push(store.allocate_in_page(node, page)?);
         }
-        for (idx, (_, node)) in group.iter().enumerate() {
-            let Node::Inner { prefix, entries } = node else {
+        for (idx, (_, node)) in group.iter_mut().enumerate() {
+            if node.is_leaf() {
                 continue;
-            };
-            let mut new_entries = Vec::with_capacity(entries.len());
-            for entry in entries {
-                let child = match in_group.get(&entry.child) {
+            }
+            for child in node.children_mut() {
+                *child = match in_group.get(child) {
                     Some(&member) => new_ids[member],
-                    None => Self::repack_group(store, entry.child)?,
+                    None => Self::repack_group(store, *child)?,
                 };
-                new_entries.push(Entry {
-                    pred: entry.pred.clone(),
-                    child,
-                });
             }
-            let patched = Node::<O>::Inner {
-                prefix: prefix.clone(),
-                entries: new_entries,
-            };
-            if store.update(new_ids[idx], &patched, None)?.is_some() {
-                return Err(StorageError::Corrupt(
-                    "repacked inner node changed size while patching child pointers".into(),
-                ));
-            }
+            store.patch(new_ids[idx], node)?;
         }
         Ok(new_ids[0])
     }
@@ -980,10 +1053,11 @@ impl<O: SpGistOps> SpGistTree<O> {
                     stats.leaf_nodes += 1;
                     stats.items += items.len() as u64;
                 }
-                Node::Inner { entries, .. } => {
+                // Row nodes count as index nodes.
+                index => {
                     stats.inner_nodes += 1;
-                    for entry in &entries {
-                        stack.push((entry.child, node_depth + 1, Some(node_id.page), pages));
+                    for child in index.children() {
+                        stack.push((child, node_depth + 1, Some(node_id.page), pages));
                     }
                 }
             }
@@ -1139,6 +1213,10 @@ where
                         .filter(|(key, _)| ops.leaf_consistent(key, &self.query, level))
                         .collect();
                     self.pending = matched.into_iter();
+                }
+                Ok(Node::Rows { children, .. }) => {
+                    // Any row may match: visit every child, same level.
+                    self.stack.extend(children.into_iter().map(|c| (c, level)));
                 }
                 Ok(Node::Inner { prefix, entries }) => {
                     if let Some(p) = &prefix {
@@ -1666,6 +1744,131 @@ mod tests {
         assert!(!tree.delete_replicated(&30, 30).unwrap());
         assert!(tree.search(&30).unwrap().is_empty());
         assert_eq!(tree.len(), 49);
+    }
+
+    /// [`DigitTrieOps`] counting its `picksplit` calls.
+    #[derive(Default)]
+    struct CountingOps {
+        inner: DigitTrieOps,
+        picksplits: std::sync::atomic::AtomicUsize,
+    }
+
+    impl SpGistOps for CountingOps {
+        type Key = u32;
+        type Prefix = u32;
+        type Pred = u8;
+        type Query = u32;
+        type Context = ();
+        fn config(&self) -> crate::SpGistConfig {
+            self.inner.config()
+        }
+        fn key_query(&self, key: &u32) -> u32 {
+            *key
+        }
+        fn consistent(&self, prefix: Option<&u32>, pred: &u8, query: &u32, level: u32) -> bool {
+            self.inner.consistent(prefix, pred, query, level)
+        }
+        fn leaf_consistent(&self, key: &u32, query: &u32, level: u32) -> bool {
+            self.inner.leaf_consistent(key, query, level)
+        }
+        fn choose(&self, p: Option<&u32>, preds: &[u8], key: &u32, level: u32) -> Choose<u8, u32> {
+            self.inner.choose(p, preds, key, level)
+        }
+        fn picksplit(&self, items: &[u32], level: u32, ctx: &()) -> PickSplit<u32, u8> {
+            self.picksplits.fetch_add(1, Ordering::Relaxed);
+            self.inner.picksplit(items, level, ctx)
+        }
+    }
+
+    #[test]
+    fn equal_keys_fan_out_by_row_id_and_never_call_picksplit_again() {
+        let tree = SpGistTree::create(BufferPool::in_memory(), CountingOps::default()).unwrap();
+        for key in 0..60u32 {
+            tree.insert(key, u64::from(key)).unwrap();
+        }
+        let picksplits = || tree.ops().picksplits.load(Ordering::Relaxed);
+        // Pile rows under one key until its leaf outgrows the byte budget:
+        // up to there every insert asks PickSplit (and gets no answer).
+        let inner_before = tree.stats().unwrap().inner_nodes;
+        let mut row = 1_000u64;
+        while tree.stats().unwrap().inner_nodes == inner_before {
+            tree.insert(42, row).unwrap();
+            row += 1;
+        }
+        assert!(row - 1_000 > 80, "the budget holds ≈ 85 twelve-byte items");
+        let asked = picksplits();
+        // Below the row node keys have no say: 5 000 more rows, nested row
+        // splits included, and not one PickSplit call.
+        for _ in 0..5_000 {
+            tree.insert(42, row).unwrap();
+            row += 1;
+        }
+        assert_eq!(picksplits(), asked, "PickSplit called below a row node");
+        let stats = tree.stats().unwrap();
+        assert!(stats.inner_nodes > inner_before + 16, "row nodes nest");
+        assert_eq!(tree.search(&42).unwrap().len() as u64, row - 1_000 + 1);
+        // A key that merely shares the path is still told apart at the leaf.
+        assert_eq!(tree.search(&41).unwrap(), vec![(41, 41)]);
+    }
+
+    #[test]
+    fn keys_arriving_below_a_row_node_are_filed_by_row_and_stay_correct() {
+        // `DigitTrieOps` breaks the "a degenerate answer is final" rule at a
+        // root leaf: a pile under one key splits degenerately there although
+        // any other key can still arrive.  The price is the documented one —
+        // no key partitioning below the row node — never a wrong answer.
+        let tree = new_tree();
+        for row in 0..500u64 {
+            tree.insert(7, row).unwrap();
+        }
+        assert!(
+            tree.stats().unwrap().inner_nodes >= 1,
+            "the pile fanned out"
+        );
+        let late = [8u32, 9, 71, 123_456];
+        for key in late {
+            tree.insert(key, u64::from(key)).unwrap();
+        }
+        for key in late {
+            assert_eq!(tree.search(&key).unwrap(), vec![(key, u64::from(key))]);
+        }
+        assert_eq!(tree.search(&7).unwrap().len(), 500);
+        assert!(tree.delete(&71, 71).unwrap());
+        assert!(!tree.delete(&71, 71).unwrap());
+        // Deletes never restructure: emptying the pile keeps its row nodes
+        // (until a rebuild) and the answers right.
+        for row in 0..500u64 {
+            assert!(tree.delete(&7, row).unwrap());
+        }
+        assert!(tree.search(&7).unwrap().is_empty());
+        assert_eq!(tree.search(&9).unwrap(), vec![(9, 9)]);
+        let stats = tree.stats().unwrap();
+        assert_eq!((tree.len(), stats.items), (3, 3));
+        assert!(stats.inner_nodes >= 1);
+    }
+
+    #[test]
+    fn delete_batch_is_all_or_nothing() {
+        let tree = new_tree();
+        for key in 0..200u32 {
+            tree.insert(key % 20, u64::from(key)).unwrap();
+        }
+        // One pair of the batch was never inserted: nothing goes.
+        assert!(!tree.delete_batch(&[(3, 3), (4, 4), (5, 999)]).unwrap());
+        assert_eq!(tree.len(), 200);
+        assert_eq!(tree.search(&3).unwrap().len(), 10);
+        // An equal pair named twice must be there twice.
+        assert!(!tree.delete_batch(&[(3, 3), (3, 3)]).unwrap());
+        tree.insert(3, 3).unwrap();
+        assert!(tree
+            .delete_batch(&[(3, 3), (4, 4), (3, 3), (3, 23)])
+            .unwrap());
+        assert_eq!(tree.len(), 197);
+        let mut rows: Vec<u64> = tree.search(&3).unwrap().into_iter().map(|i| i.1).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, vec![43, 63, 83, 103, 123, 143, 163, 183]);
+        assert_eq!(tree.search(&4).unwrap().len(), 9);
+        assert_eq!(tree.stats().unwrap().items, 197);
     }
 
     #[test]

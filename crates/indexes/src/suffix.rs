@@ -18,15 +18,14 @@ use crate::query::StringQuery;
 use crate::spindex::{SpGistBacked, SpIndex};
 use crate::trie::{TrieIndex, TrieOps};
 
-/// Every stored suffix of `word` — the empty word has one suffix, itself.
+/// Every stored suffix of `word`, paired with `row` — the empty word has one
+/// suffix, itself.
 /// Suffixes are byte-indexed (the paper's word datasets are ASCII); the one
 /// place to change when adding non-ASCII support.
-fn suffixes(word: &str) -> Vec<&str> {
-    if word.is_empty() {
-        vec![""]
-    } else {
-        (0..word.len()).map(|start| &word[start..]).collect()
-    }
+fn suffix_items(word: &str, row: RowId) -> Vec<(String, RowId)> {
+    (0..word.len().max(1))
+        .map(|start| (word[start..].to_string(), row))
+        .collect()
 }
 
 /// A disk-based suffix-tree index over strings (the paper's
@@ -69,64 +68,42 @@ impl SpGistBacked for SuffixTreeIndex {
     }
 
     fn insert_key(&self, word: String, row: RowId) -> StorageResult<()> {
-        let tree = self.backing();
-        for suffix in suffixes(&word) {
-            tree.insert(suffix.to_string(), row)?;
-        }
-        self.strings.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.insert_batch_keys(vec![(word, row)])
     }
 
-    /// Removes every suffix entry of `word` for `row`.
+    /// Removes every suffix entry of `word` for `row`, or nothing.
     ///
     /// The caller must pass the word originally indexed for that row (the
     /// `spgist-catalog` executor reads it back from the heap).  Passing a
     /// *different* word cannot be detected in general — a stored suffix of
     /// the indexed word is indistinguishable from a suffix of the requested
-    /// one — but the common misuses are contained: every suffix is verified
-    /// present *before* anything is removed (so a word that was never
-    /// indexed deletes nothing and returns `false`), and the word counter
-    /// never underflows.  Concurrent writers to the *same* `(word, row)` are
-    /// the catalog executor's job (its per-table DML lock); writers to other
-    /// keys proceed in parallel and cannot disturb the verification.
+    /// one — but the common misuses are contained: every suffix is located
+    /// *before* anything is removed ([`SpGistTree::delete_batch`], one pass
+    /// under one write gate), so a word that was never indexed deletes
+    /// nothing and returns `false`, and the word counter never underflows.
+    /// A suffix shared by thousands of rows costs what any other does: the
+    /// descent follows `row` through the row nodes to one small leaf.
     fn delete_key(&self, word: &String, row: RowId) -> StorageResult<bool> {
-        let suffixes = suffixes(word);
-        let tree = self.backing();
-        for suffix in &suffixes {
-            // Streaming presence probe: stop at the first hit instead of
-            // materializing every row sharing this (possibly very common)
-            // suffix.
-            let query = StringQuery::Equals((*suffix).to_string());
-            let present = tree
-                .search_cursor(query)
-                .any(|item| matches!(item, Ok((_, r)) if r == row));
-            if !present {
-                return Ok(false);
-            }
+        let removed = self.backing().delete_batch(&suffix_items(word, row))?;
+        if removed {
+            let _ = self
+                .strings
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                    Some(n.saturating_sub(1))
+                });
         }
-        for suffix in suffixes {
-            tree.delete(&suffix.to_string(), row)?;
-        }
-        let _ = self
-            .strings
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                Some(n.saturating_sub(1))
-            });
-        Ok(true)
+        Ok(removed)
     }
 
-    /// Inserts a batch of words — all suffixes of all words.  Suffixes land
-    /// one by one; cursor-level atomicity of the batch is the catalog
-    /// executor's job.
+    /// Inserts a batch of words — all suffixes of all words, the write gate,
+    /// the item count and reclamation paid once per word.  Suffixes land one
+    /// by one; cursor-level atomicity of the batch is the catalog executor's
+    /// job.
     fn insert_batch_keys(&self, items: Vec<(String, RowId)>) -> StorageResult<()> {
-        let words = items.len() as u64;
-        let tree = self.backing();
         for (word, row) in &items {
-            for suffix in suffixes(word) {
-                tree.insert(suffix.to_string(), *row)?;
-            }
+            self.backing().insert_all(suffix_items(word, *row))?;
+            self.strings.fetch_add(1, Ordering::Relaxed);
         }
-        self.strings.fetch_add(words, Ordering::Relaxed);
         Ok(())
     }
 
@@ -136,11 +113,9 @@ impl SpGistBacked for SuffixTreeIndex {
     fn bulk_build_keys(&self, items: Vec<(String, RowId)>) -> StorageResult<TreeStats> {
         let words = items.len() as u64;
         let total: usize = items.iter().map(|(w, _)| w.len().max(1)).sum();
-        let mut expanded: Vec<(String, RowId)> = Vec::with_capacity(total);
+        let mut expanded = Vec::with_capacity(total);
         for (word, row) in &items {
-            for suffix in suffixes(word) {
-                expanded.push((suffix.to_string(), *row));
-            }
+            expanded.extend(suffix_items(word, *row));
         }
         let stats = self.backing().bulk_build(expanded)?;
         self.strings.fetch_add(words, Ordering::Relaxed);
