@@ -2,19 +2,21 @@
 //!
 //! [`Database::checkpoint`] is crash-atomic (pre-image journal, then data,
 //! then catalog, then journal deletion) and incremental (only mutated
-//! tables' metadata and dirty row/heap chunks are rewritten).  The on-disk
-//! formats it drives live elsewhere — the chunked catalog in
-//! [`crate::durable`], the journal in `spgist_storage::journal`; this module
-//! is only the ordering of the steps.
+//! tables' metadata and dirty row/heap chunks are rewritten, and the
+//! journal holds only the bytes those writes change in pages the previous
+//! checkpoint could reference).  The on-disk formats it drives live
+//! elsewhere — the chunked catalog in [`crate::durable`], the journal in
+//! `spgist_storage::journal`; this module is only the ordering of the
+//! steps, plus the one fact the journal cannot know by itself: how many
+//! pages the file had when the last checkpoint completed
+//! (`Database::durable_pages`).
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 
 use parking_lot::MutexGuard;
 
-use spgist_storage::{
-    journal, CheckpointStats, DirtyPageSnapshot, PageId, StorageError, StorageResult,
-};
+use spgist_storage::{journal, CheckpointStats, DirtyPageSnapshot, StorageError, StorageResult};
 
 use crate::database::Database;
 use crate::durable::{self, TableSnapshot};
@@ -39,10 +41,13 @@ impl Database {
     /// 2. **Rotate.**  The log is rotated; `cut` = everything appended so
     ///    far becomes durable and sealed, and (thanks to step 1) every
     ///    record below the cut is fully reflected in the snapshots.
-    /// 3. **Journal.**  The current *on-disk* image of every page about to
-    ///    be overwritten in place (the snapshotted data pages + the catalog
-    ///    pages the delta reuses) is written to the pre-image journal
-    ///    (`<wal prefix>.ckpt`) and synced.  From here until step 6 a crash
+    /// 3. **Journal.**  What the in-place writes destroy is written to the
+    ///    pre-image journal (`<wal prefix>.ckpt`) and synced: for each
+    ///    snapshotted data page, the bytes of its *on-disk* image that
+    ///    differ from the snapshot image step 4 writes; for each catalog
+    ///    page the delta may reuse, the whole on-disk image; for a page
+    ///    allocated since the last completed checkpoint, nothing — that
+    ///    checkpoint does not reference it.  From here until step 6 a crash
     ///    recovers by rolling the journal back — restoring the exact
     ///    previous checkpoint — and replaying the un-pruned log.  Reading
     ///    pre-images from the pager after the guards dropped is sound: the
@@ -120,8 +125,9 @@ impl Database {
                 // The snapshots were consumed but the disk state is now in
                 // doubt; make the next checkpoint rewrite the snapshotted
                 // tables wholesale.  The journal survives with the original
-                // pre-images (its old-wins merge keeps them across a
-                // retry), so rollback still restores the last commit point.
+                // pre-images (a retry carries them forward whole), and
+                // `durable_pages` still describes the last commit point, so
+                // rollback still restores it.
                 for snap in &snaps {
                     if let Some(table) = self.tables.get(&snap.name) {
                         table.mark_all_dirty();
@@ -147,13 +153,18 @@ impl Database {
             .expect("checkpoint_persist requires a durable database");
         let mut journal_bytes = 0;
         if let Some(journal) = &self.journal {
-            // Journal the pre-images before the first in-place write.  The
-            // ids are collected *before* the catalog update relocates any
-            // segment; reads go through the pager (not the pool) to capture
-            // the on-disk content.
-            let mut ids: BTreeSet<PageId> = data.page_ids().into_iter().collect();
-            ids.extend(durable::overwrite_targets(layout, snaps));
-            journal_bytes = journal::write_pre_images(journal, self.pool.pager().as_ref(), ids)?;
+            // Journal before the first in-place write: the bytes the data
+            // flush changes, and — whole, their new content not known yet —
+            // the catalog pages the delta may reuse (collected *before* the
+            // update relocates any segment).  Reads go through the pager
+            // (not the pool) to capture the on-disk content.
+            journal_bytes = journal::write_pre_images(
+                journal,
+                self.pool.pager().as_ref(),
+                self.durable_pages,
+                durable::overwrite_targets(layout, snaps),
+                data.images(),
+            )?;
         }
         self.pool.flush_snapshot(data)?;
         let live: BTreeSet<String> = self.tables.keys().cloned().collect();
@@ -163,6 +174,7 @@ impl Database {
         if let Some(journal) = &self.journal {
             journal::discard(journal)?;
         }
+        self.durable_pages = self.pool.page_count();
         self.pool.publish_pending()?;
         if let Some(wal) = &self.wal {
             wal.prune(checkpoint_lsn)?;

@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use spgist_core::RowId;
 use spgist_storage::{
-    journal, BufferPool, BufferPoolConfig, CheckpointStats, FilePager, MemPager, StorageError,
-    StorageResult,
+    journal, BufferPool, BufferPoolConfig, CheckpointStats, FilePager, MemPager, PageId,
+    StorageError, StorageResult,
 };
 use spgist_wal::{Wal, WalConfig, WalRecord};
 
@@ -85,6 +85,10 @@ pub struct Database {
     /// back, so a crash anywhere inside a checkpoint recovers the exact
     /// previous checkpoint plus the still-un-pruned log.
     pub(crate) journal: Option<PathBuf>,
+    /// Page count of the file when the last checkpoint completed (at open:
+    /// as found, after any journal rollback).  That checkpoint references
+    /// no page at or past it, so the next one journals none of them.
+    pub(crate) durable_pages: PageId,
     /// Next transaction id to hand out.  Seeded past the largest id
     /// surviving in the log at open, so a new transaction can never collide
     /// with records of an older incarnation still awaiting pruning (a
@@ -154,6 +158,7 @@ impl Database {
         next_txn: u64,
     ) -> Self {
         let (layout, journal) = durable.unzip();
+        let durable_pages = pool.page_count();
         Database {
             catalog: Catalog::with_paper_defaults(),
             pool,
@@ -162,6 +167,7 @@ impl Database {
             ckpt_stats: CheckpointStats::default(),
             wal: None,
             journal,
+            durable_pages,
             next_txn: AtomicU64::new(next_txn),
             open_txns: AtomicU64::new(0),
         }

@@ -1128,6 +1128,109 @@ fn every_persisted_subset_of_a_torn_incremental_checkpoint_recovers() {
     }
 }
 
+/// Pages allocated since the last completed checkpoint need no pre-image —
+/// that checkpoint cannot reference them — so the checkpoint that lands a
+/// bulk load and a fresh index journals a few catalog pages and the tail
+/// of the old heap, not the hundreds of new pages it flushes.  And leaving
+/// them out is safe: whichever subset of that checkpoint's writes a power
+/// cut persists, reopen recovers the previous checkpoint plus the log.
+#[test]
+fn freshly_allocated_pages_are_flushed_but_never_journaled() {
+    const BASE: usize = 50;
+    const LOADED: usize = 12_000;
+    /// Base rows under a checkpoint, then the bulk load in the log only.
+    fn loaded(tmp: &TempDb, pager: Arc<dyn Pager>) -> Database {
+        let mut db = Database::create_with_pager(
+            pager,
+            tmp.wal_prefix(),
+            BufferPoolConfig::default(),
+            WalConfig::default(),
+        )
+        .unwrap();
+        db.create_table("words", KeyType::Varchar).unwrap();
+        let table = db.table_handle("words").unwrap();
+        table
+            .insert_many((0..BASE).map(|i| Datum::Text(word(i))))
+            .unwrap();
+        drop(table);
+        db.checkpoint().unwrap();
+        let table = db.table_handle("words").unwrap();
+        table
+            .insert_many((BASE..LOADED).map(|i| Datum::Text(word(i))))
+            .unwrap();
+        drop(table);
+        db
+    }
+
+    // What the checkpoint costs when it goes through.
+    let tmp = TempDb::new("fresh-cost");
+    let mut db = loaded(
+        &tmp,
+        Arc::new(spgist::storage::FilePager::create(tmp.path()).unwrap()),
+    );
+    let before = db.checkpoint_stats();
+    db.create_index("words", "words_suffix", IndexSpec::SuffixTree)
+        .unwrap();
+    db.checkpoint().unwrap();
+    let cost = db.checkpoint_stats().delta_since(&before);
+    assert!(
+        cost.data_pages_flushed >= 200,
+        "the load and the index are hundreds of pages: {cost:?}"
+    );
+    assert!(
+        cost.journal_bytes < 16 * 8192,
+        "of which only the old ones are journaled: {cost:?}"
+    );
+    drop(db);
+
+    // The same checkpoint, dying at its data sync with `keep`'s share of
+    // its page writes on the platter.
+    fn scenario(keep: &dyn Fn(PageId) -> bool) -> Vec<PageId> {
+        let tmp = TempDb::new("fresh-subset");
+        let fault = Arc::new(FaultPager::new(Arc::new(
+            spgist::storage::FilePager::create(tmp.path()).unwrap(),
+        )));
+        let mut db = loaded(&tmp, Arc::clone(&fault) as Arc<dyn Pager>);
+        fault.set_sync_fault(SyncFault::Fail);
+        assert!(db
+            .create_index("words", "words_suffix", IndexSpec::SuffixTree)
+            .is_err());
+        fault.set_sync_fault(SyncFault::None);
+        let cached = fault.cached_page_ids();
+        fault.crash_keeping(keep).unwrap();
+        drop(db);
+
+        let mut db = Database::open(tmp.path()).unwrap();
+        assert_words(&db, LOADED);
+        assert!(db.table("words").unwrap().index_names().is_empty());
+        // The recovered pages carry a working index.
+        db.create_index("words", "words_suffix", IndexSpec::SuffixTree)
+            .unwrap();
+        let hits = db
+            .query("words", Predicate::str_substring("-0042"))
+            .unwrap()
+            .rows()
+            .unwrap();
+        assert_eq!(hits.len(), 1);
+        db.close().unwrap();
+        cached
+    }
+    let ids = scenario(&|_| false);
+    assert!(ids.len() >= 200, "hundreds of torn writes: {}", ids.len());
+    let half = ids[ids.len() / 2];
+    let sweeps: [&dyn Fn(PageId) -> bool; 6] = [
+        &|_| true,
+        &|id| id % 2 == 0,
+        &|id| id % 2 == 1,
+        &|id| id < half,
+        &|id| id >= half,
+        &|id| id.wrapping_mul(0x9E37_79B9) >> 29 == 0,
+    ];
+    for keep in sweeps {
+        assert_eq!(scenario(keep), ids, "the scenario is deterministic");
+    }
+}
+
 /// Recovery must converge: reopening a recovered database replays nothing
 /// new, and repeated crash/reopen cycles do not accumulate log segments.
 #[test]

@@ -155,11 +155,11 @@ impl DirtyPageSnapshot {
         self.entries.is_empty()
     }
 
-    /// Ids of the captured pages — the on-disk set
-    /// [`BufferPool::flush_snapshot`] will overwrite, i.e. the pages a
-    /// checkpoint journal must pre-image first.
-    pub fn page_ids(&self) -> Vec<PageId> {
-        self.entries.iter().map(|e| e.page_id).collect()
+    /// The captured pages with the exact images
+    /// [`BufferPool::flush_snapshot`] will write over them — what a
+    /// checkpoint journal diffs the on-disk content against first.
+    pub fn images(&self) -> impl Iterator<Item = (PageId, &Page)> {
+        self.entries.iter().map(|e| (e.page_id, &e.image))
     }
 }
 
@@ -599,8 +599,7 @@ impl BufferPool {
         self.trim(&mut inner)
     }
 
-    /// Page ids of every dirty frame — the set an in-place flush is about
-    /// to overwrite, i.e. the pages a checkpoint journal must pre-image.
+    /// Page ids of every dirty frame.
     pub fn dirty_page_ids(&self) -> Vec<PageId> {
         self.inner
             .lock()

@@ -74,6 +74,12 @@ impl Page {
         &self.bytes
     }
 
+    /// Raw page image, writable (the checkpoint journal lays old bytes over
+    /// it on rollback).
+    pub(crate) fn as_bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.bytes
+    }
+
     fn slot_count(&self) -> u16 {
         u16::from_le_bytes([self.bytes[0], self.bytes[1]])
     }
@@ -201,47 +207,50 @@ impl Page {
             self.set_slot(slot, start as u16, record.len() as u16);
             return Ok(true);
         }
-        // Growing: drop the old copy, compact to coalesce every gap (including
-        // garbage left by earlier growths), and append the new copy.  If it
-        // still does not fit the old record is restored untouched and the
-        // caller must relocate.
-        let needed = record.len();
-        let old = self.bytes[off as usize..off as usize + len as usize].to_vec();
+        // Growing: the record fits exactly when it fits after every gap is
+        // coalesced with its own old copy dropped — decided from the slot
+        // lengths alone, so a record that cannot fit leaves the page
+        // untouched and the caller relocates it.
+        let dir_end = HEADER_SIZE + self.slot_count() as usize * SLOT_SIZE;
+        let others: usize = self
+            .iter()
+            .filter(|&(s, _)| s != slot)
+            .map(|(_, rec)| rec.len())
+            .sum();
+        if record.len() > PAGE_SIZE.saturating_sub(dir_end + others) {
+            return Ok(false);
+        }
         self.set_slot(slot, 0, 0);
         self.compact();
-        let append_space =
-            self.data_start() as usize - (HEADER_SIZE + self.slot_count() as usize * SLOT_SIZE);
-        let (payload, fits): (&[u8], bool) = if needed <= append_space {
-            (record, true)
-        } else {
-            (old.as_slice(), false)
-        };
-        let new_start = self.data_start() as usize - payload.len();
-        self.bytes[new_start..new_start + payload.len()].copy_from_slice(payload);
+        let new_start = self.data_start() as usize - record.len();
+        self.bytes[new_start..new_start + record.len()].copy_from_slice(record);
         self.set_data_start(new_start as u16);
-        self.set_slot(slot, new_start as u16, payload.len() as u16);
-        Ok(fits)
+        self.set_slot(slot, new_start as u16, record.len() as u16);
+        Ok(true)
     }
 
-    /// Rewrites the record area to remove gaps left by deletions and
-    /// shrinking updates.  Slot ids are preserved.
+    /// Slides the live records toward the page end, in place, to remove the
+    /// gaps left by deletions and shrinking updates.  Slot ids are
+    /// preserved; records keep their physical order.
     pub fn compact(&mut self) {
-        let slot_count = self.slot_count();
-        let mut records: Vec<(SlotId, Vec<u8>)> = Vec::with_capacity(slot_count as usize);
-        for s in 0..slot_count {
-            let (off, len) = self.slot(s);
-            if off != 0 {
-                records.push((
-                    s,
-                    self.bytes[off as usize..off as usize + len as usize].to_vec(),
-                ));
-            }
-        }
+        let mut live: Vec<(u16, u16, SlotId)> = (0..self.slot_count())
+            .map(|s| {
+                let (off, len) = self.slot(s);
+                (off, len, s)
+            })
+            .filter(|&(off, _, _)| off != 0)
+            .collect();
+        // Highest record first: each one moves up against the records
+        // already packed behind it, never onto one still waiting to move.
+        live.sort_unstable_by_key(|&(off, _, _)| std::cmp::Reverse(off));
         let mut data_start = PAGE_SIZE;
-        for (s, rec) in &records {
-            data_start -= rec.len();
-            self.bytes[data_start..data_start + rec.len()].copy_from_slice(rec);
-            self.set_slot(*s, data_start as u16, rec.len() as u16);
+        for (off, len, s) in live {
+            data_start -= len as usize;
+            if off as usize != data_start {
+                self.bytes
+                    .copy_within(off as usize..off as usize + len as usize, data_start);
+                self.set_slot(s, data_start as u16, len);
+            }
         }
         self.set_data_start(data_start as u16);
     }
@@ -272,6 +281,21 @@ impl std::fmt::Debug for Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocating compaction [`Page::compact`] replaced — one `Vec` per
+    /// live record, repacked in slot order — kept as the reference the
+    /// property test holds the in-place one to.
+    fn compact_reference(page: &mut Page) {
+        let records: Vec<(SlotId, Vec<u8>)> =
+            page.iter().map(|(s, rec)| (s, rec.to_vec())).collect();
+        let mut data_start = PAGE_SIZE;
+        for (s, rec) in &records {
+            data_start -= rec.len();
+            page.bytes[data_start..data_start + rec.len()].copy_from_slice(rec);
+            page.set_slot(*s, data_start as u16, rec.len() as u16);
+        }
+        page.set_data_start(data_start as u16);
+    }
 
     #[test]
     fn new_page_is_empty() {
@@ -370,6 +394,112 @@ mod tests {
         for s in slots.iter().skip(1).step_by(2) {
             assert_eq!(page.get(*s).unwrap(), &vec![9u8; 256][..]);
         }
+    }
+
+    /// Random insert / delete / grow / shrink / compact sequences against a
+    /// `Vec<Option<Vec<u8>>>` model: every live slot keeps its id and bytes
+    /// through in-place compaction, a grow that cannot fit leaves the page
+    /// bit-identical, and the page reports the free space the allocating
+    /// reference compaction would.
+    #[test]
+    fn in_place_compaction_matches_the_model_and_the_reference() {
+        use crate::replacement::tests::Rng;
+        let (mut grown, mut refused) = (0, 0);
+        for seed in 1..=40u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut page = Page::new();
+            let mut reference = Page::new();
+            let mut model: Vec<Option<Vec<u8>>> = Vec::new();
+            let record = |rng: &mut Rng, max: usize| -> Vec<u8> {
+                let fill = rng.next() as u8;
+                (0..rng.below(max))
+                    .map(|i| fill.wrapping_add(i as u8))
+                    .collect()
+            };
+            for step in 0..600 {
+                let live: Vec<SlotId> = (0..model.len() as SlotId)
+                    .filter(|&s| model[s as usize].is_some())
+                    .collect();
+                match rng.below(10) {
+                    0..=3 => {
+                        let max = if rng.below(8) == 0 { 900 } else { 90 };
+                        let rec = record(&mut rng, max);
+                        assert_eq!(page.fits(rec.len()), reference.fits(rec.len()));
+                        if page.fits(rec.len()) {
+                            let slot = page.insert(&rec).unwrap();
+                            assert_eq!(reference.insert(&rec).unwrap(), slot);
+                            assert_eq!(slot as usize, model.len());
+                            model.push(Some(rec));
+                        } else {
+                            assert!(page.insert(&rec).is_err());
+                        }
+                    }
+                    4 | 5 if !live.is_empty() => {
+                        let slot = live[rng.below(live.len())];
+                        page.delete(slot).unwrap();
+                        reference.delete(slot).unwrap();
+                        model[slot as usize] = None;
+                    }
+                    6..=8 if !live.is_empty() => {
+                        // Grow or shrink (the length is drawn afresh).
+                        let slot = live[rng.below(live.len())];
+                        let max = if rng.below(6) == 0 { 2500 } else { 160 };
+                        let rec = record(&mut rng, max);
+                        let before = *page.as_bytes();
+                        let old_len = model[slot as usize].as_ref().unwrap().len();
+                        let applied = page.update(slot, &rec).unwrap();
+                        // The reference grows the way the old code did:
+                        // drop the slot, compact, append if there is room.
+                        let ref_applied = if rec.len() <= old_len {
+                            reference.update(slot, &rec).unwrap()
+                        } else {
+                            let old = reference.get(slot).unwrap().to_vec();
+                            reference.set_slot(slot, 0, 0);
+                            compact_reference(&mut reference);
+                            let dir_end = HEADER_SIZE + reference.slot_count() as usize * SLOT_SIZE;
+                            let fits = rec.len() <= reference.data_start() as usize - dir_end;
+                            let payload = if fits { &rec } else { &old };
+                            let start = reference.data_start() as usize - payload.len();
+                            reference.bytes[start..start + payload.len()].copy_from_slice(payload);
+                            reference.set_data_start(start as u16);
+                            reference.set_slot(slot, start as u16, payload.len() as u16);
+                            fits
+                        };
+                        assert_eq!(applied, ref_applied, "seed {seed} step {step}");
+                        if applied {
+                            grown += usize::from(rec.len() > old_len);
+                            model[slot as usize] = Some(rec);
+                        } else {
+                            refused += 1;
+                            assert_eq!(*page.as_bytes(), before, "a failed grow is a no-op");
+                            // The old code compacted on this path too; bring
+                            // the page level so free space stays comparable.
+                            page.compact();
+                        }
+                    }
+                    _ => {
+                        page.compact();
+                        compact_reference(&mut reference);
+                    }
+                }
+                assert_eq!(page.num_slots() as usize, model.len());
+                assert_eq!(
+                    page.free_space(),
+                    reference.free_space(),
+                    "seed {seed} step {step}"
+                );
+                for (slot, want) in model.iter().enumerate() {
+                    match want {
+                        Some(rec) => assert_eq!(page.get(slot as SlotId).unwrap(), &rec[..]),
+                        None => assert!(!page.is_live(slot as SlotId)),
+                    }
+                }
+            }
+        }
+        assert!(
+            grown > 1000 && refused > 100,
+            "both grow paths ran: {grown} / {refused}"
+        );
     }
 
     #[test]

@@ -649,14 +649,14 @@ impl ReplacementPolicy for SieveHand {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Deterministic xorshift for the property tests (the workspace builds
-    /// offline; no rand crate).
-    struct Rng(u64);
+    /// Deterministic xorshift for the crate's property tests (the workspace
+    /// builds offline; no rand crate).
+    pub(crate) struct Rng(pub(crate) u64);
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             let mut x = self.0;
             x ^= x << 13;
             x ^= x >> 7;
@@ -664,7 +664,7 @@ mod tests {
             self.0 = x;
             x
         }
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
     }

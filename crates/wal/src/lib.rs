@@ -303,6 +303,50 @@ mod tests {
     }
 
     #[test]
+    fn unawaited_records_ride_along_with_the_sync_someone_waits_for() {
+        let dir = TempDir::new("ride-along");
+        let wal = Wal::create(dir.prefix(), WalConfig::default()).unwrap();
+        append_n(&wal, 1);
+        let syncs = wal.sync_count();
+        // A transaction: statements submitted and not awaited, then the
+        // commit that is.  One fsync covers all nine.
+        for row in 1..9 {
+            wal.submit(&insert("t", row)).unwrap();
+        }
+        let commit = wal.submit(&WalRecord::CommitTxn { txn: 7 }).unwrap();
+        wal.wait_durable(commit).unwrap();
+        assert_eq!(wal.sync_count(), syncs + 1, "one sync for the transaction");
+        assert_eq!(wal.durable_lsn(), 10);
+
+        // A full batch is flushed with nobody waiting (the queue is bounded).
+        for row in 0..64 {
+            wal.submit(&insert("t", 100 + row)).unwrap();
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while wal.durable_lsn() < 74 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a full batch never synced"
+            );
+            std::thread::yield_now();
+        }
+
+        // Rotation seals whatever is queued...
+        for row in 0..3 {
+            wal.submit(&insert("t", 200 + row)).unwrap();
+        }
+        assert_eq!(wal.rotate().unwrap(), 77);
+        assert_eq!(wal.durable_lsn(), 77);
+        // ...and so does dropping the log.
+        wal.submit(&insert("t", 300)).unwrap();
+        wal.submit(&insert("t", 301)).unwrap();
+        drop(wal);
+        let records = reopen_records(&dir.prefix(), 0);
+        assert_eq!(records.len(), 79, "every submitted record replays");
+        assert_eq!(records[9].1, WalRecord::CommitTxn { txn: 7 });
+    }
+
+    #[test]
     fn per_commit_mode_syncs_once_per_record() {
         let dir = TempDir::new("percommit");
         let wal = Wal::create(dir.prefix(), WalConfig::per_commit()).unwrap();

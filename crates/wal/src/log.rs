@@ -54,7 +54,10 @@
 //! mutex, returning the assigned LSN) and then [`Wal::wait_durable`] on
 //! that LSN.  A dedicated flusher thread drains the submission queue,
 //! writes one batch, issues **one** `fsync` for the whole batch, and wakes
-//! every waiter the sync covered.  [`WalConfig::max_batch`] caps the batch
+//! every waiter the sync covered.  It syncs only when someone waits on a
+//! queued record (or the queue reaches a full batch, or the log rotates or
+//! shuts down): records submitted and not awaited — a transaction's
+//! statements ahead of its `CommitTxn` — buy no `fsync` of their own.  [`WalConfig::max_batch`] caps the batch
 //! (1 = per-commit fsync, the comparison baseline), and
 //! [`WalConfig::max_wait`] optionally holds the flusher back to let a batch
 //! fill.  Batching also arises naturally: commits that arrive while an
@@ -144,6 +147,10 @@ struct Core {
     pending: VecDeque<Vec<u8>>,
     /// LSN of `pending.front()` (meaningless while `pending` is empty).
     pending_first: Lsn,
+    /// One past the highest LSN a [`Wal::wait_durable`] caller has asked
+    /// for: the flusher syncs on its own account only while a record below
+    /// this is still queued.
+    wanted: Lsn,
     /// True while one thread (flusher or a rotation) owns the write path;
     /// the queue must not be drained by anyone else until it clears.
     flushing: bool,
@@ -577,6 +584,7 @@ impl Wal {
                 next_lsn,
                 pending: VecDeque::new(),
                 pending_first: next_lsn,
+                wanted: next_lsn,
                 flushing: false,
                 shutdown: false,
             }),
@@ -642,6 +650,16 @@ impl Wal {
     /// returned — the record's durability is then unknown).
     pub fn wait_durable(&self, lsn: Lsn) -> StorageResult<()> {
         let mut durable = self.shared.durable.lock().expect("wal durable mutex");
+        if durable.error.is_none() && durable.lsn <= lsn {
+            // Tell the flusher someone is waiting: submitted records it has
+            // no waiter for stay queued until one arrives.
+            drop(durable);
+            let mut core = self.shared.core.lock().expect("wal core mutex");
+            core.wanted = core.wanted.max(lsn + 1);
+            drop(core);
+            self.shared.work.notify_all();
+            durable = self.shared.durable.lock().expect("wal durable mutex");
+        }
         loop {
             if let Some(msg) = &durable.error {
                 return Err(io_err(msg.clone()));
@@ -928,8 +946,9 @@ fn seal_and_open(io: &mut IoState, end: Lsn) -> StorageResult<()> {
     Ok(())
 }
 
-/// The dedicated flusher: drains the submission queue in batches, one
-/// `fsync` per batch, and publishes durability to the waiters.
+/// The dedicated flusher: drains the submission queue in batches when a
+/// waiter, a full batch or shutdown calls for it, one `fsync` per batch,
+/// and publishes durability to the waiters.
 fn flusher_loop(shared: &Shared) {
     loop {
         let mut core = shared.core.lock().expect("wal core mutex");
@@ -938,7 +957,13 @@ fn flusher_loop(shared: &Shared) {
             if core.shutdown && core.pending.is_empty() {
                 return;
             }
-            if !core.pending.is_empty() && !core.flushing {
+            // A sync is owed only to a waiter (or to a full batch, or to
+            // shutdown): a transaction's statements are submitted without
+            // waiting and ride along with the sync its commit asks for.
+            let due = core.wanted > core.pending_first
+                || core.pending.len() >= shared.config.max_batch
+                || core.shutdown;
+            if due && !core.pending.is_empty() && !core.flushing {
                 break;
             }
             core = shared.work.wait(core).expect("wal core mutex");
