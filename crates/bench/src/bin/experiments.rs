@@ -25,10 +25,9 @@ use spgist_bench::stats::{log10_ratio, ratio_pct};
 use spgist_bench::{
     point_sizes, run_build_experiment, run_checkpoint_experiment, run_clustering_ablation,
     run_hot_writer_scaling, run_io_patterns_on, run_mixed_workload, run_nn_experiments,
-    run_point_experiments, run_pool_overhead, run_read_scaling, run_reopen_experiment,
-    run_segment_experiments, run_string_experiments, run_substring_experiments,
-    run_trie_variant_ablation, run_wal_experiment, word_sizes, write_build_json, write_rows_json,
-    IoBackend, JsonVal, NN_KS,
+    run_point_experiments, run_read_scaling, run_reopen_experiment, run_segment_experiments,
+    run_string_experiments, run_substring_experiments, run_trie_variant_ablation,
+    run_wal_experiment, word_sizes, write_build_json, write_rows_json, IoBackend, JsonVal, NN_KS,
 };
 
 struct Options {
@@ -183,15 +182,14 @@ fn print_io_patterns(opts: &Options) {
     let queries = opts.queries.max(16);
     let rows = run_io_patterns_on(n, queries, SEED, opts.backend);
     println!(
-        "== I/O patterns: replacement policy x pool size x workload ({n} points, {} backend) ==",
+        "== I/O patterns: pool size x workload ({n} points, {} backend) ==",
         opts.backend.name()
     );
     println!(
-        "{:>10} {:>6} {:>7} {:>11} {:>8} {:>9} {:>9} {:>7} {:>9} {:>11} {:>9}",
+        "{:>10} {:>6} {:>7} {:>8} {:>9} {:>9} {:>7} {:>9} {:>11} {:>9}",
         "workload",
         "pool%",
         "frames",
-        "policy",
         "queries",
         "logical",
         "physical",
@@ -202,11 +200,10 @@ fn print_io_patterns(opts: &Options) {
     );
     for r in &rows {
         println!(
-            "{:>10} {:>6} {:>7} {:>11} {:>8} {:>9} {:>9} {:>7} {:>9.4} {:>11.2} {:>9.4}",
+            "{:>10} {:>6} {:>7} {:>8} {:>9} {:>9} {:>7} {:>9.4} {:>11.2} {:>9.4}",
             r.workload,
             r.pool_pct,
             r.frames,
-            r.policy,
             r.queries,
             r.logical_reads,
             r.physical_reads,
@@ -216,19 +213,6 @@ fn print_io_patterns(opts: &Options) {
             r.p99_ms
         );
     }
-    // The acceptance summary: at a pool 10% of the data, do the
-    // scan-resistant policies hold more of the hot set than plain LRU?
-    let hit = |policy: &str| {
-        rows.iter()
-            .find(|r| r.policy == policy && r.pool_pct == 10 && r.workload == "scan+point")
-            .map_or(f64::NAN, |r| r.hit_rate)
-    };
-    println!(
-        "scan+point @ 10% pool hit rates: sieve {:.4}, clock {:.4}, lru {:.4}",
-        hit("sieve"),
-        hit("clock"),
-        hit("lru")
-    );
     println!();
     emit_json(
         opts,
@@ -239,7 +223,6 @@ fn print_io_patterns(opts: &Options) {
             "pool_pct",
             "frames",
             "data_pages",
-            "policy",
             "queries",
             "logical_reads",
             "physical_reads",
@@ -258,7 +241,6 @@ fn print_io_patterns(opts: &Options) {
                     r.pool_pct.into(),
                     r.frames.into(),
                     r.data_pages.into(),
-                    r.policy.into(),
                     r.queries.into(),
                     r.logical_reads.into(),
                     r.physical_reads.into(),
@@ -267,53 +249,6 @@ fn print_io_patterns(opts: &Options) {
                     r.elapsed_ms.into(),
                     r.p99_ms.into(),
                     r.result_rows.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let overhead = run_pool_overhead(4_096, 200_000, SEED ^ 0xf0);
-    println!("== I/O patterns: replacement bookkeeping, 4096-frame pool, ~50% miss rate ==");
-    println!(
-        "{:>11} {:>8} {:>8} {:>9} {:>11} {:>13} {:>10}",
-        "policy", "frames", "pages", "fetches", "elapsed ms", "fetches/s", "misses"
-    );
-    for r in &overhead {
-        println!(
-            "{:>11} {:>8} {:>8} {:>9} {:>11.1} {:>13.0} {:>10}",
-            r.policy,
-            r.frames,
-            r.pages,
-            r.fetches,
-            r.elapsed_ms,
-            r.fetches_per_sec,
-            r.physical_reads
-        );
-    }
-    println!();
-    emit_json(
-        opts,
-        "pool_overhead",
-        &[
-            "policy",
-            "frames",
-            "pages",
-            "fetches",
-            "elapsed_ms",
-            "fetches_per_sec",
-            "physical_reads",
-        ],
-        &overhead
-            .iter()
-            .map(|r| {
-                vec![
-                    r.policy.into(),
-                    r.frames.into(),
-                    r.pages.into(),
-                    r.fetches.into(),
-                    r.elapsed_ms.into(),
-                    r.fetches_per_sec.into(),
-                    r.physical_reads.into(),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -726,8 +661,7 @@ fn print_build(opts: &Options) {
         );
     }
     println!(
-        "(wr = physical page writes incl. final flush; hr = pool hit rate; h = tree height in pages; f = page fill; pool policy: {})",
-        spgist_storage::BufferPoolConfig::default().policy.name()
+        "(wr = physical page writes incl. final flush; hr = pool hit rate; h = tree height in pages; f = page fill)"
     );
     println!();
     if let Some(dir) = &opts.json_dir {
@@ -747,13 +681,12 @@ fn print_reopen(opts: &Options) {
     let rows = run_reopen_experiment(&sizes, SEED);
     println!("== Reopen: durable-catalog cold open vs. rebuild from scratch ==");
     println!(
-        "{:>10} {:>10} {:>13} {:>10} {:>11} {:>9} {:>8} {:>14} {:>13} {:>9}",
+        "{:>10} {:>10} {:>13} {:>10} {:>11} {:>8} {:>14} {:>13} {:>9}",
         "rows",
         "pages",
         "rebuild ms",
         "open ms",
         "open reads",
-        "policy",
         "cold hr",
         "1st query ms",
         "warm query ms",
@@ -761,13 +694,12 @@ fn print_reopen(opts: &Options) {
     );
     for r in &rows {
         println!(
-            "{:>10} {:>10} {:>13.1} {:>10.2} {:>11} {:>9} {:>8.3} {:>14.3} {:>13.3} {:>8.0}x",
+            "{:>10} {:>10} {:>13.1} {:>10.2} {:>11} {:>8.3} {:>14.3} {:>13.3} {:>8.0}x",
             r.rows,
             r.file_pages,
             r.rebuild_ms,
             r.open_ms,
             r.open_reads,
-            r.policy,
             r.cold_hit_rate,
             r.first_query_ms,
             r.warm_query_ms,
@@ -785,7 +717,6 @@ fn print_reopen(opts: &Options) {
             "rebuild_ms",
             "open_ms",
             "open_reads",
-            "policy",
             "cold_hit_rate",
             "first_query_ms",
             "warm_query_ms",
@@ -799,7 +730,6 @@ fn print_reopen(opts: &Options) {
                     r.rebuild_ms.into(),
                     r.open_ms.into(),
                     r.open_reads.into(),
-                    r.policy.into(),
                     r.cold_hit_rate.into(),
                     r.first_query_ms.into(),
                     r.warm_query_ms.into(),

@@ -1,12 +1,11 @@
-//! I/O-pattern experiment: buffer replacement policies under a
-//! larger-than-memory read path.
+//! I/O-pattern experiment: the buffer pool under a larger-than-memory read
+//! path.
 //!
 //! The paper's evaluation (Section 6) runs on a PostgreSQL installation
 //! whose shared-buffer pool is far smaller than the 2M–32M-key indexes, so
-//! every reported number is shaped by the replacement policy as much as by
+//! every reported number is shaped by what the pool can hold as much as by
 //! the tree.  This experiment makes that dimension explicit: one kd-tree
-//! over uniform points is built once, then re-opened cold under every
-//! replacement policy ([`ReplacementPolicyKind::ALL`]) at pool sizes from
+//! over uniform points is built once, then re-opened cold at pool sizes from
 //! 5% to 100% of the index's pages, and four query mixes are replayed over
 //! identical traces:
 //!
@@ -21,10 +20,7 @@
 //!
 //! Each cell warms the pool with one pass of the trace, resets the
 //! counters, and measures a second pass: steady-state hit rate, physical
-//! reads, evictions, wall-clock and per-query p99.  A second table
-//! ([`run_pool_overhead`]) isolates the *replacement bookkeeping* cost:
-//! uniform-random fetches on a pool at 50% of the page set, where every
-//! miss pays the policy's O(1) victim selection.
+//! reads, evictions, wall-clock and per-query p99.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,10 +29,7 @@ use spgist_datagen::rng::DetRng;
 use spgist_datagen::{points, WORLD_MAX};
 use spgist_indexes::geom::{Point, Rect};
 use spgist_indexes::{KdTreeIndex, KdTreeOps, SpIndex};
-use spgist_storage::{
-    BufferPool, BufferPoolConfig, FilePager, HeapFile, MemPager, PageId, Pager,
-    ReplacementPolicyKind,
-};
+use spgist_storage::{BufferPool, BufferPoolConfig, FilePager, HeapFile, MemPager, PageId, Pager};
 
 use crate::stats::timed;
 
@@ -82,13 +75,11 @@ const KNN_K: usize = 10;
 /// One op in `queries` of the scan+point mix is a full-index sweep.
 const SCAN_EVERY: usize = 8;
 
-/// One measured cell: a `(policy, pool size, workload)` combination.
+/// One measured cell: a `(pool size, workload)` combination.
 #[derive(Debug, Clone)]
 pub struct IoPatternRow {
     /// Pager backend the cell ran on (`mem` or `file`).
     pub backend: &'static str,
-    /// Replacement policy name (`lru`, `clock`, `sieve`).
-    pub policy: &'static str,
     /// Pool size as a percentage of the index's pages.
     pub pool_pct: usize,
     /// Pool frames the cell ran with.
@@ -112,32 +103,13 @@ pub struct IoPatternRow {
     /// 99th-percentile single-query latency, milliseconds.
     pub p99_ms: f64,
     /// Total rows every query of the pass reported (work checksum —
-    /// identical across policies, or the cell measured different work).
+    /// identical across pool sizes, or the cell measured different work).
     pub result_rows: u64,
 }
 
-/// One row of the replacement-bookkeeping microbenchmark.
-#[derive(Debug, Clone)]
-pub struct PoolOverheadRow {
-    /// Replacement policy name.
-    pub policy: &'static str,
-    /// Pool frames.
-    pub frames: usize,
-    /// Distinct pages fetched from (twice the frames: ~50% miss rate).
-    pub pages: usize,
-    /// Fetches performed.
-    pub fetches: usize,
-    /// Wall-clock milliseconds for all fetches.
-    pub elapsed_ms: f64,
-    /// Fetches per second.
-    pub fetches_per_sec: f64,
-    /// Physical reads (≈ misses) the run paid.
-    pub physical_reads: u64,
-}
-
 /// One pre-generated query of a workload trace.  Traces are generated once
-/// per workload and replayed verbatim for every `(policy, pool size)` cell,
-/// so cells differ only in the pool under test.
+/// per workload and replayed verbatim at every pool size, so cells differ
+/// only in the pool under test.
 #[derive(Debug, Clone)]
 enum Op {
     PointLookup(Point),
@@ -214,8 +186,8 @@ fn run_op(kd: &KdTreeIndex, heap: &HeapFile, op: &Op) -> u64 {
         Op::Range(rect) => kd.range(*rect).expect("range query").len() as u64,
         Op::Knn(anchor) => kd.nearest(*anchor, KNN_K).expect("knn query").len() as u64,
         // The sweep is the executor's table scan: every heap page touched
-        // exactly once.  [`HeapFile::scan`] tags its fetches Scan, so
-        // hint-aware policies keep the index's hot set resident.
+        // exactly once.  [`HeapFile::scan`] tags its fetches Scan, so the
+        // pool keeps the index's hot set resident.
         Op::FullScan => {
             let mut rows = 0u64;
             heap.scan(|_, _| rows += 1).expect("heap scan");
@@ -314,7 +286,7 @@ fn p99_ms(samples: &mut [Duration]) -> f64 {
     samples[idx].as_secs_f64() * 1e3
 }
 
-/// Runs the full policy × pool-size × workload grid over `n` points with
+/// Runs the full pool-size × workload grid over `n` points with
 /// `queries` queries per trace, on the in-memory backend.
 pub fn run_io_patterns(n: usize, queries: usize, seed: u64) -> Vec<IoPatternRow> {
     run_io_patterns_on(n, queries, seed, IoBackend::Mem)
@@ -350,121 +322,64 @@ pub fn run_io_patterns_on(
     let mut rows = Vec::new();
     for &pct in &POOL_FRACTIONS_PCT {
         let frames = (data_pages * pct / 100).max(8);
-        for kind in ReplacementPolicyKind::ALL {
-            for (workload, trace) in &traces {
-                // A cold pool per cell: every policy starts from the same
-                // flushed on-"disk" state and replays the same trace.
-                let pool = Arc::new(BufferPool::new(
-                    Arc::clone(&dataset.pager),
-                    BufferPoolConfig {
-                        capacity: frames,
-                        policy: kind,
-                        ..Default::default()
-                    },
-                ));
-                let kd = KdTreeIndex::open_with_ops(
-                    Arc::clone(&pool),
-                    KdTreeOps::default(),
-                    dataset.meta,
-                    dataset.index_pages.clone(),
-                )
-                .expect("reopen kd-tree");
-                let heap = HeapFile::open(
-                    Arc::clone(&pool),
-                    dataset.heap_pages.clone(),
-                    dataset.heap_records,
-                )
-                .expect("reopen heap");
+        for (workload, trace) in &traces {
+            // A cold pool per cell: every cell starts from the same flushed
+            // on-"disk" state and replays the same trace.
+            let pool = Arc::new(BufferPool::new(
+                Arc::clone(&dataset.pager),
+                BufferPoolConfig {
+                    capacity: frames,
+                    ..Default::default()
+                },
+            ));
+            let kd = KdTreeIndex::open_with_ops(
+                Arc::clone(&pool),
+                KdTreeOps::default(),
+                dataset.meta,
+                dataset.index_pages.clone(),
+            )
+            .expect("reopen kd-tree");
+            let heap = HeapFile::open(
+                Arc::clone(&pool),
+                dataset.heap_pages.clone(),
+                dataset.heap_records,
+            )
+            .expect("reopen heap");
 
-                // Warm pass: reach the policy's steady state, then measure.
-                for op in trace {
-                    run_op(&kd, &heap, op);
-                }
-                pool.reset_stats();
-
-                let mut latencies = Vec::with_capacity(trace.len());
-                let mut result_rows = 0u64;
-                let (_, elapsed) = timed(|| {
-                    for op in trace {
-                        let started = Instant::now();
-                        result_rows += run_op(&kd, &heap, op);
-                        latencies.push(started.elapsed());
-                    }
-                });
-                let stats = pool.stats();
-                rows.push(IoPatternRow {
-                    backend: backend.name(),
-                    policy: pool.policy_name(),
-                    pool_pct: pct,
-                    frames,
-                    data_pages,
-                    workload,
-                    queries: trace.len(),
-                    logical_reads: stats.logical_reads,
-                    physical_reads: stats.physical_reads,
-                    evictions: stats.evictions,
-                    hit_rate: stats.hit_ratio(),
-                    elapsed_ms: elapsed.as_secs_f64() * 1e3,
-                    p99_ms: p99_ms(&mut latencies),
-                    result_rows,
-                });
+            // Warm pass: reach the pool's steady state, then measure.
+            for op in trace {
+                run_op(&kd, &heap, op);
             }
+            pool.reset_stats();
+
+            let mut latencies = Vec::with_capacity(trace.len());
+            let mut result_rows = 0u64;
+            let (_, elapsed) = timed(|| {
+                for op in trace {
+                    let started = Instant::now();
+                    result_rows += run_op(&kd, &heap, op);
+                    latencies.push(started.elapsed());
+                }
+            });
+            let stats = pool.stats();
+            rows.push(IoPatternRow {
+                backend: backend.name(),
+                pool_pct: pct,
+                frames,
+                data_pages,
+                workload,
+                queries: trace.len(),
+                logical_reads: stats.logical_reads,
+                physical_reads: stats.physical_reads,
+                evictions: stats.evictions,
+                hit_rate: stats.hit_ratio(),
+                elapsed_ms: elapsed.as_secs_f64() * 1e3,
+                p99_ms: p99_ms(&mut latencies),
+                result_rows,
+            });
         }
     }
     rows
-}
-
-/// Measures raw replacement bookkeeping: `fetches` uniform-random page
-/// fetches against a pool holding half the page set, so roughly every
-/// second fetch misses and must pick a victim — the per-miss cost of each
-/// policy's victim selection, at a realistic frame count.
-pub fn run_pool_overhead(frames: usize, fetches: usize, seed: u64) -> Vec<PoolOverheadRow> {
-    let pages = frames * 2;
-    let pager = Arc::new(MemPager::new());
-    {
-        let writer = BufferPool::new(
-            Arc::clone(&pager) as Arc<dyn Pager>,
-            BufferPoolConfig {
-                capacity: 64,
-                ..Default::default()
-            },
-        );
-        for _ in 0..pages {
-            writer.allocate_page().expect("allocate page");
-        }
-        writer.flush_all().expect("flush page set");
-    }
-
-    ReplacementPolicyKind::ALL
-        .into_iter()
-        .map(|kind| {
-            let pool = BufferPool::new(
-                Arc::clone(&pager) as Arc<dyn Pager>,
-                BufferPoolConfig {
-                    capacity: frames,
-                    policy: kind,
-                    ..Default::default()
-                },
-            );
-            let mut rng = DetRng::seed_from_u64(seed);
-            let (_, elapsed) = timed(|| {
-                for _ in 0..fetches {
-                    let id = rng.gen_range(0..pages as u64) as PageId;
-                    pool.with_page(id, |_| ()).expect("fetch page");
-                }
-            });
-            let elapsed_ms = elapsed.as_secs_f64() * 1e3;
-            PoolOverheadRow {
-                policy: pool.policy_name(),
-                frames,
-                pages,
-                fetches,
-                elapsed_ms,
-                fetches_per_sec: fetches as f64 / elapsed.as_secs_f64().max(1e-9),
-                physical_reads: pool.stats().physical_reads,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -488,12 +403,9 @@ mod tests {
     #[test]
     fn grid_covers_every_cell_and_checksums_agree() {
         let rows = run_io_patterns(600, 24, 42);
-        assert_eq!(
-            rows.len(),
-            POOL_FRACTIONS_PCT.len() * ReplacementPolicyKind::ALL.len() * 4
-        );
+        assert_eq!(rows.len(), POOL_FRACTIONS_PCT.len() * 4);
         // Identical traces must do identical logical work regardless of
-        // policy and pool size: group by workload and compare checksums.
+        // pool size: group by workload and compare checksums.
         for workload in ["point", "range", "knn", "scan+point"] {
             let checksums: Vec<u64> = rows
                 .iter()
@@ -502,7 +414,7 @@ mod tests {
                 .collect();
             assert!(
                 checksums.windows(2).all(|w| w[0] == w[1]),
-                "{workload}: policies disagreed on results: {checksums:?}"
+                "{workload}: pool sizes disagreed on results: {checksums:?}"
             );
         }
         for r in &rows {
@@ -512,8 +424,8 @@ mod tests {
             if r.pool_pct == 100 {
                 assert_eq!(
                     r.physical_reads, 0,
-                    "{}/{}: full-size pool must serve the warmed pass from memory",
-                    r.policy, r.workload
+                    "{}: full-size pool must serve the warmed pass from memory",
+                    r.workload
                 );
             }
         }
@@ -542,23 +454,10 @@ mod tests {
         // where pages live, not what the queries compute.
         let mem = run_io_patterns(6_000, 16, 42);
         for (f, m) in rows.iter().zip(mem.iter()) {
-            assert_eq!(f.result_rows, m.result_rows, "{}/{}", f.policy, f.workload);
-        }
-    }
-
-    #[test]
-    fn pool_overhead_counts_misses() {
-        let rows = run_pool_overhead(128, 2_000, 3);
-        assert_eq!(rows.len(), ReplacementPolicyKind::ALL.len());
-        for r in &rows {
-            // Uniform fetches over twice the frames: misses are roughly
-            // half the fetches; at the very least they are plentiful.
-            assert!(
-                r.physical_reads as usize > r.fetches / 4,
-                "{}: {} misses in {} fetches is implausibly few",
-                r.policy,
-                r.physical_reads,
-                r.fetches
+            assert_eq!(
+                f.result_rows, m.result_rows,
+                "{}@{}%",
+                f.workload, f.pool_pct
             );
         }
     }

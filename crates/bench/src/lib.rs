@@ -4,9 +4,7 @@
 //! The functions in [`experiments`] build the SP-GiST index and its baseline
 //! on the same storage substrate, run the paper's query workloads, and return
 //! structured rows (sizes, times, page I/O, ratios).  The `experiments`
-//! binary prints them in the same form as the paper's figures; the Criterion
-//! benches under `benches/` reuse the same builders for statistically
-//! rigorous single-operation timings.
+//! binary prints them in the same form as the paper's figures.
 //!
 //! Dataset sizes default to a laptop/CI-friendly scale (the paper used up to
 //! 32 M keys on a 2006-era PostgreSQL installation); pass `--scale` to the
@@ -35,10 +33,7 @@ pub use concurrent::{
     ReadScalingRow,
 };
 pub use experiments::*;
-pub use io_patterns::{
-    run_io_patterns, run_io_patterns_on, run_pool_overhead, IoBackend, IoPatternRow,
-    PoolOverheadRow,
-};
+pub use io_patterns::{run_io_patterns, run_io_patterns_on, IoBackend, IoPatternRow};
 pub use json::{rows_json, write_rows_json, JsonVal};
 pub use reopen::{run_reopen_experiment, ReopenRow};
 pub use wal::{run_wal_experiment, WalRow};

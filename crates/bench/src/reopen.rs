@@ -36,8 +36,6 @@ pub struct ReopenRow {
     pub open_ms: f64,
     /// Physical page reads performed by the open (catalog + meta only).
     pub open_reads: u64,
-    /// Replacement policy of the reopened pool.
-    pub policy: &'static str,
     /// Pool hit rate over the open plus the cold first query, in `[0, 1]`.
     pub cold_hit_rate: f64,
     /// First-query latency after the cold open, milliseconds.
@@ -114,7 +112,6 @@ pub fn run_reopen_experiment(sizes: &[usize], seed: u64) -> Vec<ReopenRow> {
                 .len();
             let first_query_ms = first_started.elapsed().as_secs_f64() * 1e3;
             assert_eq!(cold_rows, query_rows, "reopen must not change answers");
-            let policy = db.pool().policy_name();
             let cold_hit_rate = db.pool().hit_rate();
 
             drop(db);
@@ -125,7 +122,6 @@ pub fn run_reopen_experiment(sizes: &[usize], seed: u64) -> Vec<ReopenRow> {
                 rebuild_ms,
                 open_ms,
                 open_reads,
-                policy,
                 cold_hit_rate,
                 first_query_ms,
                 warm_query_ms,

@@ -4,12 +4,13 @@
 //! [parking_lot](https://crates.io/crates/parking_lot) crate cannot be
 //! fetched.  Only the surface the workspace uses is provided: a [`Mutex`]
 //! whose `lock()` returns the guard directly (no poison `Result`) and a
-//! [`RwLock`] with the matching `read()` / `write()` shape — the
-//! reader-writer latch that `spgist-indexes` wraps every tree in for
-//! shared-access queries.  Poisoning is deliberately ignored, matching
-//! `parking_lot` semantics: a panic while holding a lock does not make the
-//! data permanently inaccessible.  Swapping back to the real crate is a
-//! one-line change in `Cargo.toml`.
+//! [`RwLock`] with the matching `read()` / `write()` shape — the buffer
+//! pool's per-frame page lock, the gate a tree's inserts share and its
+//! restructuring operations take exclusively, and each table's heap state.
+//! Poisoning is deliberately ignored, matching `parking_lot` semantics: a
+//! panic while holding a lock does not make the data permanently
+//! inaccessible.  Swapping back to the real crate is a one-line change in
+//! `Cargo.toml`.
 
 use std::sync::PoisonError;
 

@@ -81,6 +81,6 @@ pub mod prelude {
         Segment, SegmentQuery, SpIndex, StringQuery, SuffixTreeIndex, TrieIndex, TrieOps,
     };
     pub use spgist_storage::{
-        AccessHint, BufferPool, BufferPoolConfig, FilePager, MemPager, Pager, ReplacementPolicyKind,
+        AccessHint, BufferPool, BufferPoolConfig, FilePager, MemPager, Pager,
     };
 }

@@ -470,11 +470,11 @@ fn pick_active(model: &Model, rng: &mut DetRng) -> Vec<String> {
 }
 
 /// The harness body, parameterized so the same operation stream can run on
-/// a deliberately starved pool under every replacement policy, with or
-/// without the transactional episodes.  The acceptance floors (≥ 1,000
+/// a deliberately starved pool, with or without the transactional
+/// episodes.  The acceptance floors (≥ 1,000
 /// ops, ≥ 5 reopens) are asserted only for the full-length runs.
 fn run_seed_with(seed: u64, total_ops: usize, config: BufferPoolConfig, transactional: bool) {
-    let path = temp_path(seed ^ (config.capacity as u64) ^ config.policy as u64);
+    let path = temp_path(seed ^ (config.capacity as u64));
     let mut rng = DetRng::seed_from_u64(seed);
     let mut db = Database::create_with_config(&path, config).unwrap();
     let mut model = Model::default();
@@ -736,28 +736,21 @@ fn model_differential_seed_b() {
     run_seed(0xB0B5EED);
 }
 
-/// The same differential stream on a deliberately starved 8-frame pool,
-/// once per replacement policy: every fetch is an eviction decision, so a
-/// policy that ever evicts a pinned frame, loses a dirty page, or corrupts
-/// its bookkeeping under churn diverges from the model immediately.
+/// The same differential stream on a deliberately starved 8-frame pool:
+/// every fetch is an eviction decision, so a pool that ever evicts a pinned
+/// frame, loses a dirty page, or corrupts its eviction queue under churn
+/// diverges from the model immediately.
 #[test]
 fn model_differential_tiny_pool_every_policy() {
-    for policy in [
-        ReplacementPolicyKind::Lru,
-        ReplacementPolicyKind::Clock,
-        ReplacementPolicyKind::Sieve,
-    ] {
-        run_seed_with(
-            0x8F4A3E5,
-            2 * OPS_PER_EPOCH + OPS_PER_EPOCH / 2,
-            BufferPoolConfig {
-                capacity: 8,
-                policy,
-                ..Default::default()
-            },
-            false,
-        );
-    }
+    run_seed_with(
+        0x8F4A3E5,
+        2 * OPS_PER_EPOCH + OPS_PER_EPOCH / 2,
+        BufferPoolConfig {
+            capacity: 8,
+            ..Default::default()
+        },
+        false,
+    );
 }
 
 #[test]

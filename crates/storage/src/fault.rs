@@ -256,7 +256,6 @@ mod tests {
             BufferPoolConfig {
                 capacity: 8,
                 steal: false,
-                ..Default::default()
             },
         )
     }

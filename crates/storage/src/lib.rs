@@ -8,8 +8,8 @@
 //! * [`page`] — an 8 KiB slotted page, the unit of disk transfer,
 //! * [`pager`] — page allocation and retrieval ([`pager::FilePager`] backed by a
 //!   file, [`pager::MemPager`] for tests and fast experiments),
-//! * [`buffer`] — a buffer pool with pin/unpin semantics, pluggable O(1)
-//!   replacement ([`replacement`]: LRU, Clock, SIEVE) and I/O accounting
+//! * [`buffer`] — a buffer pool with pin/unpin semantics, SIEVE eviction
+//!   steered by scan hints ([`replacement`]) and I/O accounting
 //!   ([`buffer::IoStats`]),
 //! * [`heap`] — a heap file (PostgreSQL "heap access" / sequential scan),
 //! * [`codec`] — a tiny length-prefixed binary codec used by every access
@@ -46,4 +46,4 @@ pub use heap::{HeapFile, RecordId};
 pub use journal::CheckpointStats;
 pub use page::{Page, PageId, SlotId, MAX_RECORD_SIZE, PAGE_SIZE};
 pub use pager::{FilePager, MemPager, Pager};
-pub use replacement::{AccessHint, ReplacementPolicy, ReplacementPolicyKind};
+pub use replacement::AccessHint;
