@@ -76,7 +76,7 @@ impl BNode {
         match tag {
             TAG_INTERNAL => {
                 let n = u32::decode(&mut buf)? as usize;
-                let mut keys = Vec::with_capacity(n);
+                let mut keys = Vec::with_capacity(n.min(buf.len()));
                 for _ in 0..n {
                     let len = u32::decode(&mut buf)? as usize;
                     if buf.len() < len {
@@ -86,7 +86,7 @@ impl BNode {
                     buf = &buf[len..];
                 }
                 let c = u32::decode(&mut buf)? as usize;
-                let mut children = Vec::with_capacity(c);
+                let mut children = Vec::with_capacity(c.min(buf.len()));
                 for _ in 0..c {
                     children.push(PageId::decode(&mut buf)?);
                 }
@@ -94,7 +94,7 @@ impl BNode {
             }
             TAG_LEAF => {
                 let n = u32::decode(&mut buf)? as usize;
-                let mut items = Vec::with_capacity(n);
+                let mut items = Vec::with_capacity(n.min(buf.len()));
                 for _ in 0..n {
                     let len = u32::decode(&mut buf)? as usize;
                     if buf.len() < len {
@@ -446,6 +446,16 @@ mod tests {
             tree.insert_str(w, i as RowId).unwrap();
         }
         tree
+    }
+
+    #[test]
+    fn lying_lengths_are_decode_errors_not_allocations() {
+        for tag in [TAG_INTERNAL, TAG_LEAF] {
+            assert!(BNode::decode(&[tag, 0xFF, 0xFF, 0xFF, 0xFF]).is_err());
+        }
+        // No keys, then a child count that lies.
+        let lying_children = [TAG_INTERNAL, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF];
+        assert!(BNode::decode(&lying_children).is_err());
     }
 
     #[test]

@@ -57,14 +57,14 @@ impl RNode {
         let n = u32::decode(&mut buf)? as usize;
         match tag {
             TAG_INTERNAL => {
-                let mut entries = Vec::with_capacity(n);
+                let mut entries = Vec::with_capacity(n.min(buf.len()));
                 for _ in 0..n {
                     entries.push((Rect::decode(&mut buf)?, PageId::decode(&mut buf)?));
                 }
                 Ok(RNode::Internal { entries })
             }
             TAG_LEAF => {
-                let mut entries = Vec::with_capacity(n);
+                let mut entries = Vec::with_capacity(n.min(buf.len()));
                 for _ in 0..n {
                     entries.push((Rect::decode(&mut buf)?, RowId::decode(&mut buf)?));
                 }
@@ -412,6 +412,13 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / u32::MAX as f64) * 100.0
+        }
+    }
+
+    #[test]
+    fn lying_lengths_are_decode_errors_not_allocations() {
+        for tag in [TAG_INTERNAL, TAG_LEAF] {
+            assert!(RNode::decode(&[tag, 0xFF, 0xFF, 0xFF, 0xFF]).is_err());
         }
     }
 

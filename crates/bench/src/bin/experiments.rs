@@ -5,12 +5,14 @@
 //! cargo run -p spgist-bench --release --bin experiments -- fig6 --scale 2
 //! ```
 //!
-//! Subcommands: `table7`, `fig6`..`fig17` (Figures 6–12 share one string run,
-//! 13–14 one point run), `ablation-clustering`, `ablation-trie`, `wal`,
-//! `all`.  `--scale N` multiplies the dataset sizes (default 1);
+//! The subcommands are the entries of [`EXPERIMENTS`] — each answers to its
+//! name and to the paper figures it regenerates (`fig6`..`fig12` share one
+//! string run, `fig13`/`fig14` one point run; asking for a figure prints
+//! that figure alone) — plus `all`; an unknown name prints the usage and
+//! exits 2.  `--scale N` multiplies the dataset sizes (default 1);
 //! `--queries N` sets the number of queries per measurement (default 100).
-//! With `--json-dir DIR`, every experiment also writes a machine-readable
-//! `BENCH_<experiment>.json` artifact into DIR.
+//! Every table is one [`Report`]: printed, and with `--json-dir DIR` also
+//! written as a machine-readable `BENCH_<experiment>.json` into DIR.
 //!
 //! Two extra commands drive the CI crash-recovery smoke test and take
 //! `--db PATH`: `crash-writer` runs an endless acknowledged-write workload
@@ -23,11 +25,12 @@
 use spgist_bench::loc::{crate_report, table7};
 use spgist_bench::stats::{log10_ratio, ratio_pct};
 use spgist_bench::{
-    point_sizes, run_build_experiment, run_checkpoint_experiment, run_clustering_ablation,
-    run_hot_writer_scaling, run_io_patterns_on, run_mixed_workload, run_nn_experiments,
-    run_point_experiments, run_read_scaling, run_reopen_experiment, run_segment_experiments,
-    run_string_experiments, run_substring_experiments, run_trie_variant_ablation,
-    run_wal_experiment, word_sizes, write_build_json, write_rows_json, IoBackend, JsonVal, NN_KS,
+    num, num_unit, point_sizes, run_build_experiment, run_checkpoint_experiment,
+    run_clustering_ablation, run_hot_writer_scaling, run_io_patterns_on, run_mixed_workload,
+    run_nn_experiments, run_point_experiments, run_read_scaling, run_reopen_experiment,
+    run_segment_experiments, run_string_experiments, run_substring_experiments,
+    run_trie_variant_ablation, run_wal_experiment, substring_sizes, word_sizes, Cell, IoBackend,
+    Report, BUILD_POOL_PAGES, NN_KS,
 };
 
 struct Options {
@@ -42,6 +45,14 @@ struct Options {
     /// Pager backend for `io-patterns`: in-memory (default) or a real file
     /// under the OS temp directory.
     backend: IoBackend,
+}
+
+impl Options {
+    /// Whether `figure`'s table is printed: a run asked for by figure name
+    /// prints that figure alone, any other run every figure of its rows.
+    fn shows(&self, figure: &str) -> bool {
+        !self.command.starts_with("fig") || self.command == figure
+    }
 }
 
 fn parse_args() -> Options {
@@ -100,24 +111,62 @@ fn parse_args() -> Options {
     }
 }
 
+/// One subcommand: the name it answers to, the paper figures that are
+/// aliases for it, and the function that measures and reports it.
+type Experiment = (&'static str, &'static [&'static str], fn(&Options));
+
+/// Every experiment, in the order `all` runs them.  Dispatch, `all`, the
+/// usage text and the unknown-name error are all derived from this list.
+const EXPERIMENTS: [Experiment; 14] = [
+    ("table7", &[], report_table7),
+    (
+        "strings",
+        &["fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"],
+        report_strings,
+    ),
+    ("points", &["fig13", "fig14"], report_points),
+    ("segments", &["fig15"], report_segments),
+    ("substring", &["fig16"], report_substring),
+    ("nn", &["fig17"], report_nn),
+    ("ablation-clustering", &[], report_clustering_ablation),
+    ("ablation-trie", &[], report_trie_ablation),
+    ("concurrency", &[], report_concurrency),
+    ("reopen", &[], report_reopen),
+    ("build", &[], report_build),
+    ("wal", &[], report_wal),
+    ("io-patterns", &[], report_io_patterns),
+    ("checkpoint", &[], report_checkpoint),
+];
+
+/// The experiments `command` selects: every one for `all`, otherwise the
+/// one it names (by name or figure alias); `None` for an unknown name.
+fn lookup(command: &str) -> Option<&'static [Experiment]> {
+    if command == "all" {
+        return Some(&EXPERIMENTS);
+    }
+    let found = EXPERIMENTS
+        .iter()
+        .position(|(name, figures, _)| *name == command || figures.contains(&command))?;
+    Some(&EXPERIMENTS[found..=found])
+}
+
+fn usage_text() -> String {
+    let names: Vec<&str> = EXPERIMENTS
+        .iter()
+        .flat_map(|(name, figures, _)| std::iter::once(*name).chain(figures.iter().copied()))
+        .collect();
+    format!(
+        "usage: experiments [{}|all] [--scale N] [--queries N] [--json-dir DIR] [--backend mem|file]\n       experiments crash-writer --db PATH\n       experiments crash-verify --db PATH",
+        names.join("|")
+    )
+}
+
 fn usage(message: &str) -> ! {
     if !message.is_empty() {
         eprintln!("error: {message}");
     }
-    eprintln!(
-        "usage: experiments [table7|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|ablation-clustering|ablation-trie|concurrency|reopen|build|wal|io-patterns|checkpoint|all] [--scale N] [--queries N] [--json-dir DIR] [--backend mem|file]\n       experiments crash-writer --db PATH\n       experiments crash-verify --db PATH"
-    );
+    eprintln!("{}", usage_text());
     std::process::exit(if message.is_empty() { 0 } else { 2 });
-}
-
-/// Writes `BENCH_<experiment>.json` into `--json-dir` when set.
-fn emit_json(opts: &Options, experiment: &str, columns: &[&str], rows: &[Vec<JsonVal>]) {
-    if let Some(dir) = &opts.json_dir {
-        let path = write_rows_json(dir, experiment, opts.scale, columns, rows)
-            .unwrap_or_else(|e| panic!("write BENCH_{experiment}.json: {e}"));
-        println!("wrote {}", path.display());
-        println!();
-    }
 }
 
 const SEED: u64 = 20060403;
@@ -129,133 +178,423 @@ fn main() {
         "crash-verify" => run_crash_verify(&opts),
         _ => {}
     }
-    let run_all = opts.command == "all";
-    let wants = |name: &str| run_all || opts.command == name;
-
-    if wants("table7") {
-        print_table7(&opts);
-    }
-    let string_figs = ["fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"];
-    if run_all || string_figs.contains(&opts.command.as_str()) {
-        print_string_figures(&opts, run_all);
-    }
-    if wants("fig13") || wants("fig14") {
-        print_point_figures(&opts, run_all);
-    }
-    if wants("fig15") {
-        print_segment_figure(&opts);
-    }
-    if wants("fig16") {
-        print_substring_figure(&opts);
-    }
-    if wants("fig17") {
-        print_nn_figure(&opts);
-    }
-    if wants("ablation-clustering") {
-        print_clustering_ablation(&opts);
-    }
-    if wants("ablation-trie") {
-        print_trie_ablation(&opts);
-    }
-    if wants("concurrency") {
-        print_concurrency(&opts);
-    }
-    if wants("reopen") {
-        print_reopen(&opts);
-    }
-    if wants("build") {
-        print_build(&opts);
-    }
-    if wants("wal") {
-        print_wal(&opts);
-    }
-    if wants("io-patterns") {
-        print_io_patterns(&opts);
-    }
-    if wants("checkpoint") {
-        print_checkpoint(&opts);
+    let Some(selected) = lookup(&opts.command) else {
+        usage(&format!("unknown experiment {}", opts.command));
+    };
+    for (_, _, run) in selected {
+        run(&opts);
     }
 }
 
-fn print_io_patterns(opts: &Options) {
+/// `(a / b) x 100` as a one-decimal cell, the form of the relative figures.
+fn pct(a: f64, b: f64) -> Cell {
+    num(ratio_pct(a, b), 1)
+}
+
+fn report_table7(opts: &Options) {
+    let rows = table7();
+    let title = "Table 7: external-method code size per index";
+    Report::new("table7", title, &rows)
+        .column("index", "index", |r| r.index.as_str().into())
+        .column("external_lines", "external lines", |r| {
+            r.external_lines.into()
+        })
+        .column("percent_of_total", "% of total code", |r| {
+            num_unit(r.percent_of_total, 1, "%")
+        })
+        .emit(opts.scale, opts.json_dir.as_deref());
+
+    let crates = crate_report();
+    let title = "Lines of code per crate (counted: non-blank, non-comment)";
+    Report::new("loc", title, &crates)
+        .column("crate", "crate", |l| l.name.as_str().into())
+        .column("production_lines", "production", |l| l.production.into())
+        .column("test_lines", "test", |l| l.test.into())
+        .note(format!(
+            "total: {} production, {} test",
+            crates.iter().map(|l| l.production).sum::<usize>(),
+            crates.iter().map(|l| l.test).sum::<usize>()
+        ))
+        .emit(opts.scale, opts.json_dir.as_deref());
+}
+
+/// Figures 6–12 are views of one string run: each prints columns named or
+/// derived from the same rows the `strings` artifact archives raw.
+fn report_strings(opts: &Options) {
+    let rows = run_string_experiments(&word_sizes(opts.scale), opts.queries, SEED);
+    let (scale, json_dir) = (opts.scale, opts.json_dir.as_deref());
+    if opts.shows("fig6") {
+        let title = "Figure 6: search time relative performance, (B+-tree / trie) x 100";
+        Report::new("strings", title, &rows)
+            .text_only("keys", |r| r.size.into())
+            .text_only("exact match (ratio %)", |r| {
+                pct(r.btree_exact_ms, r.trie_exact_ms)
+            })
+            .text_only("prefix match (ratio %)", |r| {
+                pct(r.btree_prefix_ms, r.trie_prefix_ms)
+            })
+            .emit(scale, json_dir);
+    }
+    if opts.shows("fig7") {
+        let title = "Figure 7: regular-expression search, log10(B+-tree / trie)";
+        Report::new("strings", title, &rows)
+            .text_only("keys", |r| r.size.into())
+            .text_only("trie (ms)", |r| num(r.trie_regex_ms, 4))
+            .text_only("btree (ms)", |r| num(r.btree_regex_ms, 4))
+            .text_only("log10 ratio", |r| {
+                num(log10_ratio(r.btree_regex_ms, r.trie_regex_ms), 2)
+            })
+            .emit(scale, json_dir);
+    }
+    if opts.shows("fig8") {
+        let title = "Figure 8: trie exact-match search time standard deviation";
+        Report::new("strings", title, &rows)
+            .text_only("keys", |r| r.size.into())
+            .text_only("mean (ms)", |r| num(r.trie_exact_ms, 4))
+            .text_only("stddev (ms)", |r| num(r.trie_exact_stddev_ms, 4))
+            .emit(scale, json_dir);
+    }
+    if opts.shows("fig9") {
+        let title = "Figure 9: insert time relative performance, (B+-tree / trie) x 100";
+        Report::new("strings", title, &rows)
+            .text_only("keys", |r| r.size.into())
+            .text_only("trie (ms)", |r| num(r.trie_insert_ms, 1))
+            .text_only("btree (ms)", |r| num(r.btree_insert_ms, 1))
+            .text_only("ratio %", |r| pct(r.btree_insert_ms, r.trie_insert_ms))
+            .emit(scale, json_dir);
+    }
+    if opts.shows("fig10") {
+        let title = "Figure 10: relative index size, (B+-tree / trie) x 100";
+        Report::new("strings", title, &rows)
+            .text_only("keys", |r| r.size.into())
+            .text_only("trie pages", |r| r.trie_pages.into())
+            .text_only("btree pages", |r| r.btree_pages.into())
+            .text_only("ratio %", |r| {
+                pct(r.btree_pages as f64, r.trie_pages as f64)
+            })
+            .emit(scale, json_dir);
+    }
+    if opts.shows("fig11") {
+        Report::new("strings", "Figure 11: maximum tree height in nodes", &rows)
+            .text_only("keys", |r| r.size.into())
+            .text_only("B-tree", |r| r.btree_height.into())
+            .text_only("SP-GiST trie", |r| r.trie_node_height.into())
+            .emit(scale, json_dir);
+    }
+    if opts.shows("fig12") {
+        Report::new("strings", "Figure 12: maximum tree height in pages", &rows)
+            .text_only("keys", |r| r.size.into())
+            .text_only("B-tree", |r| r.btree_height.into())
+            .text_only("SP-GiST trie", |r| r.trie_page_height.into())
+            .emit(scale, json_dir);
+    }
+    Report::new("strings", "Figures 6-12: trie vs B+-tree on strings", &rows)
+        .json_only("size", |r| r.size.into())
+        .json_only("trie_exact_ms", |r| num(r.trie_exact_ms, 4))
+        .json_only("btree_exact_ms", |r| num(r.btree_exact_ms, 4))
+        .json_only("trie_exact_stddev_ms", |r| num(r.trie_exact_stddev_ms, 4))
+        .json_only("trie_prefix_ms", |r| num(r.trie_prefix_ms, 4))
+        .json_only("btree_prefix_ms", |r| num(r.btree_prefix_ms, 4))
+        .json_only("trie_regex_ms", |r| num(r.trie_regex_ms, 4))
+        .json_only("btree_regex_ms", |r| num(r.btree_regex_ms, 4))
+        .json_only("trie_insert_ms", |r| num(r.trie_insert_ms, 1))
+        .json_only("btree_insert_ms", |r| num(r.btree_insert_ms, 1))
+        .json_only("trie_pages", |r| r.trie_pages.into())
+        .json_only("btree_pages", |r| r.btree_pages.into())
+        .json_only("trie_node_height", |r| r.trie_node_height.into())
+        .json_only("trie_page_height", |r| r.trie_page_height.into())
+        .json_only("btree_height", |r| r.btree_height.into())
+        .emit(scale, json_dir);
+}
+
+/// Figures 13–14 are views of one point run, as 6–12 are of the string run.
+fn report_points(opts: &Options) {
+    let rows = run_point_experiments(&point_sizes(opts.scale), opts.queries, SEED);
+    let (scale, json_dir) = (opts.scale, opts.json_dir.as_deref());
+    if opts.shows("fig13") {
+        let title = "Figure 13: kd-tree vs R-tree, (R-tree / kd-tree) x 100";
+        Report::new("points", title, &rows)
+            .text_only("points", |r| r.size.into())
+            .text_only("point search %", |r| pct(r.rtree_point_ms, r.kd_point_ms))
+            .text_only("range search %", |r| pct(r.rtree_range_ms, r.kd_range_ms))
+            .text_only("insert %", |r| pct(r.rtree_insert_ms, r.kd_insert_ms))
+            .emit(scale, json_dir);
+    }
+    if opts.shows("fig14") {
+        let title = "Figure 14: relative index size, (R-tree / kd-tree) x 100";
+        Report::new("points", title, &rows)
+            .text_only("points", |r| r.size.into())
+            .text_only("kd pages", |r| r.kd_pages.into())
+            .text_only("rtree pages", |r| r.rtree_pages.into())
+            .text_only("ratio %", |r| pct(r.rtree_pages as f64, r.kd_pages as f64))
+            .emit(scale, json_dir);
+    }
+    Report::new(
+        "points",
+        "Figures 13-14: kd-tree vs R-tree on points",
+        &rows,
+    )
+    .json_only("size", |r| r.size.into())
+    .json_only("kd_insert_ms", |r| num(r.kd_insert_ms, 1))
+    .json_only("rtree_insert_ms", |r| num(r.rtree_insert_ms, 1))
+    .json_only("kd_point_ms", |r| num(r.kd_point_ms, 4))
+    .json_only("rtree_point_ms", |r| num(r.rtree_point_ms, 4))
+    .json_only("kd_range_ms", |r| num(r.kd_range_ms, 4))
+    .json_only("rtree_range_ms", |r| num(r.rtree_range_ms, 4))
+    .json_only("kd_pages", |r| r.kd_pages.into())
+    .json_only("rtree_pages", |r| r.rtree_pages.into())
+    .emit(scale, json_dir);
+}
+
+fn report_segments(opts: &Options) {
+    let rows = run_segment_experiments(&point_sizes(opts.scale), opts.queries, SEED);
+    let title = "Figure 15: PMR quadtree vs R-tree, (R-tree / PMR quadtree) x 100";
+    Report::new("segments", title, &rows)
+        .column("size", "segments", |r| r.size.into())
+        .json_only("pmr_insert_ms", |r| num(r.pmr_insert_ms, 1))
+        .json_only("rtree_insert_ms", |r| num(r.rtree_insert_ms, 1))
+        .text_only("insert %", |r| pct(r.rtree_insert_ms, r.pmr_insert_ms))
+        .json_only("pmr_exact_ms", |r| num(r.pmr_exact_ms, 4))
+        .json_only("rtree_exact_ms", |r| num(r.rtree_exact_ms, 4))
+        .text_only("exact match %", |r| pct(r.rtree_exact_ms, r.pmr_exact_ms))
+        .json_only("pmr_window_ms", |r| num(r.pmr_window_ms, 4))
+        .json_only("rtree_window_ms", |r| num(r.rtree_window_ms, 4))
+        .text_only("range search %", |r| {
+            pct(r.rtree_window_ms, r.pmr_window_ms)
+        })
+        .column("pmr_pages", "pmr pages", |r| r.pmr_pages.into())
+        .column("rtree_pages", "rtree pages", |r| r.rtree_pages.into())
+        .emit(opts.scale, opts.json_dir.as_deref());
+}
+
+fn report_substring(opts: &Options) {
+    let rows = run_substring_experiments(&substring_sizes(opts.scale), opts.queries, SEED);
+    let title = "Figure 16: substring match, log10(sequential / suffix tree)";
+    Report::new("substring", title, &rows)
+        .column("size", "strings", |r| r.size.into())
+        .column("suffix_ms", "suffix (ms)", |r| num(r.suffix_ms, 4))
+        .column("seqscan_ms", "seq scan (ms)", |r| num(r.seqscan_ms, 4))
+        .text_only("log10 ratio", |r| {
+            num(log10_ratio(r.seqscan_ms, r.suffix_ms), 2)
+        })
+        .emit(opts.scale, opts.json_dir.as_deref());
+}
+
+fn report_nn(opts: &Options) {
     let n = 20_000 * opts.scale.max(1);
-    let queries = opts.queries.max(16);
-    let rows = run_io_patterns_on(n, queries, SEED, opts.backend);
-    println!(
-        "== I/O patterns: pool size x workload ({n} points, {} backend) ==",
+    let rows = run_nn_experiments(n, &NN_KS, opts.queries.min(20), SEED);
+    let title = format!("Figure 17: NN search performance ({n} tuples per relation)");
+    Report::new("nn", title, &rows)
+        .column("k", "k", |r| r.k.into())
+        .column("kd_ms", "kd-tree (ms)", |r| num(r.kd_ms, 3))
+        .column("quad_ms", "pquadtree (ms)", |r| num(r.quad_ms, 3))
+        .column("trie_ms", "trie (ms)", |r| num(r.trie_ms, 3))
+        .emit(opts.scale, opts.json_dir.as_deref());
+}
+
+fn report_clustering_ablation(opts: &Options) {
+    let rows = run_clustering_ablation(20_000 * opts.scale.max(1), opts.queries, SEED);
+    let title = "Ablation: node-to-page clustering policy (patricia trie)";
+    Report::new("ablation_clustering", title, &rows)
+        .column("policy", "policy", |r| format!("{:?}", r.policy).into())
+        .column("page_height", "page height", |r| r.page_height.into())
+        .column("pages", "pages", |r| r.pages.into())
+        .column("exact_ms", "exact (ms)", |r| num(r.exact_ms, 4))
+        .emit(opts.scale, opts.json_dir.as_deref());
+}
+
+fn report_trie_ablation(opts: &Options) {
+    let rows = run_trie_variant_ablation(20_000 * opts.scale.max(1), opts.queries, SEED);
+    let title = "Ablation: trie interface parameters (PathShrink / BucketSize)";
+    Report::new("ablation_trie", title, &rows)
+        .column("variant", "variant", |r| r.variant.as_str().into())
+        .column("nodes", "nodes", |r| r.nodes.into())
+        .column("node_height", "node height", |r| r.node_height.into())
+        .column("pages", "pages", |r| r.pages.into())
+        .column("exact_ms", "exact (ms)", |r| num(r.exact_ms, 4))
+        .emit(opts.scale, opts.json_dir.as_deref());
+}
+
+fn report_concurrency(opts: &Options) {
+    let n = 20_000 * opts.scale.max(1);
+    let queries = opts.queries.max(20);
+    let thread_counts = [1usize, 2, 4, 8];
+    let (scale, json_dir) = (opts.scale, opts.json_dir.as_deref());
+
+    let rows = run_read_scaling(n, &thread_counts, queries, SEED);
+    let qps = |threads: usize| {
+        let row = rows.iter().find(|r| r.threads == threads);
+        row.map_or(f64::NAN, |r| r.throughput_qps)
+    };
+    let title = format!("Concurrency: read-scaling on a shared kd-tree ({n} points)");
+    Report::new("concurrency", title, &rows)
+        .column("threads", "threads", |r| r.threads.into())
+        .column("total_queries", "queries", |r| r.total_queries.into())
+        .column("elapsed_ms", "elapsed ms", |r| num(r.elapsed_ms, 1))
+        .column("throughput_qps", "queries/s", |r| num(r.throughput_qps, 0))
+        .column("mean_ms", "mean ms", |r| num(r.mean_ms, 4))
+        .column("p99_ms", "p99 ms", |r| num(r.p99_ms, 4))
+        .note(format!(
+            "(host reports {} cores; read latches scale with real cores)",
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        ))
+        .note(format!(
+            "read throughput speedup at 4 threads vs 1: {:.2}x",
+            qps(4) / qps(1).max(1e-9)
+        ))
+        .emit(scale, json_dir);
+
+    let hot = run_hot_writer_scaling(n, &thread_counts, queries, SEED);
+    let widest = hot.last().expect("one row per thread count");
+    let title = "Concurrency: read-scaling with one continuous hot writer";
+    Report::new("concurrency_hot_writer", title, &hot)
+        .column("threads", "threads", |r| r.threads.into())
+        .column("total_queries", "queries", |r| r.total_queries.into())
+        .json_only("writer_inserts", |r| r.writer_inserts.into())
+        .column("elapsed_ms", "elapsed ms", |r| num(r.elapsed_ms, 1))
+        .column("throughput_qps", "queries/s", |r| num(r.throughput_qps, 0))
+        .column("speedup", "speedup", |r| num_unit(r.speedup, 2, "x"))
+        .json_only("mean_ms", |r| num(r.mean_ms, 4))
+        .column("p99_ms", "p99 ms", |r| num(r.p99_ms, 4))
+        .column("write_ips", "ins/s", |r| num(r.write_ips, 0))
+        .column("latch_acquisitions", "latches", |r| {
+            r.concurrency.latch_acquisitions.into()
+        })
+        .column("latch_waits", "latch waits", |r| {
+            r.concurrency.latch_waits.into()
+        })
+        .column("epoch_pins", "pins", |r| r.concurrency.epoch_pins.into())
+        .json_only("epoch_pin_nanos", |r| r.concurrency.epoch_pin_nanos.into())
+        .json_only("retired", |r| r.concurrency.retired.into())
+        .json_only("reclaimed", |r| r.concurrency.reclaimed.into())
+        .column("retired_backlog", "backlog", |r| {
+            r.concurrency.retired_backlog.into()
+        })
+        .note(format!(
+            "hot-writer read throughput speedup at {} threads vs 1: {:.2}x \
+             (mean epoch pin {:.1} us)",
+            widest.threads,
+            widest.speedup,
+            widest.concurrency.epoch_pin_nanos as f64
+                / (widest.concurrency.epoch_pins.max(1) as f64 * 1e3)
+        ))
+        .emit(scale, json_dir);
+
+    let mixed = run_mixed_workload(n, 4, 2, queries, queries * 5, SEED);
+    let title = "Concurrency: mixed readers + writer bursts";
+    Report::new("concurrency_mixed", title, std::slice::from_ref(&mixed))
+        .column("readers", "readers", |r| r.readers.into())
+        .column("writers", "writers", |r| r.writers.into())
+        .column("reads", "reads", |r| r.reads.into())
+        .column("writes", "writes", |r| r.writes.into())
+        .column("elapsed_ms", "elapsed ms", |r| num(r.elapsed_ms, 1))
+        .column("read_qps", "read q/s", |r| num(r.read_qps, 0))
+        .column("write_ips", "ins/s", |r| num(r.write_ips, 0))
+        .column("read_p99_ms", "read p99 ms", |r| num(r.read_p99_ms, 4))
+        .column("write_p99_ms", "write p99 ms", |r| num(r.write_p99_ms, 4))
+        .emit(scale, json_dir);
+}
+
+/// Durable-catalog experiment: build → close → cold open vs. rebuilding
+/// from raw data, on a file-backed database.
+fn report_reopen(opts: &Options) {
+    let sizes = [10_000, 40_000].map(|n| n * opts.scale.max(1));
+    let rows = run_reopen_experiment(&sizes, SEED);
+    let title = "Reopen: durable-catalog cold open vs. rebuild from scratch";
+    Report::new("reopen", title, &rows)
+        .column("rows", "rows", |r| r.rows.into())
+        .column("file_pages", "pages", |r| r.file_pages.into())
+        .column("rebuild_ms", "rebuild ms", |r| num(r.rebuild_ms, 1))
+        .column("open_ms", "open ms", |r| num(r.open_ms, 2))
+        .column("open_reads", "open reads", |r| r.open_reads.into())
+        .column("cold_hit_rate", "cold hr", |r| num(r.cold_hit_rate, 3))
+        .column("first_query_ms", "1st query ms", |r| {
+            num(r.first_query_ms, 3)
+        })
+        .column("warm_query_ms", "warm query ms", |r| {
+            num(r.warm_query_ms, 3)
+        })
+        .text_only("speedup", |r| {
+            num_unit(r.rebuild_ms / r.open_ms.max(1e-9), 0, "x")
+        })
+        .note(
+            "(open reads = physical page reads at open: catalog chain + tree meta pages only; \
+             cold hr = pool hit rate through the first query)",
+        )
+        .emit(opts.scale, opts.json_dir.as_deref());
+}
+
+fn report_build(opts: &Options) {
+    let rows = run_build_experiment(opts.scale, SEED);
+    let title = "Build: insert-loop vs spgistbuild bulk build (eviction-bounded pool)";
+    Report::new("build", title, &rows)
+        .column("class", "class", |r| r.class.into())
+        .column("rows", "rows", |r| r.rows.into())
+        .column("insert_ms", "insert ms", |r| num(r.insert.ms, 1))
+        .column("bulk_ms", "bulk ms", |r| num(r.bulk.ms, 1))
+        .column("insert_writes", "ins wr", |r| r.insert.writes.into())
+        .column("bulk_writes", "bulk wr", |r| r.bulk.writes.into())
+        .column("insert_hit_rate", "ins hr", |r| num(r.insert.hit_rate, 3))
+        .column("bulk_hit_rate", "bulk hr", |r| num(r.bulk.hit_rate, 3))
+        .column("insert_pages", "ins pg", |r| r.insert.pages.into())
+        .column("bulk_pages", "bulk pg", |r| r.bulk.pages.into())
+        .column("insert_page_height", "ins h", |r| {
+            r.insert.page_height.into()
+        })
+        .column("bulk_page_height", "bulk h", |r| r.bulk.page_height.into())
+        .column("insert_fill", "ins f", |r| num(r.insert.fill, 2))
+        .column("bulk_fill", "bulk f", |r| num(r.bulk.fill, 2))
+        .column("speedup", "speedup", |r| num_unit(r.speedup(), 1, "x"))
+        .json_only("pool_pages", |_| BUILD_POOL_PAGES.into())
+        .note(
+            "(wr = physical page writes incl. final flush; hr = pool hit rate; \
+             h = tree height in pages; f = page fill)",
+        )
+        .emit(opts.scale, opts.json_dir.as_deref());
+}
+
+fn report_wal(opts: &Options) {
+    let commits_per_thread = (opts.queries * 2).clamp(50, 2_000);
+    let rows = run_wal_experiment(&[1, 2, 4, 8], commits_per_thread);
+    Report::new("wal", "WAL: commit throughput under group commit", &rows)
+        .column("threads", "threads", |r| r.threads.into())
+        .column("commits", "commits", |r| r.commits.into())
+        .column("elapsed_ms", "elapsed ms", |r| num(r.elapsed_ms, 1))
+        .column("throughput_cps", "commits/s", |r| num(r.throughput_cps, 0))
+        .column("mean_ms", "mean ms", |r| num(r.mean_ms, 4))
+        .column("p99_ms", "p99 ms", |r| num(r.p99_ms, 4))
+        .column("syncs", "syncs", |r| r.syncs.into())
+        .column("commits_per_sync", "commit/sync", |r| {
+            num(r.commits_per_sync, 1)
+        })
+        .emit(opts.scale, opts.json_dir.as_deref());
+}
+
+fn report_io_patterns(opts: &Options) {
+    let n = 20_000 * opts.scale.max(1);
+    let rows = run_io_patterns_on(n, opts.queries.max(16), SEED, opts.backend);
+    let title = format!(
+        "I/O patterns: pool size x workload ({n} points, {} backend)",
         opts.backend.name()
     );
-    println!(
-        "{:>10} {:>6} {:>7} {:>8} {:>9} {:>9} {:>7} {:>9} {:>11} {:>9}",
-        "workload",
-        "pool%",
-        "frames",
-        "queries",
-        "logical",
-        "physical",
-        "evict",
-        "hit rate",
-        "elapsed ms",
-        "p99 ms"
-    );
-    for r in &rows {
-        println!(
-            "{:>10} {:>6} {:>7} {:>8} {:>9} {:>9} {:>7} {:>9.4} {:>11.2} {:>9.4}",
-            r.workload,
-            r.pool_pct,
-            r.frames,
-            r.queries,
-            r.logical_reads,
-            r.physical_reads,
-            r.evictions,
-            r.hit_rate,
-            r.elapsed_ms,
-            r.p99_ms
-        );
-    }
-    println!();
-    emit_json(
-        opts,
-        "io_patterns",
-        &[
-            "backend",
-            "workload",
-            "pool_pct",
-            "frames",
-            "data_pages",
-            "queries",
-            "logical_reads",
-            "physical_reads",
-            "evictions",
-            "hit_rate",
-            "elapsed_ms",
-            "p99_ms",
-            "result_rows",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.backend.into(),
-                    r.workload.into(),
-                    r.pool_pct.into(),
-                    r.frames.into(),
-                    r.data_pages.into(),
-                    r.queries.into(),
-                    r.logical_reads.into(),
-                    r.physical_reads.into(),
-                    r.evictions.into(),
-                    r.hit_rate.into(),
-                    r.elapsed_ms.into(),
-                    r.p99_ms.into(),
-                    r.result_rows.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    Report::new("io_patterns", title, &rows)
+        .json_only("backend", |r| r.backend.into())
+        .column("workload", "workload", |r| r.workload.into())
+        .column("pool_pct", "pool%", |r| r.pool_pct.into())
+        .column("frames", "frames", |r| r.frames.into())
+        .json_only("data_pages", |r| r.data_pages.into())
+        .column("queries", "queries", |r| r.queries.into())
+        .column("logical_reads", "logical", |r| r.logical_reads.into())
+        .column("physical_reads", "physical", |r| r.physical_reads.into())
+        .column("evictions", "evict", |r| r.evictions.into())
+        .column("hit_rate", "hit rate", |r| num(r.hit_rate, 4))
+        .column("elapsed_ms", "elapsed ms", |r| num(r.elapsed_ms, 2))
+        .column("p99_ms", "p99 ms", |r| num(r.p99_ms, 4))
+        .json_only("result_rows", |r| r.result_rows.into())
+        .emit(opts.scale, opts.json_dir.as_deref());
 }
 
-fn print_checkpoint(opts: &Options) {
+fn report_checkpoint(opts: &Options) {
     // Sizes grow with --scale: the acceptance sweep (1 M rows) needs
     // --scale 4 or more; the per-PR smoke stays CI-friendly.
     let mut sizes = vec![10_000usize, 50_000];
@@ -266,177 +605,38 @@ fn print_checkpoint(opts: &Options) {
         sizes.push(1_000_000);
     }
     let rows = run_checkpoint_experiment(&sizes, SEED);
-    println!("== Checkpoint: incremental vs full rewrite, size x fraction mutated ==");
-    println!(
-        "{:>9} {:>6} {:>7} {:>12} {:>9} {:>7} {:>7} {:>10} {:>10} {:>7} {:>10} {:>10} {:>10} {:>9}",
-        "rows",
-        "pct",
-        "chunks",
-        "mode",
-        "wall ms",
-        "wrote",
-        "skip",
-        "cat B",
-        "jrnl B",
-        "pages",
-        "quiesce us",
-        "stall p99",
-        "io bytes",
-        "vs full"
-    );
-    for r in &rows {
-        println!(
-            "{:>9} {:>6} {:>7} {:>12} {:>9.2} {:>7} {:>7} {:>10} {:>10} {:>7} {:>10.1} {:>10.1} {:>10} {:>9.1}",
-            r.rows,
-            r.pct_mutated,
-            r.chunks_mutated,
-            r.mode,
-            r.wall_ms,
-            r.chunks_written,
-            r.chunks_skipped,
-            r.catalog_bytes,
-            r.journal_bytes,
-            r.data_pages_flushed,
-            r.quiesce_us,
-            r.stall_p99_us,
-            r.io_bytes,
-            r.io_ratio_vs_full
-        );
-    }
+    let title = "Checkpoint: incremental vs full rewrite, size x fraction mutated";
+    let mut report = Report::new("checkpoint", title, &rows)
+        .column("rows", "rows", |r| r.rows.into())
+        .column("pct_mutated", "pct", |r| num(r.pct_mutated, 1))
+        .column("chunks_mutated", "chunks", |r| r.chunks_mutated.into())
+        .column("mode", "mode", |r| r.mode.into())
+        .column("wall_ms", "wall ms", |r| num(r.wall_ms, 2))
+        .column("chunks_written", "wrote", |r| r.chunks_written.into())
+        .column("chunks_skipped", "skip", |r| r.chunks_skipped.into())
+        .column("catalog_bytes", "cat B", |r| r.catalog_bytes.into())
+        .column("journal_bytes", "jrnl B", |r| r.journal_bytes.into())
+        .column("data_pages_flushed", "pages", |r| {
+            r.data_pages_flushed.into()
+        })
+        .column("quiesce_us", "quiesce us", |r| num(r.quiesce_us, 1))
+        .column("stall_p99_us", "stall p99", |r| num(r.stall_p99_us, 1))
+        .column("io_bytes", "io bytes", |r| r.io_bytes.into())
+        .column("io_ratio_vs_full", "vs full", |r| {
+            num(r.io_ratio_vs_full, 1)
+        });
     // The acceptance summary: how much less I/O does the incremental path
     // do at <=1% mutated?  The bar is >=10x at 1 M rows.
     for r in rows
         .iter()
         .filter(|r| r.mode == "incremental" && r.pct_mutated <= 1.0)
     {
-        println!(
+        report = report.note(format!(
             "{} rows @ {}% mutated: incremental does {:.1}x less checkpoint I/O than full rewrite",
             r.rows, r.pct_mutated, r.io_ratio_vs_full
-        );
+        ));
     }
-    println!();
-    emit_json(
-        opts,
-        "checkpoint",
-        &[
-            "rows",
-            "pct_mutated",
-            "chunks_mutated",
-            "mode",
-            "wall_ms",
-            "chunks_written",
-            "chunks_skipped",
-            "catalog_bytes",
-            "journal_bytes",
-            "data_pages_flushed",
-            "quiesce_us",
-            "stall_p99_us",
-            "io_bytes",
-            "io_ratio_vs_full",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.rows.into(),
-                    r.pct_mutated.into(),
-                    r.chunks_mutated.into(),
-                    r.mode.into(),
-                    r.wall_ms.into(),
-                    r.chunks_written.into(),
-                    r.chunks_skipped.into(),
-                    r.catalog_bytes.into(),
-                    r.journal_bytes.into(),
-                    r.data_pages_flushed.into(),
-                    r.quiesce_us.into(),
-                    r.stall_p99_us.into(),
-                    r.io_bytes.into(),
-                    r.io_ratio_vs_full.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-fn print_wal(opts: &Options) {
-    let thread_counts = [1usize, 2, 4, 8];
-    let commits_per_thread = (opts.queries * 2).clamp(50, 2_000);
-    let rows = run_wal_experiment(&thread_counts, commits_per_thread);
-    println!("== WAL: commit throughput, per-commit fsync vs group commit ==");
-    println!(
-        "{:>12} {:>8} {:>8} {:>11} {:>11} {:>9} {:>9} {:>7} {:>11}",
-        "mode",
-        "threads",
-        "commits",
-        "elapsed ms",
-        "commits/s",
-        "mean ms",
-        "p99 ms",
-        "syncs",
-        "commit/sync"
-    );
-    for r in &rows {
-        println!(
-            "{:>12} {:>8} {:>8} {:>11.1} {:>11.0} {:>9.4} {:>9.4} {:>7} {:>11.1}",
-            r.mode,
-            r.threads,
-            r.commits,
-            r.elapsed_ms,
-            r.throughput_cps,
-            r.mean_ms,
-            r.p99_ms,
-            r.syncs,
-            r.commits_per_sync
-        );
-    }
-    for &threads in &thread_counts[1..] {
-        let per = rows
-            .iter()
-            .find(|r| r.threads == threads && r.mode == "per-commit");
-        let group = rows
-            .iter()
-            .find(|r| r.threads == threads && r.mode == "group");
-        if let (Some(per), Some(group)) = (per, group) {
-            println!(
-                "group-commit speedup at {threads} writers: {:.2}x ({:.0} vs {:.0} commits/s)",
-                group.throughput_cps / per.throughput_cps.max(1e-9),
-                group.throughput_cps,
-                per.throughput_cps
-            );
-        }
-    }
-    println!();
-    emit_json(
-        opts,
-        "wal",
-        &[
-            "mode",
-            "threads",
-            "commits",
-            "elapsed_ms",
-            "throughput_cps",
-            "mean_ms",
-            "p99_ms",
-            "syncs",
-            "commits_per_sync",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.mode.into(),
-                    r.threads.into(),
-                    r.commits.into(),
-                    r.elapsed_ms.into(),
-                    r.throughput_cps.into(),
-                    r.mean_ms.into(),
-                    r.p99_ms.into(),
-                    r.syncs.into(),
-                    r.commits_per_sync.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
+    report.emit(opts.scale, opts.json_dir.as_deref());
 }
 
 /// `crash-writer --db PATH`: an endless acknowledged-write workload for
@@ -619,781 +819,84 @@ fn ack_path(db_path: &std::path::Path) -> std::path::PathBuf {
     std::path::PathBuf::from(s)
 }
 
-fn print_build(opts: &Options) {
-    let rows = run_build_experiment(opts.scale, SEED);
-    println!("== Build: insert-loop vs spgistbuild bulk build (eviction-bounded pool) ==");
-    println!(
-        "{:>10} {:>8} {:>11} {:>9} {:>9} {:>9} {:>7} {:>7} {:>9} {:>9} {:>7} {:>7} {:>6} {:>6} {:>8}",
-        "class",
-        "rows",
-        "insert ms",
-        "bulk ms",
-        "ins wr",
-        "bulk wr",
-        "ins hr",
-        "bulk hr",
-        "ins pg",
-        "bulk pg",
-        "ins h",
-        "bulk h",
-        "ins f",
-        "bulk f",
-        "speedup"
-    );
-    for r in &rows {
-        println!(
-            "{:>10} {:>8} {:>11.1} {:>9.1} {:>9} {:>9} {:>7.3} {:>7.3} {:>9} {:>9} {:>7} {:>7} {:>6.2} {:>6.2} {:>7.1}x",
-            r.class,
-            r.rows,
-            r.insert.ms,
-            r.bulk.ms,
-            r.insert.writes,
-            r.bulk.writes,
-            r.insert.hit_rate,
-            r.bulk.hit_rate,
-            r.insert.pages,
-            r.bulk.pages,
-            r.insert.page_height,
-            r.bulk.page_height,
-            r.insert.fill,
-            r.bulk.fill,
-            r.speedup()
-        );
-    }
-    println!(
-        "(wr = physical page writes incl. final flush; hr = pool hit rate; h = tree height in pages; f = page fill)"
-    );
-    println!();
-    if let Some(dir) = &opts.json_dir {
-        write_build_json(&rows, opts.scale, dir).expect("write BENCH_build.json");
-        println!("wrote {}", dir.join("BENCH_build.json").display());
-        println!();
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn print_reopen(opts: &Options) {
-    // Durable-catalog experiment: build → close → cold open vs. rebuilding
-    // from raw data, on a file-backed database.
-    let sizes: Vec<usize> = [10_000usize, 40_000]
-        .iter()
-        .map(|n| n * opts.scale.max(1))
-        .collect();
-    let rows = run_reopen_experiment(&sizes, SEED);
-    println!("== Reopen: durable-catalog cold open vs. rebuild from scratch ==");
-    println!(
-        "{:>10} {:>10} {:>13} {:>10} {:>11} {:>8} {:>14} {:>13} {:>9}",
-        "rows",
-        "pages",
-        "rebuild ms",
-        "open ms",
-        "open reads",
-        "cold hr",
-        "1st query ms",
-        "warm query ms",
-        "speedup"
-    );
-    for r in &rows {
-        println!(
-            "{:>10} {:>10} {:>13.1} {:>10.2} {:>11} {:>8.3} {:>14.3} {:>13.3} {:>8.0}x",
-            r.rows,
-            r.file_pages,
-            r.rebuild_ms,
-            r.open_ms,
-            r.open_reads,
-            r.cold_hit_rate,
-            r.first_query_ms,
-            r.warm_query_ms,
-            r.rebuild_ms / r.open_ms.max(1e-9)
-        );
+    #[test]
+    fn lookup_resolves_names_and_figures_and_rejects_typos() {
+        assert_eq!(lookup("all").map(<[_]>::len), Some(EXPERIMENTS.len()));
+        for (command, name) in [("checkpoint", "checkpoint"), ("fig9", "strings")] {
+            let found = lookup(command).expect("known experiment");
+            assert_eq!(found.len(), 1);
+            assert_eq!(found[0].0, name);
+        }
+        for typo in ["fig99", "checkpiont", "fig", ""] {
+            assert!(lookup(typo).is_none(), "{typo:?} must not run anything");
+        }
     }
-    println!("(open reads = physical page reads at open: catalog chain + tree meta pages only; cold hr = pool hit rate through the first query)");
-    println!();
-    emit_json(
-        opts,
-        "reopen",
-        &[
-            "rows",
-            "file_pages",
-            "rebuild_ms",
-            "open_ms",
-            "open_reads",
-            "cold_hit_rate",
-            "first_query_ms",
-            "warm_query_ms",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.rows.into(),
-                    r.file_pages.into(),
-                    r.rebuild_ms.into(),
-                    r.open_ms.into(),
-                    r.open_reads.into(),
-                    r.cold_hit_rate.into(),
-                    r.first_query_ms.into(),
-                    r.warm_query_ms.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
 
-fn print_table7(opts: &Options) {
-    let rows = table7();
-    println!("== Table 7: external-method code size per index ==");
-    println!(
-        "{:<16} {:>16} {:>18}",
-        "index", "external lines", "% of total code"
-    );
-    for row in &rows {
-        println!(
-            "{:<16} {:>16} {:>17.1}%",
-            row.index, row.external_lines, row.percent_of_total
-        );
-    }
-    println!();
-    emit_json(
-        opts,
-        "table7",
-        &["index", "external_lines", "percent_of_total"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.index.clone().into(),
-                    r.external_lines.into(),
-                    r.percent_of_total.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-
-    let report = crate_report();
-    println!("== Lines of code per crate (counted: non-blank, non-comment) ==");
-    println!("{:<14} {:>12} {:>12}", "crate", "production", "test");
-    for loc in &report {
-        println!("{:<14} {:>12} {:>12}", loc.name, loc.production, loc.test);
-    }
-    println!(
-        "{:<14} {:>12} {:>12}",
-        "total",
-        report.iter().map(|l| l.production).sum::<usize>(),
-        report.iter().map(|l| l.test).sum::<usize>()
-    );
-    println!();
-    emit_json(
-        opts,
-        "loc",
-        &["crate", "production_lines", "test_lines"],
-        &report
-            .iter()
-            .map(|l| vec![l.name.clone().into(), l.production.into(), l.test.into()])
-            .collect::<Vec<_>>(),
-    );
-}
-
-fn print_string_figures(opts: &Options, run_all: bool) {
-    let sizes = word_sizes(opts.scale);
-    let rows = run_string_experiments(&sizes, opts.queries, SEED);
-    let show = |fig: &str| run_all || opts.command == fig;
-
-    if show("fig6") {
-        println!("== Figure 6: search time relative performance, (B+-tree / trie) x 100 ==");
-        println!(
-            "{:>10} {:>22} {:>22}",
-            "keys", "exact match (ratio %)", "prefix match (ratio %)"
-        );
-        for r in &rows {
-            println!(
-                "{:>10} {:>22.1} {:>22.1}",
-                r.size,
-                ratio_pct(r.btree_exact_ms, r.trie_exact_ms),
-                ratio_pct(r.btree_prefix_ms, r.trie_prefix_ms)
+    #[test]
+    fn every_name_the_usage_text_lists_resolves() {
+        let usage = usage_text();
+        let list = &usage[usage.find('[').unwrap() + 1..usage.find(']').unwrap()];
+        let names: Vec<&str> = list.split('|').collect();
+        assert!(names.len() > EXPERIMENTS.len(), "figure aliases are listed");
+        for name in names {
+            assert!(
+                lookup(name).is_some(),
+                "usage lists {name}, lookup rejects it"
             );
         }
-        println!();
     }
-    if show("fig7") {
-        println!("== Figure 7: regular-expression search, log10(B+-tree / trie) ==");
-        println!(
-            "{:>10} {:>14} {:>14} {:>12}",
-            "keys", "trie (ms)", "btree (ms)", "log10 ratio"
-        );
-        for r in &rows {
-            println!(
-                "{:>10} {:>14.4} {:>14.4} {:>12.2}",
-                r.size,
-                r.trie_regex_ms,
-                r.btree_regex_ms,
-                log10_ratio(r.btree_regex_ms, r.trie_regex_ms)
-            );
+
+    #[test]
+    fn cheapest_experiments_write_artifacts_that_read_back() {
+        let dir = std::env::temp_dir().join(format!("spgist-experiments-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = Options {
+            command: String::from("table7"),
+            scale: 1,
+            queries: 1,
+            json_dir: Some(dir.clone()),
+            db: None,
+            backend: IoBackend::Mem,
+        };
+        for name in ["table7", "ablation-trie"] {
+            for (_, _, run) in lookup(name).expect("registered") {
+                run(&opts);
+            }
         }
-        println!();
-    }
-    if show("fig8") {
-        println!("== Figure 8: trie exact-match search time standard deviation ==");
-        println!("{:>10} {:>14} {:>14}", "keys", "mean (ms)", "stddev (ms)");
-        for r in &rows {
-            println!(
-                "{:>10} {:>14.4} {:>14.4}",
-                r.size, r.trie_exact_ms, r.trie_exact_stddev_ms
-            );
+        for (experiment, rows, keys) in [
+            (
+                "table7",
+                5,
+                vec!["index", "external_lines", "percent_of_total"],
+            ),
+            (
+                "loc",
+                crate_report().len(),
+                vec!["crate", "production_lines", "test_lines"],
+            ),
+            (
+                "ablation_trie",
+                3,
+                vec!["variant", "nodes", "node_height", "pages", "exact_ms"],
+            ),
+        ] {
+            let path = dir.join(format!("BENCH_{experiment}.json"));
+            let json = std::fs::read_to_string(&path).expect("artifact written");
+            assert!(json.contains(&format!("\"experiment\": \"{experiment}\"")));
+            assert!(json.contains("\"scale\": 1"));
+            let row_lines: Vec<&str> = json.lines().filter(|l| l.starts_with("    {")).collect();
+            assert_eq!(row_lines.len(), rows, "{experiment}");
+            for key in keys {
+                let cells = row_lines
+                    .iter()
+                    .filter(|l| l.contains(&format!("\"{key}\": ")));
+                assert_eq!(cells.count(), rows, "{experiment}.{key}");
+            }
         }
-        println!();
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    if show("fig9") {
-        println!("== Figure 9: insert time relative performance, (B+-tree / trie) x 100 ==");
-        println!(
-            "{:>10} {:>14} {:>14} {:>12}",
-            "keys", "trie (ms)", "btree (ms)", "ratio %"
-        );
-        for r in &rows {
-            println!(
-                "{:>10} {:>14.1} {:>14.1} {:>12.1}",
-                r.size,
-                r.trie_insert_ms,
-                r.btree_insert_ms,
-                ratio_pct(r.btree_insert_ms, r.trie_insert_ms)
-            );
-        }
-        println!();
-    }
-    if show("fig10") {
-        println!("== Figure 10: relative index size, (B+-tree / trie) x 100 ==");
-        println!(
-            "{:>10} {:>14} {:>14} {:>12}",
-            "keys", "trie pages", "btree pages", "ratio %"
-        );
-        for r in &rows {
-            println!(
-                "{:>10} {:>14} {:>14} {:>12.1}",
-                r.size,
-                r.trie_pages,
-                r.btree_pages,
-                ratio_pct(r.btree_pages as f64, r.trie_pages as f64)
-            );
-        }
-        println!();
-    }
-    if show("fig11") {
-        println!("== Figure 11: maximum tree height in nodes ==");
-        println!("{:>10} {:>12} {:>12}", "keys", "B-tree", "SP-GiST trie");
-        for r in &rows {
-            println!(
-                "{:>10} {:>12} {:>12}",
-                r.size, r.btree_height, r.trie_node_height
-            );
-        }
-        println!();
-    }
-    if show("fig12") {
-        println!("== Figure 12: maximum tree height in pages ==");
-        println!("{:>10} {:>12} {:>12}", "keys", "B-tree", "SP-GiST trie");
-        for r in &rows {
-            println!(
-                "{:>10} {:>12} {:>12}",
-                r.size, r.btree_height, r.trie_page_height
-            );
-        }
-        println!();
-    }
-    emit_json(
-        opts,
-        "strings",
-        &[
-            "size",
-            "trie_exact_ms",
-            "btree_exact_ms",
-            "trie_exact_stddev_ms",
-            "trie_prefix_ms",
-            "btree_prefix_ms",
-            "trie_regex_ms",
-            "btree_regex_ms",
-            "trie_insert_ms",
-            "btree_insert_ms",
-            "trie_pages",
-            "btree_pages",
-            "trie_node_height",
-            "trie_page_height",
-            "btree_height",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.size.into(),
-                    r.trie_exact_ms.into(),
-                    r.btree_exact_ms.into(),
-                    r.trie_exact_stddev_ms.into(),
-                    r.trie_prefix_ms.into(),
-                    r.btree_prefix_ms.into(),
-                    r.trie_regex_ms.into(),
-                    r.btree_regex_ms.into(),
-                    r.trie_insert_ms.into(),
-                    r.btree_insert_ms.into(),
-                    r.trie_pages.into(),
-                    r.btree_pages.into(),
-                    r.trie_node_height.into(),
-                    r.trie_page_height.into(),
-                    r.btree_height.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-fn print_point_figures(opts: &Options, run_all: bool) {
-    let sizes = point_sizes(opts.scale);
-    let rows = run_point_experiments(&sizes, opts.queries, SEED);
-    let show = |fig: &str| run_all || opts.command == fig;
-
-    if show("fig13") {
-        println!("== Figure 13: kd-tree vs R-tree, (R-tree / kd-tree) x 100 ==");
-        println!(
-            "{:>10} {:>16} {:>16} {:>12}",
-            "points", "point search %", "range search %", "insert %"
-        );
-        for r in &rows {
-            println!(
-                "{:>10} {:>16.1} {:>16.1} {:>12.1}",
-                r.size,
-                ratio_pct(r.rtree_point_ms, r.kd_point_ms),
-                ratio_pct(r.rtree_range_ms, r.kd_range_ms),
-                ratio_pct(r.rtree_insert_ms, r.kd_insert_ms)
-            );
-        }
-        println!();
-    }
-    if show("fig14") {
-        println!("== Figure 14: relative index size, (R-tree / kd-tree) x 100 ==");
-        println!(
-            "{:>10} {:>14} {:>14} {:>12}",
-            "points", "kd pages", "rtree pages", "ratio %"
-        );
-        for r in &rows {
-            println!(
-                "{:>10} {:>14} {:>14} {:>12.1}",
-                r.size,
-                r.kd_pages,
-                r.rtree_pages,
-                ratio_pct(r.rtree_pages as f64, r.kd_pages as f64)
-            );
-        }
-        println!();
-    }
-    emit_json(
-        opts,
-        "points",
-        &[
-            "size",
-            "kd_insert_ms",
-            "rtree_insert_ms",
-            "kd_point_ms",
-            "rtree_point_ms",
-            "kd_range_ms",
-            "rtree_range_ms",
-            "kd_pages",
-            "rtree_pages",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.size.into(),
-                    r.kd_insert_ms.into(),
-                    r.rtree_insert_ms.into(),
-                    r.kd_point_ms.into(),
-                    r.rtree_point_ms.into(),
-                    r.kd_range_ms.into(),
-                    r.rtree_range_ms.into(),
-                    r.kd_pages.into(),
-                    r.rtree_pages.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-fn print_segment_figure(opts: &Options) {
-    let sizes = point_sizes(opts.scale);
-    let rows = run_segment_experiments(&sizes, opts.queries, SEED);
-    println!("== Figure 15: PMR quadtree vs R-tree, (R-tree / PMR quadtree) x 100 ==");
-    println!(
-        "{:>10} {:>12} {:>18} {:>16} {:>12} {:>12}",
-        "segments", "insert %", "exact match %", "range search %", "pmr pages", "rtree pages"
-    );
-    for r in &rows {
-        println!(
-            "{:>10} {:>12.1} {:>18.1} {:>16.1} {:>12} {:>12}",
-            r.size,
-            ratio_pct(r.rtree_insert_ms, r.pmr_insert_ms),
-            ratio_pct(r.rtree_exact_ms, r.pmr_exact_ms),
-            ratio_pct(r.rtree_window_ms, r.pmr_window_ms),
-            r.pmr_pages,
-            r.rtree_pages
-        );
-    }
-    println!();
-    emit_json(
-        opts,
-        "segments",
-        &[
-            "size",
-            "pmr_insert_ms",
-            "rtree_insert_ms",
-            "pmr_exact_ms",
-            "rtree_exact_ms",
-            "pmr_window_ms",
-            "rtree_window_ms",
-            "pmr_pages",
-            "rtree_pages",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.size.into(),
-                    r.pmr_insert_ms.into(),
-                    r.rtree_insert_ms.into(),
-                    r.pmr_exact_ms.into(),
-                    r.rtree_exact_ms.into(),
-                    r.pmr_window_ms.into(),
-                    r.rtree_window_ms.into(),
-                    r.pmr_pages.into(),
-                    r.rtree_pages.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-fn print_substring_figure(opts: &Options) {
-    let sizes = spgist_bench::substring_sizes(opts.scale);
-    let rows = run_substring_experiments(&sizes, opts.queries, SEED);
-    println!("== Figure 16: substring match, log10(sequential / suffix tree) ==");
-    println!(
-        "{:>10} {:>16} {:>16} {:>12}",
-        "strings", "suffix (ms)", "seq scan (ms)", "log10 ratio"
-    );
-    for r in &rows {
-        println!(
-            "{:>10} {:>16.4} {:>16.4} {:>12.2}",
-            r.size,
-            r.suffix_ms,
-            r.seqscan_ms,
-            log10_ratio(r.seqscan_ms, r.suffix_ms)
-        );
-    }
-    println!();
-    emit_json(
-        opts,
-        "substring",
-        &["size", "suffix_ms", "seqscan_ms"],
-        &rows
-            .iter()
-            .map(|r| vec![r.size.into(), r.suffix_ms.into(), r.seqscan_ms.into()])
-            .collect::<Vec<_>>(),
-    );
-}
-
-fn print_nn_figure(opts: &Options) {
-    let n = 20_000 * opts.scale.max(1);
-    let rows = run_nn_experiments(n, &NN_KS, opts.queries.min(20), SEED);
-    println!("== Figure 17: NN search performance ({n} tuples per relation) ==");
-    println!(
-        "{:>8} {:>14} {:>14} {:>14}",
-        "k", "kd-tree (ms)", "pquadtree (ms)", "trie (ms)"
-    );
-    for r in &rows {
-        println!(
-            "{:>8} {:>14.3} {:>14.3} {:>14.3}",
-            r.k, r.kd_ms, r.quad_ms, r.trie_ms
-        );
-    }
-    println!();
-    emit_json(
-        opts,
-        "nn",
-        &["k", "kd_ms", "quad_ms", "trie_ms"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.k.into(),
-                    r.kd_ms.into(),
-                    r.quad_ms.into(),
-                    r.trie_ms.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-fn print_clustering_ablation(opts: &Options) {
-    let rows = run_clustering_ablation(20_000 * opts.scale.max(1), opts.queries, SEED);
-    println!("== Ablation: node-to-page clustering policy (patricia trie) ==");
-    println!(
-        "{:>18} {:>12} {:>10} {:>14}",
-        "policy", "page height", "pages", "exact (ms)"
-    );
-    for r in &rows {
-        println!(
-            "{:>18} {:>12} {:>10} {:>14.4}",
-            format!("{:?}", r.policy),
-            r.page_height,
-            r.pages,
-            r.exact_ms
-        );
-    }
-    println!();
-    emit_json(
-        opts,
-        "ablation_clustering",
-        &["policy", "page_height", "pages", "exact_ms"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{:?}", r.policy).into(),
-                    r.page_height.into(),
-                    r.pages.into(),
-                    r.exact_ms.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
-fn print_concurrency(opts: &Options) {
-    let n = 20_000 * opts.scale.max(1);
-    let queries = opts.queries.max(20);
-    let thread_counts = [1usize, 2, 4, 8];
-    let rows = run_read_scaling(n, &thread_counts, queries, SEED);
-    println!("== Concurrency: read-scaling on a shared kd-tree ({n} points) ==");
-    println!(
-        "(host reports {} cores; read latches scale with real cores)",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    );
-    println!(
-        "{:>8} {:>10} {:>12} {:>14} {:>12} {:>10}",
-        "threads", "queries", "elapsed ms", "queries/s", "mean ms", "p99 ms"
-    );
-    for r in &rows {
-        println!(
-            "{:>8} {:>10} {:>12.1} {:>14.0} {:>12.4} {:>10.4}",
-            r.threads, r.total_queries, r.elapsed_ms, r.throughput_qps, r.mean_ms, r.p99_ms
-        );
-    }
-    let base = rows.iter().find(|r| r.threads == 1);
-    let four = rows.iter().find(|r| r.threads == 4);
-    if let (Some(base), Some(four)) = (base, four) {
-        println!(
-            "read throughput speedup at 4 threads vs 1: {:.2}x",
-            four.throughput_qps / base.throughput_qps.max(1e-9)
-        );
-    }
-    println!();
-
-    let hot = run_hot_writer_scaling(n, &thread_counts, queries, SEED);
-    println!("== Concurrency: read-scaling with one continuous hot writer ==");
-    println!(
-        "{:>8} {:>10} {:>12} {:>14} {:>8} {:>10} {:>10} {:>10} {:>12} {:>9} {:>8}",
-        "threads",
-        "queries",
-        "elapsed ms",
-        "queries/s",
-        "speedup",
-        "p99 ms",
-        "ins/s",
-        "latches",
-        "latch waits",
-        "pins",
-        "backlog"
-    );
-    for r in &hot {
-        println!(
-            "{:>8} {:>10} {:>12.1} {:>14.0} {:>7.2}x {:>10.4} {:>10.0} {:>10} {:>12} {:>9} {:>8}",
-            r.threads,
-            r.total_queries,
-            r.elapsed_ms,
-            r.throughput_qps,
-            r.speedup,
-            r.p99_ms,
-            r.write_ips,
-            r.concurrency.latch_acquisitions,
-            r.concurrency.latch_waits,
-            r.concurrency.epoch_pins,
-            r.concurrency.retired_backlog
-        );
-    }
-    if let (Some(base), Some(eight)) = (
-        hot.iter().find(|r| r.threads == 1),
-        hot.iter().find(|r| r.threads == 8),
-    ) {
-        println!(
-            "hot-writer read throughput speedup at 8 threads vs 1: {:.2}x \
-             (mean epoch pin {:.1} us)",
-            eight.throughput_qps / base.throughput_qps.max(1e-9),
-            eight.concurrency.epoch_pin_nanos as f64
-                / (eight.concurrency.epoch_pins.max(1) as f64 * 1e3)
-        );
-    }
-    println!();
-
-    let mixed = run_mixed_workload(n, 4, 2, queries, queries * 5, SEED);
-    println!("== Concurrency: mixed readers + writer bursts ==");
-    println!(
-        "{:>8} {:>8} {:>8} {:>8} {:>12} {:>10} {:>10} {:>12} {:>13}",
-        "readers",
-        "writers",
-        "reads",
-        "writes",
-        "elapsed ms",
-        "read q/s",
-        "ins/s",
-        "read p99 ms",
-        "write p99 ms"
-    );
-    println!(
-        "{:>8} {:>8} {:>8} {:>8} {:>12.1} {:>10.0} {:>10.0} {:>12.4} {:>13.4}",
-        mixed.readers,
-        mixed.writers,
-        mixed.reads,
-        mixed.writes,
-        mixed.elapsed_ms,
-        mixed.read_qps,
-        mixed.write_ips,
-        mixed.read_p99_ms,
-        mixed.write_p99_ms
-    );
-    println!();
-    emit_json(
-        opts,
-        "concurrency",
-        &[
-            "threads",
-            "total_queries",
-            "elapsed_ms",
-            "throughput_qps",
-            "mean_ms",
-            "p99_ms",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.threads.into(),
-                    r.total_queries.into(),
-                    r.elapsed_ms.into(),
-                    r.throughput_qps.into(),
-                    r.mean_ms.into(),
-                    r.p99_ms.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    emit_json(
-        opts,
-        "concurrency_hot_writer",
-        &[
-            "threads",
-            "total_queries",
-            "writer_inserts",
-            "elapsed_ms",
-            "throughput_qps",
-            "speedup",
-            "mean_ms",
-            "p99_ms",
-            "write_ips",
-            "latch_acquisitions",
-            "latch_waits",
-            "epoch_pins",
-            "epoch_pin_nanos",
-            "retired",
-            "reclaimed",
-            "retired_backlog",
-        ],
-        &hot.iter()
-            .map(|r| {
-                vec![
-                    r.threads.into(),
-                    r.total_queries.into(),
-                    r.writer_inserts.into(),
-                    r.elapsed_ms.into(),
-                    r.throughput_qps.into(),
-                    r.speedup.into(),
-                    r.mean_ms.into(),
-                    r.p99_ms.into(),
-                    r.write_ips.into(),
-                    r.concurrency.latch_acquisitions.into(),
-                    r.concurrency.latch_waits.into(),
-                    r.concurrency.epoch_pins.into(),
-                    r.concurrency.epoch_pin_nanos.into(),
-                    r.concurrency.retired.into(),
-                    r.concurrency.reclaimed.into(),
-                    r.concurrency.retired_backlog.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    emit_json(
-        opts,
-        "concurrency_mixed",
-        &[
-            "readers",
-            "writers",
-            "reads",
-            "writes",
-            "elapsed_ms",
-            "read_qps",
-            "write_ips",
-            "read_p99_ms",
-            "write_p99_ms",
-        ],
-        &[vec![
-            mixed.readers.into(),
-            mixed.writers.into(),
-            mixed.reads.into(),
-            mixed.writes.into(),
-            mixed.elapsed_ms.into(),
-            mixed.read_qps.into(),
-            mixed.write_ips.into(),
-            mixed.read_p99_ms.into(),
-            mixed.write_p99_ms.into(),
-        ]],
-    );
-}
-
-fn print_trie_ablation(opts: &Options) {
-    let rows = run_trie_variant_ablation(20_000 * opts.scale.max(1), opts.queries, SEED);
-    println!("== Ablation: trie interface parameters (PathShrink / BucketSize) ==");
-    println!(
-        "{:>34} {:>10} {:>12} {:>8} {:>12}",
-        "variant", "nodes", "node height", "pages", "exact (ms)"
-    );
-    for r in &rows {
-        println!(
-            "{:>34} {:>10} {:>12} {:>8} {:>12.4}",
-            r.variant, r.nodes, r.node_height, r.pages, r.exact_ms
-        );
-    }
-    println!();
-    emit_json(
-        opts,
-        "ablation_trie",
-        &["variant", "nodes", "node_height", "pages", "exact_ms"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.variant.clone().into(),
-                    r.nodes.into(),
-                    r.node_height.into(),
-                    r.pages.into(),
-                    r.exact_ms.into(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
 }

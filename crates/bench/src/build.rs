@@ -19,7 +19,6 @@
 //! *eviction-bounded* builds — the regime the 2M–32M-key experiments live
 //! in.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use spgist_core::RowId;
@@ -172,41 +171,6 @@ pub fn run_build_experiment(scale: usize, seed: u64) -> Vec<BuildRow> {
     ]
 }
 
-/// Serializes the build rows as the machine-readable `BENCH_build.json`
-/// artifact nightly CI archives (groundwork for cross-night trend tracking).
-pub fn build_json(rows: &[BuildRow], scale: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"build\",\n");
-    out.push_str(&format!("  \"scale\": {scale},\n"));
-    out.push_str(&format!("  \"pool_pages\": {BUILD_POOL_PAGES},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let side = |s: &BuildSide| {
-            format!(
-                "{{\"ms\": {:.3}, \"writes\": {}, \"hit_rate\": {:.4}, \"pages\": {}, \"page_height\": {}, \"fill\": {:.4}}}",
-                s.ms, s.writes, s.hit_rate, s.pages, s.page_height, s.fill
-            )
-        };
-        out.push_str(&format!(
-            "    {{\"class\": \"{}\", \"rows\": {}, \"insert\": {}, \"bulk\": {}, \"speedup\": {:.2}}}{}\n",
-            r.class,
-            r.rows,
-            side(&r.insert),
-            side(&r.bulk),
-            r.speedup(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Writes [`build_json`] to `dir/BENCH_build.json`.
-pub fn write_build_json(rows: &[BuildRow], scale: usize, dir: &Path) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("BENCH_build.json"), build_json(rows, scale))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,33 +191,5 @@ mod tests {
             );
             assert!(r.bulk.page_height >= 1 && r.insert.page_height >= 1);
         }
-    }
-
-    #[test]
-    fn build_json_is_well_formed_enough() {
-        let rows = vec![BuildRow {
-            class: "trie",
-            rows: 10,
-            insert: BuildSide {
-                ms: 1.0,
-                writes: 5,
-                hit_rate: 0.9,
-                pages: 3,
-                page_height: 2,
-                fill: 0.5,
-            },
-            bulk: BuildSide {
-                ms: 0.5,
-                writes: 3,
-                hit_rate: 0.95,
-                pages: 3,
-                page_height: 2,
-                fill: 0.6,
-            },
-        }];
-        let json = build_json(&rows, 1);
-        assert!(json.contains("\"experiment\": \"build\""));
-        assert!(json.contains("\"class\": \"trie\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

@@ -25,14 +25,14 @@
 //! do ≥ 10× less I/O (asserted by CI on the emitted JSON).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use spgist_catalog::durable::ROWS_PER_CHUNK;
 use spgist_catalog::{Database, IndexSpec, KeyType};
 use spgist_datagen::points;
 use spgist_storage::PAGE_SIZE;
 
-use crate::stats::timed;
+use crate::stats::{p99_ms, timed};
 
 /// Mutation fractions swept, in percent of the table's row chunks.
 pub const MUTATION_FRACTIONS_PCT: [f64; 4] = [0.1, 1.0, 10.0, 100.0];
@@ -74,15 +74,6 @@ pub struct CheckpointRow {
     pub io_bytes: u64,
     /// `full` io_bytes ÷ this row's io_bytes (1.0 for the full row itself).
     pub io_ratio_vs_full: f64,
-}
-
-fn p99_us(samples: &mut [Duration]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_unstable();
-    let idx = ((samples.len() as f64 * 0.99).ceil() as usize).clamp(1, samples.len()) - 1;
-    samples[idx].as_secs_f64() * 1e6
 }
 
 /// Evenly spaced chunk indices: `count` chunks out of `chunk_count`.
@@ -178,7 +169,7 @@ fn run_one_size(n: usize, seed: u64, with_index: bool) -> Vec<CheckpointRow> {
             journal_bytes: incr.journal_bytes,
             data_pages_flushed: incr.data_pages_flushed,
             quiesce_us: incr.quiesce_nanos as f64 / 1e3,
-            stall_p99_us: p99_us(&mut stalls),
+            stall_p99_us: p99_ms(&mut stalls) * 1e3,
             io_bytes: incr_io,
             io_ratio_vs_full: 0.0, // patched below once the full row exists
         });

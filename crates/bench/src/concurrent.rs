@@ -34,7 +34,7 @@ use spgist_indexes::query::PointQuery;
 use spgist_indexes::{KdTreeIndex, SpIndex};
 
 use crate::experiments::experiment_pool;
-use crate::stats::mean_ms;
+use crate::stats::{mean_ms, p99_ms};
 
 /// One row of the read-scaling experiment: the same query workload served
 /// by `threads` reader threads.
@@ -47,7 +47,7 @@ pub struct ReadScalingRow {
     /// Total rows reported by all queries — a per-row work checksum.  It
     /// grows with the thread count (each thread runs its own seeded
     /// workload of `queries_per_thread` queries), so compare it across
-    /// nights for the *same* thread count, not across rows.
+    /// runs for the *same* thread count, not across rows.
     pub total_rows: u64,
     /// Wall-clock time for the whole workload, milliseconds.
     pub elapsed_ms: f64,
@@ -108,16 +108,6 @@ pub struct HotWriterRow {
     pub write_ips: f64,
     /// Latch/epoch counters accumulated by the tree over this row's window.
     pub concurrency: ConcurrencyStats,
-}
-
-/// 99th-percentile of a latency sample, in milliseconds.
-pub fn p99_ms(samples: &mut [Duration]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() as f64) * 0.99).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1].as_secs_f64() * 1e3
 }
 
 /// Builds the shared kd-tree the concurrency workloads run against.
@@ -438,13 +428,5 @@ mod tests {
             assert!(row.concurrency.latch_acquisitions > 0);
             assert_eq!(row.concurrency.active_pins, 0, "no pin outlives its window");
         }
-    }
-
-    #[test]
-    fn p99_is_the_tail() {
-        let mut samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let p = p99_ms(&mut samples);
-        assert!((p - 99.0).abs() < 1e-9);
-        assert_eq!(p99_ms(&mut []), 0.0);
     }
 }

@@ -23,7 +23,7 @@
 //! reads, evictions, wall-clock and per-query p99.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use spgist_datagen::rng::DetRng;
 use spgist_datagen::{points, WORLD_MAX};
@@ -31,7 +31,7 @@ use spgist_indexes::geom::{Point, Rect};
 use spgist_indexes::{KdTreeIndex, KdTreeOps, SpIndex};
 use spgist_storage::{BufferPool, BufferPoolConfig, FilePager, HeapFile, MemPager, PageId, Pager};
 
-use crate::stats::timed;
+use crate::stats::{p99_ms, timed};
 
 /// Where the experiment's pages live: an in-memory pager (fast, measures
 /// replacement behaviour in isolation) or a real file (`FilePager`), where
@@ -275,15 +275,6 @@ fn build_dataset(data: &[Point], backend: IoBackend) -> Dataset {
     };
     pool.flush_all().expect("flush built dataset");
     dataset
-}
-
-fn p99_ms(samples: &mut [Duration]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_unstable();
-    let idx = ((samples.len() as f64 * 0.99).ceil() as usize).clamp(1, samples.len()) - 1;
-    samples[idx].as_secs_f64() * 1e3
 }
 
 /// Runs the full pool-size × workload grid over `n` points with

@@ -1,36 +1,26 @@
-//! WAL commit-throughput experiment: group commit vs per-commit `fsync`.
+//! WAL commit-throughput experiment: what group commit amortizes.
 //!
 //! Every acknowledged DML statement waits for its log record to be
 //! durable, so commit throughput is bounded by how many commits each
 //! `fsync` amortizes.  This experiment drives 1→N writer threads inserting
-//! into one table under two log configurations:
+//! into one table: writers submit and block on their LSN while a single
+//! flusher thread batches everything queued behind one `fsync`.
 //!
-//! * **per-commit** ([`WalConfig::per_commit`], `max_batch = 1`) — the
-//!   classical baseline: every commit pays a full `fsync`;
-//! * **group** ([`WalConfig::default`]) — writers submit and block on
-//!   their LSN while a single flusher thread batches everything queued
-//!   behind one `fsync`.
-//!
-//! With one writer the two are nearly identical (there is nobody to share
-//! the sync with); as writers pile up, group commit's commits-per-sync
-//! climbs and throughput follows.  The rows carry the measured sync counts
-//! so the mechanism — not just the wall clock — is visible in the output.
+//! With one writer every commit pays its own sync (there is nobody to
+//! share it with); as writers pile up, commits-per-sync climbs and
+//! throughput follows.  The rows carry the measured sync counts so the
+//! mechanism — not just the wall clock — is visible in the output.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use spgist_catalog::{Database, KeyType, WalConfig};
-use spgist_storage::BufferPoolConfig;
+use spgist_catalog::{Database, KeyType};
 
-use crate::concurrent::p99_ms;
-use crate::stats::mean_ms;
+use crate::stats::{mean_ms, p99_ms};
 
-/// One row of the commit-throughput experiment: `threads` writers under
-/// one log configuration.
+/// One row of the commit-throughput experiment: `threads` writers.
 #[derive(Debug, Clone)]
 pub struct WalRow {
-    /// Log configuration: `"per-commit"` or `"group"`.
-    pub mode: &'static str,
     /// Number of concurrent writer threads.
     pub threads: usize,
     /// Total commits (acknowledged inserts) across all threads.
@@ -49,26 +39,21 @@ pub struct WalRow {
     pub commits_per_sync: f64,
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("spgist-bench-wal-{tag}-{}", std::process::id()));
+fn scratch_dir(threads: usize) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("spgist-bench-wal-{threads}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create bench scratch dir");
     dir
 }
 
 /// Runs `commits_per_thread` acknowledged inserts on each of `threads`
-/// writer threads against a fresh durable database configured with
-/// `config`, returning the measured row.
-fn run_one(
-    mode: &'static str,
-    config: WalConfig,
-    threads: usize,
-    commits_per_thread: usize,
-) -> WalRow {
-    let dir = scratch_dir(&format!("{mode}-{threads}"));
+/// writer threads against a fresh durable database, returning the
+/// measured row.
+fn run_one(threads: usize, commits_per_thread: usize) -> WalRow {
+    let dir = scratch_dir(threads);
     let path = dir.join("db.pages");
-    let mut db = Database::create_with_wal_config(&path, BufferPoolConfig::default(), config)
-        .expect("create bench database");
+    let mut db = Database::create(&path).expect("create bench database");
     db.create_table("commits", KeyType::Varchar)
         .expect("create table");
 
@@ -103,7 +88,6 @@ fn run_one(
 
     let elapsed_ms = elapsed.as_secs_f64() * 1e3;
     WalRow {
-        mode,
         threads,
         commits,
         elapsed_ms,
@@ -115,27 +99,13 @@ fn run_one(
     }
 }
 
-/// Runs the commit-throughput experiment: per-commit fsync vs group commit
-/// at each thread count, `commits_per_thread` acknowledged inserts per
-/// writer.
+/// Runs the commit-throughput experiment: `commits_per_thread`
+/// acknowledged inserts per writer at each thread count.
 pub fn run_wal_experiment(thread_counts: &[usize], commits_per_thread: usize) -> Vec<WalRow> {
-    let mut rows = Vec::new();
-    for &threads in thread_counts {
-        let threads = threads.max(1);
-        rows.push(run_one(
-            "per-commit",
-            WalConfig::per_commit(),
-            threads,
-            commits_per_thread,
-        ));
-        rows.push(run_one(
-            "group",
-            WalConfig::default(),
-            threads,
-            commits_per_thread,
-        ));
-    }
-    rows
+    thread_counts
+        .iter()
+        .map(|&threads| run_one(threads.max(1), commits_per_thread))
+        .collect()
 }
 
 #[cfg(test)]
@@ -143,21 +113,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wal_experiment_measures_both_modes() {
-        let rows = run_wal_experiment(&[2], 25);
+    fn wal_experiment_measures_group_commit() {
+        let rows = run_wal_experiment(&[1, 2], 25);
         assert_eq!(rows.len(), 2);
-        let per_commit = &rows[0];
-        let group = &rows[1];
-        assert_eq!(per_commit.mode, "per-commit");
-        assert_eq!(group.mode, "group");
-        assert_eq!(per_commit.commits, 50);
-        assert_eq!(group.commits, 50);
-        assert!(per_commit.syncs >= 50, "per-commit pays one fsync each");
-        assert!(
-            group.syncs <= per_commit.syncs,
-            "group commit never syncs more than per-commit"
-        );
-        assert!(group.commits_per_sync >= 1.0);
-        assert!(per_commit.throughput_cps > 0.0 && group.throughput_cps > 0.0);
+        for (row, threads) in rows.iter().zip([1, 2]) {
+            assert_eq!(row.threads, threads);
+            assert_eq!(row.commits, threads * 25);
+            assert!(row.syncs >= 1 && row.syncs <= row.commits as u64);
+            assert!(row.commits_per_sync >= 1.0);
+            assert!(row.throughput_cps > 0.0);
+        }
     }
 }

@@ -192,17 +192,6 @@ impl Database {
         path: P,
         config: BufferPoolConfig,
     ) -> StorageResult<Self> {
-        Self::create_with_wal_config(path, config, WalConfig::default())
-    }
-
-    /// [`Database::create_with_config`] with an explicit WAL configuration
-    /// (group-commit window, batch bound, segment size) — the knobs the
-    /// commit-throughput experiments turn.
-    pub fn create_with_wal_config<P: AsRef<Path>>(
-        path: P,
-        config: BufferPoolConfig,
-        wal_config: WalConfig,
-    ) -> StorageResult<Self> {
         let path = path.as_ref();
         if path.exists() {
             return Err(StorageError::Unsupported(format!(
@@ -211,7 +200,7 @@ impl Database {
             )));
         }
         let pager = Arc::new(FilePager::create(path)?);
-        Self::create_with_pager(pager, wal_prefix(path), config, wal_config)
+        Self::create_with_pager(pager, wal_prefix(path), config, WalConfig::default())
     }
 
     /// Creates a durable database over an arbitrary pager — the hook the
@@ -273,18 +262,9 @@ impl Database {
         path: P,
         config: BufferPoolConfig,
     ) -> StorageResult<Self> {
-        Self::open_with_wal_config(path, config, WalConfig::default())
-    }
-
-    /// [`Database::open_with_config`] with an explicit WAL configuration.
-    pub fn open_with_wal_config<P: AsRef<Path>>(
-        path: P,
-        config: BufferPoolConfig,
-        wal_config: WalConfig,
-    ) -> StorageResult<Self> {
         let path = path.as_ref();
         let pager = Arc::new(FilePager::open(path)?);
-        Self::open_with_pager(pager, wal_prefix(path), config, wal_config)
+        Self::open_with_pager(pager, wal_prefix(path), config, WalConfig::default())
     }
 
     /// True when this database persists its catalog to a file (created with

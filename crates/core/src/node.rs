@@ -208,7 +208,7 @@ impl<O: SpGistOps> Node<O> {
         match tag {
             TAG_LEAF => {
                 let len = u32::decode(&mut buf)? as usize;
-                let mut items = Vec::with_capacity(len);
+                let mut items = Vec::with_capacity(len.min(buf.len()));
                 for _ in 0..len {
                     let key = O::Key::decode(&mut buf)?;
                     let rid = RowId::decode(&mut buf)?;
@@ -219,7 +219,7 @@ impl<O: SpGistOps> Node<O> {
             TAG_INNER => {
                 let prefix = Option::<O::Prefix>::decode(&mut buf)?;
                 let len = u32::decode(&mut buf)? as usize;
-                let mut entries = Vec::with_capacity(len);
+                let mut entries = Vec::with_capacity(len.min(buf.len()));
                 for _ in 0..len {
                     let pred = O::Pred::decode(&mut buf)?;
                     let child = NodeId::decode(&mut buf)?;
@@ -304,6 +304,34 @@ mod tests {
         assert_eq!(node.children().len(), ROW_FANOUT);
         // A row node always has its full fan-out: a short record is corrupt.
         assert!(TestNode::decode(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn lying_lengths_are_decode_errors_not_allocations() {
+        // One flipped length field claims 4 G items.  The reservation is
+        // bounded by the bytes that remain, so the loop runs dry and
+        // reports it instead of aborting on a 100 GB allocation.
+        assert!(TestNode::decode(&[TAG_LEAF, 0xFF, 0xFF, 0xFF, 0xFF]).is_err());
+        let empty: TestNode = Node::Inner {
+            prefix: None,
+            entries: Vec::new(),
+        };
+        let mut inner = empty.encode();
+        let len_at = inner.len() - 4;
+        inner[len_at..].fill(0xFF);
+        assert!(TestNode::decode(&inner).is_err());
+    }
+
+    #[test]
+    fn maximal_valid_leaf_roundtrips() {
+        // The largest leaf a page can hold: 5 bytes of header + 12 per item.
+        let fits = (spgist_storage::PAGE_SIZE as u64 - 5) / 12;
+        let node: TestNode = Node::Leaf {
+            items: (0..fits).map(|row| (row as u32, row)).collect(),
+        };
+        let bytes = node.encode();
+        assert!(bytes.len() <= spgist_storage::PAGE_SIZE);
+        assert_eq!(TestNode::decode(&bytes).unwrap(), node);
     }
 
     #[test]

@@ -57,11 +57,11 @@
 //! every waiter the sync covered.  It syncs only when someone waits on a
 //! queued record (or the queue reaches a full batch, or the log rotates or
 //! shuts down): records submitted and not awaited — a transaction's
-//! statements ahead of its `CommitTxn` — buy no `fsync` of their own.  [`WalConfig::max_batch`] caps the batch
-//! (1 = per-commit fsync, the comparison baseline), and
-//! [`WalConfig::max_wait`] optionally holds the flusher back to let a batch
-//! fill.  Batching also arises naturally: commits that arrive while an
-//! `fsync` is in flight queue up for the next one.
+//! statements ahead of its `CommitTxn` — buy no `fsync` of their own.
+//! The flusher never holds a batch open to let it fill: it syncs as soon
+//! as it gets the queue, and batching arises from the commits that arrive
+//! while an `fsync` is in flight and queue up for the next one, at most
+//! `MAX_BATCH` (64) records per sync.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -69,7 +69,6 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use spgist_storage::crc::crc32;
 use spgist_storage::{Codec, StorageError, StorageResult};
@@ -100,6 +99,10 @@ const SEAL_BYTES: usize = 20;
 /// damage, not as records.
 const MAX_PAYLOAD: u32 = 1 << 30;
 
+/// Most records covered by one `fsync`; a queue this long is flushed even
+/// with nobody waiting, so the submission queue stays bounded.
+const MAX_BATCH: usize = 64;
+
 /// Tuning knobs for the log.
 #[derive(Debug, Clone, Copy)]
 pub struct WalConfig {
@@ -107,33 +110,12 @@ pub struct WalConfig {
     /// bytes (checked at batch boundaries, so segments overshoot by at most
     /// one batch).
     pub segment_bytes: u64,
-    /// How long the flusher holds an under-full batch open waiting for more
-    /// commits before syncing anyway.  `Duration::ZERO` (the default)
-    /// flushes as soon as the flusher gets the queue — batching then comes
-    /// only from commits arriving while a sync is in flight.
-    pub max_wait: Duration,
-    /// Most records covered by one `fsync`.  `1` degenerates to a
-    /// per-commit fsync, the baseline the `wal` bench experiment compares
-    /// group commit against.
-    pub max_batch: usize,
 }
 
 impl Default for WalConfig {
     fn default() -> Self {
         WalConfig {
             segment_bytes: 4 << 20,
-            max_wait: Duration::ZERO,
-            max_batch: 64,
-        }
-    }
-}
-
-impl WalConfig {
-    /// The comparison baseline: every commit pays its own `fsync`.
-    pub fn per_commit() -> Self {
-        WalConfig {
-            max_batch: 1,
-            ..WalConfig::default()
         }
     }
 }
@@ -576,10 +558,7 @@ impl Wal {
         next_lsn: Lsn,
     ) -> Wal {
         let shared = Arc::new(Shared {
-            config: WalConfig {
-                max_batch: config.max_batch.max(1),
-                ..config
-            },
+            config,
             core: Mutex::new(Core {
                 next_lsn,
                 pending: VecDeque::new(),
@@ -961,36 +940,14 @@ fn flusher_loop(shared: &Shared) {
             // shutdown): a transaction's statements are submitted without
             // waiting and ride along with the sync its commit asks for.
             let due = core.wanted > core.pending_first
-                || core.pending.len() >= shared.config.max_batch
+                || core.pending.len() >= MAX_BATCH
                 || core.shutdown;
             if due && !core.pending.is_empty() && !core.flushing {
                 break;
             }
             core = shared.work.wait(core).expect("wal core mutex");
         }
-        // Optionally hold the batch open to let it fill.
-        if shared.config.max_wait > Duration::ZERO {
-            let deadline = Instant::now() + shared.config.max_wait;
-            while core.pending.len() < shared.config.max_batch && !core.shutdown && !core.flushing {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (c, timeout) = shared
-                    .work
-                    .wait_timeout(core, deadline - now)
-                    .expect("wal core mutex");
-                core = c;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            if core.flushing || core.pending.is_empty() {
-                // A rotation took the queue while we were waiting.
-                continue;
-            }
-        }
-        let take = core.pending.len().min(shared.config.max_batch);
+        let take = core.pending.len().min(MAX_BATCH);
         let frames: Vec<Vec<u8>> = core.pending.drain(..take).collect();
         let first = core.pending_first;
         core.pending_first += take as u64;
