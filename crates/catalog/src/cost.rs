@@ -87,18 +87,21 @@ impl CostEstimate {
     }
 
     /// Cost of an index scan: descend `index_height` pages, then fetch the
-    /// selected fraction of index and heap pages at random.  `index_pages` is
-    /// the size of the index.  This mirrors the structure of the generic cost
-    /// estimator the paper's `spgistcostestimate` delegates to.
+    /// selected fraction of index pages at random — and of heap pages too,
+    /// unless the index `returns_keys` (its leaves hold the indexed value,
+    /// so the scan answers without the heap).  `index_pages` is the size of
+    /// the index.  This mirrors the structure of the generic cost estimator
+    /// the paper's `spgistcostestimate` delegates to.
     pub fn index_scan(
         stats: &TableStats,
         index_pages: u64,
         index_height: u32,
         selectivity: f64,
+        returns_keys: bool,
     ) -> CostEstimate {
         let rows_fetched = stats.rows as f64 * selectivity;
         let index_leaf_pages = (index_pages as f64 * selectivity).ceil();
-        let heap_pages_fetched = (stats.heap_pages as f64 * selectivity).ceil();
+        let heap_pages_fetched = heap_pages_fetched(stats, selectivity, returns_keys);
         let startup_cost = f64::from(index_height) * RANDOM_PAGE_COST;
         CostEstimate {
             selectivity,
@@ -113,21 +116,22 @@ impl CostEstimate {
     /// Cost of an ordered (nearest-neighbour) index scan driven by the
     /// incremental best-first search: descend `index_height` pages to seed
     /// the priority queue, then fetch roughly the reported fraction of index
-    /// and heap pages at random, paying queue maintenance per reported row.
-    /// `k` is the pushed-down `LIMIT`; without one the whole table is
-    /// reported in distance order.
+    /// pages at random (and of heap pages, unless the index `returns_keys`),
+    /// paying queue maintenance per reported row.  `k` is the pushed-down
+    /// `LIMIT`; without one the whole table is reported in distance order.
     pub fn ordered_scan(
         stats: &TableStats,
         index_pages: u64,
         index_height: u32,
         k: Option<u64>,
+        returns_keys: bool,
     ) -> CostEstimate {
         let rows = stats.rows.max(1);
         let reported = k.map_or(rows, |k| k.min(rows).max(1));
         let fraction = reported as f64 / rows as f64;
         let startup_cost = f64::from(index_height) * RANDOM_PAGE_COST;
         let index_pages_fetched = (index_pages as f64 * fraction).ceil();
-        let heap_pages_fetched = (stats.heap_pages as f64 * fraction).ceil();
+        let heap_pages_fetched = heap_pages_fetched(stats, fraction, returns_keys);
         // log₂-ish priority-queue factor per reported row.
         let queue_depth = (rows as f64).log2().max(1.0);
         CostEstimate {
@@ -184,6 +188,16 @@ impl CostEstimate {
     }
 }
 
+/// Heap pages an index scan reporting `fraction` of the table reads: none
+/// when the index returns the keys itself.
+fn heap_pages_fetched(stats: &TableStats, fraction: f64, returns_keys: bool) -> f64 {
+    if returns_keys {
+        0.0
+    } else {
+        (stats.heap_pages as f64 * fraction).ceil()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,25 +219,48 @@ mod tests {
     #[test]
     fn selective_index_scan_beats_seq_scan() {
         let seq = CostEstimate::seq_scan(&STATS);
-        let idx = CostEstimate::index_scan(&STATS, 5_000, 3, 1e-6);
-        assert!(idx.total_cost < seq.total_cost);
-        assert!(idx.startup_cost > 0.0);
-        assert_eq!(idx.correlation, 0.0);
+        for returns_keys in [false, true] {
+            let idx = CostEstimate::index_scan(&STATS, 5_000, 3, 1e-6, returns_keys);
+            assert!(idx.total_cost < seq.total_cost);
+            assert!(idx.startup_cost > 0.0);
+            assert_eq!(idx.correlation, 0.0);
+        }
+    }
+
+    #[test]
+    fn only_a_scan_that_visits_the_heap_pays_for_heap_pages() {
+        // Same index size, height and selectivity: a suffix-tree scan (its
+        // leaves hold suffixes, the word is in the heap) pays one random
+        // read per selected heap page on top of what a trie scan (its
+        // leaves hold the word) costs — exactly that, nothing else.
+        let suffix = CostEstimate::index_scan(&STATS, 5_000, 3, 0.001, false);
+        let trie = CostEstimate::index_scan(&STATS, 5_000, 3, 0.001, true);
+        let heap_term = (STATS.heap_pages as f64 * 0.001).ceil() * RANDOM_PAGE_COST;
+        assert_eq!(heap_term, 40.0);
+        assert_eq!(suffix.total_cost - trie.total_cost, heap_term);
+        assert_eq!(suffix.startup_cost, trie.startup_cost);
+        assert_eq!(suffix.selectivity, trie.selectivity);
+        // The ordered scan drops the same term for its reported fraction.
+        let visits = CostEstimate::ordered_scan(&STATS, 5_000, 3, Some(10), false);
+        let skips = CostEstimate::ordered_scan(&STATS, 5_000, 3, Some(10), true);
+        assert_eq!(visits.total_cost - skips.total_cost, RANDOM_PAGE_COST);
     }
 
     #[test]
     fn unselective_index_scan_loses_to_seq_scan() {
         let seq = CostEstimate::seq_scan(&STATS);
-        let idx = CostEstimate::index_scan(&STATS, 5_000, 3, 0.9);
-        assert!(
-            idx.total_cost > seq.total_cost,
-            "random I/O makes a 90% scan slower"
-        );
+        for returns_keys in [false, true] {
+            let idx = CostEstimate::index_scan(&STATS, 5_000, 3, 0.9, returns_keys);
+            assert!(
+                idx.total_cost > seq.total_cost,
+                "random I/O makes a 90% scan slower"
+            );
+        }
     }
 
     #[test]
     fn ordered_scan_with_a_small_limit_is_cheap_and_incremental() {
-        let idx = CostEstimate::ordered_scan(&STATS, 5_000, 3, Some(10));
+        let idx = CostEstimate::ordered_scan(&STATS, 5_000, 3, Some(10), true);
         let sorted = CostEstimate::seq_scan_sorted(&STATS);
         assert!(idx.total_cost < sorted.total_cost / 100.0);
         assert!(
@@ -232,7 +269,7 @@ mod tests {
         );
         // Without a limit the ordered scan reports everything; it still
         // avoids the sort but pays for the full fetch.
-        let full = CostEstimate::ordered_scan(&STATS, 5_000, 3, None);
+        let full = CostEstimate::ordered_scan(&STATS, 5_000, 3, None, true);
         assert!(full.total_cost > idx.total_cost);
         assert_eq!(full.selectivity, 1.0);
     }
@@ -268,15 +305,23 @@ mod tests {
         // selectivity degrades, the index scan must cross over and lose to
         // the sequential scan instead of being preferred unconditionally.
         let seq = CostEstimate::seq_scan(&STATS);
-        assert!(CostEstimate::index_scan(&STATS, 5_000, 3, 0.001).total_cost < seq.total_cost);
-        assert!(CostEstimate::index_scan(&STATS, 5_000, 3, 1.0).total_cost > seq.total_cost);
-        let crossover = (0..=100)
-            .map(|i| i as f64 / 100.0)
-            .find(|&s| CostEstimate::index_scan(&STATS, 5_000, 3, s).total_cost > seq.total_cost)
-            .expect("a crossover point must exist");
+        let crossover = |returns_keys| {
+            let cost = |s| CostEstimate::index_scan(&STATS, 5_000, 3, s, returns_keys).total_cost;
+            assert!(cost(0.001) < seq.total_cost);
+            assert!(cost(1.0) > seq.total_cost);
+            (0..=100)
+                .map(|i| i as f64 / 100.0)
+                .find(|&s| cost(s) > seq.total_cost)
+                .expect("a crossover point must exist")
+        };
+        let visits_heap = crossover(false);
         assert!(
-            crossover > 0.0 && crossover < 0.5,
-            "random-I/O penalty puts the crossover well below half the table, got {crossover}"
+            visits_heap > 0.0 && visits_heap < 0.5,
+            "random-I/O penalty puts the crossover well below half the table, got {visits_heap}"
         );
+        // Without the heap visits the index stays ahead for longer, but a
+        // scan of most of the table still loses to reading it in order.
+        let returns_keys = crossover(true);
+        assert!(visits_heap < returns_keys && returns_keys < 1.0);
     }
 }

@@ -269,9 +269,10 @@ impl IndexSpec {
 }
 
 /// How one key type crosses the seam: the executor's dynamic [`Datum`] and
-/// [`Predicate`] on one side, an index's typed key and query on the other.
-/// Three impls serve all five classes.
-trait IndexKey: Clone + 'static {
+/// [`Predicate`] on one side, an index's typed key and query on the other
+/// (`Into<Datum>` is the way back: a key an index scan returns becomes the
+/// row's datum).  Three impls serve all five classes.
+trait IndexKey: Clone + Into<Datum> + 'static {
     /// The typed query the key's indexes answer.
     type Query;
 
@@ -282,59 +283,31 @@ trait IndexKey: Clone + 'static {
     fn query_of(predicate: &Predicate) -> Option<&Self::Query>;
 }
 
-impl IndexKey for String {
-    type Query = StringQuery;
+macro_rules! index_key {
+    ($key:ty, $query:ty, $datum:path, $leaf:path) => {
+        impl IndexKey for $key {
+            type Query = $query;
 
-    fn of(datum: &Datum) -> Option<&Self> {
-        match datum {
-            Datum::Text(s) => Some(s),
-            _ => None,
-        }
-    }
+            fn of(datum: &Datum) -> Option<&Self> {
+                match datum {
+                    $datum(key) => Some(key),
+                    _ => None,
+                }
+            }
 
-    fn query_of(predicate: &Predicate) -> Option<&StringQuery> {
-        match predicate {
-            Predicate::Str(q) => Some(q),
-            _ => None,
+            fn query_of(predicate: &Predicate) -> Option<&$query> {
+                match predicate {
+                    $leaf(query) => Some(query),
+                    _ => None,
+                }
+            }
         }
-    }
+    };
 }
 
-impl IndexKey for Point {
-    type Query = PointQuery;
-
-    fn of(datum: &Datum) -> Option<&Self> {
-        match datum {
-            Datum::Point(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    fn query_of(predicate: &Predicate) -> Option<&PointQuery> {
-        match predicate {
-            Predicate::Point(q) => Some(q),
-            _ => None,
-        }
-    }
-}
-
-impl IndexKey for Segment {
-    type Query = SegmentQuery;
-
-    fn of(datum: &Datum) -> Option<&Self> {
-        match datum {
-            Datum::Segment(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn query_of(predicate: &Predicate) -> Option<&SegmentQuery> {
-        match predicate {
-            Predicate::Segment(q) => Some(q),
-            _ => None,
-        }
-    }
-}
+index_key!(String, StringQuery, Datum::Text, Predicate::Str);
+index_key!(Point, PointQuery, Datum::Point, Predicate::Point);
+index_key!(Segment, SegmentQuery, Datum::Segment, Predicate::Segment);
 
 fn key_type_mismatch() -> StorageError {
     StorageError::Unsupported("datum type does not match the index key type".into())
@@ -352,13 +325,11 @@ fn typed_items<K: IndexKey>(items: &[(Datum, RowId)]) -> StorageResult<Vec<(K, R
         .collect()
 }
 
-/// A stream of matching row ids out of one index.
-type RowIds<'t> = Box<dyn Iterator<Item = StorageResult<RowId>> + 't>;
-
 /// The one object-safe interface the table and executor drive every
 /// physical index through, whatever its class: dynamic values in, row ids
-/// out.  Implemented once, for every [`SpIndex`] whose key type has an
-/// [`IndexKey`] conversion.
+/// out — each with its key datum when the class returns keys.  Implemented
+/// once, for every [`SpIndex`] whose key type has an [`IndexKey`]
+/// conversion.
 pub(crate) trait IndexAccess: Send + Sync {
     /// Inserts a batch of `(datum, row)` items in one call (a single-row
     /// insert is a batch of one).  Atomicity of the batch with respect to
@@ -378,11 +349,16 @@ pub(crate) trait IndexAccess: Send + Sync {
     /// Streaming scan through this index for the leaf `predicate`, yielding
     /// matching row ids — or, when `ordered`, an ordered (distance) scan for
     /// a `@@` leaf, yielding row ids in non-decreasing distance from the
-    /// anchor, driven by the incremental NN search.  The planner only routes
-    /// a predicate here when the index's operator class supports it (and
-    /// only chooses an ordered scan for classes registering `@@`), so a
-    /// type mismatch or a missing distance function is a planning bug.
-    fn scan<'t>(&'t self, predicate: &Predicate, ordered: bool) -> StorageResult<RowIds<'t>>;
+    /// anchor, driven by the incremental NN search.  Every row comes with
+    /// its key datum iff [`IndexAccess::returns_keys`].  The planner only
+    /// routes a predicate here when the index's operator class supports it
+    /// (and only chooses an ordered scan for classes registering `@@`), so
+    /// a type mismatch or a missing distance function is a planning bug.
+    fn scan<'t>(&'t self, predicate: &Predicate, ordered: bool) -> StorageResult<RowStream<'t>>;
+
+    /// Whether a scan's rows carry their key datum, so the executor need
+    /// not visit the heap for it (see [`SpIndex::RETURNS_KEYS`]).
+    fn returns_keys(&self) -> bool;
 
     /// The planner's `(pages, page_height)` view of the backing tree: an
     /// O(1) read the tree's writers keep current (see
@@ -418,7 +394,7 @@ where
         SpIndex::delete(self, key, row)
     }
 
-    fn scan<'t>(&'t self, predicate: &Predicate, ordered: bool) -> StorageResult<RowIds<'t>> {
+    fn scan<'t>(&'t self, predicate: &Predicate, ordered: bool) -> StorageResult<RowStream<'t>> {
         let query = I::Key::query_of(predicate).ok_or_else(|| {
             StorageError::Unsupported(
                 "planner routed a predicate to an index of a different key type".into(),
@@ -433,7 +409,13 @@ where
         } else {
             self.cursor(query)?
         };
-        Ok(Box::new(cursor.map(|item| item.map(|(_, row)| row))))
+        Ok(Box::new(cursor.map(|item| {
+            item.map(|(key, row)| (row, I::RETURNS_KEYS.then(|| key.into())))
+        })))
+    }
+
+    fn returns_keys(&self) -> bool {
+        I::RETURNS_KEYS
     }
 
     fn planner_stats(&self) -> StorageResult<(u64, u32)> {
@@ -605,7 +587,8 @@ impl std::fmt::Debug for ExecCursor<'_> {
 // ---------------------------------------------------------------------------
 
 /// Item type flowing between physical operators: a row id, plus the key
-/// datum when an upstream operator already fetched it from the heap.
+/// datum when an upstream operator already has it — read from the heap, or
+/// returned by the index that found the row.
 pub(crate) type RowStream<'t> =
     Box<dyn Iterator<Item = StorageResult<(RowId, Option<Datum>)>> + 't>;
 
@@ -1074,6 +1057,10 @@ pub(crate) trait RowSource: Sync {
     /// is below it.
     fn row_count(&self) -> RowId;
 
+    /// Whether `row` exists right now, by the row directory alone — the
+    /// check [`RowSource::fetch`] makes before it reads, without the read.
+    fn is_live(&self, row: RowId) -> bool;
+
     /// The key value of `row`, `None` if it does not exist (deleted or
     /// never inserted), fetched with the given buffer-pool hint.
     fn fetch(&self, row: RowId, hint: AccessHint) -> StorageResult<Option<Datum>>;
@@ -1089,9 +1076,11 @@ pub(crate) struct Executor<'t> {
 impl<'t> Executor<'t> {
     /// Executes `plan`, returning the streaming cursor over the matching
     /// `(row id, key)` pairs.  Every operator streams, so a `LIMIT` (or a
-    /// caller that stops pulling) cuts the work short; keys are always
-    /// resolved through the heap, so results are identical across access
-    /// paths.
+    /// caller that stops pulling) cuts the work short.  Results are
+    /// identical across access paths: a row's key never changes between
+    /// its insert and its delete, so the key an index scan returns *is* the
+    /// heap datum, and only rows that arrive without one (suffix-tree
+    /// scans) are resolved through the heap.
     pub(crate) fn cursor(self, plan: &PhysNode) -> StorageResult<ExecCursor<'t>> {
         let inner = self
             .execute(plan)?
@@ -1107,9 +1096,9 @@ impl<'t> Executor<'t> {
         })
     }
 
-    /// The key of `row`: the datum an upstream operator already fetched, or
-    /// one heap read.  `None` for a row deleted between the index probe and
-    /// the heap fetch — skipped, not an error.
+    /// The key of `row`: the datum an upstream operator already has, or one
+    /// heap read.  `None` for a row deleted between the index probe and the
+    /// heap fetch — skipped, not an error.
     fn resolve(self, row: RowId, datum: Option<Datum>) -> StorageResult<Option<Datum>> {
         match datum {
             Some(datum) => Ok(Some(datum)),
@@ -1131,8 +1120,9 @@ impl<'t> Executor<'t> {
     }
 
     /// Turns one physical operator into its row stream.  Streams carry the
-    /// key datum when the operator already fetched it, so downstream
-    /// operators and the cursor never read the heap twice for one row.
+    /// key datum when the operator already has it, so downstream operators
+    /// and the cursor read the heap at most once for one row — and not at
+    /// all for a row a key-returning index found.
     pub(crate) fn execute(self, node: &PhysNode) -> StorageResult<RowStream<'t>> {
         Ok(match &node.op {
             PhysOp::SeqScan {
@@ -1178,8 +1168,19 @@ impl<'t> Executor<'t> {
                     .ok_or_else(|| {
                         StorageError::Unsupported(format!("planner chose unknown index {index:?}"))
                     })?;
-                let rows = named.index.scan(leaf, *ordered)?;
-                Box::new(rows.map(|item| item.map(|row| (row, None))))
+                // A row that brings its key skips the heap fetch whose
+                // row-directory lookup used to drop rows deleted since the
+                // index probe; that lookup happens here instead.
+                let rows = self.rows;
+                Box::new(
+                    named
+                        .index
+                        .scan(leaf, *ordered)?
+                        .filter(move |item| match item {
+                            Ok((row, Some(_))) => rows.is_live(*row),
+                            _ => true,
+                        }),
+                )
             }
             PhysOp::Filter { input, residual } => {
                 let residual = residual.clone();
@@ -1254,6 +1255,8 @@ impl<'t> Executor<'t> {
 mod tests {
     use super::*;
     use crate::database::tests::word_table;
+    use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn seq_scan_answers_queries_without_any_index() {
@@ -1449,19 +1452,25 @@ mod tests {
                 assert_eq!(unsupported(ix.scan(bad, true).map(|_| ())), WRONG_PREDICATE);
             }
 
-            // Matching values work: every key is found again.
+            // Matching values work: every key is found again, and comes
+            // back with its row from every class but the suffix tree.
+            assert_eq!(ix.returns_keys(), spec != IndexSpec::SuffixTree);
             let items: Vec<(Datum, RowId)> = keys.iter().cloned().zip(0..).collect();
             ix.insert_batch(&items).unwrap();
-            let mut rows: Vec<RowId> = ix
-                .scan(&predicate, false)
-                .unwrap()
-                .collect::<StorageResult<_>>()
-                .unwrap();
-            rows.sort_unstable();
-            let expect: Vec<RowId> = items
+            let scan = |ix: &dyn IndexAccess| {
+                let mut rows: Vec<(RowId, Option<Datum>)> = ix
+                    .scan(&predicate, false)
+                    .unwrap()
+                    .collect::<StorageResult<_>>()
+                    .unwrap();
+                rows.sort_by_key(|(row, _)| *row);
+                rows
+            };
+            let rows = scan(ix.as_ref());
+            let expect: Vec<(RowId, Option<Datum>)> = items
                 .iter()
                 .filter(|(datum, _)| predicate.matches(datum))
-                .map(|(_, row)| *row)
+                .map(|(datum, row)| (*row, ix.returns_keys().then(|| datum.clone())))
                 .collect();
             assert!(!expect.is_empty());
             assert_eq!(rows, expect, "{spec:?}");
@@ -1481,14 +1490,7 @@ mod tests {
             let reopened = NamedIndex::reopen(Arc::clone(&pool), &pi).unwrap();
             assert_eq!(reopened.spec, spec);
             assert_eq!(reopened.persisted(), pi, "{spec:?}");
-            let mut again: Vec<RowId> = reopened
-                .index
-                .scan(&predicate, false)
-                .unwrap()
-                .collect::<StorageResult<_>>()
-                .unwrap();
-            again.sort_unstable();
-            assert_eq!(again, rows);
+            assert_eq!(scan(reopened.index.as_ref()), rows);
 
             // The WAL spec encoding round-trips too.
             assert_eq!(IndexSpec::decode_spec(&spec.encode_spec()).unwrap(), spec);
@@ -1515,5 +1517,175 @@ mod tests {
             IndexSpec::decode_spec(&[KIND_TRIE, 0]),
             Err(StorageError::Corrupt(_))
         ));
+    }
+
+    /// A [`RowSource`] double: a row directory whose heap reads are counted.
+    struct CountingRows {
+        slots: Mutex<Vec<Option<Datum>>>,
+        fetches: AtomicUsize,
+    }
+
+    impl CountingRows {
+        fn fetches(&self) -> usize {
+            self.fetches.load(Ordering::Relaxed)
+        }
+    }
+
+    impl RowSource for CountingRows {
+        fn row_count(&self) -> RowId {
+            self.slots.lock().len() as RowId
+        }
+
+        fn is_live(&self, row: RowId) -> bool {
+            self.slots.lock()[row as usize].is_some()
+        }
+
+        fn fetch(&self, row: RowId, _hint: AccessHint) -> StorageResult<Option<Datum>> {
+            self.fetches.fetch_add(1, Ordering::Relaxed);
+            Ok(self.slots.lock()[row as usize].clone())
+        }
+    }
+
+    const WORDS: [&str; 10] = [
+        "space", "spade", "spare", "star", "stare", "bare", "care", "scare", "blue", "top",
+    ];
+
+    /// The words behind a counting row source, indexed by a trie (returns
+    /// keys) and a suffix tree (does not).
+    fn counted_words() -> (CountingRows, [NamedIndex; 2]) {
+        let items: Vec<(Datum, RowId)> = WORDS.iter().map(|w| Datum::from(*w)).zip(0..).collect();
+        let pool = BufferPool::in_memory();
+        let indexes =
+            [("trie", IndexSpec::Trie), ("suffix", IndexSpec::SuffixTree)].map(|(name, spec)| {
+                let named = NamedIndex::create(Arc::clone(&pool), name, spec).unwrap();
+                named.index.insert_batch(&items).unwrap();
+                named
+            });
+        let rows = CountingRows {
+            slots: Mutex::new(items.into_iter().map(|(d, _)| Some(d)).collect()),
+            fetches: Default::default(),
+        };
+        (rows, indexes)
+    }
+
+    fn scan_node(index: &str, leaf: Predicate, ordered: bool) -> PhysNode {
+        PhysNode {
+            op: PhysOp::IndexScan {
+                index: index.into(),
+                operator_class: String::new(),
+                leaf,
+                ordered,
+            },
+            cost: CostEstimate::seq_scan(&TableStats {
+                rows: 0,
+                heap_pages: 0,
+                distinct_values: 0,
+            }),
+        }
+    }
+
+    fn filter_node(input: PhysNode, residual: Predicate) -> PhysNode {
+        PhysNode {
+            cost: input.cost,
+            op: PhysOp::Filter {
+                input: Box::new(input),
+                residual: vec![residual],
+            },
+        }
+    }
+
+    #[test]
+    fn key_returning_scans_never_fetch_and_suffix_scans_fetch_once_per_reported_row() {
+        let (rows, indexes) = counted_words();
+        let exec = Executor {
+            rows: &rows,
+            indexes: &indexes,
+        };
+        let run = |plan: &PhysNode| {
+            let before = rows.fetches();
+            let out: Vec<(RowId, Datum)> = exec
+                .cursor(plan)
+                .unwrap()
+                .collect::<StorageResult<_>>()
+                .unwrap();
+            for (row, datum) in &out {
+                assert_eq!(rows.slots.lock()[*row as usize].as_ref(), Some(datum));
+            }
+            (out.len(), rows.fetches() - before)
+        };
+
+        let s_words = WORDS.iter().filter(|w| w.starts_with('s')).count();
+        let sare_words = WORDS
+            .iter()
+            .filter(|w| w.starts_with('s') && w.contains("are"))
+            .count();
+        for (plan, reported) in [
+            (
+                scan_node("trie", Predicate::str_prefix("s"), false),
+                s_words,
+            ),
+            (
+                scan_node("trie", Predicate::str_nearest("space"), true),
+                WORDS.len(),
+            ),
+            (
+                filter_node(
+                    scan_node("trie", Predicate::str_prefix("s"), false),
+                    Predicate::str_substring("are"),
+                ),
+                sare_words,
+            ),
+        ] {
+            assert_eq!(run(&plan), (reported, 0), "{:?}", plan.op);
+        }
+
+        // The suffix tree hands back row ids only: one heap read for every
+        // row its scan reports — including those a residual then rejects —
+        // and none on top of that when the cursor resolves the survivors.
+        let are_words = WORDS.iter().filter(|w| w.contains("are")).count();
+        assert!(sare_words < are_words);
+        for (plan, reported) in [
+            (
+                scan_node("suffix", Predicate::str_substring("are"), false),
+                are_words,
+            ),
+            (
+                filter_node(
+                    scan_node("suffix", Predicate::str_substring("are"), false),
+                    Predicate::str_prefix("s"),
+                ),
+                sare_words,
+            ),
+        ] {
+            assert_eq!(run(&plan), (reported, are_words), "{:?}", plan.op);
+        }
+    }
+
+    #[test]
+    fn a_row_deleted_after_its_cursor_opened_is_skipped_with_or_without_a_heap_fetch() {
+        let victim = WORDS.iter().position(|w| *w == "spare").unwrap() as RowId;
+        for (index, leaf, ordered) in [
+            ("trie", Predicate::str_prefix("s"), false),
+            ("trie", Predicate::str_nearest("spare"), true),
+            ("suffix", Predicate::str_substring("are"), false),
+        ] {
+            let (rows, indexes) = counted_words();
+            let exec = Executor {
+                rows: &rows,
+                indexes: &indexes,
+            };
+            let plan = scan_node(index, leaf, ordered);
+            let all = exec.cursor(&plan).unwrap().rows().unwrap();
+            assert!(all.contains(&victim));
+
+            // The row dies between the cursor opening and the first pull;
+            // its index entries are still there (the delete has not reached
+            // the indexes yet), only the row directory says so.
+            let cursor = exec.cursor(&plan).unwrap();
+            rows.slots.lock()[victim as usize] = None;
+            let seen = cursor.rows().unwrap();
+            assert!(!seen.contains(&victim), "{index} ordered={ordered}");
+            assert_eq!(seen.len(), all.len() - 1);
+        }
     }
 }

@@ -41,8 +41,8 @@ impl QueryPredicate {
     }
 }
 
-/// A physical index available to the planner: its operator class and its
-/// measured size/height.
+/// A physical index available to the planner: its operator class, its
+/// measured size/height, and whether a scan of it needs the heap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AvailableIndex {
     /// Name of the index (for plan output).
@@ -53,6 +53,10 @@ pub struct AvailableIndex {
     pub pages: u64,
     /// Height of the index in pages.
     pub page_height: u32,
+    /// Whether a scan returns each row's key along with its id, so the heap
+    /// is not visited (false for the suffix tree, whose leaves hold suffixes
+    /// of the indexed word).
+    pub returns_keys: bool,
 }
 
 /// A physical plan: the operator tree the planner selects for a (possibly
@@ -187,7 +191,13 @@ impl<'a> Planner<'a> {
             let selectivity = predicate
                 .selectivity
                 .unwrap_or_else(|| operator.restrict.estimate(stats.distinct_values));
-            let cost = CostEstimate::index_scan(stats, index.pages, index.page_height, selectivity);
+            let cost = CostEstimate::index_scan(
+                stats,
+                index.pages,
+                index.page_height,
+                selectivity,
+                index.returns_keys,
+            );
             if cost.total_cost < best.total_cost() {
                 best = AccessPath::IndexScan {
                     index: index.name.clone(),
@@ -223,6 +233,7 @@ impl<'a> Planner<'a> {
                 index.pages,
                 index.page_height,
                 k.map(|k| k as u64),
+                index.returns_keys,
             );
             if cost.total_cost < best.total_cost() {
                 best = AccessPath::OrderedScan {
@@ -271,18 +282,21 @@ mod tests {
                 operator_class: "SP_GiST_trie".into(),
                 pages: 9_000,
                 page_height: 4,
+                returns_keys: true,
             },
             AvailableIndex {
                 name: "btree_index".into(),
                 operator_class: "btree_varchar".into(),
                 pages: 7_000,
                 page_height: 3,
+                returns_keys: true,
             },
             AvailableIndex {
                 name: "sp_suffix_index".into(),
                 operator_class: "SP_GiST_suffix".into(),
                 pages: 40_000,
                 page_height: 5,
+                returns_keys: false,
             },
         ]
     }

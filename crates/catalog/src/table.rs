@@ -109,6 +109,15 @@ struct TableInner {
     dirty: TableDirty,
 }
 
+impl TableInner {
+    /// The heap record of `row` if the row is live, `None` if it was deleted
+    /// or never allocated: the one row-directory lookup every read of a row
+    /// goes through, with or without the heap fetch that may follow.
+    fn record_of(&self, row: RowId) -> Option<RecordId> {
+        self.rows.get(row as usize).copied().flatten()
+    }
+}
+
 /// A heap-backed table with one typed key column and any number of physical
 /// indexes over it.
 ///
@@ -657,7 +666,7 @@ impl Table {
     /// pool's protected set.
     pub fn try_datum_hinted(&self, row: RowId, hint: AccessHint) -> StorageResult<Option<Datum>> {
         let inner = self.inner.read();
-        let Some(rid) = inner.rows.get(row as usize).copied().flatten() else {
+        let Some(rid) = inner.record_of(row) else {
             return Ok(None);
         };
         Datum::decode_record(&inner.heap.get_hinted(rid, hint)?).map(Some)
@@ -781,6 +790,7 @@ impl Table {
                     operator_class: named.spec.operator_class().to_string(),
                     pages,
                     page_height,
+                    returns_keys: named.index.returns_keys(),
                 })
             })
             .collect()
@@ -800,7 +810,8 @@ impl Table {
     /// The dispatch is driven entirely by the planner's choice; every
     /// operator streams, so a `LIMIT` (or a caller that stops pulling)
     /// cuts the work short instead of materializing the full result, and
-    /// results are identical across access paths (keys are always resolved
+    /// results are identical across access paths (a key-returning index
+    /// hands back the very datum the heap holds; other rows are resolved
     /// through the heap).
     pub fn query<'t>(
         &'t self,
@@ -1049,6 +1060,10 @@ fn intersection_that_pays(node: &PhysNode, n_threads: usize) -> Option<&[PhysNod
 impl RowSource for Table {
     fn row_count(&self) -> RowId {
         self.inner.read().rows.len() as RowId
+    }
+
+    fn is_live(&self, row: RowId) -> bool {
+        self.inner.read().record_of(row).is_some()
     }
 
     fn fetch(&self, row: RowId, hint: AccessHint) -> StorageResult<Option<Datum>> {

@@ -124,6 +124,11 @@ pub trait SpIndex {
     /// Query predicate type of the operators registered for the index.
     type Query: Clone;
 
+    /// Whether a cursor's key is the indexed value itself, so a caller
+    /// holding heap rows need not fetch one to learn it (see
+    /// [`SpGistBacked::RETURNS_KEYS`]).
+    const RETURNS_KEYS: bool;
+
     /// Opens a fresh index with default parameters on `pool`.
     fn open(pool: Arc<BufferPool>) -> StorageResult<Self>
     where
@@ -171,7 +176,7 @@ pub trait SpIndex {
     /// items in non-decreasing distance from the query's anchor, driven by
     /// the incremental NN search ([`spgist_core::NnIter`]).  Each pull does
     /// just enough work to report the next-closest item, so `LIMIT k` stops
-    /// after `k` heap probes.  Returns `None` for indexes that register no
+    /// after `k` reported items.  Returns `None` for indexes that register no
     /// distance functions (their operator classes have no `@@` operator).
     fn ordered_cursor(&self, query: &Self::Query) -> StorageResult<Option<Cursor<'_, Self::Key>>>;
 
@@ -245,6 +250,12 @@ pub trait SpGistBacked {
     /// [`SpIndex::ordered_cursor`] available (the `@@` operator).
     const ORDERED_SCANS: bool = false;
 
+    /// Whether the key a cursor yields *is* the value that was indexed
+    /// (PostgreSQL SP-GiST's `canReturnData`), so a scan can answer without
+    /// visiting the heap.  False only where one indexed value is stored as
+    /// several derived keys (the suffix tree yields suffixes, not words).
+    const RETURNS_KEYS: bool = true;
+
     /// The backing generalized tree.  The tree is internally concurrent
     /// (crabbing writers, epoch-protected readers), so no external latch
     /// wraps it.
@@ -316,6 +327,8 @@ pub trait SpGistBacked {
 impl<T: SpGistBacked> SpIndex for T {
     type Key = <T::Ops as SpGistOps>::Key;
     type Query = <T::Ops as SpGistOps>::Query;
+
+    const RETURNS_KEYS: bool = T::RETURNS_KEYS;
 
     fn open(pool: Arc<BufferPool>) -> StorageResult<Self> {
         T::open_default(pool)

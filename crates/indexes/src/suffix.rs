@@ -54,6 +54,8 @@ impl SpGistBacked for SuffixTreeIndex {
     type Ops = TrieOps;
 
     const DEDUPE_ROWS: bool = true;
+    /// A cursor yields the matching *suffix*; the word lives in the heap.
+    const RETURNS_KEYS: bool = false;
 
     fn backing(&self) -> &Arc<SpGistTree<TrieOps>> {
         self.trie.backing()

@@ -42,20 +42,20 @@ fn main() {
         heap_pages: 20_000,
         distinct_values: 1_500_000,
     };
-    let indexes = vec![
-        AvailableIndex {
-            name: "sp_trie_index".into(),
-            operator_class: "SP_GiST_trie".into(),
-            pages: 9_000,
-            page_height: 4,
-        },
-        AvailableIndex {
-            name: "btree_index".into(),
-            operator_class: "btree_varchar".into(),
-            pages: 7_000,
-            page_height: 3,
-        },
-    ];
+    let indexes: Vec<AvailableIndex> = [
+        ("sp_trie_index", "SP_GiST_trie", 9_000, 4),
+        ("btree_index", "btree_varchar", 7_000, 3),
+    ]
+    .into_iter()
+    .map(|(name, class, pages, page_height)| AvailableIndex {
+        name: name.into(),
+        operator_class: class.into(),
+        pages,
+        page_height,
+        // Both hold whole keys in their leaves: no heap visit to price.
+        returns_keys: true,
+    })
+    .collect();
     let planner = Planner::new(&catalog);
     for (operator, description) in [
         ("=", "equality"),

@@ -46,18 +46,21 @@ fn available(trie: &TrieIndex, btree: &BPlusTree, suffix: &SuffixTreeIndex) -> V
             operator_class: "SP_GiST_trie".into(),
             pages: trie_stats.pages,
             page_height: trie_stats.max_page_height,
+            returns_keys: <TrieIndex as SpIndex>::RETURNS_KEYS,
         },
         AvailableIndex {
             name: "btree_index".into(),
             operator_class: "btree_varchar".into(),
             pages: btree_stats.pages,
             page_height: btree_stats.height,
+            returns_keys: true,
         },
         AvailableIndex {
             name: "sp_suffix_index".into(),
             operator_class: "SP_GiST_suffix".into(),
             pages: suffix_stats.pages,
             page_height: suffix_stats.max_page_height,
+            returns_keys: <SuffixTreeIndex as SpIndex>::RETURNS_KEYS,
         },
     ]
 }
