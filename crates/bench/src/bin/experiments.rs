@@ -25,12 +25,11 @@
 use spgist_bench::loc::{crate_report, table7};
 use spgist_bench::stats::{log10_ratio, ratio_pct};
 use spgist_bench::{
-    num, num_unit, point_sizes, run_build_experiment, run_checkpoint_experiment,
-    run_clustering_ablation, run_hot_writer_scaling, run_io_patterns_on, run_mixed_workload,
-    run_nn_experiments, run_point_experiments, run_read_scaling, run_reopen_experiment,
-    run_segment_experiments, run_string_experiments, run_substring_experiments,
+    num, num_unit, point_sizes, run_checkpoint_experiment, run_hot_writer_scaling,
+    run_io_patterns_on, run_mixed_workload, run_nn_experiments, run_point_experiments,
+    run_read_scaling, run_segment_experiments, run_string_experiments, run_substring_experiments,
     run_trie_variant_ablation, run_wal_experiment, substring_sizes, word_sizes, Cell, IoBackend,
-    Report, BUILD_POOL_PAGES, NN_KS,
+    Report, NN_KS,
 };
 
 struct Options {
@@ -117,7 +116,7 @@ type Experiment = (&'static str, &'static [&'static str], fn(&Options));
 
 /// Every experiment, in the order `all` runs them.  Dispatch, `all`, the
 /// usage text and the unknown-name error are all derived from this list.
-const EXPERIMENTS: [Experiment; 14] = [
+const EXPERIMENTS: [Experiment; 11] = [
     ("table7", &[], report_table7),
     (
         "strings",
@@ -128,11 +127,8 @@ const EXPERIMENTS: [Experiment; 14] = [
     ("segments", &["fig15"], report_segments),
     ("substring", &["fig16"], report_substring),
     ("nn", &["fig17"], report_nn),
-    ("ablation-clustering", &[], report_clustering_ablation),
     ("ablation-trie", &[], report_trie_ablation),
     ("concurrency", &[], report_concurrency),
-    ("reopen", &[], report_reopen),
-    ("build", &[], report_build),
     ("wal", &[], report_wal),
     ("io-patterns", &[], report_io_patterns),
     ("checkpoint", &[], report_checkpoint),
@@ -392,17 +388,6 @@ fn report_nn(opts: &Options) {
         .emit(opts.scale, opts.json_dir.as_deref());
 }
 
-fn report_clustering_ablation(opts: &Options) {
-    let rows = run_clustering_ablation(20_000 * opts.scale.max(1), opts.queries, SEED);
-    let title = "Ablation: node-to-page clustering policy (patricia trie)";
-    Report::new("ablation_clustering", title, &rows)
-        .column("policy", "policy", |r| format!("{:?}", r.policy).into())
-        .column("page_height", "page height", |r| r.page_height.into())
-        .column("pages", "pages", |r| r.pages.into())
-        .column("exact_ms", "exact (ms)", |r| num(r.exact_ms, 4))
-        .emit(opts.scale, opts.json_dir.as_deref());
-}
-
 fn report_trie_ablation(opts: &Options) {
     let rows = run_trie_variant_ablation(20_000 * opts.scale.max(1), opts.queries, SEED);
     let title = "Ablation: trie interface parameters (PathShrink / BucketSize)";
@@ -493,64 +478,6 @@ fn report_concurrency(opts: &Options) {
         .column("read_p99_ms", "read p99 ms", |r| num(r.read_p99_ms, 4))
         .column("write_p99_ms", "write p99 ms", |r| num(r.write_p99_ms, 4))
         .emit(scale, json_dir);
-}
-
-/// Durable-catalog experiment: build → close → cold open vs. rebuilding
-/// from raw data, on a file-backed database.
-fn report_reopen(opts: &Options) {
-    let sizes = [10_000, 40_000].map(|n| n * opts.scale.max(1));
-    let rows = run_reopen_experiment(&sizes, SEED);
-    let title = "Reopen: durable-catalog cold open vs. rebuild from scratch";
-    Report::new("reopen", title, &rows)
-        .column("rows", "rows", |r| r.rows.into())
-        .column("file_pages", "pages", |r| r.file_pages.into())
-        .column("rebuild_ms", "rebuild ms", |r| num(r.rebuild_ms, 1))
-        .column("open_ms", "open ms", |r| num(r.open_ms, 2))
-        .column("open_reads", "open reads", |r| r.open_reads.into())
-        .column("cold_hit_rate", "cold hr", |r| num(r.cold_hit_rate, 3))
-        .column("first_query_ms", "1st query ms", |r| {
-            num(r.first_query_ms, 3)
-        })
-        .column("warm_query_ms", "warm query ms", |r| {
-            num(r.warm_query_ms, 3)
-        })
-        .text_only("speedup", |r| {
-            num_unit(r.rebuild_ms / r.open_ms.max(1e-9), 0, "x")
-        })
-        .note(
-            "(open reads = physical page reads at open: catalog chain + tree meta pages only; \
-             cold hr = pool hit rate through the first query)",
-        )
-        .emit(opts.scale, opts.json_dir.as_deref());
-}
-
-fn report_build(opts: &Options) {
-    let rows = run_build_experiment(opts.scale, SEED);
-    let title = "Build: insert-loop vs spgistbuild bulk build (eviction-bounded pool)";
-    Report::new("build", title, &rows)
-        .column("class", "class", |r| r.class.into())
-        .column("rows", "rows", |r| r.rows.into())
-        .column("insert_ms", "insert ms", |r| num(r.insert.ms, 1))
-        .column("bulk_ms", "bulk ms", |r| num(r.bulk.ms, 1))
-        .column("insert_writes", "ins wr", |r| r.insert.writes.into())
-        .column("bulk_writes", "bulk wr", |r| r.bulk.writes.into())
-        .column("insert_hit_rate", "ins hr", |r| num(r.insert.hit_rate, 3))
-        .column("bulk_hit_rate", "bulk hr", |r| num(r.bulk.hit_rate, 3))
-        .column("insert_pages", "ins pg", |r| r.insert.pages.into())
-        .column("bulk_pages", "bulk pg", |r| r.bulk.pages.into())
-        .column("insert_page_height", "ins h", |r| {
-            r.insert.page_height.into()
-        })
-        .column("bulk_page_height", "bulk h", |r| r.bulk.page_height.into())
-        .column("insert_fill", "ins f", |r| num(r.insert.fill, 2))
-        .column("bulk_fill", "bulk f", |r| num(r.bulk.fill, 2))
-        .column("speedup", "speedup", |r| num_unit(r.speedup(), 1, "x"))
-        .json_only("pool_pages", |_| BUILD_POOL_PAGES.into())
-        .note(
-            "(wr = physical page writes incl. final flush; hr = pool hit rate; \
-             h = tree height in pages; f = page fill)",
-        )
-        .emit(opts.scale, opts.json_dir.as_deref());
 }
 
 fn report_wal(opts: &Options) {

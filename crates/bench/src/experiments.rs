@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use spgist_baselines::{BPlusTree, RTree, SeqScanTable};
-use spgist_core::{ClusteringPolicy, RowId, SpGistOps};
+use spgist_core::{RowId, SpGistOps};
 use spgist_datagen::{points, segments, words, world, QueryWorkload};
 use spgist_indexes::geom::{Point, Segment};
 use spgist_indexes::{
@@ -493,52 +493,6 @@ pub fn run_nn_experiments(n: usize, ks: &[usize], queries: usize, seed: u64) -> 
 // Ablations
 // ---------------------------------------------------------------------------
 
-/// One row of the clustering ablation: page height and size per policy.
-#[derive(Debug, Clone)]
-pub struct ClusteringRow {
-    /// Clustering policy under test.
-    pub policy: ClusteringPolicy,
-    /// Maximum tree height in pages.
-    pub page_height: u32,
-    /// Number of pages.
-    pub pages: u64,
-    /// Mean exact-match query time (ms).
-    pub exact_ms: f64,
-}
-
-/// Ablation of the node→page clustering policy (DESIGN.md decision 1): the
-/// same trie built with each policy, plus the offline repack.
-pub fn run_clustering_ablation(size: usize, queries: usize, seed: u64) -> Vec<ClusteringRow> {
-    let data = words(size, seed);
-    let exact_queries = QueryWorkload::existing(&data, queries, seed ^ 0xa1);
-    let policies = [
-        ClusteringPolicy::ParentFirst,
-        ClusteringPolicy::FirstFit,
-        ClusteringPolicy::NewPagePerNode,
-    ];
-    let mut rows = Vec::new();
-    for policy in policies {
-        let config = TrieOps::patricia().config().with_clustering(policy);
-        let index = TrieIndex::with_ops(experiment_pool(), TrieOps::with_config(config))
-            .expect("create trie");
-        for (i, w) in data.iter().enumerate() {
-            index.insert(w, i as RowId).expect("insert");
-        }
-        let stats = index.stats().expect("stats");
-        let mut times = Vec::with_capacity(queries);
-        for q in &exact_queries {
-            times.push(timed(|| index.equals(q).expect("equals")).1);
-        }
-        rows.push(ClusteringRow {
-            policy,
-            page_height: stats.max_page_height,
-            pages: stats.pages,
-            exact_ms: mean_ms(&times),
-        });
-    }
-    rows
-}
-
 /// One row of the trie-variant ablation (PathShrink / bucket size).
 #[derive(Debug, Clone)]
 pub struct TrieVariantRow {
@@ -614,8 +568,7 @@ mod tests {
             row.btree_regex_ms
         );
         // Prefix, exact and insert timings exist (their ratios are too noisy
-        // to assert at this tiny scale; see EXPERIMENTS.md for the
-        // full-size shapes).
+        // to assert at this tiny scale).
         assert!(row.btree_prefix_ms > 0.0 && row.trie_prefix_ms > 0.0);
         assert!(row.btree_insert_ms > 0.0 && row.trie_insert_ms > 0.0);
         // Figures 11–12 shape: clustering keeps the page height no larger
@@ -629,20 +582,5 @@ mod tests {
         let rows = run_nn_experiments(1_000, &[8, 16], 5, 7);
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.kd_ms >= 0.0 && r.trie_ms >= 0.0));
-    }
-
-    #[test]
-    fn clustering_ablation_orders_page_heights() {
-        let rows = run_clustering_ablation(3_000, 20, 11);
-        let by_policy = |p: ClusteringPolicy| {
-            rows.iter()
-                .find(|r| r.policy == p)
-                .expect("policy present")
-                .clone()
-        };
-        let parent = by_policy(ClusteringPolicy::ParentFirst);
-        let naive = by_policy(ClusteringPolicy::NewPagePerNode);
-        assert!(parent.page_height <= naive.page_height);
-        assert!(parent.pages < naive.pages);
     }
 }

@@ -4,8 +4,8 @@
 //! The functions in [`experiments`] build the SP-GiST index and its baseline
 //! on the same storage substrate, run the paper's query workloads, and return
 //! structured rows (sizes, times, page I/O, ratios); the sibling modules do
-//! the same for what the paper presumes of its host DBMS (bulk build,
-//! reopen, WAL group commit, checkpoints, the buffer pool, concurrency).
+//! the same for what the paper presumes of its host DBMS (WAL group
+//! commit, checkpoints, the buffer pool, concurrency).
 //! The `experiments` binary declares one [`Report`] per table — each column
 //! once — which prints it in the form of the paper's figures and archives
 //! it as `BENCH_<experiment>.json`.
@@ -19,18 +19,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod build;
 pub mod checkpoint;
 pub mod concurrent;
 pub mod experiments;
 pub mod io_patterns;
 pub mod loc;
-pub mod reopen;
 pub mod report;
 pub mod stats;
 pub mod wal;
 
-pub use build::{run_build_experiment, BuildRow, BuildSide, BUILD_POOL_PAGES};
 pub use checkpoint::{run_checkpoint_experiment, CheckpointRow, MUTATION_FRACTIONS_PCT};
 pub use concurrent::{
     run_hot_writer_scaling, run_mixed_workload, run_read_scaling, HotWriterRow, MixedRow,
@@ -38,6 +35,5 @@ pub use concurrent::{
 };
 pub use experiments::*;
 pub use io_patterns::{run_io_patterns, run_io_patterns_on, IoBackend, IoPatternRow};
-pub use reopen::{run_reopen_experiment, ReopenRow};
 pub use report::{num, num_unit, Cell, Report};
 pub use wal::{run_wal_experiment, WalRow};

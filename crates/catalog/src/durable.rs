@@ -7,7 +7,7 @@
 //! This module is that idea scaled to the workspace: a **catalog meta-table**
 //! serialized with the workspace [`Codec`] and stored in ordinary pages
 //! rooted at a well-known page (logical page 0 of the database file,
-//! [`CATALOG_ROOT`]).  It records, for every table: the key type, the heap's
+//! `CATALOG_ROOT`).  It records, for every table: the key type, the heap's
 //! page directory and record count, the row directory (row id → heap record),
 //! and every index's durable identity (class, configuration, tree meta page,
 //! owned-page list) — everything `Database::open` needs to reconstruct the
@@ -41,7 +41,7 @@
 //! `Database::close` / `Database::checkpoint` persist DML state (row
 //! directories, heap directories, index page lists).  Crash-atomicity comes
 //! from the pre-image journal in `spgist_storage::journal`; a torn file
-//! fails [`read_catalog`] with [`StorageError::Corrupt`] rather than
+//! fails `read_catalog` with [`StorageError::Corrupt`] rather than
 //! returning wrong rows.
 //!
 //! [`Database`]: crate::Database
@@ -858,7 +858,7 @@ pub(crate) fn read_catalog(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spgist_core::{ClusteringPolicy, NodeShrink, PathShrink};
+    use spgist_core::{NodeShrink, PathShrink};
 
     fn sample_config() -> SpGistConfig {
         SpGistConfig {
@@ -868,7 +868,6 @@ mod tests {
             path_shrink: PathShrink::TreeShrink,
             node_shrink: NodeShrink::OmitEmpty,
             split_once: false,
-            clustering: ClusteringPolicy::ParentFirst,
         }
     }
 

@@ -205,7 +205,7 @@ impl<'db> Transaction<'db> {
 
     /// Rolls every statement back (reverse order) and marks the
     /// transaction aborted in the log.  The undo itself is unlogged — see
-    /// [`UndoOp`] — and the `AbortTxn` marker is submitted without waiting:
+    /// `UndoOp` — and the `AbortTxn` marker is submitted without waiting:
     /// recovery treats the transaction as a loser with or without it.
     pub fn abort(mut self) -> StorageResult<()> {
         self.done = true;

@@ -16,7 +16,7 @@
 use spgist_catalog::durable::{
     decode_chunk, encode_chunk, CatalogChunk, PersistedIndex, TableMetaChunk, CATALOG_VERSION,
 };
-use spgist_core::{ClusteringPolicy, NodeShrink, PathShrink, SpGistConfig};
+use spgist_core::{NodeShrink, PathShrink, SpGistConfig};
 use spgist_datagen::rng::DetRng;
 use spgist_indexes::Rect;
 use spgist_storage::RecordId;
@@ -50,11 +50,6 @@ fn random_config(rng: &mut DetRng) -> SpGistConfig {
             NodeShrink::OmitEmpty
         },
         split_once: rng.gen_range(0u32..2) == 0,
-        clustering: match rng.gen_range(0u32..3) {
-            0 => ClusteringPolicy::ParentFirst,
-            1 => ClusteringPolicy::FirstFit,
-            _ => ClusteringPolicy::NewPagePerNode,
-        },
     }
 }
 

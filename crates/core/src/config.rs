@@ -24,25 +24,6 @@ pub enum NodeShrink {
     OmitEmpty,
 }
 
-/// Policy used by the node→page clustering when placing a new tree node.
-///
-/// The paper relies on the clustering technique of Diwan et al. to generate
-/// minimum page-height trees.  We implement a greedy approximation and expose
-/// it as a policy so its effect can be ablated (bench `ablation_clustering`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusteringPolicy {
-    /// Try the parent's page first, then recently opened pages, then a new
-    /// page.  This keeps subtrees physically together and minimizes the
-    /// page height observed along root-to-leaf paths (the default).
-    ParentFirst,
-    /// Ignore the parent: place the node in the first tracked page with
-    /// enough space.
-    FirstFit,
-    /// Allocate a fresh page for every node — the naive mapping the paper
-    /// warns about ("tree nodes are usually much smaller than disk pages").
-    NewPagePerNode,
-}
-
 /// The SP-GiST interface parameters (paper Section 3.1, Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpGistConfig {
@@ -64,8 +45,6 @@ pub struct SpGistConfig {
     /// leaving children temporarily overfull — the PMR-quadtree splitting
     /// rule.
     pub split_once: bool,
-    /// Node→page clustering policy used by the storage mapping.
-    pub clustering: ClusteringPolicy,
 }
 
 impl Default for SpGistConfig {
@@ -77,18 +56,11 @@ impl Default for SpGistConfig {
             path_shrink: PathShrink::NeverShrink,
             node_shrink: NodeShrink::OmitEmpty,
             split_once: false,
-            clustering: ClusteringPolicy::ParentFirst,
         }
     }
 }
 
 impl SpGistConfig {
-    /// Returns a copy with a different clustering policy (ablation helper).
-    pub fn with_clustering(mut self, policy: ClusteringPolicy) -> Self {
-        self.clustering = policy;
-        self
-    }
-
     /// Returns a copy with a different bucket size.
     pub fn with_bucket_size(mut self, bucket_size: usize) -> Self {
         self.bucket_size = bucket_size.max(1);
@@ -134,28 +106,13 @@ impl Codec for NodeShrink {
     }
 }
 
-impl Codec for ClusteringPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            ClusteringPolicy::ParentFirst => 0,
-            ClusteringPolicy::FirstFit => 1,
-            ClusteringPolicy::NewPagePerNode => 2,
-        });
-    }
-    fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(ClusteringPolicy::ParentFirst),
-            1 => Ok(ClusteringPolicy::FirstFit),
-            2 => Ok(ClusteringPolicy::NewPagePerNode),
-            tag => Err(StorageError::Decode(format!(
-                "invalid ClusteringPolicy tag {tag}"
-            ))),
-        }
-    }
-}
-
 /// The durable catalog persists every index's interface parameters so a
 /// reopened index runs with exactly the configuration it was created with.
+///
+/// The last byte is reserved and always `0`: it held the tag of a node→page
+/// placement policy until the two alternatives to parent-first placement
+/// were deleted, and `0` was parent-first's tag, so every config written
+/// before then still decodes.
 impl Codec for SpGistConfig {
     fn encode(&self, out: &mut Vec<u8>) {
         self.partitions.encode(out);
@@ -164,18 +121,27 @@ impl Codec for SpGistConfig {
         self.path_shrink.encode(out);
         self.node_shrink.encode(out);
         self.split_once.encode(out);
-        self.clustering.encode(out);
+        out.push(0);
     }
     fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
-        Ok(SpGistConfig {
+        let config = SpGistConfig {
             partitions: u32::decode(buf)?,
             bucket_size: u64::decode(buf)? as usize,
             resolution: u32::decode(buf)?,
             path_shrink: PathShrink::decode(buf)?,
             node_shrink: NodeShrink::decode(buf)?,
             split_once: bool::decode(buf)?,
-            clustering: ClusteringPolicy::decode(buf)?,
-        })
+        };
+        let reserved = u8::decode(buf)?;
+        let meaning = match reserved {
+            0 => return Ok(config),
+            1 => "the removed first-fit placement",
+            2 => "the removed new-page-per-node placement",
+            _ => "nothing",
+        };
+        Err(StorageError::Decode(format!(
+            "reserved config byte is {reserved}, which selects {meaning}"
+        )))
     }
 }
 
@@ -188,7 +154,6 @@ mod tests {
         let cfg = SpGistConfig::default();
         assert!(cfg.bucket_size >= 1);
         assert!(cfg.resolution > 0);
-        assert_eq!(cfg.clustering, ClusteringPolicy::ParentFirst);
     }
 
     #[test]
@@ -200,22 +165,35 @@ mod tests {
             path_shrink: PathShrink::TreeShrink,
             node_shrink: NodeShrink::OmitEmpty,
             split_once: true,
-            clustering: ClusteringPolicy::FirstFit,
         };
         assert_eq!(SpGistConfig::from_bytes(&cfg.to_bytes()).unwrap(), cfg);
-        // A bad enum tag is a decode error, not a panic.
+        // Golden bytes, captured from the build that still wrote a placement
+        // tag (parent-first = 0) in the last position: every config the
+        // catalog ever persisted reads back, and is rewritten identically.
+        assert_eq!(
+            SpGistConfig::default().to_bytes(),
+            [2, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 64, 0, 0, 0, 0, 1, 0, 0]
+        );
+        assert_eq!(
+            cfg.to_bytes(),
+            [27, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 2, 1, 1, 0]
+        );
+        // A bad enum tag is a decode error, not a panic — the tags of the
+        // two removed placement policies included, by name.
         let mut bytes = cfg.to_bytes();
         let last = bytes.len() - 1;
-        bytes[last] = 9;
-        assert!(SpGistConfig::from_bytes(&bytes).is_err());
+        for (tag, needle) in [(1, "first-fit"), (2, "new-page-per-node"), (9, "nothing")] {
+            bytes[last] = tag;
+            match SpGistConfig::from_bytes(&bytes) {
+                Err(StorageError::Decode(msg)) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("tag {tag} must be a decode error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn builders_override_fields() {
-        let cfg = SpGistConfig::default()
-            .with_clustering(ClusteringPolicy::NewPagePerNode)
-            .with_bucket_size(0);
-        assert_eq!(cfg.clustering, ClusteringPolicy::NewPagePerNode);
+        let cfg = SpGistConfig::default().with_bucket_size(0);
         assert_eq!(cfg.bucket_size, 1, "bucket size is clamped to at least 1");
     }
 }

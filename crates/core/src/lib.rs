@@ -68,7 +68,7 @@ pub mod testing;
 pub mod tree;
 
 pub use build::BulkBuilder;
-pub use config::{ClusteringPolicy, NodeShrink, PathShrink, SpGistConfig};
+pub use config::{NodeShrink, PathShrink, SpGistConfig};
 pub use nn::NnIter;
 pub use node::{Node, NodeId};
 pub use ops::{Choose, PickSplit, SpGistOps};

@@ -202,17 +202,6 @@ where
     }
 }
 
-impl<O: SpGistOps> SpGistTree<O> {
-    /// Collects the `k` nearest neighbours, discarding distances — a
-    /// convenience for callers that only need the keys.
-    pub fn nn_keys(&self, query: O::Query, k: usize) -> StorageResult<Vec<(O::Key, RowId)>> {
-        self.nn_iter(query)
-            .take(k)
-            .map(|r| r.map(|(key, row, _)| (key, row)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,13 +250,5 @@ mod tests {
         assert_eq!(keys_five[0], 42);
         // All of the five closest keys lie within distance 2 of 42.
         assert!(first_five.iter().all(|(_, _, d)| *d <= 2.0));
-    }
-
-    #[test]
-    fn nn_keys_drops_distances() {
-        let tree = tree_with(&[5, 6, 7]);
-        let keys = tree.nn_keys(6, 2).unwrap();
-        assert_eq!(keys[0].0, 6);
-        assert_eq!(keys.len(), 2);
     }
 }

@@ -5,17 +5,11 @@
 //! Section 3 — is how to pack tree nodes into pages so that root-to-leaf
 //! traversals touch as few pages as possible.  The paper relies on the
 //! clustering technique of Diwan et al.; [`NodeStore`] implements a greedy
-//! approximation controlled by [`ClusteringPolicy`]:
-//!
-//! * `ParentFirst` (default) places a new node in its parent's page when it
-//!   fits, falling back to a small set of recently opened pages, and only then
-//!   to a fresh page.  Subtrees stay physically clustered and the *page*
-//!   height of the tree stays close to that of a balanced B⁺-tree even though
-//!   the *node* height is much larger (paper Figures 11–12).
-//! * `FirstFit` ignores the parent and packs nodes into any tracked page with
-//!   room.
-//! * `NewPagePerNode` allocates one page per node — the naive mapping, used by
-//!   the clustering ablation benchmark.
+//! approximation with one rule: a new node goes in its parent's page when
+//! it fits, else in one of a small set of recently opened pages, and only
+//! then in a fresh page.  Subtrees stay physically clustered and the *page*
+//! height of the tree stays close to that of a balanced B⁺-tree even though
+//! the *node* height is much larger (paper Figures 11–12).
 //!
 //! # Concurrency
 //!
@@ -45,7 +39,6 @@ use spgist_storage::{
     StorageResult, MAX_RECORD_SIZE, PAGE_SIZE,
 };
 
-use crate::config::ClusteringPolicy;
 use crate::node::{Node, NodeId};
 use crate::ops::SpGistOps;
 
@@ -131,7 +124,6 @@ struct Placement {
 /// Maps tree nodes onto slotted pages obtained from a [`BufferPool`].
 pub struct NodeStore {
     pool: Arc<BufferPool>,
-    policy: ClusteringPolicy,
     placement: Mutex<Placement>,
     epochs: Arc<EpochManager>,
     /// Hint passed with every page access, as `AccessHint as u8`.
@@ -142,9 +134,9 @@ pub struct NodeStore {
 }
 
 impl NodeStore {
-    /// Creates a store over `pool` with the given clustering policy.
-    pub fn new(pool: Arc<BufferPool>, policy: ClusteringPolicy) -> Self {
-        Self::with_pages(pool, policy, Vec::new())
+    /// Creates a store over `pool` that owns no pages yet.
+    pub fn new(pool: Arc<BufferPool>) -> Self {
+        Self::with_pages(pool, Vec::new())
     }
 
     /// Re-creates a store that already owns `pages` (a tree re-opened from a
@@ -152,16 +144,11 @@ impl NodeStore {
     /// repacking and destruction work exactly as for a tree built in this
     /// session; the most recently allocated pages are re-seeded as placement
     /// candidates so inserts keep filling partially-used pages.
-    pub fn with_pages(pool: Arc<BufferPool>, policy: ClusteringPolicy, pages: Vec<PageId>) -> Self {
-        let open_pages = if policy == ClusteringPolicy::NewPagePerNode {
-            Vec::new()
-        } else {
-            let skip = pages.len().saturating_sub(OPEN_PAGE_LIMIT);
-            pages[skip..].to_vec()
-        };
+    pub fn with_pages(pool: Arc<BufferPool>, pages: Vec<PageId>) -> Self {
+        let skip = pages.len().saturating_sub(OPEN_PAGE_LIMIT);
+        let open_pages = pages[skip..].to_vec();
         NodeStore {
             pool,
-            policy,
             placement: Mutex::new(Placement { pages, open_pages }),
             epochs: Arc::new(EpochManager::new()),
             hint: AtomicU8::new(AccessHint::Normal as u8),
@@ -281,9 +268,9 @@ impl NodeStore {
         }
     }
 
-    /// Places a brand-new node, preferring the page `near` according to the
-    /// clustering policy.  Nodes larger than a page spill across a record
-    /// chain.  Returns the node's address.
+    /// Places a brand-new node, preferring the page `near` (its parent's).
+    /// Nodes larger than a page spill across a record chain.  Returns the
+    /// node's address.
     pub fn allocate<O: SpGistOps>(
         &self,
         node: &Node<O>,
@@ -320,23 +307,6 @@ impl NodeStore {
             next = self.place(&record, None)?;
         }
         Ok(next)
-    }
-
-    /// Frees every continuation record from `cursor` to the end of a chain,
-    /// immediately and without epoch protection — only for records no
-    /// reader can have seen (a failed rewrite's freshly placed chain) or
-    /// exclusive contexts ([`NodeStore::free`]).
-    fn free_chain_from(&self, mut cursor: NodeId) -> StorageResult<()> {
-        while cursor != CHAIN_END {
-            let next = self.chain_next(cursor)?;
-            self.pool
-                .with_page_mut_hinted(cursor.page, self.access_hint(), |p| {
-                    p.delete(cursor.slot)
-                })??;
-            self.note_open_page(cursor.page);
-            cursor = next;
-        }
-        Ok(())
     }
 
     /// Retires every continuation record from `cursor` to the end of a
@@ -460,17 +430,6 @@ impl NodeStore {
         Ok(())
     }
 
-    /// Deletes the node record at `id` (and its spill chain, if any)
-    /// immediately, without epoch protection.  Only for exclusive contexts
-    /// (tests, teardown); concurrent trees use [`NodeStore::retire_node`].
-    pub fn free(&self, id: NodeId) -> StorageResult<()> {
-        let chain = self.continuation_of(id)?;
-        self.pool
-            .with_page_mut_hinted(id.page, self.access_hint(), |p| p.delete(id.slot))??;
-        self.note_open_page(id.page);
-        self.free_chain_from(chain)
-    }
-
     /// Starts a repack: clears the open-page candidates so every placement
     /// from here on goes to freshly allocated pages, and returns the
     /// pre-repack owned-page snapshot for [`NodeStore::finish_repack`].
@@ -494,22 +453,14 @@ impl NodeStore {
         }
     }
 
+    /// The placement rule: the parent's page, then the open-page list, then
+    /// a fresh page.
     fn place(&self, bytes: &[u8], near: Option<PageId>) -> StorageResult<NodeId> {
-        match self.policy {
-            ClusteringPolicy::NewPagePerNode => self.place_in_new_page(bytes),
-            ClusteringPolicy::ParentFirst => {
-                if let Some(parent_page) = near {
-                    if let Some(id) = self.try_place_in(parent_page, bytes)? {
-                        return Ok(id);
-                    }
-                }
-                self.place_in_open_or_new(bytes)
+        if let Some(parent_page) = near {
+            if let Some(id) = self.try_place_in(parent_page, bytes)? {
+                return Ok(id);
             }
-            ClusteringPolicy::FirstFit => self.place_in_open_or_new(bytes),
         }
-    }
-
-    fn place_in_open_or_new(&self, bytes: &[u8]) -> StorageResult<NodeId> {
         // Scan the open-page list most-recent-first.  The list is sampled
         // under the placement lock but probed outside it; a stale candidate
         // just fails its fit check.
@@ -560,9 +511,7 @@ impl NodeStore {
     fn place_in_new_page(&self, bytes: &[u8]) -> StorageResult<NodeId> {
         let page = self.pool.allocate_page_hinted(self.access_hint())?;
         self.placement.lock().pages.push(page);
-        if self.policy != ClusteringPolicy::NewPagePerNode {
-            self.note_open_page(page);
-        }
+        self.note_open_page(page);
         let slot = self
             .pool
             .with_page_mut_hinted(page, self.access_hint(), |p| p.insert(bytes))??;
@@ -620,7 +569,6 @@ impl NodeStore {
 impl std::fmt::Debug for NodeStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NodeStore")
-            .field("policy", &self.policy)
             .field("pages", &self.page_count())
             .finish()
     }
@@ -635,8 +583,8 @@ mod tests {
 
     type TestNode = Node<DigitTrieOps>;
 
-    fn store(policy: ClusteringPolicy) -> NodeStore {
-        NodeStore::new(BufferPool::in_memory(), policy)
+    fn store() -> NodeStore {
+        NodeStore::new(BufferPool::in_memory())
     }
 
     fn leaf(n: u32) -> TestNode {
@@ -660,7 +608,7 @@ mod tests {
 
     #[test]
     fn allocate_and_read_roundtrip() {
-        let store = store(ClusteringPolicy::ParentFirst);
+        let store = store();
         let node = leaf(5);
         let id = store.allocate(&node, None).unwrap();
         let read: TestNode = store.read(id).unwrap();
@@ -669,7 +617,7 @@ mod tests {
 
     #[test]
     fn parent_first_packs_children_with_parent() {
-        let store = store(ClusteringPolicy::ParentFirst);
+        let store = store();
         let parent_id = store.allocate(&leaf(1), None).unwrap();
         let mut same_page = 0;
         for _ in 0..10 {
@@ -686,17 +634,8 @@ mod tests {
     }
 
     #[test]
-    fn new_page_per_node_never_shares() {
-        let store = store(ClusteringPolicy::NewPagePerNode);
-        let a = store.allocate(&leaf(1), None).unwrap();
-        let b = store.allocate(&leaf(1), Some(a.page)).unwrap();
-        assert_ne!(a.page, b.page);
-        assert_eq!(store.page_count(), 2);
-    }
-
-    #[test]
     fn update_in_place_when_it_fits() {
-        let store = store(ClusteringPolicy::ParentFirst);
+        let store = store();
         let id = store.allocate(&leaf(4), None).unwrap();
         let relocated = store.update(id, &leaf(3), None).unwrap();
         assert!(relocated.is_none());
@@ -706,7 +645,7 @@ mod tests {
 
     #[test]
     fn update_relocates_when_page_is_full() {
-        let store = store(ClusteringPolicy::ParentFirst);
+        let store = store();
         let id = store.allocate(&leaf(1), None).unwrap();
         // Fill the rest of the page with other nodes.
         loop {
@@ -738,7 +677,7 @@ mod tests {
 
     #[test]
     fn retired_records_survive_until_pins_pass() {
-        let store = store(ClusteringPolicy::ParentFirst);
+        let store = store();
         let id = store.allocate(&leaf(7), None).unwrap();
         let pin = store.pin();
         store.retire_node(id).unwrap();
@@ -755,40 +694,38 @@ mod tests {
 
     #[test]
     fn free_reclaims_space_for_future_nodes() {
-        let store = store(ClusteringPolicy::FirstFit);
+        let store = store();
         let id = store.allocate(&leaf(50), None).unwrap();
-        store.free(id).unwrap();
+        // Fill the first page until placement has to open a second one.
+        while store.page_count() == 1 {
+            store.allocate(&leaf(50), Some(id.page)).unwrap();
+        }
+        store.retire_node(id).unwrap();
+        store.reclaim().unwrap();
         assert!(store.read::<DigitTrieOps>(id).is_err());
+        // The freed bytes host the next node of that size on the old page.
+        let reused = store.allocate(&leaf(50), Some(id.page)).unwrap();
+        assert_eq!(reused.page, id.page, "the freed space is reused");
+        assert_eq!(store.page_count(), 2);
     }
 
     #[test]
     fn utilization_reflects_packing() {
-        let store = store(ClusteringPolicy::ParentFirst);
+        let store = store();
         assert_eq!(store.utilization().unwrap(), 0.0);
         for _ in 0..200 {
             store.allocate(&leaf(8), None).unwrap();
         }
         let packed = store.utilization().unwrap();
-
-        let sparse = store_with_policy_and_nodes(ClusteringPolicy::NewPagePerNode, 200);
-        let sparse_util = sparse.utilization().unwrap();
         assert!(
-            packed > sparse_util * 10.0,
-            "clustered packing ({packed:.3}) should be far denser than one node per page ({sparse_util:.3})"
+            packed > 0.5 && packed <= 1.0,
+            "200 small nodes share a few pages, not one each ({packed:.3})"
         );
-    }
-
-    fn store_with_policy_and_nodes(policy: ClusteringPolicy, n: usize) -> NodeStore {
-        let store = store(policy);
-        for _ in 0..n {
-            store.allocate(&leaf(8), None).unwrap();
-        }
-        store
     }
 
     #[test]
     fn oversized_nodes_spill_across_a_record_chain() {
-        let store = store(ClusteringPolicy::ParentFirst);
+        let store = store();
         // ~40 KB of items: several continuation records.
         let huge = leaf(3500);
         assert!(
@@ -812,7 +749,8 @@ mod tests {
         // growing the file.
         let id = store.allocate(&huge, None).unwrap();
         let pages_before = store.page_count();
-        store.free(id).unwrap();
+        store.retire_node(id).unwrap();
+        store.reclaim().unwrap();
         let id2 = store.allocate(&huge, None).unwrap();
         assert_eq!(
             store.page_count(),
@@ -824,7 +762,7 @@ mod tests {
 
     #[test]
     fn shrinking_a_chained_node_keeps_its_contents_wherever_it_lands() {
-        let store = store(ClusteringPolicy::ParentFirst);
+        let store = store();
         let huge = leaf(3500);
         let id = store.allocate(&huge, None).unwrap();
         // Fill the head's page so an in-place rewrite larger than the old
@@ -862,7 +800,7 @@ mod tests {
 
     #[test]
     fn chained_rewrite_keeps_old_chain_readable_for_pinned_readers() {
-        let store = store(ClusteringPolicy::ParentFirst);
+        let store = store();
         let old = leaf(3500);
         let id = store.allocate(&old, None).unwrap();
         let pin = store.pin();
@@ -893,7 +831,7 @@ mod tests {
 
     #[test]
     fn inner_nodes_roundtrip_through_store() {
-        let store = store(ClusteringPolicy::ParentFirst);
+        let store = store();
         let child = store.allocate(&leaf(1), None).unwrap();
         let inner: TestNode = Node::Inner {
             prefix: None,

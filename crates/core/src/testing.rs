@@ -31,19 +31,12 @@ impl Default for DigitTrieOps {
                 path_shrink: PathShrink::NeverShrink,
                 node_shrink: NodeShrink::OmitEmpty,
                 split_once: false,
-                ..SpGistConfig::default()
             },
         }
     }
 }
 
 impl DigitTrieOps {
-    /// Creates the ops with a custom configuration (used by clustering
-    /// ablation tests).
-    pub fn with_config(config: SpGistConfig) -> Self {
-        DigitTrieOps { config }
-    }
-
     fn digits(key: u32) -> Vec<u8> {
         key.to_string().bytes().map(|b| b - b'0').collect()
     }

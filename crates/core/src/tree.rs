@@ -3,8 +3,9 @@
 //! These methods are "the core of SP-GiST and are the same for all
 //! SP-GiST-based indexes" (paper Section 3.1).  They are parameterized by an
 //! [`SpGistOps`] implementation — the external methods a developer writes —
-//! and by the [`SpGistConfig`] interface parameters.  All node reads and
-//! writes go through [`NodeStore`], which performs the node→page clustering.
+//! and by the [`SpGistConfig`](crate::SpGistConfig) interface parameters.
+//! All node reads and writes go through [`NodeStore`], which performs the
+//! node→page clustering.
 //!
 //! # Concurrency model
 //!
@@ -116,7 +117,7 @@ pub(crate) fn path_pages(parent_page: Option<PageId>, parent_pages: u32, page: P
 impl<O: SpGistOps> SpGistTree<O> {
     /// Creates a new, empty tree whose pages are allocated from `pool`.
     pub fn create(pool: Arc<BufferPool>, ops: O) -> StorageResult<Self> {
-        let store = NodeStore::new(Arc::clone(&pool), ops.config().clustering);
+        let store = NodeStore::new(Arc::clone(&pool));
         let meta_page = pool.allocate_page()?;
         // Reserve slot 0 of the meta page for the tree descriptor.
         pool.with_page_mut(meta_page, |p| p.insert(&encode_meta(None, 0)))??;
@@ -134,28 +135,14 @@ impl<O: SpGistOps> SpGistTree<O> {
     }
 
     /// Re-opens a tree previously created on `pool` (or on the file behind
-    /// it) from its meta page.
-    ///
-    /// Only the root pointer and item count are persisted in the meta page;
-    /// the page-ownership list used for size statistics is rebuilt lazily, so
-    /// [`SpGistTree::stats`] reports `pages = 0` for re-opened trees until new
-    /// pages are allocated.  Query and update correctness are unaffected.
-    /// When the caller persisted the ownership list (the durable catalog
-    /// does), prefer [`SpGistTree::open_with_pages`], which restores full
-    /// statistics, repacking and destruction behavior.
-    pub fn open(pool: Arc<BufferPool>, ops: O, meta_page: PageId) -> StorageResult<Self> {
-        let store = NodeStore::new(Arc::clone(&pool), ops.config().clustering);
-        Self::open_with_store(pool, ops, meta_page, store)
-    }
-
-    /// Re-opens a tree from its meta page *and* its persisted page-ownership
-    /// list (the durable-catalog path).  Unlike [`SpGistTree::open`], the
-    /// reopened tree knows every page it owns, so [`SpGistTree::stats`]
-    /// reports true sizes, [`SpGistTree::repack`] recycles the old layout,
-    /// and [`SpGistTree::destroy`] frees everything — identical to a tree
-    /// built in this session.  Page ids are bounds-checked against the pool
-    /// so a truncated file fails with [`StorageError::Corrupt`] here.
-    pub fn open_with_pages(
+    /// it) from its meta page and its page-ownership list
+    /// ([`SpGistTree::owned_pages`] before the restart).  The reopened tree
+    /// knows every page it owns, so [`SpGistTree::stats`] reports true
+    /// sizes, [`SpGistTree::repack`] recycles the old layout, and
+    /// [`SpGistTree::destroy`] frees everything — identical to a tree built
+    /// in this session.  Page ids are bounds-checked against the pool so a
+    /// truncated file fails with [`StorageError::Corrupt`] here.
+    pub fn open(
         pool: Arc<BufferPool>,
         ops: O,
         meta_page: PageId,
@@ -167,16 +154,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                 "tree page list names page {bad} beyond the {allocated} allocated pages"
             )));
         }
-        let store = NodeStore::with_pages(Arc::clone(&pool), ops.config().clustering, pages);
-        Self::open_with_store(pool, ops, meta_page, store)
-    }
-
-    fn open_with_store(
-        pool: Arc<BufferPool>,
-        ops: O,
-        meta_page: PageId,
-        store: NodeStore,
-    ) -> StorageResult<Self> {
+        let store = NodeStore::with_pages(Arc::clone(&pool), pages);
         let bytes = pool.with_page(meta_page, |p| p.get(0).map(<[u8]>::to_vec))??;
         let (root, item_count) = decode_meta(&bytes)?;
         Ok(SpGistTree {
@@ -194,14 +172,12 @@ impl<O: SpGistOps> SpGistTree<O> {
 
     /// The pages owned by this tree's node store, in allocation order.
     /// Persist them alongside [`SpGistTree::meta_page`] and hand both back
-    /// to [`SpGistTree::open_with_pages`] to reopen the tree with full
-    /// ownership knowledge.
+    /// to [`SpGistTree::open`] to reopen the tree.
     pub fn owned_pages(&self) -> Vec<PageId> {
         self.store.pages()
     }
 
-    /// The meta page identifying this tree; pass it to [`SpGistTree::open`]
-    /// to re-open the tree later.
+    /// The meta page identifying this tree.
     pub fn meta_page(&self) -> PageId {
         self.meta_page
     }
@@ -1067,11 +1043,6 @@ impl<O: SpGistOps> SpGistTree<O> {
 
     /// Releases every page this tree owns (node pages and the meta page) to
     /// the pager's free list, consuming the tree (`DROP INDEX`).
-    ///
-    /// The page-ownership list is rebuilt lazily for re-opened trees, so a
-    /// tree opened from a file and destroyed immediately only frees the
-    /// pages it allocated in this session; trees built (or repacked) in the
-    /// current session free everything.
     pub fn destroy(self) -> StorageResult<()> {
         // Consuming the tree proves no reader pins remain, so the retired
         // backlog drains completely before the pages go back.
@@ -1284,18 +1255,27 @@ fn decode_meta(bytes: &[u8]) -> StorageResult<(Option<NodeId>, u64)> {
     let page = u32::decode(&mut buf)?;
     let slot = u16::decode(&mut buf)?;
     let count = u64::decode(&mut buf)?;
-    let root = if flag == 1 {
-        Some(NodeId::new(page, slot))
-    } else {
-        None
+    let root = match (flag, page, slot) {
+        (1, page, slot) => Some(NodeId::new(page, slot)),
+        (0, 0, 0) => None,
+        _ => {
+            return Err(StorageError::Corrupt(format!(
+                "tree meta record has root flag {flag} with address {page}:{slot}"
+            )))
+        }
     };
+    if !buf.is_empty() {
+        return Err(StorageError::Corrupt(format!(
+            "tree meta record has {} trailing bytes",
+            buf.len()
+        )));
+    }
     Ok((root, count))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ClusteringPolicy;
     use crate::testing::DigitTrieOps;
     use spgist_storage::{BufferPoolConfig, FilePager, MemPager};
 
@@ -1400,43 +1380,6 @@ mod tests {
         assert!(stats.pages >= 1);
         assert!(stats.size_bytes >= stats.pages * 8192);
         assert!(stats.utilization > 0.0 && stats.utilization <= 1.0);
-    }
-
-    #[test]
-    fn clustering_reduces_page_height() {
-        let keys: Vec<u32> = (0..3000).collect();
-
-        let clustered_cfg = DigitTrieOps::default().config();
-        let clustered = SpGistTree::create(
-            BufferPool::in_memory(),
-            DigitTrieOps::with_config(clustered_cfg),
-        )
-        .unwrap();
-
-        let naive_cfg = clustered_cfg.with_clustering(ClusteringPolicy::NewPagePerNode);
-        let naive = SpGistTree::create(
-            BufferPool::in_memory(),
-            DigitTrieOps::with_config(naive_cfg),
-        )
-        .unwrap();
-
-        for &k in &keys {
-            clustered.insert(k, u64::from(k)).unwrap();
-            naive.insert(k, u64::from(k)).unwrap();
-        }
-        let clustered_stats = clustered.stats().unwrap();
-        let naive_stats = naive.stats().unwrap();
-        assert_eq!(
-            clustered_stats.max_node_height, naive_stats.max_node_height,
-            "clustering must not change the logical tree"
-        );
-        assert!(
-            clustered_stats.max_page_height < naive_stats.max_page_height,
-            "parent-first clustering ({}) must beat one-node-per-page ({})",
-            clustered_stats.max_page_height,
-            naive_stats.max_page_height
-        );
-        assert!(clustered_stats.pages < naive_stats.pages);
     }
 
     #[test]
@@ -1643,7 +1586,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spgist-tree-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tree.pages");
-        let meta;
+        let (meta, pages);
         {
             let pool = Arc::new(BufferPool::new(
                 Arc::new(FilePager::create(&path).unwrap()),
@@ -1657,6 +1600,7 @@ mod tests {
                 tree.insert(key, u64::from(key)).unwrap();
             }
             meta = tree.meta_page();
+            pages = tree.owned_pages();
             pool.flush_all().unwrap();
         }
         {
@@ -1667,7 +1611,7 @@ mod tests {
                     ..Default::default()
                 },
             ));
-            let tree = SpGistTree::open(pool, DigitTrieOps::default(), meta).unwrap();
+            let tree = SpGistTree::open(pool, DigitTrieOps::default(), meta, pages).unwrap();
             assert_eq!(tree.len(), 300);
             assert_eq!(tree.search(&123).unwrap(), vec![(123, 123)]);
             assert_eq!(tree.search(&299).unwrap(), vec![(299, 299)]);
@@ -1881,6 +1825,18 @@ mod tests {
         for (root, count) in cases {
             let bytes = encode_meta(root, count);
             assert_eq!(decode_meta(&bytes).unwrap(), (root, count));
+        }
+        // A damaged record is an error, never an empty tree: a flag that is
+        // neither 0 nor 1, an address under the "no root" flag, extra bytes.
+        let good = encode_meta(Some(NodeId::new(3, 9)), 12345);
+        let mut bad_flag = good.clone();
+        bad_flag[0] = 2;
+        let mut rootless_with_address = good.clone();
+        rootless_with_address[0] = 0;
+        let mut trailing = good;
+        trailing.push(0);
+        for bytes in [bad_flag, rootless_with_address, trailing] {
+            assert!(matches!(decode_meta(&bytes), Err(StorageError::Corrupt(_))));
         }
     }
 

@@ -67,7 +67,6 @@ impl Default for KdTreeOps {
                 path_shrink: PathShrink::NeverShrink,
                 node_shrink: NodeShrink::KeepEmpty,
                 split_once: false,
-                ..SpGistConfig::default()
             },
         }
     }
@@ -301,7 +300,7 @@ impl KdTreeIndex {
         pages: Vec<PageId>,
     ) -> StorageResult<Self> {
         Ok(KdTreeIndex {
-            tree: Arc::new(SpGistTree::open_with_pages(pool, ops, meta_page, pages)?),
+            tree: Arc::new(SpGistTree::open(pool, ops, meta_page, pages)?),
         })
     }
 

@@ -61,7 +61,6 @@ impl PmrQuadtreeOps {
                 path_shrink: PathShrink::NeverShrink,
                 node_shrink: NodeShrink::KeepEmpty,
                 split_once: true,
-                ..SpGistConfig::default()
             },
             world,
         }
@@ -272,7 +271,7 @@ impl PmrQuadtreeIndex {
         pages: Vec<PageId>,
     ) -> StorageResult<Self> {
         Ok(PmrQuadtreeIndex {
-            tree: Arc::new(SpGistTree::open_with_pages(pool, ops, meta_page, pages)?),
+            tree: Arc::new(SpGistTree::open(pool, ops, meta_page, pages)?),
         })
     }
 

@@ -84,7 +84,6 @@ impl Default for PointQuadtreeOps {
                 path_shrink: PathShrink::NeverShrink,
                 node_shrink: NodeShrink::KeepEmpty,
                 split_once: false,
-                ..SpGistConfig::default()
             },
         }
     }
@@ -312,7 +311,7 @@ impl PointQuadtreeIndex {
         pages: Vec<PageId>,
     ) -> StorageResult<Self> {
         Ok(PointQuadtreeIndex {
-            tree: Arc::new(SpGistTree::open_with_pages(pool, ops, meta_page, pages)?),
+            tree: Arc::new(SpGistTree::open(pool, ops, meta_page, pages)?),
         })
     }
 

@@ -49,7 +49,6 @@ impl TrieOps {
                 path_shrink: PathShrink::TreeShrink,
                 node_shrink: NodeShrink::OmitEmpty,
                 split_once: false,
-                ..SpGistConfig::default()
             },
         }
     }
@@ -324,7 +323,7 @@ impl TrieIndex {
     }
 
     /// Creates a trie with explicit external-method parameters (used by the
-    /// trie-variant and clustering ablations).
+    /// trie-variant ablation).
     pub fn with_ops(pool: Arc<BufferPool>, ops: TrieOps) -> StorageResult<Self> {
         Ok(TrieIndex {
             tree: Arc::new(SpGistTree::create(pool, ops)?),
@@ -342,7 +341,7 @@ impl TrieIndex {
         pages: Vec<PageId>,
     ) -> StorageResult<Self> {
         Ok(TrieIndex {
-            tree: Arc::new(SpGistTree::open_with_pages(pool, ops, meta_page, pages)?),
+            tree: Arc::new(SpGistTree::open(pool, ops, meta_page, pages)?),
         })
     }
 
@@ -378,12 +377,6 @@ impl TrieIndex {
     pub fn nearest(&self, word: &str, k: usize) -> StorageResult<Vec<(String, RowId, f64)>> {
         self.tree
             .nn_search(StringQuery::Nearest(word.to_string()), k)
-    }
-
-    /// Runs an arbitrary [`StringQuery`] against the index (shim kept for
-    /// the pre-`SpIndex` API; prefer [`SpIndex::execute`]).
-    pub fn search(&self, query: &StringQuery) -> StorageResult<Vec<(String, RowId)>> {
-        self.execute(query)
     }
 
     /// The underlying generalized tree (internally concurrent; share the

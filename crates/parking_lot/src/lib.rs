@@ -72,7 +72,7 @@ impl<T: ?Sized> Mutex<T> {
 /// A reader-writer lock with `parking_lot`-style non-poisoning guards.
 ///
 /// Many readers may hold the lock at once; a writer is exclusive.  This is
-/// the latch the index layer wraps each [`spgist_core`]-tree in: queries
+/// the latch the index layer wraps each `spgist_core` tree in: queries
 /// take `read()` for their cursor's lifetime, updates take `write()` for
 /// the duration of one structure modification.
 #[derive(Debug, Default)]

@@ -73,8 +73,7 @@ pub mod prelude {
         Transaction,
     };
     pub use spgist_core::{
-        ClusteringPolicy, NodeShrink, PathShrink, RowId, SearchCursor, SpGistConfig, SpGistOps,
-        SpGistTree, TreeStats,
+        NodeShrink, PathShrink, RowId, SearchCursor, SpGistConfig, SpGistOps, SpGistTree, TreeStats,
     };
     pub use spgist_indexes::{
         Cursor, KdTreeIndex, PmrQuadtreeIndex, Point, PointQuadtreeIndex, PointQuery, Rect,

@@ -63,15 +63,46 @@ fn assert_ordered_equivalent<K: Clone>(
     assert_eq!(br, lr, "ordered streams report the same rows");
 }
 
+/// Frames of [`bounded_pool`]: fewer than the pages of any tree the
+/// per-class tests build, so a load pays eviction write-backs.
+const POOL_FRAMES: usize = 8;
+
+fn bounded_pool() -> Arc<BufferPool> {
+    Arc::new(BufferPool::new(
+        Arc::new(MemPager::new()),
+        BufferPoolConfig {
+            capacity: POOL_FRAMES,
+            ..Default::default()
+        },
+    ))
+}
+
 /// Builds the same item set twice — bulk and loop — and checks logical
-/// counts plus the build-stats/len invariants shared by every class.
+/// counts, the build-stats/len invariants shared by every class, and that
+/// the bulk build is the cheaper load in page writes.
 fn twins<I: SpIndex>(items: Vec<(I::Key, RowId)>) -> (I, I) {
-    let bulk = I::open(pool()).unwrap();
+    let (bulk_pool, loop_pool) = (bounded_pool(), bounded_pool());
+    let bulk = I::open(Arc::clone(&bulk_pool)).unwrap();
+    bulk_pool.reset_stats();
     let stats = bulk.bulk_build(items.clone()).unwrap();
-    let looped = I::open(pool()).unwrap();
+    bulk_pool.flush_all().unwrap();
+    let looped = I::open(Arc::clone(&loop_pool)).unwrap();
+    loop_pool.reset_stats();
     for (key, row) in items {
         looped.insert(key, row).unwrap();
     }
+    loop_pool.flush_all().unwrap();
+    let (bulk_writes, loop_writes) = (
+        bulk_pool.stats().physical_writes,
+        loop_pool.stats().physical_writes,
+    );
+    // The bulk build writes each page once; the loop re-dirties pages the
+    // pool has to write back again and again once the tree outgrows it.
+    assert!(
+        bulk_writes <= loop_writes
+            && (bulk_writes < loop_writes || loop_writes <= POOL_FRAMES as u64),
+        "bulk build wrote {bulk_writes} pages, the insert loop {loop_writes}"
+    );
     assert_eq!(bulk.len(), looped.len(), "logical item counts agree");
     assert_eq!(
         stats.items,

@@ -44,12 +44,26 @@ fn file_pool(path: &std::path::Path, create: bool) -> Arc<BufferPool> {
     ))
 }
 
+/// Slots ever handed out and slots since freed on each of `pages`.
+fn slot_census(pool: &BufferPool, pages: &[PageId]) -> Vec<(u16, u16)> {
+    pages
+        .iter()
+        .map(|&page| {
+            pool.with_page(page, |p| {
+                (p.num_slots(), p.num_slots() - p.num_live_records())
+            })
+            .unwrap()
+        })
+        .collect()
+}
+
 #[test]
 fn trie_survives_restart_and_remains_updatable() {
     let dir = temp_dir("trie");
     let path = dir.join("trie.pages");
     let data = words(5_000, 99);
-    let meta;
+    let fresh = words(5_100, 99).split_off(5_000);
+    let (meta, pages);
     {
         let pool = file_pool(&path, true);
         let tree =
@@ -58,14 +72,26 @@ fn trie_survives_restart_and_remains_updatable() {
             tree.insert(w.clone(), row as RowId).unwrap();
         }
         meta = tree.meta_page();
+        pages = tree.owned_pages();
+        assert_eq!(tree.stats().unwrap().pages, pages.len() as u64);
         pool.flush_all().unwrap();
     }
     {
         // Re-open from the file and verify queries and further updates.
         let pool = file_pool(&path, false);
-        let tree =
-            spgist::core::SpGistTree::open(Arc::clone(&pool), TrieOps::patricia(), meta).unwrap();
+        let tree = spgist::core::SpGistTree::open(
+            Arc::clone(&pool),
+            TrieOps::patricia(),
+            meta,
+            pages.clone(),
+        )
+        .unwrap();
         assert_eq!(tree.len(), data.len() as u64);
+        assert_eq!(
+            tree.stats().unwrap().pages,
+            pages.len() as u64,
+            "the reopened tree owns the pages it owned before the restart"
+        );
         for (row, w) in data.iter().enumerate().step_by(501) {
             let hits = tree.search(&StringQuery::Equals(w.clone())).unwrap();
             assert!(hits.iter().any(|(_, r)| *r == row as RowId), "lost {w:?}");
@@ -78,18 +104,47 @@ fn trie_survives_restart_and_remains_updatable() {
             .unwrap();
         assert_eq!(hits.len(), 1);
         assert!(tree.delete(&data[0], 0).unwrap());
+        // An insert + delete cycle splits and relocates nodes; the old pages
+        // are placement candidates again, so every node it places fits on
+        // one of them — some on a page where the cycle had just freed a slot.
+        let before = slot_census(&pool, &pages);
+        for (i, w) in fresh.iter().enumerate() {
+            tree.insert(w.clone(), 2_000_000 + i as RowId).unwrap();
+        }
+        for (i, w) in fresh.iter().enumerate() {
+            assert!(tree.delete(w, 2_000_000 + i as RowId).unwrap());
+        }
+        let after = slot_census(&pool, &pages);
+        assert_eq!(tree.owned_pages(), pages, "the cycle allocated no page");
+        assert!(
+            before
+                .iter()
+                .zip(&after)
+                .any(|(b, a)| a.1 > b.1 && a.0 > b.0),
+            "no old page both freed a slot and took a new node: {before:?} -> {after:?}"
+        );
         pool.flush_all().unwrap();
     }
     {
         // A third open sees the post-restart modifications.
         let pool = file_pool(&path, false);
-        let tree = spgist::core::SpGistTree::open(pool, TrieOps::patricia(), meta).unwrap();
+        let tree = spgist::core::SpGistTree::open(
+            Arc::clone(&pool),
+            TrieOps::patricia(),
+            meta,
+            pages.clone(),
+        )
+        .unwrap();
         let hits = tree
             .search(&StringQuery::Equals("freshlyinserted".to_string()))
             .unwrap();
         assert_eq!(hits.len(), 1);
         let gone = tree.search(&StringQuery::Equals(data[0].clone())).unwrap();
         assert!(gone.iter().all(|(_, r)| *r != 0));
+        // Dropping the index returns every node page and the meta page.
+        let free_before = pool.free_page_count();
+        tree.destroy().unwrap();
+        assert_eq!(pool.free_page_count() - free_before, pages.len() as u32 + 1);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -274,12 +274,6 @@ impl BufferPool {
         )))
     }
 
-    /// Buffer-pool hit rate in `[0, 1]` since the last stats reset; `1.0`
-    /// when no reads occurred.
-    pub fn hit_rate(&self) -> f64 {
-        self.stats().hit_ratio()
-    }
-
     /// Number of pages allocated in the underlying pager.
     pub fn page_count(&self) -> u32 {
         self.pager.page_count()
@@ -402,28 +396,19 @@ impl BufferPool {
     }
 
     /// Writes all dirty frames back to the pager and syncs it, then (in
-    /// no-steal mode) publishes deferred frees and trims the pool back to
-    /// its configured capacity.
-    ///
-    /// Equivalent to [`flush_pages`](Self::flush_pages) followed by
-    /// [`publish_pending`](Self::publish_pending); checkpointing code that
-    /// needs an ordering barrier between data and catalog writes calls the
-    /// two halves separately.
+    /// no-steal mode) publishes deferred frees
+    /// ([`publish_pending`](Self::publish_pending)) and trims the pool back
+    /// to its configured capacity.  Frames are marked clean only after the
+    /// sync succeeds, so a failed sync leaves them dirty and a retry
+    /// rewrites them.
     pub fn flush_all(&self) -> StorageResult<()> {
-        self.flush_pages()?;
+        self.flush_pages_where(|_| true)?;
         self.publish_pending()
-    }
-
-    /// Writes all dirty frames back to the pager and syncs it.  Frames are
-    /// marked clean only after the sync succeeds, so a failed sync leaves
-    /// them dirty and a retry rewrites them.
-    pub fn flush_pages(&self) -> StorageResult<()> {
-        self.flush_pages_where(|_| true)
     }
 
     /// Writes the dirty frames in `ids` back to the pager and syncs it,
     /// leaving other dirty frames untouched.  Same retry semantics as
-    /// [`flush_pages`](Self::flush_pages): frames are marked clean only if
+    /// [`flush_all`](Self::flush_all): frames are marked clean only if
     /// the sync succeeds.  Ids in the set that are not resident (or not
     /// dirty) are skipped.
     pub fn flush_pages_subset(&self, ids: &HashSet<PageId>) -> StorageResult<()> {
@@ -728,7 +713,6 @@ mod tests {
         assert_eq!(stats.logical_reads, 2);
         assert_eq!(stats.physical_reads, 0, "page was cached by allocate_page");
         assert!((stats.hit_ratio() - 1.0).abs() < 1e-9);
-        assert!((pool.hit_rate() - 1.0).abs() < 1e-9);
     }
 
     #[test]
