@@ -759,7 +759,10 @@ pub(crate) fn read_catalog(
                 expected_chunks
             )));
         }
-        let mut rows = Vec::with_capacity(meta.rows_len as usize);
+        // Both directories grow from the chunks actually decoded: a lying
+        // `rows_len` or `heap_len` fails a chunk's length check below and is
+        // never reserved up front.
+        let mut rows = Vec::new();
         let mut row_chunks = Vec::with_capacity(expected_chunks);
         for (i, &start) in meta.row_chunks.iter().enumerate() {
             let (bytes, pages) = read_segment(pool, start, &mut visited)?;
@@ -794,7 +797,7 @@ pub(crate) fn read_catalog(
                 expected_heap_chunks
             )));
         }
-        let mut heap_pages = Vec::with_capacity(meta.heap_len as usize);
+        let mut heap_pages = Vec::new();
         let mut heap_chunks = Vec::with_capacity(expected_heap_chunks);
         let mut last_heap = Vec::with_capacity(expected_heap_chunks);
         for (i, &start) in meta.heap_chunks.iter().enumerate() {
@@ -1040,6 +1043,41 @@ mod tests {
         // Zero the root page: same.
         pool.with_page_mut(root, |p| *p = Page::new()).unwrap();
         assert!(matches!(read_catalog(&pool), Err(StorageError::Corrupt(_))));
+    }
+
+    #[test]
+    fn lying_directory_lengths_are_corrupt_not_reserved() {
+        // A metadata chunk can list as many chunk pointers as its lengths
+        // claim and still lie about what they hold: 50 000 pointers "cover"
+        // 50 M rows or 75 M heap ids (~0.6 GB were the claim reserved).  The
+        // read ends in `Corrupt` at the first short chunk.
+        let pool = BufferPool::in_memory();
+        let root = pool.allocate_page().unwrap();
+        let mut layout = CatalogLayout::new_at_root(root);
+        let snaps = [sample_snapshot("t", 10)];
+        apply_catalog_update(&pool, &mut layout, &snaps, &live(&["t"]), 1).unwrap();
+        let table = &layout.tables["t"];
+        let (bytes, _) = read_segment(&pool, table.meta_pages[0], &mut HashSet::new()).unwrap();
+        let CatalogChunk::TableMeta(honest) = decode_chunk(&bytes).unwrap() else {
+            panic!("the metadata segment holds a metadata chunk");
+        };
+        let chunks = 50_000;
+        let mut rows_lie = honest.clone();
+        rows_lie.rows_len = chunks as u64 * ROWS_PER_CHUNK;
+        rows_lie.row_chunks = vec![honest.row_chunks[0]; chunks];
+        let mut heap_lie = honest;
+        heap_lie.heap_len = (chunks * HEAP_IDS_PER_CHUNK) as u64;
+        heap_lie.heap_chunks = vec![heap_lie.heap_chunks[0]; chunks];
+        for lie in [rows_lie, heap_lie] {
+            let mut pages = table.meta_pages.clone();
+            write_segment(
+                &pool,
+                &mut pages,
+                &encode_chunk(&CatalogChunk::TableMeta(lie)),
+            )
+            .unwrap();
+            assert!(matches!(read_catalog(&pool), Err(StorageError::Corrupt(_))));
+        }
     }
 
     #[test]

@@ -17,16 +17,16 @@ use std::collections::BinaryHeap;
 
 use spgist_storage::{AccessHint, EpochPin, StorageResult};
 
-use crate::node::{Node, NodeId};
+use crate::node::{walk, NodeId, Part, Slots};
 use crate::ops::SpGistOps;
 use crate::tree::SpGistTree;
 use crate::RowId;
 
 enum QueueItem<O: SpGistOps> {
-    /// An index node still to be expanded.
-    Node { id: NodeId, level: u32 },
+    /// An index node still to be expanded, with its level.
+    Node(NodeId, u32),
     /// A database object ready to be reported.
-    Object { key: O::Key, row: RowId },
+    Object(O::Key, RowId),
 }
 
 struct QueueEntry<O: SpGistOps> {
@@ -61,9 +61,25 @@ impl<O: SpGistOps> PartialOrd for QueueEntry<O> {
     }
 }
 
+/// The priority queue of the search: nearest first, ties in the order they
+/// were discovered.
+struct Queue<O: SpGistOps> {
+    heap: BinaryHeap<QueueEntry<O>>,
+    seq: u64,
+}
+
+impl<O: SpGistOps> Queue<O> {
+    fn push(&mut self, dist: f64, item: QueueItem<O>) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(QueueEntry { dist, seq, item });
+    }
+}
+
 /// Incremental nearest-neighbour iterator over an [`SpGistTree`].
 ///
 /// Yields `(key, row, distance)` triples in non-decreasing distance order.
+/// After the first error the iterator is exhausted.
 ///
 /// Like [`crate::tree::SearchCursor`], the iterator is generic over how it
 /// holds the tree: a plain `&SpGistTree` borrows, while an owning handle
@@ -77,10 +93,11 @@ where
 {
     tree: T,
     query: O::Query,
-    heap: BinaryHeap<QueueEntry<O>>,
-    seq: u64,
+    queue: Queue<O>,
     /// Hint attached to every page fetch this iterator makes.
     hint: AccessHint,
+    /// Decode targets reused by every node the iterator expands.
+    slots: Slots<O>,
     /// Keeps every record reachable from the captured root readable for the
     /// iterator's lifetime.
     _pin: EpochPin,
@@ -98,21 +115,23 @@ where
         // Pin first, then capture the root, so records retired afterwards
         // stay readable for this iterator.
         let pin = tree.store().pin();
-        let root = tree.root();
-        let mut iter = NnIter {
-            tree,
-            query,
+        let mut queue = Queue {
             heap: BinaryHeap::new(),
             seq: 0,
-            hint: AccessHint::Normal,
-            _pin: pin,
         };
-        if let Some(root) = root {
+        if let Some(root) = tree.root() {
             // "Insert the root node into the priority queue with minimum
             // distance 0" (paper Figure 5).
-            iter.push(0.0, QueueItem::Node { id: root, level: 0 });
+            queue.push(0.0, QueueItem::Node(root, 0));
         }
-        iter
+        NnIter {
+            tree,
+            query,
+            queue,
+            hint: AccessHint::Normal,
+            slots: Slots::default(),
+            _pin: pin,
+        }
     }
 
     /// Attaches an [`AccessHint`] to every page fetch (see
@@ -125,58 +144,35 @@ where
         self
     }
 
-    fn push(&mut self, dist: f64, item: QueueItem<O>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(QueueEntry { dist, seq, item });
-    }
-
+    /// Queues every child or item of node `id` with its distance bound,
+    /// walking the node in place on its page.
     fn expand(&mut self, id: NodeId, level: u32, parent_dist: f64) -> StorageResult<()> {
-        // Compute the children's bounds before touching the heap: `ops`
-        // borrows through the tree handle, which the heap pushes must not
-        // overlap.
-        let mut discovered: Vec<(f64, QueueItem<O>)> = Vec::new();
-        {
-            let ops = self.tree.ops_ref();
-            match self.tree.store().read_hinted::<O>(id, self.hint)? {
-                Node::Leaf { items } => {
-                    for (key, row) in items {
-                        let dist = ops.leaf_distance(&key, &self.query);
-                        discovered.push((dist, QueueItem::Object { key, row }));
+        let (ops, query, queue) = (self.tree.ops_ref(), &self.query, &mut self.queue);
+        let mut delta = 0;
+        self.tree.store().visit(id, self.hint, |bytes| {
+            walk(bytes, &mut self.slots, |part| {
+                match part {
+                    Part::Inner(prefix, _) => delta = ops.descend_levels(prefix),
+                    Part::Entry(_, prefix, pred, child) => queue.push(
+                        ops.inner_distance(prefix, pred, query, parent_dist, level),
+                        QueueItem::Node(child, level + delta),
+                    ),
+                    Part::Item(_, key, row) => {
+                        let dist = ops.leaf_distance(&key, query);
+                        queue.push(dist, QueueItem::Object(key.take(), row))
                     }
-                }
-                Node::Rows { children, .. } => {
                     // Rows say nothing about distance: every child inherits
                     // the node's bound.
-                    for id in children {
-                        discovered.push((parent_dist, QueueItem::Node { id, level }));
+                    Part::Rows(_, children) => {
+                        for &child in children {
+                            queue.push(parent_dist, QueueItem::Node(child, level));
+                        }
                     }
+                    Part::Leaf(_) => {}
                 }
-                Node::Inner { prefix, entries } => {
-                    let delta = ops.descend_levels(prefix.as_ref());
-                    for entry in entries {
-                        let dist = ops.inner_distance(
-                            prefix.as_ref(),
-                            &entry.pred,
-                            &self.query,
-                            parent_dist,
-                            level,
-                        );
-                        discovered.push((
-                            dist,
-                            QueueItem::Node {
-                                id: entry.child,
-                                level: level + delta,
-                            },
-                        ));
-                    }
-                }
-            }
-        }
-        for (dist, item) in discovered {
-            self.push(dist, item);
-        }
-        Ok(())
+                true
+            })
+        })
     }
 }
 
@@ -188,11 +184,14 @@ where
     type Item = StorageResult<(O::Key, RowId, f64)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some(entry) = self.heap.pop() {
+        while let Some(entry) = self.queue.heap.pop() {
             match entry.item {
-                QueueItem::Object { key, row } => return Some(Ok((key, row, entry.dist))),
-                QueueItem::Node { id, level } => {
+                QueueItem::Object(key, row) => return Some(Ok((key, row, entry.dist))),
+                QueueItem::Node(id, level) => {
                     if let Err(e) = self.expand(id, level, entry.dist) {
+                        // A node that failed half-walked queued only part of
+                        // itself: no later distance order can be trusted.
+                        self.queue.heap.clear();
                         return Some(Err(e));
                     }
                 }

@@ -127,11 +127,6 @@ const TAG_INNER: u8 = 1;
 const TAG_ROWS: u8 = 2;
 
 impl<O: SpGistOps> Node<O> {
-    /// Creates an empty leaf.
-    pub fn empty_leaf() -> Self {
-        Node::Leaf { items: Vec::new() }
-    }
-
     /// True if this is a leaf (data) node.
     pub fn is_leaf(&self) -> bool {
         matches!(self, Node::Leaf { .. })
@@ -201,42 +196,138 @@ impl<O: SpGistOps> Node<O> {
         out
     }
 
-    /// Deserializes a node previously produced by [`Node::encode`].
+    /// Deserializes a node previously produced by [`Node::encode`]: the
+    /// [`walk`] of its bytes, collected into owned vectors.
     pub fn decode(bytes: &[u8]) -> StorageResult<Self> {
-        let mut buf = bytes;
-        let tag = u8::decode(&mut buf)?;
-        match tag {
-            TAG_LEAF => {
-                let len = u32::decode(&mut buf)? as usize;
-                let mut items = Vec::with_capacity(len.min(buf.len()));
-                for _ in 0..len {
-                    let key = O::Key::decode(&mut buf)?;
-                    let rid = RowId::decode(&mut buf)?;
-                    items.push((key, rid));
+        // A stored count is a claim: reserve no more than bytes exist.
+        let cap = |len: usize| len.min(bytes.len());
+        let (mut items, mut entries) = (Vec::new(), Vec::new());
+        let (mut prefix, mut rows) = (None, None);
+        walk::<O>(bytes, &mut Slots::default(), |part| {
+            match part {
+                Part::Leaf(len) => items.reserve_exact(cap(len)),
+                Part::Inner(p, len) => {
+                    prefix = Some(p.cloned());
+                    entries.reserve_exact(cap(len));
                 }
-                Ok(Node::Leaf { items })
+                Part::Entry(_, _, pred, child) => entries.push(Entry {
+                    pred: pred.clone(),
+                    child,
+                }),
+                Part::Item(_, key, row) => items.push((key.take(), row)),
+                Part::Rows(shift, children) => rows = Some((shift, children.to_vec())),
             }
-            TAG_INNER => {
-                let prefix = Option::<O::Prefix>::decode(&mut buf)?;
-                let len = u32::decode(&mut buf)? as usize;
-                let mut entries = Vec::with_capacity(len.min(buf.len()));
-                for _ in 0..len {
-                    let pred = O::Pred::decode(&mut buf)?;
-                    let child = NodeId::decode(&mut buf)?;
-                    entries.push(Entry { pred, child });
-                }
-                Ok(Node::Inner { prefix, entries })
-            }
-            TAG_ROWS => {
-                let shift = u32::from(u8::decode(&mut buf)?);
-                let children = (0..ROW_FANOUT)
-                    .map(|_| NodeId::decode(&mut buf))
-                    .collect::<StorageResult<_>>()?;
-                Ok(Node::Rows { shift, children })
-            }
-            other => Err(StorageError::Decode(format!("unknown node tag {other}"))),
-        }
+            true
+        })?;
+        Ok(match (prefix, rows) {
+            (Some(prefix), _) => Node::Inner { prefix, entries },
+            (None, Some((shift, children))) => Node::Rows { shift, children },
+            (None, None) => Node::Leaf { items },
+        })
     }
+}
+
+/// One value [`walk`] read out of an encoded node, borrowed from the
+/// caller's [`Slots`] until the visitor returns.
+pub enum Part<'s, O: SpGistOps> {
+    /// A leaf's stored item count, before its items.
+    Leaf(usize),
+    /// An inner node's prefix and stored entry count, before its entries.
+    Inner(Option<&'s O::Prefix>, usize),
+    /// Entry `idx` of an inner node: `(idx, prefix, pred, child)`.
+    Entry(usize, Option<&'s O::Prefix>, &'s O::Pred, NodeId),
+    /// Item `idx` of a leaf: `(idx, key, row)`.
+    Item(usize, Lent<'s, O::Key>, RowId),
+    /// A row node, whole: its shift and its [`ROW_FANOUT`] children.
+    Rows(u32, &'s [NodeId]),
+}
+
+/// The values [`walk`] decodes into — a prefix, a predicate and a key —
+/// owned by its caller and reused from node to node: a descent allocates
+/// only when a value outgrows its slot or a reader takes a [`Lent`] key.
+pub struct Slots<O: SpGistOps>(Option<O::Prefix>, Option<O::Pred>, Option<O::Key>);
+
+impl<O: SpGistOps> Default for Slots<O> {
+    fn default() -> Self {
+        Slots(None, None, None)
+    }
+}
+
+/// A key [`walk`] decoded into its slot: read it in place, or `take` it —
+/// a reader keeping the key (a match, an owned node) moves it out instead
+/// of copying it, and the next key is decoded afresh.
+pub struct Lent<'s, T>(&'s mut Option<T>);
+
+impl<T> std::ops::Deref for Lent<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.0.as_ref().expect("walk lends only a filled slot")
+    }
+}
+
+impl<T> Lent<'_, T> {
+    /// Moves the key out of its slot.
+    pub fn take(self) -> T {
+        self.0.take().expect("walk lends only a filled slot")
+    }
+}
+
+/// Decodes a `T` from the front of `buf` into `slot`, reusing the value it
+/// holds.
+fn decode_slot<'s, T: Codec>(slot: &'s mut Option<T>, buf: &mut &[u8]) -> StorageResult<&'s T> {
+    match slot {
+        Some(value) => value.decode_into(buf).map(|()| &*value),
+        None => Ok(slot.insert(T::decode(buf)?)),
+    }
+}
+
+/// Walks the encoded node `bytes` front to back — the one parser of the node
+/// format — decoding one value at a time into `slots` and handing it to
+/// `visit`: a [`Part::Leaf`] header and its items, a [`Part::Inner`] header
+/// and its entries, or a row node whole.  `visit` answers whether to go on;
+/// `false` leaves the rest of the record unread (a search skips the entries
+/// of a node whose prefix rules the query out).
+///
+/// Every value is bounds-checked and every string UTF-8-validated as it is
+/// reached, so a damaged record ends the walk in [`StorageError::Decode`]
+/// after `visit` saw only the values in front of the damage.
+pub fn walk<O: SpGistOps>(
+    mut bytes: &[u8],
+    slots: &mut Slots<O>,
+    mut visit: impl FnMut(Part<'_, O>) -> bool,
+) -> StorageResult<()> {
+    let buf = &mut bytes;
+    match u8::decode(buf)? {
+        TAG_LEAF => {
+            let len = u32::decode(buf)? as usize;
+            let (mut more, mut idx) = (visit(Part::Leaf(len)), 0);
+            while more && idx < len {
+                decode_slot(&mut slots.2, buf)?;
+                more = visit(Part::Item(idx, Lent(&mut slots.2), RowId::decode(buf)?));
+                idx += 1;
+            }
+        }
+        TAG_INNER => {
+            slots.0.decode_into(buf)?;
+            let (prefix, len) = (slots.0.as_ref(), u32::decode(buf)? as usize);
+            let (mut more, mut idx) = (visit(Part::Inner(prefix, len)), 0);
+            while more && idx < len {
+                let pred = decode_slot(&mut slots.1, buf)?;
+                more = visit(Part::Entry(idx, prefix, pred, NodeId::decode(buf)?));
+                idx += 1;
+            }
+        }
+        TAG_ROWS => {
+            let shift = u32::from(u8::decode(buf)?);
+            let mut children = [NodeId::new(0, 0); ROW_FANOUT];
+            for child in &mut children {
+                *child = NodeId::decode(buf)?;
+            }
+            visit(Part::Rows(shift, &children));
+        }
+        other => return Err(StorageError::Decode(format!("unknown node tag {other}"))),
+    }
+    Ok(())
 }
 
 fn encode_leaf<K: Codec>(items: &[(K, RowId)], out: &mut Vec<u8>) {
@@ -285,7 +376,7 @@ mod tests {
 
     #[test]
     fn empty_leaf_roundtrip() {
-        let node: TestNode = Node::empty_leaf();
+        let node: TestNode = Node::Leaf { items: Vec::new() };
         assert!(node.is_leaf());
         let decoded = TestNode::decode(&node.encode()).unwrap();
         assert_eq!(decoded, node);
@@ -361,5 +452,104 @@ mod tests {
     fn garbage_tag_is_an_error() {
         assert!(TestNode::decode(&[9, 0, 0, 0, 0]).is_err());
         assert!(TestNode::decode(&[]).is_err());
+    }
+
+    fn samples() -> Vec<TestNode> {
+        vec![
+            Node::Leaf {
+                items: vec![(42, 1), (7, 2)],
+            },
+            Node::Inner {
+                prefix: Some(3),
+                entries: (0..4)
+                    .map(|d| Entry {
+                        pred: d,
+                        child: NodeId::new(10 + u32::from(d), 2),
+                    })
+                    .collect(),
+            },
+            Node::Rows {
+                shift: 4,
+                children: (0..ROW_FANOUT as u16).map(|i| NodeId::new(5, i)).collect(),
+            },
+            Node::Leaf { items: Vec::new() },
+            Node::Inner {
+                prefix: None,
+                entries: Vec::new(),
+            },
+        ]
+    }
+
+    #[test]
+    fn one_set_of_slots_walks_every_kind_of_node() {
+        let mut slots = Slots::default();
+        for node in samples().iter().chain(&samples()) {
+            let mut parts = 0;
+            walk::<DigitTrieOps>(&node.encode(), &mut slots, |part| {
+                parts += 1;
+                match (node, part) {
+                    (Node::Leaf { items }, Part::Leaf(len)) => assert_eq!(len, items.len()),
+                    (Node::Leaf { items }, Part::Item(idx, key, row)) => {
+                        assert_eq!(items[idx], (*key, row))
+                    }
+                    (Node::Inner { prefix, entries }, Part::Inner(p, len)) => {
+                        assert_eq!((p, len), (prefix.as_ref(), entries.len()))
+                    }
+                    (Node::Inner { prefix, entries }, Part::Entry(idx, p, pred, child)) => {
+                        assert_eq!(p, prefix.as_ref());
+                        assert_eq!(entries[idx], Entry { pred: *pred, child });
+                    }
+                    (Node::Rows { shift, children }, Part::Rows(s, c)) => {
+                        assert_eq!((s, c), (*shift, children.as_slice()))
+                    }
+                    (node, _) => panic!("part out of place in {node:?}"),
+                }
+                true
+            })
+            .unwrap();
+            let expected = match node {
+                Node::Leaf { items } => 1 + items.len(),
+                Node::Inner { entries, .. } => 1 + entries.len(),
+                Node::Rows { .. } => 1,
+            };
+            assert_eq!(parts, expected, "{node:?}");
+        }
+    }
+
+    #[test]
+    fn a_visitor_that_answers_false_ends_the_walk() {
+        let inner = &samples()[1];
+        let mut parts = 0;
+        walk::<DigitTrieOps>(&inner.encode(), &mut Slots::default(), |part| {
+            parts += 1;
+            !matches!(part, Part::Entry(1, ..))
+        })
+        .unwrap();
+        assert_eq!(parts, 3, "the header and entries 0 and 1");
+        // Stopping at the header skips the entries unread: damage past it
+        // goes unseen by this walk.
+        let mut bytes = inner.encode();
+        bytes.truncate(bytes.len() - 3);
+        walk::<DigitTrieOps>(&bytes, &mut Slots::default(), |_| false).unwrap();
+    }
+
+    #[test]
+    fn every_truncation_ends_the_walk_in_decode() {
+        for node in samples() {
+            let bytes = node.encode();
+            for cut in 0..bytes.len() {
+                let walked = walk::<DigitTrieOps>(&bytes[..cut], &mut Slots::default(), |_| true);
+                assert!(
+                    matches!(walked, Err(StorageError::Decode(_))),
+                    "{node:?} cut at {cut}: {walked:?}"
+                );
+                assert!(matches!(
+                    TestNode::decode(&bytes[..cut]),
+                    Err(StorageError::Decode(_))
+                ));
+            }
+        }
+        let walked = walk::<DigitTrieOps>(&[9], &mut Slots::default(), |_| true);
+        assert!(matches!(walked, Err(StorageError::Decode(_))));
     }
 }

@@ -29,14 +29,18 @@
 //!   node always places *fresh* continuations and retires the old ones, so
 //!   a reader that caught the old head mid-rewrite still reassembles the
 //!   complete old node.
+//! * Readers take a node where it lies: [`node_in`] lends an inline
+//!   record's bytes on the pinned, read-locked page, and
+//!   [`NodeStore::visit`] falls back to reassembling a chained one only
+//!   after that page is released, so no reader holds two page guards.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spgist_storage::{
-    AccessHint, BufferPool, Codec, EpochManager, EpochPin, PageId, RetiredItem, StorageError,
-    StorageResult, MAX_RECORD_SIZE, PAGE_SIZE,
+    AccessHint, BufferPool, Codec, EpochManager, EpochPin, Page, PageId, RetiredItem, SlotId,
+    StorageError, StorageResult, MAX_RECORD_SIZE, PAGE_SIZE,
 };
 
 use crate::node::{Node, NodeId};
@@ -95,21 +99,28 @@ fn encode_inline_record(bytes: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decodes the continuation pointer of a chain record, returning it along
-/// with the record's payload chunk.
-fn decode_chain_rest(mut buf: &[u8]) -> StorageResult<(NodeId, &[u8])> {
-    let page = u32::decode(&mut buf)?;
-    let slot = u16::decode(&mut buf)?;
-    Ok((NodeId::new(page, slot), buf))
+/// Splits a record into its payload and its continuation pointer: a node
+/// record (inline, with [`CHAIN_END`], or a chain head), or with `cont` a
+/// chain continuation.
+fn split_record(mut record: &[u8], cont: bool) -> StorageResult<(&[u8], NodeId)> {
+    match (u8::decode(&mut record)?, cont) {
+        (TAG_INLINE, false) => Ok((record, CHAIN_END)),
+        (TAG_CHAIN_HEAD, false) | (TAG_CHAIN_CONT, true) => {
+            let next = NodeId::new(u32::decode(&mut record)?, u16::decode(&mut record)?);
+            Ok((record, next))
+        }
+        (tag, _) => Err(StorageError::Corrupt(format!(
+            "node or chain record has unexpected tag {tag}"
+        ))),
+    }
 }
 
-/// The first continuation record named by a node record, or [`CHAIN_END`]
-/// for an inline one.
-fn chain_start(mut record: &[u8]) -> StorageResult<NodeId> {
-    match u8::decode(&mut record)? {
-        TAG_CHAIN_HEAD => Ok(decode_chain_rest(record)?.0),
-        _ => Ok(CHAIN_END),
-    }
+/// The encoded node in `slot` of a pinned page, borrowed in place — or
+/// `None` when the node spills across a record chain, which
+/// [`NodeStore::visit`] reassembles once the page is released.
+pub fn node_in(page: &Page, slot: SlotId) -> StorageResult<Option<&[u8]>> {
+    let (bytes, next) = split_record(page.get(slot)?, false)?;
+    Ok((next == CHAIN_END).then_some(bytes))
 }
 
 /// Placement bookkeeping, shared behind a mutex so allocation decisions
@@ -236,36 +247,41 @@ impl NodeStore {
         id: NodeId,
         hint: AccessHint,
     ) -> StorageResult<Node<O>> {
-        let record = self
-            .pool
-            .with_page_hinted(id.page, hint, |p| p.get(id.slot).map(<[u8]>::to_vec))??;
-        let mut buf = record.as_slice();
-        match u8::decode(&mut buf)? {
-            TAG_INLINE => Node::decode(buf),
-            TAG_CHAIN_HEAD => {
-                let (next, chunk) = decode_chain_rest(buf)?;
-                let mut bytes = chunk.to_vec();
-                let mut cursor = next;
-                while cursor != CHAIN_END {
-                    let record = self.pool.with_page_hinted(cursor.page, hint, |p| {
-                        p.get(cursor.slot).map(<[u8]>::to_vec)
-                    })??;
-                    let mut buf = record.as_slice();
-                    if u8::decode(&mut buf)? != TAG_CHAIN_CONT {
-                        return Err(StorageError::Corrupt(
-                            "chain continuation record has the wrong tag".into(),
-                        ));
-                    }
-                    let (next, chunk) = decode_chain_rest(buf)?;
-                    bytes.extend_from_slice(chunk);
-                    cursor = next;
-                }
-                Node::decode(&bytes)
-            }
-            tag => Err(StorageError::Corrupt(format!(
-                "node record has unexpected tag {tag}"
-            ))),
+        self.visit(id, hint, Node::decode)
+    }
+
+    /// Runs `f` on the encoded node at `id`: in place on its pinned,
+    /// read-locked page ([`node_in`]), or — for a node spilled across a
+    /// record chain — on its bytes reassembled after that page is released,
+    /// so a reader never holds two page guards.
+    pub fn visit<R>(
+        &self,
+        id: NodeId,
+        hint: AccessHint,
+        mut f: impl FnMut(&[u8]) -> StorageResult<R>,
+    ) -> StorageResult<R> {
+        let inline = self.pool.with_page_hinted(id.page, hint, |p| {
+            node_in(p, id.slot).map(|node| node.map(&mut f))
+        })??;
+        inline.unwrap_or_else(|| f(&self.read_bytes(id, hint)?))
+    }
+
+    /// The node bytes at `id`, copied out of the page and, when the node
+    /// spills, reassembled from its chain one page at a time.  The head is
+    /// read afresh: a writer may have rewritten it inline since a reader saw
+    /// it chained, and either version is a valid node.
+    fn read_bytes(&self, id: NodeId, hint: AccessHint) -> StorageResult<Vec<u8>> {
+        let (mut bytes, mut cursor) = self.pool.with_page_hinted(id.page, hint, |p| {
+            split_record(p.get(id.slot)?, false).map(|(chunk, next)| (chunk.to_vec(), next))
+        })??;
+        while cursor != CHAIN_END {
+            cursor = self.pool.with_page_hinted(cursor.page, hint, |p| {
+                let (chunk, next) = split_record(p.get(cursor.slot)?, true)?;
+                bytes.extend_from_slice(chunk);
+                StorageResult::Ok(next)
+            })??;
         }
+        Ok(bytes)
     }
 
     /// Places a brand-new node, preferring the page `near` (its parent's).
@@ -314,7 +330,7 @@ impl NodeStore {
     /// collects them past the last protecting reader epoch.
     fn retire_chain_from(&self, mut cursor: NodeId) -> StorageResult<()> {
         while cursor != CHAIN_END {
-            let next = self.chain_next(cursor)?;
+            let next = self.next_record(cursor, true)?;
             self.epochs
                 .retire(RetiredItem::Slot(cursor.page, cursor.slot));
             cursor = next;
@@ -322,24 +338,11 @@ impl NodeStore {
         Ok(())
     }
 
-    /// The continuation pointer stored in the chain record at `cursor`.
-    fn chain_next(&self, cursor: NodeId) -> StorageResult<NodeId> {
-        let record = self
-            .pool
-            .with_page_hinted(cursor.page, self.access_hint(), |p| {
-                p.get(cursor.slot).map(<[u8]>::to_vec)
-            })??;
-        let mut buf = record.as_slice();
-        u8::decode(&mut buf)?;
-        Ok(decode_chain_rest(buf)?.0)
-    }
-
-    /// The first continuation record of `id`, or [`CHAIN_END`] for inline
-    /// records.
-    fn continuation_of(&self, id: NodeId) -> StorageResult<NodeId> {
+    /// The continuation pointer of the record at `id` (see [`split_record`]).
+    fn next_record(&self, id: NodeId, cont: bool) -> StorageResult<NodeId> {
         self.pool
             .with_page_hinted(id.page, self.access_hint(), |p| {
-                chain_start(p.get(id.slot)?)
+                split_record(p.get(id.slot)?, cont).map(|(_, next)| next)
             })?
     }
 
@@ -366,7 +369,7 @@ impl NodeStore {
         let (updated, old_chain) =
             self.pool
                 .with_page_mut_hinted(id.page, self.access_hint(), |p| {
-                    let old_chain = chain_start(p.get(id.slot)?)?;
+                    let (_, old_chain) = split_record(p.get(id.slot)?, false)?;
                     StorageResult::Ok((p.update(id.slot, &record)?, old_chain))
                 })??;
         if updated {
@@ -395,7 +398,7 @@ impl NodeStore {
     /// unlinked from the tree; readers pinned before the unlink keep reading
     /// the records until [`NodeStore::reclaim`] passes their epoch.
     pub fn retire_node(&self, id: NodeId) -> StorageResult<()> {
-        let chain = self.continuation_of(id)?;
+        let chain = self.next_record(id, false)?;
         self.epochs.retire(RetiredItem::Slot(id.page, id.slot));
         self.retire_chain_from(chain)
     }

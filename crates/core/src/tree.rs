@@ -29,7 +29,13 @@
 //! earlier epoch drops.  Readers are *snapshot-ish*: the tree they traverse
 //! is always a valid tree, but a long scan may observe some effects of
 //! writes that committed after it started.
+//!
+//! Readers evaluate the external methods on the page bytes in place
+//! ([`crate::node::walk`]); a search cursor expands every node its stack
+//! offers next on the same page under one buffer pin, and drops the pin
+//! before it yields, so a suspended cursor holds no page.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,10 +48,10 @@ use spgist_storage::{
 use crate::build::{Above, BulkBuilder};
 use crate::config::NodeShrink;
 use crate::nn::NnIter;
-use crate::node::{row_slot, Entry, Node, NodeId, ROW_BITS};
+use crate::node::{row_slot, walk, Entry, Node, NodeId, Part, Slots, ROW_BITS};
 use crate::ops::{Choose, PickSplit, SpGistOps};
 use crate::stats::TreeStats;
-use crate::store::NodeStore;
+use crate::store::{node_in, NodeStore};
 use crate::RowId;
 
 /// Where a delete found an item: its leaf, its index there, and the leaf's
@@ -809,44 +815,44 @@ impl<O: SpGistOps> SpGistTree<O> {
         all_replicas: bool,
         targets: &mut Vec<Located>,
     ) -> StorageResult<bool> {
-        let query = self.ops.key_query(key);
-        let mut found = false;
+        let (query, ops, hint) = (
+            &self.ops.key_query(key),
+            &self.ops,
+            self.store.access_hint(),
+        );
+        let (mut slots, mut found) = (Slots::<O>::default(), false);
         let mut stack = Vec::from_iter(self.root().map(|root| (root, 0, None)));
         while let Some((node_id, level, parent)) = stack.pop() {
-            match self.store.read::<O>(node_id)? {
-                Node::Leaf { items } => {
-                    let hit = items.iter().enumerate().position(|(idx, (k, r))| {
-                        *r == row
-                            && self.ops.leaf_consistent(k, &query, level)
-                            && !targets.iter().any(|t| (t.0, t.1) == (node_id, idx))
-                    });
-                    if let Some(idx) = hit {
-                        targets.push((node_id, idx, parent));
-                        found = true;
-                        if !all_replicas {
-                            break;
+            let (mut hit, mut delta) = (None, 0);
+            let matches = |idx, key: &O::Key| {
+                ops.leaf_consistent(key, query, level)
+                    && !targets.iter().any(|t| (t.0, t.1) == (node_id, idx))
+            };
+            self.store.visit(node_id, hint, |bytes| {
+                walk(bytes, &mut slots, |part| {
+                    match part {
+                        Part::Inner(Some(p), _) if !ops.prefix_consistent(p, query, level) => {
+                            return false
                         }
-                    }
-                }
-                Node::Rows { shift, children } => {
-                    let idx = row_slot(row, shift);
-                    stack.push((children[idx], level, Some((node_id, idx))));
-                }
-                Node::Inner { prefix, entries } => {
-                    if let Some(p) = &prefix {
-                        if !self.ops.prefix_consistent(p, &query, level) {
-                            continue;
+                        Part::Inner(prefix, _) => delta = ops.descend_levels(prefix),
+                        Part::Entry(i, p, pred, child) if ops.consistent(p, pred, query, level) => {
+                            stack.push((child, level + delta, Some((node_id, i))))
                         }
-                    }
-                    let delta = self.ops.descend_levels(prefix.as_ref());
-                    for (idx, entry) in entries.iter().enumerate() {
-                        if self
-                            .ops
-                            .consistent(prefix.as_ref(), &entry.pred, &query, level)
-                        {
-                            stack.push((entry.child, level + delta, Some((node_id, idx))));
+                        Part::Item(i, key, r) if r == row && matches(i, &key) => hit = Some(i),
+                        Part::Rows(shift, children) => {
+                            let i = row_slot(row, shift);
+                            stack.push((children[i], level, Some((node_id, i))));
                         }
+                        _ => {}
                     }
+                    hit.is_none()
+                })
+            })?;
+            if let Some(idx) = hit {
+                targets.push((node_id, idx, parent));
+                found = true;
+                if !all_replicas {
+                    break;
                 }
             }
         }
@@ -1062,7 +1068,8 @@ impl<O: SpGistOps> SpGistTree<O> {
         &self.ops
     }
 
-    pub(crate) fn root(&self) -> Option<NodeId> {
+    /// The root node's address; `None` for an empty tree.
+    pub fn root(&self) -> Option<NodeId> {
         unpack_root(self.root_cell.load(Ordering::Acquire))
     }
 
@@ -1103,17 +1110,47 @@ where
 {
     tree: T,
     query: O::Query,
-    /// Inner nodes (and unvisited leaves) still to be expanded, with their
-    /// decomposition level.
-    stack: Vec<(NodeId, u32)>,
-    /// Matching items of the most recently expanded leaf.
-    pending: std::vec::IntoIter<(O::Key, RowId)>,
+    frontier: Frontier<O>,
     /// Hint attached to every page fetch this cursor makes.
     hint: AccessHint,
     /// Keeps every record reachable from the captured root readable for the
     /// cursor's lifetime.
     _pin: EpochPin,
     done: bool,
+}
+
+/// What a search carries from node to node: the nodes still to expand with
+/// their decomposition level, the matches of the last leaf not yet yielded,
+/// and the decode slots every node reuses.
+struct Frontier<O: SpGistOps> {
+    stack: Vec<(NodeId, u32)>,
+    pending: VecDeque<(O::Key, RowId)>,
+    slots: Slots<O>,
+}
+
+impl<O: SpGistOps> Frontier<O> {
+    /// Runs the search's `consistent` methods over the encoded node `bytes`
+    /// at `level`: consistent children go on the stack, and a leaf item
+    /// that `leaf_consistent` accepts is moved out of its slot to pending.
+    fn expand(&mut self, ops: &O, query: &O::Query, bytes: &[u8], level: u32) -> StorageResult<()> {
+        let (stack, pending, mut delta) = (&mut self.stack, &mut self.pending, 0);
+        walk(bytes, &mut self.slots, |part| {
+            match part {
+                Part::Inner(Some(p), _) if !ops.prefix_consistent(p, query, level) => return false,
+                Part::Inner(prefix, _) => delta = ops.descend_levels(prefix),
+                Part::Entry(_, pfx, pred, child) if ops.consistent(pfx, pred, query, level) => {
+                    stack.push((child, level + delta))
+                }
+                Part::Item(_, key, row) if ops.leaf_consistent(&key, query, level) => {
+                    pending.push_back((key.take(), row))
+                }
+                // Any row may match: visit every child, same level.
+                Part::Rows(_, children) => stack.extend(children.iter().map(|&c| (c, level))),
+                _ => {}
+            }
+            true
+        })
+    }
 }
 
 impl<T, O> SearchCursor<T, O>
@@ -1127,12 +1164,16 @@ where
         // Pin first, then capture the root: records retired after this point
         // outlive the pin, so the captured root stays traversable.
         let pin = tree.store.pin();
-        let stack = tree.root().map(|root| vec![(root, 0)]).unwrap_or_default();
+        let stack = Vec::from_iter(tree.root().map(|root| (root, 0)));
+        let (pending, slots) = (VecDeque::new(), Slots::default());
         SearchCursor {
             tree,
             query,
-            stack,
-            pending: Vec::new().into_iter(),
+            frontier: Frontier {
+                stack,
+                pending,
+                slots,
+            },
             hint: AccessHint::Normal,
             _pin: pin,
             done: false,
@@ -1151,6 +1192,34 @@ where
         self.hint = hint;
         self
     }
+
+    /// Expands the node on top of the stack and, under the same pin, every
+    /// node the stack offers next on `page`: the run ends at a pending
+    /// result, at another page, or at a node spilled across a chain (that
+    /// one is expanded after the page is released).  The guard is dropped
+    /// before `next` yields, so a suspended cursor holds no page and a
+    /// writer on the same thread never waits for it.
+    fn expand_run(&mut self, page: PageId) -> StorageResult<()> {
+        let (store, ops, query) = (&self.tree.store, &self.tree.ops, &self.query);
+        let frontier = &mut self.frontier;
+        let chained = store.pool().with_page_hinted(page, self.hint, |p| {
+            while let Some(&(id, level)) = frontier.stack.last() {
+                if id.page != page || !frontier.pending.is_empty() {
+                    break;
+                }
+                frontier.stack.pop();
+                match node_in(p, id.slot)? {
+                    Some(bytes) => frontier.expand(ops, query, bytes, level)?,
+                    None => return Ok(Some((id, level))),
+                }
+            }
+            StorageResult::Ok(None)
+        })??;
+        if let Some((id, level)) = chained {
+            store.visit(id, self.hint, |b| frontier.expand(ops, query, b, level))?;
+        }
+        Ok(())
+    }
 }
 
 impl<T, O> Iterator for SearchCursor<T, O>
@@ -1161,49 +1230,17 @@ where
     type Item = StorageResult<(O::Key, RowId)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            if let Some(item) = self.pending.next() {
+        while !self.done {
+            if let Some(item) = self.frontier.pending.pop_front() {
                 return Some(Ok(item));
             }
-            let Some((node_id, level)) = self.stack.pop() else {
+            let &(top, _) = self.frontier.stack.last()?;
+            if let Err(e) = self.expand_run(top.page) {
                 self.done = true;
-                return None;
-            };
-            let ops = &self.tree.ops;
-            match self.tree.store.read_hinted::<O>(node_id, self.hint) {
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                Ok(Node::Leaf { items }) => {
-                    let matched: Vec<(O::Key, RowId)> = items
-                        .into_iter()
-                        .filter(|(key, _)| ops.leaf_consistent(key, &self.query, level))
-                        .collect();
-                    self.pending = matched.into_iter();
-                }
-                Ok(Node::Rows { children, .. }) => {
-                    // Any row may match: visit every child, same level.
-                    self.stack.extend(children.into_iter().map(|c| (c, level)));
-                }
-                Ok(Node::Inner { prefix, entries }) => {
-                    if let Some(p) = &prefix {
-                        if !ops.prefix_consistent(p, &self.query, level) {
-                            continue;
-                        }
-                    }
-                    let delta = ops.descend_levels(prefix.as_ref());
-                    for entry in &entries {
-                        if ops.consistent(prefix.as_ref(), &entry.pred, &self.query, level) {
-                            self.stack.push((entry.child, level + delta));
-                        }
-                    }
-                }
+                return Some(Err(e));
             }
         }
+        None
     }
 }
 
@@ -1214,7 +1251,7 @@ where
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SearchCursor")
-            .field("stack_depth", &self.stack.len())
+            .field("stack_depth", &self.frontier.stack.len())
             .field("done", &self.done)
             .finish()
     }
@@ -1276,6 +1313,7 @@ fn decode_meta(bytes: &[u8]) -> StorageResult<(Option<NodeId>, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::ROW_FANOUT;
     use crate::testing::DigitTrieOps;
     use spgist_storage::{BufferPoolConfig, FilePager, MemPager};
 
@@ -1863,6 +1901,97 @@ mod tests {
         tree.insert(900, 900).unwrap();
         assert_eq!(tree.concurrency_stats().retired_backlog, 0);
         assert_eq!(tree.len(), 901);
+
+        // A cursor suspended in the middle of a same-page run holds no page:
+        // a pile under key 7 fans out into row-node leaves sharing a page,
+        // the first yields, and the same thread then rewrites that page.
+        let tree = new_tree();
+        for key in 0..300u32 {
+            tree.insert(key, u64::from(key)).unwrap();
+        }
+        for row in 1_000..1_500 {
+            tree.insert(7, row).unwrap();
+        }
+        let (mut id, mut level) = (tree.root().unwrap(), 0);
+        let leaves = loop {
+            match tree.store.read::<DigitTrieOps>(id).unwrap() {
+                Node::Rows { children, .. } => break children,
+                Node::Inner { entries, .. } => {
+                    let on_path = |e: &&Entry<u8>| tree.ops.consistent(None, &e.pred, &7, level);
+                    id = entries.iter().find(on_path).unwrap().child;
+                    level += 1;
+                }
+                Node::Leaf { .. } => panic!("the pile did not fan out"),
+            }
+        };
+        let mut cursor = tree.search_cursor(7);
+        let (key, first) = cursor.next().unwrap().unwrap();
+        assert_eq!(key, 7);
+        let next = cursor.frontier.stack.last().unwrap().0;
+        assert_eq!(next, leaves[ROW_FANOUT - 2]);
+        let page = next.page;
+        assert_eq!(page, leaves[ROW_FANOUT - 1].page, "suspended mid-run");
+        let records = || {
+            let records =
+                |p: &spgist_storage::Page| p.iter().map(|(s, r)| (s, r.to_vec())).collect();
+            tree.pool().with_page(page, records).unwrap()
+        };
+        let before: Vec<(u16, Vec<u8>)> = records();
+        // More rows under 7 land in those very leaves, growing, moving and
+        // splitting them.  The cursor may see some of the new rows (≥ 5 000)
+        // in leaves it has not reached; it sees every old row once.
+        for row in 5_000..5_300 {
+            tree.insert(7, row).unwrap();
+        }
+        let now = records();
+        assert!(
+            before.iter().any(|r| !now.contains(r)),
+            "page {page} unchanged"
+        );
+        let mut rows: Vec<u64> = cursor.map(|item| item.unwrap().1).collect();
+        rows.push(first);
+        rows.sort_unstable();
+        let old: Vec<u64> = rows.iter().copied().filter(|&r| r < 5_000).collect();
+        assert_eq!(old, [7].into_iter().chain(1_000..1_500).collect::<Vec<_>>());
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "no row twice");
+        tree.insert(8, 8).unwrap();
+        assert_eq!(tree.concurrency_stats().retired_backlog, 0);
+    }
+
+    #[test]
+    fn a_damaged_record_ends_every_reader_in_one_error() {
+        let tree = new_tree();
+        for key in 0..300u32 {
+            tree.insert(key, u64::from(key)).unwrap();
+        }
+        let root = tree.root().unwrap();
+        let node = tree
+            .store
+            .visit(root, AccessHint::Normal, |bytes| Ok(bytes.to_vec()))
+            .unwrap();
+        // The record keeps its own header byte; the node behind it is cut
+        // at every length, or carries an unknown tag.
+        let header = tree
+            .pool()
+            .with_page(root.page, |p| p.get(root.slot).unwrap()[0])
+            .unwrap();
+        let damaged = (0..node.len())
+            .map(|cut| node[..cut].to_vec())
+            .chain([vec![9]]);
+        for bytes in damaged {
+            let record: Vec<u8> = [header].into_iter().chain(bytes).collect();
+            tree.pool()
+                .with_page_mut(root.page, |p| p.update(root.slot, &record))
+                .unwrap()
+                .unwrap();
+            let mut cursor = tree.search_cursor(42);
+            assert!(matches!(cursor.next(), Some(Err(StorageError::Decode(_)))));
+            assert!(cursor.next().is_none(), "one error, then nothing");
+            let mut nn = tree.nn_iter(42);
+            assert!(matches!(nn.next(), Some(Err(StorageError::Decode(_)))));
+            assert!(nn.next().is_none(), "one error, then nothing");
+            assert!(matches!(tree.delete(&42, 42), Err(StorageError::Decode(_))));
+        }
     }
 
     #[test]

@@ -17,6 +17,15 @@ pub trait Codec: Sized {
     /// consumed bytes.
     fn decode(buf: &mut &[u8]) -> StorageResult<Self>;
 
+    /// Decodes a value from the front of `buf` into `self`, advancing `buf`
+    /// and checking exactly as [`Codec::decode`] does; on an error `self` is
+    /// left as it was.  A reader decoding many values of one type keeps one
+    /// and decodes into it: types owning an allocation override this to
+    /// reuse it.
+    fn decode_into(&mut self, buf: &mut &[u8]) -> StorageResult<()> {
+        Self::decode(buf).map(|value| *self = value)
+    }
+
     /// Encodes into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -37,6 +46,7 @@ pub trait Codec: Sized {
     }
 }
 
+#[inline]
 fn take<'a>(buf: &mut &'a [u8], n: usize) -> StorageResult<&'a [u8]> {
     if buf.len() < n {
         return Err(StorageError::Decode(format!(
@@ -49,6 +59,7 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> StorageResult<&'a [u8]> {
     Ok(head)
 }
 
+/// Fixed-width little-endian numbers.
 macro_rules! impl_codec_for_int {
     ($($t:ty),*) => {
         $(
@@ -56,6 +67,7 @@ macro_rules! impl_codec_for_int {
                 fn encode(&self, out: &mut Vec<u8>) {
                     out.extend_from_slice(&self.to_le_bytes());
                 }
+                #[inline]
                 fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
                     let bytes = take(buf, std::mem::size_of::<$t>())?;
                     Ok(<$t>::from_le_bytes(bytes.try_into().expect("length checked")))
@@ -65,19 +77,7 @@ macro_rules! impl_codec_for_int {
     };
 }
 
-impl_codec_for_int!(u8, u16, u32, u64, i32, i64);
-
-impl Codec for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
-        let bytes = take(buf, 8)?;
-        Ok(f64::from_le_bytes(
-            bytes.try_into().expect("length checked"),
-        ))
-    }
-}
+impl_codec_for_int!(u8, u16, u32, u64, i32, i64, f64);
 
 impl Codec for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -93,12 +93,26 @@ impl Codec for String {
         (self.len() as u32).encode(out);
         out.extend_from_slice(self.as_bytes());
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
-        let len = u32::decode(buf)? as usize;
-        let bytes = take(buf, len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| StorageError::Decode(format!("invalid utf-8 string: {e}")))
+        take_str(buf).map(str::to_owned)
     }
+    #[inline]
+    fn decode_into(&mut self, buf: &mut &[u8]) -> StorageResult<()> {
+        let text = take_str(buf)?;
+        self.clear();
+        self.push_str(text);
+        Ok(())
+    }
+}
+
+/// A length-prefixed, UTF-8-validated string borrowed from the front of
+/// `buf`.
+#[inline]
+fn take_str<'a>(buf: &mut &'a [u8]) -> StorageResult<&'a str> {
+    let len = u32::decode(buf)? as usize;
+    std::str::from_utf8(take(buf, len)?)
+        .map_err(|e| StorageError::Decode(format!("invalid utf-8 string: {e}")))
 }
 
 impl<T: Codec> Codec for Option<T> {
@@ -112,11 +126,17 @@ impl<T: Codec> Codec for Option<T> {
         }
     }
     fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
-        match take(buf, 1)?[0] {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(buf)?)),
-            tag => Err(StorageError::Decode(format!("invalid Option tag {tag}"))),
+        let mut value = None;
+        value.decode_into(buf).map(|()| value)
+    }
+    fn decode_into(&mut self, buf: &mut &[u8]) -> StorageResult<()> {
+        match (take(buf, 1)?[0], self.as_mut()) {
+            (0, _) => *self = None,
+            (1, Some(value)) => value.decode_into(buf)?,
+            (1, None) => *self = Some(T::decode(buf)?),
+            (tag, _) => return Err(StorageError::Decode(format!("invalid Option tag {tag}"))),
         }
+        Ok(())
     }
 }
 
@@ -139,7 +159,10 @@ impl<T: Codec> Codec for Vec<T> {
     }
     fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
         let len = u32::decode(buf)? as usize;
-        let mut items = Vec::with_capacity(len.min(1 << 16));
+        // A stored length is a claim, not a fact: reserve no more memory
+        // than bytes remain, so a lying length runs dry with a `Decode`
+        // error before it costs an allocation.
+        let mut items = Vec::with_capacity(len.min(buf.len() / std::mem::size_of::<T>().max(1)));
         for _ in 0..len {
             items.push(T::decode(buf)?);
         }
@@ -215,6 +238,61 @@ mod tests {
     #[test]
     fn invalid_option_tag_is_an_error() {
         assert!(Option::<u32>::from_bytes(&[7]).is_err());
+    }
+
+    #[test]
+    fn decode_into_matches_decode_and_reuses_the_slot() {
+        let mut slot = String::with_capacity(64);
+        let before = slot.as_ptr();
+        let mut buf = String::from("trie").to_bytes();
+        buf.extend(String::from("suffix").to_bytes());
+        let mut cursor = buf.as_slice();
+        slot.decode_into(&mut cursor).unwrap();
+        assert_eq!(slot, "trie");
+        slot.decode_into(&mut cursor).unwrap();
+        assert_eq!(slot, "suffix");
+        assert!(cursor.is_empty());
+        assert_eq!(slot.as_ptr(), before, "the allocation is reused");
+
+        let mut option = Some(String::from("kept"));
+        option
+            .decode_into(&mut &Some(String::from("x")).to_bytes()[..])
+            .unwrap();
+        assert_eq!(option.as_deref(), Some("x"));
+        option.decode_into(&mut &[0u8][..]).unwrap();
+        assert_eq!(option, None);
+        option
+            .decode_into(&mut &Some(String::from("y")).to_bytes()[..])
+            .unwrap();
+        assert_eq!(option.as_deref(), Some("y"));
+
+        // A failed decode leaves the slot untouched and reports `Decode`.
+        let mut bad = Vec::new();
+        2u32.encode(&mut bad);
+        bad.extend_from_slice(&[0xff, 0xfe]);
+        assert!(matches!(
+            slot.decode_into(&mut bad.as_slice()),
+            Err(StorageError::Decode(_))
+        ));
+        assert_eq!(slot, "suffix");
+        assert!(option.decode_into(&mut &[7u8][..]).is_err());
+        assert_eq!(option.as_deref(), Some("y"));
+    }
+
+    #[test]
+    fn lying_vec_length_is_a_decode_error_bounded_by_the_bytes_left() {
+        // Four billion 32-byte items claimed, one present: the reservation
+        // follows the bytes left, and the loop runs dry with `Decode`.
+        let mut bytes = vec![0xFF; 4];
+        (String::from("a"), 1u64).encode(&mut bytes);
+        assert!(matches!(
+            Vec::<(String, u64)>::from_bytes(&bytes),
+            Err(StorageError::Decode(_))
+        ));
+        assert!(matches!(
+            Vec::<u64>::from_bytes(&[0xFF, 0xFF, 0xFF, 0xFF]),
+            Err(StorageError::Decode(_))
+        ));
     }
 
     #[test]

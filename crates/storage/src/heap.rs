@@ -35,6 +35,7 @@ impl Codec for RecordId {
         self.page.encode(out);
         self.slot.encode(out);
     }
+    #[inline]
     fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
         Ok(RecordId {
             page: PageId::decode(buf)?,
