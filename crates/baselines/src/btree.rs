@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use spgist_core::RowId;
+use spgist_storage::codec::{put_varint, take_bytes, take_len, take_varint};
 use spgist_storage::{BufferPool, Codec, PageId, StorageError, StorageResult};
 
 use spgist_indexes::query::regex_matches;
@@ -40,29 +41,32 @@ enum BNode {
 const TAG_INTERNAL: u8 = 0;
 const TAG_LEAF: u8 = 1;
 
+/// A node encodes as its tag, then counts, key lengths and row ids as
+/// varints — the length encoding of the SP-GiST nodes it is compared with —
+/// and child and sibling page ids fixed-width.
 impl BNode {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
         match self {
             BNode::Internal { keys, children } => {
                 out.push(TAG_INTERNAL);
-                (keys.len() as u32).encode(&mut out);
+                put_varint(&mut out, keys.len() as u64);
                 for key in keys {
-                    (key.len() as u32).encode(&mut out);
+                    put_varint(&mut out, key.len() as u64);
                     out.extend_from_slice(key);
                 }
-                (children.len() as u32).encode(&mut out);
+                put_varint(&mut out, children.len() as u64);
                 for child in children {
                     child.encode(&mut out);
                 }
             }
             BNode::Leaf { items, next } => {
                 out.push(TAG_LEAF);
-                (items.len() as u32).encode(&mut out);
+                put_varint(&mut out, items.len() as u64);
                 for (key, row) in items {
-                    (key.len() as u32).encode(&mut out);
+                    put_varint(&mut out, key.len() as u64);
                     out.extend_from_slice(key);
-                    row.encode(&mut out);
+                    put_varint(&mut out, *row);
                 }
                 next.encode(&mut out);
             }
@@ -75,17 +79,12 @@ impl BNode {
         let tag = u8::decode(&mut buf)?;
         match tag {
             TAG_INTERNAL => {
-                let n = u32::decode(&mut buf)? as usize;
+                let n = take_len(&mut buf)?;
                 let mut keys = Vec::with_capacity(n.min(buf.len()));
                 for _ in 0..n {
-                    let len = u32::decode(&mut buf)? as usize;
-                    if buf.len() < len {
-                        return Err(StorageError::Decode("truncated b-tree key".into()));
-                    }
-                    keys.push(buf[..len].to_vec());
-                    buf = &buf[len..];
+                    keys.push(take_bytes(&mut buf)?.to_vec());
                 }
-                let c = u32::decode(&mut buf)? as usize;
+                let c = take_len(&mut buf)?;
                 let mut children = Vec::with_capacity(c.min(buf.len()));
                 for _ in 0..c {
                     children.push(PageId::decode(&mut buf)?);
@@ -93,17 +92,11 @@ impl BNode {
                 Ok(BNode::Internal { keys, children })
             }
             TAG_LEAF => {
-                let n = u32::decode(&mut buf)? as usize;
+                let n = take_len(&mut buf)?;
                 let mut items = Vec::with_capacity(n.min(buf.len()));
                 for _ in 0..n {
-                    let len = u32::decode(&mut buf)? as usize;
-                    if buf.len() < len {
-                        return Err(StorageError::Decode("truncated b-tree item".into()));
-                    }
-                    let key = buf[..len].to_vec();
-                    buf = &buf[len..];
-                    let row = RowId::decode(&mut buf)?;
-                    items.push((key, row));
+                    let key = take_bytes(&mut buf)?.to_vec();
+                    items.push((key, take_varint(&mut buf)?));
                 }
                 let next = Option::<PageId>::decode(&mut buf)?;
                 Ok(BNode::Leaf { items, next })
@@ -450,12 +443,16 @@ mod tests {
 
     #[test]
     fn lying_lengths_are_decode_errors_not_allocations() {
+        // 4 G keys or items claimed (the varint of `u32::MAX`), none there.
         for tag in [TAG_INTERNAL, TAG_LEAF] {
-            assert!(BNode::decode(&[tag, 0xFF, 0xFF, 0xFF, 0xFF]).is_err());
+            assert!(BNode::decode(&[tag, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]).is_err());
         }
         // No keys, then a child count that lies.
-        let lying_children = [TAG_INTERNAL, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF];
+        let lying_children = [TAG_INTERNAL, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
         assert!(BNode::decode(&lying_children).is_err());
+        // One key whose length lies.
+        let lying_key = [TAG_LEAF, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, b'a'];
+        assert!(BNode::decode(&lying_key).is_err());
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //! owned-page list) — everything `Database::open` needs to reconstruct the
 //! executor state with **zero rebuild scans**.
 //!
-//! # Format v3: a root page plus per-table chunked segments
+//! # Format v4: a root page plus per-table chunked segments
 //!
 //! Earlier formats stored the whole catalog as one blob chained across
 //! pages, so every checkpoint rewrote O(rows) bytes no matter how little
-//! changed.  v3 splits the catalog into independently rewritable pieces,
+//! changed.  v3 split the catalog into independently rewritable pieces
+//! (v4 keeps the pieces and writes their lengths as varints),
 //! each a self-describing [`CatalogChunk`] stored in its own **segment** (a
 //! chain of pages, one record per page: `[next: PageId][fragment]`):
 //!
@@ -65,8 +66,13 @@ pub const CATALOG_MAGIC: u32 = 0x5350_4743;
 /// Catalog format version.  Bumping it breaks open compatibility on purpose
 /// (the meta-v1 policy: no migrations, old files fail with `Corrupt`).
 /// v2 added `checkpoint_lsn` for WAL recovery; v3 split the catalog into a
-/// root page plus per-table chunked segments for incremental checkpoints.
-pub const CATALOG_VERSION: u8 = 3;
+/// root page plus per-table chunked segments for incremental checkpoints;
+/// v4 writes every string and vector length as a varint.  Tree nodes, tree
+/// meta records and heap records carry no version byte of their own, so
+/// this one guards them too: v4 is also the node format with varint counts
+/// and row ids, suffix-tree leaves holding rests, and the persisted
+/// page-height hint.
+pub const CATALOG_VERSION: u8 = 4;
 
 /// Chain terminator for segment continuation pointers.
 const CHAIN_END: PageId = PageId::MAX;
@@ -941,14 +947,17 @@ mod tests {
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(decode_chunk(&bad), Err(StorageError::Corrupt(_))));
-        // A v2 catalog: same magic, version byte 2.
-        let mut v2 = good.clone();
-        v2[4] = 2;
-        match decode_chunk(&v2) {
-            Err(StorageError::Corrupt(msg)) => {
-                assert!(msg.contains("unsupported catalog version 2"), "{msg}")
+        // Older catalogs: same magic, version byte 2 or 3.
+        for version in [2, 3] {
+            let mut old = good.clone();
+            old[4] = version;
+            match decode_chunk(&old) {
+                Err(StorageError::Corrupt(msg)) => assert!(
+                    msg.contains(&format!("unsupported catalog version {version}")),
+                    "{msg}"
+                ),
+                other => panic!("v{version} must be Corrupt, got {other:?}"),
             }
-            other => panic!("v2 must be Corrupt, got {other:?}"),
         }
         // Unknown tag.
         let mut tag = good.clone();
@@ -1048,9 +1057,10 @@ mod tests {
     #[test]
     fn lying_directory_lengths_are_corrupt_not_reserved() {
         // A metadata chunk can list as many chunk pointers as its lengths
-        // claim and still lie about what they hold: 50 000 pointers "cover"
-        // 50 M rows or 75 M heap ids (~0.6 GB were the claim reserved).  The
-        // read ends in `Corrupt` at the first short chunk.
+        // claim and still lie about what they hold: 50 000 pointers (behind
+        // a three-byte varint count) "cover" 50 M rows or 75 M heap ids
+        // (~0.6 GB were the claim reserved).  The read ends in `Corrupt` at
+        // the first short chunk.
         let pool = BufferPool::in_memory();
         let root = pool.allocate_page().unwrap();
         let mut layout = CatalogLayout::new_at_root(root);
@@ -1065,17 +1075,22 @@ mod tests {
         let mut rows_lie = honest.clone();
         rows_lie.rows_len = chunks as u64 * ROWS_PER_CHUNK;
         rows_lie.row_chunks = vec![honest.row_chunks[0]; chunks];
-        let mut heap_lie = honest;
+        let mut heap_lie = honest.clone();
         heap_lie.heap_len = (chunks * HEAP_IDS_PER_CHUNK) as u64;
         heap_lie.heap_chunks = vec![heap_lie.heap_chunks[0]; chunks];
-        for lie in [rows_lie, heap_lie] {
+        // And the varint in front of the row-chunk list claiming 4 G
+        // pointers, one present: the header, the name, the key type and
+        // four counters come first.
+        let honest = encode_chunk(&CatalogChunk::TableMeta(honest));
+        let at = 6 + 1 + "t".len() + 1 + 4 * 8;
+        assert_eq!(honest[at], 1, "one row chunk");
+        let four_g = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        let vec_lie = [&honest[..at], &four_g, &honest[at + 1..]].concat();
+        let [rows_lie, heap_lie] =
+            [rows_lie, heap_lie].map(|lie| encode_chunk(&CatalogChunk::TableMeta(lie)));
+        for lie in [rows_lie, heap_lie, vec_lie] {
             let mut pages = table.meta_pages.clone();
-            write_segment(
-                &pool,
-                &mut pages,
-                &encode_chunk(&CatalogChunk::TableMeta(lie)),
-            )
-            .unwrap();
+            write_segment(&pool, &mut pages, &lie).unwrap();
             assert!(matches!(read_catalog(&pool), Err(StorageError::Corrupt(_))));
         }
     }

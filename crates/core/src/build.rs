@@ -177,8 +177,10 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
 
         let mut entries = Vec::with_capacity(kept.len());
         for (pred, members) in kept {
-            let part_items: Vec<(O::Key, RowId)> =
-                members.iter().map(|&idx| items[idx].clone()).collect();
+            let part_items: Vec<(O::Key, RowId)> = members
+                .iter()
+                .map(|&idx| (self.ops.leaf_key(&items[idx].0, delta), items[idx].1))
+                .collect();
             let child_ctx = self.ops.child_context(ctx, prefix.as_ref(), &pred, level);
             let child = self.build_partition(below, part_items, level + delta, &child_ctx)?;
             entries.push(Entry { pred, child });

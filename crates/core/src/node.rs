@@ -15,7 +15,17 @@
 //! subtree is an unordered bag — searches visit every child and filter at
 //! the leaves — while an insert or delete of one `(key, row)` follows the
 //! row to one small leaf.
+//!
+//! A node's record is its kind tag, then what it holds and no wider: a
+//! leaf's item count and each row id are varints (`codec::put_varint`), as
+//! are an inner node's entry count and every string length the keys and
+//! predicates write; a child pointer is a fixed 6-byte [`NodeId`], so
+//! rewriting one in place ([`crate::NodeStore::patch`]) never resizes a
+//! record.  What a leaf stores of a key is the class's choice
+//! ([`SpGistOps::leaf_key`]): the suffix tree keeps only what the path has
+//! not spelled.
 
+use spgist_storage::codec::{put_varint, take_len, take_varint};
 use spgist_storage::{Codec, RecordId, StorageError, StorageResult};
 
 use crate::ops::SpGistOps;
@@ -160,13 +170,12 @@ impl<O: SpGistOps> Node<O> {
         if items.len() < 2 || shift >= RowId::BITS {
             return false;
         }
-        // The leaf header, then items only until the budget is passed: a
-        // 50 000-row pile answers after the first hundred.
+        // The leaf's own encoding, stopped once the budget is passed: a
+        // 50 000-row pile answers after the first few hundred items.
         let mut bytes = Vec::with_capacity(2 * ROW_SPLIT_BYTES);
-        encode_leaf(&items[..0], &mut bytes);
-        items.iter().any(|(key, rid)| {
-            key.encode(&mut bytes);
-            rid.encode(&mut bytes);
+        leaf_header(items.len(), &mut bytes);
+        items.iter().any(|item| {
+            encode_item(item, &mut bytes);
             bytes.len() > ROW_SPLIT_BYTES
         })
     }
@@ -186,7 +195,7 @@ impl<O: SpGistOps> Node<O> {
             Node::Inner { prefix, entries } => {
                 out.push(TAG_INNER);
                 prefix.encode(&mut out);
-                (entries.len() as u32).encode(&mut out);
+                put_varint(&mut out, entries.len() as u64);
                 for entry in entries {
                     entry.pred.encode(&mut out);
                     entry.child.encode(&mut out);
@@ -299,17 +308,17 @@ pub fn walk<O: SpGistOps>(
     let buf = &mut bytes;
     match u8::decode(buf)? {
         TAG_LEAF => {
-            let len = u32::decode(buf)? as usize;
+            let len = take_len(buf)?;
             let (mut more, mut idx) = (visit(Part::Leaf(len)), 0);
             while more && idx < len {
                 decode_slot(&mut slots.2, buf)?;
-                more = visit(Part::Item(idx, Lent(&mut slots.2), RowId::decode(buf)?));
+                more = visit(Part::Item(idx, Lent(&mut slots.2), take_varint(buf)?));
                 idx += 1;
             }
         }
         TAG_INNER => {
             slots.0.decode_into(buf)?;
-            let (prefix, len) = (slots.0.as_ref(), u32::decode(buf)? as usize);
+            let (prefix, len) = (slots.0.as_ref(), take_len(buf)?);
             let (mut more, mut idx) = (visit(Part::Inner(prefix, len)), 0);
             while more && idx < len {
                 let pred = decode_slot(&mut slots.1, buf)?;
@@ -330,13 +339,24 @@ pub fn walk<O: SpGistOps>(
     Ok(())
 }
 
+/// A leaf: its header, then every item.
 fn encode_leaf<K: Codec>(items: &[(K, RowId)], out: &mut Vec<u8>) {
-    out.push(TAG_LEAF);
-    (items.len() as u32).encode(out);
-    for (key, rid) in items {
-        key.encode(out);
-        rid.encode(out);
+    leaf_header(items.len(), out);
+    for item in items {
+        encode_item(item, out);
     }
+}
+
+/// The tag and the varint item count.
+fn leaf_header(len: usize, out: &mut Vec<u8>) {
+    out.push(TAG_LEAF);
+    put_varint(out, len as u64);
+}
+
+/// One `(key, row)` item: the key, then the row id as a varint.
+fn encode_item<K: Codec>((key, row): &(K, RowId), out: &mut Vec<u8>) {
+    key.encode(out);
+    put_varint(out, *row);
 }
 
 #[cfg(test)]
@@ -399,30 +419,38 @@ mod tests {
 
     #[test]
     fn lying_lengths_are_decode_errors_not_allocations() {
-        // One flipped length field claims 4 G items.  The reservation is
-        // bounded by the bytes that remain, so the loop runs dry and
-        // reports it instead of aborting on a 100 GB allocation.
-        assert!(TestNode::decode(&[TAG_LEAF, 0xFF, 0xFF, 0xFF, 0xFF]).is_err());
-        let empty: TestNode = Node::Inner {
-            prefix: None,
-            entries: Vec::new(),
-        };
-        let mut inner = empty.encode();
-        let len_at = inner.len() - 4;
-        inner[len_at..].fill(0xFF);
-        assert!(TestNode::decode(&inner).is_err());
+        // A count of 4 G items or entries (the varint of `u32::MAX`).  The
+        // reservation is bounded by the bytes that remain, so the loop runs
+        // dry and reports it instead of aborting on a 100 GB allocation.
+        let four_g = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        let leaf = [&[TAG_LEAF][..], &four_g].concat();
+        // An inner node: tag, no prefix, the count.
+        let inner = [&[TAG_INNER, 0][..], &four_g].concat();
+        // One past `u32::MAX` is no count at all.
+        let too_many = [TAG_LEAF, 0x80, 0x80, 0x80, 0x80, 0x10];
+        for bytes in [&leaf[..], &inner, &too_many] {
+            assert!(matches!(
+                TestNode::decode(bytes),
+                Err(StorageError::Decode(_))
+            ));
+        }
     }
 
     #[test]
     fn maximal_valid_leaf_roundtrips() {
-        // The largest leaf a page can hold: 5 bytes of header + 12 per item.
-        let fits = (spgist_storage::PAGE_SIZE as u64 - 5) / 12;
-        let node: TestNode = Node::Leaf {
-            items: (0..fits).map(|row| (row as u32, row)).collect(),
+        // The largest leaf a page can hold: a tag and a two-byte count, then
+        // a 4-byte key and a varint row id per item — one byte for rows
+        // below 128, two up to 16 383.
+        let fits = 128 + (spgist_storage::PAGE_SIZE as u64 - 3 - 128 * 5) / 6;
+        let leaf = |n: u64| -> TestNode {
+            Node::Leaf {
+                items: (0..n).map(|row| (row as u32, row)).collect(),
+            }
         };
-        let bytes = node.encode();
+        let bytes = leaf(fits).encode();
         assert!(bytes.len() <= spgist_storage::PAGE_SIZE);
-        assert_eq!(TestNode::decode(&bytes).unwrap(), node);
+        assert!(leaf(fits + 1).encode().len() > spgist_storage::PAGE_SIZE);
+        assert_eq!(TestNode::decode(&bytes).unwrap(), leaf(fits));
     }
 
     #[test]
@@ -440,8 +468,11 @@ mod tests {
     #[test]
     fn only_a_leaf_past_the_budget_with_rows_left_outgrows() {
         let pile = |n: u64| (0..n).map(|row| (7u32, row)).collect::<Vec<_>>();
-        // 5 bytes of header + 12 per item.
-        let fits = (ROW_SPLIT_BYTES as u64 - 5) / 12;
+        // A tag and a two-byte count, then 5 bytes per item while the row id
+        // takes one byte (rows below 128) and 6 once it takes two.
+        let fits = 128 + (ROW_SPLIT_BYTES as u64 - 3 - 128 * 5) / 6;
+        let leaf = |n| TestNode::Leaf { items: pile(n) }.encode().len();
+        assert!(leaf(fits) <= ROW_SPLIT_BYTES && leaf(fits + 1) > ROW_SPLIT_BYTES);
         assert!(!TestNode::outgrows_leaf(&pile(fits), 0));
         assert!(TestNode::outgrows_leaf(&pile(fits + 1), 0));
         assert!(!TestNode::outgrows_leaf(&pile(fits + 1), RowId::BITS));

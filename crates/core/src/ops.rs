@@ -174,8 +174,24 @@ pub trait SpGistOps {
         true
     }
 
-    /// Does the stored `key` satisfy `query`?
+    /// Does the stored `key` satisfy `query`?  `key` is what the leaf at
+    /// depth `level` holds: [`SpGistOps::leaf_key`] of the inserted key.
     fn leaf_consistent(&self, key: &Self::Key, query: &Self::Query, level: u32) -> bool;
+
+    /// What a leaf keeps of `key` once the path above it has spelled
+    /// `consumed` more decomposition levels — PostgreSQL's text class keeps
+    /// only the part of a string its path has not spelled.  The internal
+    /// methods call it wherever an item moves down: with the leaf's level
+    /// when an insert stores a key, and with the levels a split or a bulk
+    /// build step descends (`descend_levels`) for each partition's items,
+    /// which are already what their leaf kept.  Row nodes and prefix splits
+    /// move no item to another level.  `leaf_consistent` must then answer
+    /// for what was kept, and `picksplit` decompose it.  Defaults to the
+    /// whole key, so a class that overrides nothing stores what it inserts.
+    fn leaf_key(&self, key: &Self::Key, consumed: u32) -> Self::Key {
+        let _ = consumed;
+        key.clone()
+    }
 
     /// Number of decomposition levels consumed when descending from a node
     /// with `prefix` into one of its children.  `1` for plain trees; tries

@@ -729,8 +729,9 @@ mod tests {
     #[test]
     fn oversized_nodes_spill_across_a_record_chain() {
         let store = store();
-        // ~40 KB of items: several continuation records.
-        let huge = leaf(3500);
+        // ~36 KB of items (six bytes each past row 127): several
+        // continuation records.
+        let huge = leaf(6000);
         assert!(
             huge.encode().len() > 4 * PAGE_SIZE,
             "test node must be oversized"
@@ -740,7 +741,7 @@ mod tests {
         assert_eq!(read, huge);
 
         // Growing and shrinking the chained node keeps it readable.
-        let bigger = leaf(4000);
+        let bigger = leaf(7000);
         let id = update_retiring(&store, id, &bigger);
         assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), bigger);
         let small = leaf(2);

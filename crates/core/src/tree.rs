@@ -83,8 +83,8 @@ pub struct SpGistTree<O: SpGistOps> {
     root_cell: AtomicU64,
     item_count: AtomicU64,
     /// The planner's page-height hint: a high-water mark of the pages on any
-    /// root-to-leaf path, kept current by writers; 0 = not yet measured (see
-    /// [`SpGistTree::planner_stats`]).  Not persisted.
+    /// root-to-leaf path, kept current by writers and persisted with the
+    /// root (see [`SpGistTree::planner_stats`]); 0 only for an empty tree.
     page_height: AtomicU32,
     /// Serializes root-pointer flips, count updates and meta-page writes.
     meta_lock: Mutex<()>,
@@ -126,7 +126,7 @@ impl<O: SpGistOps> SpGistTree<O> {
         let store = NodeStore::new(Arc::clone(&pool));
         let meta_page = pool.allocate_page()?;
         // Reserve slot 0 of the meta page for the tree descriptor.
-        pool.with_page_mut(meta_page, |p| p.insert(&encode_meta(None, 0)))??;
+        pool.with_page_mut(meta_page, |p| p.insert(&encode_meta(None, 0, 0)))??;
         Ok(SpGistTree {
             ops,
             store,
@@ -162,14 +162,14 @@ impl<O: SpGistOps> SpGistTree<O> {
         }
         let store = NodeStore::with_pages(Arc::clone(&pool), pages);
         let bytes = pool.with_page(meta_page, |p| p.get(0).map(<[u8]>::to_vec))??;
-        let (root, item_count) = decode_meta(&bytes)?;
+        let (root, item_count, page_height) = decode_meta(&bytes)?;
         Ok(SpGistTree {
             ops,
             store,
             meta_page,
             root_cell: AtomicU64::new(pack_root(root)),
             item_count: AtomicU64::new(item_count),
-            page_height: AtomicU32::new(0),
+            page_height: AtomicU32::new(page_height),
             meta_lock: Mutex::new(()),
             latches: LatchTable::new(),
             write_gate: RwLock::new(()),
@@ -277,7 +277,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                         continue; // another writer created the root first
                     }
                     let leaf = Node::<O>::Leaf {
-                        items: vec![(key.clone(), row)],
+                        items: vec![(self.ops.leaf_key(key, 0), row)],
                     };
                     let id = self.store.allocate(&leaf, Some(self.meta_page))?;
                     // In memory only: the caller's one meta write persists the
@@ -386,7 +386,7 @@ impl<O: SpGistOps> SpGistTree<O> {
         match node {
             Node::Leaf { mut items } => {
                 let cfg = self.ops.config();
-                items.push((key.clone(), row));
+                items.push((self.ops.leaf_key(key, level), row));
                 // Keys have a say only above row nodes and past the bucket.
                 let overfull = rows.is_none() && items.len() > cfg.bucket_size;
                 if overfull && level < cfg.resolution {
@@ -443,9 +443,9 @@ impl<O: SpGistOps> SpGistTree<O> {
             }
             Node::Inner { prefix, entries } => {
                 let preds: Vec<O::Pred> = entries.iter().map(|e| e.pred.clone()).collect();
+                let delta = self.ops.descend_levels(prefix.as_ref());
                 match self.ops.choose(prefix.as_ref(), &preds, key, level) {
                     Choose::Descend(indices) => {
-                        let delta = self.ops.descend_levels(prefix.as_ref());
                         // Crab step: this node is where the descent continues,
                         // so no ancestor can be affected anymore — release
                         // them and let writers in other subtrees through.  A
@@ -520,7 +520,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                     }
                     Choose::AddEntry(pred) => {
                         let leaf = Node::<O>::Leaf {
-                            items: vec![(key.clone(), row)],
+                            items: vec![(self.ops.leaf_key(key, level + delta), row)],
                         };
                         let child = self.store.allocate(&leaf, Some(node_id.page))?;
                         let mut entries = entries;
@@ -602,8 +602,10 @@ impl<O: SpGistOps> SpGistTree<O> {
             if indices.is_empty() && cfg.node_shrink == NodeShrink::OmitEmpty {
                 continue;
             }
-            let part_items: Vec<(O::Key, RowId)> =
-                indices.iter().map(|&i| items[i].clone()).collect();
+            let part_items: Vec<(O::Key, RowId)> = indices
+                .iter()
+                .map(|&i| (self.ops.leaf_key(&items[i].0, delta), items[i].1))
+                .collect();
             let child_ctx = self.ops.child_context(ctx, prefix.as_ref(), &pred, level);
             let child = self.build_subtree(near, part_items, level + delta, &child_ctx)?;
             entries.push(Entry { pred, child });
@@ -893,12 +895,12 @@ impl<O: SpGistOps> SpGistTree<O> {
         self.store.set_access_hint(AccessHint::Scan);
         let result = Self::repack_group(&self.store, root);
         self.store.set_access_hint(AccessHint::Normal);
-        let new_root = result?;
+        let (new_root, height) = result?;
         {
             let _meta = self.meta_lock.lock();
             self.set_root(Some(new_root));
-            // Every path moved: the next planner read measures the new layout.
-            self.page_height.store(0, Ordering::Relaxed);
+            // Every path moved: the hint is the height of the new layout.
+            self.page_height.store(height, Ordering::Relaxed);
             self.write_meta_locked()?;
         }
         self.store.finish_repack(&old_pages);
@@ -907,8 +909,10 @@ impl<O: SpGistOps> SpGistTree<O> {
 
     /// Packs the subtree rooted at `old_root` into one fresh page (breadth
     /// first, as many nodes as fit) and recursively packs the subtrees that
-    /// spill over.  Returns the new address of the subtree root.
-    fn repack_group(store: &NodeStore, old_root: NodeId) -> StorageResult<NodeId> {
+    /// spill over.  Returns the new address of the subtree root and the
+    /// pages on the longest path down from it: this page, plus the highest
+    /// of the spilled subtrees, each on fresh pages of its own.
+    fn repack_group(store: &NodeStore, old_root: NodeId) -> StorageResult<(NodeId, u32)> {
         use std::collections::{HashMap, VecDeque};
 
         // Phase 1: breadth-first selection of the nodes this page will hold.
@@ -945,6 +949,7 @@ impl<O: SpGistOps> SpGistTree<O> {
         for (_, node) in &group {
             new_ids.push(store.allocate_in_page(node, page)?);
         }
+        let mut below = 0;
         for (idx, (_, node)) in group.iter_mut().enumerate() {
             if node.is_leaf() {
                 continue;
@@ -952,12 +957,16 @@ impl<O: SpGistOps> SpGistTree<O> {
             for child in node.children_mut() {
                 *child = match in_group.get(child) {
                     Some(&member) => new_ids[member],
-                    None => Self::repack_group(store, *child)?,
+                    None => {
+                        let (id, pages) = Self::repack_group(store, *child)?;
+                        below = below.max(pages);
+                        id
+                    }
                 };
             }
             store.patch(new_ids[idx], node)?;
         }
-        Ok(new_ids[0])
+        Ok((new_ids[0], 1 + below))
     }
 
     // ------------------------------------------------------------------
@@ -979,36 +988,26 @@ impl<O: SpGistOps> SpGistTree<O> {
         Ok(stats)
     }
 
-    /// The planner's `(pages, page_height)` view of the tree, an O(1) read:
-    /// `pages` is the node store's page count and `page_height` a high-water
-    /// mark that writers keep current.  [`SpGistTree::bulk_build`] stores the
-    /// height it accumulated and every insert raises the mark to the length
-    /// of the path it wrote; deletes never restructure, so the mark loses
-    /// nothing to them.  Only the first read after opening or repacking a
-    /// tree measures (one latch-free walk, no utilization sweep).  Exact
-    /// except that an inner node relocating to another page shifts its
-    /// *sibling* paths by one page until a write walks them;
-    /// [`SpGistTree::stats`] stays exact.  An empty tree reports height 0.
+    /// The planner's `(pages, page_height)` view of the tree, an O(1) read
+    /// that touches no page: `pages` is the node store's page count and
+    /// `page_height` a high-water mark that writers keep current and persist
+    /// with the root.  [`SpGistTree::bulk_build`] and [`SpGistTree::repack`]
+    /// store the height of the layout they wrote, and every insert raises
+    /// the mark to the length of the path it wrote; deletes never
+    /// restructure, so the mark loses nothing to them.  Exact except that an
+    /// inner node relocating to another page shifts its *sibling* paths by
+    /// one page until a write walks them; [`SpGistTree::stats`] stays exact.
+    /// Only an empty tree reports height 0.
     pub fn planner_stats(&self) -> StorageResult<(u64, u32)> {
-        let mut height = self.page_height.load(Ordering::Relaxed);
-        if height == 0 {
-            let _pin = self.store.pin();
-            if let Some(root) = self.root() {
-                let measured = self.walk(root, None, 0, &mut TreeStats::default())?;
-                // Writers leave an unmeasured hint alone, so what this meets
-                // is 0 or another reader's measurement (since raised, maybe).
-                height = measured.max(self.page_height.fetch_max(measured, Ordering::Relaxed));
-            }
-        }
+        let height = self.page_height.load(Ordering::Relaxed);
         Ok((self.store.page_count() as u64, height))
     }
 
     /// Raises the page-height hint to `pages`, the length of a path an
-    /// insert just wrote.  An unmeasured hint (0) stays unmeasured: one path
-    /// says nothing about the others, the first planner read walks them all.
-    /// Most inserts lengthen nothing and only load the shared word.
+    /// insert just wrote.  Most inserts lengthen nothing and only load the
+    /// shared word.
     fn note_height(&self, pages: u32) {
-        if (1..pages).contains(&self.page_height.load(Ordering::Relaxed)) {
+        if self.page_height.load(Ordering::Relaxed) < pages {
             self.page_height.fetch_max(pages, Ordering::Relaxed);
         }
     }
@@ -1080,7 +1079,8 @@ impl<O: SpGistOps> SpGistTree<O> {
 
     /// Writes the meta record; the caller holds `meta_lock`.
     fn write_meta_locked(&self) -> StorageResult<()> {
-        let bytes = encode_meta(self.root(), self.len());
+        let height = self.page_height.load(Ordering::Relaxed);
+        let bytes = encode_meta(self.root(), self.len(), height);
         self.store
             .pool()
             .with_page_mut(self.meta_page, |p| p.update(0, &bytes))??;
@@ -1267,9 +1267,10 @@ impl<O: SpGistOps> std::fmt::Debug for SpGistTree<O> {
     }
 }
 
-/// Fixed-size meta record: root presence flag, root address, item count.
-fn encode_meta(root: Option<NodeId>, item_count: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(15);
+/// Fixed-size meta record: root presence flag, root address, item count,
+/// page-height hint.
+fn encode_meta(root: Option<NodeId>, item_count: u64, page_height: u32) -> Vec<u8> {
+    let mut out = Vec::with_capacity(19);
     match root {
         Some(id) => {
             out.push(1);
@@ -1283,21 +1284,25 @@ fn encode_meta(root: Option<NodeId>, item_count: u64) -> Vec<u8> {
         }
     }
     item_count.encode(&mut out);
+    page_height.encode(&mut out);
     out
 }
 
-fn decode_meta(bytes: &[u8]) -> StorageResult<(Option<NodeId>, u64)> {
+fn decode_meta(bytes: &[u8]) -> StorageResult<(Option<NodeId>, u64, u32)> {
     let mut buf = bytes;
     let flag = u8::decode(&mut buf)?;
     let page = u32::decode(&mut buf)?;
     let slot = u16::decode(&mut buf)?;
     let count = u64::decode(&mut buf)?;
-    let root = match (flag, page, slot) {
-        (1, page, slot) => Some(NodeId::new(page, slot)),
-        (0, 0, 0) => None,
+    let height = u32::decode(&mut buf)?;
+    // A tree has a page height exactly when it has a root.
+    let root = match (flag, page, slot, height) {
+        (1, page, slot, 1..) => Some(NodeId::new(page, slot)),
+        (0, 0, 0, 0) => None,
         _ => {
             return Err(StorageError::Corrupt(format!(
-                "tree meta record has root flag {flag} with address {page}:{slot}"
+                "tree meta record has root flag {flag} with address {page}:{slot} \
+                 and page height {height}"
             )))
         }
     };
@@ -1307,7 +1312,7 @@ fn decode_meta(bytes: &[u8]) -> StorageResult<(Option<NodeId>, u64)> {
             buf.len()
         )));
     }
-    Ok((root, count))
+    Ok((root, count, height))
 }
 
 #[cfg(test)]
@@ -1680,11 +1685,13 @@ mod tests {
                 ..Default::default()
             },
         ));
+        // Enough keys that the tree outgrows the four frames.
         let tree = SpGistTree::create(pool, DigitTrieOps::default()).unwrap();
-        for key in 0..1500u32 {
+        for key in 0..4000u32 {
             tree.insert(key, u64::from(key)).unwrap();
         }
-        for key in (0..1500u32).step_by(101) {
+        assert!(tree.stats().unwrap().pages > 4);
+        for key in (0..4000u32).step_by(101) {
             assert_eq!(tree.search(&key).unwrap(), vec![(key, u64::from(key))]);
         }
         let io = tree.pool().stats();
@@ -1777,7 +1784,7 @@ mod tests {
             tree.insert(42, row).unwrap();
             row += 1;
         }
-        assert!(row - 1_000 > 80, "the budget holds ≈ 85 twelve-byte items");
+        assert!(row - 1_000 > 160, "the budget holds ≈ 170 six-byte items");
         let asked = picksplits();
         // Below the row node keys have no say: 5 000 more rows, nested row
         // splits included, and not one PickSplit call.
@@ -1856,24 +1863,33 @@ mod tests {
     #[test]
     fn meta_codec_roundtrip() {
         let cases = [
-            (None, 0u64),
-            (Some(NodeId::new(3, 9)), 12345u64),
-            (Some(NodeId::new(u32::MAX, u16::MAX)), u64::MAX),
+            (None, 0u64, 0u32),
+            (Some(NodeId::new(3, 9)), 12345u64, 4u32),
+            (Some(NodeId::new(u32::MAX, u16::MAX)), u64::MAX, u32::MAX),
         ];
-        for (root, count) in cases {
-            let bytes = encode_meta(root, count);
-            assert_eq!(decode_meta(&bytes).unwrap(), (root, count));
+        for (root, count, height) in cases {
+            let bytes = encode_meta(root, count, height);
+            assert_eq!(decode_meta(&bytes).unwrap(), (root, count, height));
         }
         // A damaged record is an error, never an empty tree: a flag that is
-        // neither 0 nor 1, an address under the "no root" flag, extra bytes.
-        let good = encode_meta(Some(NodeId::new(3, 9)), 12345);
+        // neither 0 nor 1, an address under the "no root" flag, a root
+        // without a page height or a height without a root, extra bytes.
+        let good = encode_meta(Some(NodeId::new(3, 9)), 12345, 4);
         let mut bad_flag = good.clone();
         bad_flag[0] = 2;
         let mut rootless_with_address = good.clone();
         rootless_with_address[0] = 0;
+        let rooted_without_height = encode_meta(Some(NodeId::new(3, 9)), 12345, 0);
+        let height_without_root = encode_meta(None, 0, 4);
         let mut trailing = good;
         trailing.push(0);
-        for bytes in [bad_flag, rootless_with_address, trailing] {
+        for bytes in [
+            bad_flag,
+            rootless_with_address,
+            rooted_without_height,
+            height_without_root,
+            trailing,
+        ] {
             assert!(matches!(decode_meta(&bytes), Err(StorageError::Corrupt(_))));
         }
     }

@@ -42,4 +42,4 @@ pub use quadtree::{PointQuadtreeIndex, PointQuadtreeOps};
 pub use query::{PointQuery, SegmentQuery, StringQuery};
 pub use spindex::{Cursor, SpGistBacked, SpIndex};
 pub use suffix::SuffixTreeIndex;
-pub use trie::{TrieIndex, TrieOps};
+pub use trie::{LeafMode, TrieIndex, TrieOps};

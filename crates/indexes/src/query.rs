@@ -24,11 +24,26 @@ impl StringQuery {
     /// Does `key` satisfy this predicate?  This is the straight-line
     /// re-check used on leaf items and by the sequential-scan baseline.
     pub fn matches(&self, key: &str) -> bool {
+        self.matches_rest(key, 0)
+    }
+
+    /// Does a key satisfy this predicate, given only `rest` — its bytes past
+    /// the first `spelled`, which a descent has already checked against the
+    /// predicate?  `=`, `#=` and `?=` compare `rest` with their string past
+    /// `spelled` (clamped to its length: a key that ended on the path has an
+    /// empty rest); `@@` matches everything.  `@=` checks nothing on the way
+    /// down, so only a whole key (`spelled` 0) can answer it.
+    pub fn matches_rest(&self, rest: &str, spelled: usize) -> bool {
+        fn past(s: &str, spelled: usize) -> &[u8] {
+            s.as_bytes().get(spelled..).unwrap_or_default()
+        }
         match self {
-            StringQuery::Equals(s) => key == s,
-            StringQuery::Prefix(p) => key.starts_with(p.as_str()),
-            StringQuery::Regex(pattern) => regex_matches(pattern, key),
-            StringQuery::Substring(s) => key.contains(s.as_str()),
+            StringQuery::Equals(s) => rest.as_bytes() == past(s, spelled),
+            StringQuery::Prefix(p) => rest.as_bytes().starts_with(past(p, spelled)),
+            StringQuery::Regex(pattern) => {
+                wildcard_matches(past(pattern, spelled), rest.as_bytes())
+            }
+            StringQuery::Substring(s) => spelled == 0 && rest.contains(s.as_str()),
             StringQuery::Nearest(_) => true,
         }
     }
@@ -37,8 +52,10 @@ impl StringQuery {
 /// Matches `key` against a pattern whose only metacharacter is `?`
 /// (exactly one arbitrary character), as in the paper's Section 4.2.
 pub fn regex_matches(pattern: &str, key: &str) -> bool {
-    let p = pattern.as_bytes();
-    let k = key.as_bytes();
+    wildcard_matches(pattern.as_bytes(), key.as_bytes())
+}
+
+fn wildcard_matches(p: &[u8], k: &[u8]) -> bool {
     p.len() == k.len() && p.iter().zip(k).all(|(pc, kc)| *pc == b'?' || pc == kc)
 }
 
@@ -115,6 +132,27 @@ mod tests {
         assert!(StringQuery::Substring("pad".into()).matches("spade"));
         assert!(!StringQuery::Substring("dap".into()).matches("spade"));
         assert!(StringQuery::Nearest("x".into()).matches("anything"));
+    }
+
+    #[test]
+    fn rest_matches_the_query_past_the_spelled_bytes() {
+        // "spade" stored at depth 2 keeps "ade".
+        assert!(StringQuery::Equals("spade".into()).matches_rest("ade", 2));
+        assert!(!StringQuery::Equals("spades".into()).matches_rest("ade", 2));
+        assert!(StringQuery::Prefix("spa".into()).matches_rest("ade", 2));
+        assert!(StringQuery::Prefix("sp".into()).matches_rest("ade", 2));
+        assert!(StringQuery::Prefix("s".into()).matches_rest("ade", 2));
+        assert!(!StringQuery::Prefix("spo".into()).matches_rest("ade", 2));
+        assert!(StringQuery::Regex("s?a?e".into()).matches_rest("ade", 2));
+        assert!(!StringQuery::Regex("s?a?".into()).matches_rest("ade", 2));
+        assert!(StringQuery::Nearest("x".into()).matches_rest("ade", 2));
+        // A key that ended on the path ("sp" under its terminator, depth 3)
+        // keeps nothing, and matches a query of exactly its length.
+        assert!(StringQuery::Equals("sp".into()).matches_rest("", 3));
+        assert!(StringQuery::Prefix("sp".into()).matches_rest("", 3));
+        assert!(StringQuery::Regex("s?".into()).matches_rest("", 3));
+        // A rest cannot answer `@=`: the descent checked none of it.
+        assert!(!StringQuery::Substring("d".into()).matches_rest("ade", 2));
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! answered as a prefix query over the suffix trie, deduplicated by row id —
 //! which is why the paper can compare the suffix tree only against sequential
 //! scanning: none of the other access methods supports substring match.
+//!
+//! A leaf keeps only the rest of a suffix, the bytes its path has not
+//! spelled ([`LeafMode::Rest`](crate::LeafMode::Rest)), as PostgreSQL's
+//! SP-GiST text class does: an `L`-byte word costs `L` suffixes, but not
+//! `L²/2` bytes of them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,7 +59,9 @@ impl SpGistBacked for SuffixTreeIndex {
     type Ops = TrieOps;
 
     const DEDUPE_ROWS: bool = true;
-    /// A cursor yields the matching *suffix*; the word lives in the heap.
+    /// A cursor yields what the leaf stored of the matching suffix — its
+    /// rest past the path ([`LeafMode::Rest`](crate::LeafMode::Rest)); the
+    /// word lives in the heap.
     const RETURNS_KEYS: bool = false;
 
     fn backing(&self) -> &Arc<SpGistTree<TrieOps>> {
@@ -141,7 +148,7 @@ impl SuffixTreeIndex {
     /// Creates a suffix-tree index on `pool`.
     pub fn create(pool: Arc<BufferPool>) -> StorageResult<Self> {
         Ok(SuffixTreeIndex {
-            trie: TrieIndex::with_ops(pool, TrieOps::patricia())?,
+            trie: TrieIndex::with_ops(pool, TrieOps::patricia().storing_rest())?,
             strings: AtomicU64::new(0),
         })
     }
@@ -150,7 +157,9 @@ impl SuffixTreeIndex {
     /// from its persisted identity.  On top of the backing trie's meta page,
     /// owned-page list and configuration, the suffix tree persists its
     /// logical word count (`strings`) — the trie's own item count is the
-    /// *suffix* count.
+    /// *suffix* count.  Whatever `ops` say, the leaves hold rests
+    /// ([`LeafMode::Rest`](crate::LeafMode::Rest)): the mode is the
+    /// class's, not a parameter.
     pub fn open_with_ops(
         pool: Arc<BufferPool>,
         ops: TrieOps,
@@ -158,6 +167,7 @@ impl SuffixTreeIndex {
         pages: Vec<PageId>,
         strings: u64,
     ) -> StorageResult<Self> {
+        let ops = ops.storing_rest();
         Ok(SuffixTreeIndex {
             trie: TrieIndex::open_with_ops(pool, ops, meta_page, pages)?,
             strings: AtomicU64::new(strings),

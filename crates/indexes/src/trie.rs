@@ -25,10 +25,30 @@ use crate::spindex::{SpGistBacked, SpIndex};
 /// *blank* predicate).  Zero never collides with real characters.
 pub const BLANK: u8 = 0;
 
+/// What a trie leaf stores of a key.  The mode follows from the index
+/// class — [`TrieIndex`] stores `Full`, [`SuffixTreeIndex`] `Rest` — and is
+/// neither persisted nor configurable.
+///
+/// [`SuffixTreeIndex`]: crate::SuffixTreeIndex
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeafMode {
+    /// The whole key: a cursor yields the indexed value, so a scan can
+    /// answer without the heap.
+    Full,
+    /// Only what the path has not spelled: at depth `level` a key keeps its
+    /// bytes from `level` on.  `leaf_consistent` compares the rest with the
+    /// query past `level`, whose earlier characters `consistent` and
+    /// `prefix_consistent` checked on the way down — which holds for `=`,
+    /// `#=` and `?=` (and `@@` matches all), not for `@=`: the suffix tree
+    /// asks that as `#=` over its suffixes.
+    Rest,
+}
+
 /// External methods of the SP-GiST trie.
 #[derive(Debug, Clone)]
 pub struct TrieOps {
     config: SpGistConfig,
+    leaf: LeafMode,
 }
 
 impl Default for TrieOps {
@@ -41,16 +61,14 @@ impl TrieOps {
     /// The patricia trie used throughout the paper's evaluation:
     /// `PathShrink = TreeShrink`, `NodeShrink = OmitEmpty`.
     pub fn patricia() -> Self {
-        TrieOps {
-            config: SpGistConfig {
-                partitions: 27,
-                bucket_size: 16,
-                resolution: 128,
-                path_shrink: PathShrink::TreeShrink,
-                node_shrink: NodeShrink::OmitEmpty,
-                split_once: false,
-            },
-        }
+        Self::with_config(SpGistConfig {
+            partitions: 27,
+            bucket_size: 16,
+            resolution: 128,
+            path_shrink: PathShrink::TreeShrink,
+            node_shrink: NodeShrink::OmitEmpty,
+            split_once: false,
+        })
     }
 
     /// A plain dictionary trie without path shrinking (Figure 1(a)); used by
@@ -61,9 +79,32 @@ impl TrieOps {
         ops
     }
 
-    /// Builds the ops from an explicit configuration.
+    /// Builds the ops from an explicit configuration, storing whole keys.
     pub fn with_config(config: SpGistConfig) -> Self {
-        TrieOps { config }
+        TrieOps {
+            config,
+            leaf: LeafMode::Full,
+        }
+    }
+
+    /// The same ops storing in each leaf only the rest of a key
+    /// ([`LeafMode::Rest`]): the suffix tree's.
+    pub(crate) fn storing_rest(mut self) -> Self {
+        self.leaf = LeafMode::Rest;
+        self
+    }
+
+    /// What this trie's leaves store of a key.
+    pub fn leaf_mode(&self) -> LeafMode {
+        self.leaf
+    }
+
+    /// The bytes of a key that its leaf at depth `level` no longer holds.
+    fn spelled(&self, level: u32) -> usize {
+        match self.leaf {
+            LeafMode::Full => 0,
+            LeafMode::Rest => level as usize,
+        }
     }
 
     fn tree_shrink(&self) -> bool {
@@ -167,8 +208,13 @@ impl SpGistOps for TrieOps {
         }
     }
 
-    fn leaf_consistent(&self, key: &String, query: &StringQuery, _level: u32) -> bool {
-        query.matches(key)
+    fn leaf_consistent(&self, key: &String, query: &StringQuery, level: u32) -> bool {
+        query.matches_rest(key, self.spelled(level))
+    }
+
+    fn leaf_key(&self, key: &String, consumed: u32) -> String {
+        // Byte-indexed like the suffixes themselves (`suffix_items`).
+        key[self.spelled(consumed).min(key.len())..].to_string()
     }
 
     fn descend_levels(&self, prefix: Option<&String>) -> u32 {
@@ -206,7 +252,8 @@ impl SpGistOps for TrieOps {
     }
 
     fn picksplit(&self, items: &[String], level: u32, _ctx: &()) -> PickSplit<String, u8> {
-        let start = level as usize;
+        // A rest starts where the path ends.
+        let start = level as usize - self.spelled(level);
         // TreeShrink: extract the longest prefix common to all keys past
         // `start` (paper Table 1: "Find a common prefix among words in P").
         let common = if self.tree_shrink() {

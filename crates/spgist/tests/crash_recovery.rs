@@ -1137,7 +1137,8 @@ fn every_persisted_subset_of_a_torn_incremental_checkpoint_recovers() {
 #[test]
 fn freshly_allocated_pages_are_flushed_but_never_journaled() {
     const BASE: usize = 50;
-    const LOADED: usize = 12_000;
+    // Enough rows that the load and its suffix tree span hundreds of pages.
+    const LOADED: usize = 30_000;
     /// Base rows under a checkpoint, then the bulk load in the log only.
     fn loaded(tmp: &TempDb, pager: Arc<dyn Pager>) -> Database {
         let mut db = Database::create_with_pager(

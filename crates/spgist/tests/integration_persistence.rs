@@ -401,7 +401,8 @@ fn pmr_quadtree_reopen_roundtrip() {
 fn database_open_performs_no_rebuild_scans() {
     let dir = temp_dir("db-coldopen");
     let path = dir.join("db.pages");
-    let data = words(10_000, 47);
+    // Enough words that the file spans well over 50 pages.
+    let data = words(20_000, 47);
     {
         let mut db = Database::create(&path).unwrap();
         db.create_table("words", KeyType::Varchar).unwrap();
@@ -447,6 +448,42 @@ fn database_open_performs_no_rebuild_scans() {
         e
     });
     drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A database whose catalog says version 3 — the layout before lengths,
+/// counts and row ids became varints — fails to open with `Corrupt` naming
+/// that version: its chunks, heap records and tree nodes are never decoded
+/// under the new layout.
+#[test]
+fn a_catalog_of_an_older_version_fails_open_naming_it() {
+    let dir = temp_dir("old-catalog");
+    let path = dir.join("db.pages");
+    {
+        let mut db = Database::create(&path).unwrap();
+        db.create_table("words", KeyType::Varchar).unwrap();
+        db.table_mut("words").unwrap().insert("space").unwrap();
+        db.create_index("words", "words_trie", IndexSpec::Trie)
+            .unwrap();
+        db.close().unwrap();
+    }
+    // Every chunk header: magic "SPGC" (little-endian), then the version.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let header = [0x43, 0x47, 0x50, 0x53, 4];
+    let at: Vec<usize> = (0..bytes.len() - header.len())
+        .filter(|&i| bytes[i..i + header.len()] == header)
+        .collect();
+    assert!(at.len() >= 2, "the root and the table's chunks");
+    for i in at {
+        bytes[i + 4] = 3;
+    }
+    std::fs::write(&path, &bytes).unwrap();
+    match Database::open(&path) {
+        Err(StorageError::Corrupt(msg)) => {
+            assert!(msg.contains("unsupported catalog version 3"), "{msg}")
+        }
+        other => panic!("a v3 catalog must be Corrupt, got {:?}", other.map(|_| ())),
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

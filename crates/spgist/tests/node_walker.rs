@@ -469,9 +469,11 @@ fn assert_rejected(bytes: &[u8], what: &str) {
 #[test]
 fn hostile_records_end_in_decode_errors_not_panics() {
     let (leaf, inner) = trie_records();
-    // Layout (see `Node::encode`): tag, then a leaf's u32 item count and
-    // items (u32 length, bytes, u64 row); an inner node's `Option` prefix
-    // (tag byte, u32 length, bytes), u32 entry count and entries.
+    // Layout (see `Node::encode`): tag, then a leaf's varint item count and
+    // items (varint length, bytes, varint row); an inner node's `Option`
+    // prefix (tag byte, varint length, bytes), varint entry count and
+    // entries (predicate byte, 6-byte child).  These records are small
+    // enough that every count and length is one byte.
     for record in [&leaf, &inner] {
         walked::<TrieOps>(record, &mut Slots::default()).unwrap();
         for cut in 0..record.len() {
@@ -481,25 +483,42 @@ fn hostile_records_end_in_decode_errors_not_panics() {
         unknown[0] = 9;
         assert_rejected(&unknown, "unknown tag");
     }
-    let mut lying = leaf.clone();
-    lying[1..5].fill(0xFF);
-    assert_rejected(&lying, "lying item count");
-    let prefix_len = u32::from_le_bytes(inner[2..6].try_into().unwrap()) as usize;
-    let mut lying = inner.clone();
-    lying[6 + prefix_len..10 + prefix_len].fill(0xFF);
-    assert_rejected(&lying, "lying entry count");
-    let mut lying = leaf.clone();
-    lying[5..9].fill(0xFF);
-    assert_rejected(&lying, "lying key length");
+    // The varint of `u32::MAX`, spliced over the one-byte field at `at`.
+    let four_g = |record: &[u8], at: usize| {
+        assert!(record[at] < 0x80, "a one-byte field");
+        [
+            &record[..at],
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
+            &record[at + 1..],
+        ]
+        .concat()
+    };
+    assert_rejected(&four_g(&leaf, 1), "lying item count");
+    let prefix_len = usize::from(inner[2]);
+    assert_rejected(&four_g(&inner, 3 + prefix_len), "lying entry count");
+    assert_rejected(&four_g(&leaf, 2), "lying key length");
+    assert_rejected(&four_g(&inner, 2), "lying prefix length");
+    assert!(leaf[2] > 0 && prefix_len > 0);
     let mut bad_key = leaf.clone();
-    bad_key[9] = 0xFF;
+    bad_key[3] = 0xFF;
     assert_rejected(&bad_key, "invalid UTF-8 in a key");
     let mut bad_prefix = inner.clone();
-    bad_prefix[6] = 0xFF;
+    bad_prefix[3] = 0xFF;
     assert_rejected(&bad_prefix, "invalid UTF-8 in a prefix");
-    // PR 19's inputs: a leaf and an inner node claiming 4 G members.
-    assert_rejected(&[0, 0xFF, 0xFF, 0xFF, 0xFF], "leaf of 4 G items");
-    assert_rejected(&[1, 0, 0xFF, 0xFF, 0xFF, 0xFF], "inner node of 4 G entries");
+    // PR 19's inputs, as varints: a leaf and an inner node claiming 4 G
+    // members, and a count one past `u32::MAX`.
+    assert_rejected(&[0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F], "leaf of 4 G items");
+    assert_rejected(
+        &[1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
+        "inner node of 4 G entries",
+    );
+    assert_rejected(&[0, 0x80, 0x80, 0x80, 0x80, 0x10], "leaf of 2^32 items");
+    // Non-canonical varints: an overlong count, and a row id of eleven
+    // bytes behind an empty key.
+    assert_rejected(&[0, 0x81, 0x00], "overlong item count");
+    let mut long_row = vec![0, 1, 0];
+    long_row.extend([0xFF; 11]);
+    assert_rejected(&long_row, "eleven-byte row id");
 }
 
 /// Runs the cursor for `query` and returns its pool requests, after

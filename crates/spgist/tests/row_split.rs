@@ -52,8 +52,9 @@ trait Class {
     where
         Key<Self>: Codec,
     {
-        // Leaf header: tag + item count; per item: key + row id.
-        (ROW_SPLIT_BYTES - 5) / (Self::hot().to_bytes().len() + 8)
+        // Leaf header: tag + two-byte item count; per item: the key and a
+        // two-byte row id (the model's row ids run in the thousands).
+        (ROW_SPLIT_BYTES - 3) / (Self::hot().to_bytes().len() + 2)
     }
 }
 type Key<C> = <<C as Class>::Index as SpIndex>::Key;
@@ -138,8 +139,10 @@ impl Class for Suffix {
     fn distance(_: &String) -> f64 {
         unreachable!("the suffix tree registers no distance functions")
     }
+    /// The pile's leaves sit below the terminators of `"q"` and `"xq"`,
+    /// where a suffix keeps an empty rest.
     fn budget_rows() -> usize {
-        (ROW_SPLIT_BYTES - 5) / ("q".to_string().to_bytes().len() + 8)
+        (ROW_SPLIT_BYTES - 3) / (String::new().to_bytes().len() + 2)
     }
 }
 

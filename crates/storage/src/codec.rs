@@ -2,9 +2,11 @@
 //!
 //! All access methods in the workspace serialize their node and record
 //! payloads with this codec before storing them in slotted pages.  It is a
-//! deliberately simple little-endian, length-prefixed format — enough to make
-//! the trees genuinely disk-resident without pulling in a serialization
-//! framework.
+//! deliberately simple format — enough to make the trees genuinely
+//! disk-resident without pulling in a serialization framework: numbers are
+//! fixed-width little-endian, and every length (of a string, of a vector)
+//! is an unsigned LEB128 varint ([`put_varint`] / [`take_varint`]), so a
+//! short string pays one byte for its length, not four.
 
 use crate::error::{StorageError, StorageResult};
 
@@ -59,6 +61,62 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> StorageResult<&'a [u8]> {
     Ok(head)
 }
 
+/// Appends `value` as an unsigned LEB128 varint: seven bits a byte, least
+/// significant first, the high bit set on every byte but the last.  Values
+/// below 128 take one byte; `u64::MAX` takes ten.
+pub fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// Reads an unsigned LEB128 varint from the front of `buf`, advancing it.
+/// Only the shortest encoding of a `u64` is accepted: a truncated one, an
+/// overlong one (a last byte of zero after the first, `[0x80, 0x00]`) and
+/// one past ten bytes or 64 bits are [`StorageError::Decode`].
+#[inline]
+pub fn take_varint(buf: &mut &[u8]) -> StorageResult<u64> {
+    // One byte: every length, count and row id below 128.
+    if let [byte @ 0..=0x7F, rest @ ..] = *buf {
+        *buf = rest;
+        return Ok(u64::from(*byte));
+    }
+    let mut value = 0;
+    for (i, &byte) in buf.iter().enumerate().take(10) {
+        value |= u64::from(byte & 0x7F) << (7 * i);
+        if byte < 0x80 {
+            // The first byte had the high bit set, so a zero here is
+            // overlong; the tenth byte carries bit 63 alone.
+            if byte == 0 || (i == 9 && byte > 1) {
+                break;
+            }
+            *buf = &buf[i + 1..];
+            return Ok(value);
+        }
+    }
+    Err(StorageError::Decode("bad varint".into()))
+}
+
+/// Reads a varint length or count, which must fit a `u32`.
+#[inline]
+pub fn take_len(buf: &mut &[u8]) -> StorageResult<usize> {
+    let len = take_varint(buf)?;
+    let err = || StorageError::Decode(format!("length {len} > u32::MAX"));
+    u32::try_from(len)
+        .map(|len| len as usize)
+        .map_err(|_| err())
+}
+
+/// A byte string behind its varint length, borrowed from the front of
+/// `buf`.
+#[inline]
+pub fn take_bytes<'a>(buf: &mut &'a [u8]) -> StorageResult<&'a [u8]> {
+    let len = take_len(buf)?;
+    take(buf, len)
+}
+
 /// Fixed-width little-endian numbers.
 macro_rules! impl_codec_for_int {
     ($($t:ty),*) => {
@@ -90,7 +148,7 @@ impl Codec for bool {
 
 impl Codec for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
+        put_varint(out, self.len() as u64);
         out.extend_from_slice(self.as_bytes());
     }
     #[inline]
@@ -110,8 +168,7 @@ impl Codec for String {
 /// `buf`.
 #[inline]
 fn take_str<'a>(buf: &mut &'a [u8]) -> StorageResult<&'a str> {
-    let len = u32::decode(buf)? as usize;
-    std::str::from_utf8(take(buf, len)?)
+    std::str::from_utf8(take_bytes(buf)?)
         .map_err(|e| StorageError::Decode(format!("invalid utf-8 string: {e}")))
 }
 
@@ -152,13 +209,13 @@ impl<A: Codec, B: Codec> Codec for (A, B) {
 
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
+        put_varint(out, self.len() as u64);
         for item in self {
             item.encode(out);
         }
     }
     fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
-        let len = u32::decode(buf)? as usize;
+        let len = take_len(buf)?;
         // A stored length is a claim, not a fact: reserve no more memory
         // than bytes remain, so a lying length runs dry with a `Decode`
         // error before it costs an allocation.
@@ -223,9 +280,15 @@ mod tests {
     fn truncated_input_is_an_error() {
         let bytes = 123_456u32.to_bytes();
         assert!(u64::from_bytes(&bytes).is_err());
-        let mut string_bytes = String::from("hello").to_bytes();
-        string_bytes.truncate(6);
-        assert!(String::from_bytes(&string_bytes).is_err());
+        // One length byte and five bytes of text: every cut is an error.
+        let string_bytes = String::from("hello").to_bytes();
+        assert_eq!(string_bytes.len(), 6);
+        for cut in 0..string_bytes.len() {
+            assert!(matches!(
+                String::from_bytes(&string_bytes[..cut]),
+                Err(StorageError::Decode(_))
+            ));
+        }
     }
 
     #[test]
@@ -267,8 +330,7 @@ mod tests {
         assert_eq!(option.as_deref(), Some("y"));
 
         // A failed decode leaves the slot untouched and reports `Decode`.
-        let mut bad = Vec::new();
-        2u32.encode(&mut bad);
+        let mut bad = vec![2];
         bad.extend_from_slice(&[0xff, 0xfe]);
         assert!(matches!(
             slot.decode_into(&mut bad.as_slice()),
@@ -283,23 +345,115 @@ mod tests {
     fn lying_vec_length_is_a_decode_error_bounded_by_the_bytes_left() {
         // Four billion 32-byte items claimed, one present: the reservation
         // follows the bytes left, and the loop runs dry with `Decode`.
-        let mut bytes = vec![0xFF; 4];
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, u64::from(u32::MAX));
         (String::from("a"), 1u64).encode(&mut bytes);
         assert!(matches!(
             Vec::<(String, u64)>::from_bytes(&bytes),
             Err(StorageError::Decode(_))
         ));
         assert!(matches!(
-            Vec::<u64>::from_bytes(&[0xFF, 0xFF, 0xFF, 0xFF]),
+            Vec::<u64>::from_bytes(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
             Err(StorageError::Decode(_))
         ));
     }
 
     #[test]
+    fn lengths_past_u32_are_decode_errors_before_any_allocation() {
+        // A length of 2^32 (and of u64::MAX) is refused as a length, not
+        // reserved and not looped over: the bytes behind it are never read.
+        for claim in [1u64 << 32, u64::MAX] {
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, claim);
+            bytes.extend_from_slice(&[b'a'; 16]);
+            for result in [
+                String::from_bytes(&bytes).map(drop),
+                Vec::<u8>::from_bytes(&bytes).map(drop),
+                Vec::<String>::from_bytes(&bytes).map(drop),
+                take_len(&mut bytes.as_slice()).map(drop),
+            ] {
+                match result {
+                    Err(StorageError::Decode(msg)) => assert!(msg.contains("u32::MAX"), "{msg}"),
+                    other => panic!("length {claim}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// Every boundary of the encoding, and a spread of values between.
+    fn varint_samples() -> Vec<u64> {
+        let mut samples = vec![0, 1, 0x7F, 0x80, 0xFF, 0x100, u64::MAX - 1, u64::MAX];
+        for bits in (7..64).step_by(7) {
+            samples.extend([(1u64 << bits) - 1, 1u64 << bits, (1u64 << bits) + 1]);
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..10_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Every width, not just the ten-byte values a uniform draw gives.
+            samples.push(state >> (state % 64));
+        }
+        samples
+    }
+
+    #[test]
+    fn every_u64_roundtrips_as_a_varint_of_its_width() {
+        for value in varint_samples() {
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, value);
+            let width = (64 - value.leading_zeros()).max(1).div_ceil(7) as usize;
+            assert_eq!(bytes.len(), width, "{value:#x}");
+            let mut buf = bytes.as_slice();
+            assert_eq!(take_varint(&mut buf).unwrap(), value);
+            assert!(buf.is_empty());
+            // Truncated anywhere, it is an error and consumes nothing.
+            for cut in 0..bytes.len() {
+                let mut short = &bytes[..cut];
+                assert!(matches!(
+                    take_varint(&mut short),
+                    Err(StorageError::Decode(_))
+                ));
+                assert_eq!(short.len(), cut);
+            }
+        }
+    }
+
+    #[test]
+    fn overlong_and_oversized_varints_are_decode_errors() {
+        let hostile: [&[u8]; 6] = [
+            // 0 and 127 spelled in two bytes.
+            &[0x80, 0x00],
+            &[0xFF, 0x00],
+            // 2^63 spelled in eleven bytes.
+            &[
+                0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x81, 0x00,
+            ],
+            // Ten bytes whose last carries more than bit 63.
+            &[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02],
+            // Ten bytes ending in zero: overlong.
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+            // Eleven continuation bytes.
+            &[0xFF; 11],
+        ];
+        for bytes in hostile {
+            let mut buf = bytes;
+            assert!(
+                matches!(take_varint(&mut buf), Err(StorageError::Decode(_))),
+                "{bytes:02x?}"
+            );
+        }
+        // The largest ten-byte encoding is u64::MAX itself.
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(take_varint(&mut &max[..]).unwrap(), u64::MAX);
+    }
+
+    #[test]
     fn invalid_utf8_is_an_error() {
-        let mut bytes = Vec::new();
-        2u32.encode(&mut bytes);
-        bytes.extend_from_slice(&[0xff, 0xfe]);
-        assert!(String::from_bytes(&bytes).is_err());
+        let bytes = [2, 0xff, 0xfe];
+        assert!(matches!(
+            String::from_bytes(&bytes),
+            Err(StorageError::Decode(_))
+        ));
     }
 }

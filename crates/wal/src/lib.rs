@@ -196,6 +196,27 @@ mod tests {
     }
 
     #[test]
+    fn a_segment_of_an_older_version_fails_corrupt_naming_it() {
+        // A version-3 segment holds records with fixed-width lengths: this
+        // build must refuse it rather than misread it.
+        let dir = TempDir::new("old-version");
+        {
+            let wal = Wal::create(dir.prefix(), WalConfig::default()).unwrap();
+            append_n(&wal, 3);
+        }
+        let path = segment_1(&dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match Wal::open(dir.prefix(), WalConfig::default(), 0) {
+            Err(StorageError::Corrupt(msg)) => {
+                assert!(msg.contains("unsupported segment version 3"), "{msg}")
+            }
+            other => panic!("a v3 segment must be Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn rotate_and_prune_truncate_the_log() {
         let dir = TempDir::new("prune");
         let wal = Wal::create(dir.prefix(), WalConfig::default()).unwrap();

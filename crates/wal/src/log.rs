@@ -79,11 +79,13 @@ use crate::record::{Lsn, WalRecord};
 const SEGMENT_MAGIC: u32 = 0x5350_4757;
 /// Segment format version.  Version 2 added the batch seal; version 3 added
 /// transaction ids on DML records plus the `BeginTxn`/`CommitTxn`/`AbortTxn`
-/// control records.  Older segments are refused rather than silently
-/// replayed: v1 lacks torn-batch detection and v2 records decode to a
+/// control records; version 4 writes string and byte-vector lengths inside
+/// records as varints.  Older segments are refused rather than silently
+/// replayed: v1 lacks torn-batch detection, v2 records decode to a
 /// different layout (no txn field), so recovery could not tell committed
-/// work from a loser transaction's.
-const SEGMENT_VERSION: u32 = 3;
+/// work from a loser transaction's, and a v3 record's fixed-width lengths
+/// would be misread.
+const SEGMENT_VERSION: u32 = 4;
 /// Bytes in a segment header.
 const HEADER_BYTES: u64 = 16;
 /// Bytes in a record frame header (`payload_len`, `crc`).
