@@ -276,8 +276,8 @@ trait IndexKey: Clone + Into<Datum> + 'static {
     /// The typed query the key's indexes answer.
     type Query;
 
-    /// The key inside `datum`, if the datum is of this type.
-    fn of(datum: &Datum) -> Option<&Self>;
+    /// The key `datum` holds, moved out, if the datum is of this type.
+    fn from_datum(datum: Datum) -> Option<Self>;
 
     /// The typed query inside a *leaf* `predicate`, if it is over this type.
     fn query_of(predicate: &Predicate) -> Option<&Self::Query>;
@@ -288,7 +288,7 @@ macro_rules! index_key {
         impl IndexKey for $key {
             type Query = $query;
 
-            fn of(datum: &Datum) -> Option<&Self> {
+            fn from_datum(datum: Datum) -> Option<Self> {
                 match datum {
                     $datum(key) => Some(key),
                     _ => None,
@@ -313,16 +313,14 @@ fn key_type_mismatch() -> StorageError {
     StorageError::Unsupported("datum type does not match the index key type".into())
 }
 
-/// Extracts the typed `(key, row)` items an index consumes, rejecting any
-/// mismatched datum.
-fn typed_items<K: IndexKey>(items: &[(Datum, RowId)]) -> StorageResult<Vec<(K, RowId)>> {
+/// Moves the typed `(key, row)` items an index consumes out of `items`,
+/// rejecting any mismatched datum.
+fn typed_items<K: IndexKey>(items: Vec<(Datum, RowId)>) -> StorageResult<Vec<(K, RowId)>> {
     items
-        .iter()
-        .map(|(datum, row)| match K::of(datum) {
-            Some(key) => Ok((key.clone(), *row)),
-            None => Err(key_type_mismatch()),
-        })
-        .collect()
+        .into_iter()
+        .map(|(datum, row)| K::from_datum(datum).map(|key| (key, row)))
+        .collect::<Option<_>>()
+        .ok_or_else(key_type_mismatch)
 }
 
 /// The one object-safe interface the table and executor drive every
@@ -339,9 +337,10 @@ pub(crate) trait IndexAccess: Send + Sync {
 
     /// Builds the index from the full `(datum, row)` set in one
     /// `spgistbuild` pass (see [`SpIndex::bulk_build`]); the index must be
-    /// freshly created and empty.  The tree keeps the height it built, so
-    /// the next plan needs no walk.
-    fn bulk_build(&self, items: &[(Datum, RowId)]) -> StorageResult<()>;
+    /// freshly created and empty.  The set is taken by value, so its keys
+    /// move into the build instead of being copied.  The tree keeps the
+    /// height it built, so the next plan needs no walk.
+    fn bulk_build(&self, items: Vec<(Datum, RowId)>) -> StorageResult<()>;
 
     /// Removes one `(datum, row)` item; returns whether it was there.
     fn delete(&self, datum: &Datum, row: RowId) -> StorageResult<bool>;
@@ -382,16 +381,16 @@ where
     I::Key: IndexKey<Query = I::Query>,
 {
     fn insert_batch(&self, items: &[(Datum, RowId)]) -> StorageResult<()> {
-        SpIndex::insert_batch(self, typed_items(items)?)
+        SpIndex::insert_batch(self, typed_items(items.to_vec())?)
     }
 
-    fn bulk_build(&self, items: &[(Datum, RowId)]) -> StorageResult<()> {
+    fn bulk_build(&self, items: Vec<(Datum, RowId)>) -> StorageResult<()> {
         SpIndex::bulk_build(self, typed_items(items)?).map(|_| ())
     }
 
     fn delete(&self, datum: &Datum, row: RowId) -> StorageResult<bool> {
-        let key = I::Key::of(datum).ok_or_else(key_type_mismatch)?;
-        SpIndex::delete(self, key, row)
+        let key = I::Key::from_datum(datum.clone()).ok_or_else(key_type_mismatch)?;
+        SpIndex::delete(self, &key, row)
     }
 
     fn scan<'t>(&'t self, predicate: &Predicate, ordered: bool) -> StorageResult<RowStream<'t>> {
@@ -1429,7 +1428,7 @@ mod tests {
             // before anything lands.
             let foreign = [(foreign_datum.clone(), 7)];
             assert_eq!(unsupported(ix.insert_batch(&foreign)), WRONG_DATUM);
-            assert_eq!(unsupported(ix.bulk_build(&foreign)), WRONG_DATUM);
+            assert_eq!(unsupported(ix.bulk_build(foreign.to_vec())), WRONG_DATUM);
             assert_eq!(unsupported(ix.delete(&foreign_datum, 7)), WRONG_DATUM);
             // So is a batch with one foreign datum among good ones.
             let mut mixed: Vec<(Datum, RowId)> = keys.iter().cloned().zip(0..).collect();

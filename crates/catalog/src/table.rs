@@ -720,7 +720,8 @@ impl Table {
                 inner.distinct = distinct;
                 inner.distinct_base = 0;
             }
-            named.index.bulk_build(&items)?;
+            // The scan hands its keys to the build: no second copy.
+            named.index.bulk_build(items)?;
         }
         self.indexes.push(named);
         self.inner.get_mut().dirty.mutated = true;

@@ -17,6 +17,14 @@
 //! *during* the build — node counts, items, node/page heights — instead of by
 //! the usual whole-tree traversal.
 //!
+//! The build holds its items once.  The caller's `Vec` is the only item
+//! buffer: `picksplit` reads a partition where it lies, a disjoint split
+//! permutes the partition in place so that each child's items form one
+//! contiguous run (in the order the split listed them), the run's keys are
+//! cut in place by [`SpGistOps::leaf_key`], and each leaf is encoded straight
+//! from its run.  Only a split that puts one item in several partitions (the
+//! PMR quadtree's) copies each partition it recurses into.
+//!
 //! Two deliberate differences from the insertion path:
 //!
 //! * `SpGistConfig::split_once` (the PMR splitting rule: decompose once per
@@ -48,7 +56,7 @@
 use spgist_storage::{PageId, StorageResult};
 
 use crate::config::NodeShrink;
-use crate::node::{row_slot, Entry, Node, NodeId, ROW_BITS, ROW_FANOUT};
+use crate::node::{encode_leaf, row_slot, Entry, Node, NodeId, ROW_BITS, ROW_FANOUT};
 use crate::ops::{PickSplit, SpGistOps};
 use crate::stats::TreeStats;
 use crate::store::NodeStore;
@@ -84,11 +92,12 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
     }
 
     /// Builds the whole tree from `items`, preferring pages near `near` for
-    /// the root, and returns the root's address.
+    /// the root, and returns the root's address.  `items` is the build's one
+    /// item buffer: partitioned and cut in place, level by level.
     pub(crate) fn build_root(
         &mut self,
         near: PageId,
-        items: Vec<(O::Key, RowId)>,
+        mut items: Vec<(O::Key, RowId)>,
     ) -> StorageResult<NodeId> {
         let ctx = self.ops.root_context();
         let above = Above {
@@ -97,7 +106,7 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
             path_pages: 0,
             node_depth: 1,
         };
-        self.build_partition(above, items, 0, &ctx)
+        self.build_partition(above, &mut items, 0, &ctx)
     }
 
     /// The statistics accumulated while building, completed with the store's
@@ -112,11 +121,12 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
 
     /// Recursively builds the subtree holding `items`, which the caller
     /// reaches at decomposition depth `level` through traversal context
-    /// `ctx`.
+    /// `ctx`.  `items` is the partition's run of the build's buffer; the
+    /// build reorders and cuts it in place.
     fn build_partition(
         &mut self,
         above: Above,
-        mut items: Vec<(O::Key, RowId)>,
+        items: &mut [(O::Key, RowId)],
         level: u32,
         ctx: &O::Context,
     ) -> StorageResult<NodeId> {
@@ -127,9 +137,8 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         let split = if level >= cfg.resolution {
             None
         } else {
-            self.ops.bulk_prepare(&mut items, level, ctx);
-            let keys: Vec<O::Key> = items.iter().map(|(k, _)| k.clone()).collect();
-            let mut split = self.ops.picksplit(&keys, level, ctx);
+            self.ops.bulk_prepare(items, level, ctx);
+            let mut split = self.ops.picksplit(items, level, ctx);
             // A split must never drop items (a PMR segment outside the
             // world rectangle intersects no quadrant): park strays with the
             // insert fallback rule before judging progress.
@@ -146,17 +155,31 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
                 .then_some(split)
         };
         let Some(split) = split else {
-            return self.build_rows(above, items, 0);
+            return self.build_rows(above, items.to_vec(), 0);
         };
 
         let PickSplit { prefix, partitions } = split;
         let delta = self.ops.descend_levels(prefix.as_ref());
-        let kept: Vec<(O::Pred, Vec<usize>)> = partitions
+        let mut kept: Vec<(O::Pred, Vec<usize>)> = partitions
             .into_iter()
             .filter(|(_, members)| {
                 !(members.is_empty() && cfg.node_shrink == NodeShrink::OmitEmpty)
             })
             .collect();
+        // Every item lies in some partition now; when each lies in exactly
+        // one, partition k becomes run k of `items`, in its members' order,
+        // and only the run sizes are kept.  A replicating split (PMR) copies
+        // each partition instead.
+        let sizes: Vec<usize> = kept.iter().map(|(_, members)| members.len()).collect();
+        let disjoint = sizes.iter().sum::<usize>() == items.len();
+        if disjoint {
+            assert!(items.len() <= u32::MAX as usize, "order held as u32");
+            let mut order = Vec::with_capacity(items.len());
+            for (_, members) in &mut kept {
+                order.extend(std::mem::take(members).into_iter().map(|i| i as u32));
+            }
+            permute(items, order);
+        }
 
         // Materialize the inner node first with placeholder child pointers
         // (fixed encoded width, so the in-place patch below cannot change
@@ -176,13 +199,20 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         self.stats.inner_nodes += 1;
 
         let mut entries = Vec::with_capacity(kept.len());
-        for (pred, members) in kept {
-            let part_items: Vec<(O::Key, RowId)> = members
-                .iter()
-                .map(|&idx| (self.ops.leaf_key(&items[idx].0, delta), items[idx].1))
-                .collect();
+        let mut start = 0;
+        for ((pred, members), size) in kept.into_iter().zip(sizes) {
+            let mut copied: Vec<(O::Key, RowId)>;
+            let run = if disjoint {
+                start += size;
+                &mut items[start - size..start]
+            } else {
+                copied = members.iter().map(|&idx| items[idx].clone()).collect();
+                &mut copied[..]
+            };
+            run.iter_mut()
+                .for_each(|(key, _)| self.ops.leaf_key(key, delta));
             let child_ctx = self.ops.child_context(ctx, prefix.as_ref(), &pred, level);
-            let child = self.build_partition(below, part_items, level + delta, &child_ctx)?;
+            let child = self.build_partition(below, run, level + delta, &child_ctx)?;
             entries.push(Entry { pred, child });
         }
         self.store
@@ -202,7 +232,7 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         shift: u32,
     ) -> StorageResult<NodeId> {
         if !Node::<O>::outgrows_leaf(&items, shift) {
-            return self.build_leaf(above, items);
+            return self.build_leaf(above, &items);
         }
         let mut children = vec![NodeId::new(0, 0); ROW_FANOUT];
         let placeholder = Node::<O>::Rows {
@@ -223,11 +253,13 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         Ok(id)
     }
 
-    fn build_leaf(&mut self, above: Above, items: Vec<(O::Key, RowId)>) -> StorageResult<NodeId> {
+    /// Places a leaf encoded straight from `items`, wherever they lie.
+    fn build_leaf(&mut self, above: Above, items: &[(O::Key, RowId)]) -> StorageResult<NodeId> {
         self.stats.leaf_nodes += 1;
         self.stats.items += items.len() as u64;
-        let leaf = Node::<O>::Leaf { items };
-        let id = self.store.allocate(&leaf, Some(above.near))?;
+        let mut bytes = Vec::new();
+        encode_leaf(items, &mut bytes);
+        let id = self.store.place_node(&bytes, Some(above.near))?;
         self.note_node(id.page, above);
         Ok(id)
     }
@@ -247,10 +279,49 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
     }
 }
 
+/// Moves into position `i` the item `order[i]` names, `order` being a
+/// permutation of `0..items.len()`: each cycle is walked once, in O(n) swaps
+/// and no second item buffer.
+fn permute<T>(items: &mut [T], mut order: Vec<u32>) {
+    for start in 0..items.len() {
+        let mut at = start;
+        while order[at] as usize != start {
+            let from = std::mem::replace(&mut order[at], at as u32) as usize;
+            items.swap(at, from);
+            at = from;
+        }
+        order[at] = at as u32;
+    }
+}
+
 impl<O: SpGistOps> std::fmt::Debug for BulkBuilder<'_, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BulkBuilder")
             .field("stats", &self.stats)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::permute;
+
+    #[test]
+    fn permute_moves_every_item_where_the_order_names_it() {
+        let mut items = ['a', 'b', 'c', 'd', 'e'];
+        permute(&mut items, vec![2, 0, 3, 1, 4]);
+        assert_eq!(items, ['c', 'a', 'd', 'b', 'e']);
+        // Every rotation of a longer run, and its reversal: cycles of every
+        // length, fixed points included.
+        let n = 37u32;
+        for shift in 0..n {
+            let order: Vec<u32> = (0..n).map(|i| (i + shift) % n).collect();
+            let mut items: Vec<u32> = (100..100 + n).collect();
+            permute(&mut items, order.clone());
+            assert_eq!(items, order.iter().map(|i| 100 + i).collect::<Vec<_>>());
+        }
+        let mut items: Vec<u32> = (0..n).collect();
+        permute(&mut items, (0..n).rev().collect());
+        assert_eq!(items, (0..n).rev().collect::<Vec<_>>());
     }
 }

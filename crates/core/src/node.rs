@@ -339,8 +339,9 @@ pub fn walk<O: SpGistOps>(
     Ok(())
 }
 
-/// A leaf: its header, then every item.
-fn encode_leaf<K: Codec>(items: &[(K, RowId)], out: &mut Vec<u8>) {
+/// A leaf: its header, then every item — what [`Node::encode`] writes for a
+/// [`Node::Leaf`] holding `items`, encoded from wherever they lie.
+pub(crate) fn encode_leaf<K: Codec>(items: &[(K, RowId)], out: &mut Vec<u8>) {
     leaf_header(items.len(), out);
     for item in items {
         encode_item(item, out);

@@ -178,19 +178,20 @@ pub trait SpGistOps {
     /// depth `level` holds: [`SpGistOps::leaf_key`] of the inserted key.
     fn leaf_consistent(&self, key: &Self::Key, query: &Self::Query, level: u32) -> bool;
 
-    /// What a leaf keeps of `key` once the path above it has spelled
-    /// `consumed` more decomposition levels — PostgreSQL's text class keeps
-    /// only the part of a string its path has not spelled.  The internal
-    /// methods call it wherever an item moves down: with the leaf's level
-    /// when an insert stores a key, and with the levels a split or a bulk
-    /// build step descends (`descend_levels`) for each partition's items,
-    /// which are already what their leaf kept.  Row nodes and prefix splits
+    /// Cuts `key`, in place, down to what a leaf keeps of it once the path
+    /// above has spelled `consumed` more decomposition levels — PostgreSQL's
+    /// text class keeps only the part of a string its path has not spelled.
+    /// The internal methods call it wherever an item moves down: on the one
+    /// copy an insert stores, with the leaf's level, and on each partition's
+    /// items, with the levels a split or a bulk build step descends
+    /// (`descend_levels`) — the bulk build cuts the caller's buffer itself,
+    /// which then holds what the leaves keep.  Row nodes and prefix splits
     /// move no item to another level.  `leaf_consistent` must then answer
-    /// for what was kept, and `picksplit` decompose it.  Defaults to the
-    /// whole key, so a class that overrides nothing stores what it inserts.
-    fn leaf_key(&self, key: &Self::Key, consumed: u32) -> Self::Key {
-        let _ = consumed;
-        key.clone()
+    /// for what was kept, and `picksplit` decompose it.  Defaults to leaving
+    /// the key whole, so a class that overrides nothing stores what it
+    /// inserts.
+    fn leaf_key(&self, key: &mut Self::Key, consumed: u32) {
+        let _ = (key, consumed);
     }
 
     /// Number of decomposition levels consumed when descending from a node
@@ -213,6 +214,8 @@ pub trait SpGistOps {
     /// Decompose the items of an overfull data node into new partitions
     /// (paper Table 1).  `level` is the depth of the node being split and
     /// `ctx` the traversal context reconstructed on the way down to it.
+    /// `items` is the caller's own buffer, read in place: a split decides by
+    /// the keys (`.0`), and its partitions name items by their index here.
     ///
     /// **A degenerate answer is final.**  Once a leaf whose split
     /// [`PickSplit::is_degenerate`] outgrows the byte budget it fans out by
@@ -228,7 +231,7 @@ pub trait SpGistOps {
     /// leaves) but scans the whole pile for every query that reaches it.
     fn picksplit(
         &self,
-        items: &[Self::Key],
+        items: &[(Self::Key, RowId)],
         level: u32,
         ctx: &Self::Context,
     ) -> PickSplit<Self::Prefix, Self::Pred>;

@@ -292,9 +292,13 @@ impl NodeStore {
         node: &Node<O>,
         near: Option<PageId>,
     ) -> StorageResult<NodeId> {
-        let bytes = node.encode();
-        let record = self.encode_node_record(&bytes)?;
-        self.place(&record, near)
+        self.place_node(&node.encode(), near)
+    }
+
+    /// [`NodeStore::allocate`] for a node already encoded: the bulk build
+    /// encodes a leaf straight from the items it partitions.
+    pub(crate) fn place_node(&self, bytes: &[u8], near: Option<PageId>) -> StorageResult<NodeId> {
+        self.place(&self.encode_node_record(bytes)?, near)
     }
 
     /// Encodes node bytes into the record written at the node's address:
@@ -522,29 +526,27 @@ impl NodeStore {
     }
 
     fn try_place_in(&self, page: PageId, bytes: &[u8]) -> StorageResult<Option<NodeId>> {
-        // Read-only precheck so hopeless probes do not dirty the page.
-        let hopeless = self.pool.with_page_hinted(page, self.access_hint(), |p| {
-            !p.fits(bytes.len()) && p.num_live_records() == p.num_slots()
-        })?;
-        if hopeless {
+        // Fit is decided read-only, from the live bytes, so a probe that
+        // cannot place leaves the page clean and its records where they lie.
+        let fits = self
+            .pool
+            .with_page_hinted(page, self.access_hint(), |p| p.fits_compacted(bytes.len()))?;
+        if !fits {
             return Ok(None);
         }
-        // Fit check, opportunistic compaction, and insert run as one atomic
-        // page operation so a concurrent placement cannot steal the space
-        // between the check and the insert.  Deleted records leave dead
-        // space that only compaction reclaims; compact opportunistically
-        // when it could make room (slot ids survive compaction, so node
-        // addresses stay valid).
+        // Fit check, compaction and insert run as one atomic page operation
+        // so a concurrent placement cannot steal the space between the check
+        // and the insert.  Deleted records and shrinking updates leave gaps
+        // only compaction reclaims (slot ids survive it, so node addresses
+        // stay valid).
         let slot = self
             .pool
             .with_page_mut_hinted(page, self.access_hint(), |p| {
                 if !p.fits(bytes.len()) {
-                    if p.num_live_records() < p.num_slots() {
-                        p.compact();
-                    }
-                    if !p.fits(bytes.len()) {
+                    if !p.fits_compacted(bytes.len()) {
                         return Ok(None);
                     }
+                    p.compact();
                 }
                 p.insert(bytes).map(Some)
             })??;
@@ -710,6 +712,35 @@ mod tests {
         let reused = store.allocate(&leaf(50), Some(id.page)).unwrap();
         assert_eq!(reused.page, id.page, "the freed space is reused");
         assert_eq!(store.page_count(), 2);
+    }
+
+    #[test]
+    fn a_probe_that_cannot_place_writes_nothing() {
+        let store = store();
+        let small = store.allocate(&leaf(1), None).unwrap();
+        while store.page_count() == 1 {
+            store.allocate(&leaf(50), Some(small.page)).unwrap();
+        }
+        // A full page with one small dead slot, flushed clean.
+        store.retire_node(small).unwrap();
+        store.reclaim().unwrap();
+        store.pool().flush_all().unwrap();
+        let page = small.page;
+        let before = store.pool().with_page(page, Page::clone).unwrap();
+        assert!(before.num_live_records() < before.num_slots());
+        // A record that even a compacted page cannot take.
+        let record = encode_inline_record(&leaf(100).encode());
+        let mut compacted = before.clone();
+        compacted.compact();
+        assert!(!compacted.fits(record.len()));
+
+        assert_eq!(store.try_place_in(page, &record).unwrap(), None);
+        assert!(
+            store.pool().dirty_page_ids().is_empty(),
+            "a refused probe dirtied its page"
+        );
+        let after = store.pool().with_page(page, Page::clone).unwrap();
+        assert_eq!(after.as_bytes(), before.as_bytes(), "nor moved a record");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::config::{NodeShrink, PathShrink, SpGistConfig};
 use crate::ops::{Choose, PickSplit, SpGistOps};
+use crate::RowId;
 
 /// Partition predicate of the digit trie: a decimal digit, or
 /// [`DIGIT_END`] marking "the key ends at this level".
@@ -84,9 +85,9 @@ impl SpGistOps for DigitTrieOps {
         }
     }
 
-    fn picksplit(&self, items: &[u32], level: u32, _ctx: &()) -> PickSplit<u32, u8> {
+    fn picksplit(&self, items: &[(u32, RowId)], level: u32, _ctx: &()) -> PickSplit<u32, u8> {
         let mut partitions: Vec<(u8, Vec<usize>)> = Vec::new();
-        for (idx, key) in items.iter().enumerate() {
+        for (idx, (key, _)) in items.iter().enumerate() {
             let digit = Self::digit_at(*key, level);
             match partitions.iter_mut().find(|(p, _)| *p == digit) {
                 Some((_, list)) => list.push(idx),
@@ -119,7 +120,7 @@ mod tests {
     #[test]
     fn picksplit_groups_by_digit() {
         let ops = DigitTrieOps::default();
-        let split = ops.picksplit(&[10, 11, 20, 2], 0, &());
+        let split = ops.picksplit(&[(10, 0), (11, 1), (20, 2), (2, 3)], 0, &());
         assert_eq!(split.partitions.len(), 2);
         let ones = split.partitions.iter().find(|(p, _)| *p == 1).unwrap();
         assert_eq!(ones.1, vec![0, 1]);

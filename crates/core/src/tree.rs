@@ -277,7 +277,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                         continue; // another writer created the root first
                     }
                     let leaf = Node::<O>::Leaf {
-                        items: vec![(self.ops.leaf_key(key, 0), row)],
+                        items: vec![(self.stored(key, 0), row)],
                     };
                     let id = self.store.allocate(&leaf, Some(self.meta_page))?;
                     // In memory only: the caller's one meta write persists the
@@ -311,7 +311,8 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// `spgistbuild` entry point (Section 4).
     ///
     /// The [`BulkBuilder`] recursively applies [`SpGistOps::picksplit`] to
-    /// whole partitions top-down, packs leaves to `BucketSize`, allocates
+    /// whole partitions top-down — partitioning `items` in place, the one
+    /// copy of the keys the build holds — packs leaves to `BucketSize`, allocates
     /// and writes each node exactly once (inner nodes parent-first, their
     /// fixed-width child pointers patched in place), and accumulates the
     /// returned [`TreeStats`] during the build instead of by a traversal.
@@ -386,13 +387,12 @@ impl<O: SpGistOps> SpGistTree<O> {
         match node {
             Node::Leaf { mut items } => {
                 let cfg = self.ops.config();
-                items.push((self.ops.leaf_key(key, level), row));
+                items.push((self.stored(key, level), row));
                 // Keys have a say only above row nodes and past the bucket.
                 let overfull = rows.is_none() && items.len() > cfg.bucket_size;
                 if overfull && level < cfg.resolution {
                     // The data node is overfull: decompose it with PickSplit.
-                    let keys: Vec<O::Key> = items.iter().map(|(k, _)| k.clone()).collect();
-                    let split = self.ops.picksplit(&keys, level, ctx);
+                    let split = self.ops.picksplit(&items, level, ctx);
                     if !split.is_degenerate(items.len()) {
                         // The replacement subtree is built in fresh, unlinked
                         // records (invisible to every other thread) and
@@ -520,7 +520,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                     }
                     Choose::AddEntry(pred) => {
                         let leaf = Node::<O>::Leaf {
-                            items: vec![(self.ops.leaf_key(key, level + delta), row)],
+                            items: vec![(self.stored(key, level + delta), row)],
                         };
                         let child = self.store.allocate(&leaf, Some(node_id.page))?;
                         let mut entries = entries;
@@ -577,6 +577,14 @@ impl<O: SpGistOps> SpGistTree<O> {
         }
     }
 
+    /// The copy of `key` a leaf `consumed` levels further down stores
+    /// ([`SpGistOps::leaf_key`]).
+    fn stored(&self, key: &O::Key, consumed: u32) -> O::Key {
+        let mut key = key.clone();
+        self.ops.leaf_key(&mut key, consumed);
+        key
+    }
+
     /// Builds the inner node replacing an overfull leaf, materializing all
     /// partitions produced by PickSplit (recursively when a partition itself
     /// exceeds the bucket size, unless the instantiation uses the
@@ -604,7 +612,7 @@ impl<O: SpGistOps> SpGistTree<O> {
             }
             let part_items: Vec<(O::Key, RowId)> = indices
                 .iter()
-                .map(|&i| (self.ops.leaf_key(&items[i].0, delta), items[i].1))
+                .map(|&i| (self.stored(&items[i].0, delta), items[i].1))
                 .collect();
             let child_ctx = self.ops.child_context(ctx, prefix.as_ref(), &pred, level);
             let child = self.build_subtree(near, part_items, level + delta, &child_ctx)?;
@@ -624,8 +632,7 @@ impl<O: SpGistOps> SpGistTree<O> {
         if items.len() <= cfg.bucket_size || level >= cfg.resolution || cfg.split_once {
             return self.store.allocate(&Node::<O>::Leaf { items }, Some(near));
         }
-        let keys: Vec<O::Key> = items.iter().map(|(k, _)| k.clone()).collect();
-        let split = self.ops.picksplit(&keys, level, ctx);
+        let split = self.ops.picksplit(&items, level, ctx);
         if split.is_degenerate(items.len()) {
             return self.store.allocate(&Node::<O>::Leaf { items }, Some(near));
         }
@@ -1763,7 +1770,7 @@ mod tests {
         fn choose(&self, p: Option<&u32>, preds: &[u8], key: &u32, level: u32) -> Choose<u8, u32> {
             self.inner.choose(p, preds, key, level)
         }
-        fn picksplit(&self, items: &[u32], level: u32, ctx: &()) -> PickSplit<u32, u8> {
+        fn picksplit(&self, items: &[(u32, RowId)], level: u32, ctx: &()) -> PickSplit<u32, u8> {
             self.picksplits.fetch_add(1, Ordering::Relaxed);
             self.inner.picksplit(items, level, ctx)
         }

@@ -170,16 +170,16 @@ impl SpGistOps for KdTreeOps {
         }
     }
 
-    fn picksplit(&self, items: &[Point], level: u32, _ctx: &()) -> PickSplit<Point, KdSide> {
+    fn picksplit(&self, items: &[(Point, RowId)], level: u32, _: &()) -> PickSplit<Point, KdSide> {
         // "Put the old point in a child node with predicate blank" — the
         // first item of the overfull node plays the role of the old point.
-        let split = items[0];
+        let split = items[0].0;
         let mut partitions = vec![
             (KdSide::Left, Vec::new()),
             (KdSide::Right, Vec::new()),
             (KdSide::Here, vec![0]),
         ];
-        for (idx, p) in items.iter().enumerate().skip(1) {
+        for (idx, (p, _)) in items.iter().enumerate().skip(1) {
             match Self::side_of(&split, p, level) {
                 KdSide::Left => partitions[0].1.push(idx),
                 KdSide::Right | KdSide::Here => partitions[1].1.push(idx),

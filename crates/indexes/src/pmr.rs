@@ -157,7 +157,7 @@ impl SpGistOps for PmrQuadtreeOps {
         }
     }
 
-    fn picksplit(&self, items: &[Segment], _level: u32, ctx: &Rect) -> PickSplit<Rect, Rect> {
+    fn picksplit(&self, items: &[(Segment, RowId)], _: u32, ctx: &Rect) -> PickSplit<Rect, Rect> {
         let quadrants = ctx.quadrants();
         let partitions = quadrants
             .iter()
@@ -165,7 +165,7 @@ impl SpGistOps for PmrQuadtreeOps {
                 let members: Vec<usize> = items
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| s.intersects_rect(quadrant))
+                    .filter(|(_, (s, _))| s.intersects_rect(quadrant))
                     .map(|(idx, _)| idx)
                     .collect();
                 (*quadrant, members)

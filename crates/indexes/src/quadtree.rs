@@ -161,8 +161,8 @@ impl SpGistOps for PointQuadtreeOps {
         }
     }
 
-    fn picksplit(&self, items: &[Point], _level: u32, _ctx: &()) -> PickSplit<Point, Quadrant> {
-        let split = items[0];
+    fn picksplit(&self, items: &[(Point, RowId)], _: u32, _: &()) -> PickSplit<Point, Quadrant> {
+        let split = items[0].0;
         let mut partitions = vec![
             (Quadrant::NorthWest, Vec::new()),
             (Quadrant::NorthEast, Vec::new()),
@@ -170,7 +170,7 @@ impl SpGistOps for PointQuadtreeOps {
             (Quadrant::SouthEast, Vec::new()),
             (Quadrant::Here, vec![0]),
         ];
-        for (idx, p) in items.iter().enumerate().skip(1) {
+        for (idx, (p, _)) in items.iter().enumerate().skip(1) {
             let slot = match Quadrant::of(&split, p) {
                 Quadrant::NorthWest => 0,
                 Quadrant::NorthEast => 1,

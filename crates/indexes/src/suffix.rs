@@ -119,12 +119,14 @@ impl SpGistBacked for SuffixTreeIndex {
     /// Bulk build: the words are expanded into the full suffix set *before*
     /// the backing trie is built, so the sort-based trie build sees every
     /// suffix at once and sibling runs of shared suffixes are contiguous.
+    /// The words are dropped once expanded: the suffix set is the build's
+    /// one buffer.
     fn bulk_build_keys(&self, items: Vec<(String, RowId)>) -> StorageResult<TreeStats> {
         let words = items.len() as u64;
         let total: usize = items.iter().map(|(w, _)| w.len().max(1)).sum();
         let mut expanded = Vec::with_capacity(total);
-        for (word, row) in &items {
-            expanded.extend(suffix_items(word, *row));
+        for (word, row) in items {
+            expanded.extend(suffix_items(&word, row));
         }
         let stats = self.backing().bulk_build(expanded)?;
         self.strings.fetch_add(words, Ordering::Relaxed);

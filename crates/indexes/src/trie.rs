@@ -212,9 +212,10 @@ impl SpGistOps for TrieOps {
         query.matches_rest(key, self.spelled(level))
     }
 
-    fn leaf_key(&self, key: &String, consumed: u32) -> String {
-        // Byte-indexed like the suffixes themselves (`suffix_items`).
-        key[self.spelled(consumed).min(key.len())..].to_string()
+    fn leaf_key(&self, key: &mut String, consumed: u32) {
+        // Byte-indexed like the suffixes themselves (`suffix_items`); the
+        // rest slides to the front of the key's own buffer.
+        key.drain(..self.spelled(consumed).min(key.len()));
     }
 
     fn descend_levels(&self, prefix: Option<&String>) -> u32 {
@@ -251,15 +252,15 @@ impl SpGistOps for TrieOps {
         }
     }
 
-    fn picksplit(&self, items: &[String], level: u32, _ctx: &()) -> PickSplit<String, u8> {
+    fn picksplit(&self, items: &[(String, RowId)], level: u32, _ctx: &()) -> PickSplit<String, u8> {
         // A rest starts where the path ends.
         let start = level as usize - self.spelled(level);
         // TreeShrink: extract the longest prefix common to all keys past
         // `start` (paper Table 1: "Find a common prefix among words in P").
         let common = if self.tree_shrink() {
             let mut common: Option<&[u8]> = None;
-            for item in items {
-                let kb = item.as_bytes();
+            for (key, _) in items {
+                let kb = key.as_bytes();
                 let rest = &kb[start.min(kb.len())..];
                 common = Some(match common {
                     None => rest,
@@ -275,9 +276,11 @@ impl SpGistOps for TrieOps {
         };
         let pos = start + common.len();
         let mut partitions: Vec<(u8, Vec<usize>)> = Vec::new();
-        for (idx, item) in items.iter().enumerate() {
-            let pred = Self::pred_at(item, pos);
-            match partitions.iter_mut().find(|(p, _)| *p == pred) {
+        for (idx, (key, _)) in items.iter().enumerate() {
+            let pred = Self::pred_at(key, pos);
+            // Newest first: a sorted partition (the bulk build's) meets its
+            // predicate in the partition it opened last.
+            match partitions.iter_mut().rev().find(|(p, _)| *p == pred) {
                 Some((_, list)) => list.push(idx),
                 None => partitions.push((pred, vec![idx])),
             }

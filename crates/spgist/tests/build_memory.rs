@@ -1,0 +1,118 @@
+//! The bulk build holds its keys once.  A counting global allocator (this
+//! file is its own test binary, so nothing else allocates through it) tracks
+//! live heap bytes and their high-water mark while a suffix tree is
+//! bulk-built: the build may hold the suffix set it expands, the pages it
+//! writes and little else — not a second and a third copy of the suffixes
+//! for `picksplit` and for each partition.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use spgist::prelude::*;
+use spgist::storage::PAGE_SIZE;
+use spgist_datagen::words;
+
+/// Live heap bytes.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Highest `LIVE` since the last [`reset_peak`].
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counted.
+struct Counting;
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded to `System` unchanged, so `System` upholds
+// the `GlobalAlloc` contract; the counters only observe the sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` passed on unchanged.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` passed on unchanged.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`, as the caller
+        // guarantees for this allocator.
+        unsafe { System.dealloc(ptr, layout) };
+        shrank(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as for `dealloc`, with the caller's `new_size`.
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            grew(new_size);
+            shrank(layout.size());
+        }
+        moved
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn live() -> usize {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// Restarts the high-water mark from the bytes live now, and returns them.
+fn reset_peak() -> usize {
+    let now = live();
+    PEAK.store(now, Ordering::Relaxed);
+    now
+}
+
+#[test]
+fn suffix_bulk_build_holds_its_suffixes_once() {
+    let items: Vec<(String, RowId)> = words(20_000, 0x5eed_0028).into_iter().zip(0..).collect();
+
+    // What the suffix set costs, expanded the way the index expands it.
+    let before = live();
+    let total: usize = items.iter().map(|(w, _)| w.len().max(1)).sum();
+    let mut suffixes: Vec<(String, RowId)> = Vec::with_capacity(total);
+    for (word, row) in &items {
+        suffixes.extend((0..word.len().max(1)).map(|start| (word[start..].to_string(), *row)));
+    }
+    let suffix_bytes = live() - before;
+    drop(suffixes);
+
+    let index = SuffixTreeIndex::open(BufferPool::in_memory()).unwrap();
+    let base = reset_peak();
+    index.bulk_build(items).unwrap();
+    let high_water = PEAK.load(Ordering::Relaxed) - base;
+    let page_bytes = index.owned_pages().len() * PAGE_SIZE;
+
+    // Holding the suffixes once peaks near 1.05x the two (7.7 of 7.3 MB);
+    // cloning them for `picksplit` and again for each partition peaked
+    // near 1.7x (12.6 MB).
+    let budget = 3 * (suffix_bytes + page_bytes) / 2;
+    println!(
+        "suffixes {suffix_bytes} B, pages {page_bytes} B: \
+         high water {high_water} B of a {budget} B budget"
+    );
+    assert!(
+        high_water < budget,
+        "the build held {high_water} B at its peak: more than 1.5x the suffix set \
+         ({suffix_bytes} B) and the tree's pages ({page_bytes} B) together"
+    );
+}

@@ -309,6 +309,56 @@ fn pmr_bulk_build_equivalent_to_insert_loop() {
 }
 
 // ---------------------------------------------------------------------------
+// The built bytes, pinned
+// ---------------------------------------------------------------------------
+
+/// `(pages, crc32 of every page in allocation order)` of a tree bulk-built
+/// from `keys`, row `i` for key `i`, on an in-memory pool.
+fn built_pages<I: SpIndex>(keys: &[I::Key]) -> (usize, u32) {
+    let pool = pool();
+    let index = I::open(Arc::clone(&pool)).unwrap();
+    index
+        .bulk_build(keys.iter().cloned().zip(0..).collect())
+        .unwrap();
+    let mut bytes = Vec::new();
+    for page in index.owned_pages() {
+        pool.with_page(page, |p| bytes.extend_from_slice(p.as_bytes()))
+            .unwrap();
+    }
+    (index.owned_pages().len(), spgist::storage::crc32(&bytes))
+}
+
+/// Every byte a bulk build writes, for all five classes: the same
+/// `picksplit` inputs in the same order and the same placement give the same
+/// pages.  A change to the node format or to the build's layout updates
+/// these constants on purpose; a change to how the build holds its items
+/// must not.
+#[test]
+fn bulk_built_pages_are_pinned_byte_for_byte() {
+    const ROWS: usize = 20_000;
+    let words = words(ROWS, SEED ^ 0xa0);
+    let points = points(ROWS, SEED ^ 0xa1);
+    let segments = segments(ROWS, 10.0, SEED ^ 0xa2);
+    let built = [
+        built_pages::<TrieIndex>(&words),
+        built_pages::<SuffixTreeIndex>(&words),
+        built_pages::<KdTreeIndex>(&points),
+        built_pages::<PointQuadtreeIndex>(&points),
+        built_pages::<PmrQuadtreeIndex>(&segments),
+    ];
+    assert_eq!(
+        built,
+        [
+            (48, 0x9fc4_1770),   // trie
+            (155, 0xeb1d_74b4),  // suffix tree
+            (129, 0xa557_878a),  // kd-tree
+            (142, 0x07e1_7daa),  // point quadtree
+            (2068, 0xed67_187c), // PMR quadtree
+        ]
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Degenerate partitions: all-equal keys and exhausted resolution
 // ---------------------------------------------------------------------------
 

@@ -93,13 +93,16 @@ fn suffix_leaf_holds_the_rest() {
     let suffix = SuffixTreeIndex::open(BufferPool::in_memory()).unwrap();
     let ops = suffix.backing().ops();
     assert_eq!(ops.leaf_mode(), LeafMode::Rest);
+    // `leaf_key` cuts a key in place to what its leaf keeps.
+    let kept = |ops: &TrieOps, key: &str, consumed| {
+        let mut key = key.to_string();
+        ops.leaf_key(&mut key, consumed);
+        key
+    };
     // The suffix "space" in a leaf two levels down keeps "ace"; a suffix
     // that ended on the path keeps nothing.
     let leaf = Node::<TrieOps>::Leaf {
-        items: vec![
-            (ops.leaf_key(&"space".to_string(), 2), 5),
-            (ops.leaf_key(&"sp".to_string(), 3), 130),
-        ],
+        items: vec![(kept(ops, "space", 2), 5), (kept(ops, "sp", 3), 130)],
     };
     let expected = golden(&[
         "00",     // tag: leaf
@@ -114,10 +117,7 @@ fn suffix_leaf_holds_the_rest() {
     // The trie keeps the whole key.
     let trie = TrieIndex::open(BufferPool::in_memory()).unwrap();
     assert_eq!(trie.backing().ops().leaf_mode(), LeafMode::Full);
-    assert_eq!(
-        trie.backing().ops().leaf_key(&"space".to_string(), 2),
-        "space"
-    );
+    assert_eq!(kept(trie.backing().ops(), "space", 2), "space");
 }
 
 #[test]

@@ -133,6 +133,18 @@ impl Page {
         len <= self.free_space()
     }
 
+    /// True if a record of `len` bytes can be inserted once
+    /// [`Page::compact`] has coalesced every gap — decided from the live
+    /// bytes alone, without touching the page.
+    pub fn fits_compacted(&self, len: usize) -> bool {
+        let dir_end = HEADER_SIZE + (self.slot_count() as usize + 1) * SLOT_SIZE;
+        self.fits(len) || dir_end + self.live_bytes() + len <= PAGE_SIZE
+    }
+
+    fn live_bytes(&self) -> usize {
+        self.iter().map(|(_, rec)| rec.len()).sum()
+    }
+
     /// Inserts a record, returning its slot id.
     ///
     /// Returns [`StorageError::RecordTooLarge`] if the record can never fit in
@@ -212,12 +224,7 @@ impl Page {
         // lengths alone, so a record that cannot fit leaves the page
         // untouched and the caller relocates it.
         let dir_end = HEADER_SIZE + self.slot_count() as usize * SLOT_SIZE;
-        let others: usize = self
-            .iter()
-            .filter(|&(s, _)| s != slot)
-            .map(|(_, rec)| rec.len())
-            .sum();
-        if record.len() > PAGE_SIZE.saturating_sub(dir_end + others) {
+        if dir_end + self.live_bytes() - len as usize + record.len() > PAGE_SIZE {
             return Ok(false);
         }
         self.set_slot(slot, 0, 0);
@@ -425,6 +432,9 @@ mod tests {
                         let max = if rng.below(8) == 0 { 900 } else { 90 };
                         let rec = record(&mut rng, max);
                         assert_eq!(page.fits(rec.len()), reference.fits(rec.len()));
+                        let mut compacted = page.clone();
+                        compacted.compact();
+                        assert_eq!(page.fits_compacted(rec.len()), compacted.fits(rec.len()));
                         if page.fits(rec.len()) {
                             let slot = page.insert(&rec).unwrap();
                             assert_eq!(reference.insert(&rec).unwrap(), slot);
