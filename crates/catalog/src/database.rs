@@ -13,15 +13,14 @@
 //! ([`Database::table_handle`]) that are `Send + Sync`; DDL
 //! (`create_index` / `drop_index` / `drop_table`) requires exclusive access
 //! (`&mut` / no outstanding handles), the executor's analog of PostgreSQL's
-//! `AccessExclusiveLock`.  [`Database::run_parallel`] runs a batch of
-//! queries across a scoped thread pool.
+//! `AccessExclusiveLock`.  Concurrent queries run through those handles
+//! from the caller's own threads, each on the one serial executor.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use spgist_core::RowId;
 use spgist_storage::{
     journal, BufferPool, BufferPoolConfig, CheckpointStats, FilePager, MemPager, PageId,
     StorageError, StorageResult,
@@ -33,8 +32,8 @@ use crate::durable::{self, CatalogLayout};
 use crate::physical::{ExecCursor, IndexSpec};
 use crate::planner::AccessPath;
 use crate::query::Query;
-use crate::table::{parallel_map, Table};
-use crate::value::{Datum, KeyType};
+use crate::table::Table;
+use crate::value::KeyType;
 
 /// The top-level facade: a catalog, a shared buffer pool and named tables.
 ///
@@ -482,42 +481,8 @@ impl Database {
     ) -> StorageResult<ExecCursor<'d>> {
         self.table_or_err(table)?.query(&self.catalog, query)
     }
-
-    /// Plans and executes a batch of queries against the named table on a
-    /// pool of `n_threads` scoped worker threads — the multi-threaded query
-    /// driver.
-    ///
-    /// Workers pull queries from a shared counter (so skewed query costs
-    /// balance out) and each result lands in its query's input position:
-    /// the output is deterministic and identical to running the batch
-    /// serially, whatever the interleaving.  Fails with the first error any
-    /// query produced.
-    pub fn run_parallel(
-        &self,
-        table: &str,
-        queries: &[Query],
-        n_threads: usize,
-    ) -> StorageResult<Vec<Vec<RowId>>> {
-        let table = self.table_or_err(table)?;
-        parallel_map(queries, n_threads, |query| {
-            table.query(&self.catalog, query).and_then(ExecCursor::rows)
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// [`Database::run_parallel`] for one query per call site: plans and
-    /// executes `query` with [`Table::query_parallel`]'s partitioned scans.
-    pub fn query_parallel(
-        &self,
-        table: &str,
-        query: impl Into<Query>,
-        n_threads: usize,
-    ) -> StorageResult<Vec<(RowId, Datum)>> {
-        self.table_or_err(table)?
-            .query_parallel(&self.catalog, query, n_threads)
-    }
 }
+
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
@@ -529,7 +494,6 @@ impl std::fmt::Debug for Database {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::query::Predicate;
 
     /// A `words` table of `n` deterministic five-letter words, shared by
     /// the unit tests of every module above the table layer.
@@ -548,30 +512,6 @@ pub(crate) mod tests {
             table.insert(word).unwrap();
         }
         db
-    }
-
-    #[test]
-    fn run_parallel_matches_serial_execution() {
-        let mut db = word_table(3000);
-        db.table_mut("words")
-            .unwrap()
-            .create_index("words_trie", IndexSpec::Trie)
-            .unwrap();
-        let queries: Vec<Query> = ["a", "b", "ab", "ba", "ccc", "zzzz"]
-            .iter()
-            .map(|p| Query::new(Predicate::str_prefix(p)))
-            .collect();
-        let serial: Vec<Vec<RowId>> = queries
-            .iter()
-            .map(|q| db.query("words", q).unwrap().rows().unwrap())
-            .collect();
-        for threads in [1, 2, 4, 9] {
-            assert_eq!(
-                db.run_parallel("words", &queries, threads).unwrap(),
-                serial,
-                "batch results are deterministic at {threads} threads"
-            );
-        }
     }
 
     #[test]

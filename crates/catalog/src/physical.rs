@@ -1051,7 +1051,7 @@ impl PlanContext<'_> {
 
 /// What execution needs from whoever owns the heap: tuples by row id.  The
 /// table layer implements it; this module never sees a table.
-pub(crate) trait RowSource: Sync {
+pub(crate) trait RowSource {
     /// Length of the row directory: every allocated row id, live or dead,
     /// is below it.
     fn row_count(&self) -> RowId;
@@ -1105,12 +1105,14 @@ impl<'t> Executor<'t> {
         }
     }
 
-    /// Walks every live heap row lazily.  The row-id range is snapshotted at
-    /// call time; each row is fetched under a short read latch, so rows
-    /// deleted mid-scan are skipped and rows inserted mid-scan are unseen.
-    fn heap_stream(self) -> impl Iterator<Item = StorageResult<(RowId, Datum)>> + 't {
+    /// Walks every live heap row lazily: the one heap scan, behind both
+    /// sequential-scan operators and `CREATE INDEX`'s build.  The row-id
+    /// range is snapshotted at call time; each row is fetched under a short
+    /// read latch, so rows deleted mid-scan are skipped and rows inserted
+    /// mid-scan are unseen.
+    pub(crate) fn heap_stream(self) -> impl Iterator<Item = StorageResult<(RowId, Datum)>> + 't {
         (0..self.rows.row_count()).filter_map(move |row| {
-            // Serial seq scan: every heap page is one-touch traffic.
+            // Every heap page is one-touch traffic.
             self.rows
                 .fetch(row, AccessHint::Scan)
                 .map(|datum| datum.map(|datum| (row, datum)))
@@ -1567,20 +1569,25 @@ mod tests {
         (rows, indexes)
     }
 
-    fn scan_node(index: &str, leaf: Predicate, ordered: bool) -> PhysNode {
+    /// A plan node whose cost nothing here reads.
+    fn node(op: PhysOp) -> PhysNode {
         PhysNode {
-            op: PhysOp::IndexScan {
-                index: index.into(),
-                operator_class: String::new(),
-                leaf,
-                ordered,
-            },
+            op,
             cost: CostEstimate::seq_scan(&TableStats {
                 rows: 0,
                 heap_pages: 0,
                 distinct_values: 0,
             }),
         }
+    }
+
+    fn scan_node(index: &str, leaf: Predicate, ordered: bool) -> PhysNode {
+        node(PhysOp::IndexScan {
+            index: index.into(),
+            operator_class: String::new(),
+            leaf,
+            ordered,
+        })
     }
 
     fn filter_node(input: PhysNode, residual: Predicate) -> PhysNode {
@@ -1663,19 +1670,36 @@ mod tests {
     #[test]
     fn a_row_deleted_after_its_cursor_opened_is_skipped_with_or_without_a_heap_fetch() {
         let victim = WORDS.iter().position(|w| *w == "spare").unwrap() as RowId;
-        for (index, leaf, ordered) in [
-            ("trie", Predicate::str_prefix("s"), false),
-            ("trie", Predicate::str_nearest("spare"), true),
-            ("suffix", Predicate::str_substring("are"), false),
+        for plan in [
+            scan_node("trie", Predicate::str_prefix("s"), false),
+            scan_node("trie", Predicate::str_nearest("spare"), true),
+            scan_node("suffix", Predicate::str_substring("are"), false),
+            node(PhysOp::SeqScan {
+                filter: Predicate::str_prefix("s"),
+                order: None,
+            }),
+            filter_node(
+                scan_node("trie", Predicate::str_prefix("s"), false),
+                Predicate::str_substring("are"),
+            ),
+            // The suffix set is drained when the cursor opens, before the
+            // row dies: only the driving trie scan can still drop it.
+            node(PhysOp::Intersect(vec![
+                scan_node("trie", Predicate::str_prefix("s"), false),
+                scan_node("suffix", Predicate::str_substring("are"), false),
+            ])),
+            node(PhysOp::Union(vec![
+                scan_node("trie", Predicate::str_equals("spare"), false),
+                scan_node("trie", Predicate::str_prefix("st"), false),
+            ])),
         ] {
             let (rows, indexes) = counted_words();
             let exec = Executor {
                 rows: &rows,
                 indexes: &indexes,
             };
-            let plan = scan_node(index, leaf, ordered);
             let all = exec.cursor(&plan).unwrap().rows().unwrap();
-            assert!(all.contains(&victim));
+            assert!(all.contains(&victim), "{:?}", plan.op);
 
             // The row dies between the cursor opening and the first pull;
             // its index entries are still there (the delete has not reached
@@ -1683,8 +1707,8 @@ mod tests {
             let cursor = exec.cursor(&plan).unwrap();
             rows.slots.lock()[victim as usize] = None;
             let seen = cursor.rows().unwrap();
-            assert!(!seen.contains(&victim), "{index} ordered={ordered}");
-            assert_eq!(seen.len(), all.len() - 1);
+            assert!(!seen.contains(&victim), "{:?}", plan.op);
+            assert_eq!(seen.len(), all.len() - 1, "{:?}", plan.op);
         }
     }
 }

@@ -25,12 +25,8 @@
 //! scans run latch-free: a long cursor delays page reclamation, never a
 //! writer.  DDL (`create_index` / `drop_index`) requires exclusive access
 //! (`&mut`), the executor's analog of PostgreSQL's `AccessExclusiveLock`.
-//! [`Table::query_parallel`] partitions large sequential and intersection
-//! scans across threads when the cost model says the table is big enough to
-//! amortize thread startup.
 
 use std::collections::{BTreeSet, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -40,13 +36,13 @@ use spgist_storage::{AccessHint, BufferPool, HeapFile, RecordId, StorageError, S
 use spgist_wal::{Lsn, TxnId, Wal, WalRecord, AUTOCOMMIT};
 
 use crate::am::Catalog;
-use crate::cost::{CostEstimate, TableStats};
+use crate::cost::TableStats;
 use crate::durable::{PersistedTable, RowsDelta, TableSnapshot, ROWS_PER_CHUNK};
 use crate::physical::{
-    ExecCursor, Executor, IndexSpec, NamedIndex, PhysNode, PhysOp, PlanContext, RowSource,
+    ExecCursor, Executor, IndexSpec, NamedIndex, PhysNode, PlanContext, RowSource,
 };
 use crate::planner::{AccessPath, AvailableIndex};
-use crate::query::{Predicate, Query};
+use crate::query::Query;
 use crate::value::{Datum, KeyType};
 
 /// What changed in a table since the last checkpoint.  Every mutation path
@@ -112,7 +108,8 @@ struct TableInner {
 impl TableInner {
     /// The heap record of `row` if the row is live, `None` if it was deleted
     /// or never allocated: the one row-directory lookup every read of a row
-    /// goes through, with or without the heap fetch that may follow.
+    /// goes through, with or without the heap fetch that may follow.  Only
+    /// [`RowSource::is_live`] and [`RowSource::fetch`] call it.
     fn record_of(&self, row: RowId) -> Option<RecordId> {
         self.rows.get(row as usize).copied().flatten()
     }
@@ -654,22 +651,10 @@ impl Table {
     }
 
     /// Reads the key value of a row, `None` if it does not exist (deleted or
-    /// never inserted).  The execution paths use this so a row deleted
-    /// between an index probe and the heap fetch is skipped, not an error.
+    /// never inserted): the executor's own heap fetch, with the default
+    /// buffer-pool hint.
     pub fn try_datum(&self, row: RowId) -> StorageResult<Option<Datum>> {
-        self.try_datum_hinted(row, AccessHint::Normal)
-    }
-
-    /// [`Table::try_datum`] with an explicit buffer-pool [`AccessHint`].
-    /// Row-at-a-time scan loops (the parallel seq scan, index builds) pass
-    /// [`AccessHint::Scan`] so their one-touch heap pages stay out of the
-    /// pool's protected set.
-    pub fn try_datum_hinted(&self, row: RowId, hint: AccessHint) -> StorageResult<Option<Datum>> {
-        let inner = self.inner.read();
-        let Some(rid) = inner.record_of(row) else {
-            return Ok(None);
-        };
-        Datum::decode_record(&inner.heap.get_hinted(rid, hint)?).map(Some)
+        self.fetch(row, AccessHint::Normal)
     }
 
     /// Builds a physical index described by `spec` over the existing heap
@@ -699,14 +684,12 @@ impl Table {
             )));
         }
         let named = NamedIndex::create(Arc::clone(&self.pool), name, spec)?;
-        let row_count = self.inner.read().rows.len() as RowId;
-        let mut items: Vec<(Datum, RowId)> = Vec::new();
-        for row in 0..row_count {
-            // The build scan touches every heap page exactly once.
-            if let Some(datum) = self.try_datum_hinted(row, AccessHint::Scan)? {
-                items.push((datum, row));
-            }
-        }
+        // The executor's sequential scan: every heap page touched once.
+        let items: Vec<(Datum, RowId)> = self
+            .executor()
+            .heap_stream()
+            .map(|item| item.map(|(row, datum)| (datum, row)))
+            .collect::<StorageResult<_>>()?;
         if !items.is_empty() {
             // Seed exact planner statistics from the build scan: the scan
             // already visits every live key, so the distinct count stops
@@ -824,149 +807,6 @@ impl Table {
         self.executor().cursor(&phys)
     }
 
-    /// Plans and executes `query` with up to `n_threads` worker threads,
-    /// materializing the matching `(row id, key)` pairs.
-    ///
-    /// Parallelism applies where the plan shape allows it and the cost
-    /// model says the table is large enough to amortize thread startup
-    /// ([`CostEstimate::parallel_seq_scan`]):
-    ///
-    /// * an unordered, un-`LIMIT`ed **sequential scan** partitions the
-    ///   row-id range into contiguous chunks, one worker per chunk, and
-    ///   concatenates the chunk results — deterministically equal to the
-    ///   serial scan's row-id order (a limited scan stays serial: streaming
-    ///   stops at `k`, a chunked scan cannot);
-    /// * an un-`LIMIT`ed **intersection** evaluates every participating
-    ///   input's row-id stream on its own worker, intersects the sets, and
-    ///   reports rows in ascending row-id order (again deterministic).  A
-    ///   limited intersection stays serial: the parallel set-build reports
-    ///   the `k` lowest row ids, which is a valid but *different* subset
-    ///   than the serial driver order.
-    ///
-    /// Everything else (ordered scans, unions, index-driven filters, small
-    /// tables) falls back to the serial streaming path with identical
-    /// results.
-    pub fn query_parallel(
-        &self,
-        catalog: &Catalog,
-        query: impl Into<Query>,
-        n_threads: usize,
-    ) -> StorageResult<Vec<(RowId, Datum)>> {
-        wal_health(&self.wal)?;
-        let query = query.into();
-        let n_threads = n_threads.max(1);
-        if n_threads > 1 {
-            let phys = self.plan_phys(catalog, &query)?;
-            // A LIMIT-bearing plan (a `Limit` root, matching no arm below)
-            // stays serial.  Seq scan: the streaming path stops after `k`
-            // matches, while a chunked parallel scan would filter the whole
-            // table before truncating.  Intersection: truncating the
-            // parallel set-build's ascending row-id order would return the
-            // k *lowest* row ids, a valid but different subset than the
-            // serial driver produces.
-            match &phys.op {
-                PhysOp::SeqScan {
-                    filter,
-                    order: None,
-                } if self.parallel_seq_scan_pays(n_threads) => {
-                    return self.par_seq_scan(filter, n_threads);
-                }
-                PhysOp::Intersect(_) => {
-                    if let Some(inputs) = intersection_that_pays(&phys, n_threads) {
-                        return self.par_intersect(inputs, &[], n_threads);
-                    }
-                }
-                PhysOp::Filter { input, residual } => {
-                    if let Some(inputs) = intersection_that_pays(input, n_threads) {
-                        return self.par_intersect(inputs, residual, n_threads);
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.query(catalog, query)?.collect()
-    }
-
-    /// Whether a parallel sequential scan over this table beats the serial
-    /// one under the cost model.
-    fn parallel_seq_scan_pays(&self, n_threads: usize) -> bool {
-        let stats = self.table_stats();
-        CostEstimate::parallel_seq_scan(&stats, n_threads).total_cost
-            < CostEstimate::seq_scan(&stats).total_cost
-    }
-
-    /// Partitions the row-id range into contiguous chunks and filters each
-    /// on its own worker thread.  Chunk results concatenate in chunk order,
-    /// so the output matches the serial scan exactly.
-    fn par_seq_scan(
-        &self,
-        filter: &Predicate,
-        n_threads: usize,
-    ) -> StorageResult<Vec<(RowId, Datum)>> {
-        let row_count = self.row_count();
-        let workers = (n_threads as RowId).min(row_count.max(1));
-        let chunk = row_count.div_ceil(workers);
-        let ranges: Vec<_> = (0..workers)
-            .map(|w| w * chunk..((w + 1) * chunk).min(row_count))
-            .collect();
-        let partials = parallel_map(&ranges, n_threads, |range| -> StorageResult<Vec<_>> {
-            let mut out = Vec::new();
-            for row in range.clone() {
-                // One-touch heap pages: scan-hinted so parallel workers do
-                // not flush the index working set.
-                if let Some(datum) = self.try_datum_hinted(row, AccessHint::Scan)? {
-                    if filter.matches(&datum) {
-                        out.push((row, datum));
-                    }
-                }
-            }
-            Ok(out)
-        });
-        let mut rows = Vec::new();
-        for part in partials {
-            rows.extend(part?);
-        }
-        Ok(rows)
-    }
-
-    /// Evaluates every intersection input's row-id stream on a worker
-    /// thread, intersects the sets, applies `residual` re-checks, and
-    /// reports surviving rows in ascending row-id order.
-    fn par_intersect(
-        &self,
-        inputs: &[PhysNode],
-        residual: &[Predicate],
-        n_threads: usize,
-    ) -> StorageResult<Vec<(RowId, Datum)>> {
-        let mut sets = parallel_map(inputs, n_threads, |node| {
-            self.executor()
-                .execute(node)?
-                .map(|item| item.map(|(row, _)| row))
-                .collect::<StorageResult<HashSet<RowId>>>()
-        })
-        .into_iter()
-        .collect::<StorageResult<Vec<_>>>()?;
-        // Intersect starting from the smallest set; sort for a
-        // deterministic output order.
-        sets.sort_by_key(HashSet::len);
-        let (first, rest) = sets.split_first().expect("intersection of >= 2 inputs");
-        let mut rows: Vec<RowId> = first
-            .iter()
-            .copied()
-            .filter(|row| rest.iter().all(|set| set.contains(row)))
-            .collect();
-        rows.sort_unstable();
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            if let Some(datum) = self.try_datum(row)? {
-                if residual.iter().all(|p| p.matches(&datum)) {
-                    out.push((row, datum));
-                }
-            }
-        }
-        Ok(out)
-    }
-
     fn executor(&self) -> Executor<'_> {
         Executor {
             rows: self,
@@ -1001,32 +841,6 @@ impl Table {
     }
 }
 
-/// Runs `job` over every item on up to `n_threads` scoped worker threads.
-/// Workers pull items from a shared counter (so skewed job costs balance
-/// out) and each result lands in its item's position: the output is
-/// deterministic whatever the interleaving.
-pub(crate) fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    n_threads: usize,
-    job: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..n_threads.clamp(1, items.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock() = Some(job(item));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every slot is filled"))
-        .collect()
-}
-
 /// Fails when the database's write-ahead log has been poisoned by an I/O
 /// failure.  At that point the in-memory state may be ahead of stable
 /// storage with no way to close the gap (the flusher is dead), so the
@@ -1045,19 +859,6 @@ pub(crate) fn wal_health(wal: &Option<Arc<Wal>>) -> StorageResult<()> {
     }
 }
 
-/// The inputs of `node` if it is an intersection costly enough to amortize
-/// `n_threads` workers' startup.
-fn intersection_that_pays(node: &PhysNode, n_threads: usize) -> Option<&[PhysNode]> {
-    match &node.op {
-        PhysOp::Intersect(inputs)
-            if CostEstimate::parallel_pays(node.cost.total_cost, n_threads.min(inputs.len())) =>
-        {
-            Some(inputs)
-        }
-        _ => None,
-    }
-}
-
 impl RowSource for Table {
     fn row_count(&self) -> RowId {
         self.inner.read().rows.len() as RowId
@@ -1068,7 +869,11 @@ impl RowSource for Table {
     }
 
     fn fetch(&self, row: RowId, hint: AccessHint) -> StorageResult<Option<Datum>> {
-        self.try_datum_hinted(row, hint)
+        let inner = self.inner.read();
+        let Some(rid) = inner.record_of(row) else {
+            return Ok(None);
+        };
+        Datum::decode_record(&inner.heap.get_hinted(rid, hint)?).map(Some)
     }
 }
 
@@ -1088,6 +893,7 @@ mod tests {
     use super::*;
     use crate::database::tests::word_table;
     use crate::database::Database;
+    use crate::query::Predicate;
     use spgist_indexes::geom::Point;
 
     #[test]
@@ -1297,72 +1103,5 @@ mod tests {
             .rows()
             .unwrap();
         assert!(!after.contains(&123));
-    }
-
-    #[test]
-    fn query_parallel_partitions_seq_scans_deterministically() {
-        // Large enough that the cost gate opens the parallel path.
-        let db = word_table(60_000);
-        let table = db.table("words").unwrap();
-        assert!(
-            table.parallel_seq_scan_pays(4),
-            "60k rows must amortize thread startup"
-        );
-        let pred = Predicate::str_prefix("a");
-        let serial: Vec<(RowId, Datum)> = db
-            .query("words", &pred)
-            .unwrap()
-            .collect::<StorageResult<_>>()
-            .unwrap();
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(
-                db.query_parallel("words", &pred, threads).unwrap(),
-                serial,
-                "chunked scan merges identically at {threads} threads"
-            );
-        }
-        // A pushed-down LIMIT caps the merged result too.
-        let limited = db
-            .query_parallel("words", pred.clone().limit(17), 4)
-            .unwrap();
-        assert_eq!(limited, serial[..17.min(serial.len())]);
-
-        // Small tables fail the gate and stay serial, same answers.
-        let small = word_table(50);
-        assert!(!small.table("words").unwrap().parallel_seq_scan_pays(4));
-        let expect = small.query("words", &pred).unwrap().rows().unwrap();
-        let got: Vec<RowId> = small
-            .query_parallel("words", &pred, 4)
-            .unwrap()
-            .into_iter()
-            .map(|(row, _)| row)
-            .collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn query_parallel_agrees_on_composite_predicates() {
-        let mut db = word_table(4000);
-        db.table_mut("words")
-            .unwrap()
-            .create_index("words_trie", IndexSpec::Trie)
-            .unwrap();
-        db.table_mut("words")
-            .unwrap()
-            .create_index("words_suffix", IndexSpec::SuffixTree)
-            .unwrap();
-        let composite = Predicate::str_prefix("a").and(Predicate::str_substring("b"));
-        let mut serial = db.query("words", &composite).unwrap().rows().unwrap();
-        serial.sort_unstable();
-        for threads in [1, 3, 5] {
-            let mut rows: Vec<RowId> = db
-                .query_parallel("words", &composite, threads)
-                .unwrap()
-                .into_iter()
-                .map(|(row, _)| row)
-                .collect();
-            rows.sort_unstable();
-            assert_eq!(rows, serial, "composite plan agrees at {threads} threads");
-        }
     }
 }

@@ -49,10 +49,33 @@
 //! ```
 //!
 //! Indexes and tables are **shared-access**: every `SpIndex` method takes
-//! `&self` behind internal reader-writer latches, `Arc<Table>` handles are
-//! `Send + Sync`, and [`Database::run_parallel`](catalog::Database::run_parallel)
-//! drives a batch of queries across a scoped thread pool (see the README's
-//! *Concurrency model*).
+//! `&self` behind internal reader-writer latches, and `Arc<Table>` handles
+//! are `Send + Sync`.  A writer thread goes through a table handle while a
+//! reader queries through the facade (the README's *Concurrency model*):
+//!
+//! ```
+//! use spgist::prelude::*;
+//! use std::sync::Arc;
+//!
+//! let mut db = Database::in_memory();
+//! db.create_table("pts", KeyType::Point).unwrap();
+//! db.table_mut("pts").unwrap().create_index("kd", IndexSpec::KdTree).unwrap();
+//!
+//! let handle: Arc<Table> = db.table_handle("pts").unwrap();
+//! std::thread::scope(|s| {
+//!     s.spawn(|| {
+//!         for i in 0..1_000u64 {
+//!             handle.insert(Point::new((i % 97) as f64, (i % 89) as f64)).unwrap();
+//!         }
+//!     });
+//!     s.spawn(|| {
+//!         let world = Predicate::point_in_rect(Rect::new(0.0, 0.0, 100.0, 100.0));
+//!         let rows = db.query("pts", &world).unwrap().rows().unwrap();
+//!         assert!(rows.len() <= 1_000);
+//!     });
+//! });
+//! assert_eq!(handle.len(), 1_000);
+//! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

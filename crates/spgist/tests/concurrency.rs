@@ -4,8 +4,8 @@
 //! land while it drains.  What these tests hold the system to instead:
 //! nothing committed before a scan began ever goes missing, nothing that
 //! was never inserted ever surfaces, no row surfaces twice, writers are
-//! never blocked by open cursors, and the multi-threaded query driver
-//! agrees with serial execution.
+//! never blocked by open cursors, and queries through shared handles agree
+//! with serial execution.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -184,10 +184,11 @@ fn table_handles_support_concurrent_dml_and_queries() {
     assert_eq!(handle.len(), TOTAL);
 }
 
-/// The multi-threaded query driver returns exactly the serial answers, in
-/// input order, at every thread count.
+/// Queries through shared table handles return exactly the serial answers
+/// at every thread count: each scoped thread runs the whole batch through
+/// its own `table_handle`, on the one executor.
 #[test]
-fn run_parallel_is_deterministic_across_thread_counts() {
+fn shared_handle_queries_are_deterministic_across_thread_counts() {
     let mut db = Database::in_memory();
     db.create_table("points", KeyType::Point).unwrap();
     let table = db.table_mut("points").unwrap();
@@ -208,11 +209,27 @@ fn run_parallel_is_deterministic_across_thread_counts() {
         .collect();
     assert!(serial.iter().any(|rows| !rows.is_empty()));
     for threads in [1, 2, 4, 16] {
-        assert_eq!(
-            db.run_parallel("points", &queries, threads).unwrap(),
-            serial,
-            "driver output must match serial execution at {threads} threads"
-        );
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    let handle = db.table_handle("points").unwrap();
+                    let (db, queries) = (&db, &queries);
+                    scope.spawn(move || {
+                        queries
+                            .iter()
+                            .map(|q| handle.query(db.catalog(), q).unwrap().rows().unwrap())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for worker in workers {
+                assert_eq!(
+                    worker.join().unwrap(),
+                    serial,
+                    "a shared handle must match serial execution at {threads} threads"
+                );
+            }
+        });
     }
 }
 
