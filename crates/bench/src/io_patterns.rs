@@ -295,7 +295,9 @@ pub fn run_io_patterns_on(
 ) -> Vec<IoPatternRow> {
     let data = points(n, seed);
     let dataset = build_dataset(&data, backend);
-    let data_pages = dataset.index_pages.len() + dataset.heap_pages.len();
+    // The tree's meta page is read when the index opens: it is part of
+    // the working set too.
+    let data_pages = dataset.index_pages.len() + 1 + dataset.heap_pages.len();
     let zipf = Zipf::new(data.len());
 
     let workloads: [&'static str; 4] = ["point", "range", "knn", "scan+point"];

@@ -9,13 +9,13 @@
 //! [`BulkBuilder`] is the dedicated index-build entry point instead: it takes
 //! the *whole* `(key, row)` set, recursively applies
 //! [`SpGistOps::picksplit`] to whole partitions top-down, packs data nodes to
-//! `BucketSize`, and allocates every node exactly once.  Inner nodes are
-//! materialized parent-first with fixed-width placeholder child pointers that
-//! are patched in place once the children exist (the same trick the offline
-//! repacker uses), so the node→page clustering sees parents before children
-//! and subtrees stay physically together.  [`TreeStats`] are accumulated
-//! *during* the build — node counts, items, node/page heights — instead of by
-//! the usual whole-tree traversal.
+//! `BucketSize`, and emits every node children-first to the placer
+//! ([`NodeStore`]'s page groups, the same layout `repack` and the online
+//! split get), so each node is written exactly once, with its children's
+//! addresses, and subtrees stay physically together.  [`TreeStats`] are
+//! accumulated *during* the build — node counts, items, node height, and
+//! the page height the placer returns — instead of by the usual whole-tree
+//! traversal.
 //!
 //! The build holds its items once.  The caller's `Vec` is the only item
 //! buffer: `picksplit` reads a partition where it lies, a disjoint split
@@ -53,25 +53,14 @@
 //! partitions in half instead of wherever insertion order happened to put
 //! the first key.
 
-use spgist_storage::{PageId, StorageResult};
+use spgist_storage::StorageResult;
 
 use crate::config::NodeShrink;
 use crate::node::{encode_leaf, row_slot, Entry, Node, NodeId, ROW_BITS, ROW_FANOUT};
 use crate::ops::{PickSplit, SpGistOps};
 use crate::stats::TreeStats;
-use crate::store::NodeStore;
+use crate::store::{Group, NodeStore, UNPLACED};
 use crate::RowId;
-
-/// What lies above the node about to be built: the page to place it near
-/// (its parent's, below the root), the root-to-parent path for the
-/// page-height statistic, and the node height it will have.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Above {
-    pub near: PageId,
-    pub parent_page: Option<PageId>,
-    pub path_pages: u32,
-    pub node_depth: u32,
-}
 
 /// One bulk build over an empty tree's node store; created by
 /// [`SpGistTree::bulk_build`](crate::SpGistTree::bulk_build), which owns the
@@ -79,7 +68,7 @@ pub(crate) struct Above {
 pub struct BulkBuilder<'a, O: SpGistOps> {
     ops: &'a O,
     store: &'a NodeStore,
-    pub(crate) stats: TreeStats,
+    stats: TreeStats,
 }
 
 impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
@@ -91,48 +80,42 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         }
     }
 
-    /// Builds the whole tree from `items`, preferring pages near `near` for
-    /// the root, and returns the root's address.  `items` is the build's one
-    /// item buffer: partitioned and cut in place, level by level.
-    pub(crate) fn build_root(
-        &mut self,
-        near: PageId,
+    /// Builds and places the whole tree from `items`: the root's address,
+    /// and the statistics accumulated while building, completed with the
+    /// store's size figures.  `items` is the build's one item buffer:
+    /// partitioned and cut in place, level by level.
+    pub(crate) fn build(
+        mut self,
         mut items: Vec<(O::Key, RowId)>,
-    ) -> StorageResult<NodeId> {
+    ) -> StorageResult<(NodeId, TreeStats)> {
         let ctx = self.ops.root_context();
-        let above = Above {
-            near,
-            parent_page: None,
-            path_pages: 0,
-            node_depth: 1,
+        let tree = self.build_partition(&mut items, 0, &ctx, 1)?;
+        let (root, max_page_height) = self.store.place_group(tree, None)?;
+        let stats = TreeStats {
+            max_page_height,
+            pages: self.store.page_count() as u64,
+            size_bytes: self.store.size_bytes(),
+            utilization: self.store.utilization()?,
+            ..self.stats
         };
-        self.build_partition(above, &mut items, 0, &ctx)
-    }
-
-    /// The statistics accumulated while building, completed with the store's
-    /// size figures.
-    pub(crate) fn finish(self) -> StorageResult<TreeStats> {
-        let mut stats = self.stats;
-        stats.pages = self.store.page_count() as u64;
-        stats.size_bytes = self.store.size_bytes();
-        stats.utilization = self.store.utilization()?;
-        Ok(stats)
+        Ok((root, stats))
     }
 
     /// Recursively builds the subtree holding `items`, which the caller
     /// reaches at decomposition depth `level` through traversal context
-    /// `ctx`.  `items` is the partition's run of the build's buffer; the
+    /// `ctx`, its root `depth` nodes down the tree, and hands it to the
+    /// placer.  `items` is the partition's run of the build's buffer; the
     /// build reorders and cuts it in place.
     fn build_partition(
         &mut self,
-        above: Above,
         items: &mut [(O::Key, RowId)],
         level: u32,
         ctx: &O::Context,
-    ) -> StorageResult<NodeId> {
+        depth: u32,
+    ) -> StorageResult<Group> {
         let cfg = self.ops.config();
         if items.len() <= cfg.bucket_size {
-            return self.build_leaf(above, items);
+            return self.build_leaf(items, depth);
         }
         let split = if level >= cfg.resolution {
             None
@@ -155,7 +138,7 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
                 .then_some(split)
         };
         let Some(split) = split else {
-            return self.build_rows(above, items.to_vec(), 0);
+            return self.build_rows(items.to_vec(), 0, depth);
         };
 
         let PickSplit { prefix, partitions } = split;
@@ -181,24 +164,9 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
             permute(items, order);
         }
 
-        // Materialize the inner node first with placeholder child pointers
-        // (fixed encoded width, so the in-place patch below cannot change
-        // the record size), then build the children near it.
-        let placeholder = Node::<O>::Inner {
-            prefix: prefix.clone(),
-            entries: kept
-                .iter()
-                .map(|(pred, _)| Entry {
-                    pred: pred.clone(),
-                    child: NodeId::new(0, 0),
-                })
-                .collect(),
-        };
-        let inner_id = self.store.allocate(&placeholder, Some(above.near))?;
-        let below = self.note_node(inner_id.page, above);
-        self.stats.inner_nodes += 1;
-
-        let mut entries = Vec::with_capacity(kept.len());
+        // Children first: each child's subtree goes to the placer before
+        // the node that points at it.
+        let (mut entries, mut kids) = (Vec::with_capacity(kept.len()), Vec::new());
         let mut start = 0;
         for ((pred, members), size) in kept.into_iter().zip(sizes) {
             let mut copied: Vec<(O::Key, RowId)>;
@@ -212,70 +180,53 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
             run.iter_mut()
                 .for_each(|(key, _)| self.ops.leaf_key(key, delta));
             let child_ctx = self.ops.child_context(ctx, prefix.as_ref(), &pred, level);
-            let child = self.build_partition(below, run, level + delta, &child_ctx)?;
-            entries.push(Entry { pred, child });
+            kids.push(self.build_partition(run, level + delta, &child_ctx, depth + 1)?);
+            entries.push(Entry {
+                pred,
+                child: UNPLACED,
+            });
         }
+        self.stats.inner_nodes += 1;
         self.store
-            .patch(inner_id, &Node::<O>::Inner { prefix, entries })?;
-        Ok(inner_id)
+            .group(&Node::<O>::Inner { prefix, entries }, kids)
     }
 
     /// Builds the subtree for `items` that keys cannot separate, below row
-    /// nodes that consumed `shift` row-id bits: one leaf while it fits the
-    /// byte budget, else a row node over [`ROW_FANOUT`] such subtrees.  The
-    /// insert path calls this too when a leaf outgrows the budget, so both
-    /// grow one shape.
+    /// nodes that consumed `shift` row-id bits, its root `depth` nodes down:
+    /// one leaf while it fits the byte budget, else a row node over
+    /// [`ROW_FANOUT`] such subtrees.  The insert path calls this too when a
+    /// leaf outgrows the budget, so both grow one shape.
     pub(crate) fn build_rows(
         &mut self,
-        above: Above,
         items: Vec<(O::Key, RowId)>,
         shift: u32,
-    ) -> StorageResult<NodeId> {
+        depth: u32,
+    ) -> StorageResult<Group> {
         if !Node::<O>::outgrows_leaf(&items, shift) {
-            return self.build_leaf(above, &items);
+            return self.build_leaf(&items, depth);
         }
-        let mut children = vec![NodeId::new(0, 0); ROW_FANOUT];
-        let placeholder = Node::<O>::Rows {
-            shift,
-            children: children.clone(),
-        };
-        let id = self.store.allocate(&placeholder, Some(above.near))?;
-        let below = self.note_node(id.page, above);
-        self.stats.inner_nodes += 1;
         let mut buckets = vec![Vec::new(); ROW_FANOUT];
         for item in items {
             buckets[row_slot(item.1, shift)].push(item);
         }
-        for (child, bucket) in children.iter_mut().zip(buckets) {
-            *child = self.build_rows(below, bucket, shift + ROW_BITS)?;
-        }
-        self.store.patch(id, &Node::<O>::Rows { shift, children })?;
-        Ok(id)
+        let kids = buckets
+            .into_iter()
+            .map(|bucket| self.build_rows(bucket, shift + ROW_BITS, depth + 1))
+            .collect::<StorageResult<_>>()?;
+        self.stats.inner_nodes += 1;
+        let children = vec![UNPLACED; ROW_FANOUT];
+        self.store.group(&Node::<O>::Rows { shift, children }, kids)
     }
 
-    /// Places a leaf encoded straight from `items`, wherever they lie.
-    fn build_leaf(&mut self, above: Above, items: &[(O::Key, RowId)]) -> StorageResult<NodeId> {
+    /// A leaf encoded straight from `items`, wherever they lie.
+    fn build_leaf(&mut self, items: &[(O::Key, RowId)], depth: u32) -> StorageResult<Group> {
         self.stats.leaf_nodes += 1;
         self.stats.items += items.len() as u64;
+        // Leaves end every path.
+        self.stats.max_node_height = self.stats.max_node_height.max(depth);
         let mut bytes = Vec::new();
         encode_leaf(items, &mut bytes);
-        let id = self.store.place_node(&bytes, Some(above.near))?;
-        self.note_node(id.page, above);
-        Ok(id)
-    }
-
-    /// Records a node placed at `page` into the height statistics and
-    /// returns what lies above its children.
-    fn note_node(&mut self, page: PageId, above: Above) -> Above {
-        let path_pages = crate::tree::path_pages(above.parent_page, above.path_pages, page);
-        self.stats.max_node_height = self.stats.max_node_height.max(above.node_depth);
-        self.stats.max_page_height = self.stats.max_page_height.max(path_pages);
-        Above {
-            near: page,
-            parent_page: Some(page),
-            path_pages,
-            node_depth: above.node_depth + 1,
-        }
+        self.store.join(bytes, &[], Vec::new())
     }
 }
 

@@ -19,9 +19,10 @@
 //! A node's record is its kind tag, then what it holds and no wider: a
 //! leaf's item count and each row id are varints (`codec::put_varint`), as
 //! are an inner node's entry count and every string length the keys and
-//! predicates write; a child pointer is a fixed 6-byte [`NodeId`], so
-//! rewriting one in place ([`crate::NodeStore::patch`]) never resizes a
-//! record.  What a leaf stores of a key is the class's choice
+//! predicates write; a child pointer is a fixed 6-byte [`NodeId`], so the
+//! placer knows a node's size before its children have addresses, and
+//! re-pointing a child in place ([`crate::NodeStore::patch`]) never resizes
+//! a record.  What a leaf stores of a key is the class's choice
 //! ([`SpGistOps::leaf_key`]): the suffix tree keeps only what the path has
 //! not spelled.
 
@@ -137,11 +138,6 @@ const TAG_INNER: u8 = 1;
 const TAG_ROWS: u8 = 2;
 
 impl<O: SpGistOps> Node<O> {
-    /// True if this is a leaf (data) node.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf { .. })
-    }
-
     /// The child pointers of an index node, in entry order (none for a
     /// leaf).
     pub fn children(&self) -> Vec<NodeId> {
@@ -182,15 +178,24 @@ impl<O: SpGistOps> Node<O> {
 
     /// Serializes the node for storage in a slotted page.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_marking(&mut Vec::new())
+    }
+
+    /// [`Node::encode`], noting in `pointers` where each child pointer
+    /// lies in the bytes: the placer writes them once the children have
+    /// addresses.
+    pub(crate) fn encode_marking(&self, pointers: &mut Vec<usize>) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        let mut pointer = |child: &NodeId, out: &mut Vec<u8>| {
+            pointers.push(out.len());
+            child.encode(out);
+        };
         match self {
             Node::Leaf { items } => encode_leaf(items, &mut out),
             Node::Rows { shift, children } => {
                 out.push(TAG_ROWS);
                 (*shift as u8).encode(&mut out);
-                for child in children {
-                    child.encode(&mut out);
-                }
+                children.iter().for_each(|child| pointer(child, &mut out));
             }
             Node::Inner { prefix, entries } => {
                 out.push(TAG_INNER);
@@ -198,7 +203,7 @@ impl<O: SpGistOps> Node<O> {
                 put_varint(&mut out, entries.len() as u64);
                 for entry in entries {
                     entry.pred.encode(&mut out);
-                    entry.child.encode(&mut out);
+                    pointer(&entry.child, &mut out);
                 }
             }
         }
@@ -398,7 +403,6 @@ mod tests {
     #[test]
     fn empty_leaf_roundtrip() {
         let node: TestNode = Node::Leaf { items: Vec::new() };
-        assert!(node.is_leaf());
         let decoded = TestNode::decode(&node.encode()).unwrap();
         assert_eq!(decoded, node);
     }

@@ -5,11 +5,31 @@
 //! Section 3 — is how to pack tree nodes into pages so that root-to-leaf
 //! traversals touch as few pages as possible.  The paper relies on the
 //! clustering technique of Diwan et al.; [`NodeStore`] implements a greedy
-//! approximation with one rule: a new node goes in its parent's page when
-//! it fits, else in one of a small set of recently opened pages, and only
-//! then in a fresh page.  Subtrees stay physically clustered and the *page*
-//! height of the tree stays close to that of a balanced B⁺-tree even though
-//! the *node* height is much larger (paper Figures 11–12).
+//! form of it as one placer, the only code that chooses a page for a new
+//! node.  The bulk build, the online split and row fan-out, and `repack`
+//! hand it their subtree children-first (`NodeStore::group`), and it lays
+//! the subtree out in page groups:
+//!
+//! * a subtree that fits half a page (`GROUP_BUDGET`) stays whole, its
+//!   nodes in preorder, and its parent's group takes it in;
+//! * a larger subtree's root keeps on its page the groups of its tallest
+//!   children while they fit the same budget, so its page height grows only
+//!   where a path must cross a page; every other child's group is placed
+//!   at once, and when even the tallest do not fit the root starts a group
+//!   of its own, one page higher;
+//! * a group goes on its parent's page when the caller names one and it
+//!   fits there (the online split names the old leaf's), else on the open
+//!   page (one of the 16 most recently opened) it fits most tightly, else
+//!   on a fresh page (`NodeStore::place_group`).  A single new node
+//!   ([`NodeStore::allocate`]) and a relocated record are the one-record
+//!   case of the same rule.
+//!
+//! Each level of the recursion holds at most half a page of nodes not yet
+//! placed, and the placer returns the page height of what it placed, so no
+//! one walks a subtree to measure it.  Subtrees stay physically clustered
+//! and the *page* height of the tree stays close to that of a balanced
+//! B⁺-tree even though the *node* height is much larger (paper Figures
+//! 11–12).
 //!
 //! # Concurrency
 //!
@@ -121,6 +141,55 @@ fn split_record(mut record: &[u8], cont: bool) -> StorageResult<(&[u8], NodeId)>
 pub fn node_in(page: &Page, slot: SlotId) -> StorageResult<Option<&[u8]>> {
     let (bytes, next) = split_record(page.get(slot)?, false)?;
     Ok((next == CHAIN_END).then_some(bytes))
+}
+
+/// The child address a node handed to [`NodeStore::group`] carries, an
+/// address no record has: the placer writes the real one once the child
+/// has it.
+pub(crate) const UNPLACED: NodeId = CHAIN_END;
+
+/// Bytes a record costs its page besides its own: the slot-directory entry.
+const SLOT: usize = 4;
+
+/// Room an empty page offers a group of records, slot entries included.
+const PAGE_ROOM: usize = MAX_RECORD_SIZE + SLOT;
+
+/// The bytes of one page group: half a page, so that the groups placed
+/// apart pack two or more to a page.  (A whole page of budget leaves each
+/// group alone on a half-empty page: the kd-tree's file doubled.)
+const GROUP_BUDGET: usize = PAGE_ROOM / 2;
+
+/// A node the placer has not given an address yet: its record, and for
+/// each child pointer in it (by byte offset) the child.
+struct Draft {
+    record: Vec<u8>,
+    kids: Vec<(usize, Kid)>,
+}
+
+/// A draft's child: another draft of its group, by index, or a placed node
+/// with the page height of its subtree.
+#[derive(Clone, Copy)]
+enum Kid {
+    Draft(usize),
+    Placed(NodeId, u32),
+}
+
+/// The top of a subtree the placer has not laid out yet, at most a page of
+/// records: its root first, and in preorder while the subtree is whole.
+/// Built children-first by [`NodeStore::group`], placed by
+/// [`NodeStore::place_group`].
+pub(crate) struct Group {
+    drafts: Vec<Draft>,
+    bytes: usize,
+    /// The page height the subtree has if the group gets a page of its own.
+    height: u32,
+}
+
+/// Writes the child pointer at byte `at` of a node's bytes, as
+/// [`NodeId`]'s `Codec` encodes it.
+fn write_pointer(bytes: &mut [u8], at: usize, child: NodeId) {
+    bytes[at..at + 4].copy_from_slice(&child.page.to_le_bytes());
+    bytes[at + 4..at + 6].copy_from_slice(&child.slot.to_le_bytes());
 }
 
 /// Placement bookkeeping, shared behind a mutex so allocation decisions
@@ -284,21 +353,117 @@ impl NodeStore {
         Ok(bytes)
     }
 
-    /// Places a brand-new node, preferring the page `near` (its parent's).
-    /// Nodes larger than a page spill across a record chain.  Returns the
-    /// node's address.
+    /// Places a brand-new node whose children (if any) already have
+    /// addresses, preferring the page `near` (its parent's): the one-node
+    /// case of the placer.  Nodes larger than a page spill across a record
+    /// chain.  Returns the node's address.
     pub fn allocate<O: SpGistOps>(
         &self,
         node: &Node<O>,
         near: Option<PageId>,
     ) -> StorageResult<NodeId> {
-        self.place_node(&node.encode(), near)
+        self.place_record(&self.encode_node_record(&node.encode())?, near)
     }
 
-    /// [`NodeStore::allocate`] for a node already encoded: the bulk build
-    /// encodes a leaf straight from the items it partitions.
-    pub(crate) fn place_node(&self, bytes: &[u8], near: Option<PageId>) -> StorageResult<NodeId> {
-        self.place(&self.encode_node_record(bytes)?, near)
+    /// Hands the placer `node`, children-first: `kids` are its children's
+    /// groups in pointer order, and the child addresses `node` carries are
+    /// not read.  Returns the node's group, still unplaced; the children
+    /// it does not keep are placed now (see the module docs).
+    pub(crate) fn group<O: SpGistOps>(
+        &self,
+        node: &Node<O>,
+        kids: Vec<Group>,
+    ) -> StorageResult<Group> {
+        let mut pointers = Vec::new();
+        let bytes = node.encode_marking(&mut pointers);
+        self.join(bytes, &pointers, kids)
+    }
+
+    /// [`NodeStore::group`] for a node already encoded, its child pointers
+    /// at the byte offsets `pointers`: the bulk build encodes a leaf straight
+    /// from the items it partitions.
+    pub(crate) fn join(
+        &self,
+        mut bytes: Vec<u8>,
+        pointers: &[usize],
+        kids: Vec<Group>,
+    ) -> StorageResult<Group> {
+        // The root's page keeps the tallest children's groups when they fit,
+        // so the page height grows only where it must; every other child is
+        // placed now.  (A node spilled across a chain, cut into chunks once
+        // its bytes are final, is past the budget and keeps none.)
+        let height = kids.iter().map(|kid| kid.height).max().unwrap_or(0);
+        let tallest: usize = kids
+            .iter()
+            .filter(|kid| kid.height == height)
+            .map(|kid| kid.bytes)
+            .sum();
+        let keep = 1 + bytes.len() + SLOT + tallest <= GROUP_BUDGET;
+        let (mut placed, mut kept) = (Vec::new(), Vec::new());
+        for (&at, kid) in pointers.iter().zip(kids) {
+            // The record starts with its one-byte tag.
+            if keep && kid.height == height {
+                kept.push((at + 1, kid));
+            } else {
+                let (child, height) = self.place_group(kid, None)?;
+                write_pointer(&mut bytes, at, child);
+                placed.push((at + 1, Kid::Placed(child, height)));
+            }
+        }
+        let record = self.encode_node_record(&bytes)?;
+        let mut group = Group {
+            bytes: record.len() + SLOT,
+            drafts: vec![Draft {
+                record,
+                kids: placed,
+            }],
+            height: if keep { height.max(1) } else { height + 1 },
+        };
+        for (at, kid) in kept {
+            let base = group.drafts.len();
+            group.drafts[0].kids.push((at, Kid::Draft(base)));
+            group.bytes += kid.bytes;
+            group.drafts.extend(kid.drafts.into_iter().map(|mut draft| {
+                for (_, kid) in &mut draft.kids {
+                    if let Kid::Draft(d) = kid {
+                        *d += base;
+                    }
+                }
+                draft
+            }));
+        }
+        Ok(group)
+    }
+
+    /// Writes what is left of a group onto the page the placement rule
+    /// chooses, preferring `near`, and returns the root's address and the
+    /// page height of its subtree: the pages on its longest downward path,
+    /// its own page included.
+    pub(crate) fn place_group(
+        &self,
+        group: Group,
+        near: Option<PageId>,
+    ) -> StorageResult<(NodeId, u32)> {
+        let (mut drafts, mut height) = (group.drafts, 1);
+        let root = self.place(group.bytes, near, |p, page| {
+            // A record takes the page's next slot, so every draft's address
+            // is known before the first one is written.
+            let base = p.num_slots();
+            let id = |d: usize| NodeId::new(page, base + d as u16);
+            for (d, draft) in drafts.iter_mut().enumerate() {
+                for &(at, kid) in &draft.kids {
+                    match kid {
+                        Kid::Draft(child) => write_pointer(&mut draft.record, at, id(child)),
+                        Kid::Placed(child, below) => {
+                            height = height.max(below + u32::from(child.page != page))
+                        }
+                    }
+                }
+                assert_eq!(p.insert(&draft.record)?, id(d).slot, "next slot taken");
+            }
+            Ok(id(0))
+        })?;
+        Ok((root, height))
     }
 
     /// Encodes node bytes into the record written at the node's address:
@@ -324,7 +489,7 @@ impl NodeStore {
         let mut chunks: Vec<&[u8]> = bytes[MAX_CHUNK..].chunks(MAX_CHUNK).collect();
         while let Some(chunk) = chunks.pop() {
             let record = encode_chain_record(TAG_CHAIN_CONT, next, chunk);
-            next = self.place(&record, None)?;
+            next = self.place_record(&record, None)?;
         }
         Ok(next)
     }
@@ -382,8 +547,7 @@ impl NodeStore {
         }
         // Relocate copy-on-write: the old record keeps its content (and its
         // chain) until the caller retires it.
-        let new_id = self.place(&record, near)?;
-        Ok(Some(new_id))
+        self.place_record(&record, near).map(Some)
     }
 
     /// Rewrites in place an index node whose child pointers changed: they
@@ -405,13 +569,6 @@ impl NodeStore {
         let chain = self.next_record(id, false)?;
         self.epochs.retire(RetiredItem::Slot(id.page, id.slot));
         self.retire_chain_from(chain)
-    }
-
-    /// Retires whole page `page` (used by repack after the root flips to the
-    /// rebuilt layout).  The page must already be unreachable from the
-    /// current tree and removed from this store's owned-page list.
-    pub fn retire_page(&self, page: PageId) {
-        self.epochs.retire(RetiredItem::Page(page));
     }
 
     /// Physically frees every retired item that no live reader epoch can
@@ -456,81 +613,77 @@ impl NodeStore {
             placement.open_pages.retain(|p| !old_pages.contains(p));
         }
         for &page in old_pages {
-            self.retire_page(page);
+            self.epochs.retire(RetiredItem::Page(page));
         }
     }
 
-    /// The placement rule: the parent's page, then the open-page list, then
-    /// a fresh page.
-    fn place(&self, bytes: &[u8], near: Option<PageId>) -> StorageResult<NodeId> {
+    /// The placement rule, the one place a new record's page is chosen:
+    /// records costing `bytes` (slot entries included) go on `near` (their
+    /// parent's page) if they fit, else on the most recently opened page
+    /// they fit, else on a fresh page.  `write` inserts them under the page
+    /// latch, told which page they got.
+    fn place<R>(
+        &self,
+        bytes: usize,
+        near: Option<PageId>,
+        mut write: impl FnMut(&mut Page, PageId) -> StorageResult<R>,
+    ) -> StorageResult<R> {
         if let Some(parent_page) = near {
-            if let Some(id) = self.try_place_in(parent_page, bytes)? {
-                return Ok(id);
+            if let Some(placed) = self.try_place_in(parent_page, bytes, &mut write)? {
+                return Ok(placed);
             }
         }
-        // Scan the open-page list most-recent-first.  The list is sampled
-        // under the placement lock but probed outside it; a stale candidate
-        // just fails its fit check.
-        let candidates: Vec<PageId> = {
-            let placement = self.placement.lock();
-            placement.open_pages.iter().rev().copied().collect()
-        };
-        for page in candidates {
-            if let Some(id) = self.try_place_in(page, bytes)? {
-                return Ok(id);
-            }
-            // The page could not host this node; drop it from the candidates
-            // if it is nearly full to keep the list useful.
-            let free = self
-                .pool
-                .with_page_hinted(page, self.access_hint(), |p| p.free_space())?;
-            if free < 64 {
+        // Best fit among the open pages: the one the records leave the least
+        // room on.  The list is sampled under the placement lock but probed
+        // outside it; a stale candidate just fails its fit check.
+        let candidates: Vec<PageId> = self.placement.lock().open_pages.clone();
+        let mut best: Option<(usize, PageId)> = None;
+        for &page in &candidates {
+            let (fits, free) = self.pool.with_page_hinted(page, self.access_hint(), |p| {
+                (p.fits(bytes - SLOT), p.free_space())
+            })?;
+            if fits && best.is_none_or(|(least, _)| free < least) {
+                best = Some((free, page));
+            } else if free < 64 {
+                // Nearly full: leave the candidates, to keep the list useful.
                 self.placement.lock().open_pages.retain(|&p| p != page);
             }
         }
-        self.place_in_new_page(bytes)
-    }
-
-    /// Allocates a brand-new page owned by this store and returns its id.
-    /// Used by the offline repacker, which decides node placement itself.
-    pub fn fresh_page(&self) -> StorageResult<PageId> {
-        let page = self.pool.allocate_page_hinted(self.access_hint())?;
-        self.placement.lock().pages.push(page);
-        Ok(page)
-    }
-
-    /// Places `node` in the given page; the caller guarantees the page has
-    /// room for it (oversized nodes spill their tail into a chain, with only
-    /// the head record in `page`).
-    pub fn allocate_in_page<O: SpGistOps>(
-        &self,
-        node: &Node<O>,
-        page: PageId,
-    ) -> StorageResult<NodeId> {
-        let bytes = node.encode();
-        let record = self.encode_node_record(&bytes)?;
-        let slot = self
-            .pool
-            .with_page_mut_hinted(page, self.access_hint(), |p| p.insert(&record))??;
-        Ok(NodeId::new(page, slot))
-    }
-
-    fn place_in_new_page(&self, bytes: &[u8]) -> StorageResult<NodeId> {
+        // Only compaction can make room on the others: the most recent that
+        // fits then.  (Sizing it up costs a pass over the page's records.)
+        let compacting = candidates.iter().rev().filter(|_| best.is_none());
+        for &page in best.iter().map(|(_, page)| page).chain(compacting) {
+            if let Some(placed) = self.try_place_in(page, bytes, &mut write)? {
+                return Ok(placed);
+            }
+        }
         let page = self.pool.allocate_page_hinted(self.access_hint())?;
         self.placement.lock().pages.push(page);
         self.note_open_page(page);
-        let slot = self
-            .pool
-            .with_page_mut_hinted(page, self.access_hint(), |p| p.insert(bytes))??;
-        Ok(NodeId::new(page, slot))
+        self.pool
+            .with_page_mut_hinted(page, self.access_hint(), |p| write(p, page))?
     }
 
-    fn try_place_in(&self, page: PageId, bytes: &[u8]) -> StorageResult<Option<NodeId>> {
+    /// The placement rule for one record.
+    fn place_record(&self, record: &[u8], near: Option<PageId>) -> StorageResult<NodeId> {
+        self.place(record.len() + SLOT, near, |p, page| {
+            Ok(NodeId::new(page, p.insert(record)?))
+        })
+    }
+
+    fn try_place_in<R>(
+        &self,
+        page: PageId,
+        bytes: usize,
+        write: &mut impl FnMut(&mut Page, PageId) -> StorageResult<R>,
+    ) -> StorageResult<Option<R>> {
+        // `fits` counts the slot entry of one record itself.
+        let len = bytes - SLOT;
         // Fit is decided read-only, from the live bytes, so a probe that
         // cannot place leaves the page clean and its records where they lie.
         let fits = self
             .pool
-            .with_page_hinted(page, self.access_hint(), |p| p.fits_compacted(bytes.len()))?;
+            .with_page_hinted(page, self.access_hint(), |p| p.fits_compacted(len))?;
         if !fits {
             return Ok(None);
         }
@@ -539,18 +692,16 @@ impl NodeStore {
         // and the insert.  Deleted records and shrinking updates leave gaps
         // only compaction reclaims (slot ids survive it, so node addresses
         // stay valid).
-        let slot = self
-            .pool
+        self.pool
             .with_page_mut_hinted(page, self.access_hint(), |p| {
-                if !p.fits(bytes.len()) {
-                    if !p.fits_compacted(bytes.len()) {
+                if !p.fits(len) {
+                    if !p.fits_compacted(len) {
                         return Ok(None);
                     }
                     p.compact();
                 }
-                p.insert(bytes).map(Some)
-            })??;
-        Ok(slot.map(|slot| NodeId::new(page, slot)))
+                write(p, page).map(Some)
+            })?
     }
 
     fn note_open_page(&self, page: PageId) {
@@ -636,6 +787,76 @@ mod tests {
             "small children should share the parent's page"
         );
         assert_eq!(store.page_count(), 1);
+    }
+
+    /// A digit-trie subtree `levels` inner levels deep, ten entries per
+    /// inner node and `items` items per leaf, handed to the placer.
+    fn subtree(store: &NodeStore, levels: u32, items: u32) -> Group {
+        if levels == 0 {
+            return store.group(&leaf(items), Vec::new()).unwrap();
+        }
+        let kids = (0..10).map(|_| subtree(store, levels - 1, items)).collect();
+        let entries = (0..10)
+            .map(|pred| Entry {
+                pred,
+                child: UNPLACED,
+            })
+            .collect();
+        let inner: TestNode = Node::Inner {
+            prefix: None,
+            entries,
+        };
+        store.group(&inner, kids).unwrap()
+    }
+
+    /// Every node of the subtree at `id`, with the pages on its path from
+    /// `id` (`id`'s own page counted).
+    fn paths(store: &NodeStore, id: NodeId) -> Vec<(NodeId, u32)> {
+        let (mut stack, mut seen) = (vec![(id, None, 0)], Vec::new());
+        while let Some((id, parent_page, pages)) = stack.pop() {
+            let pages = crate::tree::path_pages(parent_page, pages, id.page);
+            seen.push((id, pages));
+            let node: TestNode = store.read(id).unwrap();
+            stack.extend(
+                node.children()
+                    .into_iter()
+                    .map(|c| (c, Some(id.page), pages)),
+            );
+        }
+        seen
+    }
+
+    #[test]
+    fn a_subtree_that_fits_lands_whole_on_its_parents_page() {
+        let store = store();
+        let parent = store.allocate(&leaf(1), None).unwrap();
+        // An inner node over ten small leaves: about 300 bytes.
+        let (root, height) = store
+            .place_group(subtree(&store, 1, 3), Some(parent.page))
+            .unwrap();
+        assert_eq!(height, 1);
+        let placed = paths(&store, root);
+        assert_eq!(placed.len(), 11);
+        assert!(placed.iter().all(|(id, _)| id.page == parent.page));
+        assert_eq!(store.page_count(), 1);
+    }
+
+    #[test]
+    fn a_multi_page_subtree_has_the_page_height_the_placer_returned() {
+        let store = store();
+        // A thousand leaves of forty items: over 25 pages' worth.
+        let (root, height) = store.place_group(subtree(&store, 3, 40), None).unwrap();
+        let placed = paths(&store, root);
+        assert_eq!(placed.len(), 1 + 10 + 100 + 1000);
+        assert!(store.page_count() > 25, "{} pages", store.page_count());
+        let measured = placed.iter().map(|&(_, pages)| pages).max().unwrap();
+        assert!(measured > 1);
+        assert_eq!(height, measured);
+        let mut leaves: TestNode = store.read(root).unwrap();
+        while let Node::Inner { entries, .. } = leaves {
+            leaves = store.read(entries[3].child).unwrap();
+        }
+        assert_eq!(leaves, leaf(40), "pointers lead where they were drafted");
     }
 
     #[test]
@@ -734,7 +955,9 @@ mod tests {
         compacted.compact();
         assert!(!compacted.fits(record.len()));
 
-        assert_eq!(store.try_place_in(page, &record).unwrap(), None);
+        let mut insert = |p: &mut Page, _| p.insert(&record);
+        let placed = store.try_place_in(page, record.len() + SLOT, &mut insert);
+        assert_eq!(placed.unwrap(), None);
         assert!(
             store.pool().dirty_page_ids().is_empty(),
             "a refused probe dirtied its page"

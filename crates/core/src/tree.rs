@@ -45,13 +45,13 @@ use spgist_storage::{
     StorageError, StorageResult,
 };
 
-use crate::build::{Above, BulkBuilder};
+use crate::build::BulkBuilder;
 use crate::config::NodeShrink;
 use crate::nn::NnIter;
 use crate::node::{row_slot, walk, Entry, Node, NodeId, Part, Slots, ROW_BITS};
 use crate::ops::{Choose, PickSplit, SpGistOps};
 use crate::stats::TreeStats;
-use crate::store::{node_in, NodeStore};
+use crate::store::{node_in, Group, NodeStore, UNPLACED};
 use crate::RowId;
 
 /// Where a delete found an item: its leaf, its index there, and the leaf's
@@ -115,7 +115,7 @@ fn unpack_root(cell: u64) -> Option<NodeId> {
 /// Pages on the root-to-node path of a node placed on `page`, whose parent
 /// sits on `parent_page` at the end of a path of `parent_pages` pages
 /// (`None` and 0 at the root): the page-height rule, written once for the
-/// bulk builder, the statistics walk and the insert descent.
+/// statistics walk and the insert descent.
 pub(crate) fn path_pages(parent_page: Option<PageId>, parent_pages: u32, page: PageId) -> u32 {
     parent_pages + u32::from(parent_page != Some(page))
 }
@@ -279,7 +279,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                     let leaf = Node::<O>::Leaf {
                         items: vec![(self.stored(key, 0), row)],
                     };
-                    let id = self.store.allocate(&leaf, Some(self.meta_page))?;
+                    let id = self.store.allocate(&leaf, None)?;
                     // In memory only: the caller's one meta write persists the
                     // root together with the count.
                     let _meta = self.meta_lock.lock();
@@ -312,10 +312,10 @@ impl<O: SpGistOps> SpGistTree<O> {
     ///
     /// The [`BulkBuilder`] recursively applies [`SpGistOps::picksplit`] to
     /// whole partitions top-down — partitioning `items` in place, the one
-    /// copy of the keys the build holds — packs leaves to `BucketSize`, allocates
-    /// and writes each node exactly once (inner nodes parent-first, their
-    /// fixed-width child pointers patched in place), and accumulates the
-    /// returned [`TreeStats`] during the build instead of by a traversal.
+    /// copy of the keys the build holds — packs leaves to `BucketSize`, hands
+    /// every node to the placer children-first, so each is written exactly
+    /// once, and accumulates the returned [`TreeStats`] during the build
+    /// instead of by a traversal.
     /// Classes steer it through [`SpGistOps::bulk_prepare`].
     ///
     /// The tree must be empty; loading into a populated tree is an
@@ -337,17 +337,11 @@ impl<O: SpGistOps> SpGistTree<O> {
             return self.stats();
         }
         let logical = items.len() as u64;
-        let meta = self.meta_page;
         // The build writes each page roughly once, front to back — a scan
         // pattern.  Hint the pool so loading one index does not flush every
         // other tree's hot pages; point operations restore Normal below.
         self.store.set_access_hint(AccessHint::Scan);
-        let result: StorageResult<_> = (|| {
-            let mut builder = BulkBuilder::new(&self.ops, &self.store);
-            let root = builder.build_root(meta, items)?;
-            let stats = builder.finish()?;
-            Ok((root, stats))
-        })();
+        let result = BulkBuilder::new(&self.ops, &self.store).build(items);
         self.store.set_access_hint(AccessHint::Normal);
         let (root, stats) = result?;
         {
@@ -394,33 +388,20 @@ impl<O: SpGistOps> SpGistTree<O> {
                     // The data node is overfull: decompose it with PickSplit.
                     let split = self.ops.picksplit(&items, level, ctx);
                     if !split.is_degenerate(items.len()) {
-                        // The replacement subtree is built in fresh, unlinked
-                        // records (invisible to every other thread) and
-                        // becomes reachable in one write of the old leaf's
-                        // record.
-                        let inner = self.build_split(node_id.page, &items, split, level, ctx)?;
-                        let at = self.write_node(node_id, &inner, parent)?;
-                        let mut built = TreeStats::default();
-                        self.note_height(self.walk(at, parent_page, parent_pages, &mut built)?);
+                        let split = self.build_split(&items, split, level, ctx)?;
+                        self.publish(node_id, split, parent, parent_pages)?;
                         return Ok(Descent::Done);
                     }
                 }
                 // Where no key decomposition is possible (all keys identical,
                 // resolution exhausted, or already below a row node) a leaf
-                // past the byte budget fans out by row id instead, built like
-                // a split: fresh records, published by one pointer swing.
+                // past the byte budget fans out by row id instead, built and
+                // published like a split.
                 let shift = rows.unwrap_or(0);
                 if (overfull || rows.is_some()) && Node::<O>::outgrows_leaf(&items, shift) {
                     let mut builder = BulkBuilder::new(&self.ops, &self.store);
-                    let above = Above {
-                        near: node_id.page,
-                        parent_page,
-                        path_pages: parent_pages,
-                        node_depth: 1,
-                    };
-                    let fan = builder.build_rows(above, items, shift)?;
-                    self.relink(node_id, fan, parent)?;
-                    self.note_height(builder.stats.max_page_height);
+                    let fan = builder.build_rows(items, shift, 1)?;
+                    self.publish(node_id, fan, parent, parent_pages)?;
                 } else {
                     let at = self.write_node(node_id, &Node::Leaf { items }, parent)?;
                     self.note_height(path_pages(parent_page, parent_pages, at.page));
@@ -585,59 +566,69 @@ impl<O: SpGistOps> SpGistTree<O> {
         key
     }
 
-    /// Builds the inner node replacing an overfull leaf, materializing all
-    /// partitions produced by PickSplit (recursively when a partition itself
-    /// exceeds the bucket size, unless the instantiation uses the
-    /// split-once / PMR rule).
+    /// Places the subtree `tree` replacing the leaf at `leaf` near it, and
+    /// makes it reachable in one pointer write.  The subtree's records are
+    /// fresh and unlinked (invisible to every other thread) until then.
+    fn publish(
+        &self,
+        leaf: NodeId,
+        tree: Group,
+        parent: Option<(NodeId, usize)>,
+        parent_pages: u32,
+    ) -> StorageResult<()> {
+        let (root, height) = self.store.place_group(tree, Some(leaf.page))?;
+        self.relink(leaf, root, parent)?;
+        let pages = path_pages(parent.map(|(p, _)| p.page), parent_pages, root.page);
+        self.note_height(pages + height - 1);
+        Ok(())
+    }
+
+    /// Builds the subtree replacing an overfull leaf from `split`, PickSplit's
+    /// answer for `items`, and hands it to the placer: one child per
+    /// partition, itself split again while it exceeds the bucket size
+    /// (unless the instantiation uses the split-once / PMR rule).
     fn build_split(
         &self,
-        near: PageId,
         items: &[(O::Key, RowId)],
-        split: PickSplit<O::Prefix, O::Pred>,
+        mut split: PickSplit<O::Prefix, O::Pred>,
         level: u32,
         ctx: &O::Context,
-    ) -> StorageResult<Node<O>> {
+    ) -> StorageResult<Group> {
         let cfg = self.ops.config();
-        let mut split = split;
         // A split must never drop items (a PMR segment outside the world
         // rectangle intersects no quadrant): park strays with the insert
         // fallback rule.
         split.park_unassigned(items.len());
         let PickSplit { prefix, partitions } = split;
         let delta = self.ops.descend_levels(prefix.as_ref());
-        let mut entries = Vec::with_capacity(partitions.len());
+        let (mut entries, mut kids) = (Vec::with_capacity(partitions.len()), Vec::new());
         for (pred, indices) in partitions {
             if indices.is_empty() && cfg.node_shrink == NodeShrink::OmitEmpty {
                 continue;
             }
-            let part_items: Vec<(O::Key, RowId)> = indices
+            let part: Vec<(O::Key, RowId)> = indices
                 .iter()
                 .map(|&i| (self.stored(&items[i].0, delta), items[i].1))
                 .collect();
             let child_ctx = self.ops.child_context(ctx, prefix.as_ref(), &pred, level);
-            let child = self.build_subtree(near, part_items, level + delta, &child_ctx)?;
-            entries.push(Entry { pred, child });
+            let (level, ctx) = (level + delta, &child_ctx);
+            let again = part.len() > cfg.bucket_size && level < cfg.resolution && !cfg.split_once;
+            let split = again.then(|| self.ops.picksplit(&part, level, ctx));
+            kids.push(
+                match split.filter(|split| !split.is_degenerate(part.len())) {
+                    Some(split) => self.build_split(&part, split, level, ctx)?,
+                    None => self
+                        .store
+                        .group(&Node::<O>::Leaf { items: part }, Vec::new())?,
+                },
+            );
+            entries.push(Entry {
+                pred,
+                child: UNPLACED,
+            });
         }
-        Ok(Node::Inner { prefix, entries })
-    }
-
-    fn build_subtree(
-        &self,
-        near: PageId,
-        items: Vec<(O::Key, RowId)>,
-        level: u32,
-        ctx: &O::Context,
-    ) -> StorageResult<NodeId> {
-        let cfg = self.ops.config();
-        if items.len() <= cfg.bucket_size || level >= cfg.resolution || cfg.split_once {
-            return self.store.allocate(&Node::<O>::Leaf { items }, Some(near));
-        }
-        let split = self.ops.picksplit(&items, level, ctx);
-        if split.is_degenerate(items.len()) {
-            return self.store.allocate(&Node::<O>::Leaf { items }, Some(near));
-        }
-        let inner = self.build_split(near, &items, split, level, ctx)?;
-        self.store.allocate(&inner, Some(near))
+        self.store
+            .group(&Node::<O>::Inner { prefix, entries }, kids)
     }
 
     /// Writes `node` at `node_id`, relocating it copy-on-write if it no
@@ -872,18 +863,12 @@ impl<O: SpGistOps> SpGistTree<O> {
     // Clustering / repacking
     // ------------------------------------------------------------------
 
-    /// Re-clusters the whole tree into fresh pages so that each page holds a
-    /// *top portion of a subtree*, minimizing the tree's page height.
-    ///
-    /// This is the offline counterpart of the paper's clustering technique
-    /// (after Diwan et al., "Clustering techniques for minimizing external
-    /// path length"): starting from the root, nodes are taken in
-    /// breadth-first order into the current page until it is full; every
-    /// child that did not fit becomes the root of its own packed page,
-    /// recursively.  Along any root-to-leaf path the number of page
-    /// transitions is therefore roughly the node height divided by the depth
-    /// of a subtree that fits in one page.  The logical tree is unchanged;
-    /// only the node→page mapping is rewritten.
+    /// Re-clusters the whole tree into fresh pages: the subtree is read
+    /// children-first and handed to the placer, which lays it out exactly as
+    /// a bulk build lays out the same nodes (after Diwan et al.,
+    /// "Clustering techniques for minimizing external path length"; see
+    /// [`NodeStore`]).  The logical tree is unchanged; only the node→page
+    /// mapping is rewritten, so a freshly bulk-built tree is a fixed point.
     ///
     /// Repacking holds the write gate exclusively but never blocks readers:
     /// the rebuilt layout goes into fresh pages, the root flips atomically,
@@ -900,7 +885,9 @@ impl<O: SpGistOps> SpGistTree<O> {
         // The repack reads the old layout once and writes the new one once:
         // a two-sided sweep that must not displace the pool's hot set.
         self.store.set_access_hint(AccessHint::Scan);
-        let result = Self::repack_group(&self.store, root);
+        let result = self
+            .regroup(root)
+            .and_then(|tree| self.store.place_group(tree, None));
         self.store.set_access_hint(AccessHint::Normal);
         let (new_root, height) = result?;
         {
@@ -914,73 +901,23 @@ impl<O: SpGistOps> SpGistTree<O> {
         self.store.reclaim()
     }
 
-    /// Packs the subtree rooted at `old_root` into one fresh page (breadth
-    /// first, as many nodes as fit) and recursively packs the subtrees that
-    /// spill over.  Returns the new address of the subtree root and the
-    /// pages on the longest path down from it: this page, plus the highest
-    /// of the spilled subtrees, each on fresh pages of its own.
-    fn repack_group(store: &NodeStore, old_root: NodeId) -> StorageResult<(NodeId, u32)> {
-        use std::collections::{HashMap, VecDeque};
-
-        // Phase 1: breadth-first selection of the nodes this page will hold.
-        // Per-record overhead: 1 byte of record header plus 4 bytes of slot
-        // entry; keep headroom so the in-place pointer patching below can
-        // never overflow the page.
-        const PAGE_BUDGET: usize = spgist_storage::PAGE_SIZE - 128;
-        let mut group: Vec<(NodeId, Node<O>)> = Vec::new();
-        let mut in_group: HashMap<NodeId, usize> = HashMap::new();
-        let mut used = 0usize;
-        let mut queue = VecDeque::from([old_root]);
-        while let Some(id) = queue.pop_front() {
-            if in_group.contains_key(&id) {
-                continue;
-            }
-            let node: Node<O> = store.read_hinted(id, AccessHint::Scan)?;
-            let cost = node.encode().len() + 5;
-            if !group.is_empty() && used + cost > PAGE_BUDGET {
-                // The root always goes in (a single node is guaranteed to
-                // fit); later nodes are only taken while the budget lasts.
-                continue;
-            }
-            used += cost;
-            in_group.insert(id, group.len());
-            queue.extend(node.children());
-            group.push((id, node));
-        }
-
-        // Phase 2: materialize the group in one fresh page (placeholders keep
-        // the final size because child pointers are fixed-width), recursively
-        // pack the spilled subtrees, then patch the child pointers in place.
-        let page = store.fresh_page()?;
-        let mut new_ids = Vec::with_capacity(group.len());
-        for (_, node) in &group {
-            new_ids.push(store.allocate_in_page(node, page)?);
-        }
-        let mut below = 0;
-        for (idx, (_, node)) in group.iter_mut().enumerate() {
-            if node.is_leaf() {
-                continue;
-            }
-            for child in node.children_mut() {
-                *child = match in_group.get(child) {
-                    Some(&member) => new_ids[member],
-                    None => {
-                        let (id, pages) = Self::repack_group(store, *child)?;
-                        below = below.max(pages);
-                        id
-                    }
-                };
-            }
-            store.patch(new_ids[idx], node)?;
-        }
-        Ok((new_ids[0], 1 + below))
+    /// The subtree at `id`, read children-first and handed to the placer.
+    fn regroup(&self, id: NodeId) -> StorageResult<Group> {
+        let node: Node<O> = self.store.read_hinted(id, AccessHint::Scan)?;
+        let kids = node
+            .children()
+            .into_iter()
+            .map(|child| self.regroup(child))
+            .collect::<StorageResult<_>>()?;
+        self.store.group(&node, kids)
     }
 
     // ------------------------------------------------------------------
     // Stats
     // ------------------------------------------------------------------
 
-    /// Gathers size and height statistics by traversing the whole tree.
+    /// Gathers size and height statistics by traversing the whole tree,
+    /// depth-first, every node once.
     pub fn stats(&self) -> StorageResult<TreeStats> {
         let _pin = self.store.pin();
         let mut stats = TreeStats {
@@ -989,8 +926,24 @@ impl<O: SpGistOps> SpGistTree<O> {
             utilization: self.store.utilization()?,
             ..TreeStats::default()
         };
-        if let Some(root) = self.root() {
-            self.walk(root, None, 0, &mut stats)?;
+        let mut stack = Vec::from_iter(self.root().map(|root| (root, 1, None, 0)));
+        while let Some((node_id, node_depth, parent_page, parent_pages)) = stack.pop() {
+            let pages = path_pages(parent_page, parent_pages, node_id.page);
+            stats.max_node_height = stats.max_node_height.max(node_depth);
+            stats.max_page_height = stats.max_page_height.max(pages);
+            match self.store.read_hinted::<O>(node_id, AccessHint::Scan)? {
+                Node::Leaf { items } => {
+                    stats.leaf_nodes += 1;
+                    stats.items += items.len() as u64;
+                }
+                // Row nodes count as index nodes.
+                index => {
+                    stats.inner_nodes += 1;
+                    for child in index.children() {
+                        stack.push((child, node_depth + 1, Some(node_id.page), pages));
+                    }
+                }
+            }
         }
         Ok(stats)
     }
@@ -1017,40 +970,6 @@ impl<O: SpGistOps> SpGistTree<O> {
         if self.page_height.load(Ordering::Relaxed) < pages {
             self.page_height.fetch_max(pages, Ordering::Relaxed);
         }
-    }
-
-    /// Depth-first walk of the subtree at `start`, whose parent sits on
-    /// `parent_page` with `parent_pages` pages on the root-to-parent path
-    /// (0 and `None` at the root), adding every node to `stats`.  Returns
-    /// the largest number of pages on a root-to-leaf path it has seen.
-    fn walk(
-        &self,
-        start: NodeId,
-        parent_page: Option<PageId>,
-        parent_pages: u32,
-        stats: &mut TreeStats,
-    ) -> StorageResult<u32> {
-        let mut stack = vec![(start, 1u32, parent_page, parent_pages)];
-        while let Some((node_id, node_depth, last_page, pages)) = stack.pop() {
-            let pages = path_pages(last_page, pages, node_id.page);
-            stats.max_node_height = stats.max_node_height.max(node_depth);
-            stats.max_page_height = stats.max_page_height.max(pages);
-            // A walk touches every node exactly once.
-            match self.store.read_hinted::<O>(node_id, AccessHint::Scan)? {
-                Node::Leaf { items } => {
-                    stats.leaf_nodes += 1;
-                    stats.items += items.len() as u64;
-                }
-                // Row nodes count as index nodes.
-                index => {
-                    stats.inner_nodes += 1;
-                    for child in index.children() {
-                        stack.push((child, node_depth + 1, Some(node_id.page), pages));
-                    }
-                }
-            }
-        }
-        Ok(stats.max_page_height)
     }
 
     /// Releases every page this tree owns (node pages and the meta page) to

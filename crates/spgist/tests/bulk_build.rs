@@ -312,9 +312,9 @@ fn pmr_bulk_build_equivalent_to_insert_loop() {
 // The built bytes, pinned
 // ---------------------------------------------------------------------------
 
-/// `(pages, crc32 of every page in allocation order)` of a tree bulk-built
-/// from `keys`, row `i` for key `i`, on an in-memory pool.
-fn built_pages<I: SpIndex>(keys: &[I::Key]) -> (usize, u32) {
+/// `(pages, page height, crc32 of every page in allocation order)` of a
+/// tree bulk-built from `keys`, row `i` for key `i`, on an in-memory pool.
+fn built_pages<I: SpIndex>(keys: &[I::Key]) -> (usize, u32, u32) {
     let pool = pool();
     let index = I::open(Arc::clone(&pool)).unwrap();
     index
@@ -325,7 +325,12 @@ fn built_pages<I: SpIndex>(keys: &[I::Key]) -> (usize, u32) {
         pool.with_page(page, |p| bytes.extend_from_slice(p.as_bytes()))
             .unwrap();
     }
-    (index.owned_pages().len(), spgist::storage::crc32(&bytes))
+    let height = index.stats().unwrap().max_page_height;
+    (
+        index.owned_pages().len(),
+        height,
+        spgist::storage::crc32(&bytes),
+    )
 }
 
 /// Every byte a bulk build writes, for all five classes: the same
@@ -349,13 +354,49 @@ fn bulk_built_pages_are_pinned_byte_for_byte() {
     assert_eq!(
         built,
         [
-            (48, 0x9fc4_1770),   // trie
-            (155, 0xeb1d_74b4),  // suffix tree
-            (129, 0xa557_878a),  // kd-tree
-            (142, 0x07e1_7daa),  // point quadtree
-            (2068, 0xed67_187c), // PMR quadtree
+            (49, 3, 0x0ce3_19c1),   // trie
+            (175, 3, 0xe5bd_a0ee),  // suffix tree
+            (131, 3, 0xe043_898e),  // kd-tree
+            (145, 3, 0x9d81_0ff0),  // point quadtree
+            (2116, 4, 0x17be_c002), // PMR quadtree
         ]
     );
+}
+
+/// `(pages, page height)` of a tree bulk-built from `keys`, then the same
+/// after a `repack`.
+fn repacked<I: SpIndex>(keys: &[I::Key]) -> [(usize, u32); 2] {
+    let index = I::open(pool()).unwrap();
+    index
+        .bulk_build(keys.iter().cloned().zip(0..).collect())
+        .unwrap();
+    let layout = |index: &I| {
+        let height = index.stats().unwrap().max_page_height;
+        (index.owned_pages().len(), height)
+    };
+    let built = layout(&index);
+    index.repack().unwrap();
+    [built, layout(&index)]
+}
+
+/// The bulk build and `repack` lay nodes out through one placer, so
+/// repacking a freshly built tree gives back the layout it had: as many
+/// pages and the same page height, for all five classes.
+#[test]
+fn repack_of_a_bulk_built_tree_is_a_layout_fixed_point() {
+    const ROWS: usize = 20_000;
+    let words = words(ROWS, SEED ^ 0xa0);
+    let points = points(ROWS, SEED ^ 0xa1);
+    let segments = segments(ROWS, 10.0, SEED ^ 0xa2);
+    for (class, [built, repacked]) in [
+        ("trie", repacked::<TrieIndex>(&words)),
+        ("suffix tree", repacked::<SuffixTreeIndex>(&words)),
+        ("kd-tree", repacked::<KdTreeIndex>(&points)),
+        ("point quadtree", repacked::<PointQuadtreeIndex>(&points)),
+        ("PMR quadtree", repacked::<PmrQuadtreeIndex>(&segments)),
+    ] {
+        assert_eq!(built, repacked, "{class}: (pages, page height)");
+    }
 }
 
 // ---------------------------------------------------------------------------
