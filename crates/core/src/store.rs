@@ -15,21 +15,26 @@
 //! * a larger subtree's root keeps on its page the groups of its tallest
 //!   children while they fit the same budget, so its page height grows only
 //!   where a path must cross a page; every other child's group is placed
-//!   at once, and when even the tallest do not fit the root starts a group
-//!   of its own, one page higher;
-//! * a group goes on its parent's page when the caller names one and it
-//!   fits there (the online split names the old leaf's), else on the open
-//!   page (one of the 16 most recently opened) it fits most tightly, else
-//!   on a fresh page (`NodeStore::place_group`).  A single new node
+//!   at once, largest first so the small ones fill the gaps the large ones
+//!   leave, and when even the tallest do not fit the root starts a group of
+//!   its own, one page higher;
+//! * a group goes on the page the caller names when it fits there (the
+//!   online split names the old leaf's) — or, named none, on the page of
+//!   its root's tallest child placed apart, where the root saves that path
+//!   a page — else on the open page (one of the 16 most recently written)
+//!   whose recorded room it fits most tightly, else on a fresh page
+//!   (`NodeStore::place_group`).  A single new node
 //!   ([`NodeStore::allocate`]) and a relocated record are the one-record
-//!   case of the same rule.
+//!   case of the same rule.  The open pages' room is recorded at each
+//!   write, so a placement reads only the page it chose.
 //!
-//! Each level of the recursion holds at most half a page of nodes not yet
-//! placed, and the placer returns the page height of what it placed, so no
-//! one walks a subtree to measure it.  Subtrees stay physically clustered
-//! and the *page* height of the tree stays close to that of a balanced
-//! B⁺-tree even though the *node* height is much larger (paper Figures
-//! 11–12).
+//! The recursion holds, per level, the groups of the children still
+//! pending, each at most half a page (a wide node's level holds one per
+//! child), never a whole subtree of encoded nodes; and the placer returns
+//! the page height of what it placed, so no one walks a subtree to measure
+//! it.  Subtrees stay physically clustered and the *page* height of the
+//! tree stays close to that of a balanced B⁺-tree even though the *node*
+//! height is much larger (paper Figures 11–12).
 //!
 //! # Concurrency
 //!
@@ -54,6 +59,7 @@
 //!   [`NodeStore::visit`] falls back to reassembling a chained one only
 //!   after that page is released, so no reader holds two page guards.
 
+use std::cmp::{max_by_key, Reverse};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -183,6 +189,10 @@ pub(crate) struct Group {
     bytes: usize,
     /// The page height the subtree has if the group gets a page of its own.
     height: u32,
+    /// The page of the root's tallest child placed apart (of equals, the
+    /// last placed, whose page is likeliest to have room), if any: there the
+    /// root saves its longest path a page.
+    near: Option<PageId>,
 }
 
 /// Writes the child pointer at byte `at` of a node's bytes, as
@@ -197,8 +207,11 @@ fn write_pointer(bytes: &mut [u8], at: usize, child: NodeId) {
 struct Placement {
     /// Pages owned by this tree, in allocation order.
     pages: Vec<PageId>,
-    /// Recently opened pages that may still have free space.
-    open_pages: Vec<PageId>,
+    /// Recently written pages that may still have free space, each with its
+    /// room as last seen: [`Page::compacted_free_space`] after this store's
+    /// last write, free or refused probe there.  Placement chooses by these
+    /// figures and reads only the page it chose.
+    open_pages: Vec<(PageId, usize)>,
 }
 
 /// Maps tree nodes onto slotted pages obtained from a [`BufferPool`].
@@ -226,10 +239,15 @@ impl NodeStore {
     /// candidates so inserts keep filling partially-used pages.
     pub fn with_pages(pool: Arc<BufferPool>, pages: Vec<PageId>) -> Self {
         let skip = pages.len().saturating_sub(OPEN_PAGE_LIMIT);
-        let open_pages = pages[skip..].to_vec();
+        // Their room is not known until a probe reads it: recorded as more
+        // than any page has, they are tried only when no measured page fits.
+        let open = pages[skip..].iter().map(|&page| (page, PAGE_SIZE));
         NodeStore {
             pool,
-            placement: Mutex::new(Placement { pages, open_pages }),
+            placement: Mutex::new(Placement {
+                open_pages: open.collect(),
+                pages,
+            }),
             epochs: Arc::new(EpochManager::new()),
             hint: AtomicU8::new(AccessHint::Normal as u8),
         }
@@ -287,19 +305,16 @@ impl NodeStore {
     /// record data).
     pub fn utilization(&self) -> StorageResult<f64> {
         let pages = self.pages();
-        if pages.is_empty() {
-            return Ok(0.0);
-        }
-        let mut used = 0usize;
+        let mut used = 0;
         for &page in &pages {
             // Whole-tree sweep: never let a utilization report evict the
             // working set.
             let free = self
                 .pool
-                .with_page_hinted(page, AccessHint::Scan, |p| p.free_space())?;
-            used += PAGE_SIZE - free;
+                .with_page_hinted(page, AccessHint::Scan, Page::free_space);
+            used += PAGE_SIZE - free?;
         }
-        Ok(used as f64 / (pages.len() * PAGE_SIZE) as f64)
+        Ok(used as f64 / (pages.len() * PAGE_SIZE).max(1) as f64)
     }
 
     /// Reads and decodes the node at `id`, reassembling spilled chains
@@ -390,8 +405,10 @@ impl NodeStore {
     ) -> StorageResult<Group> {
         // The root's page keeps the tallest children's groups when they fit,
         // so the page height grows only where it must; every other child is
-        // placed now.  (A node spilled across a chain, cut into chunks once
-        // its bytes are final, is past the budget and keeps none.)
+        // placed now.  Children go largest first, so the small groups placed
+        // apart fill the gaps the large ones leave.  (A node spilled across a
+        // chain, cut into chunks once its bytes are final, is past the budget
+        // and keeps none.)
         let height = kids.iter().map(|kid| kid.height).max().unwrap_or(0);
         let tallest: usize = kids
             .iter()
@@ -399,8 +416,10 @@ impl NodeStore {
             .map(|kid| kid.bytes)
             .sum();
         let keep = 1 + bytes.len() + SLOT + tallest <= GROUP_BUDGET;
-        let (mut placed, mut kept) = (Vec::new(), Vec::new());
-        for (&at, kid) in pointers.iter().zip(kids) {
+        let mut kids: Vec<(usize, Group)> = pointers.iter().copied().zip(kids).collect();
+        kids.sort_by_key(|(_, kid)| Reverse(kid.bytes));
+        let (mut placed, mut kept, mut near) = (Vec::new(), Vec::new(), (0, None));
+        for (at, kid) in kids {
             // The record starts with its one-byte tag.
             if keep && kid.height == height {
                 kept.push((at + 1, kid));
@@ -408,6 +427,7 @@ impl NodeStore {
                 let (child, height) = self.place_group(kid, None)?;
                 write_pointer(&mut bytes, at, child);
                 placed.push((at + 1, Kid::Placed(child, height)));
+                near = max_by_key(near, (height, Some(child.page)), |near| near.0);
             }
         }
         let record = self.encode_node_record(&bytes)?;
@@ -418,6 +438,7 @@ impl NodeStore {
                 kids: placed,
             }],
             height: if keep { height.max(1) } else { height + 1 },
+            near: near.1,
         };
         for (at, kid) in kept {
             let base = group.drafts.len();
@@ -436,14 +457,16 @@ impl NodeStore {
     }
 
     /// Writes what is left of a group onto the page the placement rule
-    /// chooses, preferring `near`, and returns the root's address and the
-    /// page height of its subtree: the pages on its longest downward path,
-    /// its own page included.
+    /// chooses, preferring `near` — or, when the caller names none, the page
+    /// of the root's tallest child placed apart — and returns the root's
+    /// address and the page height of its subtree: the pages on its longest
+    /// downward path, its own page included.
     pub(crate) fn place_group(
         &self,
         group: Group,
         near: Option<PageId>,
     ) -> StorageResult<(NodeId, u32)> {
+        let near = near.or(group.near);
         let (mut drafts, mut height) = (group.drafts, 1);
         let root = self.place(group.bytes, near, |p, page| {
             // A record takes the page's next slot, so every draft's address
@@ -579,13 +602,15 @@ impl NodeStore {
         for item in self.epochs.take_reclaimable() {
             match item {
                 RetiredItem::Slot(page, slot) => {
-                    self.pool
-                        .with_page_mut_hinted(page, self.access_hint(), |p| p.delete(slot))??;
-                    self.note_open_page(page);
+                    let hint = self.access_hint();
+                    let room = self.pool.with_page_mut_hinted(page, hint, |p| {
+                        p.delete(slot).map(|()| p.compacted_free_space())
+                    })??;
+                    self.note_room(page, room);
                 }
                 RetiredItem::Page(page) => {
                     let mut placement = self.placement.lock();
-                    placement.open_pages.retain(|&p| p != page);
+                    placement.open_pages.retain(|&(p, _)| p != page);
                     drop(placement);
                     self.pool.free_page(page)?;
                 }
@@ -603,25 +628,23 @@ impl NodeStore {
         placement.pages.clone()
     }
 
-    /// Finishes a repack: drops `old_pages` from the owned-page list and
-    /// retires them.  Readers pinned before the root flipped to the rebuilt
-    /// layout keep traversing the old pages until reclamation passes them.
-    pub fn finish_repack(&self, old_pages: &[PageId]) {
-        {
-            let mut placement = self.placement.lock();
-            placement.pages.retain(|p| !old_pages.contains(p));
-            placement.open_pages.retain(|p| !old_pages.contains(p));
-        }
-        for &page in old_pages {
+    /// Finishes a repack: drops `old`, the pages owned before it, from the
+    /// owned-page list and retires them.  Readers pinned before the root
+    /// flipped to the rebuilt layout keep traversing the old pages until
+    /// reclamation passes them.  No old page is a candidate: the candidates
+    /// were cleared at the start, and only fresh pages were written since.
+    pub fn finish_repack(&self, old: &[PageId]) {
+        self.placement.lock().pages.retain(|p| !old.contains(p));
+        for &page in old {
             self.epochs.retire(RetiredItem::Page(page));
         }
     }
 
     /// The placement rule, the one place a new record's page is chosen:
     /// records costing `bytes` (slot entries included) go on `near` (their
-    /// parent's page) if they fit, else on the most recently opened page
-    /// they fit, else on a fresh page.  `write` inserts them under the page
-    /// latch, told which page they got.
+    /// parent's page) if they fit, else on the open page whose recorded room
+    /// they fit most tightly, else on a fresh page.  `write` inserts them
+    /// under the page latch, told which page they got.
     fn place<R>(
         &self,
         bytes: usize,
@@ -633,35 +656,27 @@ impl NodeStore {
                 return Ok(placed);
             }
         }
-        // Best fit among the open pages: the one the records leave the least
-        // room on.  The list is sampled under the placement lock but probed
-        // outside it; a stale candidate just fails its fit check.
-        let candidates: Vec<PageId> = self.placement.lock().open_pages.clone();
-        let mut best: Option<(usize, PageId)> = None;
-        for &page in &candidates {
-            let (fits, free) = self.pool.with_page_hinted(page, self.access_hint(), |p| {
-                (p.fits(bytes - SLOT), p.free_space())
-            })?;
-            if fits && best.is_none_or(|(least, _)| free < least) {
-                best = Some((free, page));
-            } else if free < 64 {
-                // Nearly full: leave the candidates, to keep the list useful.
-                self.placement.lock().open_pages.retain(|&p| p != page);
-            }
-        }
-        // Only compaction can make room on the others: the most recent that
-        // fits then.  (Sizing it up costs a pass over the page's records.)
-        let compacting = candidates.iter().rev().filter(|_| best.is_none());
-        for &page in best.iter().map(|(_, page)| page).chain(compacting) {
+        // Best fit by the figures, reading only the page chosen.  A figure
+        // can be stale (an in-place update has grown a record since): the
+        // page's own check refuses then and corrects it, and the next best
+        // is tried.
+        while let Some(page) = self.best_fit(bytes - SLOT) {
             if let Some(placed) = self.try_place_in(page, bytes, &mut write)? {
                 return Ok(placed);
             }
         }
         let page = self.pool.allocate_page_hinted(self.access_hint())?;
         self.placement.lock().pages.push(page);
-        self.note_open_page(page);
-        self.pool
-            .with_page_mut_hinted(page, self.access_hint(), |p| write(p, page))?
+        self.try_place_in(page, bytes, &mut write)?
+            .ok_or_else(|| StorageError::Corrupt("an empty page refused a placement".into()))
+    }
+
+    /// The open page whose recorded room takes a record of `len` bytes most
+    /// tightly.
+    fn best_fit(&self, len: usize) -> Option<PageId> {
+        let placement = self.placement.lock();
+        let fitting = placement.open_pages.iter().filter(|open| open.1 >= len);
+        fitting.min_by_key(|open| open.1).map(|open| open.0)
     }
 
     /// The placement rule for one record.
@@ -681,10 +696,11 @@ impl NodeStore {
         let len = bytes - SLOT;
         // Fit is decided read-only, from the live bytes, so a probe that
         // cannot place leaves the page clean and its records where they lie.
-        let fits = self
+        let room = self
             .pool
-            .with_page_hinted(page, self.access_hint(), |p| p.fits_compacted(len))?;
-        if !fits {
+            .with_page_hinted(page, self.access_hint(), |p| p.compacted_free_space())?;
+        if room < len {
+            self.note_room(page, room);
             return Ok(None);
         }
         // Fit check, compaction and insert run as one atomic page operation
@@ -692,19 +708,24 @@ impl NodeStore {
         // and the insert.  Deleted records and shrinking updates leave gaps
         // only compaction reclaims (slot ids survive it, so node addresses
         // stay valid).
-        self.pool
+        let (placed, room) = self
+            .pool
             .with_page_mut_hinted(page, self.access_hint(), |p| {
-                if !p.fits(len) {
-                    if !p.fits_compacted(len) {
-                        return Ok(None);
-                    }
+                if p.compacted_free_space() < len {
+                    return Ok((None, p.compacted_free_space()));
+                } else if !p.fits(len) {
                     p.compact();
                 }
-                write(p, page).map(Some)
-            })?
+                write(p, page).map(|placed| (Some(placed), p.compacted_free_space()))
+            })??;
+        self.note_room(page, room);
+        Ok(placed)
     }
 
-    fn note_open_page(&self, page: PageId) {
+    /// Records the room `page` has after a write, a free or a refused
+    /// probe there, and makes it the most recent candidate; a nearly full
+    /// page (under 64 bytes of room) leaves the candidates.
+    fn note_room(&self, page: PageId, room: usize) {
         let mut placement = self.placement.lock();
         // Reclamation can hand back a slot on a page this store no longer
         // owns (retired wholesale by a repack); such a page must never
@@ -712,12 +733,13 @@ impl NodeStore {
         if !placement.pages.contains(&page) {
             return;
         }
-        if let Some(pos) = placement.open_pages.iter().position(|&p| p == page) {
-            placement.open_pages.remove(pos);
+        let open = &mut placement.open_pages;
+        open.retain(|&(p, _)| p != page);
+        if room >= 64 {
+            open.push((page, room));
         }
-        placement.open_pages.push(page);
-        if placement.open_pages.len() > OPEN_PAGE_LIMIT {
-            placement.open_pages.remove(0);
+        if open.len() > OPEN_PAGE_LIMIT {
+            open.remove(0);
         }
     }
 }
@@ -857,6 +879,25 @@ mod tests {
             leaves = store.read(entries[3].child).unwrap();
         }
         assert_eq!(leaves, leaf(40), "pointers lead where they were drafted");
+    }
+
+    #[test]
+    fn a_placement_reads_only_the_page_it_picks() {
+        let store = store();
+        // Records of over half a page each open a page of their own, until
+        // every candidate has room left for a small one.
+        let n = (1..)
+            .find(|&n| leaf(n).encode().len() > PAGE_SIZE * 6 / 10)
+            .unwrap();
+        for _ in 0..OPEN_PAGE_LIMIT {
+            store.allocate(&leaf(n), None).unwrap();
+        }
+        assert_eq!(store.page_count(), OPEN_PAGE_LIMIT);
+        let before = store.pool().stats().logical_reads;
+        store.allocate(&leaf(3), None).unwrap();
+        let reads = store.pool().stats().logical_reads - before;
+        assert_eq!(reads, 2, "the fit probe and the write, on one page");
+        assert_eq!(store.page_count(), OPEN_PAGE_LIMIT, "a candidate took it");
     }
 
     #[test]

@@ -354,11 +354,11 @@ fn bulk_built_pages_are_pinned_byte_for_byte() {
     assert_eq!(
         built,
         [
-            (49, 3, 0x0ce3_19c1),   // trie
-            (175, 3, 0xe5bd_a0ee),  // suffix tree
-            (131, 3, 0xe043_898e),  // kd-tree
-            (145, 3, 0x9d81_0ff0),  // point quadtree
-            (2116, 4, 0x17be_c002), // PMR quadtree
+            (49, 3, 0xdae1_09f0),   // trie
+            (171, 3, 0xc5ae_b7b9),  // suffix tree
+            (131, 3, 0xd375_649e),  // kd-tree
+            (145, 3, 0xadcb_e177),  // point quadtree
+            (2114, 4, 0x5af1_7d4b), // PMR quadtree
         ]
     );
 }

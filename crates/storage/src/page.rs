@@ -133,12 +133,12 @@ impl Page {
         len <= self.free_space()
     }
 
-    /// True if a record of `len` bytes can be inserted once
-    /// [`Page::compact`] has coalesced every gap — decided from the live
-    /// bytes alone, without touching the page.
-    pub fn fits_compacted(&self, len: usize) -> bool {
+    /// Free space available for a new record once [`Page::compact`] has
+    /// coalesced every gap — decided from the live bytes alone, without
+    /// touching the page.  Never less than [`Page::free_space`].
+    pub fn compacted_free_space(&self) -> usize {
         let dir_end = HEADER_SIZE + (self.slot_count() as usize + 1) * SLOT_SIZE;
-        self.fits(len) || dir_end + self.live_bytes() + len <= PAGE_SIZE
+        PAGE_SIZE.saturating_sub(dir_end + self.live_bytes())
     }
 
     fn live_bytes(&self) -> usize {
@@ -434,7 +434,8 @@ mod tests {
                         assert_eq!(page.fits(rec.len()), reference.fits(rec.len()));
                         let mut compacted = page.clone();
                         compacted.compact();
-                        assert_eq!(page.fits_compacted(rec.len()), compacted.fits(rec.len()));
+                        assert_eq!(page.compacted_free_space(), compacted.free_space());
+                        assert!(page.compacted_free_space() >= page.free_space());
                         if page.fits(rec.len()) {
                             let slot = page.insert(&rec).unwrap();
                             assert_eq!(reference.insert(&rec).unwrap(), slot);
