@@ -6,14 +6,19 @@
 //! Lengths, counts and row ids are unsigned LEB128 varints (seven bits a
 //! byte, low first, high bit = more); numbers, points and child pointers
 //! stay fixed-width little-endian.
+//!
+//! The file framings are pinned too — the pager meta page, a WAL segment
+//! and the checkpoint journal — as they land on disk.
+
+use std::path::PathBuf;
 
 use spgist::catalog::durable::{encode_chunk, CatalogChunk};
 use spgist::core::node::{Entry, Node, NodeId, ROW_FANOUT};
 use spgist::indexes::trie::{LeafMode, BLANK};
 use spgist::indexes::{PointQuadtreeOps, SpGistBacked};
 use spgist::prelude::*;
-use spgist::storage::Codec;
-use spgist_wal::{WalRecord, AUTOCOMMIT};
+use spgist::storage::{journal, Codec, Page, PAGE_SIZE};
+use spgist_wal::{Wal, WalConfig, WalRecord, AUTOCOMMIT};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -167,4 +172,115 @@ fn catalog_chunk_header() {
         "08000000",
     ]);
     assert_eq!(hex(&chunk), expected);
+}
+
+/// A scratch directory, removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("spgist-golden-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn pager_meta_page() {
+    let dir = TempDir::new("pager");
+    let path = dir.0.join("db.pages");
+    let pager = FilePager::create(&path).unwrap();
+    for _ in 0..5 {
+        pager.allocate().unwrap();
+    }
+    pager.free(1).unwrap();
+    pager.free(3).unwrap();
+    pager.sync().unwrap();
+    let meta = std::fs::read(&path).unwrap();
+    let expected = golden(&[
+        "50475053", // magic "SPGP", little-endian u32
+        "01000000", // pager meta version 1
+        "05000000", // logical page count
+        "ffffffff", // no continuation page
+        "02000000", // free-list entries on this page
+        "01000000", // free page 1
+        "03000000", // free page 3
+    ]);
+    assert_eq!(hex(&meta[..28]), expected);
+    assert!(meta[28..PAGE_SIZE].iter().all(|&b| b == 0), "zero-filled");
+}
+
+#[test]
+fn wal_segment_header_frame_and_seal() {
+    let dir = TempDir::new("wal");
+    let record = WalRecord::Insert {
+        table: "t".into(),
+        row: 5,
+        datum: vec![0, 2, b'a', b'b'],
+        txn: AUTOCOMMIT,
+    };
+    {
+        let wal = Wal::create(dir.0.join("db.wal"), WalConfig::default()).unwrap();
+        wal.append(&record).unwrap();
+    }
+    let segment = std::fs::read(dir.0.join("db.wal.000001")).unwrap();
+    let expected = golden(&[
+        // Segment header, 16 bytes.
+        "57475053",         // magic "SPGW", little-endian u32
+        "04000000",         // segment version 4
+        "0000000000000000", // base LSN
+        // Record frame.
+        "18000000", // payload length 24
+        "afda73d6", // crc32(payload)
+        // The payload: `wal_insert_record`'s 24 bytes.
+        "000174",
+        "0500000000000000",
+        "0400026162",
+        "0000000000000000",
+        // Batch seal, 20 bytes.
+        "00000000", // zero length: a seal, not a record
+        "53475053", // seal magic "SPGS", little-endian u32
+        "01000000", // records in the batch
+        "b719a83c", // crc32(the batch's frame bytes)
+        "1a90afbc", // crc32(the seal's first 16 bytes)
+    ]);
+    assert_eq!(hex(&segment), expected);
+}
+
+#[test]
+fn checkpoint_journal_one_page_one_range() {
+    let dir = TempDir::new("journal");
+    let path = dir.0.join("db.wal.ckpt");
+    let pager = MemPager::new();
+    pager.allocate().unwrap();
+    let id = pager.allocate().unwrap();
+    let old = [0x11; PAGE_SIZE];
+    pager.write(id, &Page::from_bytes(old)).unwrap();
+    let mut new = old;
+    new[0x100..0x103].copy_from_slice(&[0x22; 3]);
+    let bytes =
+        journal::write_pre_images(&path, &pager, 2, [], [(id, &Page::from_bytes(new))]).unwrap();
+    let file = std::fs::read(&path).unwrap();
+    assert_eq!(bytes, file.len() as u64);
+    let expected = golden(&[
+        // Header, 16 bytes.
+        "5350474a", // magic "SPGJ", byte for byte
+        "02000000", // journal version 2
+        "01000000", // journaled pages
+        "94e8e86d", // crc32(body)
+        // Body: one page, one range.
+        "01000000", // page id 1
+        "0100",     // range count
+        "0001",     // offset 256, u16
+        "0300",     // length 3, u16
+        "111111",   // the old bytes
+    ]);
+    assert_eq!(hex(&file), expected);
 }
