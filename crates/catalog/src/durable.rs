@@ -52,6 +52,7 @@ use std::sync::Arc;
 
 use spgist_core::SpGistConfig;
 use spgist_indexes::geom::Rect;
+use spgist_storage::codec::take_header;
 use spgist_storage::{
     BufferPool, Codec, Page, PageId, RecordId, StorageError, StorageResult, MAX_RECORD_SIZE,
 };
@@ -233,9 +234,7 @@ pub enum CatalogChunk {
 
 /// Encodes a chunk with its `magic | version | tag` header.
 pub fn encode_chunk(chunk: &CatalogChunk) -> Vec<u8> {
-    let mut out = Vec::new();
-    CATALOG_MAGIC.encode(&mut out);
-    CATALOG_VERSION.encode(&mut out);
+    let mut out = (CATALOG_MAGIC, CATALOG_VERSION).to_bytes();
     match chunk {
         CatalogChunk::Root {
             checkpoint_lsn,
@@ -267,17 +266,10 @@ pub fn encode_chunk(chunk: &CatalogChunk) -> Vec<u8> {
 /// truncated body fails with the decoder's own error.
 pub fn decode_chunk(bytes: &[u8]) -> StorageResult<CatalogChunk> {
     let mut buf = bytes;
-    if u32::decode(&mut buf)? != CATALOG_MAGIC {
+    if !take_header(&mut buf, "catalog", CATALOG_MAGIC, CATALOG_VERSION)? {
         return Err(StorageError::Corrupt(
             "page holds no catalog chunk (bad magic; not a Database file?)".into(),
         ));
-    }
-    let version = u8::decode(&mut buf)?;
-    if version != CATALOG_VERSION {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported catalog version {version} (this build reads v{CATALOG_VERSION}; \
-             no migration — rebuild the database file)"
-        )));
     }
     let tag = u8::decode(&mut buf)?;
     let chunk = match tag {
@@ -713,6 +705,58 @@ pub(crate) struct PersistedCatalog {
     pub tables: Vec<PersistedTable>,
 }
 
+/// A directory as [`read_directory`] returns it: per chunk, its entries and
+/// its segment's pages.
+type Directory<T> = (Vec<Vec<T>>, Vec<Vec<PageId>>);
+
+/// Reads one table's row or heap directory (`what`): the chunk segments
+/// rooted at `starts`, read by `segment`, each holding a chunk that
+/// `unwrap` accepts, together `len` entries — `per_chunk` in every chunk
+/// but the last.  The entries grow from the chunks actually decoded: a
+/// lying `len` fails a chunk's length check and is never reserved up front.
+fn read_directory<T>(
+    segment: &mut impl FnMut(PageId) -> StorageResult<(Vec<u8>, Vec<PageId>)>,
+    table: &str,
+    what: &str,
+    starts: &[PageId],
+    len: u64,
+    per_chunk: u64,
+    unwrap: impl Fn(CatalogChunk) -> Option<Vec<T>>,
+) -> StorageResult<Directory<T>> {
+    let expected_chunks = len.div_ceil(per_chunk) as usize;
+    if starts.len() != expected_chunks {
+        return Err(StorageError::Corrupt(format!(
+            "table {table:?} declares {len} {what} entries but lists {} {what} chunks \
+             (expected {expected_chunks})",
+            starts.len()
+        )));
+    }
+    let mut chunks = Vec::with_capacity(expected_chunks);
+    let mut segments = Vec::with_capacity(expected_chunks);
+    for (i, &start) in starts.iter().enumerate() {
+        let place = || format!("{what} chunk {i} of table {table:?}");
+        let (bytes, pages) = segment(start)?;
+        let chunk = decode_chunk(&bytes).map_err(|e| as_corrupt(e, &place()))?;
+        let Some(data) = unwrap(chunk) else {
+            return Err(StorageError::Corrupt(format!(
+                "{} holds a non-{what} chunk",
+                place()
+            )));
+        };
+        let expected_len = (len - i as u64 * per_chunk).min(per_chunk);
+        if data.len() as u64 != expected_len {
+            return Err(StorageError::Corrupt(format!(
+                "{} holds {} entries (expected {expected_len})",
+                place(),
+                data.len()
+            )));
+        }
+        chunks.push(data);
+        segments.push(pages);
+    }
+    Ok((chunks, segments))
+}
+
 /// Reads and validates the whole chunked catalog rooted at
 /// [`CATALOG_ROOT`], returning the reassembled tables and the page layout
 /// (for subsequent incremental rewrites).  Every failure — missing record,
@@ -725,7 +769,8 @@ pub(crate) fn read_catalog(
 ) -> StorageResult<(PersistedCatalog, CatalogLayout)> {
     let corrupt = |msg: String| StorageError::Corrupt(msg);
     let mut visited = HashSet::new();
-    let (root_bytes, root_pages) = read_segment(pool, CATALOG_ROOT, &mut visited)?;
+    let mut segment = |start| read_segment(pool, start, &mut visited);
+    let (root_bytes, root_pages) = segment(CATALOG_ROOT)?;
     let root = decode_chunk(&root_bytes).map_err(|e| as_corrupt(e, "catalog root"))?;
     let CatalogChunk::Root {
         checkpoint_lsn,
@@ -738,7 +783,7 @@ pub(crate) fn read_catalog(
     let mut tables = Vec::with_capacity(roots.len());
     let mut layout_tables = BTreeMap::new();
     for (name, meta_start) in roots {
-        let (meta_bytes, meta_pages) = read_segment(pool, meta_start, &mut visited)?;
+        let (meta_bytes, meta_pages) = segment(meta_start)?;
         let meta = match decode_chunk(&meta_bytes)
             .map_err(|e| as_corrupt(e, &format!("metadata of table {name:?}")))?
         {
@@ -756,89 +801,39 @@ pub(crate) fn read_catalog(
             )));
         }
 
-        let expected_chunks = meta.rows_len.div_ceil(ROWS_PER_CHUNK) as usize;
-        if meta.row_chunks.len() != expected_chunks {
-            return Err(corrupt(format!(
-                "table {name:?} declares {} rows but lists {} row chunks (expected {})",
-                meta.rows_len,
-                meta.row_chunks.len(),
-                expected_chunks
-            )));
-        }
-        // Both directories grow from the chunks actually decoded: a lying
-        // `rows_len` or `heap_len` fails a chunk's length check below and is
-        // never reserved up front.
-        let mut rows = Vec::new();
-        let mut row_chunks = Vec::with_capacity(expected_chunks);
-        for (i, &start) in meta.row_chunks.iter().enumerate() {
-            let (bytes, pages) = read_segment(pool, start, &mut visited)?;
-            let data = match decode_chunk(&bytes)
-                .map_err(|e| as_corrupt(e, &format!("row chunk {i} of table {name:?}")))?
-            {
-                CatalogChunk::Rows(data) => data,
-                _ => {
-                    return Err(corrupt(format!(
-                        "row chunk {i} of table {name:?} holds a non-row chunk"
-                    )))
-                }
-            };
-            let lo = i as u64 * ROWS_PER_CHUNK;
-            let expected_len = (meta.rows_len - lo).min(ROWS_PER_CHUNK) as usize;
-            if data.len() != expected_len {
-                return Err(corrupt(format!(
-                    "row chunk {i} of table {name:?} holds {} entries (expected {expected_len})",
-                    data.len()
-                )));
-            }
-            rows.extend(data);
-            row_chunks.push(pages);
-        }
-
-        let expected_heap_chunks = (meta.heap_len as usize).div_ceil(HEAP_IDS_PER_CHUNK);
-        if meta.heap_chunks.len() != expected_heap_chunks {
-            return Err(corrupt(format!(
-                "table {name:?} declares {} heap pages but lists {} heap chunks (expected {})",
-                meta.heap_len,
-                meta.heap_chunks.len(),
-                expected_heap_chunks
-            )));
-        }
-        let mut heap_pages = Vec::new();
-        let mut heap_chunks = Vec::with_capacity(expected_heap_chunks);
-        let mut last_heap = Vec::with_capacity(expected_heap_chunks);
-        for (i, &start) in meta.heap_chunks.iter().enumerate() {
-            let (bytes, pages) = read_segment(pool, start, &mut visited)?;
-            let data = match decode_chunk(&bytes)
-                .map_err(|e| as_corrupt(e, &format!("heap chunk {i} of table {name:?}")))?
-            {
-                CatalogChunk::Heap(data) => data,
-                _ => {
-                    return Err(corrupt(format!(
-                        "heap chunk {i} of table {name:?} holds a non-heap chunk"
-                    )))
-                }
-            };
-            let lo = i * HEAP_IDS_PER_CHUNK;
-            let expected_len = (meta.heap_len as usize - lo).min(HEAP_IDS_PER_CHUNK);
-            if data.len() != expected_len {
-                return Err(corrupt(format!(
-                    "heap chunk {i} of table {name:?} holds {} ids (expected {expected_len})",
-                    data.len()
-                )));
-            }
-            heap_pages.extend_from_slice(&data);
-            heap_chunks.push(pages);
-            last_heap.push(data);
-        }
+        let (rows, row_chunks) = read_directory(
+            &mut segment,
+            &name,
+            "row",
+            &meta.row_chunks,
+            meta.rows_len,
+            ROWS_PER_CHUNK,
+            |chunk| match chunk {
+                CatalogChunk::Rows(data) => Some(data),
+                _ => None,
+            },
+        )?;
+        let (last_heap, heap_chunks) = read_directory(
+            &mut segment,
+            &name,
+            "heap",
+            &meta.heap_chunks,
+            meta.heap_len,
+            HEAP_IDS_PER_CHUNK as u64,
+            |chunk| match chunk {
+                CatalogChunk::Heap(data) => Some(data),
+                _ => None,
+            },
+        )?;
 
         tables.push(PersistedTable {
             name: name.clone(),
             key_type: meta.key_type,
-            heap_pages,
+            heap_pages: last_heap.concat(),
             heap_records: meta.heap_records,
             live_rows: meta.live_rows,
             distinct: meta.distinct,
-            rows,
+            rows: rows.concat(),
             indexes: meta.indexes,
         });
         layout_tables.insert(
@@ -952,9 +947,12 @@ mod tests {
             let mut old = good.clone();
             old[4] = version;
             match decode_chunk(&old) {
-                Err(StorageError::Corrupt(msg)) => assert!(
-                    msg.contains(&format!("unsupported catalog version {version}")),
-                    "{msg}"
+                Err(StorageError::Corrupt(msg)) => assert_eq!(
+                    msg,
+                    format!(
+                        "unsupported catalog version {version} \
+                         (this build reads version 4; no migration)"
+                    )
                 ),
                 other => panic!("v{version} must be Corrupt, got {other:?}"),
             }

@@ -1,4 +1,5 @@
-//! A small length-prefixed binary codec.
+//! A small length-prefixed binary codec: the workspace's one bounded
+//! reader.
 //!
 //! All access methods in the workspace serialize their node and record
 //! payloads with this codec before storing them in slotted pages.  It is a
@@ -7,6 +8,13 @@
 //! fixed-width little-endian, and every length (of a string, of a vector)
 //! is an unsigned LEB128 varint ([`put_varint`] / [`take_varint`]), so a
 //! short string pays one byte for its length, not four.
+//!
+//! Every durable format reads through it too — the pager meta page
+//! (`SPGP`), catalog chunks (`SPGC`), WAL segments (`SPGW`) and the
+//! checkpoint journal (`SPGJ`) — and each checks its magic and version with
+//! [`take_header`].  Every read is checked against the bytes left, so a
+//! damaged length or count is a [`StorageError::Decode`], never a panic or
+//! an allocation it claims.
 
 use crate::error::{StorageError, StorageResult};
 
@@ -48,8 +56,9 @@ pub trait Codec: Sized {
     }
 }
 
+/// The next `n` bytes of `buf`, borrowed, advancing it past them.
 #[inline]
-fn take<'a>(buf: &mut &'a [u8], n: usize) -> StorageResult<&'a [u8]> {
+pub fn take<'a>(buf: &mut &'a [u8], n: usize) -> StorageResult<&'a [u8]> {
     if buf.len() < n {
         return Err(StorageError::Decode(format!(
             "need {n} bytes, only {} remain",
@@ -59,6 +68,33 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> StorageResult<&'a [u8]> {
     let (head, tail) = buf.split_at(n);
     *buf = tail;
     Ok(head)
+}
+
+/// Reads a durable format's header — a `u32` magic, then its version —
+/// from the front of `buf`, advancing it past them.  `Ok(false)` when `buf`
+/// holds no header of this format (another magic, or too few bytes): each
+/// caller decides what a foreign file means.  A version other than
+/// `version` is [`StorageError::Corrupt`] naming `format`, the version
+/// found and the version this build reads: formats are never migrated.
+pub fn take_header<V>(buf: &mut &[u8], format: &str, magic: u32, version: V) -> StorageResult<bool>
+where
+    V: Codec + PartialEq + std::fmt::Display,
+{
+    let mut rest = *buf;
+    let Ok((found_magic, found)) = <(u32, V)>::decode(&mut rest) else {
+        return Ok(false);
+    };
+    if found_magic != magic {
+        return Ok(false);
+    }
+    if found != version {
+        return Err(StorageError::Corrupt(format!(
+            "unsupported {format} version {found} (this build reads version {version}; \
+             no migration)"
+        )));
+    }
+    *buf = rest;
+    Ok(true)
 }
 
 /// Appends `value` as an unsigned LEB128 varint: seven bits a byte, least
@@ -446,6 +482,30 @@ mod tests {
         // The largest ten-byte encoding is u64::MAX itself.
         let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
         assert_eq!(take_varint(&mut &max[..]).unwrap(), u64::MAX);
+    }
+
+    #[test]
+    fn a_header_is_this_format_another_or_an_unsupported_version() {
+        const MAGIC: u32 = 0x5350_4758;
+        let header = |magic: u32, version: u8| [magic.to_bytes(), version.to_bytes()].concat();
+        let read = |bytes: &[u8]| {
+            let mut buf = bytes;
+            take_header(&mut buf, "test format", MAGIC, 3u8).map(|ok| (ok, buf.len()))
+        };
+        let mut good = header(MAGIC, 3);
+        good.push(0xAA);
+        assert_eq!(read(&good).unwrap(), (true, 1), "advanced past the header");
+        // Another magic, or too short to hold one: not this format, and
+        // nothing consumed.
+        assert_eq!(read(&header(MAGIC + 1, 3)).unwrap(), (false, 5));
+        assert_eq!(read(&good[..4]).unwrap(), (false, 4));
+        match read(&header(MAGIC, 2)) {
+            Err(StorageError::Corrupt(msg)) => assert_eq!(
+                msg,
+                "unsupported test format version 2 (this build reads version 3; no migration)"
+            ),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

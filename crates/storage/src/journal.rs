@@ -46,24 +46,20 @@
 //! ```
 
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
+use crate::codec::{take, take_header, Codec};
 use crate::crc::crc32;
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PAGE_SIZE};
-use crate::pager::Pager;
+use crate::pager::{sync_dir, Pager};
 
-/// `"SPGJ"` little-endian.
-const MAGIC: u32 = u32::from_le_bytes(*b"SPGJ");
+/// `"SPGJ"`, byte for byte.
+const MAGIC: u32 = 0x4A47_5053;
 const VERSION: u32 = 2;
-const HEADER_BYTES: usize = 16;
-/// Page id and range count leading each journaled page.
-const PAGE_HEADER_BYTES: usize = 6;
-/// Offset and length leading each range.
-const RANGE_HEADER_BYTES: usize = 4;
 /// Differing runs closer together than this many equal bytes are journaled
 /// as one range (a range header costs four, and fewer ranges apply faster).
 const MERGE_GAP: usize = 8;
@@ -117,15 +113,26 @@ impl CheckpointStats {
     }
 }
 
-/// Syncs the directory holding `path` so a create/rename/delete of the
-/// journal itself is durable.  Best-effort: not every filesystem supports
-/// directory fsync, and the fallback (an extra rollback or an extra
-/// recovery replay) is correct either way.
-fn sync_parent(path: &Path) {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    if let Ok(handle) = File::open(dir) {
-        let _ = handle.sync_all();
+/// The temporary file a journal is written to before it is renamed into
+/// place at `path`.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    tmp.into()
+}
+
+/// Reads one range from the front of `buf` — offset `u16`, length `u16`,
+/// then the old bytes — advancing it; `Decode` when the old bytes run past
+/// `buf` or the range past the page.
+fn take_range<'a>(buf: &mut &'a [u8]) -> StorageResult<(usize, &'a [u8])> {
+    let (offset, len) = <(u16, u16)>::decode(buf)?;
+    let old = take(buf, len as usize)?;
+    if offset as usize + old.len() > PAGE_SIZE {
+        return Err(StorageError::Decode(format!(
+            "journal range {offset}+{len} runs past the page"
+        )));
     }
+    Ok((offset as usize, old))
 }
 
 /// A validated journal: its body, and for each journaled page the span of
@@ -136,40 +143,27 @@ struct Journal {
 }
 
 impl Journal {
-    /// Splits a body into its pages, checking every range lies inside a
-    /// page and the last one ends the body exactly.
+    /// Splits a body into its pages — page id `u32`, range count `u16`,
+    /// the ranges — checking every range with [`take_range`] and that the
+    /// last one ends the body exactly.
     fn parse(body: Vec<u8>, page_count: u32) -> Option<Journal> {
-        let u16_at = |at: usize| Some(u16::from_le_bytes(body.get(at..at + 2)?.try_into().ok()?));
+        let mut rest = body.as_slice();
         let mut pages = Vec::new();
-        let mut at = 0;
         for _ in 0..page_count {
-            let id = u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?);
-            let ranges = u16_at(at + 4)?;
-            at += PAGE_HEADER_BYTES;
-            let start = at;
+            let (id, ranges) = <(PageId, u16)>::decode(&mut rest).ok()?;
+            let start = body.len() - rest.len();
             for _ in 0..ranges {
-                let (offset, len) = (u16_at(at)? as usize, u16_at(at + 2)? as usize);
-                at += RANGE_HEADER_BYTES + len;
-                if offset + len > PAGE_SIZE || at > body.len() {
-                    return None;
-                }
+                take_range(&mut rest).ok()?;
             }
-            pages.push((id, start..at));
+            pages.push((id, start..body.len() - rest.len()));
         }
-        (at == body.len()).then_some(Journal { body, pages })
+        rest.is_empty().then_some(Journal { body, pages })
     }
 
     /// The `(offset, old bytes)` ranges of the page journaled at `span`.
     fn ranges<'a>(&'a self, span: &Range<usize>) -> impl Iterator<Item = (usize, &'a [u8])> {
         let mut rest = &self.body[span.clone()];
-        std::iter::from_fn(move || {
-            let [o0, o1, l0, l1, tail @ ..] = rest else {
-                return None;
-            };
-            let (old, tail) = tail.split_at(u16::from_le_bytes([*l0, *l1]) as usize);
-            rest = tail;
-            Some((u16::from_le_bytes([*o0, *o1]) as usize, old))
-        })
+        std::iter::from_fn(move || take_range(&mut rest).ok())
     }
 
     /// Lays the old bytes of the page journaled at `span` over `page`.
@@ -188,32 +182,22 @@ impl Journal {
 /// can, and skipping a rollback it may require is not safe — `Corrupt`
 /// (the workspace's no-migrations policy).
 fn load_valid(path: &Path) -> StorageResult<Option<Journal>> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut file) => file.read_to_end(&mut bytes)?,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    if bytes.len() < HEADER_BYTES {
+    // Header: magic, version, page count, crc32(body).
+    let mut rest = bytes.as_slice();
+    if !take_header(&mut rest, "checkpoint journal", MAGIC, VERSION)? {
         return Ok(None);
     }
-    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-    if word(0) != MAGIC {
-        return Ok(None);
+    match <(u32, u32)>::decode(&mut rest) {
+        Ok((page_count, crc)) if crc32(rest) == crc => {
+            Ok(Journal::parse(rest.to_vec(), page_count))
+        }
+        _ => Ok(None),
     }
-    if word(4) != VERSION {
-        return Err(StorageError::Corrupt(format!(
-            "checkpoint journal {path:?} has version {} (this build reads v{VERSION}; \
-             no migration)",
-            word(4)
-        )));
-    }
-    let (page_count, crc) = (word(8), word(12));
-    let body = bytes.split_off(HEADER_BYTES);
-    if crc32(&body) != crc {
-        return Ok(None);
-    }
-    Ok(Journal::parse(body, page_count))
 }
 
 /// The body of the journal being written.
@@ -230,18 +214,9 @@ impl Body {
     /// images.  With `new` unknown, the whole page.
     fn push_page(&mut self, id: PageId, old: &Page, new: Option<&Page>) {
         let old = old.as_bytes();
-        let page_start = self.bytes.len();
-        self.bytes.extend_from_slice(&id.to_le_bytes());
-        self.bytes.extend_from_slice(&[0; 2]);
-        let mut ranges = 0u16;
-        let mut push_range = |bytes: &mut Vec<u8>, start: usize, end: usize| {
-            bytes.extend_from_slice(&(start as u16).to_le_bytes());
-            bytes.extend_from_slice(&((end - start) as u16).to_le_bytes());
-            bytes.extend_from_slice(&old[start..end]);
-            ranges += 1;
-        };
+        let mut ranges: Vec<Range<usize>> = Vec::new();
         match new.map(Page::as_bytes) {
-            None => push_range(&mut self.bytes, 0, PAGE_SIZE),
+            None => ranges.push(0..PAGE_SIZE),
             Some(new) => {
                 let mut at = 0;
                 loop {
@@ -267,45 +242,42 @@ impl Body {
                             None => break,
                         }
                     }
-                    push_range(&mut self.bytes, start, end);
+                    ranges.push(start..end);
                 }
             }
         }
-        if ranges == 0 {
-            self.bytes.truncate(page_start);
+        if ranges.is_empty() {
             return;
         }
-        self.bytes[page_start + 4..page_start + PAGE_HEADER_BYTES]
-            .copy_from_slice(&ranges.to_le_bytes());
+        (id, ranges.len() as u16).encode(&mut self.bytes);
+        for range in ranges {
+            (range.start as u16, range.len() as u16).encode(&mut self.bytes);
+            self.bytes.extend_from_slice(&old[range]);
+        }
         self.pages += 1;
     }
 }
 
 fn write_file(path: &Path, body: &Body) -> StorageResult<u64> {
-    let mut header = [0u8; HEADER_BYTES];
-    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4..8].copy_from_slice(&VERSION.to_le_bytes());
-    header[8..12].copy_from_slice(&body.pages.to_le_bytes());
-    header[12..16].copy_from_slice(&crc32(&body.bytes).to_le_bytes());
+    let mut header = (MAGIC, VERSION).to_bytes();
+    (body.pages, crc32(&body.bytes)).encode(&mut header);
 
     // Write-to-temp, sync, rename: the journal appears atomically, so a
     // crash during its own construction leaves either no journal or the
     // previous (still-valid) one.
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = Path::new(&tmp);
+    let tmp = tmp_path(path);
     let mut file = OpenOptions::new()
         .write(true)
         .create(true)
         .truncate(true)
-        .open(tmp)?;
+        .open(&tmp)?;
     file.write_all(&header)?;
     file.write_all(&body.bytes)?;
     file.sync_all()?;
     drop(file);
-    std::fs::rename(tmp, path)?;
-    sync_parent(path);
-    Ok((HEADER_BYTES + body.bytes.len()) as u64)
+    std::fs::rename(&tmp, path)?;
+    sync_dir(path.parent().unwrap_or(Path::new(".")));
+    Ok((header.len() + body.bytes.len()) as u64)
 }
 
 /// Journals what the checkpoint's in-place writes are about to destroy:
@@ -386,16 +358,14 @@ pub fn recover(path: &Path, pager: &dyn Pager) -> StorageResult<bool> {
 /// fine.  Deleting the journal is the checkpoint's commit point, so the
 /// removal is followed by a directory sync.
 pub fn discard(path: &Path) -> StorageResult<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    for p in [Path::new(&tmp), path] {
+    for p in [tmp_path(path).as_path(), path] {
         match std::fs::remove_file(p) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e.into()),
         }
     }
-    sync_parent(path);
+    sync_dir(path.parent().unwrap_or(Path::new(".")));
     Ok(())
 }
 
@@ -615,10 +585,8 @@ mod tests {
         let good = std::fs::read(&path).unwrap();
 
         let range = |offset: u16, len: u16| {
-            let mut body = a.to_le_bytes().to_vec();
-            body.extend_from_slice(&1u16.to_le_bytes());
-            body.extend_from_slice(&offset.to_le_bytes());
-            body.extend_from_slice(&len.to_le_bytes());
+            let mut body = (a, 1u16).to_bytes();
+            (offset, len).encode(&mut body);
             body.extend_from_slice(&vec![0x42; len as usize]);
             body
         };
@@ -710,10 +678,16 @@ mod tests {
             let mut bytes = std::fs::read(&path).unwrap();
             bytes[4] = version;
             std::fs::write(&path, &bytes).unwrap();
-            assert!(matches!(
-                recover(&path, &pager),
-                Err(StorageError::Corrupt(_))
-            ));
+            match recover(&path, &pager) {
+                Err(StorageError::Corrupt(msg)) => assert_eq!(
+                    msg,
+                    format!(
+                        "unsupported checkpoint journal version {version} \
+                         (this build reads version 2; no migration)"
+                    )
+                ),
+                other => panic!("a v{version} journal must be Corrupt, got {other:?}"),
+            }
             assert!(path.exists(), "a version-mismatched journal is kept");
         }
     }

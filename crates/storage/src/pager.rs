@@ -15,6 +15,7 @@ use std::path::Path;
 
 use parking_lot::Mutex;
 
+use crate::codec::{take_header, Codec};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PAGE_SIZE};
 
@@ -219,12 +220,47 @@ fn physical_offset(id: PageId) -> u64 {
     (id as u64 + 1) * PAGE_SIZE as u64
 }
 
-fn read_u32(buf: &[u8], pos: usize) -> u32 {
-    u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]])
+/// One run of the persistent free list — the rest of the meta page after
+/// its page count, or a whole continuation page: the next continuation
+/// page ([`META_CHAIN_END`] ends the chain), a `u32` entry count and the
+/// entries.
+struct FreeRun {
+    next: PageId,
+    pages: Vec<PageId>,
 }
 
-fn write_u32(buf: &mut [u8], pos: usize, value: u32) {
-    buf[pos..pos + 4].copy_from_slice(&value.to_le_bytes());
+impl Codec for FreeRun {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.next, self.pages.len() as u32).encode(out);
+        for id in &self.pages {
+            id.encode(out);
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
+        let (next, count) = <(PageId, u32)>::decode(buf)?;
+        let pages = (0..count)
+            .map(|_| PageId::decode(buf))
+            .collect::<Result<_, _>>()?;
+        Ok(FreeRun { next, pages })
+    }
+}
+
+/// Writes `bytes`, zero-filled to a page, at byte `offset` of `file`.
+fn write_page(file: &mut File, offset: u64, mut bytes: Vec<u8>) -> StorageResult<()> {
+    bytes.resize(PAGE_SIZE, 0);
+    file.seek(SeekFrom::Start(offset))?;
+    file.write_all(&bytes)?;
+    Ok(())
+}
+
+/// Syncs directory `dir` so a file created, renamed or deleted in it stays
+/// that way after a crash.  Best-effort: not every platform can open or
+/// sync a directory, and every caller is correct without it (the cost is an
+/// extra rollback or an extra replay).
+pub fn sync_dir(dir: &Path) {
+    if let Ok(handle) = File::open(dir) {
+        let _ = handle.sync_all();
+    }
 }
 
 impl FilePager {
@@ -243,7 +279,7 @@ impl FilePager {
         };
         // Establish the meta page immediately so even a never-synced file
         // reopens as a valid, empty pager.
-        pager.write_meta()?;
+        pager.write_meta(true)?;
         Ok(pager)
     }
 
@@ -257,23 +293,23 @@ impl FilePager {
                 "file length {len} is not a positive multiple of the page size"
             )));
         }
-        let mut meta = [0u8; PAGE_SIZE];
+        let mut page = [0u8; PAGE_SIZE];
         file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut meta)?;
-        if read_u32(&meta, 0) != META_MAGIC {
+        file.read_exact(&mut page)?;
+        let mut meta = page.as_slice();
+        if !take_header(&mut meta, "pager meta", META_MAGIC, META_VERSION)? {
             return Err(StorageError::Corrupt(
                 "file has no pager meta page (not a FilePager file)".into(),
             ));
         }
-        if read_u32(&meta, 4) != META_VERSION {
-            return Err(StorageError::Corrupt(format!(
-                "unsupported pager meta version {}",
-                read_u32(&meta, 4)
-            )));
-        }
+        // A count past the page's end runs out of bytes: `Decode`, reported
+        // as the damage it is.
+        let bad_list = |e: StorageError| {
+            StorageError::Corrupt(format!("pager free list does not decode: {e}"))
+        };
         // Trust the larger of the recorded count and the file length: pages
         // allocated after the last sync exist on disk but not in the meta.
-        let recorded = read_u32(&meta, 8);
+        let recorded = PageId::decode(&mut meta)?;
         let from_len = (len / PAGE_SIZE as u64 - 1) as u32;
         let page_count = recorded.max(from_len);
 
@@ -290,20 +326,16 @@ impl FilePager {
             free.push(id);
             Ok(())
         };
-        let mut next = read_u32(&meta, 12);
-        let head_count = read_u32(&meta, 16) as usize;
-        if head_count > META_HEAD_CAP {
-            return Err(StorageError::Corrupt(format!(
-                "meta free-list count {head_count} exceeds page capacity"
-            )));
-        }
-        for i in 0..head_count {
-            push(read_u32(&meta, 20 + 4 * i))?;
-        }
-        let mut cont = [0u8; PAGE_SIZE];
+        let mut run = FreeRun::decode(&mut meta).map_err(bad_list)?;
         let mut visited = std::collections::HashSet::new();
-        while next != META_CHAIN_END {
-            let cont_page = next;
+        loop {
+            for id in run.pages {
+                push(id)?;
+            }
+            let cont_page = run.next;
+            if cont_page == META_CHAIN_END {
+                break;
+            }
             if !visited.insert(cont_page) {
                 return Err(StorageError::Corrupt(format!(
                     "free-list chain revisits page {cont_page}"
@@ -311,17 +343,8 @@ impl FilePager {
             }
             push(cont_page)?;
             file.seek(SeekFrom::Start(physical_offset(cont_page)))?;
-            file.read_exact(&mut cont)?;
-            next = read_u32(&cont, 0);
-            let count = read_u32(&cont, 4) as usize;
-            if count > META_CONT_CAP {
-                return Err(StorageError::Corrupt(format!(
-                    "free-list continuation count {count} exceeds page capacity"
-                )));
-            }
-            for i in 0..count {
-                push(read_u32(&cont, 8 + 4 * i))?;
-            }
+            file.read_exact(&mut page)?;
+            run = FreeRun::decode(&mut page.as_slice()).map_err(bad_list)?;
         }
         let disk_names_none = free.pages.is_empty();
         Ok(FilePager {
@@ -337,6 +360,15 @@ impl FilePager {
     /// Writes the meta page — page count plus the free list, chained
     /// through freed pages when it outgrows the meta page itself.
     ///
+    /// With `publish` false the page names **no** free pages (the in-memory
+    /// list is untouched).  Reusing a free page calls for that: the on-disk
+    /// list must stop naming pages that may now hold live data, and naming
+    /// none does it with one page write — the rest of the list is merely
+    /// leaked until the next [`FilePager::sync`] publishes it, which a
+    /// reopen tolerates.  While the disk already names none, the write is
+    /// skipped, so draining a large free list stays O(1) per allocation
+    /// instead of rewriting the whole chain each time.
+    ///
     /// The free-list lock is held across the snapshot *and* the file write,
     /// serializing all meta writers: a snapshot taken before a concurrent
     /// `allocate` pops a page must also reach the file first, otherwise the
@@ -344,83 +376,44 @@ impl FilePager {
     /// land last and a reopen would resurrect the page under live data.
     /// Lock order is free → page_count → file; no other path acquires the
     /// free-list lock while holding either of the other two.
-    fn write_meta(&self) -> StorageResult<()> {
+    fn write_meta(&self, publish: bool) -> StorageResult<()> {
         let mut free = self.free.lock();
+        if !publish && free.disk_names_none {
+            return Ok(());
+        }
         let page_count = *self.page_count.lock();
         let mut file = self.file.lock();
 
         // Partition the list: entries that fit in the head, then chunks of
         // continuation entries each stored *inside* one of the free pages
         // (reconstructed as free on open when the chain is traversed).
-        let all = free.list.pages.as_slice();
-        let head_take = all.len().min(META_HEAD_CAP);
-        let (head_entries, mut rest) = all.split_at(head_take);
+        let listed: &[PageId] = if publish { &free.list.pages } else { &[] };
+        let (head, mut rest) = listed.split_at(listed.len().min(META_HEAD_CAP));
         let mut chain: Vec<(PageId, &[PageId])> = Vec::new();
-        while !rest.is_empty() {
-            let (&cont_page, tail) = rest.split_first().expect("rest is non-empty");
-            let take = tail.len().min(META_CONT_CAP);
-            let (entries, tail) = tail.split_at(take);
+        while let Some((&cont_page, tail)) = rest.split_first() {
+            let (entries, tail) = tail.split_at(tail.len().min(META_CONT_CAP));
             chain.push((cont_page, entries));
             rest = tail;
         }
+        let next = |i: usize| chain.get(i).map_or(META_CHAIN_END, |(page, _)| *page);
 
-        let mut meta = [0u8; PAGE_SIZE];
-        write_u32(&mut meta, 0, META_MAGIC);
-        write_u32(&mut meta, 4, META_VERSION);
-        write_u32(&mut meta, 8, page_count);
-        write_u32(
-            &mut meta,
-            12,
-            chain.first().map_or(META_CHAIN_END, |(page, _)| *page),
-        );
-        write_u32(&mut meta, 16, head_entries.len() as u32);
-        for (i, &id) in head_entries.iter().enumerate() {
-            write_u32(&mut meta, 20 + 4 * i, id);
+        let mut meta = Vec::with_capacity(PAGE_SIZE);
+        (META_MAGIC, META_VERSION).encode(&mut meta);
+        page_count.encode(&mut meta);
+        FreeRun {
+            next: next(0),
+            pages: head.to_vec(),
         }
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&meta)?;
-
-        for (idx, (cont_page, entries)) in chain.iter().enumerate() {
-            let mut cont = [0u8; PAGE_SIZE];
-            let next = chain.get(idx + 1).map_or(META_CHAIN_END, |(page, _)| *page);
-            write_u32(&mut cont, 0, next);
-            write_u32(&mut cont, 4, entries.len() as u32);
-            for (i, &id) in entries.iter().enumerate() {
-                write_u32(&mut cont, 8 + 4 * i, id);
-            }
-            file.seek(SeekFrom::Start(physical_offset(*cont_page)))?;
-            file.write_all(&cont)?;
+        .encode(&mut meta);
+        write_page(&mut file, 0, meta)?;
+        for (i, (cont_page, entries)) in chain.iter().enumerate() {
+            let run = FreeRun {
+                next: next(i + 1),
+                pages: entries.to_vec(),
+            };
+            write_page(&mut file, physical_offset(*cont_page), run.to_bytes())?;
         }
-        let names_none = free.list.pages.is_empty();
-        free.disk_names_none = names_none;
-        Ok(())
-    }
-
-    /// Overwrites the meta page with an **empty** free list (keeping the
-    /// page count), without touching the in-memory list.  Called when a
-    /// free page is reused: the on-disk list must stop naming pages that
-    /// may now hold live data, and naming *none* achieves that with a
-    /// single page write — the rest of the list is merely leaked until the
-    /// next [`FilePager::sync`] republishes it, which a reopen tolerates.
-    /// Subsequent reuses skip even this write while `disk_names_none`
-    /// still holds, so draining a large free list stays O(1) per
-    /// allocation instead of rewriting the whole meta chain each time.
-    fn clear_disk_free_list(&self) -> StorageResult<()> {
-        let mut free = self.free.lock();
-        if free.disk_names_none {
-            return Ok(());
-        }
-        let page_count = *self.page_count.lock();
-        let mut file = self.file.lock();
-        let mut meta = [0u8; PAGE_SIZE];
-        write_u32(&mut meta, 0, META_MAGIC);
-        write_u32(&mut meta, 4, META_VERSION);
-        write_u32(&mut meta, 8, page_count);
-        write_u32(&mut meta, 12, META_CHAIN_END);
-        write_u32(&mut meta, 16, 0);
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&meta)?;
-        free.disk_names_none = true;
+        free.disk_names_none = listed.is_empty();
         Ok(())
     }
 }
@@ -446,7 +439,7 @@ impl Pager for FilePager {
             // exits and post-`sync` state; a kernel crash or power loss can
             // still reorder it behind the page's new contents, like any
             // unsynced write in this pager.
-            self.clear_disk_free_list()?;
+            self.write_meta(false)?;
             return Ok(id);
         }
         let mut count = self.page_count.lock();
@@ -509,7 +502,7 @@ impl Pager for FilePager {
     }
 
     fn sync(&self) -> StorageResult<()> {
-        self.write_meta()?;
+        self.write_meta(true)?;
         self.file.lock().sync_all()?;
         Ok(())
     }
@@ -830,6 +823,25 @@ mod tests {
         let path = dir.join("raw.pages");
         std::fs::write(&path, vec![0u8; PAGE_SIZE]).unwrap();
         assert!(FilePager::open(&path).is_err(), "no magic marker");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_pager_open_names_an_unsupported_meta_version() {
+        let dir = std::env::temp_dir().join(format!("spgist-pager-version-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v2.pages");
+        FilePager::create(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&2u32.to_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match FilePager::open(&path) {
+            Err(StorageError::Corrupt(msg)) => assert_eq!(
+                msg,
+                "unsupported pager meta version 2 (this build reads version 1; no migration)"
+            ),
+            other => panic!("a v2 meta page must be Corrupt, got {:?}", other.map(drop)),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -210,7 +210,10 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         match Wal::open(dir.prefix(), WalConfig::default(), 0) {
             Err(StorageError::Corrupt(msg)) => {
-                assert!(msg.contains("unsupported segment version 3"), "{msg}")
+                assert_eq!(
+                    msg,
+                    "unsupported WAL segment version 3 (this build reads version 4; no migration)"
+                )
             }
             other => panic!("a v3 segment must be Corrupt, got {other:?}"),
         }

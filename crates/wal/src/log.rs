@@ -65,12 +65,14 @@
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use spgist_storage::codec::{take, take_header};
 use spgist_storage::crc::crc32;
+use spgist_storage::pager::sync_dir;
 use spgist_storage::{Codec, StorageError, StorageResult};
 
 use crate::record::{Lsn, WalRecord};
@@ -96,10 +98,6 @@ const SEAL_MAGIC: u32 = 0x5350_4753;
 /// Bytes in a batch seal: zero length, magic, record count, batch CRC,
 /// seal CRC.
 const SEAL_BYTES: usize = 20;
-/// Sanity cap on a single record payload (a decoded `insert_many` batch of
-/// this size would already be absurd); larger lengths are treated as
-/// damage, not as records.
-const MAX_PAYLOAD: u32 = 1 << 30;
 
 /// Most records covered by one `fsync`; a queue this long is flushed even
 /// with nobody waiting, so the submission queue stays bounded.
@@ -195,14 +193,6 @@ fn io_err(msg: String) -> StorageError {
     StorageError::Io(std::io::Error::other(msg))
 }
 
-/// Best-effort directory sync so segment creation/removal survives a crash
-/// (on platforms where directories cannot be opened this is a no-op).
-fn sync_dir(dir: &Path) {
-    if let Ok(handle) = File::open(dir) {
-        let _ = handle.sync_all();
-    }
-}
-
 fn segment_path(dir: &Path, prefix: &str, seq: u64) -> PathBuf {
     dir.join(format!("{prefix}.{seq:06}"))
 }
@@ -229,10 +219,61 @@ fn scan_segments(dir: &Path, prefix: &str) -> StorageResult<Vec<(u64, PathBuf)>>
 fn frame(record: &WalRecord) -> Vec<u8> {
     let payload = record.to_bytes();
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    (payload.len() as u32, crc32(&payload)).encode(&mut out);
     out.extend_from_slice(&payload);
     out
+}
+
+/// The seal closing a group-committed batch: a zero length field (no
+/// record frame has one), the seal magic, the record count, a CRC over the
+/// batch's frame bytes, and a CRC over the seal's own first 16 bytes.
+/// Decoding checks the magic and the seal's own CRC.
+struct Seal {
+    records: u32,
+    batch_crc: u32,
+}
+
+impl Codec for Seal {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        (0u32, SEAL_MAGIC).encode(out);
+        (self.records, self.batch_crc).encode(out);
+        crc32(&out[start..]).encode(out);
+    }
+    fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
+        let mut head = take(buf, SEAL_BYTES - 4)?;
+        let own_crc = crc32(head);
+        let (zero, magic) = <(u32, u32)>::decode(&mut head)?;
+        let (records, batch_crc) = <(u32, u32)>::decode(&mut head)?;
+        if zero != 0 || magic != SEAL_MAGIC || u32::decode(buf)? != own_crc {
+            return Err(StorageError::Decode("not a batch seal".into()));
+        }
+        Ok(Seal { records, batch_crc })
+    }
+}
+
+/// One frame of a segment.
+enum Frame<'a> {
+    Record(&'a [u8]),
+    Seal(Seal),
+}
+
+/// Reads the frame at the front of `buf`, advancing past it: a record
+/// frame whose CRC holds, or a seal whose own CRC does.  Anything else —
+/// short, longer than the bytes left, failing its CRC — is `Decode`: a torn
+/// tail, or damage.
+fn take_frame<'a>(buf: &mut &'a [u8]) -> StorageResult<Frame<'a>> {
+    let mut rest = *buf;
+    let (len, crc) = <(u32, u32)>::decode(&mut rest)?;
+    if len == 0 {
+        return Seal::decode(buf).map(Frame::Seal);
+    }
+    let payload = take(&mut rest, len as usize)?;
+    if crc32(payload) != crc {
+        return Err(StorageError::Decode("record CRC mismatch".into()));
+    }
+    *buf = rest;
+    Ok(Frame::Record(payload))
 }
 
 fn create_segment(dir: &Path, prefix: &str, seq: u64, base: Lsn) -> StorageResult<(File, PathBuf)> {
@@ -243,10 +284,8 @@ fn create_segment(dir: &Path, prefix: &str, seq: u64, base: Lsn) -> StorageResul
         .create(true)
         .truncate(true)
         .open(&path)?;
-    let mut header = [0u8; HEADER_BYTES as usize];
-    header[0..4].copy_from_slice(&SEGMENT_MAGIC.to_le_bytes());
-    header[4..8].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
-    header[8..16].copy_from_slice(&base.to_le_bytes());
+    let mut header = (SEGMENT_MAGIC, SEGMENT_VERSION).to_bytes();
+    base.encode(&mut header);
     file.write_all(&header)?;
     file.sync_all()?;
     sync_dir(dir);
@@ -267,100 +306,47 @@ struct ScannedSegment {
 /// short frame, CRC failure, or unsealed trailing batch ends the log;
 /// anywhere else it is corruption.
 fn scan_segment(path: &Path, is_last: bool) -> StorageResult<ScannedSegment> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
+    let bytes = std::fs::read(path)?;
     let corrupt = |msg: String| StorageError::Corrupt(format!("wal segment {path:?}: {msg}"));
-    if bytes.len() < HEADER_BYTES as usize {
-        return Err(corrupt(format!("short header ({} bytes)", bytes.len())));
+    let mut rest = bytes.as_slice();
+    if !take_header(&mut rest, "WAL segment", SEGMENT_MAGIC, SEGMENT_VERSION)? {
+        return Err(corrupt("no segment header (not a WAL segment)".into()));
     }
-    let magic = u32::from_le_bytes(bytes[0..4].try_into().expect("length checked"));
-    if magic != SEGMENT_MAGIC {
-        return Err(corrupt("bad magic (not a WAL segment)".into()));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("length checked"));
-    if version != SEGMENT_VERSION {
-        return Err(corrupt(format!("unsupported segment version {version}")));
-    }
-    let base = u64::from_le_bytes(bytes[8..16].try_into().expect("length checked"));
+    let base = Lsn::decode(&mut rest).map_err(|e| corrupt(format!("short header: {e}")))?;
 
     let mut records = Vec::new();
     // Records decoded since the last seal: committed to `records` only once
     // their batch seal checks out, dropped as a unit otherwise.
     let mut pending: Vec<WalRecord> = Vec::new();
-    let mut pos = HEADER_BYTES as usize;
-    let mut batch_start = pos;
-    let mut good_end = pos;
-    loop {
-        if pos == bytes.len() {
-            break;
-        }
-        let Some(header) = bytes.get(pos..pos + FRAME_HEADER_BYTES) else {
-            // Short frame header: the torn tail of the last segment,
-            // corruption anywhere else.
-            if is_last {
-                break;
-            }
-            return Err(corrupt(format!(
-                "frame at byte {pos} is torn in a sealed segment"
-            )));
-        };
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("length checked"));
-        if len == 0 {
-            // Batch seal.  Valid only when its own CRC holds *and* it
-            // vouches for exactly the frames written since the previous
-            // seal — a seal that survived a crash ahead of its batch's
+    let mut batch_start = bytes.len() - rest.len();
+    while !rest.is_empty() {
+        let at = bytes.len() - rest.len();
+        match take_frame(&mut rest) {
+            // A matching CRC over bytes that do not decode is not a torn
+            // write.
+            Ok(Frame::Record(payload)) => pending.push(
+                WalRecord::from_bytes(payload)
+                    .map_err(|e| corrupt(format!("record at byte {at} does not decode: {e}")))?,
+            ),
+            // A seal vouches for exactly the frames written since the
+            // previous seal: one that survived a crash ahead of its batch's
             // record bytes must not commit them.
-            let sealed = (|| {
-                let seal = bytes.get(pos..pos + SEAL_BYTES)?;
-                let magic = u32::from_le_bytes(seal[4..8].try_into().expect("length checked"));
-                let count = u32::from_le_bytes(seal[8..12].try_into().expect("length checked"));
-                let batch_crc =
-                    u32::from_le_bytes(seal[12..16].try_into().expect("length checked"));
-                let seal_crc = u32::from_le_bytes(seal[16..20].try_into().expect("length checked"));
-                (magic == SEAL_MAGIC
-                    && crc32(&seal[0..16]) == seal_crc
-                    && count as usize == pending.len()
-                    && batch_crc == crc32(&bytes[batch_start..pos]))
-                .then_some(())
-            })();
-            if sealed.is_none() {
-                if is_last {
-                    break;
-                }
+            Ok(Frame::Seal(seal))
+                if seal.records as usize == pending.len()
+                    && seal.batch_crc == crc32(&bytes[batch_start..at]) =>
+            {
+                records.append(&mut pending);
+                batch_start = bytes.len() - rest.len();
+            }
+            // A frame that does not check out: the torn tail of the last
+            // segment, corruption anywhere else.
+            _ if is_last => break,
+            _ => {
                 return Err(corrupt(format!(
-                    "batch seal at byte {pos} is torn in a sealed segment"
-                )));
+                    "frame at byte {at} is torn in a sealed segment"
+                )))
             }
-            records.append(&mut pending);
-            pos += SEAL_BYTES;
-            batch_start = pos;
-            good_end = pos;
-            continue;
         }
-        // A record frame that does not fully check out: the torn tail of
-        // the last segment, corruption anywhere else.
-        let whole = (|| {
-            if len > MAX_PAYLOAD {
-                return None;
-            }
-            let crc = u32::from_le_bytes(header[4..8].try_into().expect("length checked"));
-            let payload =
-                bytes.get(pos + FRAME_HEADER_BYTES..pos + FRAME_HEADER_BYTES + len as usize)?;
-            (crc32(payload) == crc).then_some(payload)
-        })();
-        let Some(payload) = whole else {
-            if is_last {
-                break;
-            }
-            return Err(corrupt(format!(
-                "record at byte {pos} is torn in a sealed segment"
-            )));
-        };
-        // A matching CRC over bytes that do not decode is not a torn write.
-        let record = WalRecord::from_bytes(payload)
-            .map_err(|e| corrupt(format!("record at byte {pos} does not decode: {e}")))?;
-        pending.push(record);
-        pos += FRAME_HEADER_BYTES + payload.len();
     }
     // Whole frames past the last seal: the writer died between `write` and
     // the batch's `fsync` — drop the batch as a unit in the last segment,
@@ -371,7 +357,7 @@ fn scan_segment(path: &Path, is_last: bool) -> StorageResult<ScannedSegment> {
     Ok(ScannedSegment {
         base,
         records,
-        good_end: good_end as u64,
+        good_end: batch_start as u64,
     })
 }
 
@@ -385,25 +371,14 @@ impl Wal {
             std::fs::remove_file(path)?;
         }
         sync_dir(&dir);
-        let (file, path) = create_segment(&dir, &name, 1, 0)?;
-        Ok(Self::start(
-            config,
-            dir,
-            name,
-            file,
-            path,
-            1,
-            0,
-            0,
-            HEADER_BYTES,
-            Vec::new(),
-            0,
-        ))
+        let (wal, _) = Self::open(prefix, config, 0)?;
+        Ok(wal)
     }
 
     /// Opens the log at `prefix`, scanning every segment, truncating a torn
     /// tail, and returning the surviving records as `(lsn, record)` pairs
-    /// in LSN order.
+    /// in LSN order.  With no segment and a zero `checkpoint_lsn` the log
+    /// starts fresh: one empty segment based at LSN 0.
     ///
     /// `checkpoint_lsn` is the position the durable catalog claims is fully
     /// reflected in the data file: the log must still cover it — a log
@@ -417,6 +392,22 @@ impl Wal {
     ) -> StorageResult<(Wal, Vec<(Lsn, WalRecord)>)> {
         let (dir, name) = split_prefix(prefix.as_ref())?;
         let mut segments = scan_segments(&dir, &name)?;
+        // A crash between creating a new segment and syncing its header can
+        // leave a headerless last file: drop it and recover from the one
+        // before.  When it is the *only* file, the crash happened during
+        // the very first `Wal::create` — nothing was ever logged, so with
+        // nothing checkpointed the log is simply empty and fresh.  (With a
+        // nonzero checkpoint a lone sub-header file really is missing
+        // acknowledged records; keep it and let `scan_segment` report it
+        // as corrupt.)
+        if let Some((_, last)) = segments.last() {
+            let headerless = std::fs::metadata(last)?.len() < HEADER_BYTES;
+            if headerless && (segments.len() > 1 || checkpoint_lsn == 0) {
+                std::fs::remove_file(last)?;
+                sync_dir(&dir);
+                segments.pop();
+            }
+        }
         if segments.is_empty() {
             if checkpoint_lsn != 0 {
                 return Err(StorageError::Corrupt(format!(
@@ -424,108 +415,49 @@ impl Wal {
                      {checkpoint_lsn} but no {name}.* segments exist"
                 )));
             }
-            let (file, path) = create_segment(&dir, &name, 1, 0)?;
-            let wal = Self::start(
-                config,
-                dir,
-                name,
-                file,
-                path,
-                1,
-                0,
-                0,
-                HEADER_BYTES,
-                Vec::new(),
-                0,
-            );
-            return Ok((wal, Vec::new()));
+            let (_, path) = create_segment(&dir, &name, 1, 0)?;
+            segments.push((1, path));
         }
 
-        // A crash between creating a new segment and syncing its header can
-        // leave a headerless last file: drop it and recover from the one
-        // before.  When it is the *only* file, the crash happened during
-        // the very first `Wal::create` — nothing was ever logged, so with
-        // nothing checkpointed the log is simply empty and fresh.  (With a
-        // nonzero checkpoint a lone sub-header file really is missing
-        // acknowledged records; fall through and let `scan_segment` report
-        // it as corrupt.)
-        {
-            let (_, last_path) = segments.last().expect("non-empty");
-            let len = std::fs::metadata(last_path)?.len();
-            if len < HEADER_BYTES {
-                if segments.len() > 1 {
-                    std::fs::remove_file(last_path)?;
-                    sync_dir(&dir);
-                    segments.pop();
-                } else if checkpoint_lsn == 0 {
-                    std::fs::remove_file(last_path)?;
-                    sync_dir(&dir);
-                    let (file, path) = create_segment(&dir, &name, 1, 0)?;
-                    let wal = Self::start(
-                        config,
-                        dir,
-                        name,
-                        file,
-                        path,
-                        1,
-                        0,
-                        0,
-                        HEADER_BYTES,
-                        Vec::new(),
-                        0,
-                    );
-                    return Ok((wal, Vec::new()));
-                }
-            }
-        }
-
-        let mut all = Vec::new();
-        let mut sealed = Vec::new();
-        let mut expected_base: Option<Lsn> = None;
-        let mut active = None;
-        let last_idx = segments.len() - 1;
-        for (idx, (seq, path)) in segments.iter().enumerate() {
-            let is_last = idx == last_idx;
-            let scanned = scan_segment(path, is_last)?;
-            if let Some(expected) = expected_base {
-                if scanned.base != expected {
-                    return Err(StorageError::Corrupt(format!(
-                        "wal segment {path:?} starts at lsn {} but its \
-                         predecessor ends at lsn {expected}",
-                        scanned.base
-                    )));
-                }
+        // Every segment is scanned into `sealed`; the last is then taken
+        // back out as the active one.
+        let mut records = Vec::new();
+        let mut sealed: Vec<Sealed> = Vec::new();
+        let mut good_end = HEADER_BYTES;
+        for (idx, (_, path)) in segments.iter().enumerate() {
+            let scanned = scan_segment(path, idx + 1 == segments.len())?;
+            if let Some(prev) = sealed.last().filter(|prev| prev.end != scanned.base) {
+                return Err(StorageError::Corrupt(format!(
+                    "wal segment {path:?} starts at lsn {} but its \
+                     predecessor ends at lsn {}",
+                    scanned.base, prev.end
+                )));
             }
             let end = scanned.base + scanned.records.len() as u64;
-            for (i, record) in scanned.records.into_iter().enumerate() {
-                all.push((scanned.base + i as u64, record));
-            }
-            expected_base = Some(end);
-            if is_last {
-                // Truncate the torn tail so appends resume after the last
-                // whole record.
-                let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-                file.set_len(scanned.good_end)?;
-                file.sync_all()?;
-                file.seek(SeekFrom::End(0))?;
-                active = Some((
-                    file,
-                    path.clone(),
-                    *seq,
-                    scanned.base,
-                    end - scanned.base,
-                    scanned.good_end,
-                ));
-            } else {
-                sealed.push(Sealed {
-                    base: scanned.base,
-                    end,
-                    path: path.clone(),
-                });
-            }
+            records.extend((scanned.base..).zip(scanned.records));
+            good_end = scanned.good_end;
+            sealed.push(Sealed {
+                base: scanned.base,
+                end,
+                path: path.clone(),
+            });
         }
-        let (file, path, seq, base, records, bytes) = active.expect("segments are non-empty");
-        let end = base + records;
+        let (active_seq, _) = segments.pop().expect("segments are non-empty");
+        let Sealed {
+            base,
+            end,
+            path: active_path,
+        } = sealed.pop().expect("segments are non-empty");
+        // Truncate the torn tail so appends resume after the last sealed
+        // batch.
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&active_path)?;
+        file.set_len(good_end)?;
+        file.sync_all()?;
+        file.seek(SeekFrom::End(0))?;
+
         let first_base = sealed.first().map_or(base, |s| s.base);
         if checkpoint_lsn < first_base {
             return Err(StorageError::Corrupt(format!(
@@ -539,52 +471,32 @@ impl Wal {
                  {checkpoint_lsn}: the log is older than the data file"
             )));
         }
-        let wal = Self::start(
-            config, dir, name, file, path, seq, base, records, bytes, sealed, end,
-        );
-        Ok((wal, all))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start(
-        config: WalConfig,
-        dir: PathBuf,
-        prefix: String,
-        file: File,
-        active_path: PathBuf,
-        active_seq: u64,
-        active_base: Lsn,
-        active_records: u64,
-        active_bytes: u64,
-        sealed: Vec<Sealed>,
-        next_lsn: Lsn,
-    ) -> Wal {
         let shared = Arc::new(Shared {
             config,
             core: Mutex::new(Core {
-                next_lsn,
+                next_lsn: end,
                 pending: VecDeque::new(),
-                pending_first: next_lsn,
-                wanted: next_lsn,
+                pending_first: end,
+                wanted: end,
                 flushing: false,
                 shutdown: false,
             }),
             work: Condvar::new(),
             io: Mutex::new(IoState {
                 dir,
-                prefix,
+                prefix: name,
                 file,
                 active_seq,
                 active_path,
-                active_base,
-                active_records,
-                active_bytes,
+                active_base: base,
+                active_records: end - base,
+                active_bytes: good_end,
                 sealed,
                 syncs: 0,
                 written: 0,
             }),
             durable: Mutex::new(DurableState {
-                lsn: next_lsn,
+                lsn: end,
                 error: None,
             }),
             durable_cv: Condvar::new(),
@@ -596,10 +508,11 @@ impl Wal {
                 .spawn(move || flusher_loop(&shared))
                 .expect("spawning the wal flusher thread")
         };
-        Wal {
+        let wal = Wal {
             shared,
             flusher: Mutex::new(Some(flusher)),
-        }
+        };
+        Ok((wal, records))
     }
 
     /// Hands a record to the flusher and returns its LSN **without waiting
@@ -867,21 +780,6 @@ fn split_prefix(prefix: &Path) -> StorageResult<(PathBuf, String)> {
     Ok((dir, name.to_string()))
 }
 
-/// The seal frame closing a group-committed batch: a zero length field (no
-/// record frame has one), the seal magic, the record count, a CRC over the
-/// batch's frame bytes, and a CRC over the seal's own first 16 bytes.
-fn seal_frame(frames: &[Vec<u8>]) -> [u8; SEAL_BYTES] {
-    let batch: Vec<u8> = frames.iter().flat_map(|f| f.iter().copied()).collect();
-    let mut seal = [0u8; SEAL_BYTES];
-    seal[0..4].copy_from_slice(&0u32.to_le_bytes());
-    seal[4..8].copy_from_slice(&SEAL_MAGIC.to_le_bytes());
-    seal[8..12].copy_from_slice(&(frames.len() as u32).to_le_bytes());
-    seal[12..16].copy_from_slice(&crc32(&batch).to_le_bytes());
-    let seal_crc = crc32(&seal[0..16]);
-    seal[16..20].copy_from_slice(&seal_crc.to_le_bytes());
-    seal
-}
-
 /// Appends `frames` to the active segment as one sealed batch and syncs
 /// it: every record frame, then the batch seal, then a single `fsync`.
 /// Replay ignores records past the last valid seal, so a crash anywhere
@@ -890,22 +788,19 @@ fn write_frames(io: &mut IoState, frames: &[Vec<u8>]) -> StorageResult<()> {
     if frames.is_empty() {
         return Ok(());
     }
-    let batch_bytes: u64 = frames.iter().map(|f| f.len() as u64).sum::<u64>() + SEAL_BYTES as u64;
+    let mut batch = frames.concat();
+    Seal {
+        records: frames.len() as u32,
+        batch_crc: crc32(&batch),
+    }
+    .encode(&mut batch);
+    io.file.write_all(&batch)?;
+    io.file.sync_data()?;
+    io.active_records += frames.len() as u64;
+    io.active_bytes += batch.len() as u64;
+    io.syncs += 1;
+    io.written += frames.len() as u64;
     Ok(())
-        .and_then(|()| {
-            for frame in frames {
-                io.file.write_all(frame)?;
-            }
-            io.file.write_all(&seal_frame(frames))?;
-            io.file.sync_data()?;
-            Ok(())
-        })
-        .map(|()| {
-            io.active_records += frames.len() as u64;
-            io.active_bytes += batch_bytes;
-            io.syncs += 1;
-            io.written += frames.len() as u64;
-        })
 }
 
 /// Seals the active segment (already fully synced) at `end` and opens a
