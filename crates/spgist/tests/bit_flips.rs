@@ -10,7 +10,7 @@
 //! - every catalog chunk (`SPGC`) decodes or fails.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use spgist::catalog::durable::{
     decode_chunk, encode_chunk, CatalogChunk, PersistedIndex, TableMetaChunk,
@@ -127,8 +127,11 @@ fn wal_flips_are_corrupt_or_a_sealed_prefix() {
     });
 }
 
-fn pager_image(path: &Path) -> Vec<u8> {
-    let pager = FilePager::create(path).unwrap();
+#[test]
+fn pager_meta_flips_open_or_fail() {
+    let dir = TempDir::new("pager");
+    let path = dir.0.join("db.pages");
+    let pager = FilePager::create(&path).unwrap();
     for _ in 0..5 {
         pager.allocate().unwrap();
     }
@@ -136,14 +139,7 @@ fn pager_image(path: &Path) -> Vec<u8> {
     pager.free(3).unwrap();
     pager.sync().unwrap();
     drop(pager);
-    std::fs::read(path).unwrap()
-}
-
-#[test]
-fn pager_meta_flips_open_or_fail() {
-    let dir = TempDir::new("pager");
-    let path = dir.0.join("db.pages");
-    let image = pager_image(&path);
+    let image = std::fs::read(&path).unwrap();
     sweep(&image, 64, |_, bytes| {
         std::fs::write(&path, &bytes).unwrap();
         let _ = FilePager::open(&path).map(drop);

@@ -13,7 +13,8 @@
 //!   ([`buffer::IoStats`]),
 //! * [`heap`] — a heap file (PostgreSQL "heap access" / sequential scan),
 //! * [`codec`] — a tiny length-prefixed binary codec used by every access
-//!   method in the workspace to lay records out on pages.
+//!   method in the workspace to lay records out on pages, and the one
+//!   bounded reader every durable format's header and frames go through.
 //!
 //! All access methods in the workspace (SP-GiST trees, the B+-tree and R-tree
 //! baselines, heap files) perform their page reads and writes through
