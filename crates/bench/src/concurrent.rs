@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use spgist_core::{ConcurrencyStats, RowId};
 use spgist_datagen::{points, QueryWorkload};
 use spgist_indexes::query::PointQuery;
-use spgist_indexes::{KdTreeIndex, SpIndex};
+use spgist_indexes::{KdTreeIndex, SpGistBacked, SpIndex};
 
 use crate::experiments::experiment_pool;
 use crate::stats::{mean_ms, p99_ms};
@@ -210,7 +210,7 @@ pub fn run_hot_writer_scaling(
     for (writer_generation, &threads) in thread_counts.iter().enumerate() {
         let writer_generation = writer_generation as u64;
         let threads = threads.max(1);
-        let stats_before = index.tree().concurrency_stats();
+        let before = index.backing().concurrency_stats();
         let stop = AtomicBool::new(false);
         let started = Instant::now();
         let (per_thread, writer_inserts) = std::thread::scope(|scope| {
@@ -294,7 +294,7 @@ pub fn run_hot_writer_scaling(
             mean_ms: mean_ms(&latencies),
             p99_ms: p99_ms(&mut latencies),
             write_ips: writer_inserts as f64 / elapsed.as_secs_f64().max(1e-9),
-            concurrency: index.tree().concurrency_stats().delta_since(&stats_before),
+            concurrency: index.backing().concurrency_stats().delta_since(&before),
         });
     }
     rows

@@ -73,7 +73,7 @@ pub fn build_trie(data: &[String]) -> (TrieIndex, Duration) {
     let index = TrieIndex::create(experiment_pool()).expect("create trie");
     let (_, elapsed) = timed(|| {
         for (i, w) in data.iter().enumerate() {
-            index.insert(w, i as RowId).expect("insert word");
+            index.insert(w.clone(), i as RowId).expect("insert word");
         }
     });
     (index, elapsed)
@@ -150,7 +150,7 @@ pub fn build_suffix(data: &[String]) -> (SuffixTreeIndex, Duration) {
     let index = SuffixTreeIndex::create(experiment_pool()).expect("create suffix tree");
     let (_, elapsed) = timed(|| {
         for (i, w) in data.iter().enumerate() {
-            index.insert(w, i as RowId).expect("insert word");
+            index.insert(w.clone(), i as RowId).expect("insert word");
         }
     });
     (index, elapsed)
@@ -533,7 +533,7 @@ pub fn run_trie_variant_ablation(size: usize, queries: usize, seed: u64) -> Vec<
         .map(|(name, ops)| {
             let index = TrieIndex::with_ops(experiment_pool(), ops).expect("create trie");
             for (i, w) in data.iter().enumerate() {
-                index.insert(w, i as RowId).expect("insert");
+                index.insert(w.clone(), i as RowId).expect("insert");
             }
             let stats = index.stats().expect("stats");
             let mut times = Vec::with_capacity(queries);

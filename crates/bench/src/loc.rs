@@ -224,7 +224,7 @@ mod tests {
         for row in &rows {
             assert!(row.external_lines > 0, "{} has no code?", row.index);
             assert!(
-                row.percent_of_total < 50.0,
+                row.percent_of_total < 10.0,
                 "{} external methods are {}% of total — the shared core should dominate",
                 row.index,
                 row.percent_of_total

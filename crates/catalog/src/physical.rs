@@ -31,12 +31,12 @@ use std::collections::HashSet;
 use std::mem::discriminant;
 use std::sync::Arc;
 
-use spgist_core::RowId;
+use spgist_core::{RowId, SpGistOps};
 use spgist_indexes::geom::{Point, Rect, Segment};
 use spgist_indexes::query::{PointQuery, SegmentQuery, StringQuery};
 use spgist_indexes::{
     KdTreeIndex, KdTreeOps, PmrQuadtreeIndex, PmrQuadtreeOps, PointQuadtreeIndex, PointQuadtreeOps,
-    SpIndex, SuffixTreeIndex, TrieIndex, TrieOps,
+    SpGistIndex, SpIndex, SuffixTreeIndex, TrieIndex, TrieOps,
 };
 use spgist_storage::{AccessHint, BufferPool, Codec, StorageError, StorageResult};
 
@@ -112,6 +112,19 @@ fn boxed<I: IndexAccess + 'static>(index: StorageResult<I>) -> Opened {
     index.map(|index| Box::new(index) as Box<dyn IndexAccess>)
 }
 
+/// Reopens the index of class `ops` a durable identity names.
+fn reopened<O: SpGistOps>(pool: Arc<BufferPool>, ops: O, pi: &PersistedIndex) -> Opened
+where
+    SpGistIndex<O>: IndexAccess + 'static,
+{
+    boxed(SpGistIndex::open_with_ops(
+        pool,
+        ops,
+        pi.meta_page,
+        pi.pages.clone(),
+    ))
+}
+
 /// The class table: the only per-class code in the catalog layer.
 static CLASSES: [IndexClass; 5] = [
     IndexClass {
@@ -121,15 +134,7 @@ static CLASSES: [IndexClass; 5] = [
         persists_len: false,
         spec: |_| IndexSpec::Trie,
         create: |pool, _| boxed(TrieIndex::create(pool)),
-        reopen: |pool, pi| {
-            let ops = TrieOps::with_config(pi.config);
-            boxed(TrieIndex::open_with_ops(
-                pool,
-                ops,
-                pi.meta_page,
-                pi.pages.clone(),
-            ))
-        },
+        reopen: |pool, pi| reopened(pool, TrieOps::with_config(pi.config), pi),
     },
     IndexClass {
         kind: KIND_SUFFIX,
@@ -157,15 +162,7 @@ static CLASSES: [IndexClass; 5] = [
         persists_len: false,
         spec: |_| IndexSpec::KdTree,
         create: |pool, _| boxed(KdTreeIndex::create(pool)),
-        reopen: |pool, pi| {
-            let ops = KdTreeOps::with_config(pi.config);
-            boxed(KdTreeIndex::open_with_ops(
-                pool,
-                ops,
-                pi.meta_page,
-                pi.pages.clone(),
-            ))
-        },
+        reopen: |pool, pi| reopened(pool, KdTreeOps::with_config(pi.config), pi),
     },
     IndexClass {
         kind: KIND_PQUADTREE,
@@ -174,15 +171,7 @@ static CLASSES: [IndexClass; 5] = [
         persists_len: false,
         spec: |_| IndexSpec::PointQuadtree,
         create: |pool, _| boxed(PointQuadtreeIndex::create(pool)),
-        reopen: |pool, pi| {
-            let ops = PointQuadtreeOps::with_config(pi.config);
-            boxed(PointQuadtreeIndex::open_with_ops(
-                pool,
-                ops,
-                pi.meta_page,
-                pi.pages.clone(),
-            ))
-        },
+        reopen: |pool, pi| reopened(pool, PointQuadtreeOps::with_config(pi.config), pi),
     },
     IndexClass {
         kind: KIND_PMR,
@@ -191,15 +180,7 @@ static CLASSES: [IndexClass; 5] = [
         persists_len: false,
         spec: |world| IndexSpec::PmrQuadtree { world },
         create: |pool, world| boxed(PmrQuadtreeIndex::create(pool, world)),
-        reopen: |pool, pi| {
-            let ops = PmrQuadtreeOps::with_config(pi.world, pi.config);
-            boxed(PmrQuadtreeIndex::open_with_ops(
-                pool,
-                ops,
-                pi.meta_page,
-                pi.pages.clone(),
-            ))
-        },
+        reopen: |pool, pi| reopened(pool, PmrQuadtreeOps::with_config(pi.world, pi.config), pi),
     },
 ];
 

@@ -202,6 +202,13 @@ pub trait SpGistOps {
         1
     }
 
+    /// Whether this class stores one item in several leaves: `choose` may
+    /// descend a key into several entries and `picksplit` place an item in
+    /// several partitions (the PMR quadtree's segments).  A search then meets
+    /// an item once per replica, so the index layer deduplicates its cursors
+    /// by row and deletes with [`crate::SpGistTree::delete_replicated`].
+    const REPLICATES: bool = false;
+
     /// Route the insertion of `key` through an inner node.
     fn choose(
         &self,

@@ -689,8 +689,8 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// Returns every `(key, row)` item satisfying `query`.
     ///
     /// Spatial instantiations that replicate objects across partitions (the
-    /// PMR quadtree) may report the same row id more than once; their
-    /// index-level wrappers deduplicate.
+    /// PMR quadtree, [`SpGistOps::REPLICATES`]) may report the same row id
+    /// more than once; the index layer deduplicates.
     pub fn search(&self, query: &O::Query) -> StorageResult<Vec<(O::Key, RowId)>> {
         self.search_cursor(query.clone()).collect()
     }
@@ -1021,7 +1021,7 @@ impl<O: SpGistOps> SpGistTree<O> {
 /// dereferences to the tree works, so a plain `&SpGistTree` gives the
 /// classic borrowing cursor while an `Arc<SpGistTree>` gives a cursor that
 /// owns a handle and can outlive the borrow — the mechanism the index
-/// wrappers use to stream query results.  Either way the cursor holds no
+/// layer uses to stream query results.  Either way the cursor holds no
 /// latch: it pins a reclamation epoch at creation, so concurrent writers
 /// proceed while everything reachable from the captured root stays
 /// readable.

@@ -10,16 +10,12 @@
 //! Registered operators (paper Table 4): `@` point equality, `^` range
 //! (inside a box), and `@@` incremental NN under the Euclidean distance.
 
-use std::sync::Arc;
-
-use spgist_core::{
-    Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps, SpGistTree,
-};
-use spgist_storage::{BufferPool, Codec, PageId, StorageError, StorageResult};
+use spgist_core::{Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps};
+use spgist_storage::{Codec, StorageError, StorageResult};
 
 use crate::geom::{Point, Rect};
 use crate::query::PointQuery;
-use crate::spindex::{SpGistBacked, SpIndex};
+use crate::spindex::{SpGistBacked, SpGistIndex, SpIndex};
 
 /// Partition predicate of the kd-tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,59 +247,11 @@ impl SpGistOps for KdTreeOps {
 
 /// A disk-based kd-tree index over 2-D points (the paper's `SP_GiST_kdtree`
 /// operator class).
-///
-/// The uniform surface (`insert`, `delete`, `execute`, `cursor`, `len`,
-/// `stats`, `repack`) comes from the [`SpIndex`] trait; the inherent
-/// methods below are thin operator sugar (`@`, `^`, `@@`).
-pub struct KdTreeIndex {
-    tree: Arc<SpGistTree<KdTreeOps>>,
-}
+pub type KdTreeIndex = SpGistIndex<KdTreeOps>;
 
-impl SpGistBacked for KdTreeIndex {
-    type Ops = KdTreeOps;
-
-    const ORDERED_SCANS: bool = true;
-
-    fn backing(&self) -> &Arc<SpGistTree<KdTreeOps>> {
-        &self.tree
-    }
-
-    fn into_backing_tree(self) -> Arc<SpGistTree<KdTreeOps>> {
-        self.tree
-    }
-
-    fn open_default(pool: Arc<BufferPool>) -> StorageResult<Self> {
-        Self::create(pool)
-    }
-}
-
-impl KdTreeIndex {
-    /// Creates a kd-tree on `pool` with the paper's parameters
-    /// (`BucketSize = 1`).
-    pub fn create(pool: Arc<BufferPool>) -> StorageResult<Self> {
-        Self::with_ops(pool, KdTreeOps::default())
-    }
-
-    /// Creates a kd-tree with explicit parameters.
-    pub fn with_ops(pool: Arc<BufferPool>, ops: KdTreeOps) -> StorageResult<Self> {
-        Ok(KdTreeIndex {
-            tree: Arc::new(SpGistTree::create(pool, ops)?),
-        })
-    }
-
-    /// Re-opens a kd-tree previously created on the file behind `pool` from
-    /// its persisted identity (meta page, owned-page list, configuration).
-    pub fn open_with_ops(
-        pool: Arc<BufferPool>,
-        ops: KdTreeOps,
-        meta_page: PageId,
-        pages: Vec<PageId>,
-    ) -> StorageResult<Self> {
-        Ok(KdTreeIndex {
-            tree: Arc::new(SpGistTree::open(pool, ops, meta_page, pages)?),
-        })
-    }
-
+/// The operators both point classes register (paper Table 4) — the kd-tree
+/// and the point quadtree — as sugar over [`SpIndex`].
+impl<O: SpGistOps<Key = Point, Query = PointQuery>> SpGistIndex<O> {
     /// `@` operator: rows whose point equals `point`.
     pub fn equals(&self, point: Point) -> StorageResult<Vec<RowId>> {
         self.cursor(&PointQuery::Equals(point))?.rows()
@@ -316,19 +264,14 @@ impl KdTreeIndex {
 
     /// `@@` operator: the `k` nearest points to `query`, nearest first.
     pub fn nearest(&self, query: Point, k: usize) -> StorageResult<Vec<(Point, RowId, f64)>> {
-        self.tree.nn_search(PointQuery::Nearest(query), k)
-    }
-
-    /// The underlying generalized tree (internally concurrent; share the
-    /// `Arc` to read or write from any thread).
-    pub fn tree(&self) -> &Arc<SpGistTree<KdTreeOps>> {
-        &self.tree
+        self.backing().nn_search(PointQuery::Nearest(query), k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spgist_storage::BufferPool;
 
     /// The city points of the paper's Figure 3.
     fn cities() -> Vec<(&'static str, Point)> {

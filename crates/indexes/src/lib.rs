@@ -2,11 +2,10 @@
 //!
 //! The paper realizes five disk-based space-partitioning indexes through the
 //! SP-GiST framework; this crate contains their external methods
-//! (`consistent`, `picksplit`, `choose`, NN distance functions) and a
-//! high-level wrapper per index exposing the operators registered for it in
-//! PostgreSQL (paper Tables 4–6):
+//! (`consistent`, `picksplit`, `choose`, NN distance functions) and the
+//! operators registered for each in PostgreSQL (paper Tables 4–6):
 //!
-//! | Index | Wrapper | Operators |
+//! | Index | Type | Operators |
 //! |---|---|---|
 //! | patricia trie | [`trie::TrieIndex`] | `=` equality, `#=` prefix, `?=` regular expression, `@@` NN (Hamming) |
 //! | suffix tree | [`suffix::SuffixTreeIndex`] | `@=` substring match |
@@ -17,11 +16,14 @@
 //! Everything is generic over the storage substrate: pass any
 //! [`spgist_storage::BufferPool`] (in-memory or file-backed).
 //!
-//! All five wrappers implement the unified [`spindex::SpIndex`] trait
-//! (`open` / `insert` / `delete` / `execute` / `cursor` / `len` / `stats` /
-//! `repack`), so generic code — the `spgist-catalog` executor, benchmarks,
-//! tests — is written once against the trait; the per-index inherent
-//! methods are thin operator sugar over it.
+//! A class is its [`spgist_core::SpGistOps`]: the trie, kd-tree, point
+//! quadtree and PMR quadtree are type aliases of the one generic index
+//! [`spindex::SpGistIndex`], and the suffix tree wraps one.  All five
+//! implement the unified [`spindex::SpIndex`] trait (`insert` / `delete` /
+//! `execute` / `cursor` / `len` / `stats` / `repack`), so generic code — the
+//! `spgist-catalog` executor, benchmarks, tests — is written once against
+//! the trait; the per-class inherent methods are thin operator sugar over
+//! it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -40,6 +42,6 @@ pub use kdtree::{KdTreeIndex, KdTreeOps};
 pub use pmr::{PmrQuadtreeIndex, PmrQuadtreeOps};
 pub use quadtree::{PointQuadtreeIndex, PointQuadtreeOps};
 pub use query::{PointQuery, SegmentQuery, StringQuery};
-pub use spindex::{Cursor, SpGistBacked, SpIndex};
+pub use spindex::{Cursor, SpGistBacked, SpGistIndex, SpIndex};
 pub use suffix::SuffixTreeIndex;
 pub use trie::{LeafMode, TrieIndex, TrieOps};

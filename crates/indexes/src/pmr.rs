@@ -14,22 +14,19 @@
 
 use std::sync::Arc;
 
-use spgist_core::{
-    Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps, SpGistTree,
-};
-use spgist_storage::{BufferPool, PageId, StorageResult};
+use spgist_core::{Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps};
+use spgist_storage::{BufferPool, StorageResult};
 
 use crate::geom::{Point, Rect, Segment};
 use crate::query::SegmentQuery;
-use crate::spindex::{SpGistBacked, SpIndex};
+use crate::spindex::{SpGistBacked, SpGistIndex, SpIndex};
 
 /// Default PMR splitting threshold (maximum segments per leaf quadrant
 /// before a split is triggered).
 pub const DEFAULT_SPLITTING_THRESHOLD: usize = 8;
 
-/// World rectangle used by [`SpIndex::open`]: the `[0, 100]²` space of the
-/// paper's spatial experiments.  Indexes over a different region should be
-/// built with [`PmrQuadtreeIndex::create`] instead.
+/// The `[0, 100]²` world rectangle of the paper's spatial experiments, for
+/// [`PmrQuadtreeIndex::create`].
 pub const DEFAULT_WORLD: Rect = Rect {
     min_x: 0.0,
     min_y: 0.0,
@@ -85,6 +82,8 @@ impl SpGistOps for PmrQuadtreeOps {
     type Pred = Rect;
     type Query = SegmentQuery;
     type Context = Rect;
+
+    const REPLICATES: bool = true;
 
     fn config(&self) -> SpGistConfig {
         self.config
@@ -207,11 +206,11 @@ impl SpGistOps for PmrQuadtreeOps {
 
 /// A disk-based PMR quadtree index over line segments.
 ///
-/// Because a segment is replicated in every quadrant it crosses, the
-/// [`SpIndex`] cursor deduplicates results by row id, and the uniform
+/// A segment is replicated in every quadrant it crosses
+/// ([`PmrQuadtreeOps::REPLICATES`](SpGistOps::REPLICATES)), so the
+/// [`SpIndex`] cursor deduplicates results by row id, and
 /// [`SpIndex::delete`] removes every replica of the `(segment, row)` item
-/// (via [`SpGistTree::delete_replicated`]) while counting one logical
-/// removal.
+/// while counting one logical removal.
 ///
 /// [`SpIndex::bulk_build`] replicates every segment into the world
 /// partitions as it recursively quarters the space (the space-oriented
@@ -220,32 +219,7 @@ impl SpGistOps for PmrQuadtreeOps {
 /// quadrants past the splitting threshold all the way down instead of
 /// once-per-insert — segments entirely outside the world rectangle are
 /// parked in the first quadrant exactly as the insert path parks them.
-pub struct PmrQuadtreeIndex {
-    tree: Arc<SpGistTree<PmrQuadtreeOps>>,
-}
-
-impl SpGistBacked for PmrQuadtreeIndex {
-    type Ops = PmrQuadtreeOps;
-
-    const DEDUPE_ROWS: bool = true;
-    const ORDERED_SCANS: bool = true;
-
-    fn backing(&self) -> &Arc<SpGistTree<PmrQuadtreeOps>> {
-        &self.tree
-    }
-
-    fn into_backing_tree(self) -> Arc<SpGistTree<PmrQuadtreeOps>> {
-        self.tree
-    }
-
-    fn open_default(pool: Arc<BufferPool>) -> StorageResult<Self> {
-        Self::create(pool, DEFAULT_WORLD)
-    }
-
-    fn delete_key(&self, segment: &Segment, row: RowId) -> StorageResult<bool> {
-        self.tree.delete_replicated(segment, row)
-    }
-}
+pub type PmrQuadtreeIndex = SpGistIndex<PmrQuadtreeOps>;
 
 impl PmrQuadtreeIndex {
     /// Creates a PMR quadtree decomposing `world` with the default splitting
@@ -254,31 +228,10 @@ impl PmrQuadtreeIndex {
         Self::with_ops(pool, PmrQuadtreeOps::new(world))
     }
 
-    /// Creates a PMR quadtree with explicit parameters.
-    pub fn with_ops(pool: Arc<BufferPool>, ops: PmrQuadtreeOps) -> StorageResult<Self> {
-        Ok(PmrQuadtreeIndex {
-            tree: Arc::new(SpGistTree::create(pool, ops)?),
-        })
-    }
-
-    /// Re-opens a PMR quadtree previously created on the file behind `pool`
-    /// from its persisted identity (meta page, owned-page list, world
-    /// rectangle + configuration via [`PmrQuadtreeOps::with_config`]).
-    pub fn open_with_ops(
-        pool: Arc<BufferPool>,
-        ops: PmrQuadtreeOps,
-        meta_page: PageId,
-        pages: Vec<PageId>,
-    ) -> StorageResult<Self> {
-        Ok(PmrQuadtreeIndex {
-            tree: Arc::new(SpGistTree::open(pool, ops, meta_page, pages)?),
-        })
-    }
-
     /// The world rectangle this index decomposes (persisted by the durable
     /// catalog).
     pub fn world(&self) -> Rect {
-        self.tree.ops().world()
+        self.backing().ops().world()
     }
 
     /// Exact-match query: rows whose segment equals `segment`.
@@ -302,21 +255,12 @@ impl PmrQuadtreeIndex {
     /// stored entirely outside it carry no usable quadrant bound and may
     /// surface out of order.
     pub fn nearest(&self, query: Point, k: usize) -> StorageResult<Vec<(Segment, RowId, f64)>> {
-        let mut seen = std::collections::HashSet::new();
-        self.tree
-            .nn_iter(SegmentQuery::Nearest(query))
-            .filter(|item| match item {
-                Ok((_, row, _)) => seen.insert(*row),
-                Err(_) => true,
-            })
+        let ordered = self.ordered_cursor(&SegmentQuery::Nearest(query))?;
+        ordered
+            .expect("every SpGistIndex scans in distance order")
             .take(k)
+            .map(|item| item.map(|(s, row)| (s, row, s.distance_to_point(&query))))
             .collect()
-    }
-
-    /// The underlying generalized tree (internally concurrent; share the
-    /// `Arc` to read or write from any thread).
-    pub fn tree(&self) -> &Arc<SpGistTree<PmrQuadtreeOps>> {
-        &self.tree
     }
 }
 

@@ -5,16 +5,12 @@
 //! *here* (blank) predicate.  This is the data-driven quadtree of the paper,
 //! as opposed to the space-driven PMR quadtree in [`crate::pmr`].
 
-use std::sync::Arc;
+use spgist_core::{Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps};
+use spgist_storage::{Codec, StorageError, StorageResult};
 
-use spgist_core::{
-    Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps, SpGistTree,
-};
-use spgist_storage::{BufferPool, Codec, PageId, StorageError, StorageResult};
-
-use crate::geom::{Point, Rect};
+use crate::geom::Point;
 use crate::query::PointQuery;
-use crate::spindex::{SpGistBacked, SpIndex};
+use crate::spindex::SpGistIndex;
 
 /// Partition predicate of the point quadtree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,85 +257,17 @@ impl SpGistOps for PointQuadtreeOps {
     }
 }
 
-/// A disk-based point-quadtree index over 2-D points.
-///
-/// The uniform surface (`insert`, `delete`, `execute`, `cursor`, `len`,
-/// `stats`, `repack`) comes from the [`SpIndex`] trait; the inherent
-/// methods below are thin operator sugar (`@`, `^`, `@@`).
-pub struct PointQuadtreeIndex {
-    tree: Arc<SpGistTree<PointQuadtreeOps>>,
-}
-
-impl SpGistBacked for PointQuadtreeIndex {
-    type Ops = PointQuadtreeOps;
-
-    const ORDERED_SCANS: bool = true;
-
-    fn backing(&self) -> &Arc<SpGistTree<PointQuadtreeOps>> {
-        &self.tree
-    }
-
-    fn into_backing_tree(self) -> Arc<SpGistTree<PointQuadtreeOps>> {
-        self.tree
-    }
-
-    fn open_default(pool: Arc<BufferPool>) -> StorageResult<Self> {
-        Self::create(pool)
-    }
-}
-
-impl PointQuadtreeIndex {
-    /// Creates a point quadtree on `pool`.
-    pub fn create(pool: Arc<BufferPool>) -> StorageResult<Self> {
-        Self::with_ops(pool, PointQuadtreeOps::default())
-    }
-
-    /// Creates a point quadtree with explicit parameters.
-    pub fn with_ops(pool: Arc<BufferPool>, ops: PointQuadtreeOps) -> StorageResult<Self> {
-        Ok(PointQuadtreeIndex {
-            tree: Arc::new(SpGistTree::create(pool, ops)?),
-        })
-    }
-
-    /// Re-opens a point quadtree previously created on the file behind
-    /// `pool` from its persisted identity (meta page, owned-page list,
-    /// configuration).
-    pub fn open_with_ops(
-        pool: Arc<BufferPool>,
-        ops: PointQuadtreeOps,
-        meta_page: PageId,
-        pages: Vec<PageId>,
-    ) -> StorageResult<Self> {
-        Ok(PointQuadtreeIndex {
-            tree: Arc::new(SpGistTree::open(pool, ops, meta_page, pages)?),
-        })
-    }
-
-    /// `@` operator: rows whose point equals `point`.
-    pub fn equals(&self, point: Point) -> StorageResult<Vec<RowId>> {
-        self.cursor(&PointQuery::Equals(point))?.rows()
-    }
-
-    /// `^` operator: `(point, row)` pairs inside the box.
-    pub fn range(&self, rect: Rect) -> StorageResult<Vec<(Point, RowId)>> {
-        self.execute(&PointQuery::InRect(rect))
-    }
-
-    /// `@@` operator: the `k` nearest points to `query`, nearest first.
-    pub fn nearest(&self, query: Point, k: usize) -> StorageResult<Vec<(Point, RowId, f64)>> {
-        self.tree.nn_search(PointQuery::Nearest(query), k)
-    }
-
-    /// The underlying generalized tree (internally concurrent; share the
-    /// `Arc` to read or write from any thread).
-    pub fn tree(&self) -> &Arc<SpGistTree<PointQuadtreeOps>> {
-        &self.tree
-    }
-}
+/// A disk-based point-quadtree index over 2-D points (the paper's
+/// `SP_GiST_pquadtree` operator class); its operators (`@`, `^`, `@@`) are
+/// the point sugar it shares with [`KdTreeIndex`](crate::KdTreeIndex).
+pub type PointQuadtreeIndex = SpGistIndex<PointQuadtreeOps>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geom::Rect;
+    use crate::spindex::SpIndex;
+    use spgist_storage::BufferPool;
 
     fn points() -> Vec<Point> {
         vec![

@@ -1,20 +1,20 @@
-//! The unified index interface: one typed trait served by all five
-//! space-partitioning indexes.
+//! The unified index interface, and the one index type every class shares.
 //!
 //! The paper's thesis is that one extensible framework can serve many
-//! space-partitioning indexes; [`SpIndex`] is that idea carried up to the
-//! wrapper layer.  Every instantiation — patricia trie, suffix tree,
-//! kd-tree, point quadtree, PMR quadtree — exposes the same typed surface
-//! (`open` / `insert` / `delete` / `execute` / `cursor` / `len` / `stats` /
-//! `repack`), so generic code (the `spgist-catalog` executor, benchmarks,
-//! tests) is written once against the trait instead of five times against
-//! divergent wrappers.
+//! space-partitioning indexes: a class is its external methods.  Here that
+//! holds up to the index layer.  [`SpGistIndex<O>`] is the index over any
+//! [`SpGistOps`] class `O`; the patricia trie, kd-tree, point quadtree and
+//! PMR quadtree are type aliases of it, and a new class needs no index code
+//! of its own.  The one per-class fact the generic code reads is
+//! [`SpGistOps::REPLICATES`]: a class storing one item in several leaves
+//! gets row-deduplicating cursors and replica-removing deletes.
 //!
-//! The implementation collapses the former per-wrapper boilerplate into a
-//! single blanket impl over [`SpGistBacked`]: a wrapper only states how to
-//! reach its [`SpGistTree`] and overrides the few hooks where its semantics
-//! differ (the suffix tree expands words into suffixes; replicating indexes
-//! deduplicate result rows).
+//! [`SpIndex`] is the typed surface generic code is written against — the
+//! `spgist-catalog` executor, benchmarks, tests (`insert` / `delete` /
+//! `execute` / `cursor` / `len` / `stats` / `repack`).  It has two
+//! implementations: [`SpGistIndex<O>`], and the suffix tree, which stores a
+//! word as its suffixes in a [`SpGistIndex<TrieOps>`](crate::TrieIndex)
+//! and rewrites substring queries into prefix queries over them.
 //!
 //! **Shared access.** Every index is usable from many threads through a
 //! plain `&self`: the backing [`SpGistTree`] is itself concurrent — writers
@@ -26,7 +26,7 @@
 //! always sees a valid tree but may observe some effects of writes that
 //! committed after it started; a cursor opened after a write sees it.
 //! Statement-level atomicity across several indexes of one table is the
-//! catalog layer's job, not the wrapper's.
+//! catalog layer's job, not the index's.
 //!
 //! Query results stream through a [`Cursor`] — an iterator over
 //! `StorageResult<(key, row)>` — rather than a materialized `Vec`, so an
@@ -98,12 +98,12 @@ impl<K> std::fmt::Debug for Cursor<'_, K> {
 
 /// The unified interface of every space-partitioning index.
 ///
-/// All five wrappers implement this trait (through the [`SpGistBacked`]
-/// blanket impl), so one generic function can build, maintain and query any
-/// of them.  Every method takes `&self`: the backing tree crabs page
-/// latches for updates and serves queries latch-free under epoch
-/// protection, so an index shared behind an `Arc` serves concurrent
-/// readers and writers without blocking reads.
+/// Implemented by [`SpGistIndex<O>`] for every class and by the suffix
+/// tree, so one generic function can build, maintain and query any of
+/// them.  Every method takes `&self`: the backing tree crabs page latches
+/// for updates and serves queries latch-free under epoch protection, so an
+/// index shared behind an `Arc` serves concurrent readers and writers
+/// without blocking reads.
 ///
 /// ```
 /// use spgist_indexes::{SpIndex, TrieIndex, StringQuery};
@@ -113,26 +113,23 @@ impl<K> std::fmt::Debug for Cursor<'_, K> {
 ///     index.cursor(query).unwrap().count() as u64
 /// }
 ///
-/// let trie = TrieIndex::open(BufferPool::in_memory()).unwrap();
-/// trie.insert("space", 1).unwrap();
-/// trie.insert("spade", 2).unwrap();
+/// let trie = TrieIndex::create(BufferPool::in_memory()).unwrap();
+/// trie.insert("space".into(), 1).unwrap();
+/// trie.insert("spade".into(), 2).unwrap();
 /// assert_eq!(count_matches(&trie, &StringQuery::Prefix("sp".into())), 2);
 /// ```
-pub trait SpIndex {
+pub trait SpIndex: SpGistBacked {
     /// Key type stored by the index (the paper's *KeyType*).
     type Key: Clone;
     /// Query predicate type of the operators registered for the index.
     type Query: Clone;
 
-    /// Whether a cursor's key is the indexed value itself, so a caller
-    /// holding heap rows need not fetch one to learn it (see
-    /// [`SpGistBacked::RETURNS_KEYS`]).
-    const RETURNS_KEYS: bool;
-
-    /// Opens a fresh index with default parameters on `pool`.
-    fn open(pool: Arc<BufferPool>) -> StorageResult<Self>
-    where
-        Self: Sized;
+    /// Whether the key a cursor yields *is* the value that was indexed
+    /// (PostgreSQL SP-GiST's `canReturnData`), so a caller holding heap
+    /// rows need not fetch one to learn it.  False only where one indexed
+    /// value is stored as several derived keys (the suffix tree yields
+    /// suffixes, not words).
+    const RETURNS_KEYS: bool = true;
 
     /// Inserts one `(key, row)` item (page latches crabbed internally).
     fn insert(&self, key: Self::Key, row: RowId) -> StorageResult<()>;
@@ -145,11 +142,11 @@ pub trait SpIndex {
     fn insert_batch(&self, items: Vec<(Self::Key, RowId)>) -> StorageResult<()>;
 
     /// Builds the index from the full `(key, row)` set in one pass — the
-    /// paper's `spgistbuild` (Section 4) carried to the wrapper layer.
+    /// paper's `spgistbuild` (Section 4) carried to the index layer.
     ///
     /// The backing tree's [`spgist_core::BulkBuilder`] partitions the whole
     /// set top-down with `picksplit` and writes each node exactly once;
-    /// wrappers with expanded representations translate first (the suffix
+    /// indexes with expanded representations translate first (the suffix
     /// tree turns words into suffixes).  Requires an **empty** index and
     /// excludes other writers for the whole build.  Returns the
     /// [`TreeStats`] accumulated during the build.
@@ -176,8 +173,9 @@ pub trait SpIndex {
     /// items in non-decreasing distance from the query's anchor, driven by
     /// the incremental NN search ([`spgist_core::NnIter`]).  Each pull does
     /// just enough work to report the next-closest item, so `LIMIT k` stops
-    /// after `k` reported items.  Returns `None` for indexes that register no
-    /// distance functions (their operator classes have no `@@` operator).
+    /// after `k` reported items.  Returns `None` where distance says nothing
+    /// about the indexed value (the suffix tree, whose operator class has
+    /// no `@@` operator).
     fn ordered_cursor(&self, query: &Self::Query) -> StorageResult<Option<Cursor<'_, Self::Key>>>;
 
     /// Runs `query`, materializing every match (the eager counterpart of
@@ -196,218 +194,55 @@ pub trait SpIndex {
 
     /// Structural statistics (heights, pages, size) gathered from the
     /// backing tree.
-    fn stats(&self) -> StorageResult<TreeStats>;
+    fn stats(&self) -> StorageResult<TreeStats> {
+        self.backing().stats()
+    }
 
     /// The planner's `(pages, page_height)` view of the backing tree — an
     /// O(1) read that writes keep current, unlike the full walk of
     /// [`SpIndex::stats`] (see [`SpGistTree::planner_stats`]).
-    fn planner_stats(&self) -> StorageResult<(u64, u32)>;
+    fn planner_stats(&self) -> StorageResult<(u64, u32)> {
+        self.backing().planner_stats()
+    }
 
     /// The meta page identifying the backing tree on its pager — one half of
     /// the index's durable identity (persist it, plus
     /// [`SpIndex::owned_pages`], and the index reopens from disk).
-    fn meta_page(&self) -> PageId;
+    fn meta_page(&self) -> PageId {
+        self.backing().meta_page()
+    }
 
     /// The pages the backing tree owns, in allocation order.  The durable
     /// catalog persists this list so a reopened index keeps full statistics
     /// and can free its pages on `DROP INDEX`.
-    fn owned_pages(&self) -> Vec<PageId>;
+    fn owned_pages(&self) -> Vec<PageId> {
+        self.backing().owned_pages()
+    }
 
     /// The interface parameters the backing tree runs with (persisted by the
     /// durable catalog so reopening round-trips the configuration).
-    fn config(&self) -> SpGistConfig;
+    fn config(&self) -> SpGistConfig {
+        self.backing().ops().config()
+    }
 
     /// Re-clusters the backing tree into fresh pages to minimize page
     /// height (see [`SpGistTree::repack`]); other writers are excluded for
     /// the whole rewrite, while readers keep traversing the old layout
     /// until the root flips.
-    fn repack(&self) -> StorageResult<()>;
+    fn repack(&self) -> StorageResult<()> {
+        self.backing().repack()
+    }
 
     /// Consumes the index and releases every page it owns back to the
     /// pager's free list (`DROP INDEX`).
     fn destroy(self) -> StorageResult<()>
     where
-        Self: Sized;
-}
-
-/// Glue between a concrete wrapper and the [`SpIndex`] blanket impl.
-///
-/// A wrapper states how to reach its backing [`SpGistTree`] (held in an
-/// `Arc`, since cursors keep their own handle) and overrides only the hooks
-/// where its semantics differ from plain tree delegation.  Everything else
-/// — cursor construction, statistics, repacking — is written once in the
-/// blanket impl.
-pub trait SpGistBacked {
-    /// External methods of the backing tree.
-    type Ops: SpGistOps;
-
-    /// Whether one logical item may surface several times in a raw tree
-    /// search (replicating indexes); cursors then deduplicate by row id.
-    const DEDUPE_ROWS: bool = false;
-
-    /// Whether the instantiation registers NN distance functions
-    /// (`inner_distance` / `leaf_distance`), making ordered scans through
-    /// [`SpIndex::ordered_cursor`] available (the `@@` operator).
-    const ORDERED_SCANS: bool = false;
-
-    /// Whether the key a cursor yields *is* the value that was indexed
-    /// (PostgreSQL SP-GiST's `canReturnData`), so a scan can answer without
-    /// visiting the heap.  False only where one indexed value is stored as
-    /// several derived keys (the suffix tree yields suffixes, not words).
-    const RETURNS_KEYS: bool = true;
-
-    /// The backing generalized tree.  The tree is internally concurrent
-    /// (crabbing writers, epoch-protected readers), so no external latch
-    /// wraps it.
-    fn backing(&self) -> &Arc<SpGistTree<Self::Ops>>;
-
-    /// Consumes the wrapper, returning the backing tree handle (for
-    /// [`SpIndex::destroy`]).
-    fn into_backing_tree(self) -> Arc<SpGistTree<Self::Ops>>
-    where
-        Self: Sized;
-
-    /// Opens a fresh index with this wrapper's default parameters.
-    fn open_default(pool: Arc<BufferPool>) -> StorageResult<Self>
-    where
-        Self: Sized;
-
-    /// Inserts one logical item.  The default inserts the key as-is; the
-    /// suffix tree overrides it to insert every suffix of the word.
-    fn insert_key(&self, key: <Self::Ops as SpGistOps>::Key, row: RowId) -> StorageResult<()> {
-        self.backing().insert(key, row)
-    }
-
-    /// Deletes one logical item.  The default removes a single physical
-    /// occurrence; replicating or expanding indexes override it.
-    fn delete_key(&self, key: &<Self::Ops as SpGistOps>::Key, row: RowId) -> StorageResult<bool> {
-        self.backing().delete(key, row)
-    }
-
-    /// Inserts a batch of logical items.  The default loops
-    /// [`SpGistTree::insert`]; expanding indexes override it (the suffix
-    /// tree inserts every suffix of every word).
-    fn insert_batch_keys(
-        &self,
-        items: Vec<(<Self::Ops as SpGistOps>::Key, RowId)>,
-    ) -> StorageResult<()> {
-        let tree = self.backing();
-        for (key, row) in items {
-            tree.insert(key, row)?;
-        }
-        Ok(())
-    }
-
-    /// Bulk-builds the backing tree from the full logical item set.  The
-    /// default hands the items to [`SpGistTree::bulk_build`] unchanged;
-    /// expanding indexes override it to translate the representation first.
-    fn bulk_build_keys(
-        &self,
-        items: Vec<(<Self::Ops as SpGistOps>::Key, RowId)>,
-    ) -> StorageResult<TreeStats> {
-        self.backing().bulk_build(items)
-    }
-
-    /// Rewrites a query into the form the backing tree executes (the suffix
-    /// tree answers substring queries as prefix queries over suffixes).
-    fn translate_query(
-        &self,
-        query: &<Self::Ops as SpGistOps>::Query,
-    ) -> <Self::Ops as SpGistOps>::Query {
-        query.clone()
-    }
-
-    /// Number of logical items (the suffix tree counts indexed words, not
-    /// stored suffixes).
-    fn item_count(&self) -> u64 {
-        self.backing().len()
-    }
-}
-
-impl<T: SpGistBacked> SpIndex for T {
-    type Key = <T::Ops as SpGistOps>::Key;
-    type Query = <T::Ops as SpGistOps>::Query;
-
-    const RETURNS_KEYS: bool = T::RETURNS_KEYS;
-
-    fn open(pool: Arc<BufferPool>) -> StorageResult<Self> {
-        T::open_default(pool)
-    }
-
-    fn insert(&self, key: Self::Key, row: RowId) -> StorageResult<()> {
-        self.insert_key(key, row)
-    }
-
-    fn insert_batch(&self, items: Vec<(Self::Key, RowId)>) -> StorageResult<()> {
-        self.insert_batch_keys(items)
-    }
-
-    fn bulk_build(&self, items: Vec<(Self::Key, RowId)>) -> StorageResult<TreeStats> {
-        self.bulk_build_keys(items)
-    }
-
-    fn delete(&self, key: &Self::Key, row: RowId) -> StorageResult<bool> {
-        self.delete_key(key, row)
-    }
-
-    fn cursor(&self, query: &Self::Query) -> StorageResult<Cursor<'_, Self::Key>> {
-        let translated = self.translate_query(query);
-        // The cursor carries its own Arc on the tree plus an epoch pin; it
-        // holds no latch, so writers proceed while it is open.
-        let inner = SearchCursor::over(Arc::clone(self.backing()), translated);
-        Ok(if T::DEDUPE_ROWS {
-            Cursor::deduplicated(inner)
-        } else {
-            Cursor::new(inner)
-        })
-    }
-
-    fn ordered_cursor(&self, query: &Self::Query) -> StorageResult<Option<Cursor<'_, Self::Key>>> {
-        if !T::ORDERED_SCANS {
-            return Ok(None);
-        }
-        let translated = self.translate_query(query);
-        let inner = NnIter::over(Arc::clone(self.backing()), translated)
-            .map(|item| item.map(|(key, row, _)| (key, row)));
-        Ok(Some(if T::DEDUPE_ROWS {
-            Cursor::deduplicated(inner)
-        } else {
-            Cursor::new(inner)
-        }))
-    }
-
-    fn len(&self) -> u64 {
-        self.item_count()
-    }
-
-    fn stats(&self) -> StorageResult<TreeStats> {
-        self.backing().stats()
-    }
-
-    fn planner_stats(&self) -> StorageResult<(u64, u32)> {
-        self.backing().planner_stats()
-    }
-
-    fn meta_page(&self) -> PageId {
-        self.backing().meta_page()
-    }
-
-    fn owned_pages(&self) -> Vec<PageId> {
-        self.backing().owned_pages()
-    }
-
-    fn config(&self) -> SpGistConfig {
-        self.backing().ops().config()
-    }
-
-    fn repack(&self) -> StorageResult<()> {
-        self.backing().repack()
-    }
-
-    fn destroy(self) -> StorageResult<()> {
+        Self: Sized,
+    {
         // Destruction frees the index's pages, so it must be the sole owner:
         // wait out any cursor still holding a clone of the handle.
-        let mut arc = self.into_backing_tree();
+        let mut arc = Arc::clone(self.backing());
+        drop(self);
         loop {
             match Arc::try_unwrap(arc) {
                 Ok(tree) => return tree.destroy(),
@@ -420,13 +255,130 @@ impl<T: SpGistBacked> SpIndex for T {
     }
 }
 
+/// An index's backing generalized tree.
+pub trait SpGistBacked {
+    /// External methods of the backing tree.
+    type Ops: SpGistOps;
+
+    /// The backing generalized tree, held in an `Arc` since cursors keep
+    /// their own handle.  The tree is internally concurrent (crabbing
+    /// writers, epoch-protected readers), so no external latch wraps it.
+    fn backing(&self) -> &Arc<SpGistTree<Self::Ops>>;
+}
+
+/// The index over an SP-GiST class: [`SpGistOps`] `O` on a [`SpGistTree`].
+///
+/// The uniform surface comes from [`SpIndex`]; each class adds only
+/// operator sugar (the trie's `=` / `#=`, the PMR quadtree's window query)
+/// to its alias ([`TrieIndex`](crate::TrieIndex),
+/// [`KdTreeIndex`](crate::KdTreeIndex), …).
+pub struct SpGistIndex<O: SpGistOps> {
+    tree: Arc<SpGistTree<O>>,
+}
+
+impl<O: SpGistOps> SpGistIndex<O> {
+    /// Creates an empty index of class `ops` on `pool`.
+    pub fn with_ops(pool: Arc<BufferPool>, ops: O) -> StorageResult<Self> {
+        Ok(SpGistIndex {
+            tree: Arc::new(SpGistTree::create(pool, ops)?),
+        })
+    }
+
+    /// Re-opens an index previously created on the file behind `pool` from
+    /// its persisted identity: the tree's meta page, its owned-page list,
+    /// and the external-method parameters it was created with (the durable
+    /// catalog round-trips all three).
+    pub fn open_with_ops(
+        pool: Arc<BufferPool>,
+        ops: O,
+        meta_page: PageId,
+        pages: Vec<PageId>,
+    ) -> StorageResult<Self> {
+        Ok(SpGistIndex {
+            tree: Arc::new(SpGistTree::open(pool, ops, meta_page, pages)?),
+        })
+    }
+
+    /// Wraps raw tree items, deduplicating rows where the class replicates.
+    fn stream<'c>(
+        inner: impl Iterator<Item = StorageResult<(O::Key, RowId)>> + 'c,
+    ) -> Cursor<'c, O::Key> {
+        if O::REPLICATES {
+            Cursor::deduplicated(inner)
+        } else {
+            Cursor::new(inner)
+        }
+    }
+}
+
+impl<O: SpGistOps + Default> SpGistIndex<O> {
+    /// Creates an empty index of the class's default parameters on `pool`.
+    pub fn create(pool: Arc<BufferPool>) -> StorageResult<Self> {
+        Self::with_ops(pool, O::default())
+    }
+}
+
+impl<O: SpGistOps> SpGistBacked for SpGistIndex<O> {
+    type Ops = O;
+
+    fn backing(&self) -> &Arc<SpGistTree<O>> {
+        &self.tree
+    }
+}
+
+impl<O: SpGistOps> SpIndex for SpGistIndex<O> {
+    type Key = O::Key;
+    type Query = O::Query;
+
+    fn insert(&self, key: O::Key, row: RowId) -> StorageResult<()> {
+        self.tree.insert(key, row)
+    }
+
+    fn insert_batch(&self, items: Vec<(O::Key, RowId)>) -> StorageResult<()> {
+        for (key, row) in items {
+            self.tree.insert(key, row)?;
+        }
+        Ok(())
+    }
+
+    fn bulk_build(&self, items: Vec<(O::Key, RowId)>) -> StorageResult<TreeStats> {
+        self.tree.bulk_build(items)
+    }
+
+    fn delete(&self, key: &O::Key, row: RowId) -> StorageResult<bool> {
+        if O::REPLICATES {
+            self.tree.delete_replicated(key, row)
+        } else {
+            self.tree.delete(key, row)
+        }
+    }
+
+    fn cursor(&self, query: &O::Query) -> StorageResult<Cursor<'_, O::Key>> {
+        // The cursor carries its own Arc on the tree plus an epoch pin; it
+        // holds no latch, so writers proceed while it is open.
+        let inner = SearchCursor::over(Arc::clone(&self.tree), query.clone());
+        Ok(Self::stream(inner))
+    }
+
+    fn ordered_cursor(&self, query: &O::Query) -> StorageResult<Option<Cursor<'_, O::Key>>> {
+        let inner = NnIter::over(Arc::clone(&self.tree), query.clone())
+            .map(|item| item.map(|(key, row, _)| (key, row)));
+        Ok(Some(Self::stream(inner)))
+    }
+
+    fn len(&self) -> u64 {
+        self.tree.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geom::{Point, Rect, Segment};
+    use crate::pmr::DEFAULT_WORLD;
     use crate::query::{PointQuery, SegmentQuery, StringQuery};
     use crate::{KdTreeIndex, PmrQuadtreeIndex, PointQuadtreeIndex, SuffixTreeIndex, TrieIndex};
-    use spgist_storage::BufferPool;
+    use spgist_core::testing::DigitTrieOps;
 
     /// Exercises the whole trait surface through a generic function — the
     /// point of the redesign is that this compiles once for all five
@@ -474,7 +426,7 @@ mod tests {
 
     #[test]
     fn trie_implements_spindex() {
-        let index = TrieIndex::open(BufferPool::in_memory()).unwrap();
+        let index = TrieIndex::create(BufferPool::in_memory()).unwrap();
         exercise(
             index,
             vec![
@@ -489,7 +441,7 @@ mod tests {
 
     #[test]
     fn suffix_tree_implements_spindex() {
-        let index = SuffixTreeIndex::open(BufferPool::in_memory()).unwrap();
+        let index = SuffixTreeIndex::create(BufferPool::in_memory()).unwrap();
         exercise(
             index,
             vec![
@@ -504,7 +456,7 @@ mod tests {
 
     #[test]
     fn kdtree_implements_spindex() {
-        let index = KdTreeIndex::open(BufferPool::in_memory()).unwrap();
+        let index = KdTreeIndex::create(BufferPool::in_memory()).unwrap();
         exercise(
             index,
             vec![
@@ -519,7 +471,7 @@ mod tests {
 
     #[test]
     fn quadtree_implements_spindex() {
-        let index = PointQuadtreeIndex::open(BufferPool::in_memory()).unwrap();
+        let index = PointQuadtreeIndex::create(BufferPool::in_memory()).unwrap();
         exercise(
             index,
             vec![
@@ -534,7 +486,7 @@ mod tests {
 
     #[test]
     fn pmr_quadtree_implements_spindex() {
-        let index = PmrQuadtreeIndex::open(BufferPool::in_memory()).unwrap();
+        let index = PmrQuadtreeIndex::create(BufferPool::in_memory(), DEFAULT_WORLD).unwrap();
         exercise(
             index,
             vec![
@@ -606,12 +558,12 @@ mod tests {
             .collect::<Vec<_>>()
         };
         exercise_bulk(
-            || TrieIndex::open(BufferPool::in_memory()).unwrap(),
+            || TrieIndex::create(BufferPool::in_memory()).unwrap(),
             words(),
             StringQuery::Prefix("sp".into()),
         );
         exercise_bulk(
-            || SuffixTreeIndex::open(BufferPool::in_memory()).unwrap(),
+            || SuffixTreeIndex::create(BufferPool::in_memory()).unwrap(),
             words(),
             StringQuery::Substring("a".into()),
         );
@@ -627,12 +579,12 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         exercise_bulk(
-            || KdTreeIndex::open(BufferPool::in_memory()).unwrap(),
+            || KdTreeIndex::create(BufferPool::in_memory()).unwrap(),
             points(),
             PointQuery::InRect(Rect::new(10.0, 10.0, 70.0, 70.0)),
         );
         exercise_bulk(
-            || PointQuadtreeIndex::open(BufferPool::in_memory()).unwrap(),
+            || PointQuadtreeIndex::create(BufferPool::in_memory()).unwrap(),
             points(),
             PointQuery::InRect(Rect::new(10.0, 10.0, 70.0, 70.0)),
         );
@@ -647,15 +599,31 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         exercise_bulk(
-            || PmrQuadtreeIndex::open(BufferPool::in_memory()).unwrap(),
+            || PmrQuadtreeIndex::create(BufferPool::in_memory(), DEFAULT_WORLD).unwrap(),
             segments(),
             SegmentQuery::InRect(Rect::new(0.0, 0.0, 60.0, 60.0)),
         );
     }
 
+    /// A class is its external methods: the digit trie of `spgist_core`'s
+    /// own tests has no index code anywhere, yet is a full index.
+    #[test]
+    fn a_class_with_no_index_code_is_a_full_index() {
+        let make = || SpGistIndex::<DigitTrieOps>::create(BufferPool::in_memory()).unwrap();
+        exercise(
+            make(),
+            vec![(42, 0), (7, 1), (420, 2), (42, 3), (4242, 4)],
+            42,
+            &[0, 3],
+        );
+        // Fifty keys, four rows each: enough for the bucket of four to split.
+        let items = (0..200u32).map(|k| (k % 50 * 7, RowId::from(k))).collect();
+        exercise_bulk(make, items, 21);
+    }
+
     #[test]
     fn ordered_cursor_streams_in_distance_order() {
-        let kd = KdTreeIndex::open(BufferPool::in_memory()).unwrap();
+        let kd = KdTreeIndex::create(BufferPool::in_memory()).unwrap();
         let pts = [
             Point::new(10.0, 10.0),
             Point::new(50.0, 50.0),
@@ -678,7 +646,7 @@ mod tests {
         assert_eq!(ordered[3].1, 3);
 
         // The suffix tree registers no distance functions: no ordered scan.
-        let suffix = SuffixTreeIndex::open(BufferPool::in_memory()).unwrap();
+        let suffix = SuffixTreeIndex::create(BufferPool::in_memory()).unwrap();
         assert!(suffix
             .ordered_cursor(&StringQuery::Nearest("abc".into()))
             .unwrap()

@@ -16,11 +16,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use spgist_core::{RowId, SpGistTree, TreeStats};
+use spgist_core::{RowId, SearchCursor, SpGistTree, TreeStats};
 use spgist_storage::{BufferPool, PageId, StorageResult};
 
 use crate::query::StringQuery;
-use crate::spindex::{SpGistBacked, SpIndex};
+use crate::spindex::{Cursor, SpGistBacked, SpIndex};
 use crate::trie::{TrieIndex, TrieOps};
 
 /// Every stored suffix of `word`, paired with `row` — the empty word has one
@@ -37,9 +37,9 @@ fn suffix_items(word: &str, row: RowId) -> Vec<(String, RowId)> {
 /// `SP_GiST_suffix` operator class with its `@=` substring operator).
 ///
 /// One logical item (a word) is stored as all of its suffixes, so the
-/// [`SpIndex`] hooks expand inserts and deletes accordingly, report the
+/// [`SpIndex`] impl expands inserts and deletes accordingly, reports the
 /// word count (not the suffix count) from [`SpIndex::len`], and
-/// deduplicate query results by row id.  [`StringQuery::Substring`]
+/// deduplicates query results by row id.  [`StringQuery::Substring`]
 /// queries are rewritten into prefix queries over the stored suffixes —
 /// the trick that lets the paper answer `@=` with trie navigation.
 ///
@@ -58,26 +58,51 @@ pub struct SuffixTreeIndex {
 impl SpGistBacked for SuffixTreeIndex {
     type Ops = TrieOps;
 
-    const DEDUPE_ROWS: bool = true;
+    fn backing(&self) -> &Arc<SpGistTree<TrieOps>> {
+        self.trie.backing()
+    }
+}
+
+impl SpIndex for SuffixTreeIndex {
+    type Key = String;
+    type Query = StringQuery;
+
     /// A cursor yields what the leaf stored of the matching suffix — its
     /// rest past the path ([`LeafMode::Rest`](crate::LeafMode::Rest)); the
     /// word lives in the heap.
     const RETURNS_KEYS: bool = false;
 
-    fn backing(&self) -> &Arc<SpGistTree<TrieOps>> {
-        self.trie.backing()
+    fn insert(&self, word: String, row: RowId) -> StorageResult<()> {
+        self.insert_batch(vec![(word, row)])
     }
 
-    fn into_backing_tree(self) -> Arc<SpGistTree<TrieOps>> {
-        self.trie.into_backing_tree()
+    /// Inserts a batch of words — all suffixes of all words, the write gate,
+    /// the item count and reclamation paid once per word.  Suffixes land one
+    /// by one; cursor-level atomicity of the batch is the catalog executor's
+    /// job.
+    fn insert_batch(&self, items: Vec<(String, RowId)>) -> StorageResult<()> {
+        for (word, row) in &items {
+            self.backing().insert_all(suffix_items(word, *row))?;
+            self.strings.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
-    fn open_default(pool: Arc<BufferPool>) -> StorageResult<Self> {
-        Self::create(pool)
-    }
-
-    fn insert_key(&self, word: String, row: RowId) -> StorageResult<()> {
-        self.insert_batch_keys(vec![(word, row)])
+    /// Bulk build: the words are expanded into the full suffix set *before*
+    /// the backing trie is built, so the sort-based trie build sees every
+    /// suffix at once and sibling runs of shared suffixes are contiguous.
+    /// The words are dropped once expanded: the suffix set is the build's
+    /// one buffer.
+    fn bulk_build(&self, items: Vec<(String, RowId)>) -> StorageResult<TreeStats> {
+        let words = items.len() as u64;
+        let total: usize = items.iter().map(|(w, _)| w.len().max(1)).sum();
+        let mut expanded = Vec::with_capacity(total);
+        for (word, row) in items {
+            expanded.extend(suffix_items(&word, row));
+        }
+        let stats = self.backing().bulk_build(expanded)?;
+        self.strings.fetch_add(words, Ordering::Relaxed);
+        Ok(stats)
     }
 
     /// Removes every suffix entry of `word` for `row`, or nothing.
@@ -92,7 +117,7 @@ impl SpGistBacked for SuffixTreeIndex {
     /// nothing and returns `false`, and the word counter never underflows.
     /// A suffix shared by thousands of rows costs what any other does: the
     /// descent follows `row` through the row nodes to one small leaf.
-    fn delete_key(&self, word: &String, row: RowId) -> StorageResult<bool> {
+    fn delete(&self, word: &String, row: RowId) -> StorageResult<bool> {
         let removed = self.backing().delete_batch(&suffix_items(word, row))?;
         if removed {
             let _ = self
@@ -104,44 +129,24 @@ impl SpGistBacked for SuffixTreeIndex {
         Ok(removed)
     }
 
-    /// Inserts a batch of words — all suffixes of all words, the write gate,
-    /// the item count and reclamation paid once per word.  Suffixes land one
-    /// by one; cursor-level atomicity of the batch is the catalog executor's
-    /// job.
-    fn insert_batch_keys(&self, items: Vec<(String, RowId)>) -> StorageResult<()> {
-        for (word, row) in &items {
-            self.backing().insert_all(suffix_items(word, *row))?;
-            self.strings.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Bulk build: the words are expanded into the full suffix set *before*
-    /// the backing trie is built, so the sort-based trie build sees every
-    /// suffix at once and sibling runs of shared suffixes are contiguous.
-    /// The words are dropped once expanded: the suffix set is the build's
-    /// one buffer.
-    fn bulk_build_keys(&self, items: Vec<(String, RowId)>) -> StorageResult<TreeStats> {
-        let words = items.len() as u64;
-        let total: usize = items.iter().map(|(w, _)| w.len().max(1)).sum();
-        let mut expanded = Vec::with_capacity(total);
-        for (word, row) in items {
-            expanded.extend(suffix_items(&word, row));
-        }
-        let stats = self.backing().bulk_build(expanded)?;
-        self.strings.fetch_add(words, Ordering::Relaxed);
-        Ok(stats)
-    }
-
-    fn translate_query(&self, query: &StringQuery) -> StringQuery {
-        match query {
+    fn cursor(&self, query: &StringQuery) -> StorageResult<Cursor<'_, String>> {
+        let query = match query {
             // Substring match over words = prefix match over suffixes.
             StringQuery::Substring(needle) => StringQuery::Prefix(needle.clone()),
             other => other.clone(),
-        }
+        };
+        // A word surfaces once per matching suffix: report each row once.
+        let inner = SearchCursor::over(Arc::clone(self.backing()), query);
+        Ok(Cursor::deduplicated(inner))
     }
 
-    fn item_count(&self) -> u64 {
+    /// No ordered scans: a distance to a stored suffix says nothing about
+    /// the word it came from.
+    fn ordered_cursor(&self, _query: &StringQuery) -> StorageResult<Option<Cursor<'_, String>>> {
+        Ok(None)
+    }
+
+    fn len(&self) -> u64 {
         self.strings.load(Ordering::Relaxed)
     }
 }
@@ -176,18 +181,6 @@ impl SuffixTreeIndex {
         })
     }
 
-    /// Indexes `word`: every suffix of the word is inserted, pointing at
-    /// heap row `row` (borrowed-`str` shim over [`SpIndex::insert`]).
-    pub fn insert(&self, word: &str, row: RowId) -> StorageResult<()> {
-        SpIndex::insert(self, word.to_string(), row)
-    }
-
-    /// Removes the word previously indexed for `row`; returns whether
-    /// anything was removed (borrowed-`str` shim over [`SpIndex::delete`]).
-    pub fn delete(&self, word: &str, row: RowId) -> StorageResult<bool> {
-        SpIndex::delete(self, &word.to_string(), row)
-    }
-
     /// `@=` operator: rows whose key contains `needle` as a substring.
     pub fn substring(&self, needle: &str) -> StorageResult<Vec<RowId>> {
         let mut rows = self
@@ -210,7 +203,7 @@ mod tests {
     fn index_with(words: &[&str]) -> SuffixTreeIndex {
         let index = SuffixTreeIndex::create(BufferPool::in_memory()).unwrap();
         for (i, w) in words.iter().enumerate() {
-            index.insert(w, i as RowId).unwrap();
+            index.insert(w.to_string(), i as RowId).unwrap();
         }
         index
     }
@@ -281,15 +274,15 @@ mod tests {
     fn delete_removes_every_suffix_of_the_word() {
         let index = index_with(&["database", "base"]);
         assert_eq!(index.substring("base").unwrap(), vec![0, 1]);
-        assert!(index.delete("database", 0).unwrap());
+        assert!(index.delete(&"database".into(), 0).unwrap());
         assert_eq!(index.substring("base").unwrap(), vec![1]);
         assert!(index.substring("data").unwrap().is_empty());
         assert_eq!(index.len(), 1);
         // Suffixes of the surviving word are untouched.
         assert_eq!(index.suffix_count(), 4);
         // Deleting again (or a word never indexed) removes nothing.
-        assert!(!index.delete("database", 0).unwrap());
-        assert!(!index.delete("tree", 7).unwrap());
+        assert!(!index.delete(&"database".into(), 0).unwrap());
+        assert!(!index.delete(&"tree".into(), 7).unwrap());
         assert_eq!(index.len(), 1);
     }
 
@@ -299,7 +292,7 @@ mod tests {
         // "xbase" was never indexed; its tail suffixes collide with stored
         // suffixes of "database", but every suffix is verified present
         // before anything is removed, so nothing is deleted.
-        assert!(!index.delete("xbase", 0).unwrap());
+        assert!(!index.delete(&"xbase".into(), 0).unwrap());
         assert_eq!(index.substring("base").unwrap(), vec![0]);
         assert_eq!(index.len(), 1);
     }
@@ -307,10 +300,10 @@ mod tests {
     #[test]
     fn empty_word_roundtrip() {
         let index = index_with(&[]);
-        index.insert("", 3).unwrap();
+        index.insert("".into(), 3).unwrap();
         assert_eq!(index.len(), 1);
         assert_eq!(index.substring("").unwrap(), vec![3]);
-        assert!(index.delete("", 3).unwrap());
+        assert!(index.delete(&"".into(), 3).unwrap());
         assert!(index.is_empty());
     }
 }

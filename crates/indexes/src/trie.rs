@@ -11,15 +11,11 @@
 //! single-character wildcard `?`), and `@@` (incremental nearest neighbour
 //! under the Hamming-style distance).
 
-use std::sync::Arc;
-
-use spgist_core::{
-    Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps, SpGistTree,
-};
-use spgist_storage::{BufferPool, PageId, StorageResult};
+use spgist_core::{Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps};
+use spgist_storage::StorageResult;
 
 use crate::query::{hamming_distance, StringQuery};
-use crate::spindex::{SpGistBacked, SpIndex};
+use crate::spindex::{SpGistBacked, SpGistIndex, SpIndex};
 
 /// Entry predicate marking "the key ends at this position" (the paper's
 /// *blank* predicate).  Zero never collides with real characters.
@@ -335,78 +331,13 @@ impl SpGistOps for TrieOps {
     }
 }
 
-/// A disk-based patricia-trie index over strings.
-///
-/// This is the user-facing wrapper combining [`TrieOps`] with the generalized
-/// [`SpGistTree`]; it exposes the operators of the paper's `SP_GiST_trie`
-/// operator class.  The uniform surface — `open` / `insert` / `delete` /
-/// `execute` / `cursor` / `len` / `stats` / `repack` — comes from the
-/// [`SpIndex`] trait; the inherent methods below are thin operator sugar
-/// (`=`, `#=`, `?=`, `@@`) plus `&str`-taking shims kept for source
-/// compatibility with the pre-`SpIndex` API.
-pub struct TrieIndex {
-    tree: Arc<SpGistTree<TrieOps>>,
-}
-
-impl SpGistBacked for TrieIndex {
-    type Ops = TrieOps;
-
-    const ORDERED_SCANS: bool = true;
-
-    fn backing(&self) -> &Arc<SpGistTree<TrieOps>> {
-        &self.tree
-    }
-
-    fn into_backing_tree(self) -> Arc<SpGistTree<TrieOps>> {
-        self.tree
-    }
-
-    fn open_default(pool: Arc<BufferPool>) -> StorageResult<Self> {
-        Self::create(pool)
-    }
-}
+/// A disk-based patricia-trie index over strings: the paper's
+/// `SP_GiST_trie` operator class.  The uniform surface comes from
+/// [`SpIndex`]; the inherent methods below are operator sugar (`=`, `#=`,
+/// `?=`, `@@`).
+pub type TrieIndex = SpGistIndex<TrieOps>;
 
 impl TrieIndex {
-    /// Creates a patricia trie on `pool`.
-    pub fn create(pool: Arc<BufferPool>) -> StorageResult<Self> {
-        Self::with_ops(pool, TrieOps::patricia())
-    }
-
-    /// Creates a trie with explicit external-method parameters (used by the
-    /// trie-variant ablation).
-    pub fn with_ops(pool: Arc<BufferPool>, ops: TrieOps) -> StorageResult<Self> {
-        Ok(TrieIndex {
-            tree: Arc::new(SpGistTree::create(pool, ops)?),
-        })
-    }
-
-    /// Re-opens a trie previously created on the file behind `pool` from its
-    /// persisted identity: the tree's meta page, its owned-page list, and
-    /// the external-method parameters it was created with (the durable
-    /// catalog round-trips all three).
-    pub fn open_with_ops(
-        pool: Arc<BufferPool>,
-        ops: TrieOps,
-        meta_page: PageId,
-        pages: Vec<PageId>,
-    ) -> StorageResult<Self> {
-        Ok(TrieIndex {
-            tree: Arc::new(SpGistTree::open(pool, ops, meta_page, pages)?),
-        })
-    }
-
-    /// Inserts a word pointing at heap row `row` (borrowed-`str` shim over
-    /// [`SpIndex::insert`]).
-    pub fn insert(&self, word: &str, row: RowId) -> StorageResult<()> {
-        SpIndex::insert(self, word.to_string(), row)
-    }
-
-    /// Deletes one `(word, row)` entry; returns whether something was
-    /// removed (borrowed-`str` shim over [`SpIndex::delete`]).
-    pub fn delete(&self, word: &str, row: RowId) -> StorageResult<bool> {
-        SpIndex::delete(self, &word.to_string(), row)
-    }
-
     /// `=` operator: rows whose key equals `word`.
     pub fn equals(&self, word: &str) -> StorageResult<Vec<RowId>> {
         self.cursor(&StringQuery::Equals(word.to_string()))?.rows()
@@ -425,25 +356,20 @@ impl TrieIndex {
     /// `@@` operator: the `k` nearest keys to `word` under the Hamming-style
     /// distance, nearest first.
     pub fn nearest(&self, word: &str, k: usize) -> StorageResult<Vec<(String, RowId, f64)>> {
-        self.tree
+        self.backing()
             .nn_search(StringQuery::Nearest(word.to_string()), k)
-    }
-
-    /// The underlying generalized tree (internally concurrent; share the
-    /// `Arc` to read or write from any thread).
-    pub fn tree(&self) -> &Arc<SpGistTree<TrieOps>> {
-        &self.tree
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spgist_storage::BufferPool;
 
     fn index_with(words: &[&str]) -> TrieIndex {
         let index = TrieIndex::create(BufferPool::in_memory()).unwrap();
         for (i, w) in words.iter().enumerate() {
-            index.insert(w, i as RowId).unwrap();
+            index.insert(w.to_string(), i as RowId).unwrap();
         }
         index
     }
@@ -517,14 +443,14 @@ mod tests {
     #[test]
     fn duplicates_and_deletes() {
         let index = index_with(&[]);
-        index.insert("echo", 1).unwrap();
-        index.insert("echo", 2).unwrap();
+        index.insert("echo".into(), 1).unwrap();
+        index.insert("echo".into(), 2).unwrap();
         let mut rows = index.equals("echo").unwrap();
         rows.sort_unstable();
         assert_eq!(rows, vec![1, 2]);
-        assert!(index.delete("echo", 1).unwrap());
+        assert!(index.delete(&"echo".into(), 1).unwrap());
         assert_eq!(index.equals("echo").unwrap(), vec![2]);
-        assert!(!index.delete("echo", 1).unwrap());
+        assert!(!index.delete(&"echo".into(), 1).unwrap());
         assert_eq!(index.len(), 1);
     }
 
@@ -544,7 +470,7 @@ mod tests {
             .collect();
         let index = TrieIndex::create(BufferPool::in_memory()).unwrap();
         for (i, w) in words.iter().enumerate() {
-            index.insert(w, i as RowId).unwrap();
+            index.insert(w.to_string(), i as RowId).unwrap();
         }
         // Every word can be found again (words repeat, so count >= 1).
         for (i, w) in words.iter().enumerate().step_by(197) {
@@ -564,9 +490,9 @@ mod tests {
         // "romane", "romanus", "romulus" share prefixes and then diverge —
         // the classic patricia example that exercises SplitPrefix.
         let index = index_with(&["romane", "romanus", "romulus"]);
-        index.insert("rubens", 10).unwrap();
-        index.insert("ruber", 11).unwrap();
-        index.insert("r", 12).unwrap();
+        index.insert("rubens".into(), 10).unwrap();
+        index.insert("ruber".into(), 11).unwrap();
+        index.insert("r".into(), 12).unwrap();
         for (word, row) in [
             ("romane", 0),
             ("romanus", 1),
@@ -588,8 +514,8 @@ mod tests {
         let patricia = TrieIndex::with_ops(pool_a, TrieOps::patricia()).unwrap();
         let plain = TrieIndex::with_ops(pool_b, TrieOps::never_shrink()).unwrap();
         for (i, w) in PAPER_WORDS.iter().enumerate() {
-            patricia.insert(w, i as RowId).unwrap();
-            plain.insert(w, i as RowId).unwrap();
+            patricia.insert(w.to_string(), i as RowId).unwrap();
+            plain.insert(w.to_string(), i as RowId).unwrap();
         }
         for q in ["spade", "take", "zzz"] {
             assert_eq!(patricia.equals(q).unwrap(), plain.equals(q).unwrap());
@@ -610,7 +536,7 @@ mod tests {
         let index = index_with(&["", "a", "ab"]);
         assert_eq!(index.equals("").unwrap(), vec![0]);
         assert_eq!(index.prefix("").unwrap().len(), 3);
-        assert!(index.delete("", 0).unwrap());
+        assert!(index.delete(&"".into(), 0).unwrap());
         assert!(index.equals("").unwrap().is_empty());
     }
 }

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         quad.insert(*p, row as RowId)?;
     }
     for (row, w) in word_data.iter().enumerate() {
-        trie.insert(w, row as RowId)?;
+        trie.insert(w.clone(), row as RowId)?;
     }
 
     let anchor = Point::new(50.0, 50.0);

@@ -76,11 +76,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The same indexes are usable directly through the uniform SpIndex
-    // trait — `open / insert / delete / execute / cursor / len / stats /
-    // repack` on every index kind.
-    let trie = TrieIndex::open(BufferPool::in_memory())?;
+    // trait — `insert / delete / execute / cursor / len / stats / repack`
+    // on every index kind.
+    let trie = TrieIndex::create(BufferPool::in_memory())?;
     for (row, word) in ["space", "spade", "spate"].iter().enumerate() {
-        trie.insert(word, row as RowId)?;
+        trie.insert(word.to_string(), row as RowId)?;
     }
     let streamed: Vec<(String, RowId)> = trie
         .cursor(&StringQuery::Prefix("spa".into()))?

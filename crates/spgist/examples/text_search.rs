@@ -22,9 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut btree = BPlusTree::create(BufferPool::in_memory())?;
     let suffix = SuffixTreeIndex::create(BufferPool::in_memory())?;
     for (row, word) in data.iter().enumerate() {
-        trie.insert(word, row as RowId)?;
+        trie.insert(word.clone(), row as RowId)?;
         btree.insert_str(word, row as RowId)?;
-        suffix.insert(word, row as RowId)?;
+        suffix.insert(word.clone(), row as RowId)?;
     }
 
     // Regular-expression search: the trie uses every literal character, the

@@ -42,9 +42,9 @@
 //! ```
 //! use spgist::prelude::*;
 //!
-//! let trie = TrieIndex::open(BufferPool::in_memory()).unwrap();
-//! trie.insert("space", 1).unwrap();
-//! trie.insert("spade", 2).unwrap();
+//! let trie = TrieIndex::create(BufferPool::in_memory()).unwrap();
+//! trie.insert("space".into(), 1).unwrap();
+//! trie.insert("spade".into(), 2).unwrap();
 //! assert_eq!(trie.regex("spa?e").unwrap().len(), 2);
 //! ```
 //!

@@ -96,7 +96,7 @@ fn suffix_bulk_build_holds_its_suffixes_once() {
     let suffix_bytes = live() - before;
     drop(suffixes);
 
-    let index = SuffixTreeIndex::open(BufferPool::in_memory()).unwrap();
+    let index = SuffixTreeIndex::create(BufferPool::in_memory()).unwrap();
     let base = reset_peak();
     index.bulk_build(items).unwrap();
     let high_water = PEAK.load(Ordering::Relaxed) - base;

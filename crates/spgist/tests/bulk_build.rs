@@ -17,6 +17,41 @@ fn pool() -> Arc<BufferPool> {
     BufferPool::in_memory()
 }
 
+/// A fresh, empty index of each class, as the class's `create` builds it.
+trait Fresh: SpIndex + Sized {
+    fn fresh(pool: Arc<BufferPool>) -> Self;
+}
+
+impl Fresh for TrieIndex {
+    fn fresh(pool: Arc<BufferPool>) -> Self {
+        Self::create(pool).unwrap()
+    }
+}
+
+impl Fresh for SuffixTreeIndex {
+    fn fresh(pool: Arc<BufferPool>) -> Self {
+        Self::create(pool).unwrap()
+    }
+}
+
+impl Fresh for KdTreeIndex {
+    fn fresh(pool: Arc<BufferPool>) -> Self {
+        Self::create(pool).unwrap()
+    }
+}
+
+impl Fresh for PointQuadtreeIndex {
+    fn fresh(pool: Arc<BufferPool>) -> Self {
+        Self::create(pool).unwrap()
+    }
+}
+
+impl Fresh for PmrQuadtreeIndex {
+    fn fresh(pool: Arc<BufferPool>) -> Self {
+        Self::create(pool, world()).unwrap()
+    }
+}
+
 /// Sorted row ids a query returns.
 fn rows<I: SpIndex>(index: &I, query: &I::Query) -> Vec<RowId> {
     let mut rows = index.cursor(query).unwrap().rows().unwrap();
@@ -80,13 +115,13 @@ fn bounded_pool() -> Arc<BufferPool> {
 /// Builds the same item set twice — bulk and loop — and checks logical
 /// counts, the build-stats/len invariants shared by every class, and that
 /// the bulk build is the cheaper load in page writes.
-fn twins<I: SpIndex>(items: Vec<(I::Key, RowId)>) -> (I, I) {
+fn twins<I: Fresh>(items: Vec<(I::Key, RowId)>) -> (I, I) {
     let (bulk_pool, loop_pool) = (bounded_pool(), bounded_pool());
-    let bulk = I::open(Arc::clone(&bulk_pool)).unwrap();
+    let bulk = I::fresh(Arc::clone(&bulk_pool));
     bulk_pool.reset_stats();
     let stats = bulk.bulk_build(items.clone()).unwrap();
     bulk_pool.flush_all().unwrap();
-    let looped = I::open(Arc::clone(&loop_pool)).unwrap();
+    let looped = I::fresh(Arc::clone(&loop_pool));
     loop_pool.reset_stats();
     for (key, row) in items {
         looped.insert(key, row).unwrap();
@@ -314,9 +349,9 @@ fn pmr_bulk_build_equivalent_to_insert_loop() {
 
 /// `(pages, page height, crc32 of every page in allocation order)` of a
 /// tree bulk-built from `keys`, row `i` for key `i`, on an in-memory pool.
-fn built_pages<I: SpIndex>(keys: &[I::Key]) -> (usize, u32, u32) {
+fn built_pages<I: Fresh>(keys: &[I::Key]) -> (usize, u32, u32) {
     let pool = pool();
-    let index = I::open(Arc::clone(&pool)).unwrap();
+    let index = I::fresh(Arc::clone(&pool));
     index
         .bulk_build(keys.iter().cloned().zip(0..).collect())
         .unwrap();
@@ -365,8 +400,8 @@ fn bulk_built_pages_are_pinned_byte_for_byte() {
 
 /// `(pages, page height)` of a tree bulk-built from `keys`, then the same
 /// after a `repack`.
-fn repacked<I: SpIndex>(keys: &[I::Key]) -> [(usize, u32); 2] {
-    let index = I::open(pool()).unwrap();
+fn repacked<I: Fresh>(keys: &[I::Key]) -> [(usize, u32); 2] {
+    let index = I::fresh(pool());
     index
         .bulk_build(keys.iter().cloned().zip(0..).collect())
         .unwrap();
@@ -453,14 +488,14 @@ fn overlapping_duplicate_segments_do_not_blow_up_the_bulk_build() {
     // replicas ~25,000×).
     let dup = Segment::new(Point::new(10.0, 10.0), Point::new(60.0, 65.0));
     let items: Vec<(Segment, RowId)> = (0..24).map(|row| (dup, row as RowId)).collect();
-    let bulk = PmrQuadtreeIndex::open(pool()).unwrap();
+    let bulk = PmrQuadtreeIndex::fresh(pool());
     let stats = bulk.bulk_build(items.clone()).unwrap();
     assert!(
         stats.total_nodes() <= 16,
         "replication without separation must terminate early ({} nodes)",
         stats.total_nodes()
     );
-    let looped = PmrQuadtreeIndex::open(pool()).unwrap();
+    let looped = PmrQuadtreeIndex::fresh(pool());
     for (key, row) in items {
         SpIndex::insert(&looped, key, row).unwrap();
     }

@@ -45,7 +45,7 @@ fn point_for(i: u64) -> Point {
 #[test]
 fn concurrent_readers_never_lose_committed_inserts() {
     const TOTAL: u64 = 2_000;
-    let index = Arc::new(KdTreeIndex::open(BufferPool::in_memory()).unwrap());
+    let index = Arc::new(KdTreeIndex::create(BufferPool::in_memory()).unwrap());
     let committed = Arc::new(AtomicU64::new(0));
     let world = Rect::new(0.0, 0.0, 100.0, 100.0);
 
@@ -378,9 +378,9 @@ fn interleaved_inserts_and_deletes_leave_no_phantom_index_entries() {
 /// error, and a cursor opened after the write sees the new word.
 #[test]
 fn open_cursors_never_block_writers() {
-    let index = Arc::new(TrieIndex::open(BufferPool::in_memory()).unwrap());
+    let index = Arc::new(TrieIndex::create(BufferPool::in_memory()).unwrap());
     for (row, word) in ["alpha", "beta", "gamma"].iter().enumerate() {
-        index.insert(word, row as RowId).unwrap();
+        index.insert(word.to_string(), row as RowId).unwrap();
     }
 
     let mut cursor = index.cursor(&StringQuery::Prefix(String::new())).unwrap();
@@ -391,7 +391,7 @@ fn open_cursors_never_block_writers() {
     // the assertion that cursors no longer exclude writers.
     let writer = {
         let index = Arc::clone(&index);
-        std::thread::spawn(move || index.insert("delta", 3).unwrap())
+        std::thread::spawn(move || index.insert("delta".into(), 3).unwrap())
     };
     writer.join().unwrap();
 
@@ -545,7 +545,7 @@ fn seeded_multi_writer_multi_reader_stress_loses_no_inserts() {
         order
     }
 
-    let index = Arc::new(KdTreeIndex::open(BufferPool::in_memory()).unwrap());
+    let index = Arc::new(KdTreeIndex::create(BufferPool::in_memory()).unwrap());
     let committed: Arc<Vec<AtomicU64>> =
         Arc::new((0..WRITERS).map(|_| AtomicU64::new(0)).collect());
     let world = Rect::new(0.0, 0.0, 100.0, 100.0);

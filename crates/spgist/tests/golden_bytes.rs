@@ -95,7 +95,7 @@ fn row_node() {
 
 #[test]
 fn suffix_leaf_holds_the_rest() {
-    let suffix = SuffixTreeIndex::open(BufferPool::in_memory()).unwrap();
+    let suffix = SuffixTreeIndex::create(BufferPool::in_memory()).unwrap();
     let ops = suffix.backing().ops();
     assert_eq!(ops.leaf_mode(), LeafMode::Rest);
     // `leaf_key` cuts a key in place to what its leaf keeps.
@@ -120,7 +120,7 @@ fn suffix_leaf_holds_the_rest() {
     ]);
     assert_eq!(hex(&leaf.encode()), expected);
     // The trie keeps the whole key.
-    let trie = TrieIndex::open(BufferPool::in_memory()).unwrap();
+    let trie = TrieIndex::create(BufferPool::in_memory()).unwrap();
     assert_eq!(trie.backing().ops().leaf_mode(), LeafMode::Full);
     assert_eq!(kept(trie.backing().ops(), "space", 2), "space");
 }

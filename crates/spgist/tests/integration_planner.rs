@@ -21,9 +21,9 @@ fn build_table(
     let mut btree = BPlusTree::create(BufferPool::in_memory()).unwrap();
     let suffix = SuffixTreeIndex::create(BufferPool::in_memory()).unwrap();
     for (row, w) in data.iter().enumerate() {
-        trie.insert(w, row as RowId).unwrap();
+        trie.insert(w.clone(), row as RowId).unwrap();
         btree.insert_str(w, row as RowId).unwrap();
-        suffix.insert(w, row as RowId).unwrap();
+        suffix.insert(w.clone(), row as RowId).unwrap();
     }
     let mut distinct = data.clone();
     distinct.sort();

@@ -11,9 +11,9 @@ fn build(n: usize, seed: u64) -> (Vec<String>, TrieIndex, BPlusTree, SuffixTreeI
     let mut btree = BPlusTree::create(BufferPool::in_memory()).unwrap();
     let suffix = SuffixTreeIndex::create(BufferPool::in_memory()).unwrap();
     for (row, w) in data.iter().enumerate() {
-        trie.insert(w, row as RowId).unwrap();
+        trie.insert(w.clone(), row as RowId).unwrap();
         btree.insert_str(w, row as RowId).unwrap();
-        suffix.insert(w, row as RowId).unwrap();
+        suffix.insert(w.clone(), row as RowId).unwrap();
     }
     (data, trie, btree, suffix)
 }

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use spgist::core::node::{walk, Part, Slots};
 use spgist::core::store::node_in;
 use spgist::core::{Node, NodeId, NodeStore};
+use spgist::indexes::pmr::DEFAULT_WORLD;
 use spgist::indexes::SpGistBacked;
 use spgist::prelude::*;
 use spgist::storage::{PageId, StorageError, StorageResult};
@@ -289,8 +290,8 @@ where
     compared
 }
 
-fn bulk<I: SpIndex>(items: Vec<(I::Key, RowId)>) -> I {
-    let index = I::open(BufferPool::in_memory()).unwrap();
+fn bulk<I: SpIndex>(index: StorageResult<I>, items: Vec<(I::Key, RowId)>) -> I {
+    let index = index.unwrap();
     index.bulk_build(items).unwrap();
     index
 }
@@ -317,18 +318,25 @@ fn walker_and_cursor_agree_with_the_owned_node_on_every_bulk_built_tree() {
         .map(StringQuery::Nearest)
         .collect();
 
-    let trie: TrieIndex = bulk(rowed(ws.clone()));
+    let trie = bulk(
+        TrieIndex::create(BufferPool::in_memory()),
+        rowed(ws.clone()),
+    );
     let tree = trie.backing();
     let census = assert_walker_matches_decode(tree);
     assert!(census.nodes > 1_000, "{census:?}");
     assert!(assert_same_answers(tree, &string_queries(&ws), &nearest_words) > 100);
 
-    let suffix: SuffixTreeIndex = bulk(rowed(ws[..3_000].to_vec()));
+    let suffix = bulk(
+        SuffixTreeIndex::create(BufferPool::in_memory()),
+        rowed(ws[..3_000].to_vec()),
+    );
     let census = assert_walker_matches_decode(suffix.backing());
     assert!(census.nodes > 1_000, "{census:?}");
     let substrings: Vec<StringQuery> = QueryWorkload::substrings(&ws[..3_000], 20, 3, SEED)
         .into_iter()
-        .map(|s| suffix.translate_query(&StringQuery::Substring(s)))
+        // The suffix tree asks `@=` as `#=` over its suffixes.
+        .map(StringQuery::Prefix)
         .collect();
     assert!(assert_same_answers(suffix.backing(), &substrings, &[]) > 20);
 
@@ -346,10 +354,16 @@ fn walker_and_cursor_agree_with_the_owned_node_on_every_bulk_built_tree() {
         .into_iter()
         .map(PointQuery::Nearest)
         .collect();
-    let kd: KdTreeIndex = bulk(rowed(pts.clone()));
+    let kd = bulk(
+        KdTreeIndex::create(BufferPool::in_memory()),
+        rowed(pts.clone()),
+    );
     assert!(assert_walker_matches_decode(kd.backing()).nodes > 1_000);
     assert!(assert_same_answers(kd.backing(), &point_queries, &nearest_points) > 100);
-    let pquad: PointQuadtreeIndex = bulk(rowed(pts));
+    let pquad = bulk(
+        PointQuadtreeIndex::create(BufferPool::in_memory()),
+        rowed(pts),
+    );
     assert!(assert_walker_matches_decode(pquad.backing()).nodes > 1_000);
     assert!(assert_same_answers(pquad.backing(), &point_queries, &nearest_points) > 100);
 
@@ -367,7 +381,10 @@ fn walker_and_cursor_agree_with_the_owned_node_on_every_bulk_built_tree() {
         .into_iter()
         .map(SegmentQuery::Nearest)
         .collect();
-    let pmr: PmrQuadtreeIndex = bulk(rowed(segs));
+    let pmr = bulk(
+        PmrQuadtreeIndex::create(BufferPool::in_memory(), DEFAULT_WORLD),
+        rowed(segs),
+    );
     assert!(assert_walker_matches_decode(pmr.backing()).nodes > 1_000);
     assert!(assert_same_answers(pmr.backing(), &segment_queries, &nearest_segments) > 100);
 }
@@ -377,15 +394,15 @@ fn walker_and_cursor_agree_on_row_nodes_and_a_chained_record() {
     let trie = TrieIndex::create(BufferPool::in_memory()).unwrap();
     let ws = words(2_000, SEED);
     for (row, word) in ws.iter().enumerate() {
-        trie.insert(word, row as RowId).unwrap();
+        trie.insert(word.clone(), row as RowId).unwrap();
     }
     // A pile under one key fans out by row id; a key longer than a page
     // spills its leaf across a record chain.
     for row in 0..400 {
-        trie.insert("pile", 10_000 + row).unwrap();
+        trie.insert("pile".into(), 10_000 + row).unwrap();
     }
     let giant = "z".repeat(12_000);
-    trie.insert(&giant, 99_999).unwrap();
+    trie.insert(giant.clone(), 99_999).unwrap();
     let tree = trie.backing();
     let census = assert_walker_matches_decode(tree);
     assert!(census.rows >= 1, "{census:?}");
@@ -410,8 +427,8 @@ fn walker_and_cursor_agree_on_row_nodes_and_a_chained_record() {
     );
     // Delete's `locate` walks the same way: through the row nodes to one
     // small leaf, and into the chained leaf.
-    assert!(trie.delete("pile", 10_123).unwrap());
-    assert!(!trie.delete("pile", 10_123).unwrap());
+    assert!(trie.delete(&"pile".into(), 10_123).unwrap());
+    assert!(!trie.delete(&"pile".into(), 10_123).unwrap());
     assert!(trie.delete(&giant, 99_999).unwrap());
     assert_eq!(
         trie.execute(&StringQuery::Prefix("pile".into()))
@@ -431,7 +448,7 @@ fn trie_records() -> (Vec<u8>, Vec<u8>) {
     // Forty words under one long prefix: their partition carries it.
     let mut ws = words(3_000, SEED);
     ws.extend((0..40).map(|i| format!("interplanetary{i:03}")));
-    let trie: TrieIndex = bulk(rowed(ws));
+    let trie = bulk(TrieIndex::create(BufferPool::in_memory()), rowed(ws));
     let all = records(trie.backing());
     let find = |want: fn(&Node<TrieOps>) -> bool| {
         all.iter()
@@ -550,9 +567,15 @@ where
 /// with this, not up, and `buffer.logical_reads_per_op` 49.15 → 22.50.
 #[test]
 fn one_same_page_run_is_one_pool_request() {
-    let pquad: PointQuadtreeIndex = bulk(rowed(points(30_000, SEED)));
+    let pquad = bulk(
+        PointQuadtreeIndex::create(BufferPool::in_memory()),
+        rowed(points(30_000, SEED)),
+    );
     let ws = words(30_000, SEED);
-    let trie: TrieIndex = bulk(rowed(ws.clone()));
+    let trie = bulk(
+        TrieIndex::create(BufferPool::in_memory()),
+        rowed(ws.clone()),
+    );
     let (mut visits, mut runs) = (0, 0);
     for window in QueryWorkload::windows(10, 3.0, SEED) {
         let (requests, r, v) = requests_and_runs(pquad.backing(), &PointQuery::InRect(window));
@@ -648,7 +671,10 @@ fn suspend_mid_run_and_rewrite_the_page<I, O>(
 #[test]
 fn no_page_guard_crosses_a_yield() {
     // Point quadtree, 3×3 windows: fill the ring around the window.
-    let pquad: PointQuadtreeIndex = bulk(rowed(points(20_000, SEED)));
+    let pquad = bulk(
+        PointQuadtreeIndex::create(BufferPool::in_memory()),
+        rowed(points(20_000, SEED)),
+    );
     let windows = QueryWorkload::windows(50, 3.0, SEED);
     let mut rng = DetRng::seed_from_u64(SEED);
     suspend_mid_run_and_rewrite_the_page(
@@ -668,7 +694,10 @@ fn no_page_guard_crosses_a_yield() {
     // Trie, `?=` patterns: words extending the first match follow its path
     // but never match the fixed-length pattern.
     let ws = words(20_000, SEED);
-    let trie: TrieIndex = bulk(rowed(ws.clone()));
+    let trie = bulk(
+        TrieIndex::create(BufferPool::in_memory()),
+        rowed(ws.clone()),
+    );
     suspend_mid_run_and_rewrite_the_page(
         &trie,
         QueryWorkload::regexes(&ws, 50, 2, SEED)

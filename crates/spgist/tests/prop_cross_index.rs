@@ -62,7 +62,7 @@ fn trie_matches_model_for_equality_prefix_and_regex() {
 
         let trie = TrieIndex::create(BufferPool::in_memory()).unwrap();
         for (row, w) in word_list.iter().enumerate() {
-            trie.insert(w, row as RowId).unwrap();
+            trie.insert(w.clone(), row as RowId).unwrap();
         }
 
         // Equality.
@@ -130,7 +130,7 @@ fn trie_deletion_removes_exactly_the_requested_rows() {
 
         let trie = TrieIndex::create(BufferPool::in_memory()).unwrap();
         for (row, w) in word_list.iter().enumerate() {
-            trie.insert(w, row as RowId).unwrap();
+            trie.insert(w.clone(), row as RowId).unwrap();
         }
         let mut kept: Vec<(usize, &String)> = Vec::new();
         for (row, w) in word_list.iter().enumerate() {
@@ -261,8 +261,8 @@ fn cursor_results_equal_materialized_results_on_all_five_indexes() {
         let trie = TrieIndex::create(BufferPool::in_memory()).unwrap();
         let suffix = SuffixTreeIndex::create(BufferPool::in_memory()).unwrap();
         for (row, w) in words.iter().enumerate() {
-            trie.insert(w, row as RowId).unwrap();
-            suffix.insert(w, row as RowId).unwrap();
+            trie.insert(w.clone(), row as RowId).unwrap();
+            suffix.insert(w.clone(), row as RowId).unwrap();
         }
         let probe = random_word(&mut rng);
         let prefix: String = probe.chars().take(2).collect();

@@ -662,7 +662,7 @@ fn two_writers_on_one_key_under_a_scanning_cursor_lose_and_duplicate_nothing() {
     const PER_WRITER: u64 = 3_000;
     let index = Arc::new(TrieIndex::create(BufferPool::in_memory()).unwrap());
     for row in 0..PRELOADED {
-        index.insert("q", row).unwrap();
+        index.insert("q".into(), row).unwrap();
     }
     // Both writers and the scanner leave the barrier together; the scanner
     // keeps opening cursors until both writers have finished, so every scan
@@ -675,7 +675,7 @@ fn two_writers_on_one_key_under_a_scanning_cursor_lose_and_duplicate_nothing() {
             std::thread::spawn(move || {
                 barrier.wait();
                 for i in 0..PER_WRITER {
-                    index.insert("q", PRELOADED + i * 2 + t).unwrap();
+                    index.insert("q".into(), PRELOADED + i * 2 + t).unwrap();
                 }
             })
         })
@@ -723,7 +723,7 @@ fn two_writers_on_one_key_under_a_scanning_cursor_lose_and_duplicate_nothing() {
         total,
         "no insert lost, none duplicated"
     );
-    assert!(index.tree().stats().unwrap().inner_nodes > 16);
+    assert!(index.stats().unwrap().inner_nodes > 16);
 }
 
 #[test]
@@ -792,16 +792,16 @@ fn one_insert_or_delete_among_50_000_equal_keys_costs_a_descent_not_the_pile() {
     index.bulk_build(background).unwrap();
     let mut small = (0, 0);
     for row in 0..50_000u64 {
-        index.insert("q", row).unwrap();
+        index.insert("q".into(), row).unwrap();
         let n = row + 1;
         if n != 100 && n != 3_000 && n != 50_000 {
             continue;
         }
         let height = u64::from(index.stats().unwrap().max_page_height);
         let (insert_reads, insert_dirty) =
-            cost_of(&pool, || index.insert("q", 99_999_999).unwrap());
+            cost_of(&pool, || index.insert("q".into(), 99_999_999).unwrap());
         let (delete_reads, delete_dirty) = cost_of(&pool, || {
-            assert!(index.delete("q", 99_999_999).unwrap());
+            assert!(index.delete(&"q".into(), 99_999_999).unwrap());
         });
         println!(
             "n={n}: page height {height}; insert {insert_reads} reads / {insert_dirty} dirty, \
@@ -838,7 +838,7 @@ fn suffix_tree_churn_reuses_its_pages() {
     index.bulk_build(items).unwrap();
     let before = index.owned_pages().len();
     for (i, word) in fresh.iter().enumerate() {
-        index.insert(word, 80_000 + i as RowId).unwrap();
+        index.insert(word.clone(), 80_000 + i as RowId).unwrap();
         assert!(index.delete(&loaded[i], i as RowId).unwrap(), "round {i}");
     }
     let after = index.owned_pages().len();

@@ -106,11 +106,11 @@ fn rest_leaves_answer_like_whole_suffixes_through_churn_and_reopen() {
     ));
     let bulk = SuffixTreeIndex::create(Arc::clone(&pool)).unwrap();
     bulk.bulk_build(items.clone()).unwrap();
-    let looped = SuffixTreeIndex::open(BufferPool::in_memory()).unwrap();
+    let looped = SuffixTreeIndex::create(BufferPool::in_memory()).unwrap();
     for (word, row) in &items {
-        looped.insert(word, *row).unwrap();
+        looped.insert(word.clone(), *row).unwrap();
     }
-    let reference = TrieIndex::open(BufferPool::in_memory()).unwrap();
+    let reference = TrieIndex::create(BufferPool::in_memory()).unwrap();
     let all: Vec<_> = items.iter().flat_map(|(w, r)| suffixes(w, *r)).collect();
     reference.bulk_build(all.clone()).unwrap();
     assert_eq!(bulk.backing().ops().leaf_mode(), LeafMode::Rest);
@@ -147,8 +147,8 @@ fn rest_leaves_answer_like_whole_suffixes_through_churn_and_reopen() {
         .zip(first..)
         .collect();
     for (word, row) in &fresh {
-        bulk.insert(word, *row).unwrap();
-        looped.insert(word, *row).unwrap();
+        bulk.insert(word.clone(), *row).unwrap();
+        looped.insert(word.clone(), *row).unwrap();
         reference.insert_batch(suffixes(word, *row)).unwrap();
     }
     assert_eq!(bulk.len(), looped.len());
