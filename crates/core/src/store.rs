@@ -703,18 +703,19 @@ impl NodeStore {
             self.note_room(page, room);
             return Ok(None);
         }
-        // Fit check, compaction and insert run as one atomic page operation
-        // so a concurrent placement cannot steal the space between the check
-        // and the insert.  Deleted records and shrinking updates leave gaps
-        // only compaction reclaims (slot ids survive it, so node addresses
-        // stay valid).
+        // Fit check, slide and insert run as one atomic page operation so a
+        // concurrent placement cannot steal the space between the check and
+        // the insert.  Deleted records and shrinking updates leave gaps only
+        // a slide reclaims: the lowest records move up until the free gap
+        // holds the records (slot ids survive it, so node addresses stay
+        // valid).
         let (placed, room) = self
             .pool
             .with_page_mut_hinted(page, self.access_hint(), |p| {
                 if p.compacted_free_space() < len {
                     return Ok((None, p.compacted_free_space()));
                 } else if !p.fits(len) {
-                    p.compact();
+                    p.make_room(len);
                 }
                 write(p, page).map(|placed| (Some(placed), p.compacted_free_space()))
             })??;

@@ -7,17 +7,21 @@
 //! - a one-segment WAL (`SPGW`) is `Corrupt`, or yields a prefix of the
 //!   written records ending on a sealed batch;
 //! - the pager meta page (`SPGP`) opens or fails;
-//! - every catalog chunk (`SPGC`) decodes or fails.
+//! - every catalog chunk (`SPGC`) decodes or fails;
+//! - a slotted page (a node page, a heap page) read through the buffer
+//!   pool is `Corrupt` naming the page, or reads every live record in
+//!   bounds.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use spgist::catalog::durable::{
     decode_chunk, encode_chunk, CatalogChunk, PersistedIndex, TableMetaChunk,
 };
 use spgist::core::SpGistConfig;
 use spgist::prelude::*;
-use spgist::storage::{journal, Page, RecordId, StorageError, PAGE_SIZE};
+use spgist::storage::{journal, HeapFile, Page, PageId, RecordId, StorageError, PAGE_SIZE};
 use spgist_wal::{Wal, WalConfig, WalRecord, AUTOCOMMIT};
 
 /// A scratch directory, removed on drop.
@@ -186,5 +190,61 @@ fn catalog_chunk_flips_decode_or_fail() {
         sweep(&image, image.len(), |_, bytes| {
             decode_chunk(&bytes).map(drop)
         });
+    }
+}
+
+/// A trie's fullest node page after inserts and deletes, and the first page
+/// of a heap, written to `pager`.
+fn slotted_pages(pager: &Arc<MemPager>) -> [PageId; 2] {
+    let pool = Arc::new(BufferPool::with_default_config(pager.clone()));
+    let tree = SpGistTree::create(Arc::clone(&pool), TrieOps::default()).unwrap();
+    let key = |i: u64| format!("k{:05}", i * 7919 % 10_007);
+    for i in 0..1500 {
+        tree.insert(key(i), i).unwrap();
+    }
+    for i in (0..1500).step_by(3) {
+        assert!(tree.delete(&key(i), i).unwrap());
+    }
+    for i in 1500..2000 {
+        tree.insert(key(i), i).unwrap();
+    }
+    let mut heap = HeapFile::create(Arc::clone(&pool)).unwrap();
+    for i in 0..300 {
+        heap.insert(format!("row {i}").as_bytes()).unwrap();
+    }
+    pool.flush_all().unwrap();
+    let slots = |page: &PageId| pool.with_page(*page, Page::num_slots).unwrap();
+    let node = tree.owned_pages().into_iter().max_by_key(slots).unwrap();
+    [node, heap.pages()[0]]
+}
+
+#[test]
+fn slotted_page_flips_are_corrupt_or_read_in_bounds() {
+    let pager = Arc::new(MemPager::new());
+    for id in slotted_pages(&pager) {
+        let mut page = Page::new();
+        pager.read(id, &mut page).unwrap();
+        let image = *page.as_bytes();
+        assert!(page.num_slots() >= 16, "page {id} fills the swept slots");
+        // The header and the first 16 slot entries.
+        sweep(&image, 4 + 16 * 4, |bit, bytes| {
+            let flipped: [u8; PAGE_SIZE] = bytes.try_into().unwrap();
+            pager.write(id, &Page::from_bytes(flipped)).unwrap();
+            let pool = BufferPool::with_default_config(pager.clone());
+            let read = pool.with_page(id, |p| {
+                for (slot, record) in p.iter() {
+                    assert_eq!(p.get(slot).unwrap(), record);
+                }
+                (p.free_space(), p.compacted_free_space())
+            });
+            match read {
+                Ok(_) => {}
+                Err(StorageError::Corrupt(why)) => {
+                    assert!(why.starts_with(&format!("page {id}: ")), "bit {bit}: {why}")
+                }
+                Err(other) => panic!("bit {bit}: {other:?}"),
+            }
+        });
+        pager.write(id, &page).unwrap();
     }
 }

@@ -621,6 +621,15 @@ impl BufferPool {
         inner.stats.physical_reads += 1;
         let mut page = Page::new();
         self.pager.read(id, &mut page)?;
+        // Every page the pool reads is slotted (heap, node, tree meta,
+        // catalog chunk); the pager's meta page and the free-list runs in
+        // freed pages never pass through it.  Checked once here, a page is
+        // believed by every read and slide after.
+        if page.is_new() {
+            page = Page::new();
+        }
+        page.check()
+            .map_err(|why| StorageError::Corrupt(format!("page {id}: {why}")))?;
         self.install_frame(inner, id, page, false, hint)
     }
 

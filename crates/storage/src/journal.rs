@@ -372,6 +372,7 @@ pub fn discard(path: &Path) -> StorageResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::SlotId;
     use crate::pager::MemPager;
     use crate::replacement::tests::Rng;
     use std::path::PathBuf;
@@ -460,7 +461,7 @@ mod tests {
     }
 
     /// Fills a slotted page with seeded records, then churns it: deletes,
-    /// shrinking and growing updates (the growing ones compact in place).
+    /// shrinking and growing updates (the growing ones slide in place).
     fn churn(page: &mut Page, rng: &mut Rng, steps: usize) {
         for _ in 0..steps {
             let rec: Vec<u8> = (0..1 + rng.below(120)).map(|_| rng.next() as u8).collect();
@@ -477,6 +478,43 @@ mod tests {
                 _ => page.compact(),
             }
         }
+    }
+
+    /// A grow that fits a dead range moves no other record, so a checkpoint
+    /// journals the grown record and its slot entry, not the records behind
+    /// it.
+    #[test]
+    fn a_grow_into_a_dead_range_journals_only_the_record() {
+        let mut rng = Rng(0x5EED);
+        let mut old = Page::new();
+        churn(&mut old, &mut rng, 400);
+        while old.fits(1) {
+            old.insert(&[rng.next() as u8]).unwrap();
+        }
+        // Of the live records, the longest leaves the hole and the shortest
+        // grows into it.
+        let mut live: Vec<(usize, SlotId)> = old.iter().map(|(s, r)| (r.len(), s)).collect();
+        live.sort_unstable();
+        let (hole, shortest) = (live[live.len() - 1], live[0]);
+        assert!(hole.0 > shortest.0 + 1, "a hole larger than the record");
+        old.delete(hole.1).unwrap();
+        let mut new = old.clone();
+        let grown: Vec<u8> = (0..hole.0).map(|_| rng.next() as u8).collect();
+        assert!(new.update(shortest.1, &grown).unwrap());
+        assert_eq!(new.get(shortest.1).unwrap(), &grown[..]);
+
+        let mut body = Body::default();
+        body.push_page(3, &old, Some(&new));
+        let journal = Journal::parse(body.bytes, body.pages).unwrap();
+        let journaled: usize = journal
+            .ranges(&journal.pages[0].1)
+            .map(|(_, old)| old.len())
+            .sum();
+        assert!(
+            journaled <= grown.len() + 16,
+            "{journaled} bytes journaled for a {}-byte record",
+            grown.len()
+        );
     }
 
     /// The argument the format rests on: whatever byte-wise mix of the old
