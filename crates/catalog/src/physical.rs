@@ -1,6 +1,6 @@
-//! The physical layer: the index seam, the physical plan, and its execution.
+//! The physical layer: the index seam and plan execution.
 //!
-//! Three things live here, each the only place that knows its decision:
+//! Two things live here, each the only place that knows its decision:
 //!
 //! * **The index seam.**  [`IndexSpec`] names one of the five index classes;
 //!   the class table (`CLASSES`) is the single place that says what a class
@@ -12,20 +12,13 @@
 //!   [`Datum`]/[`Predicate`] and an index's typed key/query.  A new class is
 //!   one `IndexSpec` variant plus one row in the table — the paper's
 //!   "external methods plus a catalog row".
-//! * **The physical plan.**  Planning decomposes a [`Predicate`] tree into
-//!   an operator tree (`PhysNode`) surfaced as an [`AccessPath`]: index
-//!   scans for indexable leaves, residual [`AccessPath::Filter`]s for the
-//!   rest, row-id stream [`AccessPath::Intersect`]/[`AccessPath::Union`]
-//!   (deduplicated while streaming), [`AccessPath::OrderedScan`]s that run
-//!   `@@` through the incremental NN search costed like any other path, and
-//!   [`AccessPath::Limit`] pushdown so cursors stop early instead of
-//!   materializing.  The sequential scan competes against every strategy on
-//!   honest cost, and is the fallback when no operator class helps.
-//! * **Execution.**  An `Executor` turns the operator tree into a streaming
-//!   [`ExecCursor`] whose [`ExecCursor::path`]/[`ExecCursor::source`] expose
-//!   the planned and the actually-dispatched operator trees.  It reaches the
-//!   heap only through `RowSource`, which the table layer implements — this
-//!   module knows nothing of tables, logging or recovery.
+//! * **Execution.**  An `Executor` runs the planner's [`AccessPath`] tree —
+//!   index scans, residual filters, row-id intersections and unions
+//!   (deduplicated while streaming), ordered scans and `LIMIT` — as a
+//!   streaming [`ExecCursor`] that keeps the very tree it ran
+//!   ([`ExecCursor::path`]).  It reaches the heap only through
+//!   `RowSource`, which the table layer implements — this module knows
+//!   nothing of tables, logging or recovery.
 
 use std::collections::HashSet;
 use std::mem::discriminant;
@@ -40,13 +33,11 @@ use spgist_indexes::{
 };
 use spgist_storage::{AccessHint, BufferPool, Codec, StorageError, StorageResult};
 
-use crate::am::Catalog;
-use crate::cost::{CostEstimate, TableStats, CPU_OPERATOR_COST};
 use crate::durable::{
     PersistedIndex, KIND_KDTREE, KIND_PMR, KIND_PQUADTREE, KIND_SUFFIX, KIND_TRIE,
 };
-use crate::planner::{AccessPath, AvailableIndex, Planner};
-use crate::query::{Predicate, Query};
+use crate::planner::AccessPath;
+use crate::query::Predicate;
 use crate::value::{Datum, KeyType};
 
 // ---------------------------------------------------------------------------
@@ -467,9 +458,10 @@ impl NamedIndex {
 // Execution cursors
 // ---------------------------------------------------------------------------
 
-/// Where an [`ExecCursor`]'s rows actually come from — recorded at dispatch
-/// time, so tests can prove the planner's chosen plan is the one executed.
-/// Mirrors the shape of the [`AccessPath`] operator tree.
+/// The route of an [`ExecCursor`]'s plan: the [`AccessPath`] tree with its
+/// predicates and costs left out.  A derived view, built from the plan by
+/// one function; the plan itself is [`ExecCursor::path`].  It is kept for
+/// the repo benchmark, which renders its routes from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScanSource {
     /// Heap sequential scan with a per-tuple predicate re-check.
@@ -520,8 +512,35 @@ impl ScanSource {
     }
 }
 
+impl From<&AccessPath> for ScanSource {
+    fn from(path: &AccessPath) -> Self {
+        let all = |inputs: &[AccessPath]| inputs.iter().map(ScanSource::from).collect();
+        match path {
+            AccessPath::SeqScan { .. } => ScanSource::Heap,
+            AccessPath::IndexScan { index, .. } => ScanSource::Index {
+                name: index.clone(),
+            },
+            AccessPath::OrderedScan { index, .. } => ScanSource::OrderedIndex {
+                name: index.clone(),
+            },
+            AccessPath::Filter { input, .. } => ScanSource::Filter {
+                input: Box::new(input.as_ref().into()),
+            },
+            AccessPath::Intersect { inputs, .. } => ScanSource::Intersect {
+                inputs: all(inputs),
+            },
+            AccessPath::Union { inputs, .. } => ScanSource::Union {
+                inputs: all(inputs),
+            },
+            AccessPath::Limit { input, .. } => ScanSource::Limit {
+                input: Box::new(input.as_ref().into()),
+            },
+        }
+    }
+}
+
 /// A streaming query result: `(row id, key datum)` pairs pulled lazily from
-/// the chosen access path.
+/// the plan the cursor runs.
 pub struct ExecCursor<'t> {
     path: AccessPath,
     source: ScanSource,
@@ -529,12 +548,13 @@ pub struct ExecCursor<'t> {
 }
 
 impl ExecCursor<'_> {
-    /// The access path the planner chose for this query.
+    /// The plan this cursor runs: the planner's tree, exactly as the
+    /// executor executes it.
     pub fn path(&self) -> &AccessPath {
         &self.path
     }
 
-    /// The access path actually being scanned.
+    /// The route of [`ExecCursor::path`] (see [`ScanSource`]).
     pub fn source(&self) -> &ScanSource {
         &self.source
     }
@@ -563,7 +583,7 @@ impl std::fmt::Debug for ExecCursor<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Physical plans
+// Execution (plan tree → streaming cursor)
 // ---------------------------------------------------------------------------
 
 /// Item type flowing between physical operators: a row id, plus the key
@@ -571,464 +591,6 @@ impl std::fmt::Debug for ExecCursor<'_> {
 /// returned by the index that found the row.
 pub(crate) type RowStream<'t> =
     Box<dyn Iterator<Item = StorageResult<(RowId, Option<Datum>)>> + 't>;
-
-/// One node of the executable physical operator tree: the [`AccessPath`]
-/// shape plus the actual predicate arguments each operator runs with.
-#[derive(Debug, Clone)]
-pub(crate) struct PhysNode {
-    pub(crate) op: PhysOp,
-    /// Estimated cost of the subtree (a `Limit` reports its input's).
-    pub(crate) cost: CostEstimate,
-}
-
-/// What a [`PhysNode`] does.
-#[derive(Debug, Clone)]
-pub(crate) enum PhysOp {
-    SeqScan {
-        /// Predicate re-checked on every heap tuple.
-        filter: Predicate,
-        /// For ordered queries without an NN-capable index: the `@@` leaf
-        /// whose anchor distance sorts the output.
-        order: Option<Predicate>,
-    },
-    /// Scan through the named index: `ordered` for a `@@` leaf (rows in
-    /// non-decreasing distance, via the incremental NN search).
-    IndexScan {
-        index: String,
-        operator_class: String,
-        leaf: Predicate,
-        ordered: bool,
-    },
-    Filter {
-        input: Box<PhysNode>,
-        residual: Vec<Predicate>,
-    },
-    Intersect(Vec<PhysNode>),
-    Union(Vec<PhysNode>),
-    Limit {
-        input: Box<PhysNode>,
-        k: usize,
-    },
-}
-
-impl PhysNode {
-    fn total_cost(&self) -> f64 {
-        self.cost.total_cost
-    }
-
-    fn uses_index(&self) -> bool {
-        match &self.op {
-            PhysOp::SeqScan { .. } => false,
-            PhysOp::IndexScan { .. } => true,
-            PhysOp::Filter { input, .. } | PhysOp::Limit { input, .. } => input.uses_index(),
-            PhysOp::Intersect(inputs) | PhysOp::Union(inputs) => {
-                inputs.iter().any(PhysNode::uses_index)
-            }
-        }
-    }
-
-    /// The planner-visible form of this plan (`EXPLAIN` output).
-    pub(crate) fn access_path(&self) -> AccessPath {
-        let cost = self.cost;
-        match &self.op {
-            PhysOp::SeqScan { .. } => AccessPath::SeqScan { cost },
-            PhysOp::IndexScan {
-                index,
-                operator_class,
-                ordered,
-                ..
-            } => {
-                let (index, operator_class) = (index.clone(), operator_class.clone());
-                if *ordered {
-                    AccessPath::OrderedScan {
-                        index,
-                        operator_class,
-                        cost,
-                    }
-                } else {
-                    AccessPath::IndexScan {
-                        index,
-                        operator_class,
-                        cost,
-                    }
-                }
-            }
-            PhysOp::Filter { input, .. } => AccessPath::Filter {
-                input: Box::new(input.access_path()),
-                cost,
-            },
-            PhysOp::Intersect(inputs) => AccessPath::Intersect {
-                inputs: inputs.iter().map(PhysNode::access_path).collect(),
-                cost,
-            },
-            PhysOp::Union(inputs) => AccessPath::Union {
-                inputs: inputs.iter().map(PhysNode::access_path).collect(),
-                cost,
-            },
-            PhysOp::Limit { input, k } => AccessPath::Limit {
-                input: Box::new(input.access_path()),
-                k: *k,
-            },
-        }
-    }
-
-    /// The [`ScanSource`] tree executing this plan dispatches to — the plan
-    /// shape, which is what execution follows by construction.
-    fn scan_source(&self) -> ScanSource {
-        match &self.op {
-            PhysOp::SeqScan { .. } => ScanSource::Heap,
-            PhysOp::IndexScan { index, ordered, .. } => {
-                let name = index.clone();
-                if *ordered {
-                    ScanSource::OrderedIndex { name }
-                } else {
-                    ScanSource::Index { name }
-                }
-            }
-            PhysOp::Filter { input, .. } => ScanSource::Filter {
-                input: Box::new(input.scan_source()),
-            },
-            PhysOp::Intersect(inputs) => ScanSource::Intersect {
-                inputs: inputs.iter().map(PhysNode::scan_source).collect(),
-            },
-            PhysOp::Union(inputs) => ScanSource::Union {
-                inputs: inputs.iter().map(PhysNode::scan_source).collect(),
-            },
-            PhysOp::Limit { input, .. } => ScanSource::Limit {
-                input: Box::new(input.scan_source()),
-            },
-        }
-    }
-}
-
-/// Cost of re-checking `residual_count` predicates against the input's
-/// output rows.
-fn filter_cost(
-    input: &CostEstimate,
-    stats: &TableStats,
-    residual_count: usize,
-    output_selectivity: f64,
-) -> CostEstimate {
-    let input_rows = stats.rows as f64 * input.selectivity;
-    CostEstimate {
-        selectivity: output_selectivity.min(input.selectivity),
-        correlation: 0.0,
-        startup_cost: input.startup_cost,
-        total_cost: input.total_cost
-            + input_rows * CPU_OPERATOR_COST * residual_count.max(1) as f64,
-    }
-}
-
-/// Cost of intersecting several row-id streams: every non-driving input is
-/// drained into a hash set before the driver streams through the membership
-/// test, so their full costs land in the startup.
-fn intersect_cost(inputs: &[PhysNode], stats: &TableStats) -> CostEstimate {
-    let costs: Vec<CostEstimate> = inputs.iter().map(|n| n.cost).collect();
-    let selectivity = costs.iter().map(|c| c.selectivity).product();
-    let hash_rows: f64 = costs
-        .iter()
-        .map(|c| stats.rows as f64 * c.selectivity)
-        .sum();
-    let total: f64 =
-        costs.iter().map(|c| c.total_cost).sum::<f64>() + hash_rows * CPU_OPERATOR_COST;
-    let driver_startup = costs.first().map_or(0.0, |c| c.startup_cost);
-    let side_total: f64 = costs.iter().skip(1).map(|c| c.total_cost).sum();
-    CostEstimate {
-        selectivity,
-        correlation: 0.0,
-        startup_cost: driver_startup + side_total,
-        total_cost: total,
-    }
-}
-
-/// Cost of a deduplicated union of several row-id streams.
-fn union_cost(inputs: &[PhysNode], stats: &TableStats) -> CostEstimate {
-    let costs: Vec<CostEstimate> = inputs.iter().map(|n| n.cost).collect();
-    let selectivity = costs.iter().map(|c| c.selectivity).sum::<f64>().min(1.0);
-    let dedup_rows: f64 = costs
-        .iter()
-        .map(|c| stats.rows as f64 * c.selectivity)
-        .sum();
-    CostEstimate {
-        selectivity,
-        correlation: 0.0,
-        startup_cost: costs.first().map_or(0.0, |c| c.startup_cost),
-        total_cost: costs.iter().map(|c| c.total_cost).sum::<f64>()
-            + dedup_rows * CPU_OPERATOR_COST,
-    }
-}
-
-/// Rejects predicate trees whose `@@` leaves the executor cannot give a
-/// meaning to: an ordered leaf must be the whole query or a top-level
-/// conjunct (the *constrained k-NN* shape); under `Or`/`Not` there is no
-/// coherent output order.
-fn validate_ordered(predicate: &Predicate) -> StorageResult<()> {
-    let ok = match predicate {
-        leaf if leaf.is_ordered_leaf() => true,
-        Predicate::And(children) => {
-            children
-                .iter()
-                .filter(|c| c.contains_ordered())
-                .all(Predicate::is_ordered_leaf)
-                && children.iter().filter(|c| c.is_ordered_leaf()).count() <= 1
-        }
-        other => !other.contains_ordered(),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(StorageError::Unsupported(
-            "`@@` (nearest) must be the whole predicate or a single top-level conjunct; \
-             it cannot appear under Or/Not or more than once"
-                .into(),
-        ))
-    }
-}
-
-/// The conjuncts of `children` whose position `keep` accepts.
-fn conjuncts(children: &[Predicate], keep: impl Fn(usize) -> bool) -> Vec<Predicate> {
-    children
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| keep(*i))
-        .map(|(_, c)| c.clone())
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Planning (logical predicate tree → physical operator tree)
-// ---------------------------------------------------------------------------
-
-/// Everything planning needs, derived once per query by the table: the
-/// catalog, the heap's statistics and the planner's view of each index.
-pub(crate) struct PlanContext<'a> {
-    pub(crate) catalog: &'a Catalog,
-    pub(crate) stats: TableStats,
-    pub(crate) available: Vec<AvailableIndex>,
-}
-
-impl PlanContext<'_> {
-    /// Plans `query` into an executable physical operator tree.  The caller
-    /// has already checked that the predicate's key type fits the table.
-    pub(crate) fn plan(&self, query: &Query) -> StorageResult<PhysNode> {
-        validate_ordered(&query.predicate)?;
-        let node = self.plan_node(&query.predicate, query.limit)?;
-        Ok(match query.limit {
-            Some(k) => PhysNode {
-                cost: node.cost,
-                op: PhysOp::Limit {
-                    input: Box::new(node),
-                    k,
-                },
-            },
-            None => node,
-        })
-    }
-
-    /// Recursively plans one predicate subtree.  `limit` is the pushed-down
-    /// `LIMIT` when this subtree's output is the query's output (it caps
-    /// ordered-scan cost estimates; execution is lazy regardless).
-    fn plan_node(&self, predicate: &Predicate, limit: Option<usize>) -> StorageResult<PhysNode> {
-        match predicate {
-            Predicate::And(children) => self.plan_and(predicate, children, limit),
-            Predicate::Or(children) => self.plan_or(predicate, children),
-            // Negation cannot enumerate its complement from an index.
-            Predicate::Not(_) => Ok(self.seq_scan_node(predicate)),
-            leaf => self.plan_leaf(leaf, limit),
-        }
-    }
-
-    /// Plans a leaf predicate: the classic one-operator access-path choice,
-    /// ordered (`@@`) leaves going through [`Planner::plan_ordered`].
-    fn plan_leaf(&self, leaf: &Predicate, limit: Option<usize>) -> StorageResult<PhysNode> {
-        let qp = leaf.to_query_predicate().ok_or_else(|| {
-            StorageError::Unsupported("composite predicate where a leaf was expected".into())
-        })?;
-        let planner = Planner::new(self.catalog);
-        let ordered = leaf.is_ordered_leaf();
-        let path = if ordered {
-            planner.plan_ordered(&qp, &self.stats, &self.available, limit)
-        } else {
-            planner.plan(&qp, &self.stats, &self.available)
-        };
-        Ok(match path {
-            AccessPath::IndexScan {
-                index,
-                operator_class,
-                cost,
-            }
-            | AccessPath::OrderedScan {
-                index,
-                operator_class,
-                cost,
-            } => PhysNode {
-                op: PhysOp::IndexScan {
-                    index,
-                    operator_class,
-                    leaf: leaf.clone(),
-                    ordered,
-                },
-                cost,
-            },
-            _ => self.seq_scan_node(leaf),
-        })
-    }
-
-    /// The always-available fallback: scan the heap, re-check `predicate` on
-    /// every tuple — and, for ordered queries, sort by anchor distance
-    /// before reporting (which is why the planner prices it with the
-    /// scan-and-sort estimate).
-    fn seq_scan_node(&self, predicate: &Predicate) -> PhysNode {
-        let order = predicate.ordered_driver().cloned();
-        let cost = if order.is_some() {
-            CostEstimate::seq_scan_sorted(&self.stats)
-        } else {
-            CostEstimate::seq_scan(&self.stats)
-        };
-        PhysNode {
-            op: PhysOp::SeqScan {
-                filter: predicate.clone(),
-                order,
-            },
-            cost,
-        }
-    }
-
-    /// `input` with `residual` re-checked against every tuple it produces
-    /// (just `input` when nothing is left to re-check).
-    fn filtered(&self, input: PhysNode, residual: Vec<Predicate>, output_sel: f64) -> PhysNode {
-        if residual.is_empty() {
-            return input;
-        }
-        let cost = filter_cost(&input.cost, &self.stats, residual.len(), output_sel);
-        PhysNode {
-            op: PhysOp::Filter {
-                input: Box::new(input),
-                residual,
-            },
-            cost,
-        }
-    }
-
-    /// Plans a conjunction: pick a driving scan (the cheapest indexable
-    /// conjunct — or the ordered scan when one conjunct is a `@@` leaf),
-    /// apply the remaining conjuncts as a residual filter, and consider
-    /// intersecting several index scans' row-id streams when more than one
-    /// conjunct is indexable.  The sequential scan always competes.
-    fn plan_and(
-        &self,
-        whole: &Predicate,
-        children: &[Predicate],
-        limit: Option<usize>,
-    ) -> StorageResult<PhysNode> {
-        let output_sel = whole.estimate_selectivity(&self.stats);
-        // Constrained k-NN: one `@@` conjunct drives an ordered scan, the
-        // other conjuncts filter it (order survives filtering).
-        if let Some(driver_idx) = children.iter().position(Predicate::is_ordered_leaf) {
-            let residual = conjuncts(children, |i| i != driver_idx);
-            // A residual that keeps only fraction `s` of rows means the
-            // ordered scan must report roughly k/s rows before k survive —
-            // cost the scan at that inflated limit, and keep the sorted
-            // heap fallback in the running for unselective drivers.
-            let residual_sel = Predicate::And(residual.clone())
-                .estimate_selectivity(&self.stats)
-                .max(1e-9);
-            let effective_limit = limit.map(|k| ((k as f64 / residual_sel).ceil() as usize).max(k));
-            let driver = self.plan_leaf(&children[driver_idx], effective_limit)?;
-            if residual.is_empty() {
-                return Ok(driver);
-            }
-            let fallback = self.seq_scan_node(whole);
-            if !driver.uses_index() {
-                // No ordered index: the sorted heap fallback filters inline.
-                return Ok(fallback);
-            }
-            let filtered = self.filtered(driver, residual, output_sel);
-            return Ok(if filtered.total_cost() <= fallback.total_cost() {
-                filtered
-            } else {
-                fallback
-            });
-        }
-
-        let mut indexable: Vec<(usize, PhysNode)> = Vec::new();
-        for (i, child) in children.iter().enumerate() {
-            let node = self.plan_node(child, None)?;
-            if node.uses_index() {
-                indexable.push((i, node));
-            }
-        }
-        let mut best = self.seq_scan_node(whole);
-        if indexable.is_empty() {
-            return Ok(best);
-        }
-
-        // Strategy A — drive with the cheapest indexable conjunct, re-check
-        // the rest against the fetched tuples.
-        let (driver_idx, driver) = indexable
-            .iter()
-            .min_by(|(_, a), (_, b)| a.total_cost().total_cmp(&b.total_cost()))
-            .map(|(i, n)| (*i, n.clone()))
-            .expect("indexable is non-empty");
-        let filter_plan =
-            self.filtered(driver, conjuncts(children, |i| i != driver_idx), output_sel);
-
-        // Strategy B — intersect every indexable conjunct's row-id stream,
-        // then re-check only the non-indexable leftovers.
-        let intersect_plan = (indexable.len() >= 2).then(|| {
-            let member: HashSet<usize> = indexable.iter().map(|(i, _)| *i).collect();
-            let inputs: Vec<PhysNode> = indexable.into_iter().map(|(_, n)| n).collect();
-            let cost = intersect_cost(&inputs, &self.stats);
-            let node = PhysNode {
-                op: PhysOp::Intersect(inputs),
-                cost,
-            };
-            self.filtered(
-                node,
-                conjuncts(children, |i| !member.contains(&i)),
-                output_sel,
-            )
-        });
-
-        for candidate in [Some(filter_plan), intersect_plan].into_iter().flatten() {
-            if candidate.total_cost() < best.total_cost() {
-                best = candidate;
-            }
-        }
-        Ok(best)
-    }
-
-    /// Plans a disjunction: a deduplicated union of the disjuncts' plans —
-    /// unless any disjunct needs the heap anyway (then one sequential scan
-    /// answers everything) or the union costs more than the scan.
-    fn plan_or(&self, whole: &Predicate, children: &[Predicate]) -> StorageResult<PhysNode> {
-        let seq = self.seq_scan_node(whole);
-        let mut inputs = Vec::new();
-        for child in children {
-            let node = self.plan_node(child, None)?;
-            if !node.uses_index() {
-                return Ok(seq);
-            }
-            inputs.push(node);
-        }
-        if inputs.is_empty() {
-            return Ok(seq);
-        }
-        let cost = union_cost(&inputs, &self.stats);
-        Ok(if cost.total_cost < seq.total_cost() {
-            PhysNode {
-                op: PhysOp::Union(inputs),
-                cost,
-            }
-        } else {
-            seq
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Execution (physical operator tree → streaming cursor)
-// ---------------------------------------------------------------------------
 
 /// What execution needs from whoever owns the heap: tuples by row id.  The
 /// table layer implements it; this module never sees a table.
@@ -1046,7 +608,7 @@ pub(crate) trait RowSource {
     fn fetch(&self, row: RowId, hint: AccessHint) -> StorageResult<Option<Datum>>;
 }
 
-/// Runs physical plans over one table's heap rows and indexes.
+/// Runs plans over one table's heap rows and indexes.
 #[derive(Clone, Copy)]
 pub(crate) struct Executor<'t> {
     pub(crate) rows: &'t dyn RowSource,
@@ -1061,17 +623,17 @@ impl<'t> Executor<'t> {
     /// its insert and its delete, so the key an index scan returns *is* the
     /// heap datum, and only rows that arrive without one (suffix-tree
     /// scans) are resolved through the heap.
-    pub(crate) fn cursor(self, plan: &PhysNode) -> StorageResult<ExecCursor<'t>> {
+    pub(crate) fn cursor(self, plan: AccessPath) -> StorageResult<ExecCursor<'t>> {
         let inner = self
-            .execute(plan)?
+            .execute(&plan)?
             .map(move |item| {
                 let (row, datum) = item?;
                 Ok(self.resolve(row, datum)?.map(|datum| (row, datum)))
             })
             .filter_map(StorageResult::transpose);
         Ok(ExecCursor {
-            path: plan.access_path(),
-            source: plan.scan_source(),
+            source: ScanSource::from(&plan),
+            path: plan,
             inner: Box::new(inner),
         })
     }
@@ -1101,15 +663,16 @@ impl<'t> Executor<'t> {
         })
     }
 
-    /// Turns one physical operator into its row stream.  Streams carry the
+    /// Turns one plan node into its row stream.  Streams carry the
     /// key datum when the operator already has it, so downstream operators
     /// and the cursor read the heap at most once for one row — and not at
     /// all for a row a key-returning index found.
-    pub(crate) fn execute(self, node: &PhysNode) -> StorageResult<RowStream<'t>> {
-        Ok(match &node.op {
-            PhysOp::SeqScan {
+    pub(crate) fn execute(self, node: &AccessPath) -> StorageResult<RowStream<'t>> {
+        Ok(match node {
+            AccessPath::SeqScan {
                 filter,
                 order: Some(order),
+                ..
             } => {
                 // Ordered fallback: nothing can stream before the full
                 // scan-and-sort (exactly what the cost model charges for).
@@ -1126,9 +689,10 @@ impl<'t> Executor<'t> {
                         .map(|(_, row, datum)| Ok((row, Some(datum)))),
                 )
             }
-            PhysOp::SeqScan {
+            AccessPath::SeqScan {
                 filter,
                 order: None,
+                ..
             } => {
                 let filter = filter.clone();
                 Box::new(self.heap_stream().filter_map(move |item| match item {
@@ -1137,12 +701,9 @@ impl<'t> Executor<'t> {
                     Ok(_) => None,
                 }))
             }
-            PhysOp::IndexScan {
-                index,
-                leaf,
-                ordered,
-                ..
-            } => {
+            AccessPath::IndexScan { index, leaf, .. }
+            | AccessPath::OrderedScan { index, leaf, .. } => {
+                let ordered = matches!(node, AccessPath::OrderedScan { .. });
                 let named = self
                     .indexes
                     .iter()
@@ -1157,14 +718,16 @@ impl<'t> Executor<'t> {
                 Box::new(
                     named
                         .index
-                        .scan(leaf, *ordered)?
+                        .scan(leaf, ordered)?
                         .filter(move |item| match item {
                             Ok((row, Some(_))) => rows.is_live(*row),
                             _ => true,
                         }),
                 )
             }
-            PhysOp::Filter { input, residual } => {
+            AccessPath::Filter {
+                input, residual, ..
+            } => {
                 let residual = residual.clone();
                 let inner = self
                     .execute(input)?
@@ -1178,7 +741,7 @@ impl<'t> Executor<'t> {
                     .filter_map(StorageResult::transpose);
                 Box::new(inner)
             }
-            PhysOp::Intersect(inputs) => {
+            AccessPath::Intersect { inputs, .. } => {
                 let (first, others) = inputs
                     .split_first()
                     .ok_or_else(|| StorageError::Unsupported("empty intersection plan".into()))?;
@@ -1202,7 +765,7 @@ impl<'t> Executor<'t> {
                     Err(_) => true,
                 }))
             }
-            PhysOp::Union(inputs) => {
+            AccessPath::Union { inputs, .. } => {
                 // Each input's cursor opens only when the previous one is
                 // exhausted and dropped: one epoch pinned at a time, so
                 // writers' retired pages reclaim promptly.
@@ -1228,7 +791,7 @@ impl<'t> Executor<'t> {
                         .map(|item| item.map(|(datum, row)| (row, datum))),
                 )
             }
-            PhysOp::Limit { input, k } => Box::new(self.execute(input)?.take(*k)),
+            AccessPath::Limit { input, k } => Box::new(self.execute(input)?.take(*k)),
         })
     }
 }
@@ -1236,6 +799,7 @@ impl<'t> Executor<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{CostEstimate, TableStats};
     use crate::database::tests::word_table;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1550,34 +1114,39 @@ mod tests {
         (rows, indexes)
     }
 
-    /// A plan node whose cost nothing here reads.
-    fn node(op: PhysOp) -> PhysNode {
-        PhysNode {
-            op,
-            cost: CostEstimate::seq_scan(&TableStats {
-                rows: 0,
-                heap_pages: 0,
-                distinct_values: 0,
-            }),
-        }
-    }
-
-    fn scan_node(index: &str, leaf: Predicate, ordered: bool) -> PhysNode {
-        node(PhysOp::IndexScan {
-            index: index.into(),
-            operator_class: String::new(),
-            leaf,
-            ordered,
+    /// A cost nothing here reads.
+    fn no_cost() -> CostEstimate {
+        CostEstimate::seq_scan(&TableStats {
+            rows: 0,
+            heap_pages: 0,
+            distinct_values: 0,
         })
     }
 
-    fn filter_node(input: PhysNode, residual: Predicate) -> PhysNode {
-        PhysNode {
-            cost: input.cost,
-            op: PhysOp::Filter {
-                input: Box::new(input),
-                residual: vec![residual],
-            },
+    fn scan_node(index: &str, leaf: Predicate, ordered: bool) -> AccessPath {
+        let (index, operator_class, cost) = (index.into(), String::new(), no_cost());
+        if ordered {
+            AccessPath::OrderedScan {
+                index,
+                operator_class,
+                leaf,
+                cost,
+            }
+        } else {
+            AccessPath::IndexScan {
+                index,
+                operator_class,
+                leaf,
+                cost,
+            }
+        }
+    }
+
+    fn filter_node(input: AccessPath, residual: Predicate) -> AccessPath {
+        AccessPath::Filter {
+            input: Box::new(input),
+            residual: vec![residual],
+            cost: no_cost(),
         }
     }
 
@@ -1588,10 +1157,10 @@ mod tests {
             rows: &rows,
             indexes: &indexes,
         };
-        let run = |plan: &PhysNode| {
+        let run = |plan: &AccessPath| {
             let before = rows.fetches();
             let out: Vec<(RowId, Datum)> = exec
-                .cursor(plan)
+                .cursor(plan.clone())
                 .unwrap()
                 .collect::<StorageResult<_>>()
                 .unwrap();
@@ -1623,7 +1192,7 @@ mod tests {
                 sare_words,
             ),
         ] {
-            assert_eq!(run(&plan), (reported, 0), "{:?}", plan.op);
+            assert_eq!(run(&plan), (reported, 0), "{plan:?}");
         }
 
         // The suffix tree hands back row ids only: one heap read for every
@@ -1644,7 +1213,7 @@ mod tests {
                 sare_words,
             ),
         ] {
-            assert_eq!(run(&plan), (reported, are_words), "{:?}", plan.op);
+            assert_eq!(run(&plan), (reported, are_words), "{plan:?}");
         }
     }
 
@@ -1655,41 +1224,48 @@ mod tests {
             scan_node("trie", Predicate::str_prefix("s"), false),
             scan_node("trie", Predicate::str_nearest("spare"), true),
             scan_node("suffix", Predicate::str_substring("are"), false),
-            node(PhysOp::SeqScan {
+            AccessPath::SeqScan {
                 filter: Predicate::str_prefix("s"),
                 order: None,
-            }),
+                cost: no_cost(),
+            },
             filter_node(
                 scan_node("trie", Predicate::str_prefix("s"), false),
                 Predicate::str_substring("are"),
             ),
             // The suffix set is drained when the cursor opens, before the
             // row dies: only the driving trie scan can still drop it.
-            node(PhysOp::Intersect(vec![
-                scan_node("trie", Predicate::str_prefix("s"), false),
-                scan_node("suffix", Predicate::str_substring("are"), false),
-            ])),
-            node(PhysOp::Union(vec![
-                scan_node("trie", Predicate::str_equals("spare"), false),
-                scan_node("trie", Predicate::str_prefix("st"), false),
-            ])),
+            AccessPath::Intersect {
+                inputs: vec![
+                    scan_node("trie", Predicate::str_prefix("s"), false),
+                    scan_node("suffix", Predicate::str_substring("are"), false),
+                ],
+                cost: no_cost(),
+            },
+            AccessPath::Union {
+                inputs: vec![
+                    scan_node("trie", Predicate::str_equals("spare"), false),
+                    scan_node("trie", Predicate::str_prefix("st"), false),
+                ],
+                cost: no_cost(),
+            },
         ] {
             let (rows, indexes) = counted_words();
             let exec = Executor {
                 rows: &rows,
                 indexes: &indexes,
             };
-            let all = exec.cursor(&plan).unwrap().rows().unwrap();
-            assert!(all.contains(&victim), "{:?}", plan.op);
+            let all = exec.cursor(plan.clone()).unwrap().rows().unwrap();
+            assert!(all.contains(&victim), "{plan:?}");
 
             // The row dies between the cursor opening and the first pull;
             // its index entries are still there (the delete has not reached
             // the indexes yet), only the row directory says so.
-            let cursor = exec.cursor(&plan).unwrap();
+            let cursor = exec.cursor(plan.clone()).unwrap();
             rows.slots.lock()[victim as usize] = None;
             let seen = cursor.rows().unwrap();
-            assert!(!seen.contains(&victim), "{:?}", plan.op);
-            assert_eq!(seen.len(), all.len() - 1, "{:?}", plan.op);
+            assert!(!seen.contains(&victim), "{plan:?}");
+            assert_eq!(seen.len(), all.len() - 1, "{plan:?}");
         }
     }
 }

@@ -4,25 +4,24 @@
 //! `@@` nearest-neighbour leaves) with an optional `LIMIT` ([`Query`]).  A
 //! predicate knows how to re-check itself against a heap tuple, how far a
 //! tuple is from a `@@` anchor, and how selective it expects to be — what
-//! the physical layer needs to plan and execute it, but nothing about how.
+//! the planner and the executor need, but nothing about how they use it.
 
 use spgist_indexes::geom::{Point, Rect, Segment};
 use spgist_indexes::query::{PointQuery, SegmentQuery, StringQuery};
 
 use crate::cost::{Selectivity, TableStats};
-use crate::planner::QueryPredicate;
 use crate::value::{Datum, KeyType};
 
 /// An executable query predicate: a boolean tree of `And`/`Or`/`Not` over
 /// the paper's registered operators applied to typed arguments.
 ///
-/// Unlike [`QueryPredicate`] (operator *name* + key type, all the planner
-/// needs), a `Predicate` carries the actual arguments, so the executor can
-/// both run its leaves through indexes and re-check the whole tree against
-/// heap tuples.  Leaves are built with the constructors below and composed
-/// with [`Predicate::and`] / [`Predicate::or`] / [`Predicate::negate`];
-/// [`Predicate::limit`] turns the tree into a [`Query`] with `LIMIT`
-/// pushdown.
+/// A `Predicate` carries the actual arguments, so the planner can read each
+/// leaf's operator, key type and argument-aware selectivity from it, and
+/// the executor can both run its leaves through indexes and re-check the
+/// whole tree against heap tuples.  Leaves are built with the constructors
+/// below and composed with [`Predicate::and`] / [`Predicate::or`] /
+/// [`Predicate::negate`]; [`Predicate::limit`] turns the tree into a
+/// [`Query`] with `LIMIT` pushdown.
 ///
 /// ```
 /// use spgist_catalog::Predicate;
@@ -260,24 +259,13 @@ impl Predicate {
         }
     }
 
-    /// The planner-facing form of a leaf predicate, carrying an
-    /// argument-aware selectivity estimate where the argument tells more
-    /// than the operator's class-level default.
-    pub fn to_query_predicate(&self) -> Option<QueryPredicate> {
-        let op = self.operator()?;
-        let key_type = self.key_type()?;
-        let qp = QueryPredicate::new(op, key_type.name());
-        Some(match self.selectivity_hint() {
-            Some(s) => qp.with_selectivity(s),
-            None => qp,
-        })
-    }
-
     /// Argument-aware selectivity for string-match leaves: an empty prefix,
     /// pattern or needle retrieves (nearly) the whole table, and every fixed
     /// character cuts the match fraction — the honesty the planner needs to
-    /// route low-selectivity predicates to the heap.
-    fn selectivity_hint(&self) -> Option<f64> {
+    /// route low-selectivity predicates to the heap.  `None` where the
+    /// operator's class-level default (`eqsel`/`contsel`/`likesel`) is all
+    /// there is to say.
+    pub(crate) fn selectivity_hint(&self) -> Option<f64> {
         /// Fraction of rows matched per fixed character: one letter of the
         /// paper's 26-letter uniform word alphabet.
         const PER_CHAR_SEL: f64 = 1.0 / 26.0;

@@ -38,10 +38,8 @@ use spgist_wal::{Lsn, TxnId, Wal, WalRecord, AUTOCOMMIT};
 use crate::am::Catalog;
 use crate::cost::TableStats;
 use crate::durable::{PersistedTable, RowsDelta, TableSnapshot, ROWS_PER_CHUNK};
-use crate::physical::{
-    ExecCursor, Executor, IndexSpec, NamedIndex, PhysNode, PlanContext, RowSource,
-};
-use crate::planner::{AccessPath, AvailableIndex};
+use crate::physical::{ExecCursor, Executor, IndexSpec, NamedIndex, RowSource};
+use crate::planner::{AccessPath, AvailableIndex, Planner};
 use crate::query::Query;
 use crate::value::{Datum, KeyType};
 
@@ -784,8 +782,27 @@ impl Table {
     /// boolean predicate trees decompose into index scans, residual filters,
     /// row-id intersections/unions; `@@` leaves route through ordered scans;
     /// a `LIMIT` is pushed down over the whole plan.
+    ///
+    /// The tree returned is the one [`Table::query`] runs.
     pub fn plan(&self, catalog: &Catalog, query: impl Into<Query>) -> StorageResult<AccessPath> {
-        Ok(self.plan_phys(catalog, &query.into())?.access_path())
+        let query = query.into();
+        match query.predicate.key_type() {
+            Some(kt) if kt != self.key_type => {
+                return Err(StorageError::Unsupported(format!(
+                    "predicate over {} cannot run on table {:?} of type {}",
+                    kt.name(),
+                    self.name,
+                    self.key_type.name()
+                )));
+            }
+            None if query.predicate.has_leaves() => {
+                return Err(StorageError::Unsupported(
+                    "predicate tree mixes key types".into(),
+                ));
+            }
+            _ => {}
+        }
+        Planner::new(catalog, self.table_stats(), self.available_indexes()?).plan(&query)
     }
 
     /// Plans and executes `query`, returning a streaming cursor over the
@@ -803,8 +820,8 @@ impl Table {
         query: impl Into<Query>,
     ) -> StorageResult<ExecCursor<'t>> {
         wal_health(&self.wal)?;
-        let phys = self.plan_phys(catalog, &query.into())?;
-        self.executor().cursor(&phys)
+        let plan = self.plan(catalog, query)?;
+        self.executor().cursor(plan)
     }
 
     fn executor(&self) -> Executor<'_> {
@@ -812,32 +829,6 @@ impl Table {
             rows: self,
             indexes: &self.indexes,
         }
-    }
-
-    /// Plans `query` into an executable physical operator tree.
-    fn plan_phys(&self, catalog: &Catalog, query: &Query) -> StorageResult<PhysNode> {
-        match query.predicate.key_type() {
-            Some(kt) if kt != self.key_type => {
-                return Err(StorageError::Unsupported(format!(
-                    "predicate over {} cannot run on table {:?} of type {}",
-                    kt.name(),
-                    self.name,
-                    self.key_type.name()
-                )));
-            }
-            None if query.predicate.has_leaves() => {
-                return Err(StorageError::Unsupported(
-                    "predicate tree mixes key types".into(),
-                ));
-            }
-            _ => {}
-        }
-        PlanContext {
-            catalog,
-            stats: self.table_stats(),
-            available: self.available_indexes()?,
-        }
-        .plan(query)
     }
 }
 

@@ -1,17 +1,17 @@
 //! The crate's module layering, enforced.
 //!
-//! The executable layer is eight modules whose dependency arrows point one
+//! The executable layer is nine modules whose dependency arrows point one
 //! way (see the crate docs):
 //!
 //! ```text
-//! value ← query ← physical ← table ← database ← { checkpoint, recovery, txn }
+//! value ← query ← planner ← physical ← table ← database ← { checkpoint, recovery, txn }
 //! ```
 //!
-//! on top of the older leaves `cost ← operator ← am ← planner` and
-//! `durable`.  This test reads `src/*.rs` and fails if the production part
-//! of any module names (`crate::…`) a module that is not strictly earlier
-//! in that order — so recovery and checkpointing stay readable without the
-//! planner, and the index seam stays ignorant of tables.
+//! on top of the catalog leaves `cost ← operator ← am` and `durable`.  This
+//! test reads `src/*.rs` and fails if the production part of any module
+//! names (`crate::…`) a module that is not strictly earlier in that order —
+//! so recovery and checkpointing stay readable without the planner, and
+//! the index seam stays ignorant of tables.
 
 use std::path::Path;
 
@@ -22,10 +22,10 @@ const ORDER: [(&str, u32); 13] = [
     ("cost", 0),
     ("operator", 1),
     ("am", 2),
-    ("planner", 3),
-    ("durable", 4),
-    ("value", 5),
-    ("query", 6),
+    ("durable", 3),
+    ("value", 4),
+    ("query", 5),
+    ("planner", 6),
     ("physical", 7),
     ("table", 8),
     ("database", 9),

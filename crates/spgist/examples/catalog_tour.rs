@@ -6,8 +6,7 @@
 //! cargo run --example catalog_tour
 //! ```
 
-use spgist::catalog::planner::AvailableIndex;
-use spgist::catalog::{AccessPath, CostEstimate};
+use spgist::catalog::CostEstimate;
 use spgist::prelude::*;
 
 fn main() {
@@ -56,20 +55,20 @@ fn main() {
         returns_keys: true,
     })
     .collect();
-    let planner = Planner::new(&catalog);
-    for (operator, description) in [
-        ("=", "equality"),
-        ("?=", "regular expression"),
-        ("@=", "substring"),
+    let seq_cost = CostEstimate::seq_scan(&stats).total_cost;
+    let planner = Planner::new(&catalog, stats, indexes);
+    for (predicate, description) in [
+        (Predicate::str_equals("space"), "equality"),
+        (Predicate::str_regex("sp?c?"), "regular expression"),
+        (Predicate::str_substring("pac"), "substring"),
     ] {
-        let path = planner.plan(&QueryPredicate::new(operator, "VARCHAR"), &stats, &indexes);
-        let seq_cost = CostEstimate::seq_scan(&stats).total_cost;
+        let path = planner.plan(&predicate.into()).expect("plannable");
         match path {
             AccessPath::IndexScan { index, cost, .. } => println!(
                 "{description:<20} -> index scan via {index} (cost {:.0} vs seq {seq_cost:.0})",
                 cost.total_cost
             ),
-            AccessPath::SeqScan { cost } => println!(
+            AccessPath::SeqScan { cost, .. } => println!(
                 "{description:<20} -> sequential scan (cost {:.0}); no registered index supports it",
                 cost.total_cost
             ),

@@ -92,8 +92,7 @@ pub mod prelude {
     pub use spgist_baselines::{BPlusTree, RTree, SeqScanTable};
     pub use spgist_catalog::{
         AccessMethod, AccessPath, AvailableIndex, Catalog, Database, Datum, ExecCursor, IndexSpec,
-        KeyType, Planner, Predicate, Query, QueryPredicate, ScanSource, Table, TableStats,
-        Transaction,
+        KeyType, Planner, Predicate, Query, ScanSource, Table, TableStats, Transaction,
     };
     pub use spgist_core::{
         NodeShrink, PathShrink, RowId, SearchCursor, SpGistConfig, SpGistOps, SpGistTree, TreeStats,

@@ -2,8 +2,6 @@
 //! choice is driven by statistics measured from actually-built indexes, and
 //! the chosen access path returns the same rows as a scan.
 
-use spgist::catalog::planner::AvailableIndex;
-use spgist::catalog::AccessPath;
 use spgist::datagen::words;
 use spgist::prelude::*;
 
@@ -67,32 +65,33 @@ fn available(trie: &TrieIndex, btree: &BPlusTree, suffix: &SuffixTreeIndex) -> V
 
 #[test]
 fn planner_routes_each_operator_to_an_index_that_supports_it() {
-    let (_, trie, btree, suffix, stats) = build_table(6_000);
+    let (data, trie, btree, suffix, stats) = build_table(6_000);
     let catalog = Catalog::with_paper_defaults();
-    let planner = Planner::new(&catalog);
-    let indexes = available(&trie, &btree, &suffix);
+    let planner = Planner::new(&catalog, stats, available(&trie, &btree, &suffix));
+    let plan = |predicate: Predicate| planner.plan(&predicate.into()).unwrap();
+    let word = data.iter().find(|w| w.len() >= 6).unwrap();
 
     // Regular-expression queries can only use the trie operator class.
-    let path = planner.plan(&QueryPredicate::new("?=", "VARCHAR"), &stats, &indexes);
-    match path {
+    let pattern = format!("{}?{}?", &word[..2], &word[3..5]);
+    match plan(Predicate::str_regex(&pattern)) {
         AccessPath::IndexScan { index, .. } => assert_eq!(index, "sp_trie_index"),
         other => panic!("expected trie index scan, got {other:?}"),
     }
 
     // Substring queries can only use the suffix tree.
-    let path = planner.plan(&QueryPredicate::new("@=", "VARCHAR"), &stats, &indexes);
-    match path {
+    match plan(Predicate::str_substring(&word[1..5])) {
         AccessPath::IndexScan { index, .. } => assert_eq!(index, "sp_suffix_index"),
         other => panic!("expected suffix index scan, got {other:?}"),
     }
 
     // Equality is supported by both string indexes; some index must win over
     // the sequential scan on a selective predicate.
-    let path = planner.plan(&QueryPredicate::new("=", "VARCHAR"), &stats, &indexes);
+    let path = plan(Predicate::str_equals(word));
     assert!(matches!(path, AccessPath::IndexScan { .. }));
 
-    // A spatial operator over a VARCHAR column has no matching class.
-    let path = planner.plan(&QueryPredicate::new("^", "VARCHAR"), &stats, &indexes);
+    // A spatial operator has no matching class among the string indexes.
+    let window = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let path = plan(Predicate::point_in_rect(window));
     assert!(matches!(path, AccessPath::SeqScan { .. }));
 }
 
@@ -100,11 +99,12 @@ fn planner_routes_each_operator_to_an_index_that_supports_it() {
 fn planned_index_scan_returns_the_same_rows_as_executing_the_query() {
     let (data, trie, btree, suffix, stats) = build_table(6_000);
     let catalog = Catalog::with_paper_defaults();
-    let planner = Planner::new(&catalog);
-    let indexes = available(&trie, &btree, &suffix);
+    let planner = Planner::new(&catalog, stats, available(&trie, &btree, &suffix));
 
     let query_word = data[123].clone();
-    let path = planner.plan(&QueryPredicate::new("=", "VARCHAR"), &stats, &indexes);
+    let path = planner
+        .plan(&Predicate::str_equals(&query_word).into())
+        .unwrap();
     let rows = match path {
         AccessPath::IndexScan { index, .. } => match index.as_str() {
             "sp_trie_index" => trie.equals(&query_word).unwrap(),
