@@ -343,7 +343,7 @@ pub fn run_io_patterns_on(
             for op in trace {
                 run_op(&kd, &heap, op);
             }
-            pool.reset_stats();
+            let before = pool.stats();
 
             let mut latencies = Vec::with_capacity(trace.len());
             let mut result_rows = 0u64;
@@ -354,7 +354,7 @@ pub fn run_io_patterns_on(
                     latencies.push(started.elapsed());
                 }
             });
-            let stats = pool.stats();
+            let stats = pool.stats().delta_since(&before);
             rows.push(IoPatternRow {
                 backend: backend.name(),
                 pool_pct: pct,

@@ -195,9 +195,10 @@ impl Database {
     }
 
     /// Running checkpoint counters — chunks written/skipped, catalog and
-    /// journal bytes, quiesce time — next to the pool's
-    /// [`IoStats`](spgist_storage::IoStats).  Counters accumulate across
-    /// checkpoints; diff with [`CheckpointStats::delta_since`] to meter one.
+    /// journal bytes, quiesce time — as a typed view; the same counters are
+    /// the `checkpoint.*` section of [`Database::metrics`].  Counters
+    /// accumulate across checkpoints; diff with
+    /// [`CheckpointStats::delta_since`] to meter one.
     pub fn checkpoint_stats(&self) -> CheckpointStats {
         self.ckpt_stats
     }

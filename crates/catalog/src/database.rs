@@ -22,8 +22,8 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use spgist_storage::{
-    journal, BufferPool, BufferPoolConfig, CheckpointStats, FilePager, MemPager, PageId,
-    StorageError, StorageResult,
+    journal, BufferPool, BufferPoolConfig, CheckpointStats, FilePager, MemPager, MetricKind,
+    Metrics, PageId, StorageError, StorageResult,
 };
 use spgist_wal::{Wal, WalConfig, WalRecord};
 
@@ -69,7 +69,7 @@ pub struct Database {
     /// skips catalog persistence.
     pub(crate) layout: Option<CatalogLayout>,
     /// Running checkpoint counters (chunks written/skipped, bytes, quiesce
-    /// time) — the incremental-checkpoint analog of the pool's `IoStats`.
+    /// time): the `checkpoint.*` section of [`Database::metrics`].
     pub(crate) ckpt_stats: CheckpointStats,
     /// The write-ahead log of a durable database.  Every acknowledged DML
     /// statement has its redo record fsynced here before the call returns;
@@ -283,11 +283,31 @@ impl Database {
         }
     }
 
-    /// The write-ahead log of a durable database (`None` in-memory):
-    /// fsync/record counters for the bench harness, plus the durable-LSN
-    /// watermark.
+    /// The write-ahead log of a durable database (`None` in-memory), with
+    /// its durable-LSN watermark.  Its record and fsync counts are
+    /// `wal.records` / `wal.syncs` in [`Database::metrics`].
     pub fn wal(&self) -> Option<&Arc<Wal>> {
         self.wal.as_ref()
+    }
+
+    /// Every engine counter in one snapshot, named `<section>.<field>`:
+    /// `buffer.*` (the pool's `IoStats`), `checkpoint.*`, `wal.records` and
+    /// `wal.syncs` on a durable database, and `index.<table>.<index>.*`
+    /// (each index's latch and epoch counters).  Built only when called.
+    /// Meter a window with [`Metrics::delta_since`]: counters subtract,
+    /// gauges keep their end value.
+    pub fn metrics(&self) -> Metrics {
+        let mut metrics = Metrics::default();
+        self.pool.stats().export("buffer", &mut metrics);
+        self.ckpt_stats.export("checkpoint", &mut metrics);
+        if let Some(wal) = &self.wal {
+            metrics.push("wal.records", MetricKind::Counter, wal.written_count());
+            metrics.push("wal.syncs", MetricKind::Counter, wal.sync_count());
+        }
+        for table in self.tables.values() {
+            table.export_metrics(&mut metrics);
+        }
+        metrics
     }
 
     /// The system catalog (access methods and operator classes).
@@ -295,8 +315,8 @@ impl Database {
         &self.catalog
     }
 
-    /// The shared buffer pool behind every table and index (exposes I/O
-    /// accounting: `db.pool().stats()`).
+    /// The shared buffer pool behind every table and index.  Its I/O
+    /// counters are the `buffer.*` section of [`Database::metrics`].
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
     }

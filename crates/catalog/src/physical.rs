@@ -31,7 +31,9 @@ use spgist_indexes::{
     KdTreeIndex, KdTreeOps, PmrQuadtreeIndex, PmrQuadtreeOps, PointQuadtreeIndex, PointQuadtreeOps,
     SpGistIndex, SpIndex, SuffixTreeIndex, TrieIndex, TrieOps,
 };
-use spgist_storage::{AccessHint, BufferPool, Codec, StorageError, StorageResult};
+use spgist_storage::{
+    AccessHint, BufferPool, Codec, ConcurrencyStats, StorageError, StorageResult,
+};
 
 use crate::durable::{
     PersistedIndex, KIND_KDTREE, KIND_PMR, KIND_PQUADTREE, KIND_SUFFIX, KIND_TRIE,
@@ -336,6 +338,9 @@ pub(crate) trait IndexAccess: Send + Sync {
     /// [`SpIndex::planner_stats`]).
     fn planner_stats(&self) -> StorageResult<(u64, u32)>;
 
+    /// The latch and epoch counters of the backing tree.
+    fn concurrency_stats(&self) -> ConcurrencyStats;
+
     /// The durable identity of this index, created from `spec` under
     /// `name`: kind, configuration, tree meta page, owned-page list, and
     /// the class-specific extras (the PMR world rectangle, the suffix
@@ -391,6 +396,10 @@ where
 
     fn planner_stats(&self) -> StorageResult<(u64, u32)> {
         SpIndex::planner_stats(self)
+    }
+
+    fn concurrency_stats(&self) -> ConcurrencyStats {
+        self.backing().concurrency_stats()
     }
 
     fn persisted(&self, name: &str, spec: &IndexSpec) -> PersistedIndex {

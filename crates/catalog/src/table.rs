@@ -32,7 +32,9 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use spgist_core::RowId;
-use spgist_storage::{AccessHint, BufferPool, HeapFile, RecordId, StorageError, StorageResult};
+use spgist_storage::{
+    AccessHint, BufferPool, HeapFile, Metrics, RecordId, StorageError, StorageResult,
+};
 use spgist_wal::{Lsn, TxnId, Wal, WalRecord, AUTOCOMMIT};
 
 use crate::am::Catalog;
@@ -747,6 +749,15 @@ impl Table {
     /// Names of the physical indexes on this table.
     pub fn index_names(&self) -> Vec<&str> {
         self.indexes.iter().map(|i| i.name.as_str()).collect()
+    }
+
+    /// Records each index's latch and epoch counters into `metrics` as
+    /// `index.<table>.<index>.*`.
+    pub(crate) fn export_metrics(&self, metrics: &mut Metrics) {
+        for named in &self.indexes {
+            let prefix = format!("index.{}.{}", self.name(), named.name);
+            named.index.concurrency_stats().export(&prefix, metrics);
+        }
     }
 
     /// Planner statistics of the heap (the `pg_class` analog).

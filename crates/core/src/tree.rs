@@ -213,9 +213,7 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// retired-record backlog from its node store.  Counters are cumulative;
     /// diff two snapshots with [`ConcurrencyStats::delta_since`].
     pub fn concurrency_stats(&self) -> ConcurrencyStats {
-        let mut stats = self.store.epochs().stats();
-        self.latches.stats_into(&mut stats);
-        stats
+        ConcurrencyStats::of(self.store.epochs(), &self.latches)
     }
 
     // ------------------------------------------------------------------
@@ -1528,18 +1526,18 @@ mod tests {
         let loop_pool = bounded_pool();
         let loop_tree =
             SpGistTree::create(Arc::clone(&loop_pool), DigitTrieOps::default()).unwrap();
-        loop_pool.reset_stats();
+        let before = loop_pool.stats();
         loop_tree.insert_all(items.clone()).unwrap();
         loop_pool.flush_all().unwrap();
-        let loop_writes = loop_pool.stats().physical_writes;
+        let loop_writes = loop_pool.stats().delta_since(&before).physical_writes;
 
         let bulk_pool = bounded_pool();
         let bulk_tree =
             SpGistTree::create(Arc::clone(&bulk_pool), DigitTrieOps::default()).unwrap();
-        bulk_pool.reset_stats();
+        let before = bulk_pool.stats();
         bulk_tree.bulk_build(items).unwrap();
         bulk_pool.flush_all().unwrap();
-        let bulk_writes = bulk_pool.stats().physical_writes;
+        let bulk_writes = bulk_pool.stats().delta_since(&before).physical_writes;
 
         assert!(
             bulk_writes * 2 < loop_writes,

@@ -34,6 +34,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     table.create_index("words_trie", IndexSpec::Trie)?;
     table.create_index("words_suffix", IndexSpec::SuffixTree)?;
 
+    // Every engine counter in one snapshot; the delta around the queries
+    // below is what they cost (counters subtract, gauges keep their value).
+    let before = db.metrics();
+
     // One entry point, four operators; the catalog decides the access path.
     for (label, predicate) in [
         ("=  'space'", Predicate::str_equals("space")),
@@ -74,6 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (row, datum) = item?;
         println!("  row {row}: {datum:?}");
     }
+    // What the queries above cost, one `name value` line per metric.
+    print!("{}", db.metrics().delta_since(&before));
 
     // The same indexes are usable directly through the uniform SpIndex
     // trait — `insert / delete / execute / cursor / len / stats / repack`

@@ -118,18 +118,18 @@ fn bounded_pool() -> Arc<BufferPool> {
 fn twins<I: Fresh>(items: Vec<(I::Key, RowId)>) -> (I, I) {
     let (bulk_pool, loop_pool) = (bounded_pool(), bounded_pool());
     let bulk = I::fresh(Arc::clone(&bulk_pool));
-    bulk_pool.reset_stats();
+    let bulk_before = bulk_pool.stats();
     let stats = bulk.bulk_build(items.clone()).unwrap();
     bulk_pool.flush_all().unwrap();
     let looped = I::fresh(Arc::clone(&loop_pool));
-    loop_pool.reset_stats();
+    let loop_before = loop_pool.stats();
     for (key, row) in items {
         looped.insert(key, row).unwrap();
     }
     loop_pool.flush_all().unwrap();
     let (bulk_writes, loop_writes) = (
-        bulk_pool.stats().physical_writes,
-        loop_pool.stats().physical_writes,
+        bulk_pool.stats().delta_since(&bulk_before).physical_writes,
+        loop_pool.stats().delta_since(&loop_before).physical_writes,
     );
     // The bulk build writes each page once; the loop re-dirties pages the
     // pool has to write back again and again once the tree outgrows it.

@@ -122,18 +122,18 @@ fn limit_streams_without_materializing_the_full_result() {
     // the tree) so the measurement below isolates scan I/O.
     db.plan("words", &predicate).unwrap();
 
-    db.pool().reset_stats();
+    let before = db.pool().stats();
     let limited = db
         .query("words", predicate.clone().limit(3))
         .unwrap()
         .rows()
         .unwrap();
-    let limited_reads = db.pool().stats().logical_reads;
+    let limited_reads = db.pool().stats().delta_since(&before).logical_reads;
     assert_eq!(limited.len(), 3);
 
-    db.pool().reset_stats();
+    let before = db.pool().stats();
     let full = db.query("words", &predicate).unwrap().rows().unwrap();
-    let full_reads = db.pool().stats().logical_reads;
+    let full_reads = db.pool().stats().delta_since(&before).logical_reads;
     assert!(full.len() > 100, "prefix 'a' must match many words");
 
     assert!(

@@ -55,17 +55,18 @@ impl Default for BufferPoolConfig {
     }
 }
 
-/// Counters of buffer-pool activity since the last reset.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct IoStats {
-    /// Page requests served (hits + misses).
-    pub logical_reads: u64,
-    /// Page requests that had to read from the pager.
-    pub physical_reads: u64,
-    /// Dirty pages written back to the pager.
-    pub physical_writes: u64,
-    /// Frames evicted to make room.
-    pub evictions: u64,
+crate::metric_view! {
+    /// Counters of buffer-pool activity since the pool was created.
+    pub struct IoStats {
+        /// Page requests served (hits + misses).
+        logical_reads: Counter,
+        /// Page requests that had to read from the pager.
+        physical_reads: Counter,
+        /// Dirty pages written back to the pager.
+        physical_writes: Counter,
+        /// Frames evicted to make room.
+        evictions: Counter,
+    }
 }
 
 impl IoStats {
@@ -75,17 +76,6 @@ impl IoStats {
             1.0
         } else {
             1.0 - self.physical_reads as f64 / self.logical_reads as f64
-        }
-    }
-
-    /// Component-wise difference (`self - earlier`), for measuring a single
-    /// operation between two snapshots.
-    pub fn delta_since(&self, earlier: &IoStats) -> IoStats {
-        IoStats {
-            logical_reads: self.logical_reads - earlier.logical_reads,
-            physical_reads: self.physical_reads - earlier.physical_reads,
-            physical_writes: self.physical_writes - earlier.physical_writes,
-            evictions: self.evictions - earlier.evictions,
         }
     }
 }
@@ -602,11 +592,6 @@ impl BufferPool {
         self.inner.lock().stats
     }
 
-    /// Resets the I/O counters to zero.
-    pub fn reset_stats(&self) {
-        self.inner.lock().stats = IoStats::default();
-    }
-
     /// Number of frames currently cached.
     pub fn cached_pages(&self) -> usize {
         self.inner.lock().occupancy()
@@ -715,10 +700,10 @@ mod tests {
     fn hit_and_miss_accounting() {
         let pool = small_pool(8);
         let pid = pool.allocate_page().unwrap();
-        pool.reset_stats();
+        let before = pool.stats();
         pool.with_page(pid, |_| ()).unwrap();
         pool.with_page(pid, |_| ()).unwrap();
-        let stats = pool.stats();
+        let stats = pool.stats().delta_since(&before);
         assert_eq!(stats.logical_reads, 2);
         assert_eq!(stats.physical_reads, 0, "page was cached by allocate_page");
         assert!((stats.hit_ratio() - 1.0).abs() < 1e-9);
@@ -770,7 +755,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_subtracts_counters() {
+    fn io_stats_delta_subtracts_counters() {
         let pool = small_pool(2);
         let pid = pool.allocate_page().unwrap();
         let before = pool.stats();
@@ -912,11 +897,12 @@ mod tests {
             pool.with_page_hinted(*pid, AccessHint::Scan, |_| ())
                 .unwrap();
         }
-        pool.reset_stats();
+        let before = pool.stats();
         for pid in &hot {
             pool.with_page(*pid, |_| ()).unwrap();
         }
-        assert_eq!(pool.stats().physical_reads, 0, "scan displaced the hot set");
+        let reads = pool.stats().delta_since(&before).physical_reads;
+        assert_eq!(reads, 0, "scan displaced the hot set");
     }
 
     /// The deterministic access-trace test: one fixed trace, exact physical

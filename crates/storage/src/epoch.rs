@@ -21,8 +21,9 @@
 //!   descent from the root.  Contended acquisitions are counted as latch
 //!   waits.
 //!
-//! Both report into [`ConcurrencyStats`], surfaced next to
-//! [`crate::IoStats`] by the experiment harness.
+//! Both report into one [`ConcurrencyStats`] view per tree, the
+//! `index.<table>.<index>.*` section of the one metrics surface
+//! ([`crate::metrics`]).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,42 +45,53 @@ pub enum RetiredItem {
     Page(PageId),
 }
 
-/// Counters describing latch and epoch activity since the tree was opened.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ConcurrencyStats {
-    /// Page-latch acquisitions by writers.
-    pub latch_acquisitions: u64,
-    /// Latch acquisitions that found the latch held (each one forces the
-    /// writer to release everything and restart its descent).
-    pub latch_waits: u64,
-    /// Reader epochs pinned (queries, cursors, scans).
-    pub epoch_pins: u64,
-    /// Epochs currently pinned by live readers.
-    pub active_pins: u64,
-    /// Cumulative wall-clock time readers held epoch pins, in nanoseconds.
-    pub epoch_pin_nanos: u64,
-    /// Items (slots and pages) retired by structural modifications.
-    pub retired: u64,
-    /// Retired items reclaimed so far.
-    pub reclaimed: u64,
-    /// Retired items still awaiting reclamation (the retired-page backlog).
-    pub retired_backlog: u64,
+crate::metric_view! {
+    /// Counters describing latch and epoch activity since the tree was
+    /// opened, exported per index as `index.<table>.<index>.*` in the one
+    /// metrics surface ([`crate::metrics`]).  `active_pins` and
+    /// `retired_backlog` are gauges: a delta keeps their current value.
+    pub struct ConcurrencyStats {
+        /// Page-latch acquisitions by writers.
+        latch_acquisitions: Counter,
+        /// Latch acquisitions that found the latch held (each one forces the
+        /// writer to release everything and restart its descent).
+        latch_waits: Counter,
+        /// Reader epochs pinned (queries, cursors, scans).
+        epoch_pins: Counter,
+        /// Epochs currently pinned by live readers.
+        active_pins: Gauge,
+        /// Cumulative wall-clock time readers held epoch pins, in nanoseconds.
+        epoch_pin_nanos: Counter,
+        /// Items (slots and pages) retired by structural modifications.
+        retired: Counter,
+        /// Retired items reclaimed so far.
+        reclaimed: Counter,
+        /// Retired items still awaiting reclamation (the retired-page backlog).
+        retired_backlog: Gauge,
+    }
 }
 
 impl ConcurrencyStats {
-    /// Component-wise difference (`self - earlier`), for measuring one
-    /// workload between two snapshots.  Gauge-style fields (`active_pins`,
-    /// `retired_backlog`) keep their current value.
-    pub fn delta_since(&self, earlier: &ConcurrencyStats) -> ConcurrencyStats {
+    /// The counters of one tree: its writers' latch table and its readers'
+    /// epoch manager.
+    pub fn of(epochs: &EpochManager, latches: &LatchTable) -> ConcurrencyStats {
+        let shared = &epochs.shared;
+        let (active_pins, retired_backlog) = {
+            let state = shared.state.lock();
+            (
+                state.active.values().map(|&n| n as u64).sum(),
+                state.retired.len() as u64,
+            )
+        };
         ConcurrencyStats {
-            latch_acquisitions: self.latch_acquisitions - earlier.latch_acquisitions,
-            latch_waits: self.latch_waits - earlier.latch_waits,
-            epoch_pins: self.epoch_pins - earlier.epoch_pins,
-            active_pins: self.active_pins,
-            epoch_pin_nanos: self.epoch_pin_nanos - earlier.epoch_pin_nanos,
-            retired: self.retired - earlier.retired,
-            reclaimed: self.reclaimed - earlier.reclaimed,
-            retired_backlog: self.retired_backlog,
+            latch_acquisitions: latches.acquisitions.load(Ordering::Relaxed),
+            latch_waits: latches.waits.load(Ordering::Relaxed),
+            epoch_pins: shared.pins.load(Ordering::Relaxed),
+            active_pins,
+            epoch_pin_nanos: shared.pin_nanos.load(Ordering::Relaxed),
+            retired: shared.retired_total.load(Ordering::Relaxed),
+            reclaimed: shared.reclaimed_total.load(Ordering::Relaxed),
+            retired_backlog,
         }
     }
 }
@@ -184,27 +196,6 @@ impl EpochManager {
     /// Number of retired items awaiting reclamation.
     pub fn backlog(&self) -> usize {
         self.shared.state.lock().retired.len()
-    }
-
-    /// Epoch counters (the latch fields are zero; [`LatchTable::stats_into`]
-    /// fills them).
-    pub fn stats(&self) -> ConcurrencyStats {
-        let (active_pins, backlog) = {
-            let state = self.shared.state.lock();
-            (
-                state.active.values().map(|&n| n as u64).sum(),
-                state.retired.len() as u64,
-            )
-        };
-        ConcurrencyStats {
-            epoch_pins: self.shared.pins.load(Ordering::Relaxed),
-            active_pins,
-            epoch_pin_nanos: self.shared.pin_nanos.load(Ordering::Relaxed),
-            retired: self.shared.retired_total.load(Ordering::Relaxed),
-            reclaimed: self.shared.reclaimed_total.load(Ordering::Relaxed),
-            retired_backlog: backlog,
-            ..ConcurrencyStats::default()
-        }
     }
 }
 
@@ -319,12 +310,6 @@ impl LatchTable {
                 .entry(page)
                 .or_insert_with(|| Arc::new(PageLatch::new())),
         )
-    }
-
-    /// Copies this table's counters into `stats`.
-    pub fn stats_into(&self, stats: &mut ConcurrencyStats) {
-        stats.latch_acquisitions = self.acquisitions.load(Ordering::Relaxed);
-        stats.latch_waits = self.waits.load(Ordering::Relaxed);
     }
 }
 
@@ -457,7 +442,7 @@ mod tests {
             "FIFO order"
         );
         assert_eq!(epochs.backlog(), 0);
-        let stats = epochs.stats();
+        let stats = ConcurrencyStats::of(&epochs, &LatchTable::new());
         assert_eq!(stats.retired, 2);
         assert_eq!(stats.reclaimed, 2);
     }
@@ -474,10 +459,13 @@ mod tests {
             "items retired before the pin are safe to reclaim"
         );
         assert_eq!(epochs.backlog(), 1);
-        assert_eq!(epochs.stats().active_pins, 1);
+        assert_eq!(
+            ConcurrencyStats::of(&epochs, &LatchTable::new()).active_pins,
+            1
+        );
         drop(pin);
         assert_eq!(epochs.take_reclaimable(), vec![RetiredItem::Page(2)]);
-        assert!(epochs.stats().epoch_pin_nanos > 0);
+        assert!(ConcurrencyStats::of(&epochs, &LatchTable::new()).epoch_pin_nanos > 0);
     }
 
     #[test]
@@ -510,8 +498,7 @@ mod tests {
         assert!(b.acquire(1), "released latches are available again");
         assert!(!b.acquire(2), "contended acquire reports a restart");
         assert!(!b.holds(1), "a failed acquire releases everything");
-        let mut stats = ConcurrencyStats::default();
-        table.stats_into(&mut stats);
+        let stats = ConcurrencyStats::of(&EpochManager::new(), &table);
         assert_eq!(stats.latch_waits, 1);
         drop(a);
         assert!(b.acquire(2), "dropping the holder frees the latch");

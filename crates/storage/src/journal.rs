@@ -64,52 +64,36 @@ const VERSION: u32 = 2;
 /// as one range (a range header costs four, and fewer ranges apply faster).
 const MERGE_GAP: usize = 8;
 
-/// Counters of checkpoint activity, surfaced by the database layer next to
-/// [`IoStats`](crate::buffer::IoStats) and
-/// [`ConcurrencyStats`](crate::epoch::ConcurrencyStats).  Incremental
-/// checkpoints are judged by these numbers: an untouched table shows up as
-/// `chunks_skipped`, and `quiesce_nanos` is the only window in which
-/// concurrent writers stall.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointStats {
-    /// Checkpoints completed.
-    pub checkpoints: u64,
-    /// Catalog chunks (row-directory runs, heap-directory runs, table
-    /// metadata segments, the root) actually rewritten.
-    pub chunks_written: u64,
-    /// Catalog chunks whose content was unchanged and which therefore cost
-    /// zero page writes.
-    pub chunks_skipped: u64,
-    /// Tables skipped outright (not mutated since the last checkpoint).
-    pub tables_skipped: u64,
-    /// Bytes of catalog content written (chunk records, metadata segments,
-    /// root segments).
-    pub catalog_bytes: u64,
-    /// Data pages flushed from the buffer pool's dirty set.
-    pub data_pages_flushed: u64,
-    /// Size in bytes of the pre-image rollback journal written, summed over
-    /// checkpoints.
-    pub journal_bytes: u64,
-    /// Nanoseconds spent holding every table's DML lock (the quiesce
-    /// window: log rotation plus the in-memory snapshot of dirty chunks and
-    /// dirty pages — flush and sync happen after the guards drop).
-    pub quiesce_nanos: u64,
-}
-
-impl CheckpointStats {
-    /// Component-wise difference (`self - earlier`), for measuring a single
-    /// checkpoint between two snapshots.
-    pub fn delta_since(&self, earlier: &CheckpointStats) -> CheckpointStats {
-        CheckpointStats {
-            checkpoints: self.checkpoints - earlier.checkpoints,
-            chunks_written: self.chunks_written - earlier.chunks_written,
-            chunks_skipped: self.chunks_skipped - earlier.chunks_skipped,
-            tables_skipped: self.tables_skipped - earlier.tables_skipped,
-            catalog_bytes: self.catalog_bytes - earlier.catalog_bytes,
-            data_pages_flushed: self.data_pages_flushed - earlier.data_pages_flushed,
-            journal_bytes: self.journal_bytes - earlier.journal_bytes,
-            quiesce_nanos: self.quiesce_nanos - earlier.quiesce_nanos,
-        }
+crate::metric_view! {
+    /// Counters of checkpoint activity since the database was opened, the
+    /// `checkpoint.*` section of the one metrics surface
+    /// ([`crate::metrics`]).  Incremental checkpoints are judged by these
+    /// numbers: an untouched table shows up as `chunks_skipped`, and
+    /// `quiesce_nanos` is the only window in which concurrent writers
+    /// stall.
+    pub struct CheckpointStats {
+        /// Checkpoints completed.
+        checkpoints: Counter,
+        /// Catalog chunks (row-directory runs, heap-directory runs, table
+        /// metadata segments, the root) actually rewritten.
+        chunks_written: Counter,
+        /// Catalog chunks whose content was unchanged and which therefore
+        /// cost zero page writes.
+        chunks_skipped: Counter,
+        /// Tables skipped outright (not mutated since the last checkpoint).
+        tables_skipped: Counter,
+        /// Bytes of catalog content written (chunk records, metadata
+        /// segments, root segments).
+        catalog_bytes: Counter,
+        /// Data pages flushed from the buffer pool's dirty set.
+        data_pages_flushed: Counter,
+        /// Size in bytes of the pre-image rollback journal written, summed
+        /// over checkpoints.
+        journal_bytes: Counter,
+        /// Nanoseconds spent holding every table's DML lock (the quiesce
+        /// window: log rotation plus the in-memory snapshot of dirty chunks
+        /// and dirty pages — flush and sync happen after the guards drop).
+        quiesce_nanos: Counter,
     }
 }
 

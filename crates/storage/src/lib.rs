@@ -11,6 +11,10 @@
 //! * [`buffer`] — a buffer pool with pin/unpin semantics, SIEVE eviction
 //!   steered by scan hints ([`replacement`]) and I/O accounting
 //!   ([`buffer::IoStats`]),
+//! * [`metrics`] — the one metrics surface: a snapshot of named counters
+//!   and gauges with one delta rule, and the typed views declared through
+//!   it ([`buffer::IoStats`], [`epoch::ConcurrencyStats`],
+//!   [`journal::CheckpointStats`]),
 //! * [`heap`] — a heap file (PostgreSQL "heap access" / sequential scan),
 //! * [`codec`] — a tiny length-prefixed binary codec used by every access
 //!   method in the workspace to lay records out on pages, and the one
@@ -33,6 +37,7 @@ pub mod error;
 pub mod fault;
 pub mod heap;
 pub mod journal;
+pub mod metrics;
 pub mod page;
 pub mod pager;
 pub mod replacement;
@@ -45,6 +50,7 @@ pub use error::{StorageError, StorageResult};
 pub use fault::{FaultPager, SyncFault, WriteFault};
 pub use heap::{HeapFile, RecordId};
 pub use journal::CheckpointStats;
+pub use metrics::{MetricKind, Metrics};
 pub use page::{Page, PageId, SlotId, MAX_RECORD_SIZE, PAGE_SIZE};
 pub use pager::{FilePager, MemPager, Pager};
 pub use replacement::AccessHint;
