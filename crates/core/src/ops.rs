@@ -250,8 +250,9 @@ pub trait SpGistOps {
     /// The builder calls this once per partition it is about to split, with
     /// the partition's decomposition `level` and traversal context.  Classes
     /// whose `picksplit` is data-driven use it to choose *which* data drives
-    /// the split: the trie sorts the key set (level 0 only — partitions of a
-    /// sorted set stay sorted) so sibling runs are contiguous, and the
+    /// the split: the trie sorts the key set by `(key, row)` (level 0 only —
+    /// partitions of a sorted set stay sorted) so sibling runs are
+    /// contiguous and the build depends on the item set alone, and the
     /// kd-tree / point quadtree move a spatial median to the front so the
     /// "old point" `picksplit` splits on halves the partition instead of
     /// reflecting insertion order.  Space-driven classes (the PMR quadtree),

@@ -292,8 +292,12 @@ impl SpGistOps for TrieOps {
         // sibling runs contiguous for the whole build — a partition of a
         // sorted set is itself sorted, because `picksplit` groups by the
         // character at a single position and preserves relative order.
+        // The order is total, `(key, row)`, so a build depends only on the
+        // item set, and a partition sorted on its own is exactly the
+        // whole-set order restricted to it (the suffix tree's partitioned
+        // build relies on this).
         if level == 0 {
-            items.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            items.sort_unstable();
         }
     }
 

@@ -389,8 +389,8 @@ fn bulk_built_pages_are_pinned_byte_for_byte() {
     assert_eq!(
         built,
         [
-            (49, 3, 0xdae1_09f0),   // trie
-            (171, 3, 0xc5ae_b7b9),  // suffix tree
+            (49, 3, 0x019a_454b),   // trie
+            (171, 3, 0x6377_3b1d),  // suffix tree
             (131, 3, 0xd375_649e),  // kd-tree
             (145, 3, 0xadcb_e177),  // point quadtree
             (2114, 4, 0x5af1_7d4b), // PMR quadtree
