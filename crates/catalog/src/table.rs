@@ -693,16 +693,14 @@ impl Table {
         if !items.is_empty() {
             // Seed exact planner statistics from the build scan: the scan
             // already visits every live key, so the distinct count stops
-            // being a session-local approximation.
-            let distinct: HashSet<Vec<u8>> = items
-                .iter()
-                .map(|(datum, _)| datum.encode_record())
-                .collect();
-            {
-                let mut inner = self.inner.write();
-                inner.distinct = distinct;
-                inner.distinct_base = 0;
-            }
+            // being a session-local approximation.  The table's own set is
+            // refilled in place: never a second set beside it.
+            let inner = self.inner.get_mut();
+            inner.distinct.clear();
+            inner
+                .distinct
+                .extend(items.iter().map(|(datum, _)| datum.encode_record()));
+            inner.distinct_base = 0;
             // The scan hands its keys to the build: no second copy.
             named.index.bulk_build(items)?;
         }

@@ -7,7 +7,7 @@
 //! behavior online, and the wrong algorithm for loading a known data set.
 //!
 //! [`BulkBuilder`] is the dedicated index-build entry point instead: it takes
-//! the *whole* `(key, row)` set, recursively applies
+//! the `(key, row)` set, recursively applies
 //! [`SpGistOps::picksplit`] to whole partitions top-down, packs data nodes to
 //! `BucketSize`, and emits every node children-first to the placer
 //! ([`NodeStore`]'s page groups, the same layout `repack` and the online
@@ -24,6 +24,16 @@
 //! cut in place by [`SpGistOps::leaf_key`], and each leaf is encoded straight
 //! from its run.  Only a split that puts one item in several partitions (the
 //! PMR quadtree's) copies each partition it recurses into.
+//!
+//! A caller that can produce the items of one root partition more cheaply
+//! than it can hold them all (the suffix tree, whose items are the suffixes
+//! of its words) need not hand over the whole set:
+//! [`SpGistTree::bulk_build_by_partition`](crate::SpGistTree::bulk_build_by_partition)
+//! splits the root on a sample with the class's own `bulk_prepare` and
+//! `picksplit`, and asks for each root partition's run only when it builds
+//! that child.  The root's children then go through the same
+//! children-first tail (`BulkBuilder::build_inner`) as every split of a
+//! whole-set build, so both write the same bytes.
 //!
 //! Two deliberate differences from the insertion path:
 //!
@@ -63,8 +73,8 @@ use crate::store::{Group, NodeStore, UNPLACED};
 use crate::RowId;
 
 /// One bulk build over an empty tree's node store; created by
-/// [`SpGistTree::bulk_build`](crate::SpGistTree::bulk_build), which owns the
-/// precondition checks and the root/meta bookkeeping.
+/// [`SpGistTree::bulk_build_by_partition`](crate::SpGistTree::bulk_build_by_partition),
+/// which owns the precondition checks and the root/meta bookkeeping.
 pub struct BulkBuilder<'a, O: SpGistOps> {
     ops: &'a O,
     store: &'a NodeStore,
@@ -80,16 +90,52 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         }
     }
 
-    /// Builds and places the whole tree from `items`: the root's address,
-    /// and the statistics accumulated while building, completed with the
-    /// store's size figures.  `items` is the build's one item buffer:
-    /// partitioned and cut in place, level by level.
-    pub(crate) fn build(
+    /// Builds and places the tree over `len` items: the root's address, and
+    /// the statistics accumulated while building, completed with the
+    /// store's size figures.  The items come from `fetch`, asked only when
+    /// they are built.
+    ///
+    /// With an empty `sample`, `fetch(None)` hands over the whole set, the
+    /// build's one item buffer: partitioned and cut in place, level by
+    /// level.  Otherwise the root is split on `sample` alone, and each of
+    /// its children is built from the run `fetch(Some(pred))` returns for
+    /// that child's predicate, dropped before the next is asked for.  The
+    /// sample must split like the whole set (for the trie: its least and
+    /// greatest item and one item of every root partition), and each run
+    /// must hold exactly the partition's items in the order the class's
+    /// [`SpGistOps::bulk_prepare`] gives the whole set (the trie's total
+    /// `(key, row)` sort): then the tree is byte for byte the whole set's.
+    /// Where the whole set fits one leaf, or the sample's split is
+    /// degenerate or not disjoint, the build asks for the whole set once.
+    pub(crate) fn build<F>(
         mut self,
-        mut items: Vec<(O::Key, RowId)>,
-    ) -> StorageResult<(NodeId, TreeStats)> {
+        len: usize,
+        mut sample: Vec<(O::Key, RowId)>,
+        mut fetch: F,
+    ) -> StorageResult<(NodeId, TreeStats)>
+    where
+        F: FnMut(Option<&O::Pred>) -> StorageResult<Vec<(O::Key, RowId)>>,
+    {
+        let cfg = self.ops.config();
         let ctx = self.ops.root_context();
-        let tree = self.build_partition(&mut items, 0, &ctx, 1)?;
+        let split = (!sample.is_empty() && len > cfg.bucket_size && cfg.resolution > 0)
+            .then(|| {
+                self.ops.bulk_prepare(&mut sample, 0, &ctx);
+                self.ops.picksplit(&sample, 0, &ctx)
+            })
+            .filter(|split| {
+                let assigned: usize = split.partitions.iter().map(|(_, m)| m.len()).sum();
+                assigned == sample.len() && !split.is_degenerate(sample.len())
+            });
+        let tree = match split {
+            Some(PickSplit { prefix, partitions }) => {
+                let runs = partitions
+                    .into_iter()
+                    .map(|(pred, _)| fetch(Some(&pred)).map(|run| (pred, run)));
+                self.build_inner(prefix, runs, 0, &ctx, 1)?
+            }
+            None => self.build_partition(&mut fetch(None)?, 0, &ctx, 1)?,
+        };
         let (root, max_page_height) = self.store.place_group(tree, None)?;
         let stats = TreeStats {
             max_page_height,
@@ -137,46 +183,67 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
             (!split.is_degenerate(items.len()) && !split.replicates_without_separating(items.len()))
                 .then_some(split)
         };
-        let Some(split) = split else {
+        let Some(PickSplit {
+            prefix,
+            mut partitions,
+        }) = split
+        else {
             return self.build_rows(items.to_vec(), 0, depth);
         };
 
-        let PickSplit { prefix, partitions } = split;
-        let delta = self.ops.descend_levels(prefix.as_ref());
-        let mut kept: Vec<(O::Pred, Vec<usize>)> = partitions
-            .into_iter()
-            .filter(|(_, members)| {
-                !(members.is_empty() && cfg.node_shrink == NodeShrink::OmitEmpty)
-            })
-            .collect();
         // Every item lies in some partition now; when each lies in exactly
         // one, partition k becomes run k of `items`, in its members' order,
         // and only the run sizes are kept.  A replicating split (PMR) copies
-        // each partition instead.
-        let sizes: Vec<usize> = kept.iter().map(|(_, members)| members.len()).collect();
-        let disjoint = sizes.iter().sum::<usize>() == items.len();
-        if disjoint {
-            assert!(items.len() <= u32::MAX as usize, "order held as u32");
-            let mut order = Vec::with_capacity(items.len());
-            for (_, members) in &mut kept {
-                order.extend(std::mem::take(members).into_iter().map(|i| i as u32));
-            }
-            permute(items, order);
+        // each partition as its child is built instead.
+        let sizes: Vec<usize> = partitions
+            .iter()
+            .map(|(_, members)| members.len())
+            .collect();
+        if sizes.iter().sum::<usize>() != items.len() {
+            let items = &*items;
+            let runs = partitions.into_iter().map(|(pred, members)| {
+                let run: Vec<_> = members.iter().map(|&idx| items[idx].clone()).collect();
+                Ok((pred, run))
+            });
+            return self.build_inner(prefix, runs, level, ctx, depth);
         }
+        assert!(items.len() <= u32::MAX as usize, "order held as u32");
+        let mut order = Vec::with_capacity(items.len());
+        for (_, members) in &mut partitions {
+            order.extend(std::mem::take(members).into_iter().map(|i| i as u32));
+        }
+        permute(items, order);
+        let mut rest = items;
+        let runs = partitions.into_iter().zip(sizes).map(|((pred, _), size)| {
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(size);
+            rest = tail;
+            Ok((pred, run))
+        });
+        self.build_inner(prefix, runs, level, ctx, depth)
+    }
 
-        // Children first: each child's subtree goes to the placer before
-        // the node that points at it.
-        let (mut entries, mut kids) = (Vec::with_capacity(kept.len()), Vec::new());
-        let mut start = 0;
-        for ((pred, members), size) in kept.into_iter().zip(sizes) {
-            let mut copied: Vec<(O::Key, RowId)>;
-            let run = if disjoint {
-                start += size;
-                &mut items[start - size..start]
-            } else {
-                copied = members.iter().map(|&idx| items[idx].clone()).collect();
-                &mut copied[..]
-            };
+    /// The children-first tail of a split at `level`: builds each child
+    /// from its predicate's run of `runs`, cutting the run's keys to what
+    /// the child stores, and hands it to the placer before the inner node
+    /// with `prefix` that points at them all.  An empty run gets no entry
+    /// under [`NodeShrink::OmitEmpty`].
+    fn build_inner<R: AsMut<[(O::Key, RowId)]>>(
+        &mut self,
+        prefix: Option<O::Prefix>,
+        runs: impl Iterator<Item = StorageResult<(O::Pred, R)>>,
+        level: u32,
+        ctx: &O::Context,
+        depth: u32,
+    ) -> StorageResult<Group> {
+        let omit_empty = self.ops.config().node_shrink == NodeShrink::OmitEmpty;
+        let delta = self.ops.descend_levels(prefix.as_ref());
+        let (mut entries, mut kids) = (Vec::new(), Vec::new());
+        for child in runs {
+            let (pred, mut run) = child?;
+            let run = run.as_mut();
+            if run.is_empty() && omit_empty {
+                continue;
+            }
             run.iter_mut()
                 .for_each(|(key, _)| self.ops.leaf_key(key, delta));
             let child_ctx = self.ops.child_context(ctx, prefix.as_ref(), &pred, level);

@@ -324,28 +324,50 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// fully).
     ///
     /// [`BulkBuilder`]: crate::build::BulkBuilder
-    pub fn bulk_build(&self, items: Vec<(O::Key, RowId)>) -> StorageResult<TreeStats> {
+    pub fn bulk_build(&self, mut items: Vec<(O::Key, RowId)>) -> StorageResult<TreeStats> {
+        let len = items.len();
+        self.bulk_build_by_partition(len, Vec::new(), |_| Ok(std::mem::take(&mut items)))
+    }
+
+    /// Builds the whole tree over `len` items, for a caller that can
+    /// produce one root partition of them more cheaply than it can hold
+    /// them all (the suffix tree's suffixes): the root is split on
+    /// `sample`, and `fetch(Some(pred))` is asked for the items of root
+    /// partition `pred` only when that child is built — `fetch(None)` for
+    /// the whole set where the root does not split, or `sample` is empty.
+    /// The contract on `sample` and the runs, under which the tree is byte
+    /// for byte the one [`SpGistTree::bulk_build`] makes of the whole set,
+    /// is `BulkBuilder::build`'s; the preconditions and the result are
+    /// [`SpGistTree::bulk_build`]'s.
+    pub fn bulk_build_by_partition<F>(
+        &self,
+        len: usize,
+        sample: Vec<(O::Key, RowId)>,
+        fetch: F,
+    ) -> StorageResult<TreeStats>
+    where
+        F: FnMut(Option<&O::Pred>) -> StorageResult<Vec<(O::Key, RowId)>>,
+    {
         let _gate = self.write_gate.write();
         if self.root().is_some() || !self.is_empty() {
             return Err(StorageError::Unsupported(
                 "bulk_build requires an empty tree; use insert for incremental loads".into(),
             ));
         }
-        if items.is_empty() {
+        if len == 0 {
             return self.stats();
         }
-        let logical = items.len() as u64;
         // The build writes each page roughly once, front to back — a scan
         // pattern.  Hint the pool so loading one index does not flush every
         // other tree's hot pages; point operations restore Normal below.
         self.store.set_access_hint(AccessHint::Scan);
-        let result = BulkBuilder::new(&self.ops, &self.store).build(items);
+        let result = BulkBuilder::new(&self.ops, &self.store).build(len, sample, fetch);
         self.store.set_access_hint(AccessHint::Normal);
         let (root, stats) = result?;
         {
             let _meta = self.meta_lock.lock();
             self.set_root(Some(root));
-            self.item_count.store(logical, Ordering::Relaxed);
+            self.item_count.store(len as u64, Ordering::Relaxed);
             self.page_height
                 .store(stats.max_page_height, Ordering::Relaxed);
             self.write_meta_locked()?;

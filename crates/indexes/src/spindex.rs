@@ -146,8 +146,9 @@ pub trait SpIndex: SpGistBacked {
     ///
     /// The backing tree's [`spgist_core::BulkBuilder`] partitions the whole
     /// set top-down with `picksplit` and writes each node exactly once;
-    /// indexes with expanded representations translate first (the suffix
-    /// tree turns words into suffixes).  Requires an **empty** index and
+    /// indexes with expanded representations translate as they go (the
+    /// suffix tree turns words into one root partition of suffixes at a
+    /// time).  Requires an **empty** index and
     /// excludes other writers for the whole build.  Returns the
     /// [`TreeStats`] accumulated during the build.
     ///

@@ -13,24 +13,27 @@
 //! SP-GiST text class does: an `L`-byte word costs `L` suffixes, but not
 //! `L²/2` bytes of them.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use spgist_core::{RowId, SearchCursor, SpGistTree, TreeStats};
+use spgist_core::{RowId, SearchCursor, SpGistOps, SpGistTree, TreeStats};
 use spgist_storage::{BufferPool, PageId, StorageResult};
 
 use crate::query::StringQuery;
 use crate::spindex::{Cursor, SpGistBacked, SpIndex};
 use crate::trie::{TrieIndex, TrieOps};
 
-/// Every stored suffix of `word`, paired with `row` — the empty word has one
-/// suffix, itself.
+/// Every stored suffix of `word` — the empty word has one suffix, itself.
 /// Suffixes are byte-indexed (the paper's word datasets are ASCII); the one
 /// place to change when adding non-ASCII support.
+fn suffixes(word: &str) -> impl Iterator<Item = &str> {
+    (0..word.len().max(1)).map(move |start| &word[start..])
+}
+
+/// Every stored suffix of `word`, paired with `row`.
 fn suffix_items(word: &str, row: RowId) -> Vec<(String, RowId)> {
-    (0..word.len().max(1))
-        .map(|start| (word[start..].to_string(), row))
-        .collect()
+    suffixes(word).map(|s| (s.to_string(), row)).collect()
 }
 
 /// A disk-based suffix-tree index over strings (the paper's
@@ -88,20 +91,55 @@ impl SpIndex for SuffixTreeIndex {
         Ok(())
     }
 
-    /// Bulk build: the words are expanded into the full suffix set *before*
-    /// the backing trie is built, so the sort-based trie build sees every
-    /// suffix at once and sibling runs of shared suffixes are contiguous.
-    /// The words are dropped once expanded: the suffix set is the build's
-    /// one buffer.
+    /// Bulk build, one root partition of suffixes at a time: the suffix set
+    /// is never expanded whole.  A pass over the words finds the least and
+    /// the greatest suffix; the root's predicates are the bytes suffixes
+    /// hold just past the prefix those two share, and a second pass keeps
+    /// one suffix of each as the sample the root is split on.  Each child is
+    /// then built from one more pass that materializes only its partition's
+    /// suffixes, sorted as the trie's `bulk_prepare` sorts the whole set —
+    /// so the tree is byte for byte the whole set's.
     fn bulk_build(&self, items: Vec<(String, RowId)>) -> StorageResult<TreeStats> {
-        let words = items.len() as u64;
-        let total: usize = items.iter().map(|(w, _)| w.len().max(1)).sum();
-        let mut expanded = Vec::with_capacity(total);
-        for (word, row) in items {
-            expanded.extend(suffix_items(&word, row));
+        let all = || {
+            items
+                .iter()
+                .flat_map(|(word, row)| suffixes(word).map(move |s| (s, *row)))
+        };
+        let (Some(min), Some(max)) = (all().min(), all().max()) else {
+            return self.backing().bulk_build(Vec::new());
+        };
+        let split_at = min
+            .0
+            .bytes()
+            .zip(max.0.bytes())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let pred = |suffix: &str| TrieOps::pred_at(suffix, split_at);
+        // Per root predicate: one of its suffixes and how many there are.
+        let mut partitions: BTreeMap<u8, ((&str, RowId), usize)> = BTreeMap::new();
+        for item in all() {
+            partitions.entry(pred(item.0)).or_insert((item, 0)).1 += 1;
         }
-        let stats = self.backing().bulk_build(expanded)?;
-        self.strings.fetch_add(words, Ordering::Relaxed);
+        let owned = |(s, row): (&str, RowId)| (s.to_string(), row);
+        let sample = [min, max]
+            .into_iter()
+            .chain(partitions.values().map(|(item, _)| *item))
+            .map(owned)
+            .collect();
+        let len = partitions.values().map(|(_, count)| count).sum();
+        let stats = self
+            .backing()
+            .bulk_build_by_partition(len, sample, |root_pred| {
+                let Some(&p) = root_pred else {
+                    return Ok(all().map(owned).collect());
+                };
+                let mut run = Vec::with_capacity(partitions.get(&p).map_or(0, |(_, n)| *n));
+                run.extend(all().filter(|(s, _)| pred(s) == p).map(owned));
+                self.backing().ops().bulk_prepare(&mut run, 0, &());
+                Ok(run)
+            })?;
+        self.strings
+            .fetch_add(items.len() as u64, Ordering::Relaxed);
         Ok(stats)
     }
 

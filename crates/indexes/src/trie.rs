@@ -107,7 +107,9 @@ impl TrieOps {
         self.config.path_shrink == PathShrink::TreeShrink
     }
 
-    fn pred_at(key: &str, pos: usize) -> u8 {
+    /// The predicate `key` is filed under at byte `pos`: its byte there, or
+    /// [`BLANK`] past its end.
+    pub(crate) fn pred_at(key: &str, pos: usize) -> u8 {
         key.as_bytes().get(pos).copied().unwrap_or(BLANK)
     }
 

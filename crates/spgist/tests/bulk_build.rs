@@ -350,11 +350,14 @@ fn pmr_bulk_build_equivalent_to_insert_loop() {
 /// `(pages, page height, crc32 of every page in allocation order)` of a
 /// tree bulk-built from `keys`, row `i` for key `i`, on an in-memory pool.
 fn built_pages<I: Fresh>(keys: &[I::Key]) -> (usize, u32, u32) {
+    pages_of::<I>(keys.iter().cloned().zip(0..).collect())
+}
+
+/// [`built_pages`] of a tree bulk-built from `items`, in their order.
+fn pages_of<I: Fresh>(items: Vec<(I::Key, RowId)>) -> (usize, u32, u32) {
     let pool = pool();
     let index = I::fresh(Arc::clone(&pool));
-    index
-        .bulk_build(keys.iter().cloned().zip(0..).collect())
-        .unwrap();
+    index.bulk_build(items).unwrap();
     let mut bytes = Vec::new();
     for page in index.owned_pages() {
         pool.with_page(page, |p| bytes.extend_from_slice(p.as_bytes()))
@@ -396,6 +399,74 @@ fn bulk_built_pages_are_pinned_byte_for_byte() {
             (2114, 4, 0x5af1_7d4b), // PMR quadtree
         ]
     );
+}
+
+/// A bulk build depends only on its item set: the trie sorts by `(key,
+/// row)`, so two shuffles of the same items (words repeat, so equal keys
+/// meet in other orders) write the same bytes — for the trie, and for the
+/// suffix tree, whose build sorts each root partition on its own.
+#[test]
+fn bulk_built_pages_do_not_depend_on_input_order() {
+    let items: Vec<(String, RowId)> = words(5_000, SEED ^ 0xb0).into_iter().zip(0..).collect();
+    let mut rng = DetRng::seed_from_u64(SEED ^ 0xb1);
+    let mut shuffled = || {
+        let mut items = items.clone();
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.gen_range(0..=i));
+        }
+        items
+    };
+    let (a, b) = (shuffled(), shuffled());
+    assert_ne!(a, b);
+    assert_eq!(
+        pages_of::<TrieIndex>(a.clone()),
+        pages_of::<TrieIndex>(b.clone())
+    );
+    assert_eq!(
+        pages_of::<SuffixTreeIndex>(a),
+        pages_of::<SuffixTreeIndex>(b)
+    );
+}
+
+/// The suffix tree builds one root partition at a time, from a root split
+/// taken on a sample.  Where that split is special it must still answer
+/// every substring and prefix query like the insert loop: suffixes that
+/// all share a first byte (the root carries a prefix), a set holding the
+/// empty word (whose one suffix ends at the root), a set of empty words
+/// only (no split: the whole set is built at once), and a set of at most
+/// `bucket_size` suffixes (one leaf).
+#[test]
+fn suffix_build_handles_degenerate_root_splits() {
+    let one_letter: Vec<String> = (0..60).map(|i| "a".repeat(1 + i % 9)).collect();
+    let mut with_empty = words(60, SEED ^ 0xc0);
+    with_empty.insert(7, String::new());
+    with_empty.push(String::new());
+    let only_empty = vec![String::new(); 40];
+    let one_leaf: Vec<String> = ["ab", "c", "ba", ""].map(String::from).to_vec();
+    let suffixes = |words: &[String]| words.iter().map(|w| w.len().max(1)).sum::<usize>();
+    assert!(suffixes(&one_leaf) <= TrieOps::patricia().config().bucket_size);
+    for data in [one_letter, with_empty, only_empty, one_leaf] {
+        assert!(suffixes(&data) > 0);
+        let items: Vec<(String, RowId)> = data.iter().cloned().zip(0..).collect();
+        let (bulk, looped) = twins::<SuffixTreeIndex>(items);
+        assert_eq!(bulk.suffix_count(), looped.suffix_count());
+        let mut needles: Vec<String> = data
+            .iter()
+            .flat_map(|w| (0..=w.len()).flat_map(move |i| (i..=w.len()).map(move |j| &w[i..j])))
+            .map(String::from)
+            .chain(["zz", "aaaaaaaaaa"].map(String::from))
+            .collect();
+        needles.sort();
+        needles.dedup();
+        for needle in needles {
+            for q in [
+                StringQuery::Substring(needle.clone()),
+                StringQuery::Prefix(needle.clone()),
+            ] {
+                assert_eq!(rows(&bulk, &q), rows(&looped, &q), "{q:?} over {data:?}");
+            }
+        }
+    }
 }
 
 /// `(pages, page height)` of a tree bulk-built from `keys`, then the same
