@@ -33,11 +33,14 @@ impl Database {
     ///
     /// 1. **Quiesce.**  Every table's DML lock is taken, but only for the
     ///    *in-memory* part of the checkpoint: the log cut, the per-table
-    ///    dirty-chunk snapshots, and a memcpy of the dirty data pages.  No
-    ///    statement can be half-applied (a heap page without its index
-    ///    updates, half an index split) in the images being snapshotted.
-    ///    The guards drop before any disk I/O — writers stall for the
-    ///    snapshot, not for the fsyncs.
+    ///    dirty-chunk snapshots, and a hold on each dirty data page (its id
+    ///    and dirty epoch; no page is copied).  No statement can be
+    ///    half-applied (a heap page without its index updates, half an
+    ///    index split) in the images being snapshotted.  The guards drop
+    ///    before any disk I/O — writers stall for the snapshot, not for
+    ///    the fsyncs.  A writer that changes a held page afterwards first
+    ///    copies the image the hold captured (copy-on-write), so only pages
+    ///    written during steps 3-4 are ever copied.
     /// 2. **Rotate.**  The log is rotated; `cut` = everything appended so
     ///    far becomes durable and sealed, and (thanks to step 1) every
     ///    record below the cut is fully reflected in the snapshots.
@@ -54,13 +57,16 @@ impl Database {
     ///    pool is no-steal, so nothing reaches the file between step 4 of
     ///    the previous checkpoint and step 4 of this one.
     /// 4. **Flush data, sync.**  The *snapshot* images are written and
-    ///    synced — not the live frames, which concurrent DML may already
-    ///    have advanced past the log cut (their referenced pages would not
-    ///    be flushed, tearing the checkpoint).  A frame re-dirtied since
-    ///    the snapshot keeps its dirty flag and ships with the next
-    ///    checkpoint.  Data lands *before* any catalog write, so a torn
-    ///    crash can never persist a catalog that claims `checkpoint_lsn =
-    ///    cut` over data pages that do not reflect it.
+    ///    synced: each held page's copy-on-write image if a writer changed
+    ///    it since step 1, else the live page, unchanged since.  Never a
+    ///    live page that concurrent DML may already have advanced past the
+    ///    log cut (its referenced pages would not be flushed, tearing the
+    ///    checkpoint).  A frame re-dirtied since the snapshot keeps its
+    ///    dirty flag and ships with the next checkpoint.  The holds and
+    ///    their copies are released here, flushed or not.  Data lands
+    ///    *before* any catalog write, so a torn crash can never persist a
+    ///    catalog that claims `checkpoint_lsn = cut` over data pages that
+    ///    do not reflect it.
     /// 5. **Write catalog delta, sync.**  Dirty chunks are rewritten in
     ///    place (relocated only when a segment grows), mutated tables'
     ///    metadata and the root are rewritten, and exactly those pages are
@@ -108,7 +114,8 @@ impl Database {
         drop(guards);
         let quiesce_nanos = quiesce_start.elapsed().as_nanos() as u64;
 
-        match self.checkpoint_persist(&snaps, &data, checkpoint_lsn) {
+        let data_pages = data.len() as u64;
+        match self.checkpoint_persist(&snaps, data, checkpoint_lsn) {
             Ok((outcome, journal_bytes)) => {
                 let stats = &mut self.ckpt_stats;
                 stats.checkpoints += 1;
@@ -116,7 +123,7 @@ impl Database {
                 stats.chunks_skipped += outcome.chunks_skipped;
                 stats.tables_skipped += tables_skipped;
                 stats.catalog_bytes += outcome.bytes_written;
-                stats.data_pages_flushed += data.len() as u64;
+                stats.data_pages_flushed += data_pages;
                 stats.journal_bytes += journal_bytes;
                 stats.quiesce_nanos += quiesce_nanos;
                 Ok(())
@@ -144,7 +151,7 @@ impl Database {
     fn checkpoint_persist(
         &mut self,
         snaps: &[TableSnapshot],
-        data: &DirtyPageSnapshot,
+        data: DirtyPageSnapshot,
         checkpoint_lsn: u64,
     ) -> StorageResult<(durable::CatalogWriteOutcome, u64)> {
         let layout = self

@@ -26,7 +26,7 @@
 //! writer.  DDL (`create_index` / `drop_index`) requires exclusive access
 //! (`&mut`), the executor's analog of PostgreSQL's `AccessExclusiveLock`.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -38,7 +38,7 @@ use spgist_storage::{
 use spgist_wal::{Lsn, TxnId, Wal, WalRecord, AUTOCOMMIT};
 
 use crate::am::Catalog;
-use crate::cost::TableStats;
+use crate::cost::{key_hash, DistinctSketch, TableStats};
 use crate::durable::{PersistedTable, RowsDelta, TableSnapshot, ROWS_PER_CHUNK};
 use crate::physical::{ExecCursor, Executor, IndexSpec, NamedIndex, RowSource};
 use crate::planner::{AccessPath, AvailableIndex, Planner};
@@ -90,16 +90,16 @@ struct TableInner {
     /// assigned in insertion order, like the paper's heap tuple pointers.
     rows: Vec<Option<RecordId>>,
     live_rows: u64,
-    /// Encoded key values seen on insert *this session*, for the planner's
-    /// `distinct_values` statistic (deletions are not subtracted —
-    /// statistics, not truth).  A bulk index build ([`Table::create_index`]
-    /// on a populated table) re-seeds this set from its full heap scan, so
-    /// right after a build the statistic is the *exact* live distinct count.
-    distinct: HashSet<Vec<u8>>,
-    /// Distinct-count seed restored from the durable catalog on reopen; the
-    /// statistic reported is `distinct_base + distinct.len()`.  Values
-    /// re-inserted after a reopen may double-count — again statistics, not
-    /// truth.
+    /// Encoded key values inserted since `distinct_base` was set, counted
+    /// for the planner's `distinct_values` statistic in a fixed-size sketch
+    /// (deletions are not subtracted — statistics, not truth).
+    distinct: DistinctSketch,
+    /// The distinct-key count the sketch adds to: the exact live count of
+    /// the last bulk index build ([`Table::create_index`] on a populated
+    /// table), or the statistic restored from the durable catalog on
+    /// reopen.  The statistic reported is `distinct_base +
+    /// distinct.estimate()`.  Values inserted again after either may
+    /// double-count — again statistics, not truth.
     distinct_base: u64,
     /// Checkpoint dirty-tracking (see [`TableDirty`]).
     dirty: TableDirty,
@@ -112,6 +112,11 @@ impl TableInner {
     /// [`RowSource::is_live`] and [`RowSource::fetch`] call it.
     fn record_of(&self, row: RowId) -> Option<RecordId> {
         self.rows.get(row as usize).copied().flatten()
+    }
+
+    /// The planner's `distinct_values` statistic.
+    fn distinct_values(&self) -> u64 {
+        self.distinct_base + self.distinct.estimate()
     }
 }
 
@@ -161,7 +166,7 @@ impl Table {
                 heap: HeapFile::create(Arc::clone(&pool))?,
                 rows: Vec::new(),
                 live_rows: 0,
-                distinct: HashSet::new(),
+                distinct: DistinctSketch::new(),
                 distinct_base: 0,
                 // Never checkpointed: the first checkpoint writes everything.
                 dirty: TableDirty::all(),
@@ -204,7 +209,7 @@ impl Table {
                 heap,
                 rows: pt.rows.clone(),
                 live_rows: pt.live_rows,
-                distinct: HashSet::new(),
+                distinct: DistinctSketch::new(),
                 distinct_base: pt.distinct,
                 // Reopened from a checkpoint image: clean until mutated.
                 dirty: TableDirty::default(),
@@ -277,7 +282,7 @@ impl Table {
                 heap_pages: inner.heap.pages().to_vec(),
                 heap_records: inner.heap.record_count(),
                 live_rows: inner.live_rows,
-                distinct: inner.distinct_base + inner.distinct.len() as u64,
+                distinct: inner.distinct_values(),
                 rows_len,
                 rows,
                 indexes: Vec::new(),
@@ -501,9 +506,7 @@ impl Table {
                     None => inner.rows.push(Some(rid)),
                 }
                 inner.live_rows += 1;
-                if !inner.distinct.contains(record) {
-                    inner.distinct.insert(record.clone());
-                }
+                inner.distinct.insert(record);
                 inner.dirty.mark_row(*row);
             }
         }
@@ -693,14 +696,17 @@ impl Table {
         if !items.is_empty() {
             // Seed exact planner statistics from the build scan: the scan
             // already visits every live key, so the distinct count stops
-            // being a session-local approximation.  The table's own set is
-            // refilled in place: never a second set beside it.
+            // being an approximation.  One hash per key, sorted: no set of
+            // the keys themselves.
+            let mut hashes: Vec<u64> = items
+                .iter()
+                .map(|(datum, _)| key_hash(&datum.encode_record()))
+                .collect();
+            hashes.sort_unstable();
+            hashes.dedup();
             let inner = self.inner.get_mut();
-            inner.distinct.clear();
-            inner
-                .distinct
-                .extend(items.iter().map(|(datum, _)| datum.encode_record()));
-            inner.distinct_base = 0;
+            inner.distinct = DistinctSketch::new();
+            inner.distinct_base = hashes.len() as u64;
             // The scan hands its keys to the build: no second copy.
             named.index.bulk_build(items)?;
         }
@@ -764,7 +770,7 @@ impl Table {
         TableStats {
             rows: inner.live_rows,
             heap_pages: (inner.heap.page_count() as u64).max(1),
-            distinct_values: inner.distinct_base + inner.distinct.len() as u64,
+            distinct_values: inner.distinct_values(),
         }
     }
 

@@ -1,12 +1,18 @@
-//! The suffix tree's bulk build holds one root partition of suffixes, not
-//! the whole suffix set.  A counting global allocator (this file is its own
-//! test binary, so nothing else allocates through it) tracks live heap
-//! bytes and their high-water mark while a suffix tree is bulk-built from
-//! its words: the build may hold the pages it writes and one root
-//! partition's suffixes at a time — never every suffix expanded at once.
+//! Memory that does not grow with the data.  A counting global allocator
+//! (this file is its own test binary, so nothing else allocates through
+//! it) tracks live heap bytes and their high-water mark:
+//!
+//! * while a suffix tree is bulk-built from its words, the build may hold
+//!   the pages it writes and one root partition's suffixes at a time —
+//!   never every suffix expanded at once;
+//! * while a checkpoint flushes its dirty pages, it holds them in place —
+//!   never a copy of each.
+//!
+//! The tests take turns ([`serial`]): the counters see every thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use spgist::prelude::*;
 use spgist::storage::PAGE_SIZE;
@@ -82,8 +88,17 @@ fn reset_peak() -> usize {
     now
 }
 
+/// Runs the tests of this binary one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn suffix_bulk_build_holds_its_suffixes_once() {
+    let _serial = serial();
     let before = live();
     let items: Vec<(String, RowId)> = words(20_000, 0x5eed_0028).into_iter().zip(0..).collect();
     let word_bytes = live() - before;
@@ -124,4 +139,55 @@ fn suffix_bulk_build_holds_its_suffixes_once() {
         "the build held {high_water} B at its peak: more than the tree's pages \
          ({pages} B) and a quarter of the suffix set ({suffix_bytes} B)"
     );
+}
+
+#[test]
+fn checkpoint_holds_its_dirty_pages_without_copying_them() {
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("spgist-ckpt-memory-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut db = Database::create(dir.join("db.pages")).unwrap();
+    db.create_table("notes", KeyType::Varchar).unwrap();
+    // Three 2.5 KB rows to a heap page, checkpointed clean.
+    const ROWS: u64 = 3_300;
+    let note = |i: u64| format!("{i:0>2500}");
+    for batch in (0..ROWS).collect::<Vec<_>>().chunks(100) {
+        let notes: Vec<Datum> = batch.iter().map(|&i| Datum::from(note(i))).collect();
+        db.table("notes").unwrap().insert_many(notes).unwrap();
+    }
+    db.checkpoint().unwrap();
+    // One delete on every page dirties them all again, and the journal
+    // saves the few bytes each delete changed.
+    let mut txn = db.begin().unwrap();
+    for row in (0..ROWS).step_by(3) {
+        assert!(txn.delete("notes", row).unwrap());
+    }
+    txn.commit().unwrap();
+    let dirty = db.pool().dirty_page_ids().len();
+    assert!(dirty >= 1_000, "{dirty} dirty pages");
+
+    let journal_before = db.checkpoint_stats().journal_bytes;
+    let base = reset_peak();
+    db.checkpoint().unwrap();
+    let high_water = PEAK.load(Ordering::Relaxed) - base;
+    let journal = (db.checkpoint_stats().journal_bytes - journal_before) as usize;
+    assert_eq!(db.table("notes").unwrap().len(), ROWS - ROWS.div_ceil(3));
+
+    // Copying every dirty page before the flush peaked at more than their
+    // bytes.  Holding them, the checkpoint allocates its journal body and
+    // little else.
+    let dirty_bytes = dirty * PAGE_SIZE;
+    let budget = dirty_bytes / 4 + journal;
+    println!(
+        "{dirty} dirty pages ({dirty_bytes} B), journal {journal} B: \
+         high water {high_water} B of a {budget} B budget"
+    );
+    assert!(
+        high_water < budget,
+        "the checkpoint held {high_water} B at its peak: more than a quarter of \
+         its dirty pages ({dirty_bytes} B) and its journal ({journal} B)"
+    );
+    db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

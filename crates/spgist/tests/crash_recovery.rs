@@ -467,6 +467,66 @@ fn crash_mid_checkpoint_recovers_the_previous_checkpoint_plus_log() {
     db.close().unwrap();
 }
 
+/// A write or sync fault while the checkpoint flushes its snapshot of the
+/// dirty pages: the checkpoint errs and releases the pages it held, a retry
+/// writes them all, and a reopen answers every acknowledged row — those
+/// logged before the failed attempt and those after it.
+#[test]
+fn failed_snapshot_flush_is_retried_and_loses_nothing() {
+    for sync_fails in [false, true] {
+        let tag = if sync_fails {
+            "flush-sync"
+        } else {
+            "flush-write"
+        };
+        let tmp = TempDb::new(tag);
+        let fault = Arc::new(FaultPager::new(Arc::new(
+            spgist::storage::FilePager::create(tmp.path()).unwrap(),
+        )));
+        let mut db = Database::create_with_pager(
+            Arc::clone(&fault) as Arc<dyn Pager>,
+            tmp.wal_prefix(),
+            BufferPoolConfig::default(),
+            WalConfig::default(),
+        )
+        .unwrap();
+        db.create_table("words", KeyType::Varchar).unwrap();
+        db.create_index("words", "words_trie", IndexSpec::Trie)
+            .unwrap();
+        let table = db.table_handle("words").unwrap();
+        for i in 0..40 {
+            table.insert(word(i)).unwrap();
+        }
+        db.checkpoint().unwrap();
+        for i in 40..80 {
+            table.insert(word(i)).unwrap();
+        }
+        if sync_fails {
+            fault.set_sync_fault(SyncFault::Fail);
+        } else {
+            fault.set_write_fault(WriteFault::FailAfter(2));
+        }
+        assert!(db.checkpoint().is_err(), "{tag}: the fault must surface");
+        fault.set_write_fault(WriteFault::None);
+        fault.set_sync_fault(SyncFault::None);
+        for i in 80..100 {
+            table.insert(word(i)).unwrap();
+        }
+        db.checkpoint().unwrap();
+        assert!(
+            db.pool().dirty_page_ids().is_empty(),
+            "{tag}: the retry wrote every page"
+        );
+        drop(table);
+        fault.crash();
+        drop(db);
+
+        let db = Database::open(tmp.path()).unwrap();
+        assert_words(&db, 100);
+        db.close().unwrap();
+    }
+}
+
 #[test]
 fn insert_many_batch_recovers_atomically() {
     const SINGLES: usize = 3;

@@ -16,10 +16,11 @@
 //! machines.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId};
@@ -90,42 +91,104 @@ impl IoStats {
 /// same mutex, so a frame observed unpinned cannot concurrently gain an
 /// accessor (new accessors need the mutex), and an unpinned frame's lock is
 /// free (the pin is dropped only after the page guard).
+///
+/// A [`DirtyPageSnapshot`] copies no page.  It *holds* the frame instead,
+/// and the frame copies itself on write: the first mutation of a held frame
+/// saves the image it is about to change in `saved`, under the write lock,
+/// so the snapshot can still read the image it captured.  A frame nobody
+/// writes while it is held is never copied.
 struct FrameCell {
     lock: RwLock<Page>,
     dirty: AtomicBool,
     /// Bumped on every mutable access (under the frame's write lock).  A
-    /// [`BufferPool::dirty_snapshot`] records the epoch with each copied
-    /// image; [`BufferPool::flush_snapshot`] marks a frame clean only when
+    /// [`BufferPool::dirty_snapshot`] records the epoch with each held
+    /// frame; [`BufferPool::flush_snapshot`] marks a frame clean only when
     /// the epoch is unchanged, so a mutation that lands between snapshot
     /// and flush keeps the frame dirty for the next checkpoint.
     dirty_epoch: AtomicU64,
     pins: AtomicU32,
+    /// Set while a [`DirtyPageSnapshot`] holds this frame; changed only
+    /// under the frame lock.
+    held: AtomicBool,
+    /// The image the holding snapshot captured, saved by the first mutation
+    /// after it (`None` while the live page still is that image).
+    saved: Mutex<Option<Arc<Page>>>,
 }
 
 impl FrameCell {
-    fn new(page: Page, dirty: bool) -> Arc<Self> {
+    fn new(page: Page) -> Arc<Self> {
         Arc::new(FrameCell {
             lock: RwLock::new(page),
-            dirty: AtomicBool::new(dirty),
+            dirty: AtomicBool::new(false),
             dirty_epoch: AtomicU64::new(0),
             pins: AtomicU32::new(0),
+            held: AtomicBool::new(false),
+            saved: Mutex::new(None),
         })
+    }
+
+    /// Called under the write lock before `page` (the live image) changes:
+    /// if a snapshot holds this frame and nothing was saved yet, saves the
+    /// image the snapshot captured.
+    fn copy_on_write(&self, page: &Page) {
+        if self.held.load(Ordering::Acquire) {
+            self.saved
+                .lock()
+                .get_or_insert_with(|| Arc::new(page.clone()));
+        }
     }
 }
 
-/// A point-in-time copy of the pool's dirty frames, taken by
+/// The pool's dirty frames at one instant, taken by
 /// [`BufferPool::dirty_snapshot`] under the caller's exclusion and written
 /// out later by [`BufferPool::flush_snapshot`].  Lets checkpointing code
 /// release its write-blocking guards before paying for the disk I/O.
+///
+/// The snapshot holds each frame rather than copying it, and a held frame
+/// copies itself on its first write: memory grows only with the frames
+/// written while the snapshot lives.  Dropping it — flushed or not —
+/// releases every hold and saved image.  At most one snapshot may be alive
+/// per pool.
 pub struct DirtyPageSnapshot {
     entries: Vec<SnapshotEntry>,
 }
 
 struct SnapshotEntry {
     page_id: PageId,
-    image: Page,
     cell: Arc<FrameCell>,
     epoch: u64,
+}
+
+impl SnapshotEntry {
+    /// The image captured: the saved copy if the frame was written since,
+    /// else the live page under its read lock (a writer saves the image
+    /// before changing it, and cannot while the lock is held).
+    fn image(&self) -> SnapshotImage<'_> {
+        let live = self.cell.lock.read();
+        let saved = self.cell.saved.lock().clone();
+        match saved {
+            Some(saved) => SnapshotImage::Saved(saved),
+            None => SnapshotImage::Live(live),
+        }
+    }
+}
+
+/// One page image of a [`DirtyPageSnapshot`]: derefs to the bytes the
+/// snapshot captured.
+enum SnapshotImage<'a> {
+    Saved(Arc<Page>),
+    Live(RwLockReadGuard<'a, Page>),
+}
+
+impl Deref for SnapshotImage<'_> {
+    type Target = Page;
+
+    fn deref(&self) -> &Page {
+        match self {
+            SnapshotImage::Saved(page) => page,
+            SnapshotImage::Live(page) => page,
+        }
+    }
 }
 
 impl DirtyPageSnapshot {
@@ -141,9 +204,23 @@ impl DirtyPageSnapshot {
 
     /// The captured pages with the exact images
     /// [`BufferPool::flush_snapshot`] will write over them — what a
-    /// checkpoint journal diffs the on-disk content against first.
-    pub fn images(&self) -> impl Iterator<Item = (PageId, &Page)> {
-        self.entries.iter().map(|e| (e.page_id, &e.image))
+    /// checkpoint journal diffs the on-disk content against first.  An
+    /// image that is still the live page holds that frame's read lock, so
+    /// drop it before writing the same page through the pool.
+    pub fn images(&self) -> impl Iterator<Item = (PageId, impl Deref<Target = Page> + '_)> {
+        self.entries.iter().map(|e| (e.page_id, e.image()))
+    }
+}
+
+impl Drop for DirtyPageSnapshot {
+    fn drop(&mut self) {
+        for entry in &self.entries {
+            // Under the frame lock, so no writer is between its `held`
+            // check and its save.
+            let _page = entry.cell.lock.read();
+            entry.cell.held.store(false, Ordering::Release);
+            entry.cell.saved.lock().take();
+        }
     }
 }
 
@@ -286,7 +363,7 @@ impl BufferPool {
     pub fn allocate_page_hinted(&self, hint: AccessHint) -> StorageResult<PageId> {
         let id = self.pager.allocate()?;
         let mut inner = self.inner.lock();
-        self.install_frame(&mut inner, id, Page::new(), false, hint)?;
+        self.install_frame(&mut inner, id, Page::new(), hint)?;
         Ok(id)
     }
 
@@ -363,6 +440,7 @@ impl BufferPool {
     ) -> StorageResult<R> {
         let pin = self.pin(id, hint)?;
         let mut page = pin.cell.lock.write();
+        pin.cell.copy_on_write(&page);
         // Marked dirty while the write lock is held, so a concurrent flush
         // either snapshots the page before this mutation (and the flag comes
         // back) or after it (and the mutation is on disk).  The epoch bump
@@ -446,16 +524,19 @@ impl BufferPool {
         result
     }
 
-    /// Copies every dirty frame's current image out of the pool without
+    /// Captures every dirty frame's current image without copying it or
     /// writing anything to the pager.
     ///
     /// Incremental checkpoints call this inside the quiesce window (all DML
-    /// guards held), then drop the guards and persist the copies with
-    /// [`flush_snapshot`](Self::flush_snapshot).  The snapshot records each
-    /// frame's dirty epoch; a frame mutated after the snapshot keeps its
-    /// dirty flag when the snapshot is flushed, so the next checkpoint picks
-    /// the newer content up.  The copied images are mutually consistent
-    /// because the caller's exclusion (not this method) stops writers.
+    /// guards held), then drop the guards and persist the images with
+    /// [`flush_snapshot`](Self::flush_snapshot).  Each dirty frame is
+    /// recorded with its dirty epoch and *held*: a write to it while the
+    /// snapshot lives first saves the captured image (copy-on-write), so
+    /// the snapshot costs memory only for the frames written under it.  A
+    /// frame mutated after the snapshot keeps its dirty flag when the
+    /// snapshot is flushed, so the next checkpoint picks the newer content
+    /// up.  The images are mutually consistent because the caller's
+    /// exclusion (not this method) stops writers.
     pub fn dirty_snapshot(&self) -> DirtyPageSnapshot {
         let inner = self.inner.lock();
         let entries = inner
@@ -465,11 +546,17 @@ impl BufferPool {
             .filter(|f| f.cell.dirty.load(Ordering::Acquire))
             .map(|f| {
                 let cell = Arc::clone(&f.cell);
-                let image = cell.lock.read().clone();
+                let page = cell.lock.read();
+                debug_assert!(
+                    !cell.held.load(Ordering::Acquire),
+                    "a second snapshot of page {}",
+                    f.page_id
+                );
+                cell.held.store(true, Ordering::Release);
                 let epoch = cell.dirty_epoch.load(Ordering::Acquire);
+                drop(page);
                 SnapshotEntry {
                     page_id: f.page_id,
-                    image,
                     cell,
                     epoch,
                 }
@@ -479,7 +566,7 @@ impl BufferPool {
     }
 
     /// Writes the images captured by [`dirty_snapshot`](Self::dirty_snapshot)
-    /// to the pager and syncs it.
+    /// to the pager and syncs it, then releases the snapshot.
     ///
     /// A frame is marked clean only if its dirty epoch still matches the one
     /// recorded at snapshot time — frames re-dirtied since the snapshot stay
@@ -487,15 +574,18 @@ impl BufferPool {
     /// write or sync error no flag is cleared, so a retry (or the next full
     /// flush) rewrites everything.  Requires a no-steal pool: between the
     /// snapshot and this call nothing else may push frame content to the
-    /// pager, or the snapshot images would clobber it.
-    pub fn flush_snapshot(&self, snapshot: &DirtyPageSnapshot) -> StorageResult<()> {
-        {
-            let mut inner = self.inner.lock();
-            for entry in &snapshot.entries {
-                self.pager.write(entry.page_id, &entry.image)?;
-                inner.stats.physical_writes += 1;
-            }
-        }
+    /// pager, or the snapshot images would clobber it.  The pool mutex is
+    /// not held across the pager I/O: writes are counted here and added to
+    /// the stats once.
+    pub fn flush_snapshot(&self, snapshot: DirtyPageSnapshot) -> StorageResult<()> {
+        let mut written = 0;
+        let result: StorageResult<()> = snapshot.images().try_for_each(|(id, image)| {
+            self.pager.write(id, &image)?;
+            written += 1;
+            Ok(())
+        });
+        self.inner.lock().stats.physical_writes += written;
+        result?;
         self.pager.sync()?;
         for entry in &snapshot.entries {
             // The frame read lock orders this against a concurrent mutation:
@@ -615,7 +705,7 @@ impl BufferPool {
         }
         page.check()
             .map_err(|why| StorageError::Corrupt(format!("page {id}: {why}")))?;
-        self.install_frame(inner, id, page, false, hint)
+        self.install_frame(inner, id, page, hint)
     }
 
     fn install_frame(
@@ -623,15 +713,17 @@ impl BufferPool {
         inner: &mut PoolInner,
         id: PageId,
         page: Page,
-        dirty: bool,
         hint: AccessHint,
     ) -> StorageResult<usize> {
         if let Some(&slot) = inner.by_page.get(&id) {
+            // A mutation like any other: a holding snapshot keeps the image
+            // it captured, and the epoch bump keeps the frame dirty past it.
             let frame = inner.frames[slot].as_ref().expect("mapped slot is empty");
-            *frame.cell.lock.write() = page;
-            if dirty {
-                frame.cell.dirty.store(true, Ordering::Release);
-            }
+            let mut live = frame.cell.lock.write();
+            frame.cell.copy_on_write(&live);
+            frame.cell.dirty_epoch.fetch_add(1, Ordering::AcqRel);
+            *live = page;
+            drop(live);
             inner.queue.touch(slot, hint);
             return Ok(slot);
         }
@@ -650,7 +742,7 @@ impl BufferPool {
         Ok(inner.place(
             Frame {
                 page_id: id,
-                cell: FrameCell::new(page, dirty),
+                cell: FrameCell::new(page),
             },
             hint,
         ))
@@ -1023,5 +1115,143 @@ mod tests {
                 .unwrap();
             assert_eq!(value, format!("dirty-{i}").into_bytes(), "no data lost");
         }
+    }
+
+    /// The frame cell caching `id`.
+    fn cell(pool: &BufferPool, id: PageId) -> Arc<FrameCell> {
+        let inner = pool.inner.lock();
+        let slot = inner.by_page[&id];
+        Arc::clone(&inner.frames[slot].as_ref().unwrap().cell)
+    }
+
+    /// The records of page `id` as the pager (not the pool) holds it.
+    fn on_disk(pool: &BufferPool, id: PageId) -> Vec<Vec<u8>> {
+        let mut page = Page::new();
+        pool.pager().read(id, &mut page).unwrap();
+        records(&page)
+    }
+
+    fn records(page: &Page) -> Vec<Vec<u8>> {
+        (0..page.num_slots())
+            .map(|slot| page.get(slot).unwrap().to_vec())
+            .collect()
+    }
+
+    fn released(cell: &FrameCell) -> bool {
+        !cell.held.load(Ordering::Acquire) && cell.saved.lock().is_none()
+    }
+
+    #[test]
+    fn a_held_frame_copies_itself_on_write_and_flushes_what_was_captured() {
+        let pool = no_steal_pool(8);
+        let pids: Vec<_> = (0..3).map(|_| pool.allocate_page().unwrap()).collect();
+        for (i, pid) in pids.iter().enumerate() {
+            pool.with_page_mut(*pid, |p| p.insert(format!("old-{i}").as_bytes()).unwrap())
+                .unwrap();
+        }
+        let (a, b, c) = (pids[0], pids[1], pids[2]);
+        let snapshot = pool.dirty_snapshot();
+        assert_eq!(snapshot.len(), 3);
+        assert!(pids
+            .iter()
+            .all(|&id| cell(&pool, id).saved.lock().is_none()));
+
+        // Between snapshot and flush: `a` written in place, `b` overwritten
+        // by a fresh install, `c` left alone.
+        pool.with_page_mut(a, |p| p.insert(b"new-0").unwrap())
+            .unwrap();
+        {
+            let mut inner = pool.inner.lock();
+            let mut page = Page::new();
+            page.insert(b"new-1").unwrap();
+            pool.install_frame(&mut inner, b, page, AccessHint::Normal)
+                .unwrap();
+        }
+        assert!(cell(&pool, a).saved.lock().is_some());
+        assert!(cell(&pool, b).saved.lock().is_some());
+        assert!(
+            cell(&pool, c).saved.lock().is_none(),
+            "an untouched held frame is never copied"
+        );
+
+        // The snapshot still reads, and the flush writes, the captured bytes.
+        let captured: Vec<_> = snapshot
+            .images()
+            .map(|(id, image)| (id, records(&image)))
+            .collect();
+        let old = |i: usize| vec![format!("old-{i}").into_bytes()];
+        assert_eq!(captured, vec![(a, old(0)), (b, old(1)), (c, old(2))]);
+        let cells: Vec<_> = pids.iter().map(|&id| cell(&pool, id)).collect();
+        pool.flush_snapshot(snapshot).unwrap();
+        for (i, &id) in pids.iter().enumerate() {
+            assert_eq!(on_disk(&pool, id), old(i));
+        }
+        assert!(
+            cells.iter().all(|c| released(c)),
+            "the flush released every hold"
+        );
+        let mut dirty = pool.dirty_page_ids();
+        dirty.sort_unstable();
+        assert_eq!(dirty, vec![a, b], "the frames written since stay dirty");
+
+        // The next flush writes the new bytes, and copies nothing.
+        pool.flush_snapshot(pool.dirty_snapshot()).unwrap();
+        assert_eq!(
+            on_disk(&pool, a),
+            vec![b"old-0".to_vec(), b"new-0".to_vec()]
+        );
+        assert_eq!(on_disk(&pool, b), vec![b"new-1".to_vec()]);
+        assert!(pool.dirty_page_ids().is_empty());
+        assert!(cells.iter().all(|c| released(c)));
+        assert_eq!(pool.stats().physical_writes, 5);
+    }
+
+    #[test]
+    fn dropping_an_unflushed_snapshot_releases_every_hold_and_copy() {
+        let pool = no_steal_pool(8);
+        let a = pool.allocate_page().unwrap();
+        let b = pool.allocate_page().unwrap();
+        for id in [a, b] {
+            pool.with_page_mut(id, |p| p.insert(b"old").unwrap())
+                .unwrap();
+        }
+        let snapshot = pool.dirty_snapshot();
+        pool.with_page_mut(a, |p| p.insert(b"new").unwrap())
+            .unwrap();
+        assert!(cell(&pool, a).saved.lock().is_some());
+        drop(snapshot);
+        assert!(released(&cell(&pool, a)) && released(&cell(&pool, b)));
+        // Nothing was written, both frames are still dirty, and with no
+        // snapshot alive a write copies nothing.
+        assert_eq!(pool.stats().physical_writes, 0);
+        assert_eq!(pool.dirty_page_ids().len(), 2);
+        pool.with_page_mut(b, |p| p.insert(b"new").unwrap())
+            .unwrap();
+        assert!(released(&cell(&pool, b)));
+    }
+
+    #[test]
+    fn a_failed_snapshot_flush_counts_its_writes_and_keeps_every_frame_dirty() {
+        let pager = Arc::new(FaultPager::new(Arc::new(MemPager::new())));
+        let pool = BufferPool::new(
+            pager.clone(),
+            BufferPoolConfig {
+                capacity: 8,
+                steal: false,
+            },
+        );
+        let pids: Vec<_> = (0..3).map(|_| pool.allocate_page().unwrap()).collect();
+        for id in &pids {
+            pool.with_page_mut(*id, |p| p.insert(b"row").unwrap())
+                .unwrap();
+        }
+        pager.set_write_fault(WriteFault::FailAfter(2));
+        assert!(pool.flush_snapshot(pool.dirty_snapshot()).is_err());
+        assert_eq!(pool.stats().physical_writes, 2);
+        assert_eq!(pool.dirty_page_ids().len(), 3);
+        assert!(pids.iter().all(|&id| released(&cell(&pool, id))));
+        pager.set_write_fault(WriteFault::None);
+        pool.flush_snapshot(pool.dirty_snapshot()).unwrap();
+        assert!(pool.dirty_page_ids().is_empty());
     }
 }

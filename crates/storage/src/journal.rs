@@ -48,7 +48,7 @@
 use std::collections::HashSet;
 use std::fs::OpenOptions;
 use std::io::Write;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{take, take_header, Codec};
@@ -281,14 +281,16 @@ fn write_file(path: &Path, body: &Body) -> StorageResult<u64> {
 ///
 /// On-disk images are read through `pager` directly — callers journal
 /// before flushing, so the buffer pool's dirty copies must not shadow the
-/// content being protected.  Returns the size in bytes of the journal file
-/// now on disk (checkpoint accounting).
-pub fn write_pre_images<'a>(
+/// content being protected.  A new image is anything that derefs to a
+/// page (a checkpoint passes its snapshot's image guards), and each is
+/// dropped before the next is taken.  Returns the size in bytes of the
+/// journal file now on disk (checkpoint accounting).
+pub fn write_pre_images<P: Deref<Target = Page>>(
     path: &Path,
     pager: &dyn Pager,
     fresh_from: PageId,
     whole: impl IntoIterator<Item = PageId>,
-    flush: impl IntoIterator<Item = (PageId, &'a Page)>,
+    flush: impl IntoIterator<Item = (PageId, P)>,
 ) -> StorageResult<u64> {
     let mut body = Body::default();
     let mut journaled = HashSet::new();
@@ -305,7 +307,7 @@ pub fn write_pre_images<'a>(
     for (id, new) in whole.chain(flush.into_iter().map(|(id, new)| (id, Some(new)))) {
         if id < fresh_from && journaled.insert(id) {
             pager.read(id, &mut disk)?;
-            body.push_page(id, &disk, new);
+            body.push_page(id, &disk, new.as_deref());
         }
     }
     write_file(path, &body)
@@ -692,7 +694,7 @@ mod tests {
         let path = dir.0.join("db.ckpt");
         let pager = MemPager::new();
         let a = pager.allocate().unwrap();
-        write_pre_images(&path, &pager, 1, [a], []).unwrap();
+        write_pre_images(&path, &pager, 1, [a], [] as [(PageId, &Page); 0]).unwrap();
         // A v1 journal (whole-page entries), or any other version: only
         // other software writes it, and skipping a rollback it may require
         // is not safe.
