@@ -22,14 +22,14 @@
 //! a transaction open); `crash-verify` reopens the database and checks
 //! every acknowledged commit survived and no aborted value resurfaced.
 
+use std::num::NonZeroUsize;
+
 use spgist_bench::loc::{crate_report, table7};
 use spgist_bench::stats::{log10_ratio, ratio_pct};
 use spgist_bench::{
-    num, num_unit, point_sizes, run_checkpoint_experiment, run_hot_writer_scaling,
-    run_io_patterns_on, run_mixed_workload, run_nn_experiments, run_point_experiments,
-    run_read_scaling, run_segment_experiments, run_string_experiments, run_substring_experiments,
-    run_trie_variant_ablation, run_wal_experiment, substring_sizes, word_sizes, Cell, IoBackend,
-    Report, NN_KS,
+    num, num_unit, point_sizes, run_nn_experiments, run_point_experiments, run_segment_experiments,
+    run_string_experiments, run_substring_experiments, run_trie_variant_ablation, substring_sizes,
+    word_sizes, Cell, Report, NN_KS,
 };
 
 struct Options {
@@ -41,9 +41,6 @@ struct Options {
     json_dir: Option<std::path::PathBuf>,
     /// Database file for `crash-writer` / `crash-verify`.
     db: Option<std::path::PathBuf>,
-    /// Pager backend for `io-patterns`: in-memory (default) or a real file
-    /// under the OS temp directory.
-    backend: IoBackend,
 }
 
 impl Options {
@@ -61,20 +58,21 @@ fn parse_args() -> Options {
     let mut queries = 100usize;
     let mut json_dir = None;
     let mut db = None;
-    let mut backend = IoBackend::Mem;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
                 scale = args
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--scale needs a positive integer"));
+                    .and_then(|v| v.parse::<NonZeroUsize>().ok())
+                    .unwrap_or_else(|| usage("--scale needs a positive integer"))
+                    .get();
             }
             "--queries" => {
                 queries = args
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--queries needs a positive integer"));
+                    .and_then(|v| v.parse::<NonZeroUsize>().ok())
+                    .unwrap_or_else(|| usage("--queries needs a positive integer"))
+                    .get();
             }
             "--json-dir" => {
                 json_dir =
@@ -88,13 +86,6 @@ fn parse_args() -> Options {
                         .unwrap_or_else(|| usage("--db needs a file path")),
                 ));
             }
-            "--backend" => {
-                backend = args
-                    .next()
-                    .as_deref()
-                    .and_then(IoBackend::parse)
-                    .unwrap_or_else(|| usage("--backend needs `mem` or `file`"));
-            }
             "--help" | "-h" => usage(""),
             other if !other.starts_with('-') => command = other.to_string(),
             other => usage(&format!("unknown flag {other}")),
@@ -106,7 +97,6 @@ fn parse_args() -> Options {
         queries,
         json_dir,
         db,
-        backend,
     }
 }
 
@@ -116,7 +106,7 @@ type Experiment = (&'static str, &'static [&'static str], fn(&Options));
 
 /// Every experiment, in the order `all` runs them.  Dispatch, `all`, the
 /// usage text and the unknown-name error are all derived from this list.
-const EXPERIMENTS: [Experiment; 11] = [
+const EXPERIMENTS: [Experiment; 7] = [
     ("table7", &[], report_table7),
     (
         "strings",
@@ -128,10 +118,6 @@ const EXPERIMENTS: [Experiment; 11] = [
     ("substring", &["fig16"], report_substring),
     ("nn", &["fig17"], report_nn),
     ("ablation-trie", &[], report_trie_ablation),
-    ("concurrency", &[], report_concurrency),
-    ("wal", &[], report_wal),
-    ("io-patterns", &[], report_io_patterns),
-    ("checkpoint", &[], report_checkpoint),
 ];
 
 /// The experiments `command` selects: every one for `all`, otherwise the
@@ -152,7 +138,7 @@ fn usage_text() -> String {
         .flat_map(|(name, figures, _)| std::iter::once(*name).chain(figures.iter().copied()))
         .collect();
     format!(
-        "usage: experiments [{}|all] [--scale N] [--queries N] [--json-dir DIR] [--backend mem|file]\n       experiments crash-writer --db PATH\n       experiments crash-verify --db PATH",
+        "usage: experiments [{}|all] [--scale N] [--queries N] [--json-dir DIR]\n       experiments crash-writer --db PATH\n       experiments crash-verify --db PATH",
         names.join("|")
     )
 }
@@ -377,7 +363,7 @@ fn report_substring(opts: &Options) {
 }
 
 fn report_nn(opts: &Options) {
-    let n = 20_000 * opts.scale.max(1);
+    let n = 20_000 * opts.scale;
     let rows = run_nn_experiments(n, &NN_KS, opts.queries.min(20), SEED);
     let title = format!("Figure 17: NN search performance ({n} tuples per relation)");
     Report::new("nn", title, &rows)
@@ -389,7 +375,7 @@ fn report_nn(opts: &Options) {
 }
 
 fn report_trie_ablation(opts: &Options) {
-    let rows = run_trie_variant_ablation(20_000 * opts.scale.max(1), opts.queries, SEED);
+    let rows = run_trie_variant_ablation(20_000 * opts.scale, opts.queries, SEED);
     let title = "Ablation: trie interface parameters (PathShrink / BucketSize)";
     Report::new("ablation_trie", title, &rows)
         .column("variant", "variant", |r| r.variant.as_str().into())
@@ -398,172 +384,6 @@ fn report_trie_ablation(opts: &Options) {
         .column("pages", "pages", |r| r.pages.into())
         .column("exact_ms", "exact (ms)", |r| num(r.exact_ms, 4))
         .emit(opts.scale, opts.json_dir.as_deref());
-}
-
-fn report_concurrency(opts: &Options) {
-    let n = 20_000 * opts.scale.max(1);
-    let queries = opts.queries.max(20);
-    let thread_counts = [1usize, 2, 4, 8];
-    let (scale, json_dir) = (opts.scale, opts.json_dir.as_deref());
-
-    let rows = run_read_scaling(n, &thread_counts, queries, SEED);
-    let qps = |threads: usize| {
-        let row = rows.iter().find(|r| r.threads == threads);
-        row.map_or(f64::NAN, |r| r.throughput_qps)
-    };
-    let title = format!("Concurrency: read-scaling on a shared kd-tree ({n} points)");
-    Report::new("concurrency", title, &rows)
-        .column("threads", "threads", |r| r.threads.into())
-        .column("total_queries", "queries", |r| r.total_queries.into())
-        .column("elapsed_ms", "elapsed ms", |r| num(r.elapsed_ms, 1))
-        .column("throughput_qps", "queries/s", |r| num(r.throughput_qps, 0))
-        .column("mean_ms", "mean ms", |r| num(r.mean_ms, 4))
-        .column("p99_ms", "p99 ms", |r| num(r.p99_ms, 4))
-        .note(format!(
-            "(host reports {} cores; read latches scale with real cores)",
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        ))
-        .note(format!(
-            "read throughput speedup at 4 threads vs 1: {:.2}x",
-            qps(4) / qps(1).max(1e-9)
-        ))
-        .emit(scale, json_dir);
-
-    let hot = run_hot_writer_scaling(n, &thread_counts, queries, SEED);
-    let widest = hot.last().expect("one row per thread count");
-    let title = "Concurrency: read-scaling with one continuous hot writer";
-    Report::new("concurrency_hot_writer", title, &hot)
-        .column("threads", "threads", |r| r.threads.into())
-        .column("total_queries", "queries", |r| r.total_queries.into())
-        .json_only("writer_inserts", |r| r.writer_inserts.into())
-        .column("elapsed_ms", "elapsed ms", |r| num(r.elapsed_ms, 1))
-        .column("throughput_qps", "queries/s", |r| num(r.throughput_qps, 0))
-        .column("speedup", "speedup", |r| num_unit(r.speedup, 2, "x"))
-        .json_only("mean_ms", |r| num(r.mean_ms, 4))
-        .column("p99_ms", "p99 ms", |r| num(r.p99_ms, 4))
-        .column("write_ips", "ins/s", |r| num(r.write_ips, 0))
-        .column("latch_acquisitions", "latches", |r| {
-            r.concurrency.latch_acquisitions.into()
-        })
-        .column("latch_waits", "latch waits", |r| {
-            r.concurrency.latch_waits.into()
-        })
-        .column("epoch_pins", "pins", |r| r.concurrency.epoch_pins.into())
-        .json_only("epoch_pin_nanos", |r| r.concurrency.epoch_pin_nanos.into())
-        .json_only("retired", |r| r.concurrency.retired.into())
-        .json_only("reclaimed", |r| r.concurrency.reclaimed.into())
-        .column("retired_backlog", "backlog", |r| {
-            r.concurrency.retired_backlog.into()
-        })
-        .note(format!(
-            "hot-writer read throughput speedup at {} threads vs 1: {:.2}x \
-             (mean epoch pin {:.1} us)",
-            widest.threads,
-            widest.speedup,
-            widest.concurrency.epoch_pin_nanos as f64
-                / (widest.concurrency.epoch_pins.max(1) as f64 * 1e3)
-        ))
-        .emit(scale, json_dir);
-
-    let mixed = run_mixed_workload(n, 4, 2, queries, queries * 5, SEED);
-    let title = "Concurrency: mixed readers + writer bursts";
-    Report::new("concurrency_mixed", title, std::slice::from_ref(&mixed))
-        .column("readers", "readers", |r| r.readers.into())
-        .column("writers", "writers", |r| r.writers.into())
-        .column("reads", "reads", |r| r.reads.into())
-        .column("writes", "writes", |r| r.writes.into())
-        .column("elapsed_ms", "elapsed ms", |r| num(r.elapsed_ms, 1))
-        .column("read_qps", "read q/s", |r| num(r.read_qps, 0))
-        .column("write_ips", "ins/s", |r| num(r.write_ips, 0))
-        .column("read_p99_ms", "read p99 ms", |r| num(r.read_p99_ms, 4))
-        .column("write_p99_ms", "write p99 ms", |r| num(r.write_p99_ms, 4))
-        .emit(scale, json_dir);
-}
-
-fn report_wal(opts: &Options) {
-    let commits_per_thread = (opts.queries * 2).clamp(50, 2_000);
-    let rows = run_wal_experiment(&[1, 2, 4, 8], commits_per_thread);
-    Report::new("wal", "WAL: commit throughput under group commit", &rows)
-        .column("threads", "threads", |r| r.threads.into())
-        .column("commits", "commits", |r| r.commits.into())
-        .column("elapsed_ms", "elapsed ms", |r| num(r.elapsed_ms, 1))
-        .column("throughput_cps", "commits/s", |r| num(r.throughput_cps, 0))
-        .column("mean_ms", "mean ms", |r| num(r.mean_ms, 4))
-        .column("p99_ms", "p99 ms", |r| num(r.p99_ms, 4))
-        .column("syncs", "syncs", |r| r.syncs.into())
-        .column("commits_per_sync", "commit/sync", |r| {
-            num(r.commits_per_sync, 1)
-        })
-        .emit(opts.scale, opts.json_dir.as_deref());
-}
-
-fn report_io_patterns(opts: &Options) {
-    let n = 20_000 * opts.scale.max(1);
-    let rows = run_io_patterns_on(n, opts.queries.max(16), SEED, opts.backend);
-    let title = format!(
-        "I/O patterns: pool size x workload ({n} points, {} backend)",
-        opts.backend.name()
-    );
-    Report::new("io_patterns", title, &rows)
-        .json_only("backend", |r| r.backend.into())
-        .column("workload", "workload", |r| r.workload.into())
-        .column("pool_pct", "pool%", |r| r.pool_pct.into())
-        .column("frames", "frames", |r| r.frames.into())
-        .json_only("data_pages", |r| r.data_pages.into())
-        .column("queries", "queries", |r| r.queries.into())
-        .column("logical_reads", "logical", |r| r.logical_reads.into())
-        .column("physical_reads", "physical", |r| r.physical_reads.into())
-        .column("evictions", "evict", |r| r.evictions.into())
-        .column("hit_rate", "hit rate", |r| num(r.hit_rate, 4))
-        .column("elapsed_ms", "elapsed ms", |r| num(r.elapsed_ms, 2))
-        .column("p99_ms", "p99 ms", |r| num(r.p99_ms, 4))
-        .json_only("result_rows", |r| r.result_rows.into())
-        .emit(opts.scale, opts.json_dir.as_deref());
-}
-
-fn report_checkpoint(opts: &Options) {
-    // Sizes grow with --scale: the acceptance sweep (1 M rows) needs
-    // --scale 4 or more; the per-PR smoke stays CI-friendly.
-    let mut sizes = vec![10_000usize, 50_000];
-    if opts.scale >= 2 {
-        sizes.push(100_000);
-    }
-    if opts.scale >= 4 {
-        sizes.push(1_000_000);
-    }
-    let rows = run_checkpoint_experiment(&sizes, SEED);
-    let title = "Checkpoint: incremental vs full rewrite, size x fraction mutated";
-    let mut report = Report::new("checkpoint", title, &rows)
-        .column("rows", "rows", |r| r.rows.into())
-        .column("pct_mutated", "pct", |r| num(r.pct_mutated, 1))
-        .column("chunks_mutated", "chunks", |r| r.chunks_mutated.into())
-        .column("mode", "mode", |r| r.mode.into())
-        .column("wall_ms", "wall ms", |r| num(r.wall_ms, 2))
-        .column("chunks_written", "wrote", |r| r.chunks_written.into())
-        .column("chunks_skipped", "skip", |r| r.chunks_skipped.into())
-        .column("catalog_bytes", "cat B", |r| r.catalog_bytes.into())
-        .column("journal_bytes", "jrnl B", |r| r.journal_bytes.into())
-        .column("data_pages_flushed", "pages", |r| {
-            r.data_pages_flushed.into()
-        })
-        .column("quiesce_us", "quiesce us", |r| num(r.quiesce_us, 1))
-        .column("stall_p99_us", "stall p99", |r| num(r.stall_p99_us, 1))
-        .column("io_bytes", "io bytes", |r| r.io_bytes.into())
-        .column("io_ratio_vs_full", "vs full", |r| {
-            num(r.io_ratio_vs_full, 1)
-        });
-    // The acceptance summary: how much less I/O does the incremental path
-    // do at <=1% mutated?  The bar is >=10x at 1 M rows.
-    for r in rows
-        .iter()
-        .filter(|r| r.mode == "incremental" && r.pct_mutated <= 1.0)
-    {
-        report = report.note(format!(
-            "{} rows @ {}% mutated: incremental does {:.1}x less checkpoint I/O than full rewrite",
-            r.rows, r.pct_mutated, r.io_ratio_vs_full
-        ));
-    }
-    report.emit(opts.scale, opts.json_dir.as_deref());
 }
 
 /// `crash-writer --db PATH`: an endless acknowledged-write workload for
@@ -753,12 +573,12 @@ mod tests {
     #[test]
     fn lookup_resolves_names_and_figures_and_rejects_typos() {
         assert_eq!(lookup("all").map(<[_]>::len), Some(EXPERIMENTS.len()));
-        for (command, name) in [("checkpoint", "checkpoint"), ("fig9", "strings")] {
+        for (command, name) in [("ablation-trie", "ablation-trie"), ("fig9", "strings")] {
             let found = lookup(command).expect("known experiment");
             assert_eq!(found.len(), 1);
             assert_eq!(found[0].0, name);
         }
-        for typo in ["fig99", "checkpiont", "fig", ""] {
+        for typo in ["fig99", "ablation-tire", "fig", ""] {
             assert!(lookup(typo).is_none(), "{typo:?} must not run anything");
         }
     }
@@ -787,7 +607,6 @@ mod tests {
             queries: 1,
             json_dir: Some(dir.clone()),
             db: None,
-            backend: IoBackend::Mem,
         };
         for name in ["table7", "ablation-trie"] {
             for (_, _, run) in lookup(name).expect("registered") {

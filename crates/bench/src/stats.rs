@@ -35,17 +35,6 @@ pub fn stddev_ms(samples: &[Duration]) -> f64 {
     var.sqrt()
 }
 
-/// 99th-percentile of a latency sample (nearest rank), in milliseconds;
-/// sorts `samples` in place.
-pub fn p99_ms(samples: &mut [Duration]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() as f64) * 0.99).ceil() as usize;
-    samples[rank.clamp(1, samples.len()) - 1].as_secs_f64() * 1e3
-}
-
 /// Ratio `a / b` expressed as a percentage, the form the paper's relative
 /// figures use (`(B-tree / trie) x 100`).
 pub fn ratio_pct(a: f64, b: f64) -> f64 {
@@ -81,14 +70,6 @@ mod tests {
         assert!((sd - 8.1649658).abs() < 1e-3);
         assert_eq!(stddev_ms(&samples[..1]), 0.0);
         assert_eq!(mean_ms(&[]), 0.0);
-    }
-
-    #[test]
-    fn p99_is_the_tail() {
-        let mut samples: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        let p = p99_ms(&mut samples);
-        assert!((p - 99.0).abs() < 1e-9);
-        assert_eq!(p99_ms(&mut []), 0.0);
     }
 
     #[test]

@@ -189,18 +189,6 @@ impl Database {
         Ok((outcome, journal_bytes))
     }
 
-    /// A full-rewrite checkpoint: marks every table wholly dirty, so the
-    /// incremental machinery rewrites the complete catalog — the pre-v3
-    /// behavior.  Never needed for correctness; the `checkpoint` bench
-    /// experiment uses it as the baseline incremental checkpoints are
-    /// measured against.
-    pub fn checkpoint_full(&mut self) -> StorageResult<()> {
-        for table in self.tables.values() {
-            table.mark_all_dirty();
-        }
-        self.checkpoint()
-    }
-
     /// Running checkpoint counters — chunks written/skipped, catalog and
     /// journal bytes, quiesce time — as a typed view; the same counters are
     /// the `checkpoint.*` section of [`Database::metrics`].  Counters

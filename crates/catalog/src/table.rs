@@ -295,9 +295,7 @@ impl Table {
 
     /// Marks every part of the table's durable record dirty, so the next
     /// checkpoint rewrites it wholesale.  Used when a failed checkpoint
-    /// leaves the on-disk chunks in doubt, and by
-    /// [`Database::checkpoint_full`] to measure the pre-incremental
-    /// baseline.
+    /// leaves the on-disk chunks in doubt.
     pub(crate) fn mark_all_dirty(&self) {
         self.inner.write().dirty = TableDirty::all();
     }

@@ -703,3 +703,150 @@ fn planning_under_concurrent_writers_is_monotone_and_close_to_exact() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// One round of [`hot_writer_rounds`].
+struct HotWriterRound {
+    readers: usize,
+    /// Window queries each reader ran to completion.
+    queries_per_reader: Vec<usize>,
+    writer_inserts: u64,
+    elapsed: std::time::Duration,
+    /// The tree's latch and epoch counters over the round.
+    stats: spgist::core::ConcurrencyStats,
+}
+
+impl HotWriterRound {
+    fn queries(&self) -> usize {
+        self.queries_per_reader.iter().sum()
+    }
+
+    fn queries_per_second(&self) -> f64 {
+        self.queries() as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
+}
+
+/// One shared kd-tree over `n_points` seeded points; then, per entry of
+/// `reader_counts`, that many reader threads each run `queries` seeded
+/// window queries while one writer inserts fresh points from before the
+/// first reader starts until the last one finishes (at least one insert
+/// per round, so every round reads under a live writer).
+fn hot_writer_rounds(
+    n_points: usize,
+    reader_counts: &[usize],
+    queries: usize,
+) -> Vec<HotWriterRound> {
+    use spgist::datagen::{points, QueryWorkload};
+    use spgist::indexes::SpGistBacked;
+
+    const SEED: u64 = 20060403;
+    let index = KdTreeIndex::create(BufferPool::in_memory()).unwrap();
+    let preload = points(n_points, SEED).into_iter().zip(0..).collect();
+    index.bulk_build(preload).unwrap();
+    let mut next_row = n_points as RowId;
+    let mut rounds = Vec::new();
+    for &readers in reader_counts {
+        let before = index.backing().concurrency_stats();
+        let stop = AtomicBool::new(false);
+        let started = std::time::Instant::now();
+        let (queries_per_reader, writer_inserts) = std::thread::scope(|scope| {
+            let (index, stop, first_row) = (&index, &stop, next_row);
+            let writer = scope.spawn(move || {
+                let mut row = first_row;
+                for chunk_seed in SEED.. {
+                    for p in points(1_024, chunk_seed) {
+                        if row > first_row && stop.load(Ordering::Relaxed) {
+                            return row - first_row;
+                        }
+                        index.insert(p, row).unwrap();
+                        row += 1;
+                    }
+                }
+                unreachable!("the writer runs until the readers stop it")
+            });
+            let readers: Vec<_> = (0..readers as u64)
+                .map(|t| {
+                    scope.spawn(move || {
+                        let windows = QueryWorkload::windows(queries, 5.0, SEED ^ (0xA0 + t));
+                        for window in &windows {
+                            let query = PointQuery::InRect(*window);
+                            index.cursor(&query).unwrap().rows().unwrap();
+                        }
+                        windows.len()
+                    })
+                })
+                .collect();
+            let ran: Vec<usize> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+            stop.store(true, Ordering::Relaxed);
+            (ran, writer.join().unwrap())
+        });
+        next_row += writer_inserts;
+        rounds.push(HotWriterRound {
+            readers,
+            queries_per_reader,
+            writer_inserts,
+            elapsed: started.elapsed(),
+            stats: index.backing().concurrency_stats().delta_since(&before),
+        });
+    }
+    rounds
+}
+
+/// What must hold of every hot-writer round on any machine: the readers
+/// finish every query, the writer lands inserts, every query pinned an
+/// epoch, and no pin outlives its round.
+fn assert_hot_writer_rounds(rounds: &[HotWriterRound], queries: usize) {
+    for round in rounds {
+        let readers = round.readers;
+        assert_eq!(round.queries_per_reader, vec![queries; readers]);
+        assert!(round.writer_inserts >= 1, "{readers} readers: no insert");
+        assert!(
+            round.stats.epoch_pins >= round.queries() as u64,
+            "{readers} readers: {} pins for {} queries",
+            round.stats.epoch_pins,
+            round.queries()
+        );
+        assert_eq!(
+            round.stats.active_pins, 0,
+            "{readers} readers: a pin leaked"
+        );
+    }
+}
+
+/// Readers keep running against one continuously inserting writer: 1, 2
+/// and 4 reader threads each finish every query, and the writer keeps
+/// landing inserts while they do.
+#[test]
+fn readers_and_a_hot_writer_both_make_progress() {
+    const QUERIES: usize = 15;
+    let rounds = hot_writer_rounds(2_000, &[1, 2, 4], QUERIES);
+    assert_hot_writer_rounds(&rounds, QUERIES);
+}
+
+/// Epoch-pinned reads scale against a hot writer: the best of 2 and 4
+/// readers serves at least twice the queries per second of one reader.
+/// The bar holds only for an optimized build with a core per reader, so it
+/// is asserted only there (CI's `perf-smoke` job runs this with
+/// `cargo test --release -p spgist --test concurrency -- --ignored`).
+#[test]
+#[ignore = "timing: run in release on 4+ cores"]
+fn read_throughput_scales_against_a_hot_writer() {
+    const QUERIES: usize = 200;
+    let rounds = hot_writer_rounds(20_000, &[1, 2, 4], QUERIES);
+    assert_hot_writer_rounds(&rounds, QUERIES);
+    let single = rounds[0].queries_per_second();
+    let best = rounds
+        .iter()
+        .map(|round| round.queries_per_second() / single)
+        .fold(0.0, f64::max);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cfg!(debug_assertions) || cores < 4 {
+        eprintln!(
+            "best speedup {best:.2}x on {cores} cores; the 2.0x bar needs release and 4+ cores"
+        );
+        return;
+    }
+    assert!(
+        best >= 2.0,
+        "read scaling collapsed: best speedup {best:.2}x on {cores} cores"
+    );
+}

@@ -1292,6 +1292,91 @@ fn freshly_allocated_pages_are_flushed_but_never_journaled() {
     }
 }
 
+/// A checkpoint costs what changed since the last one, not the size of the
+/// database: one delete rewrites the same catalog chunks and flushes the
+/// same data pages in a 6 000-row table as in a 60 000-row one, and a table
+/// nobody wrote is skipped outright.  When many pages are flushed, the
+/// journal holds the bytes the flush changes, not whole pre-images.
+#[test]
+fn checkpoint_cost_follows_the_mutation_not_the_table_size() {
+    use spgist::catalog::durable::ROWS_PER_CHUNK;
+    use spgist::storage::{Metrics, PAGE_SIZE};
+
+    /// Deletes the row at `offset` within each of `chunks` row-directory
+    /// chunks of `points`, checkpoints, and returns the checkpoint's
+    /// counters.
+    fn mutate_and_checkpoint(
+        db: &mut Database,
+        chunks: std::ops::Range<u64>,
+        offset: u64,
+    ) -> Metrics {
+        let before = db.metrics();
+        let points = db.table_handle("points").unwrap();
+        for chunk in chunks {
+            assert!(points.delete(chunk * ROWS_PER_CHUNK + offset).unwrap());
+        }
+        drop(points);
+        db.checkpoint().unwrap();
+        db.metrics().delta_since(&before)
+    }
+    let counter = |metrics: &Metrics, name: &str| {
+        metrics
+            .get(&format!("checkpoint.{name}"))
+            .unwrap_or_else(|| panic!("checkpoint.{name} is exported"))
+    };
+
+    let mut one_chunk = Vec::new();
+    for rows in [6_000, 60_000] {
+        let tmp = TempDb::new(&format!("ckpt-cost-{rows}"));
+        let mut db = Database::create(tmp.path()).unwrap();
+        db.create_table("points", KeyType::Point).unwrap();
+        db.create_table("side", KeyType::Varchar).unwrap();
+        let data = spgist::datagen::points(rows, 0xC0FFEE);
+        db.table_handle("points")
+            .unwrap()
+            .insert_many(data.into_iter().map(Datum::from))
+            .unwrap();
+        db.table_handle("side").unwrap().insert(word(0)).unwrap();
+        db.create_index("points", "points_kd", IndexSpec::KdTree)
+            .unwrap();
+        db.checkpoint().unwrap();
+
+        let cost = mutate_and_checkpoint(&mut db, 2..3, 0);
+        assert_eq!(
+            counter(&cost, "tables_skipped"),
+            1,
+            "the untouched table is skipped at {rows} rows"
+        );
+        one_chunk.push((
+            counter(&cost, "chunks_written"),
+            counter(&cost, "data_pages_flushed"),
+        ));
+
+        if rows == 60_000 {
+            let chunk_count = rows as u64 / ROWS_PER_CHUNK;
+            let cost = mutate_and_checkpoint(&mut db, 0..chunk_count, 1);
+            let flushed = counter(&cost, "data_pages_flushed");
+            let journal = counter(&cost, "journal_bytes");
+            assert!(
+                flushed >= 16,
+                "one delete per chunk flushed {flushed} pages"
+            );
+            assert!(
+                journal < flushed * PAGE_SIZE as u64,
+                "a journal of {journal} bytes for {flushed} flushed pages: \
+                 whole-page pre-images are back"
+            );
+            assert_eq!(counter(&cost, "tables_skipped"), 1);
+        }
+        db.close().unwrap();
+    }
+    assert_eq!(
+        one_chunk[0], one_chunk[1],
+        "(chunks written, data pages flushed) for one delete at 6 000 and 60 000 rows"
+    );
+    assert!(one_chunk[0].0 > 0 && one_chunk[0].1 > 0, "{one_chunk:?}");
+}
+
 /// Recovery must converge: reopening a recovered database replays nothing
 /// new, and repeated crash/reopen cycles do not accumulate log segments.
 #[test]

@@ -671,3 +671,70 @@ fn buffer_pool_io_counters_reflect_disk_activity() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A pool at 5 % of a kd-tree's pages must go to the pager for much of a
+/// cold query mix.  Over a real file those misses are kernel reads, and
+/// where the pages live changes nothing the queries do: a file and an
+/// in-memory pager under the same starved pool read the same pages and
+/// return the same rows.
+#[test]
+fn starved_pool_over_a_file_reads_from_it_and_answers_like_memory() {
+    let dir = temp_dir("starved");
+    let data = spgist::datagen::points(30_000, 42);
+    let run = |pager: Arc<dyn Pager>| {
+        let build = Arc::new(BufferPool::with_default_config(Arc::clone(&pager)));
+        let kd = KdTreeIndex::create(Arc::clone(&build)).unwrap();
+        kd.bulk_build(data.iter().copied().zip(0..).collect())
+            .unwrap();
+        let (meta, pages) = (kd.meta_page(), kd.owned_pages());
+        build.flush_all().unwrap();
+        // The meta page is part of the working set, as in a cold open.
+        let frames = (pages.len() + 1) * 5 / 100;
+        let cold = Arc::new(BufferPool::new(
+            pager,
+            BufferPoolConfig {
+                capacity: frames,
+                ..Default::default()
+            },
+        ));
+        let kd = KdTreeIndex::open_with_ops(
+            Arc::clone(&cold),
+            spgist::indexes::KdTreeOps::default(),
+            meta,
+            pages,
+        )
+        .unwrap();
+        let mut rows: Vec<Vec<RowId>> = Vec::new();
+        for p in data.iter().step_by(749) {
+            let window = Rect::new(p.x - 2.0, p.y - 2.0, p.x + 2.0, p.y + 2.0);
+            rows.push(kd.equals(*p).unwrap());
+            rows.push(
+                kd.range(window)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(_, r)| r)
+                    .collect(),
+            );
+            rows.push(
+                kd.nearest(*p, 10)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(_, r, _)| r)
+                    .collect(),
+            );
+        }
+        (rows, frames, cold.stats().physical_reads)
+    };
+    let (file_rows, frames, file_reads) =
+        run(Arc::new(FilePager::create(dir.join("kd.pages")).unwrap()));
+    let (mem_rows, _, mem_reads) = run(Arc::new(MemPager::new()));
+    assert!(frames >= 8, "5 % of the tree is {frames} frames");
+    assert!(
+        file_reads > 2 * frames as u64,
+        "{file_reads} physical reads through {frames} frames: pages must be \
+         evicted and read again"
+    );
+    assert_eq!(file_reads, mem_reads, "the pager changes no page access");
+    assert_eq!(file_rows, mem_rows);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

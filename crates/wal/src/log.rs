@@ -668,8 +668,8 @@ impl Wal {
     }
 
     /// Number of `fsync`s issued since open — with group commit this stays
-    /// well below the number of records, and the `wal` experiment reports
-    /// the ratio.
+    /// well below the number of records; `Database::metrics()` reports it
+    /// as `wal.syncs`.
     pub fn sync_count(&self) -> u64 {
         self.shared.io.lock().expect("wal io mutex").syncs
     }
