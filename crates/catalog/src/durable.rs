@@ -72,8 +72,9 @@ pub const CATALOG_MAGIC: u32 = 0x5350_4743;
 /// meta records and heap records carry no version byte of their own, so
 /// this one guards them too: v4 is also the node format with varint counts
 /// and row ids, suffix-tree leaves holding rests, and the persisted
-/// page-height hint.
-pub const CATALOG_VERSION: u8 = 4;
+/// page-height hint.  v5 drops the suffix tree's word count from an index's
+/// durable identity: a tree meta record counts values, not entries.
+pub const CATALOG_VERSION: u8 = 5;
 
 /// Chain terminator for segment continuation pointers.
 const CHAIN_END: PageId = PageId::MAX;
@@ -122,9 +123,6 @@ pub struct PersistedIndex {
     pub meta_page: PageId,
     /// Pages owned by the backing tree, in allocation order.
     pub pages: Vec<PageId>,
-    /// Logical word count (suffix tree only; the tree's own item count is
-    /// the suffix count).
-    pub strings: u64,
 }
 
 impl Codec for PersistedIndex {
@@ -135,7 +133,6 @@ impl Codec for PersistedIndex {
         self.world.encode(out);
         self.meta_page.encode(out);
         self.pages.encode(out);
-        self.strings.encode(out);
     }
     fn decode(buf: &mut &[u8]) -> StorageResult<Self> {
         Ok(PersistedIndex {
@@ -145,7 +142,6 @@ impl Codec for PersistedIndex {
             world: Rect::decode(buf)?,
             meta_page: PageId::decode(buf)?,
             pages: Vec::decode(buf)?,
-            strings: u64::decode(buf)?,
         })
     }
 }
@@ -899,7 +895,6 @@ mod tests {
                 world: Rect::new(0.0, 0.0, 100.0, 100.0),
                 meta_page: 7,
                 pages: vec![7, 8, 9],
-                strings: 0,
             }],
         }
     }
@@ -942,8 +937,8 @@ mod tests {
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(decode_chunk(&bad), Err(StorageError::Corrupt(_))));
-        // Older catalogs: same magic, version byte 2 or 3.
-        for version in [2, 3] {
+        // Older catalogs: same magic, version byte 2, 3 or 4.
+        for version in [2, 3, 4] {
             let mut old = good.clone();
             old[4] = version;
             match decode_chunk(&old) {
@@ -951,7 +946,7 @@ mod tests {
                     msg,
                     format!(
                         "unsupported catalog version {version} \
-                         (this build reads version 4; no migration)"
+                         (this build reads version 5; no migration)"
                     )
                 ),
                 other => panic!("v{version} must be Corrupt, got {other:?}"),

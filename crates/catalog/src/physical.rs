@@ -29,7 +29,7 @@ use spgist_indexes::geom::{Point, Rect, Segment};
 use spgist_indexes::query::{PointQuery, SegmentQuery, StringQuery};
 use spgist_indexes::{
     KdTreeIndex, KdTreeOps, PmrQuadtreeIndex, PmrQuadtreeOps, PointQuadtreeIndex, PointQuadtreeOps,
-    SpGistIndex, SpIndex, SuffixTreeIndex, TrieIndex, TrieOps,
+    SpGistIndex, SpIndex, SuffixOps, SuffixTreeIndex, TrieIndex, TrieOps,
 };
 use spgist_storage::{
     AccessHint, BufferPool, Codec, ConcurrencyStats, StorageError, StorageResult,
@@ -87,9 +87,6 @@ struct IndexClass {
     operator_class: &'static str,
     /// The key type the class can serve.
     key_type: KeyType,
-    /// Whether the durable identity records the logical item count: the
-    /// suffix tree's backing trie counts suffixes, not words.
-    persists_len: bool,
     /// The [`IndexSpec`] of this class over `world` (ignored by classes
     /// that decompose no fixed world).
     spec: fn(Rect) -> IndexSpec,
@@ -124,7 +121,6 @@ static CLASSES: [IndexClass; 5] = [
         kind: KIND_TRIE,
         operator_class: "SP_GiST_trie",
         key_type: KeyType::Varchar,
-        persists_len: false,
         spec: |_| IndexSpec::Trie,
         create: |pool, _| boxed(TrieIndex::create(pool)),
         reopen: |pool, pi| reopened(pool, TrieOps::with_config(pi.config), pi),
@@ -133,26 +129,14 @@ static CLASSES: [IndexClass; 5] = [
         kind: KIND_SUFFIX,
         operator_class: "SP_GiST_suffix",
         key_type: KeyType::Varchar,
-        persists_len: true,
         spec: |_| IndexSpec::SuffixTree,
         create: |pool, _| boxed(SuffixTreeIndex::create(pool)),
-        reopen: |pool, pi| {
-            let ops = TrieOps::with_config(pi.config);
-            let pages = pi.pages.clone();
-            boxed(SuffixTreeIndex::open_with_ops(
-                pool,
-                ops,
-                pi.meta_page,
-                pages,
-                pi.strings,
-            ))
-        },
+        reopen: |pool, pi| reopened(pool, SuffixOps::with_config(pi.config), pi),
     },
     IndexClass {
         kind: KIND_KDTREE,
         operator_class: "SP_GiST_kdtree",
         key_type: KeyType::Point,
-        persists_len: false,
         spec: |_| IndexSpec::KdTree,
         create: |pool, _| boxed(KdTreeIndex::create(pool)),
         reopen: |pool, pi| reopened(pool, KdTreeOps::with_config(pi.config), pi),
@@ -161,7 +145,6 @@ static CLASSES: [IndexClass; 5] = [
         kind: KIND_PQUADTREE,
         operator_class: "SP_GiST_pquadtree",
         key_type: KeyType::Point,
-        persists_len: false,
         spec: |_| IndexSpec::PointQuadtree,
         create: |pool, _| boxed(PointQuadtreeIndex::create(pool)),
         reopen: |pool, pi| reopened(pool, PointQuadtreeOps::with_config(pi.config), pi),
@@ -170,7 +153,6 @@ static CLASSES: [IndexClass; 5] = [
         kind: KIND_PMR,
         operator_class: "SP_GiST_pmr",
         key_type: KeyType::Segment,
-        persists_len: false,
         spec: |world| IndexSpec::PmrQuadtree { world },
         create: |pool, world| boxed(PmrQuadtreeIndex::create(pool, world)),
         reopen: |pool, pi| reopened(pool, PmrQuadtreeOps::with_config(pi.world, pi.config), pi),
@@ -319,6 +301,10 @@ pub(crate) trait IndexAccess: Send + Sync {
     /// Removes one `(datum, row)` item; returns whether it was there.
     fn delete(&self, datum: &Datum, row: RowId) -> StorageResult<bool>;
 
+    /// Refuses a datum the index cannot store (see [`SpIndex::admits`]),
+    /// so a statement can fail before it changes anything.
+    fn admits(&self, datum: &Datum) -> StorageResult<()>;
+
     /// Streaming scan through this index for the leaf `predicate`, yielding
     /// matching row ids — or, when `ordered`, an ordered (distance) scan for
     /// a `@@` leaf, yielding row ids in non-decreasing distance from the
@@ -343,8 +329,7 @@ pub(crate) trait IndexAccess: Send + Sync {
 
     /// The durable identity of this index, created from `spec` under
     /// `name`: kind, configuration, tree meta page, owned-page list, and
-    /// the class-specific extras (the PMR world rectangle, the suffix
-    /// tree's logical word count).
+    /// the class-specific extra (the PMR world rectangle).
     fn persisted(&self, name: &str, spec: &IndexSpec) -> PersistedIndex;
 
     /// Releases every page of the backing tree to the pager's free list
@@ -368,6 +353,11 @@ where
     fn delete(&self, datum: &Datum, row: RowId) -> StorageResult<bool> {
         let key = I::Key::from_datum(datum.clone()).ok_or_else(key_type_mismatch)?;
         SpIndex::delete(self, &key, row)
+    }
+
+    fn admits(&self, datum: &Datum) -> StorageResult<()> {
+        let key = I::Key::from_datum(datum.clone()).ok_or_else(key_type_mismatch)?;
+        SpIndex::admits(self, &key)
     }
 
     fn scan<'t>(&'t self, predicate: &Predicate, ordered: bool) -> StorageResult<RowStream<'t>> {
@@ -411,7 +401,6 @@ where
             world: spec.world().unwrap_or(NO_WORLD),
             meta_page: self.meta_page(),
             pages: self.owned_pages(),
-            strings: if class.persists_len { self.len() } else { 0 },
         }
     }
 
@@ -1031,17 +1020,11 @@ mod tests {
             assert_eq!(rows, expect, "{spec:?}");
 
             // persisted() → reopen() → persisted() is the identity: kind,
-            // configuration, PMR world and suffix-tree string count all
-            // round-trip, and the reopened index answers the same.
+            // configuration and PMR world round-trip, and the reopened index
+            // answers the same.
             let pi = named.persisted();
             assert_eq!(pi.kind, spec.class().kind);
             assert_eq!(pi.world, spec.world().unwrap_or(NO_WORLD));
-            let strings = if spec == IndexSpec::SuffixTree {
-                keys.len() as u64
-            } else {
-                0
-            };
-            assert_eq!(pi.strings, strings, "{spec:?}");
             let reopened = NamedIndex::reopen(Arc::clone(&pool), &pi).unwrap();
             assert_eq!(reopened.spec, spec);
             assert_eq!(reopened.persisted(), pi, "{spec:?}");

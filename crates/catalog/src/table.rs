@@ -422,6 +422,10 @@ impl Table {
                 self.key_type.name()
             )));
         }
+        for named in &self.indexes {
+            data.iter()
+                .try_for_each(|datum| named.index.admits(datum))?;
+        }
         if data.is_empty() {
             return Ok((Vec::new(), None));
         }
@@ -702,11 +706,15 @@ impl Table {
                 .collect();
             hashes.sort_unstable();
             hashes.dedup();
+            // The scan hands its keys to the build: no second copy.  A
+            // refused build releases the index's pages and changes nothing.
+            if let Err(e) = named.index.bulk_build(items) {
+                named.index.destroy()?;
+                return Err(e);
+            }
             let inner = self.inner.get_mut();
             inner.distinct = DistinctSketch::new();
             inner.distinct_base = hashes.len() as u64;
-            // The scan hands its keys to the build: no second copy.
-            named.index.bulk_build(items)?;
         }
         self.indexes.push(named);
         self.inner.get_mut().dirty.mutated = true;

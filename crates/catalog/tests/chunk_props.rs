@@ -64,7 +64,6 @@ fn random_index(rng: &mut DetRng) -> PersistedIndex {
         world: Rect::new(-1.5, -2.5, 100.25, 200.125),
         meta_page: rng.next_u64() as u32,
         pages,
-        strings: rng.next_u64(),
     }
 }
 

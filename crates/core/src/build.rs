@@ -25,15 +25,16 @@
 //! from its run.  Only a split that puts one item in several partitions (the
 //! PMR quadtree's) copies each partition it recurses into.
 //!
-//! A caller that can produce the items of one root partition more cheaply
-//! than it can hold them all (the suffix tree, whose items are the suffixes
-//! of its words) need not hand over the whole set:
-//! [`SpGistTree::bulk_build_by_partition`](crate::SpGistTree::bulk_build_by_partition)
-//! splits the root on a sample with the class's own `bulk_prepare` and
-//! `picksplit`, and asks for each root partition's run only when it builds
-//! that child.  The root's children then go through the same
-//! children-first tail (`BulkBuilder::build_inner`) as every split of a
-//! whole-set build, so both write the same bytes.
+//! A class that stores a value as several entries
+//! ([`SpGistOps::MULTI_ENTRY`]; the suffix tree's words as their suffixes)
+//! is built one root partition of entries at a time, never holding the
+//! whole entry set: `BulkBuilder::build_entries` splits the root on a
+//! sample, files each entry under its root partition with `choose` (one
+//! byte per entry), and builds each child from a pass over the values that
+//! makes only that partition's entries.  The root's children then go
+//! through the same children-first tail (`BulkBuilder::build_inner`) as
+//! every split of a whole-set build, so where the sample splits like the
+//! whole set (the trie's) both write the same bytes.
 //!
 //! Two deliberate differences from the insertion path:
 //!
@@ -67,14 +68,14 @@ use spgist_storage::StorageResult;
 
 use crate::config::NodeShrink;
 use crate::node::{encode_leaf, row_slot, Entry, Node, NodeId, ROW_BITS, ROW_FANOUT};
-use crate::ops::{PickSplit, SpGistOps};
+use crate::ops::{Choose, PickSplit, SpGistOps};
 use crate::stats::TreeStats;
 use crate::store::{Group, NodeStore, UNPLACED};
 use crate::RowId;
 
 /// One bulk build over an empty tree's node store; created by
-/// [`SpGistTree::bulk_build_by_partition`](crate::SpGistTree::bulk_build_by_partition),
-/// which owns the precondition checks and the root/meta bookkeeping.
+/// [`SpGistTree::bulk_build`](crate::SpGistTree::bulk_build), which owns the
+/// precondition checks and the root/meta bookkeeping.
 pub struct BulkBuilder<'a, O: SpGistOps> {
     ops: &'a O,
     store: &'a NodeStore,
@@ -90,52 +91,112 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         }
     }
 
-    /// Builds and places the tree over `len` items: the root's address, and
-    /// the statistics accumulated while building, completed with the
-    /// store's size figures.  The items come from `fetch`, asked only when
-    /// they are built.
-    ///
-    /// With an empty `sample`, `fetch(None)` hands over the whole set, the
-    /// build's one item buffer: partitioned and cut in place, level by
-    /// level.  Otherwise the root is split on `sample` alone, and each of
-    /// its children is built from the run `fetch(Some(pred))` returns for
-    /// that child's predicate, dropped before the next is asked for.  The
-    /// sample must split like the whole set (for the trie: its least and
-    /// greatest item and one item of every root partition), and each run
-    /// must hold exactly the partition's items in the order the class's
-    /// [`SpGistOps::bulk_prepare`] gives the whole set (the trie's total
-    /// `(key, row)` sort): then the tree is byte for byte the whole set's.
-    /// Where the whole set fits one leaf, or the sample's split is
-    /// degenerate or not disjoint, the build asks for the whole set once.
-    pub(crate) fn build<F>(
+    /// Builds and places the tree over `items`, the build's one item
+    /// buffer, partitioned and cut in place level by level: the root's
+    /// address, and the statistics accumulated while building, completed
+    /// with the store's size figures.
+    pub(crate) fn build(
         mut self,
-        len: usize,
-        mut sample: Vec<(O::Key, RowId)>,
-        mut fetch: F,
-    ) -> StorageResult<(NodeId, TreeStats)>
-    where
-        F: FnMut(Option<&O::Pred>) -> StorageResult<Vec<(O::Key, RowId)>>,
-    {
-        let cfg = self.ops.config();
+        mut items: Vec<(O::Key, RowId)>,
+    ) -> StorageResult<(NodeId, TreeStats)> {
         let ctx = self.ops.root_context();
-        let split = (!sample.is_empty() && len > cfg.bucket_size && cfg.resolution > 0)
-            .then(|| {
-                self.ops.bulk_prepare(&mut sample, 0, &ctx);
-                self.ops.picksplit(&sample, 0, &ctx)
-            })
-            .filter(|split| {
-                let assigned: usize = split.partitions.iter().map(|(_, m)| m.len()).sum();
-                assigned == sample.len() && !split.is_degenerate(sample.len())
-            });
-        let tree = match split {
-            Some(PickSplit { prefix, partitions }) => {
-                let runs = partitions
-                    .into_iter()
-                    .map(|(pred, _)| fetch(Some(&pred)).map(|run| (pred, run)));
-                self.build_inner(prefix, runs, 0, &ctx, 1)?
+        let tree = self.build_partition(&mut items, 0, &ctx, 1)?;
+        self.place(tree)
+    }
+
+    /// Builds and places the tree over the entries of `values`
+    /// ([`SpGistOps::entries`]) one root partition at a time, as
+    /// [`BulkBuilder::build`] does over them all.
+    ///
+    /// One pass over the values splits the root on a sample: `picksplit`
+    /// over the entries the split so far could not route — `choose` at the
+    /// root filed them under no single partition — which grows until every
+    /// entry routes (for the trie: its least and greatest entry and one of
+    /// every root partition, the split of the whole set).  The same pass
+    /// records each entry's root partition in a byte; entries met before
+    /// the split settled route again.  Each child is then built from one
+    /// more pass that makes only its partition's entries (skipping the
+    /// others with `nth`), sorted as [`SpGistOps::bulk_prepare`] sorts the
+    /// whole set.  Where the entries fit one leaf, or the sample's split is
+    /// degenerate, not disjoint or wider than a byte, the build makes the
+    /// whole set once.
+    pub(crate) fn build_entries(
+        mut self,
+        values: &[(O::Key, RowId)],
+    ) -> StorageResult<(NodeId, TreeStats)> {
+        const END: u8 = u8::MAX;
+        let (ops, ctx) = (self.ops, self.ops.root_context());
+        let (mut sample, mut root, mut tags, mut settled) = (Vec::new(), None, Vec::new(), 0);
+        for (i, (value, row)) in values.iter().enumerate() {
+            for entry in ops.entries(value)? {
+                if let Some(part) = route(ops, &root, &entry) {
+                    tags.push(part as u8);
+                    continue;
+                }
+                sample.push((entry, *row));
+                ops.bulk_prepare(&mut sample, 0, &ctx);
+                let split = ops.picksplit(&sample, 0, &ctx);
+                let preds = split.partitions.iter().map(|(p, _)| p.clone()).collect();
+                (root, settled) = (Some((split, preds)), i + 1);
+                tags.push(END);
             }
-            None => self.build_partition(&mut fetch(None)?, 0, &ctx, 1)?,
+            tags.push(END);
+        }
+        let mut at = 0;
+        for (value, _) in &values[..settled] {
+            for entry in ops.entries(value)? {
+                tags[at] = route(ops, &root, &entry).map_or(END, |part| part as u8);
+                at += 1;
+            }
+            at += 1;
+        }
+        let cfg = ops.config();
+        let len = tags.len() - values.len();
+        let split = root.map(|(split, _)| split).filter(|split| {
+            let assigned: usize = split.partitions.iter().map(|(_, m)| m.len()).sum();
+            len > cfg.bucket_size
+                && cfg.resolution > 0
+                && assigned == sample.len()
+                && !split.is_degenerate(sample.len())
+                && split.partitions.len() < usize::from(END)
+                && tags[..at].iter().filter(|&&t| t == END).count() == settled
+        });
+        let Some(PickSplit { prefix, partitions }) = split else {
+            let mut all = Vec::with_capacity(len);
+            for (value, row) in values {
+                all.extend(ops.entries(value)?.map(|entry| (entry, *row)));
+            }
+            return self.build(all);
         };
+        let mut sizes = vec![0; partitions.len()];
+        for &tag in tags.iter().filter(|&&t| t != END) {
+            sizes[usize::from(tag)] += 1;
+        }
+        let runs = partitions.into_iter().enumerate().map(|(part, (pred, _))| {
+            let mut run = Vec::with_capacity(sizes[part]);
+            let mut tags = tags.iter();
+            for (value, row) in values {
+                let (mut entries, mut skip) = (ops.entries(value)?, 0);
+                for &tag in tags.by_ref().take_while(|&&t| t != END) {
+                    if usize::from(tag) == part {
+                        run.extend(entries.nth(skip).map(|entry| (entry, *row)));
+                        skip = 0;
+                    } else {
+                        skip += 1;
+                    }
+                }
+            }
+            ops.bulk_prepare(&mut run, 0, &ctx);
+            Ok((pred, run))
+        });
+        let tree = self.build_inner(prefix, runs, 0, &ctx, 1)?;
+        self.place(tree)
+    }
+
+    /// Hands the built tree to the placer: the root's address, and the
+    /// statistics accumulated while building, completed with the store's
+    /// size figures.
+    fn place(self, tree: Group) -> StorageResult<(NodeId, TreeStats)> {
         let (root, max_page_height) = self.store.place_group(tree, None)?;
         let stats = TreeStats {
             max_page_height,
@@ -294,6 +355,21 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         let mut bytes = Vec::new();
         encode_leaf(items, &mut bytes);
         self.store.join(bytes, &[], Vec::new())
+    }
+}
+
+/// A root split and its predicates, as `choose` reads them.
+type Root<O> = Option<(
+    PickSplit<<O as SpGistOps>::Prefix, <O as SpGistOps>::Pred>,
+    Vec<<O as SpGistOps>::Pred>,
+)>;
+
+/// The one partition of `root` that `choose` files `entry` under, if any.
+fn route<O: SpGistOps>(ops: &O, root: &Root<O>, entry: &O::Key) -> Option<usize> {
+    let (split, preds) = root.as_ref()?;
+    match ops.choose(split.prefix.as_ref(), preds, entry, 0) {
+        Choose::Descend(to) if to.len() == 1 => Some(to[0]),
+        _ => None,
     }
 }
 

@@ -6,7 +6,7 @@
 //! `choose` that routes an insertion, and the `NN_Consistent` distance
 //! functions for incremental nearest-neighbour search (Section 5).
 
-use spgist_storage::Codec;
+use spgist_storage::{Codec, StorageResult};
 
 use crate::config::SpGistConfig;
 use crate::RowId;
@@ -206,8 +206,28 @@ pub trait SpGistOps {
     /// descend a key into several entries and `picksplit` place an item in
     /// several partitions (the PMR quadtree's segments).  A search then meets
     /// an item once per replica, so the index layer deduplicates its cursors
-    /// by row and deletes with [`crate::SpGistTree::delete_replicated`].
+    /// by row, and a delete removes every replica.
     const REPLICATES: bool = false;
+
+    /// Whether a value can be stored as several entries
+    /// ([`SpGistOps::entries`]; the suffix tree stores a word as its
+    /// suffixes).  A search then meets a value once per matching entry, so
+    /// the index layer deduplicates its cursors by row, yields no keys (an
+    /// entry is not the value), and offers no ordered scan (a distance to an
+    /// entry says nothing about its value).  Unlike [`SpGistOps::REPLICATES`],
+    /// which copies one key inside the descent, the entries are distinct
+    /// keys, each inserted from the root.
+    const MULTI_ENTRY: bool = false;
+
+    /// The entries `value` is stored as: the value itself unless the class
+    /// sets [`SpGistOps::MULTI_ENTRY`].  The internal methods insert, build
+    /// and delete a value as all of its entries and count it once.  An error
+    /// refuses a value the class cannot store, before anything changes.
+    /// Skipping entries with `Iterator::nth` should not build them: the bulk
+    /// build walks each value's entries once per root partition.
+    fn entries(&self, value: &Self::Key) -> StorageResult<impl Iterator<Item = Self::Key>> {
+        Ok(std::iter::once(value.clone()))
+    }
 
     /// Route the insertion of `key` through an inner node.
     fn choose(

@@ -4,8 +4,12 @@
 //! [`DigitTrieOps`] indexes `u32` keys by the decimal digits of their value —
 //! a dictionary trie over the alphabet `0..=9` with an explicit end-of-key
 //! partition, `NodeShrink = OmitEmpty`, and a small bucket size so that
-//! splits are exercised by tiny datasets.  It is intentionally simple; the
-//! production-grade instantiations live in the `spgist-indexes` crate.
+//! splits are exercised by tiny datasets.  [`DigitSuffixOps`] stores a
+//! number under each of its decimal suffixes, the multi-entry path without
+//! strings.  Both are intentionally simple; the production-grade
+//! instantiations live in the `spgist-indexes` crate.
+
+use spgist_storage::StorageResult;
 
 use crate::config::{NodeShrink, PathShrink, SpGistConfig};
 use crate::ops::{Choose, PickSplit, SpGistOps};
@@ -16,15 +20,24 @@ use crate::RowId;
 pub const DIGIT_END: u8 = 10;
 
 /// SP-GiST external methods for a dictionary trie over the decimal digits of
-/// `u32` keys.
+/// `u32` keys, storing each number as itself ([`DigitTrieOps`]) or, with
+/// `SUFFIXES`, as each of its decimal suffixes ([`DigitSuffixOps`]).
 #[derive(Debug, Clone)]
-pub struct DigitTrieOps {
+pub struct Digits<const SUFFIXES: bool> {
     config: SpGistConfig,
 }
 
-impl Default for DigitTrieOps {
+/// The digit trie.
+pub type DigitTrieOps = Digits<false>;
+
+/// The digit trie storing a number as each of its decimal suffixes
+/// ([`SpGistOps::MULTI_ENTRY`]): 4242 as 4242, 242, 42 and 2, so a query for
+/// 42 finds every number ending in 42, each row once.
+pub type DigitSuffixOps = Digits<true>;
+
+impl<const SUFFIXES: bool> Default for Digits<SUFFIXES> {
     fn default() -> Self {
-        DigitTrieOps {
+        Digits {
             config: SpGistConfig {
                 partitions: 11,
                 bucket_size: 4,
@@ -37,7 +50,7 @@ impl Default for DigitTrieOps {
     }
 }
 
-impl DigitTrieOps {
+impl<const SUFFIXES: bool> Digits<SUFFIXES> {
     fn digits(key: u32) -> Vec<u8> {
         key.to_string().bytes().map(|b| b - b'0').collect()
     }
@@ -48,12 +61,21 @@ impl DigitTrieOps {
     }
 }
 
-impl SpGistOps for DigitTrieOps {
+impl<const SUFFIXES: bool> SpGistOps for Digits<SUFFIXES> {
     type Key = u32;
     type Prefix = u32;
     type Pred = u8;
     type Query = u32;
     type Context = ();
+    const MULTI_ENTRY: bool = SUFFIXES;
+
+    fn entries(&self, value: &u32) -> StorageResult<impl Iterator<Item = u32>> {
+        let (value, digits) = (*value, Self::digits(*value).len() as u32);
+        let shortest = if SUFFIXES { 1 } else { digits };
+        Ok((shortest..=digits)
+            .rev()
+            .map(move |d| (u64::from(value) % 10u64.pow(d)) as u32))
+    }
 
     fn config(&self) -> SpGistConfig {
         self.config

@@ -58,9 +58,9 @@ use crate::RowId;
 /// parent entry.
 type Located = (NodeId, usize, Option<(NodeId, usize)>);
 
-/// Pairs [`SpGistTree::insert_all`] inserts per hold of the write gate, meta
-/// write and reclamation pass: a statement's worth (a word's suffixes), few
-/// enough that the retired records a batch cannot yet reuse stay a handful.
+/// Entries [`SpGistTree::insert`] inserts per hold of the write gate, meta
+/// write and reclamation pass: a value's worth (a word's suffixes), few
+/// enough that the retired records a value cannot yet reuse stay a handful.
 const INSERT_CHUNK: usize = 32;
 
 /// Outcome of one latched descent attempt.
@@ -198,12 +198,14 @@ impl<O: SpGistOps> SpGistTree<O> {
         self.store.pool()
     }
 
-    /// Number of items stored in the tree.
+    /// Number of values stored in the tree: a value stored as several
+    /// entries counts once, as the meta record counts it.  The leaf items
+    /// [`SpGistTree::stats`] counts are the entries.
     pub fn len(&self) -> u64 {
         self.item_count.load(Ordering::Relaxed)
     }
 
-    /// True if the tree holds no items.
+    /// True if the tree holds no values.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -220,38 +222,29 @@ impl<O: SpGistOps> SpGistTree<O> {
     // Insert
     // ------------------------------------------------------------------
 
-    /// Inserts `(key, row)` into the tree.
+    /// Inserts `value` for `row`: each of its entries
+    /// ([`SpGistOps::entries`]), counted as one value.
     ///
     /// Inserts crab page latches down the tree and run in parallel with
     /// other inserts (and with all readers); on latch contention the descent
-    /// restarts from the root.
-    pub fn insert(&self, key: O::Key, row: RowId) -> StorageResult<()> {
-        self.insert_all([(key, row)])
-    }
-
-    /// Inserts every `(key, row)` pair from an iterator, one descent per
-    /// pair from the root — the reference insert loop the equivalence tests
-    /// compare [`SpGistTree::bulk_build`] against, and the statement form of
-    /// [`SpGistTree::insert`]: the write gate is taken, the item count
-    /// persisted and retired records reclaimed once per `INSERT_CHUNK` (32)
-    /// pairs (the suffix tree inserts a word's suffixes this way) — not once
-    /// per call, so a long batch neither starves deleters of the gate nor
-    /// piles up retired records it could have reused.  On an error the pairs
-    /// already inserted stay, and stay counted.
-    pub fn insert_all<I>(&self, items: I) -> StorageResult<()>
-    where
-        I: IntoIterator<Item = (O::Key, RowId)>,
-    {
-        let mut items = items.into_iter().peekable();
-        while items.peek().is_some() {
+    /// restarts from the root.  The write gate is taken, the count persisted
+    /// and retired records reclaimed once per `INSERT_CHUNK` (32) entries, so
+    /// a value of many entries neither starves deleters of the gate nor
+    /// piles up retired records it could have reused.  On an error the
+    /// entries already inserted stay, and the value is not counted.
+    pub fn insert(&self, value: O::Key, row: RowId) -> StorageResult<()> {
+        let mut entries = self.ops.entries(&value)?.peekable();
+        while entries.peek().is_some() {
             let _gate = self.write_gate.read();
-            let mut inserted = 0;
-            let mut chunk = items.by_ref().take(INSERT_CHUNK);
-            let result =
-                chunk.try_for_each(|(key, row)| self.insert_one(&key, row).map(|()| inserted += 1));
+            let result = entries
+                .by_ref()
+                .take(INSERT_CHUNK)
+                .try_for_each(|entry| self.insert_one(&entry, row));
             {
                 let _meta = self.meta_lock.lock();
-                self.item_count.fetch_add(inserted, Ordering::Relaxed);
+                if result.is_ok() && entries.peek().is_none() {
+                    self.item_count.fetch_add(1, Ordering::Relaxed);
+                }
                 self.write_meta_locked()?;
             }
             result?;
@@ -259,6 +252,18 @@ impl<O: SpGistOps> SpGistTree<O> {
             self.store.reclaim()?;
         }
         Ok(())
+    }
+
+    /// Inserts every `(value, row)` pair, as the loop of
+    /// [`SpGistTree::insert`] does: the reference the equivalence tests
+    /// compare [`SpGistTree::bulk_build`] against.
+    pub fn insert_all<I>(&self, items: I) -> StorageResult<()>
+    where
+        I: IntoIterator<Item = (O::Key, RowId)>,
+    {
+        items
+            .into_iter()
+            .try_for_each(|(value, row)| self.insert(value, row))
     }
 
     /// One uncounted insert; the caller holds the write gate shared.
@@ -305,55 +310,35 @@ impl<O: SpGistOps> SpGistTree<O> {
         }
     }
 
-    /// Builds the whole tree from `items` in one pass — the paper's
+    /// Builds the whole tree from `values` in one pass — the paper's
     /// `spgistbuild` entry point (Section 4).
     ///
     /// The [`BulkBuilder`] recursively applies [`SpGistOps::picksplit`] to
-    /// whole partitions top-down — partitioning `items` in place, the one
+    /// whole partitions top-down — partitioning `values` in place, the one
     /// copy of the keys the build holds — packs leaves to `BucketSize`, hands
     /// every node to the placer children-first, so each is written exactly
     /// once, and accumulates the returned [`TreeStats`] during the build
-    /// instead of by a traversal.
-    /// Classes steer it through [`SpGistOps::bulk_prepare`].
+    /// instead of by a traversal.  A class storing a value as several
+    /// entries ([`SpGistOps::MULTI_ENTRY`]) is built one root partition of
+    /// entries at a time, never holding the whole entry set.
+    /// Classes steer the build through [`SpGistOps::bulk_prepare`].
     ///
     /// The tree must be empty; loading into a populated tree is an
-    /// [`StorageError::Unsupported`] error.  An empty `items` set is a
-    /// no-op.  Query results are identical to inserting the same items with
+    /// [`StorageError::Unsupported`] error.  An empty `values` set is a
+    /// no-op.  Query results are identical to inserting the same values with
     /// the insert loop (the tree *shape* may differ — and usually improves:
     /// data-driven classes split on medians, split-once classes decompose
     /// fully).
     ///
     /// [`BulkBuilder`]: crate::build::BulkBuilder
-    pub fn bulk_build(&self, mut items: Vec<(O::Key, RowId)>) -> StorageResult<TreeStats> {
-        let len = items.len();
-        self.bulk_build_by_partition(len, Vec::new(), |_| Ok(std::mem::take(&mut items)))
-    }
-
-    /// Builds the whole tree over `len` items, for a caller that can
-    /// produce one root partition of them more cheaply than it can hold
-    /// them all (the suffix tree's suffixes): the root is split on
-    /// `sample`, and `fetch(Some(pred))` is asked for the items of root
-    /// partition `pred` only when that child is built — `fetch(None)` for
-    /// the whole set where the root does not split, or `sample` is empty.
-    /// The contract on `sample` and the runs, under which the tree is byte
-    /// for byte the one [`SpGistTree::bulk_build`] makes of the whole set,
-    /// is `BulkBuilder::build`'s; the preconditions and the result are
-    /// [`SpGistTree::bulk_build`]'s.
-    pub fn bulk_build_by_partition<F>(
-        &self,
-        len: usize,
-        sample: Vec<(O::Key, RowId)>,
-        fetch: F,
-    ) -> StorageResult<TreeStats>
-    where
-        F: FnMut(Option<&O::Pred>) -> StorageResult<Vec<(O::Key, RowId)>>,
-    {
+    pub fn bulk_build(&self, values: Vec<(O::Key, RowId)>) -> StorageResult<TreeStats> {
         let _gate = self.write_gate.write();
         if self.root().is_some() || !self.is_empty() {
             return Err(StorageError::Unsupported(
                 "bulk_build requires an empty tree; use insert for incremental loads".into(),
             ));
         }
+        let len = values.len() as u64;
         if len == 0 {
             return self.stats();
         }
@@ -361,13 +346,18 @@ impl<O: SpGistOps> SpGistTree<O> {
         // pattern.  Hint the pool so loading one index does not flush every
         // other tree's hot pages; point operations restore Normal below.
         self.store.set_access_hint(AccessHint::Scan);
-        let result = BulkBuilder::new(&self.ops, &self.store).build(len, sample, fetch);
+        let builder = BulkBuilder::new(&self.ops, &self.store);
+        let result = if O::MULTI_ENTRY {
+            builder.build_entries(&values)
+        } else {
+            builder.build(values)
+        };
         self.store.set_access_hint(AccessHint::Normal);
         let (root, stats) = result?;
         {
             let _meta = self.meta_lock.lock();
             self.set_root(Some(root));
-            self.item_count.store(len as u64, Ordering::Relaxed);
+            self.item_count.store(len, Ordering::Relaxed);
             self.page_height
                 .store(stats.max_page_height, Ordering::Relaxed);
             self.write_meta_locked()?;
@@ -509,7 +499,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                                 // insert; partitions already handled may end up
                                 // with an extra replica, which replicating
                                 // classes tolerate (cursors deduplicate by row
-                                // and delete_replicated removes every copy).
+                                // and a delete removes every copy).
                                 outcome = Descent::Restart;
                                 break;
                             }
@@ -754,46 +744,34 @@ impl<O: SpGistOps> SpGistTree<O> {
     // Delete
     // ------------------------------------------------------------------
 
-    /// Deletes the item `(key, row)`.  Returns `true` if an item was removed.
-    pub fn delete(&self, key: &O::Key, row: RowId) -> StorageResult<bool> {
-        self.delete_items(&[(key, row)], false)
-    }
-
-    /// Deletes every physical occurrence of the item `(key, row)`, counting
-    /// it as one logical removal.  Returns `true` if anything was removed.
+    /// Deletes `value` for `row`: every entry of it
+    /// ([`SpGistOps::entries`]) and, where the class replicates, every
+    /// replica of each — or nothing, unless all were found.  Returns whether
+    /// the value was removed; it counts as one.  One descent per entry and
+    /// one rewrite per touched leaf under one hold of the write gate.
     ///
-    /// Replicating instantiations (the PMR quadtree) store one logical item
-    /// in every partition it intersects, while [`SpGistTree::insert`] counts
-    /// it once; plain [`SpGistTree::delete`] would remove a single replica
-    /// and leave the others reachable.  This method removes the first
-    /// matching `(key, row)` occurrence from *every* leaf that holds one and
-    /// decrements the item count once.
-    pub fn delete_replicated(&self, key: &O::Key, row: RowId) -> StorageResult<bool> {
-        self.delete_items(&[(key, row)], true)
+    /// A multi-entry class cannot tell a value that was never indexed for
+    /// `row` from one that was whenever all of its entries are stored for
+    /// `row` (a suffix of the indexed word is a suffix of other words too);
+    /// the all-or-nothing rule keeps every other misuse from removing
+    /// anything.
+    pub fn delete(&self, value: &O::Key, row: RowId) -> StorageResult<bool> {
+        let entries: Vec<_> = self.ops.entries(value)?.collect();
+        self.delete_items(&entries, row)
     }
 
-    /// Deletes every `(key, row)` pair of `items`, or nothing: the pairs are
-    /// removed only if every one was found (equal pairs must be present that
-    /// many times).  Returns whether the batch was removed.  One descent per
-    /// pair and one rewrite per touched leaf under one hold of the write
-    /// gate — how the suffix tree deletes a word.
-    pub fn delete_batch(&self, items: &[(O::Key, RowId)]) -> StorageResult<bool> {
-        let items: Vec<_> = items.iter().map(|(key, row)| (key, *row)).collect();
-        self.delete_items(&items, false)
-    }
-
-    /// Shared deletion: locate every item, then remove what was located, one
-    /// logical removal per item.
+    /// Shared deletion: locate every entry of one value for `row`, then
+    /// remove what was located, as one removal.
     ///
     /// Deletion takes the write gate exclusively — it excludes other writers
     /// (so its captured node addresses stay valid without crabbing) but not
     /// readers, which epoch pins keep safe across the copy-on-write removal
     /// rewrites.
-    fn delete_items(&self, items: &[(&O::Key, RowId)], all_replicas: bool) -> StorageResult<bool> {
+    fn delete_items(&self, entries: &[O::Key], row: RowId) -> StorageResult<bool> {
         let _gate = self.write_gate.write();
         let mut targets = Vec::new();
-        for (key, row) in items {
-            if !self.locate(key, *row, all_replicas, &mut targets)? {
+        for key in entries {
+            if !self.locate(key, row, O::REPLICATES, &mut targets)? {
                 return Ok(false);
             }
         }
@@ -816,8 +794,7 @@ impl<O: SpGistOps> SpGistTree<O> {
         }
         {
             let _meta = self.meta_lock.lock();
-            self.item_count
-                .fetch_sub(items.len() as u64, Ordering::Relaxed);
+            self.item_count.fetch_sub(1, Ordering::Relaxed);
             self.write_meta_locked()?;
         }
         self.store.reclaim()?;
@@ -1265,7 +1242,7 @@ fn decode_meta(bytes: &[u8]) -> StorageResult<(Option<NodeId>, u64, u32)> {
 mod tests {
     use super::*;
     use crate::node::ROW_FANOUT;
-    use crate::testing::DigitTrieOps;
+    use crate::testing::{DigitSuffixOps, DigitTrieOps};
     use spgist_storage::{BufferPoolConfig, FilePager, MemPager};
 
     fn new_tree() -> SpGistTree<DigitTrieOps> {
@@ -1671,14 +1648,16 @@ mod tests {
 
     #[test]
     fn delete_replicated_removes_item_and_counts_once() {
-        let tree = new_tree();
-        for key in 0..50u32 {
+        // A value stored as several entries goes whole, and counts once.
+        let tree = SpGistTree::create(BufferPool::in_memory(), DigitSuffixOps::default()).unwrap();
+        for key in 100..150u32 {
             tree.insert(key, u64::from(key)).unwrap();
         }
-        assert!(tree.delete_replicated(&30, 30).unwrap());
-        assert!(!tree.delete_replicated(&30, 30).unwrap());
-        assert!(tree.search(&30).unwrap().is_empty());
-        assert_eq!(tree.len(), 49);
+        assert_eq!((tree.len(), tree.stats().unwrap().items), (50, 150));
+        assert!(tree.delete(&130, 130).unwrap());
+        assert!(!tree.delete(&130, 130).unwrap());
+        assert!(tree.search(&130).unwrap().is_empty());
+        assert_eq!((tree.len(), tree.stats().unwrap().items), (49, 147));
     }
 
     /// [`DigitTrieOps`] counting its `picksplit` calls.
@@ -1784,26 +1763,24 @@ mod tests {
 
     #[test]
     fn delete_batch_is_all_or_nothing() {
-        let tree = new_tree();
-        for key in 0..200u32 {
-            tree.insert(key % 20, u64::from(key)).unwrap();
+        // A value goes as all of its entries or not at all.
+        let tree = SpGistTree::create(BufferPool::in_memory(), DigitSuffixOps::default()).unwrap();
+        for row in 0..20u64 {
+            tree.insert(142, row).unwrap();
         }
-        // One pair of the batch was never inserted: nothing goes.
-        assert!(!tree.delete_batch(&[(3, 3), (4, 4), (5, 999)]).unwrap());
-        assert_eq!(tree.len(), 200);
-        assert_eq!(tree.search(&3).unwrap().len(), 10);
-        // An equal pair named twice must be there twice.
-        assert!(!tree.delete_batch(&[(3, 3), (3, 3)]).unwrap());
-        tree.insert(3, 3).unwrap();
-        assert!(tree
-            .delete_batch(&[(3, 3), (4, 4), (3, 3), (3, 23)])
-            .unwrap());
-        assert_eq!(tree.len(), 197);
-        let mut rows: Vec<u64> = tree.search(&3).unwrap().into_iter().map(|i| i.1).collect();
-        rows.sort_unstable();
-        assert_eq!(rows, vec![43, 63, 83, 103, 123, 143, 163, 183]);
-        assert_eq!(tree.search(&4).unwrap().len(), 9);
-        assert_eq!(tree.stats().unwrap().items, 197);
+        // 202's entries are 202, 2 and 2.
+        tree.insert(202, 7).unwrap();
+        // 342 shares 42 and 2 with row 7's 142, but not 342: nothing goes.
+        assert!(!tree.delete(&342, 7).unwrap());
+        assert_eq!(tree.len(), 21);
+        assert_eq!(tree.search(&42).unwrap().len(), 20);
+        assert_eq!(tree.search(&2).unwrap().len(), 22);
+        // An entry the value holds twice goes twice.
+        assert!(tree.delete(&202, 7).unwrap());
+        assert!(!tree.delete(&202, 7).unwrap());
+        assert_eq!(tree.len(), 20);
+        assert_eq!(tree.search(&2).unwrap().len(), 20);
+        assert_eq!(tree.stats().unwrap().items, 60);
     }
 
     #[test]

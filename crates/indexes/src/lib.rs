@@ -16,10 +16,10 @@
 //! Everything is generic over the storage substrate: pass any
 //! [`spgist_storage::BufferPool`] (in-memory or file-backed).
 //!
-//! A class is its [`spgist_core::SpGistOps`]: the trie, kd-tree, point
-//! quadtree and PMR quadtree are type aliases of the one generic index
-//! [`spindex::SpGistIndex`], and the suffix tree wraps one.  All five
-//! implement the unified [`spindex::SpIndex`] trait (`insert` / `delete` /
+//! A class is its [`spgist_core::SpGistOps`]: the trie, suffix tree,
+//! kd-tree, point quadtree and PMR quadtree are type aliases of the one
+//! generic index [`spindex::SpGistIndex`], which implements the unified
+//! [`spindex::SpIndex`] trait (`insert` / `delete` /
 //! `execute` / `cursor` / `len` / `stats` / `repack`), so generic code — the
 //! `spgist-catalog` executor, benchmarks, tests — is written once against
 //! the trait; the per-class inherent methods are thin operator sugar over
@@ -43,5 +43,5 @@ pub use pmr::{PmrQuadtreeIndex, PmrQuadtreeOps};
 pub use quadtree::{PointQuadtreeIndex, PointQuadtreeOps};
 pub use query::{PointQuery, SegmentQuery, StringQuery};
 pub use spindex::{Cursor, SpGistBacked, SpGistIndex, SpIndex};
-pub use suffix::SuffixTreeIndex;
+pub use suffix::{SuffixOps, SuffixTreeIndex};
 pub use trie::{LeafMode, TrieIndex, TrieOps};

@@ -3,18 +3,19 @@
 //! The paper's thesis is that one extensible framework can serve many
 //! space-partitioning indexes: a class is its external methods.  Here that
 //! holds up to the index layer.  [`SpGistIndex<O>`] is the index over any
-//! [`SpGistOps`] class `O`; the patricia trie, kd-tree, point quadtree and
-//! PMR quadtree are type aliases of it, and a new class needs no index code
-//! of its own.  The one per-class fact the generic code reads is
-//! [`SpGistOps::REPLICATES`]: a class storing one item in several leaves
-//! gets row-deduplicating cursors and replica-removing deletes.
+//! [`SpGistOps`] class `O`; the patricia trie, suffix tree, kd-tree, point
+//! quadtree and PMR quadtree are type aliases of it, and a new class needs
+//! no index code of its own.  The per-class facts the generic code reads
+//! are two: [`SpGistOps::REPLICATES`] (one key copied into several leaves
+//! by the descent, the PMR quadtree's) and [`SpGistOps::MULTI_ENTRY`] (one
+//! value stored as several entries, the suffix tree's).  Either gets
+//! row-deduplicating cursors; a multi-entry class's cursors also yield no
+//! keys and it offers no ordered scan.
 //!
 //! [`SpIndex`] is the typed surface generic code is written against — the
 //! `spgist-catalog` executor, benchmarks, tests (`insert` / `delete` /
-//! `execute` / `cursor` / `len` / `stats` / `repack`).  It has two
-//! implementations: [`SpGistIndex<O>`], and the suffix tree, which stores a
-//! word as its suffixes in a [`SpGistIndex<TrieOps>`](crate::TrieIndex)
-//! and rewrites substring queries into prefix queries over them.
+//! `execute` / `cursor` / `len` / `stats` / `repack`).  [`SpGistIndex<O>`]
+//! is its one implementation.
 //!
 //! **Shared access.** Every index is usable from many threads through a
 //! plain `&self`: the backing [`SpGistTree`] is itself concurrent — writers
@@ -41,8 +42,8 @@ use spgist_storage::{BufferPool, PageId, StorageResult};
 /// A streaming query result: an iterator of `(key, row)` items.
 ///
 /// Page reads can fail mid-scan, so every item is a [`StorageResult`].
-/// Cursors over replicating indexes (PMR quadtree, suffix tree) deduplicate
-/// by row id while streaming.
+/// Cursors over replicating and multi-entry indexes (PMR quadtree, suffix
+/// tree) deduplicate by row id while streaming.
 pub struct Cursor<'c, K> {
     inner: Box<dyn Iterator<Item = StorageResult<(K, RowId)>> + 'c>,
     seen: Option<HashSet<RowId>>,
@@ -98,9 +99,8 @@ impl<K> std::fmt::Debug for Cursor<'_, K> {
 
 /// The unified interface of every space-partitioning index.
 ///
-/// Implemented by [`SpGistIndex<O>`] for every class and by the suffix
-/// tree, so one generic function can build, maintain and query any of
-/// them.  Every method takes `&self`: the backing tree crabs page latches
+/// Implemented by [`SpGistIndex<O>`] for every class, so one generic
+/// function can build, maintain and query any of them.  Every method takes `&self`: the backing tree crabs page latches
 /// for updates and serves queries latch-free under epoch protection, so an
 /// index shared behind an `Arc` serves concurrent readers and writers
 /// without blocking reads.
@@ -127,8 +127,8 @@ pub trait SpIndex: SpGistBacked {
     /// Whether the key a cursor yields *is* the value that was indexed
     /// (PostgreSQL SP-GiST's `canReturnData`), so a caller holding heap
     /// rows need not fetch one to learn it.  False only where one indexed
-    /// value is stored as several derived keys (the suffix tree yields
-    /// suffixes, not words).
+    /// value is stored as several entries ([`SpGistOps::MULTI_ENTRY`]: the
+    /// suffix tree yields suffixes, not words).
     const RETURNS_KEYS: bool = true;
 
     /// Inserts one `(key, row)` item (page latches crabbed internally).
@@ -145,10 +145,10 @@ pub trait SpIndex: SpGistBacked {
     /// paper's `spgistbuild` (Section 4) carried to the index layer.
     ///
     /// The backing tree's [`spgist_core::BulkBuilder`] partitions the whole
-    /// set top-down with `picksplit` and writes each node exactly once;
-    /// indexes with expanded representations translate as they go (the
-    /// suffix tree turns words into one root partition of suffixes at a
-    /// time).  Requires an **empty** index and
+    /// set top-down with `picksplit` and writes each node exactly once; a
+    /// class storing a value as several entries is built one root partition
+    /// of entries at a time (the suffix tree's suffixes).  Requires an
+    /// **empty** index and
     /// excludes other writers for the whole build.  Returns the
     /// [`TreeStats`] accumulated during the build.
     ///
@@ -175,8 +175,8 @@ pub trait SpIndex: SpGistBacked {
     /// the incremental NN search ([`spgist_core::NnIter`]).  Each pull does
     /// just enough work to report the next-closest item, so `LIMIT k` stops
     /// after `k` reported items.  Returns `None` where distance says nothing
-    /// about the indexed value (the suffix tree, whose operator class has
-    /// no `@@` operator).
+    /// about the indexed value ([`SpGistOps::MULTI_ENTRY`]: the suffix tree,
+    /// whose operator class has no `@@` operator).
     fn ordered_cursor(&self, query: &Self::Query) -> StorageResult<Option<Cursor<'_, Self::Key>>>;
 
     /// Runs `query`, materializing every match (the eager counterpart of
@@ -185,8 +185,13 @@ pub trait SpIndex: SpGistBacked {
         self.cursor(query)?.collect()
     }
 
-    /// Number of logical items in the index.
+    /// Number of values in the index (a value stored as several entries
+    /// counts once).
     fn len(&self) -> u64;
+
+    /// Refuses, before anything changes, a value the class cannot store
+    /// (see [`SpGistOps::entries`]).
+    fn admits(&self, key: &Self::Key) -> StorageResult<()>;
 
     /// True if the index holds no items.
     fn is_empty(&self) -> bool {
@@ -300,11 +305,12 @@ impl<O: SpGistOps> SpGistIndex<O> {
         })
     }
 
-    /// Wraps raw tree items, deduplicating rows where the class replicates.
+    /// Wraps raw tree items, deduplicating rows where the class meets a
+    /// value more than once.
     fn stream<'c>(
         inner: impl Iterator<Item = StorageResult<(O::Key, RowId)>> + 'c,
     ) -> Cursor<'c, O::Key> {
-        if O::REPLICATES {
+        if O::REPLICATES || O::MULTI_ENTRY {
             Cursor::deduplicated(inner)
         } else {
             Cursor::new(inner)
@@ -330,16 +336,14 @@ impl<O: SpGistOps> SpGistBacked for SpGistIndex<O> {
 impl<O: SpGistOps> SpIndex for SpGistIndex<O> {
     type Key = O::Key;
     type Query = O::Query;
+    const RETURNS_KEYS: bool = !O::MULTI_ENTRY;
 
     fn insert(&self, key: O::Key, row: RowId) -> StorageResult<()> {
         self.tree.insert(key, row)
     }
 
     fn insert_batch(&self, items: Vec<(O::Key, RowId)>) -> StorageResult<()> {
-        for (key, row) in items {
-            self.tree.insert(key, row)?;
-        }
-        Ok(())
+        self.tree.insert_all(items)
     }
 
     fn bulk_build(&self, items: Vec<(O::Key, RowId)>) -> StorageResult<TreeStats> {
@@ -347,11 +351,7 @@ impl<O: SpGistOps> SpIndex for SpGistIndex<O> {
     }
 
     fn delete(&self, key: &O::Key, row: RowId) -> StorageResult<bool> {
-        if O::REPLICATES {
-            self.tree.delete_replicated(key, row)
-        } else {
-            self.tree.delete(key, row)
-        }
+        self.tree.delete(key, row)
     }
 
     fn cursor(&self, query: &O::Query) -> StorageResult<Cursor<'_, O::Key>> {
@@ -362,6 +362,9 @@ impl<O: SpGistOps> SpIndex for SpGistIndex<O> {
     }
 
     fn ordered_cursor(&self, query: &O::Query) -> StorageResult<Option<Cursor<'_, O::Key>>> {
+        if O::MULTI_ENTRY {
+            return Ok(None);
+        }
         let inner = NnIter::over(Arc::clone(&self.tree), query.clone())
             .map(|item| item.map(|(key, row, _)| (key, row)));
         Ok(Some(Self::stream(inner)))
@@ -369,6 +372,10 @@ impl<O: SpGistOps> SpIndex for SpGistIndex<O> {
 
     fn len(&self) -> u64 {
         self.tree.len()
+    }
+
+    fn admits(&self, key: &O::Key) -> StorageResult<()> {
+        self.tree.ops().entries(key).map(drop)
     }
 }
 
@@ -379,7 +386,7 @@ mod tests {
     use crate::pmr::DEFAULT_WORLD;
     use crate::query::{PointQuery, SegmentQuery, StringQuery};
     use crate::{KdTreeIndex, PmrQuadtreeIndex, PointQuadtreeIndex, SuffixTreeIndex, TrieIndex};
-    use spgist_core::testing::DigitTrieOps;
+    use spgist_core::testing::{DigitSuffixOps, DigitTrieOps};
 
     /// Exercises the whole trait surface through a generic function — the
     /// point of the redesign is that this compiles once for all five
@@ -620,6 +627,39 @@ mod tests {
         // Fifty keys, four rows each: enough for the bucket of four to split.
         let items = (0..200u32).map(|k| (k % 50 * 7, RowId::from(k))).collect();
         exercise_bulk(make, items, 21);
+    }
+
+    /// Storing a value as several entries is a class fact, not the suffix
+    /// tree's: a digit trie storing a number as its decimal suffixes is a
+    /// full index too, counting values and reporting each row once.
+    #[test]
+    fn a_class_storing_a_value_as_several_entries_is_a_full_index() {
+        let make = || SpGistIndex::<DigitSuffixOps>::create(BufferPool::in_memory()).unwrap();
+        // 42 is an entry of 42, 4242 and 142, once each.
+        let items = vec![(42, 0), (7, 1), (4242, 2), (142, 3), (5, 4)];
+        exercise(make(), items, 42, &[0, 2, 3]);
+        let items: Vec<_> = (0..300u32)
+            .map(|k| (k * 37 % 1000, RowId::from(k)))
+            .collect();
+        exercise_bulk(make, items.clone(), 7);
+        let index = make();
+        index.bulk_build(items).unwrap();
+        assert_eq!(index.len(), 300);
+        assert!(index.stats().unwrap().items > 600, "every value's entries");
+        // 9042 was never indexed for row 0: its entry 42 may be, 9042 not.
+        assert!(!index.delete(&9042, 0).unwrap());
+        assert_eq!(index.len(), 300);
+        let rows = |ix: &SpGistIndex<DigitSuffixOps>| ix.cursor(&7).unwrap().rows().unwrap();
+        let ends_in_7 = rows(&index);
+        assert_eq!(ends_in_7.len(), 30, "each row once");
+        // The count survives a reopen: the meta record counts values.
+        let pool = Arc::clone(index.backing().pool());
+        let (meta, pages) = (index.meta_page(), index.owned_pages());
+        drop(index);
+        let reopened = SpGistIndex::open_with_ops(pool, DigitSuffixOps::default(), meta, pages);
+        let reopened = reopened.unwrap();
+        assert_eq!(reopened.len(), 300);
+        assert_eq!(rows(&reopened), ends_in_7);
     }
 
     #[test]

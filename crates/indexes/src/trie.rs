@@ -12,20 +12,19 @@
 //! under the Hamming-style distance).
 
 use spgist_core::{Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps};
-use spgist_storage::StorageResult;
+use spgist_storage::{StorageError, StorageResult};
 
 use crate::query::{hamming_distance, StringQuery};
 use crate::spindex::{SpGistBacked, SpGistIndex, SpIndex};
+use crate::suffix::Suffixes;
 
 /// Entry predicate marking "the key ends at this position" (the paper's
 /// *blank* predicate).  Zero never collides with real characters.
 pub const BLANK: u8 = 0;
 
-/// What a trie leaf stores of a key.  The mode follows from the index
-/// class — [`TrieIndex`] stores `Full`, [`SuffixTreeIndex`] `Rest` — and is
-/// neither persisted nor configurable.
-///
-/// [`SuffixTreeIndex`]: crate::SuffixTreeIndex
+/// What a trie leaf stores of a key.  The mode follows from the class —
+/// [`TrieOps`] stores `Full`, [`SuffixOps`](crate::SuffixOps) `Rest` — and
+/// is neither persisted nor configurable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeafMode {
     /// The whole key: a cursor yields the indexed value, so a scan can
@@ -35,25 +34,30 @@ pub enum LeafMode {
     /// bytes from `level` on.  `leaf_consistent` compares the rest with the
     /// query past `level`, whose earlier characters `consistent` and
     /// `prefix_consistent` checked on the way down — which holds for `=`,
-    /// `#=` and `?=` (and `@@` matches all), not for `@=`: the suffix tree
-    /// asks that as `#=` over its suffixes.
+    /// `#=` and `?=` (and `@@` matches all), and for `@=`, which the suffix
+    /// tree reads as `#=` over its suffixes.
     Rest,
 }
 
-/// External methods of the SP-GiST trie.
+/// External methods of the SP-GiST trie: [`TrieOps`] (`SUFFIXES` false) is
+/// the patricia trie, [`SuffixOps`](crate::SuffixOps) (`SUFFIXES` true) the
+/// suffix tree — the same trie storing a word as its suffixes, each leaf
+/// keeping only the rest ([`LeafMode::Rest`]).
 #[derive(Debug, Clone)]
-pub struct TrieOps {
+pub struct Trie<const SUFFIXES: bool> {
     config: SpGistConfig,
-    leaf: LeafMode,
 }
 
-impl Default for TrieOps {
+/// External methods of the patricia trie.
+pub type TrieOps = Trie<false>;
+
+impl<const SUFFIXES: bool> Default for Trie<SUFFIXES> {
     fn default() -> Self {
         Self::patricia()
     }
 }
 
-impl TrieOps {
+impl<const SUFFIXES: bool> Trie<SUFFIXES> {
     /// The patricia trie used throughout the paper's evaluation:
     /// `PathShrink = TreeShrink`, `NodeShrink = OmitEmpty`.
     pub fn patricia() -> Self {
@@ -75,31 +79,26 @@ impl TrieOps {
         ops
     }
 
-    /// Builds the ops from an explicit configuration, storing whole keys.
+    /// Builds the ops from an explicit configuration.
     pub fn with_config(config: SpGistConfig) -> Self {
-        TrieOps {
-            config,
-            leaf: LeafMode::Full,
-        }
-    }
-
-    /// The same ops storing in each leaf only the rest of a key
-    /// ([`LeafMode::Rest`]): the suffix tree's.
-    pub(crate) fn storing_rest(mut self) -> Self {
-        self.leaf = LeafMode::Rest;
-        self
+        Trie { config }
     }
 
     /// What this trie's leaves store of a key.
     pub fn leaf_mode(&self) -> LeafMode {
-        self.leaf
+        if SUFFIXES {
+            LeafMode::Rest
+        } else {
+            LeafMode::Full
+        }
     }
 
     /// The bytes of a key that its leaf at depth `level` no longer holds.
-    fn spelled(&self, level: u32) -> usize {
-        match self.leaf {
-            LeafMode::Full => 0,
-            LeafMode::Rest => level as usize,
+    fn spelled(level: u32) -> usize {
+        if SUFFIXES {
+            level as usize
+        } else {
+            0
         }
     }
 
@@ -109,7 +108,7 @@ impl TrieOps {
 
     /// The predicate `key` is filed under at byte `pos`: its byte there, or
     /// [`BLANK`] past its end.
-    pub(crate) fn pred_at(key: &str, pos: usize) -> u8 {
+    fn pred_at(key: &str, pos: usize) -> u8 {
         key.as_bytes().get(pos).copied().unwrap_or(BLANK)
     }
 
@@ -125,12 +124,13 @@ impl TrieOps {
     }
 }
 
-impl SpGistOps for TrieOps {
+impl<const SUFFIXES: bool> SpGistOps for Trie<SUFFIXES> {
     type Key = String;
-    type Prefix = String;
+    type Prefix = Vec<u8>;
     type Pred = u8;
     type Query = StringQuery;
     type Context = ();
+    const MULTI_ENTRY: bool = SUFFIXES;
 
     fn config(&self) -> SpGistConfig {
         self.config
@@ -140,15 +140,30 @@ impl SpGistOps for TrieOps {
         StringQuery::Equals(key.clone())
     }
 
+    /// A word is stored as itself, or as each of its suffixes.  The suffix
+    /// tree cuts suffixes and rests at byte positions, so it refuses a word
+    /// that is not ASCII.
+    fn entries(&self, word: &String) -> StorageResult<impl Iterator<Item = String>> {
+        if SUFFIXES && !word.is_ascii() {
+            return Err(StorageError::Unsupported(format!(
+                "the suffix tree indexes ASCII words only, not {word:?}"
+            )));
+        }
+        Ok(Suffixes::of(word, SUFFIXES))
+    }
+
     fn consistent(
         &self,
-        prefix: Option<&String>,
+        prefix: Option<&Vec<u8>>,
         pred: &u8,
         query: &StringQuery,
         level: u32,
     ) -> bool {
-        let pos = level as usize + prefix.map_or(0, String::len);
+        let pos = level as usize + prefix.map_or(0, Vec::len);
         match query {
+            // The plain trie cannot prune substring queries (paper Table 3);
+            // the suffix tree reads them as prefix queries over suffixes.
+            StringQuery::Substring(_) if !SUFFIXES => true,
             StringQuery::Equals(s) => {
                 if *pred == BLANK {
                     s.len() == pos
@@ -156,7 +171,7 @@ impl SpGistOps for TrieOps {
                     s.as_bytes().get(pos) == Some(pred)
                 }
             }
-            StringQuery::Prefix(p) => {
+            StringQuery::Prefix(p) | StringQuery::Substring(p) => {
                 if pos >= p.len() {
                     // The whole query prefix is already matched; every
                     // partition below may contain matching keys.
@@ -174,74 +189,79 @@ impl SpGistOps for TrieOps {
                     pos < r.len() && (r.as_bytes()[pos] == b'?' || r.as_bytes()[pos] == *pred)
                 }
             }
-            // The plain trie cannot prune substring queries; the suffix tree
-            // handles them (paper Table 3).
-            StringQuery::Substring(_) | StringQuery::Nearest(_) => true,
+            StringQuery::Nearest(_) => true,
         }
     }
 
-    fn prefix_consistent(&self, prefix: &String, query: &StringQuery, level: u32) -> bool {
+    fn prefix_consistent(&self, prefix: &Vec<u8>, query: &StringQuery, level: u32) -> bool {
         let start = level as usize;
-        let pb = prefix.as_bytes();
         match query {
+            StringQuery::Substring(_) if !SUFFIXES => true,
             StringQuery::Equals(s) => {
                 let sb = s.as_bytes();
-                sb.len() >= start + pb.len() && &sb[start..start + pb.len()] == pb
+                sb.len() >= start + prefix.len() && sb[start..start + prefix.len()] == prefix[..]
             }
-            StringQuery::Prefix(p) => {
+            StringQuery::Prefix(p) | StringQuery::Substring(p) => {
                 let qb = p.as_bytes();
-                pb.iter().enumerate().all(|(i, c)| {
+                prefix.iter().enumerate().all(|(i, c)| {
                     let pos = start + i;
                     pos >= qb.len() || qb[pos] == *c
                 })
             }
             StringQuery::Regex(r) => {
                 let rb = r.as_bytes();
-                pb.iter().enumerate().all(|(i, c)| {
+                prefix.iter().enumerate().all(|(i, c)| {
                     let pos = start + i;
                     pos < rb.len() && (rb[pos] == b'?' || rb[pos] == *c)
                 })
             }
-            StringQuery::Substring(_) | StringQuery::Nearest(_) => true,
+            StringQuery::Nearest(_) => true,
         }
     }
 
     fn leaf_consistent(&self, key: &String, query: &StringQuery, level: u32) -> bool {
-        query.matches_rest(key, self.spelled(level))
+        let spelled = Self::spelled(level);
+        match query {
+            // A suffix matches `@=` where it starts with the needle.
+            StringQuery::Substring(s) if SUFFIXES => {
+                let needle = s.as_bytes().get(spelled..).unwrap_or_default();
+                key.as_bytes().starts_with(needle)
+            }
+            _ => query.matches_rest(key, spelled),
+        }
     }
 
     fn leaf_key(&self, key: &mut String, consumed: u32) {
-        // Byte-indexed like the suffixes themselves (`suffix_items`); the
+        // Byte-indexed like the suffixes themselves (ASCII words only); the
         // rest slides to the front of the key's own buffer.
-        key.drain(..self.spelled(consumed).min(key.len()));
+        key.drain(..Self::spelled(consumed).min(key.len()));
     }
 
-    fn descend_levels(&self, prefix: Option<&String>) -> u32 {
+    fn descend_levels(&self, prefix: Option<&Vec<u8>>) -> u32 {
         1 + prefix.map_or(0, |p| p.len() as u32)
     }
 
     fn choose(
         &self,
-        prefix: Option<&String>,
+        prefix: Option<&Vec<u8>>,
         preds: &[u8],
         key: &String,
         level: u32,
-    ) -> Choose<u8, String> {
+    ) -> Choose<u8, Vec<u8>> {
         let mut pos = level as usize;
         if let Some(pfx) = prefix {
-            let pb = pfx.as_bytes();
             let kb = key.as_bytes();
             let rest = &kb[pos.min(kb.len())..];
-            let common = pb.iter().zip(rest).take_while(|(a, b)| a == b).count();
-            if common < pb.len() {
+            let common = pfx.iter().zip(rest).take_while(|(a, b)| a == b).count();
+            if common < pfx.len() {
                 // The new key disagrees with the stored prefix: split it.
                 return Choose::SplitPrefix {
-                    upper_prefix: (common > 0).then(|| pfx[..common].to_string()),
-                    lower_pred: pb[common],
-                    lower_prefix: (common + 1 < pb.len()).then(|| pfx[common + 1..].to_string()),
+                    upper_prefix: (common > 0).then(|| pfx[..common].to_vec()),
+                    lower_pred: pfx[common],
+                    lower_prefix: (common + 1 < pfx.len()).then(|| pfx[common + 1..].to_vec()),
                 };
             }
-            pos += pb.len();
+            pos += pfx.len();
         }
         let c = Self::pred_at(key, pos);
         match preds.iter().position(|p| *p == c) {
@@ -250,9 +270,14 @@ impl SpGistOps for TrieOps {
         }
     }
 
-    fn picksplit(&self, items: &[(String, RowId)], level: u32, _ctx: &()) -> PickSplit<String, u8> {
+    fn picksplit(
+        &self,
+        items: &[(String, RowId)],
+        level: u32,
+        _ctx: &(),
+    ) -> PickSplit<Vec<u8>, u8> {
         // A rest starts where the path ends.
-        let start = level as usize - self.spelled(level);
+        let start = level as usize - Self::spelled(level);
         // TreeShrink: extract the longest prefix common to all keys past
         // `start` (paper Table 1: "Find a common prefix among words in P").
         let common = if self.tree_shrink() {
@@ -284,7 +309,7 @@ impl SpGistOps for TrieOps {
             }
         }
         PickSplit {
-            prefix: (!common.is_empty()).then(|| String::from_utf8_lossy(common).into_owned()),
+            prefix: (!common.is_empty()).then(|| common.to_vec()),
             partitions,
         }
     }
@@ -305,7 +330,7 @@ impl SpGistOps for TrieOps {
 
     fn inner_distance(
         &self,
-        prefix: Option<&String>,
+        prefix: Option<&Vec<u8>>,
         pred: &u8,
         query: &StringQuery,
         parent_dist: f64,
@@ -315,7 +340,7 @@ impl SpGistOps for TrieOps {
         let mut pos = level as usize;
         let mut dist = parent_dist;
         if let Some(pfx) = prefix {
-            for c in pfx.as_bytes() {
+            for c in pfx {
                 if target.get(pos) != Some(c) {
                     dist += 1.0;
                 }
@@ -535,6 +560,27 @@ mod tests {
         let pa = patricia.stats().unwrap();
         let pl = plain.stats().unwrap();
         assert!(pa.total_nodes() <= pl.total_nodes());
+    }
+
+    #[test]
+    fn non_ascii_keys_split_inside_a_character() {
+        // "é" and "è" share their first byte: a split's common prefix ends
+        // inside the character, and `choose` compares bytes after it.
+        let words: Vec<(String, RowId)> = (0..40)
+            .map(|i| (format!("{}{i}", if i % 2 == 0 { 'é' } else { 'è' }), i))
+            .collect();
+        let looped = index_with(&[]);
+        for (word, row) in &words {
+            looped.insert(word.clone(), *row).unwrap();
+        }
+        let bulk = TrieIndex::create(BufferPool::in_memory()).unwrap();
+        bulk.bulk_build(words.clone()).unwrap();
+        for index in [&looped, &bulk] {
+            for (word, row) in &words {
+                assert_eq!(index.equals(word).unwrap(), vec![*row], "{word}");
+            }
+            assert_eq!(index.prefix("é").unwrap().len(), 20);
+        }
     }
 
     #[test]

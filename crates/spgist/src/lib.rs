@@ -99,7 +99,8 @@ pub mod prelude {
     };
     pub use spgist_indexes::{
         Cursor, KdTreeIndex, PmrQuadtreeIndex, Point, PointQuadtreeIndex, PointQuery, Rect,
-        Segment, SegmentQuery, SpIndex, StringQuery, SuffixTreeIndex, TrieIndex, TrieOps,
+        Segment, SegmentQuery, SpIndex, StringQuery, SuffixOps, SuffixTreeIndex, TrieIndex,
+        TrieOps,
     };
     pub use spgist_storage::{
         AccessHint, BufferPool, BufferPoolConfig, FilePager, MemPager, Pager,

@@ -159,7 +159,6 @@ fn catalog_chunk_flips_decode_or_fail() {
         world: Rect::new(0.0, 0.0, 1.0, 1.0),
         meta_page: 7,
         pages: vec![7, 8],
-        strings: 0,
     };
     let chunks = [
         CatalogChunk::Root {

@@ -99,11 +99,11 @@ fn suffix_leaf_holds_the_rest() {
     let ops = suffix.backing().ops();
     assert_eq!(ops.leaf_mode(), LeafMode::Rest);
     // `leaf_key` cuts a key in place to what its leaf keeps.
-    let kept = |ops: &TrieOps, key: &str, consumed| {
+    fn kept<O: SpGistOps<Key = String>>(ops: &O, key: &str, consumed: u32) -> String {
         let mut key = key.to_string();
         ops.leaf_key(&mut key, consumed);
         key
-    };
+    }
     // The suffix "space" in a leaf two levels down keeps "ace"; a suffix
     // that ended on the path keeps nothing.
     let leaf = Node::<TrieOps>::Leaf {
@@ -165,7 +165,7 @@ fn catalog_chunk_header() {
     let chunk = encode_chunk(&CatalogChunk::Heap(vec![7, 8]));
     let expected = golden(&[
         "43475053", // magic "SPGC", little-endian u32
-        "04",       // catalog version 4
+        "05",       // catalog version 5
         "04",       // tag: heap directory
         "02",       // page id count
         "07000000", // page ids, fixed u32

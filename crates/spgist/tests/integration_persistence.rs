@@ -21,7 +21,7 @@ use std::sync::Arc;
 use spgist::datagen::words;
 use spgist::indexes::trie::TrieOps;
 use spgist::prelude::*;
-use spgist::storage::{PageId, StorageError, PAGE_SIZE};
+use spgist::storage::{PageId, StorageError, StorageResult, PAGE_SIZE};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("spgist-it-{}-{}", name, std::process::id()));
@@ -289,8 +289,8 @@ fn suffix_tree_reopen_roundtrip() {
     class_roundtrip(
         "suffix",
         |pool| SuffixTreeIndex::create(pool).unwrap(),
-        |pool, meta, pages, strings| {
-            SuffixTreeIndex::open_with_ops(pool, TrieOps::patricia(), meta, pages, strings).unwrap()
+        |pool, meta, pages, _| {
+            SuffixTreeIndex::open_with_ops(pool, SuffixOps::patricia(), meta, pages).unwrap()
         },
         data.iter()
             .enumerate()
@@ -451,10 +451,10 @@ fn database_open_performs_no_rebuild_scans() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A database whose catalog says version 3 — the layout before lengths,
-/// counts and row ids became varints — fails to open with `Corrupt` naming
-/// that version: its chunks, heap records and tree nodes are never decoded
-/// under the new layout.
+/// A database whose catalog says version 4 — the layout whose suffix-tree
+/// identity carried a word count and whose suffix-tree meta record counted
+/// suffixes — fails to open with `Corrupt` naming that version: its chunks,
+/// heap records and tree nodes are never decoded under the new layout.
 #[test]
 fn a_catalog_of_an_older_version_fails_open_naming_it() {
     let dir = temp_dir("old-catalog");
@@ -469,23 +469,23 @@ fn a_catalog_of_an_older_version_fails_open_naming_it() {
     }
     // Every chunk header: magic "SPGC" (little-endian), then the version.
     let mut bytes = std::fs::read(&path).unwrap();
-    let header = [0x43, 0x47, 0x50, 0x53, 4];
+    let header = [0x43, 0x47, 0x50, 0x53, 5];
     let at: Vec<usize> = (0..bytes.len() - header.len())
         .filter(|&i| bytes[i..i + header.len()] == header)
         .collect();
     assert!(at.len() >= 2, "the root and the table's chunks");
     for i in at {
-        bytes[i + 4] = 3;
+        bytes[i + 4] = 4;
     }
     std::fs::write(&path, &bytes).unwrap();
     match Database::open(&path) {
         Err(StorageError::Corrupt(msg)) => {
             assert_eq!(
                 msg,
-                "unsupported catalog version 3 (this build reads version 4; no migration)"
+                "unsupported catalog version 4 (this build reads version 5; no migration)"
             )
         }
-        other => panic!("a v3 catalog must be Corrupt, got {:?}", other.map(|_| ())),
+        other => panic!("a v4 catalog must be Corrupt, got {:?}", other.map(|_| ())),
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -736,5 +736,48 @@ fn starved_pool_over_a_file_reads_from_it_and_answers_like_memory() {
     );
     assert_eq!(file_reads, mem_reads, "the pager changes no page access");
     assert_eq!(file_rows, mem_rows);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The suffix tree cuts suffixes at bytes, so it refuses a word that is not
+/// ASCII — before the statement or `CREATE INDEX` changes anything: no heap
+/// row, no index entry, no WAL record, and the database reopens with the
+/// rows it had.
+#[test]
+fn a_word_the_suffix_tree_cannot_store_changes_nothing() {
+    let dir = temp_dir("refused-word");
+    let path = dir.join("db.pages");
+    let refused = |result: StorageResult<()>| {
+        assert!(
+            matches!(&result, Err(StorageError::Unsupported(msg)) if msg.contains("ASCII")),
+            "{result:?}"
+        );
+    };
+    {
+        let mut db = Database::create(&path).unwrap();
+        db.create_table("words", KeyType::Varchar).unwrap();
+        db.create_index("words", "words_suffix", IndexSpec::SuffixTree)
+            .unwrap();
+        db.create_table("names", KeyType::Varchar).unwrap();
+        db.table("names").unwrap().insert("zoë").unwrap();
+        let words = db.table("words").unwrap();
+        words.insert("cafe").unwrap();
+        let wal = db.metrics().get("wal.records");
+        refused(words.insert("café").map(drop));
+        refused(words.insert_many(["tea", "thé"]).map(drop));
+        assert_eq!(db.metrics().get("wal.records"), wal, "nothing logged");
+        assert_eq!(db.table("words").unwrap().len(), 1);
+        // CREATE INDEX over a table holding such a word leaves no index.
+        refused(db.create_index("names", "names_suffix", IndexSpec::SuffixTree));
+        assert!(db.table("names").unwrap().index_names().is_empty());
+        db.close().unwrap();
+    }
+    let db = Database::open(&path).unwrap();
+    assert_eq!(db.table("words").unwrap().len(), 1);
+    let hits = db.query("words", Predicate::str_substring("caf")).unwrap();
+    assert_eq!(hits.rows().unwrap().len(), 1);
+    assert_eq!(db.table("names").unwrap().len(), 1);
+    assert!(db.table("names").unwrap().index_names().is_empty());
+    drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -159,9 +159,9 @@ fn suffix_tree_hint_tracks_the_exact_walk() {
     hint_tracks_the_exact_walk(
         "suffix",
         |pool| SuffixTreeIndex::create(pool).unwrap(),
-        |pool, config, meta, pages, strings| {
-            let ops = TrieOps::with_config(config);
-            SuffixTreeIndex::open_with_ops(pool, ops, meta, pages, strings).unwrap()
+        |pool, config, meta, pages, _| {
+            let ops = SuffixOps::with_config(config);
+            SuffixTreeIndex::open_with_ops(pool, ops, meta, pages).unwrap()
         },
         words(1_600, SEED ^ 1),
     );

@@ -110,10 +110,10 @@ impl Class for Suffix {
         config: SpGistConfig,
         meta: PageId,
         pages: Vec<PageId>,
-        len: u64,
+        _len: u64,
     ) -> SuffixTreeIndex {
-        let ops = TrieOps::with_config(config);
-        SuffixTreeIndex::open_with_ops(pool, ops, meta, pages, len).unwrap()
+        let ops = SuffixOps::with_config(config);
+        SuffixTreeIndex::open_with_ops(pool, ops, meta, pages).unwrap()
     }
     /// Both suffixes of the word, `"xq"` and `"q"`, pile up.
     fn hot() -> String {

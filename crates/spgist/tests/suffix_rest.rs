@@ -172,8 +172,9 @@ fn rest_leaves_answer_like_whole_suffixes_through_churn_and_reopen() {
         },
     ));
     let (config, meta, pages, len) = identity;
-    let ops = TrieOps::with_config(config);
-    let reopened = SuffixTreeIndex::open_with_ops(pool, ops, meta, pages, len).unwrap();
+    let ops = SuffixOps::with_config(config);
+    let reopened = SuffixTreeIndex::open_with_ops(pool, ops, meta, pages).unwrap();
+    assert_eq!(reopened.len(), len);
     assert_eq!(reopened.backing().ops().leaf_mode(), LeafMode::Rest);
     assert_agree("reopened", &[&reopened, &looped], &reference, &qs);
     // Deletes find their suffixes by the rest too.
