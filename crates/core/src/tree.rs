@@ -231,7 +231,9 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// and retired records reclaimed once per `INSERT_CHUNK` (32) entries, so
     /// a value of many entries neither starves deleters of the gate nor
     /// piles up retired records it could have reused.  On an error the
-    /// entries already inserted stay, and the value is not counted.
+    /// entries already inserted stay, and the value is not counted.  The
+    /// entries land one by one: a cursor opened meanwhile may meet the value
+    /// through only some of them (statement atomicity is the catalog's job).
     pub fn insert(&self, value: O::Key, row: RowId) -> StorageResult<()> {
         let mut entries = self.ops.entries(&value)?.peekable();
         while entries.peek().is_some() {
