@@ -111,6 +111,12 @@ impl Database {
             }
         }
         let data = self.pool.dirty_snapshot();
+        let flushed = data.page_ids();
+        let owners: Vec<_> = self
+            .tables
+            .values()
+            .map(|t| t.owners_of(&flushed))
+            .collect();
         drop(guards);
         let quiesce_nanos = quiesce_start.elapsed().as_nanos() as u64;
 
@@ -126,6 +132,9 @@ impl Database {
                 stats.data_pages_flushed += data_pages;
                 stats.journal_bytes += journal_bytes;
                 stats.quiesce_nanos += quiesce_nanos;
+                for (table, counts) in self.tables.values().zip(owners) {
+                    table.add_flushed(counts);
+                }
                 Ok(())
             }
             Err(e) => {

@@ -291,15 +291,20 @@ impl Database {
     }
 
     /// Every engine counter in one snapshot, named `<section>.<field>`:
-    /// `buffer.*` (the pool's `IoStats`), `checkpoint.*`, `wal.records` and
-    /// `wal.syncs` on a durable database, and `index.<table>.<index>.*`
-    /// (each index's latch and epoch counters).  Built only when called.
+    /// `buffer.*` (the pool's `IoStats`), `checkpoint.*` (with
+    /// `checkpoint.data_pages_flushed.<table>.<owner>`, the flushed pages of
+    /// each table's heap and indexes), `wal.records` and `wal.syncs` on a
+    /// durable database, and `index.<table>.<index>.*` (each index's latch
+    /// and epoch counters and its pending list).  Built only when called.
     /// Meter a window with [`Metrics::delta_since`]: counters subtract,
     /// gauges keep their end value.
     pub fn metrics(&self) -> Metrics {
         let mut metrics = Metrics::default();
         self.pool.stats().export("buffer", &mut metrics);
         self.ckpt_stats.export("checkpoint", &mut metrics);
+        for table in self.tables.values() {
+            table.export_flushed(&mut metrics);
+        }
         if let Some(wal) = &self.wal {
             metrics.push("wal.records", MetricKind::Counter, wal.written_count());
             metrics.push("wal.syncs", MetricKind::Counter, wal.sync_count());

@@ -32,7 +32,7 @@ use spgist_indexes::{
     SpGistIndex, SpIndex, SuffixOps, SuffixTreeIndex, TrieIndex, TrieOps,
 };
 use spgist_storage::{
-    AccessHint, BufferPool, Codec, ConcurrencyStats, StorageError, StorageResult,
+    AccessHint, BufferPool, Codec, ConcurrencyStats, PageId, StorageError, StorageResult,
 };
 
 use crate::durable::{
@@ -327,6 +327,13 @@ pub(crate) trait IndexAccess: Send + Sync {
     /// The latch and epoch counters of the backing tree.
     fn concurrency_stats(&self) -> ConcurrencyStats;
 
+    /// Every page the backing tree owns, its meta page included.
+    fn pages(&self) -> Vec<PageId>;
+
+    /// The pages of the backing tree's pending list, and its merges since
+    /// the index was opened (both 0 for a single-entry class).
+    fn pending(&self) -> (u64, u64);
+
     /// The durable identity of this index, created from `spec` under
     /// `name`: kind, configuration, tree meta page, owned-page list, and
     /// the class-specific extra (the PMR world rectangle).
@@ -390,6 +397,17 @@ where
 
     fn concurrency_stats(&self) -> ConcurrencyStats {
         self.backing().concurrency_stats()
+    }
+
+    fn pages(&self) -> Vec<PageId> {
+        let mut pages = self.owned_pages();
+        pages.push(self.meta_page());
+        pages
+    }
+
+    fn pending(&self) -> (u64, u64) {
+        let tree = self.backing();
+        (tree.pending_pages() as u64, tree.pending_merges())
     }
 
     fn persisted(&self, name: &str, spec: &IndexSpec) -> PersistedIndex {

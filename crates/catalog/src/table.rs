@@ -26,14 +26,15 @@
 //! writer.  DDL (`create_index` / `drop_index`) requires exclusive access
 //! (`&mut`), the executor's analog of PostgreSQL's `AccessExclusiveLock`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use spgist_core::RowId;
 use spgist_storage::{
-    AccessHint, BufferPool, HeapFile, Metrics, RecordId, StorageError, StorageResult,
+    AccessHint, BufferPool, HeapFile, MetricKind, Metrics, PageId, RecordId, StorageError,
+    StorageResult,
 };
 use spgist_wal::{Lsn, TxnId, Wal, WalRecord, AUTOCOMMIT};
 
@@ -154,6 +155,8 @@ pub struct Table {
     /// releasing it (so concurrent writers overlap their fsyncs — that wait
     /// is where group commit batches).
     wal: Option<Arc<Wal>>,
+    /// Data pages checkpoints flushed, by owner: `heap` or an index name.
+    flushed: Mutex<HashMap<String, u64>>,
 }
 
 impl Table {
@@ -175,6 +178,7 @@ impl Table {
             indexes: Vec::new(),
             dml: Mutex::new(()),
             wal: None,
+            flushed: Mutex::default(),
         })
     }
 
@@ -218,6 +222,7 @@ impl Table {
             indexes,
             dml: Mutex::new(()),
             wal: None,
+            flushed: Mutex::default(),
         })
     }
 
@@ -761,12 +766,54 @@ impl Table {
         self.indexes.iter().map(|i| i.name.as_str()).collect()
     }
 
-    /// Records each index's latch and epoch counters into `metrics` as
-    /// `index.<table>.<index>.*`.
+    /// Records each index's latch and epoch counters and its pending list
+    /// into `metrics` as `index.<table>.<index>.*`.
     pub(crate) fn export_metrics(&self, metrics: &mut Metrics) {
         for named in &self.indexes {
             let prefix = format!("index.{}.{}", self.name(), named.name);
             named.index.concurrency_stats().export(&prefix, metrics);
+            let (pages, merges) = named.index.pending();
+            metrics.push(format!("{prefix}.pending_pages"), MetricKind::Gauge, pages);
+            metrics.push(
+                format!("{prefix}.pending_merges"),
+                MetricKind::Counter,
+                merges,
+            );
+        }
+    }
+
+    /// How many of the pages `flushed` (ascending) each owner of this table
+    /// holds: the heap, then each index.  A checkpoint asks under this
+    /// table's DML guard, while the page lists hold still.
+    pub(crate) fn owners_of(&self, flushed: &[PageId]) -> Vec<(String, u64)> {
+        let count = |pages: &[PageId]| {
+            let hits = pages.iter().filter(|p| flushed.binary_search(p).is_ok());
+            hits.count() as u64
+        };
+        let heap = count(self.inner.read().heap.pages());
+        let indexes = self.indexes.iter();
+        std::iter::once(("heap".to_string(), heap))
+            .chain(indexes.map(|named| (named.name.clone(), count(&named.index.pages()))))
+            .collect()
+    }
+
+    /// Adds a completed checkpoint's [`Table::owners_of`] counts.
+    pub(crate) fn add_flushed(&self, counts: Vec<(String, u64)>) {
+        let mut flushed = self.flushed.lock();
+        for (owner, pages) in counts {
+            *flushed.entry(owner).or_default() += pages;
+        }
+    }
+
+    /// Records the pages checkpoints flushed for each owner into `metrics`
+    /// as `checkpoint.data_pages_flushed.<table>.<owner>`.
+    pub(crate) fn export_flushed(&self, metrics: &mut Metrics) {
+        let flushed = self.flushed.lock();
+        let owners = std::iter::once("heap").chain(self.indexes.iter().map(|i| i.name.as_str()));
+        for owner in owners {
+            let name = format!("checkpoint.data_pages_flushed.{}.{owner}", self.name);
+            let pages = flushed.get(owner).copied().unwrap_or(0);
+            metrics.push(name, MetricKind::Counter, pages);
         }
     }
 

@@ -55,7 +55,7 @@
 //!   shape the insert path grows, which calls the same function.
 //! * Items that [`SpGistOps::picksplit`] assigns to *no* partition (a PMR
 //!   segment outside the world rectangle) are parked in the first partition,
-//!   mirroring the `Choose::Descend(vec![0])` fallback of the insert path,
+//!   mirroring the `Choose::Descend(0)` fallback of the insert path,
 //!   so nothing silently disappears during a build.
 //!
 //! Classes steer the builder through [`SpGistOps::bulk_prepare`]: the trie
@@ -368,7 +368,7 @@ type Root<O> = Option<(
 fn route<O: SpGistOps>(ops: &O, root: &Root<O>, entry: &O::Key) -> Option<usize> {
     let (split, preds) = root.as_ref()?;
     match ops.choose(split.prefix.as_ref(), preds, entry, 0) {
-        Choose::Descend(to) if to.len() == 1 => Some(to[0]),
+        Choose::Descend(to) => Some(to),
         _ => None,
     }
 }

@@ -62,6 +62,7 @@ pub mod config;
 pub mod nn;
 pub mod node;
 pub mod ops;
+pub mod pending;
 pub mod stats;
 pub mod store;
 pub mod testing;
@@ -72,6 +73,7 @@ pub use config::{NodeShrink, PathShrink, SpGistConfig};
 pub use nn::NnIter;
 pub use node::{Node, NodeId};
 pub use ops::{Choose, PickSplit, SpGistOps};
+pub use pending::PENDING_PAGES;
 pub use stats::TreeStats;
 pub use store::NodeStore;
 pub use tree::{SearchCursor, SpGistTree};

@@ -15,11 +15,13 @@ use crate::RowId;
 /// through an inner node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Choose<Pred, Prefix> {
-    /// Descend into the existing entries at these indices.  Point-like keys
-    /// descend into exactly one entry; spatial objects that span several
-    /// partitions (PMR-quadtree line segments) descend into all partitions
-    /// they intersect.
-    Descend(Vec<usize>),
+    /// Descend into the existing entry at this index: the one step of every
+    /// point-like key.
+    Descend(usize),
+    /// Descend into every existing entry at these indices: a spatial object
+    /// spanning several partitions (a PMR-quadtree line segment) is stored
+    /// in each partition it intersects.
+    Replicate(Vec<usize>),
     /// No matching entry exists (`NodeShrink = OmitEmpty`): add a new child
     /// under this predicate and insert the key there.
     AddEntry(Pred),
@@ -66,7 +68,7 @@ impl<Prefix, Pred> PickSplit<Prefix, Pred> {
 
     /// Parks every item index of `0..input_len` that appears in *no*
     /// partition into the first partition, mirroring the
-    /// [`Choose::Descend`]`(vec![0])` insertion fallback (a PMR segment
+    /// [`Choose::Descend`]`(0)` insertion fallback (a PMR segment
     /// outside the world rectangle intersects no quadrant).  Both the
     /// insert path's split and the bulk builder call this so a
     /// decomposition can never drop items.

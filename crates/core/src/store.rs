@@ -621,23 +621,41 @@ impl NodeStore {
 
     /// Starts a repack: clears the open-page candidates so every placement
     /// from here on goes to freshly allocated pages, and returns the
-    /// pre-repack owned-page snapshot for [`NodeStore::finish_repack`].
+    /// pre-repack owned-page snapshot for [`NodeStore::release_pages`].
     pub fn begin_repack(&self) -> Vec<PageId> {
         let mut placement = self.placement.lock();
         placement.open_pages.clear();
         placement.pages.clone()
     }
 
-    /// Finishes a repack: drops `old`, the pages owned before it, from the
-    /// owned-page list and retires them.  Readers pinned before the root
-    /// flipped to the rebuilt layout keep traversing the old pages until
-    /// reclamation passes them.  No old page is a candidate: the candidates
-    /// were cleared at the start, and only fresh pages were written since.
-    pub fn finish_repack(&self, old: &[PageId]) {
-        self.placement.lock().pages.retain(|p| !old.contains(p));
+    /// Gives up `old`: drops the pages from the owned-page list and the
+    /// candidates and retires them.  Readers pinned before the caller
+    /// unlinked them (a repack's root flip, a pending list's truncation)
+    /// keep reading them until reclamation passes their epoch.
+    pub fn release_pages(&self, old: &[PageId]) {
+        let mut placement = self.placement.lock();
+        placement.pages.retain(|p| !old.contains(p));
+        placement.open_pages.retain(|open| !old.contains(&open.0));
+        drop(placement);
         for &page in old {
             self.epochs.retire(RetiredItem::Page(page));
         }
+    }
+
+    /// Allocates a page this store owns but never places a node on: a page
+    /// of the tree's pending list ([`crate::pending`]).
+    pub(crate) fn adopt_page(&self) -> StorageResult<PageId> {
+        let page = self.pool.allocate_page_hinted(self.access_hint())?;
+        self.placement.lock().pages.push(page);
+        Ok(page)
+    }
+
+    /// Keeps the owned `pages` out of the placement candidates: a reopened
+    /// tree's pending-list pages, which [`NodeStore::with_pages`] may have
+    /// seeded.
+    pub(crate) fn withhold(&self, pages: &[PageId]) {
+        let mut placement = self.placement.lock();
+        placement.open_pages.retain(|open| !pages.contains(&open.0));
     }
 
     /// The placement rule, the one place a new record's page is chosen:

@@ -102,7 +102,7 @@ impl<const SUFFIXES: bool> SpGistOps for Digits<SUFFIXES> {
     ) -> Choose<u8, u32> {
         let digit = Self::digit_at(*key, level);
         match preds.iter().position(|p| *p == digit) {
-            Some(idx) => Choose::Descend(vec![idx]),
+            Some(idx) => Choose::Descend(idx),
             None => Choose::AddEntry(digit),
         }
     }
@@ -154,6 +154,6 @@ mod tests {
     fn choose_adds_missing_partitions() {
         let ops = DigitTrieOps::default();
         assert_eq!(ops.choose(None, &[1, 2], &305, 0), Choose::AddEntry(3));
-        assert_eq!(ops.choose(None, &[1, 3], &305, 0), Choose::Descend(vec![1]));
+        assert_eq!(ops.choose(None, &[1, 3], &305, 0), Choose::Descend(1));
     }
 }

@@ -17,9 +17,22 @@
 //! contention the writer releases everything, backs off briefly and restarts
 //! from the root, so there is no hold-and-wait and hence no deadlock.
 //! Writers on disjoint subtrees proceed in parallel.  Structure-changing
-//! operations that need a global view (delete, repack, bulk build) take the
-//! `write_gate` exclusively, which only excludes *other writers* — readers
-//! are never blocked.
+//! operations that need a global view (delete, repack, bulk build, a
+//! pending list's merge) take the `write_gate` exclusively, which only
+//! excludes *other writers* — readers are never blocked.
+//!
+//! A class storing a value as several entries
+//! ([`SpGistOps::MULTI_ENTRY`]) writes no leaf per statement: its inserts
+//! append to the tree's pending list under the write gate (shared) and the
+//! meta lock, its deletes append a tombstone under the gate (exclusive), so
+//! each is one page write a reader sees whole or not at all.  A merge
+//! inserts a record's entries into the tree, or removes them, before it
+//! drops the record from the list; a cursor reads the list before it
+//! captures the root, so it meets a merging value at least once — in the
+//! list, in the tree or in both, which the index layer's row dedupe
+//! absorbs — and never a deleted one.  During a merge the tree is what
+//! crabbing inserts would leave, so a cursor may meet a value through only
+//! some of its entries in the tree; the list still yields it whole.
 //!
 //! *Readers* (search, NN, stats, cursors) take no latches at all.  They pin
 //! a reclamation epoch before capturing the root; every record they can
@@ -35,7 +48,7 @@
 //! offers next on the same page under one buffer pin, and drops the pin
 //! before it yields, so a suspended cursor holds no page.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -50,6 +63,7 @@ use crate::config::NodeShrink;
 use crate::nn::NnIter;
 use crate::node::{row_slot, walk, Entry, Node, NodeId, Part, Slots, ROW_BITS};
 use crate::ops::{Choose, PickSplit, SpGistOps};
+use crate::pending::{self, PendingList, Tag, PENDING_PAGES};
 use crate::stats::TreeStats;
 use crate::store::{node_in, Group, NodeStore, UNPLACED};
 use crate::RowId;
@@ -57,11 +71,6 @@ use crate::RowId;
 /// Where a delete found an item: its leaf, its index there, and the leaf's
 /// parent entry.
 type Located = (NodeId, usize, Option<(NodeId, usize)>);
-
-/// Entries [`SpGistTree::insert`] inserts per hold of the write gate, meta
-/// write and reclamation pass: a value's worth (a word's suffixes), few
-/// enough that the retired records a value cannot yet reuse stay a handful.
-const INSERT_CHUNK: usize = 32;
 
 /// Outcome of one latched descent attempt.
 enum Descent {
@@ -90,9 +99,11 @@ pub struct SpGistTree<O: SpGistOps> {
     meta_lock: Mutex<()>,
     /// Per-page writer latches for crabbing descents.
     latches: LatchTable,
-    /// Inserts take this shared; delete/repack/bulk_build take it exclusive.
-    /// Readers never touch it.
+    /// Inserts take this shared; delete/repack/bulk_build and a pending
+    /// list's merge take it exclusive.  Readers never touch it.
     write_gate: RwLock<()>,
+    /// The pending list of a multi-entry class; always empty for the others.
+    pending: PendingList,
 }
 
 /// Packs an optional root address into one word: bit 63 is the presence
@@ -126,7 +137,7 @@ impl<O: SpGistOps> SpGistTree<O> {
         let store = NodeStore::new(Arc::clone(&pool));
         let meta_page = pool.allocate_page()?;
         // Reserve slot 0 of the meta page for the tree descriptor.
-        pool.with_page_mut(meta_page, |p| p.insert(&encode_meta(None, 0, 0)))??;
+        pool.with_page_mut(meta_page, |p| p.insert(&encode_meta(None, 0, 0, &[])))??;
         Ok(SpGistTree {
             ops,
             store,
@@ -137,6 +148,7 @@ impl<O: SpGistOps> SpGistTree<O> {
             meta_lock: Mutex::new(()),
             latches: LatchTable::new(),
             write_gate: RwLock::new(()),
+            pending: PendingList::default(),
         })
     }
 
@@ -160,9 +172,11 @@ impl<O: SpGistOps> SpGistTree<O> {
                 "tree page list names page {bad} beyond the {allocated} allocated pages"
             )));
         }
-        let store = NodeStore::with_pages(Arc::clone(&pool), pages);
         let bytes = pool.with_page(meta_page, |p| p.get(0).map(<[u8]>::to_vec))??;
-        let (root, item_count, page_height) = decode_meta(&bytes)?;
+        let (root, item_count, page_height, listed) = decode_meta(&bytes)?;
+        let store = NodeStore::with_pages(Arc::clone(&pool), pages);
+        store.withhold(&listed);
+        let pending = PendingList::open(&pool, listed)?;
         Ok(SpGistTree {
             ops,
             store,
@@ -173,6 +187,7 @@ impl<O: SpGistOps> SpGistTree<O> {
             meta_lock: Mutex::new(()),
             latches: LatchTable::new(),
             write_gate: RwLock::new(()),
+            pending,
         })
     }
 
@@ -227,31 +242,66 @@ impl<O: SpGistOps> SpGistTree<O> {
     ///
     /// Inserts crab page latches down the tree and run in parallel with
     /// other inserts (and with all readers); on latch contention the descent
-    /// restarts from the root.  The write gate is taken, the count persisted
-    /// and retired records reclaimed once per `INSERT_CHUNK` (32) entries, so
-    /// a value of many entries neither starves deleters of the gate nor
-    /// piles up retired records it could have reused.  On an error the
-    /// entries already inserted stay, and the value is not counted.  The
-    /// entries land one by one: a cursor opened meanwhile may meet the value
-    /// through only some of them (statement atomicity is the catalog's job).
+    /// restarts from the root.  On an error the value is not counted.
+    ///
+    /// A class storing a value as several entries ([`SpGistOps::MULTI_ENTRY`])
+    /// does not touch the tree here: the value and its row become one record
+    /// on the tree's pending list ([`crate::pending`]), appended under the
+    /// meta lock — or, where a delete of the same pair left a tombstone
+    /// there, the tombstone goes.  Either is one page write, so a cursor
+    /// meets the value whole or not at all (entries landing one by one, a
+    /// cursor could meet a value through only some of them).  The statement
+    /// that makes the list pass [`PENDING_PAGES`] pages merges it into the
+    /// tree, where a cursor may again meet a merging value through some of
+    /// its entries — and through the list record, which goes last.
     pub fn insert(&self, value: O::Key, row: RowId) -> StorageResult<()> {
-        let mut entries = self.ops.entries(&value)?.peekable();
-        while entries.peek().is_some() {
-            let _gate = self.write_gate.read();
-            let result = entries
-                .by_ref()
-                .take(INSERT_CHUNK)
-                .try_for_each(|entry| self.insert_one(&entry, row));
-            {
-                let _meta = self.meta_lock.lock();
-                if result.is_ok() && entries.peek().is_none() {
-                    self.item_count.fetch_add(1, Ordering::Relaxed);
-                }
-                self.write_meta_locked()?;
+        if O::MULTI_ENTRY {
+            self.ops.entries(&value).map(drop)?;
+            return self.insert_pending(&value.to_bytes(), row);
+        }
+        let mut entries = self.ops.entries(&value)?;
+        let _gate = self.write_gate.read();
+        let result = entries.try_for_each(|entry| self.insert_one(&entry, row));
+        {
+            let _meta = self.meta_lock.lock();
+            if result.is_ok() {
+                self.item_count.fetch_add(1, Ordering::Relaxed);
             }
-            result?;
-            // Opportunistically reclaim records retired past the oldest reader.
-            self.store.reclaim()?;
+            self.write_meta_locked()?;
+        }
+        result?;
+        // Opportunistically reclaim records retired past the oldest reader.
+        self.store.reclaim()
+    }
+
+    /// Refuses, before anything changes, a value the class cannot store:
+    /// one [`SpGistOps::entries`] refuses, or a multi-entry value too large
+    /// for a pending-list record.
+    pub fn admits(&self, value: &O::Key) -> StorageResult<()> {
+        self.ops.entries(value).map(drop)?;
+        if O::MULTI_ENTRY {
+            pending::check_len(value.to_bytes().len())
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The pending-list insert of a multi-entry value (encoded).
+    fn insert_pending(&self, value: &[u8], row: RowId) -> StorageResult<()> {
+        let pool = self.store.pool();
+        {
+            let _gate = self.write_gate.read();
+            let _meta = self.meta_lock.lock();
+            match self.pending.find(pool, row, value)? {
+                Some((spot, Tag::Tombstone)) => self.pending.remove(pool, row, spot)?,
+                _ => self.pending.append(&self.store, Tag::Insert, row, value)?,
+            }
+            self.item_count.fetch_add(1, Ordering::Relaxed);
+            self.write_meta_locked()?;
+        }
+        if self.pending.page_count() > PENDING_PAGES {
+            let _gate = self.write_gate.write();
+            self.merge_full()?;
         }
         Ok(())
     }
@@ -437,79 +487,13 @@ impl<O: SpGistOps> SpGistTree<O> {
             Node::Inner { prefix, entries } => {
                 let preds: Vec<O::Pred> = entries.iter().map(|e| e.pred.clone()).collect();
                 let delta = self.ops.descend_levels(prefix.as_ref());
+                let step = (node_id, parent_page, parent_pages, level);
                 match self.ops.choose(prefix.as_ref(), &preds, key, level) {
-                    Choose::Descend(indices) => {
-                        // Crab step: this node is where the descent continues,
-                        // so no ancestor can be affected anymore — release
-                        // them and let writers in other subtrees through.  A
-                        // multi-way descend (replicating PMR inserts) keeps
-                        // this node protected across its sub-descents, whose
-                        // own crab steps would otherwise release it.
-                        let multi = indices.len() > 1;
-                        if multi {
-                            latches.protect(node_id.page);
-                        }
-                        latches.retain(&[node_id.page]);
-                        let mut outcome = Descent::Done;
-                        for idx in indices {
-                            // Re-read the node: a child relocation during a
-                            // previous iteration rewrites our child pointers.
-                            let fresh: Node<O> = self.store.read(node_id)?;
-                            let Node::Inner {
-                                entries: fresh_entries,
-                                ..
-                            } = fresh
-                            else {
-                                return Err(StorageError::Corrupt(
-                                    "inner node changed kind during insert".into(),
-                                ));
-                            };
-                            let entry = fresh_entries.get(idx).ok_or_else(|| {
-                                StorageError::Corrupt(format!(
-                                    "choose returned entry {idx} of {}",
-                                    fresh_entries.len()
-                                ))
-                            })?;
-                            let child = entry.child;
-                            let child_ctx =
-                                self.ops
-                                    .child_context(ctx, prefix.as_ref(), &entry.pred, level);
-                            // Latch the child while still holding this node:
-                            // the child pointer we read stays valid until the
-                            // child is latched (relocating it requires *our*
-                            // latch).
-                            if !latches.acquire(child.page) {
-                                outcome = Descent::Restart;
-                                break;
-                            }
-                            let descent = self.insert_at(
-                                child,
-                                Some((node_id, idx)),
-                                path_pages(parent_page, parent_pages, node_id.page),
-                                level + delta,
-                                None,
-                                key,
-                                row,
-                                &child_ctx,
-                                latches,
-                            )?;
-                            if multi {
-                                latches.retain(&[node_id.page]);
-                            }
-                            if matches!(descent, Descent::Restart) {
-                                // A restart mid-multi-descend re-runs the whole
-                                // insert; partitions already handled may end up
-                                // with an extra replica, which replicating
-                                // classes tolerate (cursors deduplicate by row
-                                // and a delete removes every copy).
-                                outcome = Descent::Restart;
-                                break;
-                            }
-                        }
-                        if multi {
-                            latches.unprotect(node_id.page);
-                        }
-                        Ok(outcome)
+                    Choose::Descend(idx) => {
+                        self.descend(step, prefix.as_ref(), &[idx], key, row, ctx, latches)
+                    }
+                    Choose::Replicate(indices) => {
+                        self.descend(step, prefix.as_ref(), &indices, key, row, ctx, latches)
                     }
                     Choose::AddEntry(pred) => {
                         let leaf = Node::<O>::Leaf {
@@ -568,6 +552,81 @@ impl<O: SpGistOps> SpGistTree<O> {
                 }
             }
         }
+    }
+
+    /// The crab step of [`Choose::Descend`] and [`Choose::Replicate`]: from
+    /// the inner node `step.0` at level `step.3`, on a path whose parent page
+    /// and length are `step.1` / `step.2`, into each of its entries
+    /// `indices`.
+    #[allow(clippy::too_many_arguments)]
+    fn descend(
+        &self,
+        (node_id, parent_page, parent_pages, level): (NodeId, Option<PageId>, u32, u32),
+        prefix: Option<&O::Prefix>,
+        indices: &[usize],
+        key: &O::Key,
+        row: RowId,
+        ctx: &O::Context,
+        latches: &mut LatchSet<'_>,
+    ) -> StorageResult<Descent> {
+        // Crab step: this node is where the descent continues, so no
+        // ancestor can be affected anymore — release them and let writers in
+        // other subtrees through.  A multi-way descend (replicating PMR
+        // inserts) keeps this node protected across its sub-descents, whose
+        // own crab steps would otherwise release it.
+        let multi = indices.len() > 1;
+        if multi {
+            latches.protect(node_id.page);
+        }
+        latches.retain(&[node_id.page]);
+        let (mut outcome, delta) = (Descent::Done, self.ops.descend_levels(prefix));
+        for &idx in indices {
+            // Re-read the node: a child relocation during a previous
+            // iteration rewrites our child pointers.
+            let Node::Inner { entries, .. } = self.store.read::<O>(node_id)? else {
+                return Err(StorageError::Corrupt(
+                    "inner node changed kind during insert".into(),
+                ));
+            };
+            let entry = entries.get(idx).ok_or_else(|| {
+                StorageError::Corrupt(format!("choose returned entry {idx} of {}", entries.len()))
+            })?;
+            let child = entry.child;
+            let child_ctx = self.ops.child_context(ctx, prefix, &entry.pred, level);
+            // Latch the child while still holding this node: the child
+            // pointer we read stays valid until the child is latched
+            // (relocating it requires *our* latch).
+            if !latches.acquire(child.page) {
+                outcome = Descent::Restart;
+                break;
+            }
+            let descent = self.insert_at(
+                child,
+                Some((node_id, idx)),
+                path_pages(parent_page, parent_pages, node_id.page),
+                level + delta,
+                None,
+                key,
+                row,
+                &child_ctx,
+                latches,
+            )?;
+            if multi {
+                latches.retain(&[node_id.page]);
+            }
+            if matches!(descent, Descent::Restart) {
+                // A restart mid-multi-descend re-runs the whole insert;
+                // partitions already handled may end up with an extra
+                // replica, which replicating classes tolerate (cursors
+                // deduplicate by row and a delete removes every copy).
+                outcome = Descent::Restart;
+                break;
+            }
+        }
+        if multi {
+            latches.unprotect(node_id.page);
+        }
+        Ok(outcome)
     }
 
     /// The copy of `key` a leaf `consumed` levels further down stores
@@ -732,7 +791,8 @@ impl<O: SpGistOps> SpGistTree<O> {
     ///
     /// Like [`SpGistTree::search_cursor`], the iterator pins a reclamation
     /// epoch instead of latching; it borrows the tree, and [`NnIter::over`]
-    /// builds one from an owning handle instead.
+    /// builds one from an owning handle instead.  It reads the tree only, not
+    /// a multi-entry class's pending list: such a class has no ordered scan.
     pub fn nn_iter(&self, query: O::Query) -> NnIter<&Self, O> {
         NnIter::over(self, query)
     }
@@ -752,31 +812,64 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// the value was removed; it counts as one.  One descent per entry and
     /// one rewrite per touched leaf under one hold of the write gate.
     ///
-    /// A multi-entry class cannot tell a value that was never indexed for
-    /// `row` from one that was whenever all of its entries are stored for
-    /// `row` (a suffix of the indexed word is a suffix of other words too);
-    /// the all-or-nothing rule keeps every other misuse from removing
-    /// anything.
-    pub fn delete(&self, value: &O::Key, row: RowId) -> StorageResult<bool> {
-        let entries: Vec<_> = self.ops.entries(value)?.collect();
-        self.delete_items(&entries, row)
-    }
-
-    /// Shared deletion: locate every entry of one value for `row`, then
-    /// remove what was located, as one removal.
+    /// A multi-entry class rewrites no leaf here: a value still on the
+    /// pending list loses its insert record, and a value whose entries the
+    /// tree holds gets a tombstone, after a read-only descent per entry has
+    /// found them all.  Such a class cannot tell a value that was never
+    /// indexed for `row` from one that was whenever all of its entries are
+    /// stored for `row` (a suffix of the indexed word is a suffix of other
+    /// words too); the all-or-nothing rule keeps every other misuse from
+    /// removing anything.  A tombstone hides its row's entries from
+    /// searches, so a multi-entry tree holds each row with one value, as a
+    /// table's index does.
     ///
     /// Deletion takes the write gate exclusively — it excludes other writers
     /// (so its captured node addresses stay valid without crabbing) but not
     /// readers, which epoch pins keep safe across the copy-on-write removal
     /// rewrites.
-    fn delete_items(&self, entries: &[O::Key], row: RowId) -> StorageResult<bool> {
+    pub fn delete(&self, value: &O::Key, row: RowId) -> StorageResult<bool> {
+        let entries: Vec<_> = self.ops.entries(value)?.collect();
         let _gate = self.write_gate.write();
-        let mut targets = Vec::new();
-        for key in entries {
-            if !self.locate(key, row, O::REPLICATES, &mut targets)? {
-                return Ok(false);
+        let removed = if O::MULTI_ENTRY {
+            self.delete_pending(&value.to_bytes(), &entries, row)?
+        } else {
+            self.remove(&entries, row)?
+        };
+        if removed {
+            let _meta = self.meta_lock.lock();
+            self.item_count.fetch_sub(1, Ordering::Relaxed);
+            self.write_meta_locked()?;
+        }
+        self.merge_full()?;
+        self.store.reclaim()?;
+        Ok(removed)
+    }
+
+    /// The pending-list delete of a multi-entry value (`value` encoded,
+    /// `entries` its entries); the caller holds the write gate exclusively.
+    fn delete_pending(&self, value: &[u8], entries: &[O::Key], row: RowId) -> StorageResult<bool> {
+        let pool = self.store.pool();
+        match self.pending.find(pool, row, value)? {
+            Some((spot, Tag::Insert)) => self.pending.remove(pool, row, spot).map(|()| true),
+            Some((_, Tag::Tombstone)) => Ok(false),
+            None if self.locate_all(entries, row)?.is_none() => Ok(false),
+            None => {
+                let _meta = self.meta_lock.lock();
+                let tag = Tag::Tombstone;
+                self.pending
+                    .append(&self.store, tag, row, value)
+                    .map(|()| true)
             }
         }
+    }
+
+    /// Removes every entry of one value for `row` from the tree, or nothing
+    /// unless all were located; uncounted.  The caller holds the write gate
+    /// exclusively.
+    fn remove(&self, entries: &[O::Key], row: RowId) -> StorageResult<bool> {
+        let Some(mut targets) = self.locate_all(entries, row)? else {
+            return Ok(false);
+        };
         // Group by leaf, highest item first so earlier indices stay valid.
         targets.sort_unstable_by_key(|t| (t.0, std::cmp::Reverse(t.1)));
         let mut rest = targets.as_slice();
@@ -794,13 +887,60 @@ impl<O: SpGistOps> SpGistTree<O> {
             self.write_node(leaf_id, &Node::Leaf { items }, parent)?;
             rest = &rest[group..];
         }
-        {
-            let _meta = self.meta_lock.lock();
-            self.item_count.fetch_sub(1, Ordering::Relaxed);
-            self.write_meta_locked()?;
-        }
-        self.store.reclaim()?;
         Ok(true)
+    }
+
+    /// Where the tree holds each of one value's entries for `row`, or `None`
+    /// unless it holds them all.
+    fn locate_all(&self, entries: &[O::Key], row: RowId) -> StorageResult<Option<Vec<Located>>> {
+        let mut targets = Vec::new();
+        for key in entries {
+            if !self.locate(key, row, O::REPLICATES, &mut targets)? {
+                return Ok(None);
+            }
+        }
+        Ok(Some(targets))
+    }
+
+    /// Merges the pending list into the tree once it has passed
+    /// [`PENDING_PAGES`] pages.  The caller holds the write gate exclusively.
+    fn merge_full(&self) -> StorageResult<()> {
+        if O::MULTI_ENTRY && self.pending.page_count() > PENDING_PAGES {
+            self.merge()
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Merges the pending list into the tree, oldest record first, with the
+    /// insert and delete descents of single statements: each record's
+    /// entries are inserted into or removed from the tree, and only then is
+    /// the record dropped from the list.  A search reads the list before it
+    /// captures the root, so it meets every value at least once (the index
+    /// layer reports each row once) and no deleted one, and a merge an error
+    /// stops leaves the rest of the list pending.  The caller holds the
+    /// write gate exclusively.  A checkpoint never sees a merge half done:
+    /// it runs inside a DML statement, and the checkpoint quiesces those.
+    fn merge(&self) -> StorageResult<()> {
+        let pool = self.store.pool();
+        let mut records = Vec::new();
+        self.pending
+            .scan(pool, AccessHint::Normal, |spot, tag, row, value| {
+                records.push((spot, tag, row, O::Key::from_bytes(value)?));
+                Ok(())
+            })?;
+        for (spot, tag, row, value) in records {
+            let mut entries = self.ops.entries(&value)?;
+            match tag {
+                Tag::Insert => entries.try_for_each(|entry| self.insert_one(&entry, row))?,
+                Tag::Tombstone => drop(self.remove(&entries.collect::<Vec<_>>(), row)?),
+            }
+            self.pending.remove(pool, row, spot)?;
+            self.store.reclaim()?;
+        }
+        let _meta = self.meta_lock.lock();
+        self.pending.truncate(&self.store);
+        self.write_meta_locked()
     }
 
     /// Finds `(key, row)` by consistent descent — following the row through
@@ -868,6 +1008,7 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// "Clustering techniques for minimizing external path length"; see
     /// [`NodeStore`]).  The logical tree is unchanged; only the node→page
     /// mapping is rewritten, so a freshly bulk-built tree is a fixed point.
+    /// A non-empty pending list is merged into the tree first.
     ///
     /// Repacking holds the write gate exclusively but never blocks readers:
     /// the rebuilt layout goes into fresh pages, the root flips atomically,
@@ -876,6 +1017,9 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// the pages return to the pager's free list for reuse.
     pub fn repack(&self) -> StorageResult<()> {
         let _gate = self.write_gate.write();
+        if O::MULTI_ENTRY && self.pending.page_count() > 0 {
+            self.merge()?;
+        }
         let Some(root) = self.root() else {
             return Ok(());
         };
@@ -896,7 +1040,7 @@ impl<O: SpGistOps> SpGistTree<O> {
             self.page_height.store(height, Ordering::Relaxed);
             self.write_meta_locked()?;
         }
-        self.store.finish_repack(&old_pages);
+        self.store.release_pages(&old_pages);
         self.store.reclaim()
     }
 
@@ -944,6 +1088,17 @@ impl<O: SpGistOps> SpGistTree<O> {
                 }
             }
         }
+        // Entries still pending count as the tree's, and tombstoned ones not.
+        let pool = self.store.pool();
+        self.pending
+            .scan(pool, AccessHint::Scan, |_, tag, _, value| {
+                let n = self.ops.entries(&O::Key::from_bytes(value)?)?.count() as u64;
+                stats.items = match tag {
+                    Tag::Insert => stats.items + n,
+                    Tag::Tombstone => stats.items.saturating_sub(n),
+                };
+                Ok(())
+            })?;
         Ok(stats)
     }
 
@@ -971,8 +1126,9 @@ impl<O: SpGistOps> SpGistTree<O> {
         }
     }
 
-    /// Releases every page this tree owns (node pages and the meta page) to
-    /// the pager's free list, consuming the tree (`DROP INDEX`).
+    /// Releases every page this tree owns (node pages, pending-list pages
+    /// and the meta page) to the pager's free list, consuming the tree
+    /// (`DROP INDEX`).
     pub fn destroy(self) -> StorageResult<()> {
         // Consuming the tree proves no reader pins remain, so the retired
         // backlog drains completely before the pages go back.
@@ -982,6 +1138,36 @@ impl<O: SpGistOps> SpGistTree<O> {
             pool.free_page(page)?;
         }
         pool.free_page(self.meta_page)
+    }
+
+    /// Queues the pending list's matches for `query` on `frontier` and
+    /// gathers its tombstoned rows: each entry of a value that matches as a
+    /// leaf at the root would, as the tree yields one item per entry.
+    fn read_pending(&self, query: &O::Query, frontier: &mut Frontier<O>) -> StorageResult<()> {
+        let hidden = frontier.hidden.get_or_insert_with(HashSet::new);
+        let pool = self.store.pool();
+        self.pending
+            .scan(pool, AccessHint::Normal, |_, tag, row, value| {
+                if tag == Tag::Tombstone {
+                    hidden.insert(row);
+                    return Ok(());
+                }
+                let value = O::Key::from_bytes(value)?;
+                let entries = self.ops.entries(&value)?;
+                let matches = entries.filter(|e| self.ops.leaf_consistent(e, query, 0));
+                frontier.pending.extend(matches.map(|entry| (entry, row)));
+                Ok(())
+            })
+    }
+
+    /// Pages the pending list fills (0 for a single-entry class).
+    pub fn pending_pages(&self) -> usize {
+        self.pending.page_count()
+    }
+
+    /// Merges of the pending list into the tree since it was opened.
+    pub fn pending_merges(&self) -> u64 {
+        self.pending.merges()
     }
 
     pub(crate) fn store(&self) -> &NodeStore {
@@ -1005,7 +1191,12 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// Writes the meta record; the caller holds `meta_lock`.
     fn write_meta_locked(&self) -> StorageResult<()> {
         let height = self.page_height.load(Ordering::Relaxed);
-        let bytes = encode_meta(self.root(), self.len(), height);
+        let listed = if O::MULTI_ENTRY {
+            self.pending.pages()
+        } else {
+            Vec::new()
+        };
+        let bytes = encode_meta(self.root(), self.len(), height, &listed);
         self.store
             .pool()
             .with_page_mut(self.meta_page, |p| p.update(0, &bytes))??;
@@ -1041,6 +1232,8 @@ where
     /// Keeps every record reachable from the captured root readable for the
     /// cursor's lifetime.
     _pin: EpochPin,
+    /// A failed read of the pending list, yielded first.
+    error: Option<StorageError>,
     done: bool,
 }
 
@@ -1051,6 +1244,9 @@ struct Frontier<O: SpGistOps> {
     stack: Vec<(NodeId, u32)>,
     pending: VecDeque<(O::Key, RowId)>,
     slots: Slots<O>,
+    /// The rows a non-empty pending list holds tombstones for: the tree's
+    /// entries of these rows are deleted.
+    hidden: Option<HashSet<RowId>>,
 }
 
 impl<O: SpGistOps> Frontier<O> {
@@ -1059,6 +1255,7 @@ impl<O: SpGistOps> Frontier<O> {
     /// that `leaf_consistent` accepts is moved out of its slot to pending.
     fn expand(&mut self, ops: &O, query: &O::Query, bytes: &[u8], level: u32) -> StorageResult<()> {
         let (stack, pending, mut delta) = (&mut self.stack, &mut self.pending, 0);
+        let hidden = |row| O::MULTI_ENTRY && self.hidden.as_ref().is_some_and(|h| h.contains(&row));
         walk(bytes, &mut self.slots, |part| {
             match part {
                 Part::Inner(Some(p), _) if !ops.prefix_consistent(p, query, level) => return false,
@@ -1066,7 +1263,9 @@ impl<O: SpGistOps> Frontier<O> {
                 Part::Entry(_, pfx, pred, child) if ops.consistent(pfx, pred, query, level) => {
                     stack.push((child, level + delta))
                 }
-                Part::Item(_, key, row) if ops.leaf_consistent(&key, query, level) => {
+                Part::Item(_, key, row)
+                    if ops.leaf_consistent(&key, query, level) && !hidden(row) =>
+                {
                     pending.push_back((key.take(), row))
                 }
                 // Any row may match: visit every child, same level.
@@ -1089,18 +1288,28 @@ where
         // Pin first, then capture the root: records retired after this point
         // outlive the pin, so the captured root stays traversable.
         let pin = tree.store.pin();
-        let stack = Vec::from_iter(tree.root().map(|root| (root, 0)));
-        let (pending, slots) = (VecDeque::new(), Slots::default());
+        let mut frontier = Frontier {
+            stack: Vec::new(),
+            pending: VecDeque::new(),
+            slots: Slots::default(),
+            hidden: None,
+        };
+        // A non-empty pending list is read before the root is captured: a
+        // merge drops a record only after applying it, so a value leaving
+        // the list is in the tree this cursor reads.
+        let error = if O::MULTI_ENTRY && tree.pending.page_count() > 0 {
+            tree.read_pending(&query, &mut frontier).err()
+        } else {
+            None
+        };
+        frontier.stack.extend(tree.root().map(|root| (root, 0)));
         SearchCursor {
             tree,
             query,
-            frontier: Frontier {
-                stack,
-                pending,
-                slots,
-            },
+            frontier,
             hint: AccessHint::Normal,
             _pin: pin,
+            error,
             done: false,
         }
     }
@@ -1155,6 +1364,10 @@ where
     type Item = StorageResult<(O::Key, RowId)>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        if let Some(e) = self.error.take() {
+            self.done = true;
+            return Some(Err(e));
+        }
         while !self.done {
             if let Some(item) = self.frontier.pending.pop_front() {
                 return Some(Ok(item));
@@ -1192,10 +1405,15 @@ impl<O: SpGistOps> std::fmt::Debug for SpGistTree<O> {
     }
 }
 
-/// Fixed-size meta record: root presence flag, root address, item count,
-/// page-height hint.
-fn encode_meta(root: Option<NodeId>, item_count: u64, page_height: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(19);
+/// Meta record: root presence flag, root address, item count, page-height
+/// hint, and — only while a pending list is non-empty — its pages.
+fn encode_meta(
+    root: Option<NodeId>,
+    item_count: u64,
+    page_height: u32,
+    listed: &[PageId],
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(META_LEN);
     match root {
         Some(id) => {
             out.push(1);
@@ -1210,10 +1428,19 @@ fn encode_meta(root: Option<NodeId>, item_count: u64, page_height: u32) -> Vec<u
     }
     item_count.encode(&mut out);
     page_height.encode(&mut out);
+    if !listed.is_empty() {
+        listed.to_vec().encode(&mut out);
+    }
     out
 }
 
-fn decode_meta(bytes: &[u8]) -> StorageResult<(Option<NodeId>, u64, u32)> {
+/// Bytes of a meta record without pending pages.
+const META_LEN: usize = 19;
+
+/// A decoded meta record: root, value count, page height, pending pages.
+type Meta = (Option<NodeId>, u64, u32, Vec<PageId>);
+
+fn decode_meta(bytes: &[u8]) -> StorageResult<Meta> {
     let mut buf = bytes;
     let flag = u8::decode(&mut buf)?;
     let page = u32::decode(&mut buf)?;
@@ -1231,13 +1458,19 @@ fn decode_meta(bytes: &[u8]) -> StorageResult<(Option<NodeId>, u64, u32)> {
             )))
         }
     };
-    if !buf.is_empty() {
+    let listed = if buf.is_empty() {
+        Vec::new()
+    } else {
+        Vec::<PageId>::decode(&mut buf)?
+    };
+    // An empty list is written as no bytes at all.
+    if !buf.is_empty() || (listed.is_empty() && bytes.len() > META_LEN) {
         return Err(StorageError::Corrupt(format!(
             "tree meta record has {} trailing bytes",
             buf.len()
         )));
     }
-    Ok((root, count, height))
+    Ok((root, count, height, listed))
 }
 
 #[cfg(test)]
@@ -1788,24 +2021,37 @@ mod tests {
     #[test]
     fn meta_codec_roundtrip() {
         let cases = [
-            (None, 0u64, 0u32),
-            (Some(NodeId::new(3, 9)), 12345u64, 4u32),
-            (Some(NodeId::new(u32::MAX, u16::MAX)), u64::MAX, u32::MAX),
+            (None, 0u64, 0u32, vec![]),
+            (Some(NodeId::new(3, 9)), 12345u64, 4u32, vec![]),
+            (
+                Some(NodeId::new(u32::MAX, u16::MAX)),
+                u64::MAX,
+                u32::MAX,
+                vec![],
+            ),
+            (
+                Some(NodeId::new(3, 9)),
+                12345u64,
+                4u32,
+                vec![17, 5, u32::MAX],
+            ),
+            (None, 2, 0, vec![8]),
         ];
-        for (root, count, height) in cases {
-            let bytes = encode_meta(root, count, height);
-            assert_eq!(decode_meta(&bytes).unwrap(), (root, count, height));
+        for (root, count, height, listed) in cases {
+            let bytes = encode_meta(root, count, height, &listed);
+            assert_eq!(bytes.len() == META_LEN, listed.is_empty());
+            assert_eq!(decode_meta(&bytes).unwrap(), (root, count, height, listed));
         }
         // A damaged record is an error, never an empty tree: a flag that is
         // neither 0 nor 1, an address under the "no root" flag, a root
         // without a page height or a height without a root, extra bytes.
-        let good = encode_meta(Some(NodeId::new(3, 9)), 12345, 4);
+        let good = encode_meta(Some(NodeId::new(3, 9)), 12345, 4, &[]);
         let mut bad_flag = good.clone();
         bad_flag[0] = 2;
         let mut rootless_with_address = good.clone();
         rootless_with_address[0] = 0;
-        let rooted_without_height = encode_meta(Some(NodeId::new(3, 9)), 12345, 0);
-        let height_without_root = encode_meta(None, 0, 4);
+        let rooted_without_height = encode_meta(Some(NodeId::new(3, 9)), 12345, 0, &[]);
+        let height_without_root = encode_meta(None, 0, 4, &[]);
         let mut trailing = good;
         trailing.push(0);
         for bytes in [

@@ -161,7 +161,7 @@ impl SpGistOps for KdTreeOps {
             None => KdSide::Right,
         };
         match preds.iter().position(|p| *p == side) {
-            Some(idx) => Choose::Descend(vec![idx]),
+            Some(idx) => Choose::Descend(idx),
             None => Choose::AddEntry(side),
         }
     }

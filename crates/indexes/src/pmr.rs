@@ -140,19 +140,18 @@ impl SpGistOps for PmrQuadtreeOps {
         _level: u32,
     ) -> Choose<Rect, Rect> {
         // A segment descends into every quadrant it intersects.
-        let indices: Vec<usize> = preds
+        let mut hits = preds
             .iter()
             .enumerate()
             .filter(|(_, quadrant)| key.intersects_rect(quadrant))
-            .map(|(idx, _)| idx)
-            .collect();
-        if indices.is_empty() {
+            .map(|(idx, _)| idx);
+        match (hits.next(), hits.next()) {
             // The segment lies outside the world bounds; keep it reachable by
             // storing it under the first quadrant (its leaf re-check still
             // applies the exact predicate).
-            Choose::Descend(vec![0])
-        } else {
-            Choose::Descend(indices)
+            (None, _) => Choose::Descend(0),
+            (Some(only), None) => Choose::Descend(only),
+            (Some(a), Some(b)) => Choose::Replicate([a, b].into_iter().chain(hits).collect()),
         }
     }
 

@@ -152,7 +152,7 @@ impl SpGistOps for PointQuadtreeOps {
             None => Quadrant::NorthEast,
         };
         match preds.iter().position(|p| *p == quadrant) {
-            Some(idx) => Choose::Descend(vec![idx]),
+            Some(idx) => Choose::Descend(idx),
             None => Choose::AddEntry(quadrant),
         }
     }

@@ -375,7 +375,7 @@ impl<O: SpGistOps> SpIndex for SpGistIndex<O> {
     }
 
     fn admits(&self, key: &O::Key) -> StorageResult<()> {
-        self.tree.ops().entries(key).map(drop)
+        self.tree.admits(key)
     }
 }
 
@@ -387,6 +387,7 @@ mod tests {
     use crate::query::{PointQuery, SegmentQuery, StringQuery};
     use crate::{KdTreeIndex, PmrQuadtreeIndex, PointQuadtreeIndex, SuffixTreeIndex, TrieIndex};
     use spgist_core::testing::{DigitSuffixOps, DigitTrieOps};
+    use spgist_core::PENDING_PAGES;
 
     /// Exercises the whole trait surface through a generic function — the
     /// point of the redesign is that this compiles once for all five
@@ -660,6 +661,88 @@ mod tests {
         let reopened = reopened.unwrap();
         assert_eq!(reopened.len(), 300);
         assert_eq!(rows(&reopened), ends_in_7);
+    }
+
+    #[test]
+    fn a_multi_entry_class_keeps_a_pending_list_and_merges_it() {
+        // Nothing here is suffix-specific: the digit class stores a number
+        // as its decimal suffixes.
+        let index = SpGistIndex::<DigitSuffixOps>::create(BufferPool::in_memory()).unwrap();
+        let tree = Arc::clone(index.backing());
+        let mut live: Vec<(u32, RowId)> = Vec::new();
+        let value = |row: RowId| (row * 7_919 % 100_000) as u32;
+        let deleted = [7_990, 10, 7_000, 20];
+        let probes = [7, 42, 123, 9_999].into_iter().chain(deleted.map(value));
+        let probes: Vec<u32> = probes.collect();
+        let check = |index: &SpGistIndex<DigitSuffixOps>, live: &[(u32, RowId)]| {
+            assert_eq!(index.len(), live.len() as u64);
+            for &probe in &probes {
+                let mut want: Vec<RowId> = live
+                    .iter()
+                    .filter(|(v, _)| {
+                        index
+                            .backing()
+                            .ops()
+                            .entries(v)
+                            .unwrap()
+                            .any(|e| e == probe)
+                    })
+                    .map(|&(_, row)| row)
+                    .collect();
+                let mut got = index.cursor(&probe).unwrap().rows().unwrap();
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want, "probe {probe}");
+            }
+        };
+        // Enough values that the list passes its limit once.
+        for row in 0..8_000u64 {
+            index.insert(value(row), row).unwrap();
+            live.push((value(row), row));
+        }
+        assert_eq!(tree.pending_merges(), 1);
+        let listed = tree.pending_pages();
+        assert!((1..PENDING_PAGES).contains(&listed), "{listed} list pages");
+        check(&index, &live);
+        // A delete cancels a pending insert or tombstones a merged value; a
+        // second delete of either, and one of a value never indexed for the
+        // row, remove nothing.
+        for at in deleted {
+            let (value, row) = live.remove(live.iter().position(|&(_, r)| r == at).unwrap());
+            assert!(index.delete(&value, row).unwrap());
+            assert!(!index.delete(&value, row).unwrap());
+        }
+        assert!(!index.delete(&123_456, 3).unwrap());
+        check(&index, &live);
+        // Re-inserting a tombstoned pair cancels its tombstone.
+        let back = (value(10), 10);
+        index.insert(back.0, back.1).unwrap();
+        live.push(back);
+        check(&index, &live);
+        // The list survives a reopen from the meta record.
+        let pool = Arc::clone(tree.pool());
+        let (meta, pages) = (index.meta_page(), index.owned_pages());
+        drop((index, tree));
+        let index = SpGistIndex::open_with_ops(pool, DigitSuffixOps::default(), meta, pages);
+        let index = index.unwrap();
+        assert_eq!(index.backing().pending_pages(), listed);
+        check(&index, &live);
+        // The reopened list still cancels: the newest value is listed.
+        let newest = live.iter().position(|&(_, row)| row == 7_999).unwrap();
+        let (value, row) = live.remove(newest);
+        assert!(index.delete(&value, row).unwrap());
+        check(&index, &live);
+        // A repack merges the list first.
+        index.repack().unwrap();
+        assert_eq!(index.backing().pending_pages(), 0);
+        assert_eq!(index.backing().pending_merges(), 1);
+        check(&index, &live);
+        let ops = index.backing().ops();
+        let entries: usize = live
+            .iter()
+            .map(|(v, _)| ops.entries(v).unwrap().count())
+            .sum();
+        assert_eq!(index.stats().unwrap().items, entries as u64);
     }
 
     #[test]

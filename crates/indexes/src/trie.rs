@@ -265,7 +265,7 @@ impl<const SUFFIXES: bool> SpGistOps for Trie<SUFFIXES> {
         }
         let c = Self::pred_at(key, pos);
         match preds.iter().position(|p| *p == c) {
-            Some(idx) => Choose::Descend(vec![idx]),
+            Some(idx) => Choose::Descend(idx),
             None => Choose::AddEntry(c),
         }
     }

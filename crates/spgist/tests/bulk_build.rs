@@ -201,7 +201,10 @@ fn trie_bulk_build_equivalent_to_insert_loop() {
 
 #[test]
 fn suffix_bulk_build_equivalent_to_insert_loop() {
-    let data = words(800, SEED ^ 0x10);
+    // Enough words that the insert loop's pending list passes its page
+    // limit and merges: the loop then builds a tree to compare, and the
+    // searches meet values in the tree and on the list both.
+    let data = words(6_000, SEED ^ 0x10);
     let items: Vec<(String, RowId)> = data
         .iter()
         .cloned()

@@ -10,6 +10,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use spgist::indexes::SpGistBacked;
 use spgist::prelude::*;
 
 /// Compile-time proof that the shared-access surface is actually shareable:
@@ -110,6 +111,89 @@ fn concurrent_readers_never_lose_committed_inserts() {
     });
 
     assert_eq!(index.len(), TOTAL);
+}
+
+/// Readers run substring queries on a suffix tree while one writer inserts
+/// a word and deletes an older row per step, driving its pending list past
+/// the limit several times, so cursors read the list and the tree while a
+/// merge moves records from one to the other.  Steps publish counters, and
+/// every drain must hold: each row live for the whole scan comes back
+/// exactly once, and no row deleted before the scan began, nor inserted
+/// after it ended, comes back.
+#[test]
+fn substring_readers_race_pending_list_merges() {
+    const BASE: u64 = 2_000;
+    const STEPS: u64 = 7_000;
+    let word = |row: u64| format!("word{row:06}queue");
+    let index = Arc::new(SuffixTreeIndex::create(BufferPool::in_memory()).unwrap());
+    index
+        .bulk_build((0..BASE).map(|row| (word(row), row)).collect())
+        .unwrap();
+    // Rows `0..BASE + inserted` were inserted, rows `0..deleted` deleted;
+    // the step under way may have inserted or deleted one more.
+    let inserted = Arc::new(AtomicU64::new(0));
+    let deleted = Arc::new(AtomicU64::new(0));
+    let needle = StringQuery::Substring("queue".into());
+
+    std::thread::scope(|scope| {
+        let writer = {
+            let (index, inserted, deleted) = (&index, &inserted, &deleted);
+            scope.spawn(move || {
+                for step in 0..STEPS {
+                    index.insert(word(BASE + step), BASE + step).unwrap();
+                    inserted.store(step + 1, Ordering::Release);
+                    // The first BASE deletes tombstone bulk-built rows, the
+                    // rest cancel list records or tombstone merged ones.
+                    assert!(index.delete(&word(step), step).unwrap());
+                    deleted.store(step + 1, Ordering::Release);
+                }
+            })
+        };
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (index, inserted, deleted, needle) = (&index, &inserted, &deleted, &needle);
+                scope.spawn(move || {
+                    let mut scans = 0u32;
+                    loop {
+                        let (ins, del) = (
+                            inserted.load(Ordering::Acquire),
+                            deleted.load(Ordering::Acquire),
+                        );
+                        let mut rows = index.cursor(needle).unwrap().rows().unwrap();
+                        let (ins_end, del_end) = (
+                            inserted.load(Ordering::Acquire),
+                            deleted.load(Ordering::Acquire),
+                        );
+                        let count = rows.len();
+                        rows.sort_unstable();
+                        rows.dedup();
+                        assert_eq!(rows.len(), count, "a row came back twice");
+                        for row in del_end + 1..BASE + ins {
+                            assert!(rows.binary_search(&row).is_ok(), "live row {row} missing");
+                        }
+                        assert!(
+                            rows.iter().all(|&row| row >= del && row <= BASE + ins_end),
+                            "a deleted or never inserted row came back"
+                        );
+                        scans += 1;
+                        if ins == STEPS {
+                            return scans;
+                        }
+                    }
+                })
+            })
+            .collect();
+        writer.join().unwrap();
+        for reader in readers {
+            assert!(reader.join().unwrap() > 0);
+        }
+    });
+    assert_eq!(index.len(), BASE);
+    assert!(
+        index.backing().pending_merges() >= 2,
+        "{} merges",
+        index.backing().pending_merges()
+    );
 }
 
 /// The same invariant at the executor level: writers burst inserts through
@@ -736,7 +820,6 @@ fn hot_writer_rounds(
     queries: usize,
 ) -> Vec<HotWriterRound> {
     use spgist::datagen::{points, QueryWorkload};
-    use spgist::indexes::SpGistBacked;
 
     const SEED: u64 = 20060403;
     let index = KdTreeIndex::create(BufferPool::in_memory()).unwrap();

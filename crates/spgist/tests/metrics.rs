@@ -44,8 +44,22 @@ const INDEXES: [&str; 5] = [
     "words.words_suffix",
 ];
 
+/// The owners of every table's pages, in the order `Database::metrics`
+/// lists their `checkpoint.data_pages_flushed.<table>.<owner>` counters:
+/// each table's heap, then its indexes.
+const OWNERS: [&str; 8] = [
+    "points.heap",
+    "points.points_kd",
+    "points.points_pquad",
+    "segments.heap",
+    "segments.segments_pmr",
+    "words.heap",
+    "words.words_trie",
+    "words.words_suffix",
+];
+
 /// The fields of one index's section, in order, with their kinds.
-const INDEX_FIELDS: [(&str, MetricKind); 8] = [
+const INDEX_FIELDS: [(&str, MetricKind); 10] = [
     ("latch_acquisitions", Counter),
     ("latch_waits", Counter),
     ("epoch_pins", Counter),
@@ -54,6 +68,8 @@ const INDEX_FIELDS: [(&str, MetricKind); 8] = [
     ("retired", Counter),
     ("reclaimed", Counter),
     ("retired_backlog", Gauge),
+    ("pending_pages", Gauge),
+    ("pending_merges", Counter),
 ];
 
 /// A durable database in `dir` with three seeded tables and all five index
@@ -138,12 +154,17 @@ fn every_name_and_kind_is_pinned_in_order() {
         "checkpoint.data_pages_flushed",
         "checkpoint.journal_bytes",
         "checkpoint.quiesce_nanos",
-        "wal.records",
-        "wal.syncs",
     ]
     .into_iter()
     .map(|name| (name.to_string(), Counter))
     .collect();
+    for owner in OWNERS {
+        let name = format!("checkpoint.data_pages_flushed.{owner}");
+        expected.push((name, Counter));
+    }
+    for name in ["wal.records", "wal.syncs"] {
+        expected.push((name.to_string(), Counter));
+    }
     for index in INDEXES {
         for (field, kind) in INDEX_FIELDS {
             expected.push((format!("index.{index}.{field}"), kind));
@@ -219,7 +240,12 @@ fn an_insert_moves_only_its_tables_latches() {
     for index in INDEXES {
         let name = format!("index.{index}.latch_acquisitions");
         let moved = value(&delta, &name);
-        if index.starts_with("words.") {
+        if index == "words.words_suffix" {
+            // The suffix tree appends the word to its pending list under its
+            // meta lock and latches no tree page.
+            assert_eq!(moved, 0, "{name} moved");
+            assert_eq!(value(&delta, &format!("index.{index}.pending_pages")), 1);
+        } else if index.starts_with("words.") {
             assert!(moved > 0, "{name} did not move");
         } else {
             assert_eq!(moved, 0, "{name} moved on an insert into words");
@@ -291,4 +317,82 @@ fn a_dropped_and_recreated_index_between_snapshots() {
     }
     assert!(value(&delta, "index.points.points_pquad_v2.latch_acquisitions") > 0);
     assert_eq!(delta.iter().count(), before.iter().count());
+}
+
+#[test]
+fn the_pages_a_checkpoint_flushes_add_up_by_owner() {
+    let dir = TempDir::new("owners");
+    let mut db = database(&dir);
+    let before = db.metrics();
+    let table = db.table("words").unwrap();
+    for (i, word) in words(300, 41).into_iter().enumerate() {
+        let row = table.insert(word).unwrap();
+        if i % 3 == 0 {
+            assert!(table.delete(row).unwrap());
+        }
+    }
+    db.table("points")
+        .unwrap()
+        .insert(Point::new(1.0, 2.0))
+        .unwrap();
+    db.checkpoint().unwrap();
+    let delta = db.metrics().delta_since(&before);
+    let flushed = value(&delta, "checkpoint.data_pages_flushed");
+    let by_owner: Vec<u64> = OWNERS
+        .iter()
+        .map(|owner| value(&delta, &format!("checkpoint.data_pages_flushed.{owner}")))
+        .collect();
+    assert_eq!(by_owner.iter().sum::<u64>(), flushed, "{by_owner:?}");
+    for (owner, pages) in OWNERS.iter().zip(&by_owner) {
+        let touched = owner.starts_with("words.") || owner.starts_with("points.");
+        assert_eq!(*pages > 0, touched, "{owner}: {pages} pages");
+    }
+}
+
+/// The suffix tree under an `ingest`-shaped stream: a 2 000-word table,
+/// one insert per delete (the deletes hit the oldest rows, bulk-loaded
+/// first), a checkpoint every 300 statements.  Its pending list takes the
+/// churn, so a checkpoint flushes a few list pages and the meta page, not
+/// the leaves ≈ 8 suffixes a word touch; only the checkpoint after a merge
+/// rewrites the tree.
+#[test]
+fn a_checkpoint_flushes_a_third_of_the_suffix_tree_at_most_between_merges() {
+    let dir = TempDir::new("ingest");
+    let mut db = Database::create(dir.0.join("db.pages")).unwrap();
+    db.create_table("words", KeyType::Varchar).unwrap();
+    let loaded = db.table("words").unwrap().insert_many(words(2_000, 7));
+    let mut live: std::collections::VecDeque<RowId> = loaded.unwrap().into();
+    db.create_index("words", "words_suffix", IndexSpec::SuffixTree)
+        .unwrap();
+    let fresh = words(3_000, 8);
+    let (flushed, merges) = (
+        "checkpoint.data_pages_flushed.words.words_suffix",
+        "index.words.words_suffix.pending_merges",
+    );
+    let (mut steady, mut after_merge) = (0, 0);
+    for round in fresh.chunks(150) {
+        let before = db.metrics();
+        let table = db.table("words").unwrap();
+        for word in round {
+            live.push_back(table.insert(word.as_str()).unwrap());
+            assert!(table.delete(live.pop_front().unwrap()).unwrap());
+        }
+        db.checkpoint().unwrap();
+        let delta = db.metrics().delta_since(&before);
+        let owned = db.table("words").unwrap().available_indexes().unwrap()[0].pages;
+        let pages = value(&delta, flushed);
+        if value(&delta, merges) > 0 {
+            after_merge += 1;
+        } else {
+            steady += 1;
+            assert!(
+                3 * pages <= owned,
+                "{pages} of {owned} suffix-tree pages flushed"
+            );
+        }
+    }
+    assert!(
+        after_merge >= 1 && steady >= 10,
+        "{after_merge} merges, {steady} steady"
+    );
 }

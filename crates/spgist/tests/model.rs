@@ -770,3 +770,132 @@ fn model_transactional_seed_b() {
 fn model_transactional_seed_nightly() {
     run_seed_txn(0x9_1DEA_F00D);
 }
+
+/// A word long enough that a pending-list record holds ≈ 20 bytes.
+fn long_word(rng: &mut DetRng) -> String {
+    let len = rng.gen_range(12usize..=24);
+    (0..len)
+        .map(|_| char::from(b'a' + rng.gen_range(0u32..6) as u8))
+        .collect()
+}
+
+/// The suffix tree's pending list under the differential model: one words
+/// table with a suffix tree and a trie, DML in transactions that commit or
+/// abort, and a checkpoint, close or crash at every epoch's end.  An abort
+/// undoes a delete by re-inserting the same row id, which cancels the
+/// tombstone the delete left on the list; a crash loses the list's pages
+/// since the last checkpoint and the log refills it.  The words are long
+/// enough that the list passes its page limit and merges several times.
+#[test]
+fn model_pending_list_crosses_its_limit() {
+    const EPOCHS: usize = 12;
+    const TXNS_PER_EPOCH: usize = 16;
+    let seed = 0x5EED_0115;
+    let path = temp_path(seed);
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut db = Database::create(&path).unwrap();
+    db.create_table("words", KeyType::Varchar).unwrap();
+    let base: Vec<String> = (0..500).map(|_| long_word(&mut rng)).collect();
+    db.table("words")
+        .unwrap()
+        .insert_many(base.clone())
+        .unwrap();
+    let indexes = [("suffix", IndexSpec::SuffixTree), ("trie", IndexSpec::Trie)];
+    for (name, spec) in indexes {
+        db.create_index("words", name, spec).unwrap();
+    }
+    let mut model = Model::default();
+    model.tables.insert(
+        "words".into(),
+        ModelTable {
+            key_type: KeyType::Varchar,
+            rows: base.into_iter().map(|w| Some(Datum::Text(w))).collect(),
+            indexes: indexes.iter().map(|(n, _)| (n.to_string(), *n)).collect(),
+        },
+    );
+    let merges = |db: &Database| {
+        db.metrics()
+            .get("index.words.suffix.pending_merges")
+            .unwrap()
+    };
+    let (mut merged, mut aborted_deletes) = (0, 0);
+    for epoch in 0..EPOCHS {
+        for t in 0..TXNS_PER_EPOCH {
+            let ctx = format!("epoch {epoch} txn {t}");
+            let mut txn = db.begin().unwrap();
+            let mut pending = Vec::new();
+            for _ in 0..60 {
+                let rows = model.tables["words"].rows.len() as u64;
+                if rng.gen_range(0u32..10) < 7 {
+                    let datum = Datum::Text(long_word(&mut rng));
+                    let row = txn.insert("words", datum.clone()).unwrap();
+                    assert_eq!(row, rows, "{ctx}: dense row ids");
+                    model
+                        .tables
+                        .get_mut("words")
+                        .unwrap()
+                        .rows
+                        .push(Some(datum));
+                    pending.push(TxnStmt::Insert {
+                        table: "words".into(),
+                        row,
+                    });
+                } else {
+                    let row = rng.gen_range(0..rows);
+                    let old = model.tables.get_mut("words").unwrap().rows[row as usize].take();
+                    assert_eq!(txn.delete("words", row).unwrap(), old.is_some(), "{ctx}");
+                    if let Some(datum) = old {
+                        pending.push(TxnStmt::Delete {
+                            table: "words".into(),
+                            row,
+                            datum,
+                        });
+                    }
+                }
+            }
+            if rng.gen_range(0u32..3) == 0 {
+                aborted_deletes += pending
+                    .iter()
+                    .filter(|s| matches!(s, TxnStmt::Delete { .. }))
+                    .count();
+                txn.abort().unwrap();
+                rollback_model(&mut model, pending);
+            } else {
+                txn.commit().unwrap();
+            }
+            let needle = long_word(&mut rng)[..rng.gen_range(1usize..4)].to_string();
+            check_query(
+                &db,
+                &model,
+                "words",
+                &Predicate::str_substring(&needle),
+                &ctx,
+            );
+        }
+        merged += merges(&db);
+        let ctx = format!("epoch {epoch}");
+        if rng.gen_range(0u32..2) == 0 {
+            db.checkpoint().unwrap();
+        }
+        if rng.gen_range(0u32..2) == 0 {
+            drop(db);
+        } else {
+            db.close().unwrap();
+        }
+        db = Database::open(&path).unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+        check_full_state(&db, &model, &ctx);
+        for needle in ["a", "fe", "bad", "cafe"] {
+            check_query(
+                &db,
+                &model,
+                "words",
+                &Predicate::str_substring(needle),
+                &ctx,
+            );
+        }
+    }
+    assert!(merged >= 3, "the list merged {merged} times");
+    assert!(aborted_deletes > 0, "no abort re-inserted a deleted row");
+    db.close().unwrap();
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}

@@ -202,6 +202,13 @@ impl DirtyPageSnapshot {
         self.entries.is_empty()
     }
 
+    /// The captured pages' ids, in ascending order.
+    pub fn page_ids(&self) -> Vec<PageId> {
+        let mut ids: Vec<PageId> = self.entries.iter().map(|e| e.page_id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// The captured pages with the exact images
     /// [`BufferPool::flush_snapshot`] will write over them — what a
     /// checkpoint journal diffs the on-disk content against first.  An

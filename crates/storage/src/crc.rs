@@ -45,7 +45,13 @@ const TABLES: [[u32; 256]; 8] = {
 /// CRC-32 of `bytes` (initial value all-ones, final xor all-ones — the
 /// standard "CRC-32" everyone means by the name).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
+    !crc32_update(u32::MAX, bytes)
+}
+
+/// Runs the CRC-32 register `crc` (before the final xor) over `bytes`: a
+/// checksum over data written piece by piece starts at `u32::MAX`, and its
+/// value is the final register inverted.
+pub(crate) fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let low = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -61,7 +67,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &byte in chunks.remainder() {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
 #[cfg(test)]

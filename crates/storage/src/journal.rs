@@ -46,13 +46,13 @@
 //! ```
 
 use std::collections::HashSet;
-use std::fs::OpenOptions;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::ops::{Deref, Range};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{take, take_header, Codec};
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_update};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::pager::{sync_dir, Pager};
@@ -242,26 +242,61 @@ impl Body {
     }
 }
 
-fn write_file(path: &Path, body: &Body) -> StorageResult<u64> {
-    let mut header = (MAGIC, VERSION).to_bytes();
-    (body.pages, crc32(&body.bytes)).encode(&mut header);
+/// A journal being written to its temporary file: the body streams through
+/// page by page under a running checksum, so a checkpoint that rewrites
+/// most of a tree holds one page of journal in memory, not megabytes.
+struct Spool {
+    file: BufWriter<File>,
+    crc: u32,
+    len: u64,
+}
 
-    // Write-to-temp, sync, rename: the journal appears atomically, so a
-    // crash during its own construction leaves either no journal or the
-    // previous (still-valid) one.
-    let tmp = tmp_path(path);
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)?;
-    file.write_all(&header)?;
-    file.write_all(&body.bytes)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    sync_dir(path.parent().unwrap_or(Path::new(".")));
-    Ok((header.len() + body.bytes.len()) as u64)
+/// Bytes of the journal header: magic, version, page count, body CRC.
+const HEADER_LEN: u64 = 16;
+
+impl Spool {
+    /// Starts the temporary file of the journal at `path`, its header's
+    /// page count and checksum left for [`Spool::finish`].
+    fn create(path: &Path) -> StorageResult<Spool> {
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(tmp_path(path))?;
+        let mut file = BufWriter::new(file);
+        let mut header = (MAGIC, VERSION).to_bytes();
+        (0u32, 0u32).encode(&mut header);
+        file.write_all(&header)?;
+        Ok(Spool {
+            file,
+            crc: u32::MAX,
+            len: 0,
+        })
+    }
+
+    /// Writes what `body` holds and empties it.
+    fn drain(&mut self, body: &mut Body) -> StorageResult<()> {
+        self.file.write_all(&body.bytes)?;
+        self.crc = crc32_update(self.crc, &body.bytes);
+        self.len += body.bytes.len() as u64;
+        body.bytes.clear();
+        Ok(())
+    }
+
+    /// Completes the header for `pages` journaled pages, syncs, and renames
+    /// the file into place: the journal appears atomically, so a crash
+    /// during its own construction leaves either no journal or the previous
+    /// (still-valid) one.  Returns the journal's size in bytes.
+    fn finish(self, path: &Path, pages: u32) -> StorageResult<u64> {
+        let mut file = self.file.into_inner().map_err(|e| e.into_error())?;
+        file.seek(SeekFrom::Start(8))?;
+        file.write_all(&(pages, !self.crc).to_bytes())?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(tmp_path(path), path)?;
+        sync_dir(path.parent().unwrap_or(Path::new(".")));
+        Ok(HEADER_LEN + self.len)
+    }
 }
 
 /// Journals what the checkpoint's in-place writes are about to destroy:
@@ -295,11 +330,14 @@ pub fn write_pre_images<P: Deref<Target = Page>>(
     let mut body = Body::default();
     let mut journaled = HashSet::new();
     let mut disk = Page::new();
-    if let Some(earlier) = load_valid(path)? {
+    let earlier = load_valid(path)?;
+    let mut spool = Spool::create(path)?;
+    if let Some(earlier) = earlier {
         for (id, span) in &earlier.pages {
             pager.read(*id, &mut disk)?;
             earlier.restore(span, &mut disk);
             body.push_page(*id, &disk, None);
+            spool.drain(&mut body)?;
             journaled.insert(*id);
         }
     }
@@ -308,9 +346,10 @@ pub fn write_pre_images<P: Deref<Target = Page>>(
         if id < fresh_from && journaled.insert(id) {
             pager.read(id, &mut disk)?;
             body.push_page(id, &disk, new.as_deref());
+            spool.drain(&mut body)?;
         }
     }
-    write_file(path, &body)
+    spool.finish(path, body.pages)
 }
 
 /// Rolls back the journal at `path`, if a valid one exists: lays every
@@ -358,6 +397,14 @@ pub fn discard(path: &Path) -> StorageResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A journal file holding `body` whole.
+    fn write_file(path: &Path, body: &Body) -> StorageResult<u64> {
+        let mut spool = Spool::create(path)?;
+        let (bytes, pages) = (body.bytes.clone(), body.pages);
+        spool.drain(&mut Body { bytes, pages })?;
+        spool.finish(path, pages)
+    }
     use crate::page::SlotId;
     use crate::pager::MemPager;
     use crate::replacement::tests::Rng;
