@@ -84,6 +84,19 @@ impl DistinctSketch {
         // The 1-based position of the first set bit after the register
         // bits; the sentinel bit caps it at `MAX_RANK`.
         let rank = ((hash << SKETCH_BITS) | 1 << (SKETCH_BITS - 1)).leading_zeros() as u8 + 1;
+        self.raise(register, rank);
+    }
+
+    /// Counts every key `other` counted (register-wise max): a sketch kept
+    /// apart while its keys might still be taken back, added once they
+    /// cannot.
+    pub(crate) fn merge(&mut self, other: &DistinctSketch) {
+        let ranks = other.registers.iter().enumerate();
+        ranks.for_each(|(register, &rank)| self.raise(register, rank));
+    }
+
+    /// Raises `register` to `rank`, keeping the estimator's sums current.
+    fn raise(&mut self, register: usize, rank: u8) {
         let slot = &mut self.registers[register];
         if rank > *slot {
             self.sum -= 1 << (MAX_RANK - *slot);
@@ -280,6 +293,24 @@ mod tests {
                 "{n} distinct keys estimated as {estimate}"
             );
         }
+    }
+
+    #[test]
+    fn merged_sketches_count_the_union() {
+        let (mut left, mut right, mut whole) = (
+            DistinctSketch::new(),
+            DistinctSketch::new(),
+            DistinctSketch::new(),
+        );
+        for i in 0..30_000u32 {
+            let key = format!("w{}", i % 20_000);
+            [&mut left, &mut right][i as usize % 2].insert(key.as_bytes());
+            whole.insert(key.as_bytes());
+        }
+        left.merge(&right);
+        assert_eq!(left.registers, whole.registers);
+        assert_eq!((left.sum, left.zeros), (whole.sum, whole.zeros));
+        assert_eq!(left.estimate(), whole.estimate());
     }
 
     #[test]

@@ -235,6 +235,9 @@ trait IndexKey: Clone + Into<Datum> + 'static {
     /// The key `datum` holds, moved out, if the datum is of this type.
     fn from_datum(datum: Datum) -> Option<Self>;
 
+    /// The key `datum` holds, borrowed, if the datum is of this type.
+    fn key_of(datum: &Datum) -> Option<&Self>;
+
     /// The typed query inside a *leaf* `predicate`, if it is over this type.
     fn query_of(predicate: &Predicate) -> Option<&Self::Query>;
 }
@@ -245,6 +248,13 @@ macro_rules! index_key {
             type Query = $query;
 
             fn from_datum(datum: Datum) -> Option<Self> {
+                match datum {
+                    $datum(key) => Some(key),
+                    _ => None,
+                }
+            }
+
+            fn key_of(datum: &Datum) -> Option<&Self> {
                 match datum {
                     $datum(key) => Some(key),
                     _ => None,
@@ -269,6 +279,11 @@ fn key_type_mismatch() -> StorageError {
     StorageError::Unsupported("datum type does not match the index key type".into())
 }
 
+/// The typed key inside `datum`, borrowed, or a mismatch error.
+fn typed_key<K: IndexKey>(datum: &Datum) -> StorageResult<&K> {
+    K::key_of(datum).ok_or_else(key_type_mismatch)
+}
+
 /// Moves the typed `(key, row)` items an index consumes out of `items`,
 /// rejecting any mismatched datum.
 fn typed_items<K: IndexKey>(items: Vec<(Datum, RowId)>) -> StorageResult<Vec<(K, RowId)>> {
@@ -285,11 +300,10 @@ fn typed_items<K: IndexKey>(items: Vec<(Datum, RowId)>) -> StorageResult<Vec<(K,
 /// once, for every [`SpIndex`] whose key type has an [`IndexKey`]
 /// conversion.
 pub(crate) trait IndexAccess: Send + Sync {
-    /// Inserts a batch of `(datum, row)` items in one call (a single-row
-    /// insert is a batch of one).  Atomicity of the batch with respect to
-    /// other statements comes from the caller's DML lock, not from the
-    /// index.
-    fn insert_batch(&self, items: &[(Datum, RowId)]) -> StorageResult<()>;
+    /// Inserts one `(datum, row)` item.  A statement of many rows is many
+    /// calls: its atomicity with respect to other statements comes from the
+    /// caller's DML lock, not from the index.
+    fn insert(&self, datum: &Datum, row: RowId) -> StorageResult<()>;
 
     /// Builds the index from the full `(datum, row)` set in one
     /// `spgistbuild` pass (see [`SpIndex::bulk_build`]); the index must be
@@ -349,8 +363,8 @@ where
     I: SpIndex + Send + Sync,
     I::Key: IndexKey<Query = I::Query>,
 {
-    fn insert_batch(&self, items: &[(Datum, RowId)]) -> StorageResult<()> {
-        SpIndex::insert_batch(self, typed_items(items.to_vec())?)
+    fn insert(&self, datum: &Datum, row: RowId) -> StorageResult<()> {
+        SpIndex::insert(self, typed_key::<I::Key>(datum)?.clone(), row)
     }
 
     fn bulk_build(&self, items: Vec<(Datum, RowId)>) -> StorageResult<()> {
@@ -358,13 +372,11 @@ where
     }
 
     fn delete(&self, datum: &Datum, row: RowId) -> StorageResult<bool> {
-        let key = I::Key::from_datum(datum.clone()).ok_or_else(key_type_mismatch)?;
-        SpIndex::delete(self, &key, row)
+        SpIndex::delete(self, typed_key::<I::Key>(datum)?, row)
     }
 
     fn admits(&self, datum: &Datum) -> StorageResult<()> {
-        let key = I::Key::from_datum(datum.clone()).ok_or_else(key_type_mismatch)?;
-        SpIndex::admits(self, &key)
+        SpIndex::admits(self, typed_key::<I::Key>(datum)?)
     }
 
     fn scan<'t>(&'t self, predicate: &Predicate, ordered: bool) -> StorageResult<RowStream<'t>> {
@@ -990,13 +1002,14 @@ mod tests {
             // A datum of another key type is refused on every write path,
             // before anything lands.
             let foreign = [(foreign_datum.clone(), 7)];
-            assert_eq!(unsupported(ix.insert_batch(&foreign)), WRONG_DATUM);
+            assert_eq!(unsupported(ix.insert(&foreign_datum, 7)), WRONG_DATUM);
+            assert_eq!(unsupported(ix.admits(&foreign_datum)), WRONG_DATUM);
             assert_eq!(unsupported(ix.bulk_build(foreign.to_vec())), WRONG_DATUM);
             assert_eq!(unsupported(ix.delete(&foreign_datum, 7)), WRONG_DATUM);
-            // So is a batch with one foreign datum among good ones.
+            // So is a build with one foreign datum among good ones.
             let mut mixed: Vec<(Datum, RowId)> = keys.iter().cloned().zip(0..).collect();
             mixed.push((foreign_datum, 99));
-            assert_eq!(unsupported(ix.insert_batch(&mixed)), WRONG_DATUM);
+            assert_eq!(unsupported(ix.bulk_build(mixed)), WRONG_DATUM);
             assert_eq!(
                 ix.scan(&predicate, false).unwrap().count(),
                 0,
@@ -1018,7 +1031,9 @@ mod tests {
             // back with its row from every class but the suffix tree.
             assert_eq!(ix.returns_keys(), spec != IndexSpec::SuffixTree);
             let items: Vec<(Datum, RowId)> = keys.iter().cloned().zip(0..).collect();
-            ix.insert_batch(&items).unwrap();
+            for (datum, row) in &items {
+                ix.insert(datum, *row).unwrap();
+            }
             let scan = |ix: &dyn IndexAccess| {
                 let mut rows: Vec<(RowId, Option<Datum>)> = ix
                     .scan(&predicate, false)
@@ -1114,7 +1129,9 @@ mod tests {
         let indexes =
             [("trie", IndexSpec::Trie), ("suffix", IndexSpec::SuffixTree)].map(|(name, spec)| {
                 let named = NamedIndex::create(Arc::clone(&pool), name, spec).unwrap();
-                named.index.insert_batch(&items).unwrap();
+                for (datum, row) in &items {
+                    named.index.insert(datum, *row).unwrap();
+                }
                 named
             });
         let rows = CountingRows {

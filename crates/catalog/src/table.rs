@@ -8,7 +8,7 @@
 //!
 //! **One way to change a row.**  Auto-commit DML, transactional statements,
 //! WAL replay and transaction undo all funnel into two private primitives:
-//! `apply_rows` makes rows live at given ids and `remove_row` makes one
+//! `apply_row` makes a row live at a given id and `remove_row` makes one
 //! dead.  Each applies the full set of effects — heap record, row-directory
 //! slot, distinct-value statistic, dirty checkpoint chunk, every index —
 //! so no path can forget one.  The public and crate-internal entry points
@@ -27,6 +27,7 @@
 //! (`&mut`), the executor's analog of PostgreSQL's `AccessExclusiveLock`.
 
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -36,7 +37,7 @@ use spgist_storage::{
     AccessHint, BufferPool, HeapFile, MetricKind, Metrics, PageId, RecordId, StorageError,
     StorageResult,
 };
-use spgist_wal::{Lsn, TxnId, Wal, WalRecord, AUTOCOMMIT};
+use spgist_wal::{InsertFrame, Lsn, TxnId, Wal, WalRecord, AUTOCOMMIT};
 
 use crate::am::Catalog;
 use crate::cost::{key_hash, DistinctSketch, TableStats};
@@ -341,21 +342,30 @@ impl Table {
     /// assigned row ids in input order.
     ///
     /// Unlike a loop of [`Table::insert`] calls, the whole batch takes the
-    /// table's DML lock once, appends every value to the heap under one
-    /// table-latch acquisition, and then hands each physical index the
-    /// whole batch in one call — one statement with respect to other DML,
-    /// and one WAL record instead of many.  A concurrent *cursor* (which
-    /// takes no lock) may observe part of the batch mid-flight; it never
-    /// observes a dangling index entry.
+    /// table's DML lock once and is one WAL record instead of many — one
+    /// statement with respect to other DML.  It is **one pass** over `data`,
+    /// as `COPY` streams its rows: each value is checked (key type, and
+    /// what every index admits), encoded once into a reused buffer,
+    /// appended to the heap and the row directory, inserted into every
+    /// index, and appended to the redo record being built — no list of the
+    /// batch's values or encodings is ever held.
+    ///
+    /// The statement is all-or-nothing.  A value refused at position k
+    /// (wrong key type, not admitted by an index, too large for a heap
+    /// page) takes the k rows before it back out in reverse, gives their
+    /// row ids back to the next statement, and logs nothing.  A concurrent
+    /// *cursor* (which takes no lock) may observe part of the batch
+    /// mid-flight — including rows of a batch that is then refused; it
+    /// never observes a dangling index entry.
     pub fn insert_many<I>(&self, data: I) -> StorageResult<Vec<RowId>>
     where
         I: IntoIterator,
         I::Item: Into<Datum>,
     {
-        let data: Vec<Datum> = data.into_iter().map(Into::into).collect();
-        let (rows, lsn) = self.insert_many_logged(data, AUTOCOMMIT)?;
+        let data = data.into_iter().map(Into::into);
+        let (rows, lsn) = self.insert_many_logged(data, AUTOCOMMIT, true)?;
         self.wait_durable(lsn)?;
-        Ok(rows)
+        Ok(rows.collect())
     }
 
     /// Deletes the row, removing it from the heap and every index; returns
@@ -390,78 +400,94 @@ impl Table {
         datum: Datum,
         txn: TxnId,
     ) -> StorageResult<(RowId, Option<Lsn>)> {
-        let (rows, lsn) = self.append_logged(vec![datum], txn, false)?;
-        Ok((rows[0], lsn))
+        let (rows, lsn) = self.insert_many_logged(std::iter::once(datum), txn, false)?;
+        Ok((rows.start, lsn))
     }
 
     /// The apply-and-log half of [`Table::insert_many`] (see
-    /// [`Table::insert_logged`] for the auto-commit/transaction split).
-    /// One redo record covers the whole batch: recovery reproduces its
-    /// all-or-nothing visibility.
-    pub(crate) fn insert_many_logged(
-        &self,
-        data: Vec<Datum>,
-        txn: TxnId,
-    ) -> StorageResult<(Vec<RowId>, Option<Lsn>)> {
-        self.append_logged(data, txn, true)
-    }
-
-    /// Appends `data` at the next row ids as one statement and submits its
-    /// redo record: one `InsertMany` when `batch`, else the single-row
-    /// `Insert` form (`data` is then exactly one datum).
+    /// [`Table::insert_logged`] for the auto-commit/transaction split):
+    /// appends `data` at the next row ids as one statement, in one pass,
+    /// and submits its redo record — one `InsertMany` covering the whole
+    /// batch when `batch` (recovery reproduces its all-or-nothing
+    /// visibility), else the single-row `Insert` form (`data` is then
+    /// exactly one datum).  Each row's encoding goes into the record as the
+    /// row is applied; a refused value rolls the statement back (see
+    /// [`Table::insert_many`]).
     ///
     /// The record is submitted *inside* the DML lock (a checkpoint's log cut
     /// must see statement-and-record as one unit); the caller waits for the
     /// fsync *outside* it.
-    fn append_logged(
+    pub(crate) fn insert_many_logged(
         &self,
-        data: Vec<Datum>,
+        mut data: impl Iterator<Item = Datum>,
         txn: TxnId,
         batch: bool,
-    ) -> StorageResult<(Vec<RowId>, Option<Lsn>)> {
-        if let Some(bad) = data.iter().find(|d| d.key_type() != self.key_type) {
+    ) -> StorageResult<(Range<RowId>, Option<Lsn>)> {
+        let dml = self.dml.lock();
+        let first_row = self.row_count();
+        let mut frame = self.wal.as_ref().map(|_| match batch {
+            true => InsertFrame::many(&self.name, first_row, data.size_hint().0 as u64, txn),
+            false => InsertFrame::one(&self.name, first_row, txn),
+        });
+        // A batch's keys are counted apart and added to the statistic only
+        // once the batch stands: a refused one must not move it.
+        let mut keys = batch.then(DistinctSketch::new);
+        let mut record = Vec::new();
+        let mut next = first_row;
+        let applied = data.try_for_each(|datum| {
+            self.check(&datum)?;
+            record.clear();
+            datum.encode_record_into(&mut record);
+            if let Some(frame) = &mut frame {
+                frame.push(&record)?;
+            }
+            self.apply_row(&datum, &record, next, keys.as_mut())?;
+            next += 1;
+            Ok(())
+        });
+        if let Err(e) = applied {
+            return self.roll_back(first_row).and(Err(e));
+        }
+        if next == first_row {
+            return Ok((first_row..next, None));
+        }
+        if let Some(keys) = &keys {
+            self.inner.write().distinct.merge(keys);
+        }
+        let lsn = match (&self.wal, frame) {
+            (Some(wal), Some(frame)) => Some(wal.submit_frame(frame.finish())?),
+            _ => None,
+        };
+        drop(dml);
+        Ok((first_row..next, lsn))
+    }
+
+    /// Refuses a value this table cannot store — another key type, or one
+    /// an index does not admit — before any of it lands.
+    fn check(&self, datum: &Datum) -> StorageResult<()> {
+        if datum.key_type() != self.key_type {
             return Err(StorageError::Unsupported(format!(
                 "cannot insert a {} value into table {:?} of type {}",
-                bad.key_type().name(),
+                datum.key_type().name(),
                 self.name,
                 self.key_type.name()
             )));
         }
-        for named in &self.indexes {
-            data.iter()
-                .try_for_each(|datum| named.index.admits(datum))?;
+        self.indexes
+            .iter()
+            .try_for_each(|named| named.index.admits(datum))
+    }
+
+    /// Takes a refused statement's rows — every row from `first_row` to the
+    /// row directory's end — back out in reverse, and truncates the
+    /// directory so the next statement is assigned `first_row` again.
+    /// Unlogged: a refused statement logs nothing.
+    fn roll_back(&self, first_row: RowId) -> StorageResult<()> {
+        for row in (first_row..self.row_count()).rev() {
+            self.remove_row(row)?;
         }
-        if data.is_empty() {
-            return Ok((Vec::new(), None));
-        }
-        let mut records: Vec<Vec<u8>> = data.iter().map(Datum::encode_record).collect();
-        let dml = self.dml.lock();
-        let first_row = self.inner.read().rows.len() as RowId;
-        let items: Vec<(Datum, RowId)> = data.into_iter().zip(first_row..).collect();
-        self.apply_rows(&items, &records)?;
-        let lsn = match &self.wal {
-            Some(wal) => {
-                let table = self.name.clone();
-                Some(wal.submit(&if batch {
-                    WalRecord::InsertMany {
-                        table,
-                        first_row,
-                        datums: records,
-                        txn,
-                    }
-                } else {
-                    WalRecord::Insert {
-                        table,
-                        row: first_row,
-                        datum: records.pop().expect("a one-row statement has one record"),
-                        txn,
-                    }
-                })?)
-            }
-            None => None,
-        };
-        drop(dml);
-        Ok((items.into_iter().map(|(_, row)| row).collect(), lsn))
+        self.inner.write().rows.truncate(first_row as usize);
+        Ok(())
     }
 
     /// The apply-and-log half of [`Table::delete`] (see
@@ -478,7 +504,8 @@ impl Table {
         let Some(datum) = self.remove_row(row)? else {
             return Ok((None, None));
         };
-        // Submit under the DML lock, wait outside it (see `append_logged`).
+        // Submit under the DML lock, wait outside it (see
+        // `insert_many_logged`).
         let lsn = match &self.wal {
             Some(wal) => Some(wal.submit(&WalRecord::Delete {
                 table: self.name.clone(),
@@ -491,34 +518,41 @@ impl Table {
         Ok((Some(datum), lsn))
     }
 
-    /// **DML primitive 1 of 2: apply rows at these ids.**  Makes every
-    /// `(datum, row id)` of `items` live — heap record (`records[i]` is the
-    /// encoded form of `items[i]`), row-directory slot, distinct-value
-    /// statistic, dirty checkpoint chunk and an entry in every index (the
-    /// trees keep their own planner statistics current).  Each row id must
-    /// be either the next unallocated one (an append) or an allocated dead
-    /// slot (the undo of a delete).  Unlogged: callers hold the DML lock and
-    /// decide what, if anything, reaches the WAL.
+    /// **DML primitive 1 of 2: apply a row at this id.**  Makes `datum`
+    /// live at `row` — heap record (`record` is its encoded form),
+    /// row-directory slot, dirty checkpoint chunk and an entry in every
+    /// index (the trees keep their own planner statistics current) — and
+    /// counts its key into `keys`, or into the table's distinct-value
+    /// statistic when `None`.  The row id must be either the next
+    /// unallocated one (an append) or an allocated dead slot (the undo of a
+    /// delete).  Unlogged: callers hold the DML lock and decide what, if
+    /// anything, reaches the WAL.
     ///
-    /// The heap changes land under the table latch, which is released
+    /// The heap change lands under the table latch, which is released
     /// before the indexes are touched — so a concurrent query sees either
-    /// nothing (not yet indexed) or a fully fetchable row.
-    fn apply_rows(&self, items: &[(Datum, RowId)], records: &[Vec<u8>]) -> StorageResult<()> {
+    /// nothing (not yet indexed) or a fully fetchable row.  If an index
+    /// refuses the row, the row stays in the directory for the caller's
+    /// rollback ([`Table::remove_row`] tolerates the indexes it missed).
+    fn apply_row(
+        &self,
+        datum: &Datum,
+        record: &[u8],
+        row: RowId,
+        keys: Option<&mut DistinctSketch>,
+    ) -> StorageResult<()> {
         {
             let mut inner = self.inner.write();
-            for ((_, row), record) in items.iter().zip(records) {
-                let rid = inner.heap.insert(record)?;
-                match inner.rows.get_mut(*row as usize) {
-                    Some(slot) => *slot = Some(rid),
-                    None => inner.rows.push(Some(rid)),
-                }
-                inner.live_rows += 1;
-                inner.distinct.insert(record);
-                inner.dirty.mark_row(*row);
+            let rid = inner.heap.insert(record)?;
+            match inner.rows.get_mut(row as usize) {
+                Some(slot) => *slot = Some(rid),
+                None => inner.rows.push(Some(rid)),
             }
+            inner.live_rows += 1;
+            inner.dirty.mark_row(row);
+            keys.unwrap_or(&mut inner.distinct).insert(record);
         }
         for named in &self.indexes {
-            named.index.insert_batch(items)?;
+            named.index.insert(datum, row)?;
         }
         Ok(())
     }
@@ -563,12 +597,8 @@ impl Table {
         first_row: RowId,
         records: Vec<Vec<u8>>,
     ) -> StorageResult<()> {
-        let datums = records
-            .iter()
-            .map(|r| Datum::decode_record(r))
-            .collect::<StorageResult<Vec<_>>>()?;
         let _dml = self.dml.lock();
-        let next = self.inner.read().rows.len() as RowId;
+        let next = self.row_count();
         let end = first_row + records.len() as RowId;
         if next >= end {
             return Ok(()); // wholly inside the checkpoint image
@@ -580,8 +610,10 @@ impl Table {
                 self.name
             )));
         }
-        let items: Vec<(Datum, RowId)> = datums.into_iter().zip(first_row..).collect();
-        self.apply_rows(&items, &records)
+        for (record, row) in records.iter().zip(first_row..) {
+            self.apply_row(&Datum::decode_record(record)?, record, row, None)?;
+        }
+        Ok(())
     }
 
     /// Re-executes a logged, committed delete during recovery.  A logged
@@ -626,7 +658,7 @@ impl Table {
         if !matches!(self.inner.read().rows.get(row as usize), Some(None)) {
             return Ok(());
         }
-        self.apply_rows(&[(datum.clone(), row)], &[datum.encode_record()])
+        self.apply_row(datum, &datum.encode_record(), row, None)
     }
 
     /// Replays a loser transaction's logged insert of `count` rows starting
@@ -948,7 +980,7 @@ impl std::fmt::Debug for Table {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::database::tests::word_table;
     use crate::database::Database;
@@ -1012,6 +1044,112 @@ mod tests {
             .insert_many(Vec::<Datum>::new())
             .unwrap()
             .is_empty());
+    }
+
+    /// What a refused statement must leave as it found it: live rows, the
+    /// next row id, each index's count and counted items (read through a
+    /// second, typed handle on its pages), the distinct statistic and the
+    /// log's next LSN.
+    pub(crate) type Unchanged = (u64, RowId, Vec<(u64, u64)>, u64, Lsn);
+
+    pub(crate) fn unchanged(db: &Database, name: &str) -> Unchanged {
+        use spgist_indexes::{SpIndex, SuffixOps, SuffixTreeIndex, TrieIndex, TrieOps};
+        let table = db.table(name).unwrap();
+        let indexes = table.indexes.iter().map(|named| {
+            let pi = named.persisted();
+            let (pool, pages) = (Arc::clone(db.pool()), pi.pages.clone());
+            let counts = |len: u64, stats: StorageResult<spgist_core::TreeStats>| {
+                (len, stats.unwrap().items)
+            };
+            match named.spec {
+                IndexSpec::Trie => {
+                    let ops = TrieOps::with_config(pi.config);
+                    let ix = TrieIndex::open_with_ops(pool, ops, pi.meta_page, pages).unwrap();
+                    counts(ix.len(), ix.stats())
+                }
+                IndexSpec::SuffixTree => {
+                    let ops = SuffixOps::with_config(pi.config);
+                    let ix = SuffixTreeIndex::open_with_ops(pool, ops, pi.meta_page, pages);
+                    let ix = ix.unwrap();
+                    counts(ix.len(), ix.stats())
+                }
+                other => panic!("no typed handle for {other:?}"),
+            }
+        });
+        (
+            table.len(),
+            table.row_count(),
+            indexes.collect(),
+            table.table_stats().distinct_values,
+            db.wal.as_ref().unwrap().next_lsn(),
+        )
+    }
+
+    /// `insert_many` is one pass, and still all-or-nothing: a batch refused
+    /// at its k-th value (k > 0) — a value of another key type, or a word
+    /// the suffix tree cannot store — takes its first k rows back out
+    /// (thousands, past a merge of the suffix tree's pending list), gives
+    /// their row ids back and logs nothing.
+    #[test]
+    fn a_batch_refused_at_its_kth_value_changes_nothing() {
+        let dir = std::env::temp_dir().join(format!("spgist-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.pages");
+        let mut db = Database::create(&path).unwrap();
+        db.create_table("words", KeyType::Varchar).unwrap();
+        db.create_index("words", "trie", IndexSpec::Trie).unwrap();
+        db.create_index("words", "suffix", IndexSpec::SuffixTree)
+            .unwrap();
+        let words = spgist_datagen::words(6_000, 0x5eed_0045);
+        let table = db.table_handle("words").unwrap();
+        table.insert_many(words[..1_000].iter().cloned()).unwrap();
+        let before = unchanged(&db, "words");
+        let answers = |db: &Database| {
+            let probes = ["ab", "zq", &words[1_003][1..]].map(Predicate::str_substring);
+            probes.map(|probe| {
+                let mut rows = db.query("words", probe).unwrap().rows().unwrap();
+                rows.sort_unstable();
+                rows
+            })
+        };
+        let answered = answers(&db);
+
+        let refusals = [
+            (3_500, Datum::Point(Point::new(1.0, 2.0)), "POINT"),
+            (7, Datum::from("naïve"), "ASCII"),
+        ];
+        for (k, bad, says) in refusals {
+            let batch = words[1_000..1_000 + k].iter().cloned().map(Datum::from);
+            let batch = batch.chain([bad]).chain([Datum::from("after")]);
+            let refused = table.insert_many(batch);
+            assert!(
+                matches!(&refused, Err(StorageError::Unsupported(msg)) if msg.contains(says)),
+                "{refused:?}"
+            );
+            assert_eq!(unchanged(&db, "words"), before, "refused at {k}");
+            assert_eq!(answers(&db), answered, "refused at {k}");
+        }
+        let merges = db.metrics().get("index.words.suffix.pending_merges");
+        assert!(merges > Some(0), "the refused rows reached the tree");
+        // The next statement gets the refused batch's first row id, and the
+        // indexes answer as before it.
+        assert_eq!(table.insert("zzzq").unwrap(), before.1);
+        let rows = |query: Predicate| db.query("words", query).unwrap().rows().unwrap();
+        assert_eq!(rows(Predicate::str_substring("zzq")), [before.1]);
+        assert!(rows(Predicate::str_equals(&words[1_003])).is_empty());
+        drop(table);
+        db.close().unwrap();
+        let db = Database::open(&path).unwrap();
+        assert_eq!(db.table("words").unwrap().len(), before.0 + 1);
+        assert!(db
+            .query("words", Predicate::str_equals(&words[1_003]))
+            .unwrap()
+            .rows()
+            .unwrap()
+            .is_empty());
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -151,16 +151,16 @@ impl<'db> Transaction<'db> {
     {
         let t = self.table(table)?;
         self.ensure_begun()?;
-        let data: Vec<Datum> = data.into_iter().map(Into::into).collect();
-        let (rows, _lsn) = t.insert_many_logged(data, self.id)?;
-        if let Some(&first_row) = rows.first() {
+        let data = data.into_iter().map(Into::into);
+        let (rows, _lsn) = t.insert_many_logged(data, self.id, true)?;
+        if !rows.is_empty() {
             self.undo.push(UndoOp::InsertMany {
                 table: t,
-                first_row,
-                count: rows.len() as u64,
+                first_row: rows.start,
+                count: rows.end - rows.start,
             });
         }
-        Ok(rows)
+        Ok(rows.collect())
     }
 
     /// Deletes a row from `table` under this transaction; returns whether
@@ -369,6 +369,57 @@ mod tests {
         a.commit().unwrap();
         b.abort().unwrap();
         c.commit().unwrap();
+    }
+
+    /// A batch refused inside a transaction is a statement that never ran:
+    /// nothing logged, no undo entry, its row ids taken by the next
+    /// statement — and the transaction's other statements commit or abort
+    /// as if it had not been tried, before and after a crash.
+    #[test]
+    fn a_batch_refused_in_a_transaction_changes_nothing() {
+        use crate::physical::IndexSpec;
+        use crate::query::Predicate;
+        use crate::table::tests::unchanged;
+        let dir = std::env::temp_dir().join(format!("spgist-txn-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("db.pages");
+        {
+            let mut db = Database::create(&path).unwrap();
+            db.create_table("words", KeyType::Varchar).unwrap();
+            db.create_index("words", "trie", IndexSpec::Trie).unwrap();
+            db.create_index("words", "suffix", IndexSpec::SuffixTree)
+                .unwrap();
+            for (commit, word) in [(true, "kept"), (false, "gone")] {
+                let mut txn = db.begin().unwrap();
+                txn.insert_many("words", [1, 2].map(|i| format!("{word}-{i}")))
+                    .unwrap();
+                let before = unchanged(&db, "words");
+                let batch = [Datum::from(format!("{word}-3")), Datum::from("naïve")];
+                let refused = txn.insert_many("words", batch);
+                assert!(matches!(refused, Err(StorageError::Unsupported(_))));
+                assert_eq!(unchanged(&db, "words"), before);
+                assert_eq!(txn.statement_count(), 1);
+                let row = txn.insert("words", format!("{word}-4")).unwrap();
+                assert_eq!(row, before.1, "the refused batch's first row id");
+                if commit {
+                    txn.commit().unwrap();
+                } else {
+                    txn.abort().unwrap();
+                }
+            }
+            let table = db.table("words").unwrap();
+            assert_eq!(table.len(), 3);
+        } // dropped without close: recovery replays the log
+        let db = Database::open(&path).unwrap();
+        let rows = |needle: &str| {
+            let query = Predicate::str_substring(needle);
+            db.query("words", query).unwrap().rows().unwrap().len()
+        };
+        assert_eq!(db.table("words").unwrap().len(), 3);
+        assert_eq!((rows("kept-"), rows("gone-"), rows("-3")), (3, 0, 0));
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

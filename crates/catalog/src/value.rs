@@ -72,21 +72,26 @@ impl Datum {
 
     pub(crate) fn encode_record(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_record_into(&mut out);
+        out
+    }
+
+    /// Appends the record form to `out` (a buffer reused row after row).
+    pub(crate) fn encode_record_into(&self, out: &mut Vec<u8>) {
         match self {
             Datum::Text(s) => {
-                0u8.encode(&mut out);
-                s.encode(&mut out);
+                0u8.encode(out);
+                s.encode(out);
             }
             Datum::Point(p) => {
-                1u8.encode(&mut out);
-                p.encode(&mut out);
+                1u8.encode(out);
+                p.encode(out);
             }
             Datum::Segment(s) => {
-                2u8.encode(&mut out);
-                s.encode(&mut out);
+                2u8.encode(out);
+                s.encode(out);
             }
         }
-        out
     }
 
     pub(crate) fn decode_record(bytes: &[u8]) -> StorageResult<Self> {

@@ -6,7 +6,9 @@
 //!   the pages it writes and one root partition's suffixes at a time —
 //!   never every suffix expanded at once;
 //! * while a checkpoint flushes its dirty pages, it holds them in place —
-//!   never a copy of each.
+//!   never a copy of each;
+//! * while `insert_many` loads a batch, it holds the batch once, as its
+//!   redo record's frame.
 //!
 //! The tests take turns ([`serial`]): the counters see every thread.
 
@@ -189,5 +191,52 @@ fn checkpoint_holds_its_dirty_pages_without_copying_them() {
          its dirty pages ({dirty_bytes} B) and its journal ({journal} B)"
     );
     db.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A durable bulk load streams its batch: each value is checked, encoded
+/// into one reused buffer, applied, and appended to the statement's one
+/// redo record.  At its peak the call holds what it keeps (the pool frames
+/// it fills, the row directory, the returned row ids) and that record's
+/// WAL frame — not the batch again as values, encodings, `(value, row)`
+/// pairs, a payload and a flusher's copy of it, which held four times the
+/// frame's bytes on top.
+#[test]
+fn insert_many_holds_one_copy_of_its_batch() {
+    let _serial = serial();
+    let dir = std::env::temp_dir().join(format!("spgist-load-memory-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = {
+        let mut db = Database::create(dir.join("db.pages")).unwrap();
+        db.create_table("words", KeyType::Varchar).unwrap();
+        db
+    };
+    let batch = words(80_000, 0x5eed_0045);
+    // The batch's redo record, framed: per word a length byte, the datum
+    // tag, the string's length byte and its bytes; then the frame header,
+    // tag, table name, first row, count and transaction id.
+    assert!(batch.iter().all(|w| w.len() < 126));
+    let frame: usize = batch.iter().map(|w| 3 + w.len()).sum::<usize>() + 64;
+
+    let base = reset_peak();
+    let rows = db
+        .table("words")
+        .unwrap()
+        .insert_many(batch.iter().cloned())
+        .unwrap();
+    let high_water = PEAK.load(Ordering::Relaxed) - base;
+    let kept = live() - base;
+    assert_eq!(rows.len(), batch.len());
+    // The frame grows by doubling, so its buffer is under twice its length.
+    let budget = kept + 2 * frame + (256 << 10);
+    println!("frame {frame} B, kept {kept} B: high water {high_water} B of a {budget} B budget");
+    assert!(
+        high_water < budget,
+        "the load held {high_water} B at its peak: more than it keeps ({kept} B) \
+         and one WAL frame ({frame} B) at twice its length"
+    );
+    drop(rows);
+    drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }

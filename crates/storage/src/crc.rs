@@ -51,7 +51,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Runs the CRC-32 register `crc` (before the final xor) over `bytes`: a
 /// checksum over data written piece by piece starts at `u32::MAX`, and its
 /// value is the final register inverted.
-pub(crate) fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+pub fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let low = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);

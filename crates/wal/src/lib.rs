@@ -32,8 +32,8 @@
 pub mod log;
 pub mod record;
 
-pub use log::{Wal, WalConfig};
-pub use record::{Lsn, TxnId, WalRecord, AUTOCOMMIT};
+pub use log::{Frame, Wal, WalConfig};
+pub use record::{InsertFrame, Lsn, TxnId, WalRecord, AUTOCOMMIT};
 
 #[cfg(test)]
 mod tests {

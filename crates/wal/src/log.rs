@@ -52,9 +52,12 @@
 //!
 //! Writers [`Wal::submit`] a record (cheap: an in-memory append under a
 //! mutex, returning the assigned LSN) and then [`Wal::wait_durable`] on
-//! that LSN.  A dedicated flusher thread drains the submission queue,
-//! writes one batch, issues **one** `fsync` for the whole batch, and wakes
-//! every waiter the sync covered.  It syncs only when someone waits on a
+//! that LSN.  A record is encoded once, straight into its [`Frame`] (a
+//! bulk insert row by row, through [`InsertFrame`](crate::InsertFrame)),
+//! and never copied after: a dedicated flusher thread drains the
+//! submission queue, writes the batch's frames and seal where they lie in
+//! one vectored `write`, issues **one** `fsync` for the whole batch, and
+//! wakes every waiter the sync covered.  It syncs only when someone waits on a
 //! queued record (or the queue reaches a full batch, or the log rotates or
 //! shuts down): records submitted and not awaited — a transaction's
 //! statements ahead of its `CommitTxn` — buy no `fsync` of their own.
@@ -65,13 +68,13 @@
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{self, IoSlice, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use spgist_storage::codec::{take, take_header};
-use spgist_storage::crc::crc32;
+use spgist_storage::crc::{crc32, crc32_update};
 use spgist_storage::pager::sync_dir;
 use spgist_storage::{Codec, StorageError, StorageResult};
 
@@ -92,6 +95,8 @@ const SEGMENT_VERSION: u32 = 4;
 const HEADER_BYTES: u64 = 16;
 /// Bytes in a record frame header (`payload_len`, `crc`).
 const FRAME_HEADER_BYTES: usize = 8;
+/// The most payload bytes a frame's `u32` length field describes.
+pub(crate) const MAX_PAYLOAD_BYTES: usize = u32::MAX as usize;
 /// Magic marker in a batch-seal frame (`"SPGS"`), following the zero
 /// length field that tells it apart from a record frame.
 const SEAL_MAGIC: u32 = 0x5350_4753;
@@ -126,7 +131,7 @@ struct Core {
     /// Next LSN to assign.
     next_lsn: Lsn,
     /// Encoded frames awaiting write, oldest first.
-    pending: VecDeque<Vec<u8>>,
+    pending: VecDeque<Frame>,
     /// LSN of `pending.front()` (meaningless while `pending` is empty).
     pending_first: Lsn,
     /// One past the highest LSN a [`Wal::wait_durable`] caller has asked
@@ -216,12 +221,39 @@ fn scan_segments(dir: &Path, prefix: &str) -> StorageResult<Vec<(u64, PathBuf)>>
     Ok(found)
 }
 
-fn frame(record: &WalRecord) -> Vec<u8> {
-    let payload = record.to_bytes();
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    (payload.len() as u32, crc32(&payload)).encode(&mut out);
-    out.extend_from_slice(&payload);
-    out
+/// One record framed for the log: the frame header (`payload_len`, `crc`)
+/// and the record's payload, in one buffer.  A record is encoded straight
+/// behind the room left for its header, which is then filled in place.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Frame(Vec<u8>);
+
+impl Frame {
+    /// An empty frame buffer: the room for its header, payload to follow.
+    pub(crate) fn begin() -> Vec<u8> {
+        vec![0; FRAME_HEADER_BYTES]
+    }
+
+    /// Closes a buffer from [`Frame::begin`] whose payload is complete by
+    /// filling its header in.
+    pub(crate) fn end(mut bytes: Vec<u8>) -> Frame {
+        let payload = &bytes[FRAME_HEADER_BYTES..];
+        let len = u32::try_from(payload.len()).expect("a record's payload fits its frame");
+        let header = (len, crc32(payload)).to_bytes();
+        bytes[..FRAME_HEADER_BYTES].copy_from_slice(&header);
+        Frame(bytes)
+    }
+
+    /// `record`, framed.
+    pub fn of(record: &WalRecord) -> Frame {
+        let mut bytes = Frame::begin();
+        record.encode(&mut bytes);
+        Frame::end(bytes)
+    }
+
+    /// The frame's bytes as they go to the file.
+    pub fn bytes(&self) -> &[u8] {
+        &self.0
+    }
 }
 
 /// The seal closing a group-committed batch: a zero length field (no
@@ -252,8 +284,8 @@ impl Codec for Seal {
     }
 }
 
-/// One frame of a segment.
-enum Frame<'a> {
+/// One frame of a segment, as read back.
+enum Parsed<'a> {
     Record(&'a [u8]),
     Seal(Seal),
 }
@@ -262,18 +294,18 @@ enum Frame<'a> {
 /// frame whose CRC holds, or a seal whose own CRC does.  Anything else —
 /// short, longer than the bytes left, failing its CRC — is `Decode`: a torn
 /// tail, or damage.
-fn take_frame<'a>(buf: &mut &'a [u8]) -> StorageResult<Frame<'a>> {
+fn take_frame<'a>(buf: &mut &'a [u8]) -> StorageResult<Parsed<'a>> {
     let mut rest = *buf;
     let (len, crc) = <(u32, u32)>::decode(&mut rest)?;
     if len == 0 {
-        return Seal::decode(buf).map(Frame::Seal);
+        return Seal::decode(buf).map(Parsed::Seal);
     }
     let payload = take(&mut rest, len as usize)?;
     if crc32(payload) != crc {
         return Err(StorageError::Decode("record CRC mismatch".into()));
     }
     *buf = rest;
-    Ok(Frame::Record(payload))
+    Ok(Parsed::Record(payload))
 }
 
 fn create_segment(dir: &Path, prefix: &str, seq: u64, base: Lsn) -> StorageResult<(File, PathBuf)> {
@@ -324,14 +356,14 @@ fn scan_segment(path: &Path, is_last: bool) -> StorageResult<ScannedSegment> {
         match take_frame(&mut rest) {
             // A matching CRC over bytes that do not decode is not a torn
             // write.
-            Ok(Frame::Record(payload)) => pending.push(
+            Ok(Parsed::Record(payload)) => pending.push(
                 WalRecord::from_bytes(payload)
                     .map_err(|e| corrupt(format!("record at byte {at} does not decode: {e}")))?,
             ),
             // A seal vouches for exactly the frames written since the
             // previous seal: one that survived a crash ahead of its batch's
             // record bytes must not commit them.
-            Ok(Frame::Seal(seal))
+            Ok(Parsed::Seal(seal))
                 if seal.records as usize == pending.len()
                     && seal.batch_crc == crc32(&bytes[batch_start..at]) =>
             {
@@ -520,7 +552,12 @@ impl Wal {
     /// returned LSN before acknowledging the write — but may (and, for
     /// group commit to batch, should) release its own locks in between.
     pub fn submit(&self, record: &WalRecord) -> StorageResult<Lsn> {
-        let bytes = frame(record);
+        self.submit_frame(Frame::of(record))
+    }
+
+    /// [`Wal::submit`] for a record already framed, such as an
+    /// [`InsertFrame`](crate::InsertFrame) built row by row.
+    pub fn submit_frame(&self, frame: Frame) -> StorageResult<Lsn> {
         let mut core = self.shared.core.lock().expect("wal core mutex");
         if core.shutdown {
             drop(core);
@@ -532,7 +569,7 @@ impl Wal {
         if core.pending.is_empty() {
             core.pending_first = lsn;
         }
-        core.pending.push_back(bytes);
+        core.pending.push_back(frame);
         core.next_lsn += 1;
         drop(core);
         self.shared.work.notify_all();
@@ -594,7 +631,7 @@ impl Wal {
                 .poison()
                 .unwrap_or_else(|| io_err("write-ahead log is shut down".into())));
         }
-        let frames: Vec<Vec<u8>> = core.pending.drain(..).collect();
+        let frames: Vec<Frame> = core.pending.drain(..).collect();
         let cut = core.next_lsn;
         core.pending_first = cut;
         core.flushing = true;
@@ -781,25 +818,59 @@ fn split_prefix(prefix: &Path) -> StorageResult<(PathBuf, String)> {
 }
 
 /// Appends `frames` to the active segment as one sealed batch and syncs
-/// it: every record frame, then the batch seal, then a single `fsync`.
-/// Replay ignores records past the last valid seal, so a crash anywhere
-/// before the sync loses the batch as a unit — never a prefix of it.
-fn write_frames(io: &mut IoState, frames: &[Vec<u8>]) -> StorageResult<()> {
+/// it: every record frame, then the batch seal, in one vectored write,
+/// then a single `fsync`.  The frames are written where they lie, never
+/// gathered into one buffer.  Replay ignores records past the last valid
+/// seal, so a crash anywhere before the sync loses the batch as a unit —
+/// never a prefix of it.
+fn write_frames(io: &mut IoState, frames: &[Frame]) -> StorageResult<()> {
     if frames.is_empty() {
         return Ok(());
     }
-    let mut batch = frames.concat();
-    Seal {
+    let batch_crc = frames
+        .iter()
+        .fold(u32::MAX, |crc, frame| crc32_update(crc, frame.bytes()));
+    let seal = Seal {
         records: frames.len() as u32,
-        batch_crc: crc32(&batch),
+        batch_crc: !batch_crc,
     }
-    .encode(&mut batch);
-    io.file.write_all(&batch)?;
+    .to_bytes();
+    let mut slices: Vec<IoSlice<'_>> = frames
+        .iter()
+        .map(|frame| IoSlice::new(frame.bytes()))
+        .chain(std::iter::once(IoSlice::new(&seal)))
+        .collect();
+    write_all_vectored(&mut io.file, &mut slices)?;
     io.file.sync_data()?;
     io.active_records += frames.len() as u64;
-    io.active_bytes += batch.len() as u64;
+    io.active_bytes += frames_len(frames) + seal.len() as u64;
     io.syncs += 1;
     io.written += frames.len() as u64;
+    Ok(())
+}
+
+/// Bytes in `frames`.
+fn frames_len(frames: &[Frame]) -> u64 {
+    frames.iter().map(|frame| frame.bytes().len() as u64).sum()
+}
+
+/// Writes every byte of `slices`: one vectored `write` when the kernel
+/// takes them all (a batch is one system call), another for whatever a
+/// short write left.
+fn write_all_vectored(out: &mut impl Write, mut slices: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !slices.is_empty() {
+        match out.write_vectored(slices) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write a whole wal batch",
+                ))
+            }
+            Ok(written) => IoSlice::advance_slices(&mut slices, written),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(())
 }
 
@@ -845,7 +916,7 @@ fn flusher_loop(shared: &Shared) {
             core = shared.work.wait(core).expect("wal core mutex");
         }
         let take = core.pending.len().min(MAX_BATCH);
-        let frames: Vec<Vec<u8>> = core.pending.drain(..take).collect();
+        let frames: Vec<Frame> = core.pending.drain(..take).collect();
         let first = core.pending_first;
         core.pending_first += take as u64;
         core.flushing = true;
@@ -855,14 +926,15 @@ fn flusher_loop(shared: &Shared) {
         let result = {
             let mut io = shared.io.lock().expect("wal io mutex");
             let over_budget = io.active_records > 0
-                && io.active_bytes + frames.iter().map(|f| f.len() as u64).sum::<u64>()
-                    > shared.config.segment_bytes;
+                && io.active_bytes + frames_len(&frames) > shared.config.segment_bytes;
             if over_budget {
                 seal_and_open(&mut io, first).and_then(|()| write_frames(&mut io, &frames))
             } else {
                 write_frames(&mut io, &frames)
             }
         };
+        // Written: the frames go before their writers wake.
+        drop(frames);
         match result {
             Ok(()) => {
                 {
@@ -883,5 +955,68 @@ fn flusher_loop(shared: &Shared) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer taking at most `limit` bytes a call, counting its calls.
+    struct Short {
+        limit: usize,
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Short {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.out.len();
+            for buf in bufs {
+                let room = self.limit - (self.out.len() - before);
+                self.out.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A batch is one vectored write when the writer takes it whole, and
+    /// every byte in order when it writes short; a writer that takes
+    /// nothing is an error, not a spin.
+    #[test]
+    fn a_batch_is_one_write_unless_the_write_is_short() {
+        let parts: [&[u8]; 3] = [b"frame one|", b"frame two, longer|", b"seal"];
+        let whole = parts.concat();
+        for (limit, calls) in [
+            (usize::MAX, 1),
+            (whole.len(), 1),
+            (7, whole.len().div_ceil(7)),
+        ] {
+            let mut short = Short {
+                limit,
+                out: Vec::new(),
+                calls: 0,
+            };
+            let mut slices = parts.map(IoSlice::new);
+            write_all_vectored(&mut short, &mut slices).unwrap();
+            assert_eq!(short.out, whole, "limit {limit}");
+            assert_eq!(short.calls, calls, "limit {limit}");
+        }
+        let mut stuck = Short {
+            limit: 0,
+            out: Vec::new(),
+            calls: 0,
+        };
+        let err = write_all_vectored(&mut stuck, &mut parts.map(IoSlice::new)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 }

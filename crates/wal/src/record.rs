@@ -18,7 +18,10 @@
 //! `CommitTxn` did not reach disk is a *loser* and none of its statements
 //! apply at recovery), and [`WalRecord::AbortTxn`].
 
+use spgist_storage::codec::put_varint;
 use spgist_storage::{Codec, StorageError, StorageResult};
+
+use crate::log::{Frame, MAX_PAYLOAD_BYTES};
 
 /// A log sequence number: records are numbered densely from 0 across the
 /// whole log, so `lsn` doubles as "number of records ever appended before
@@ -295,6 +298,85 @@ impl Codec for WalRecord {
     }
 }
 
+/// An `Insert` or `InsertMany` record encoded row by row straight into
+/// its [`Frame`], so a statement's rows are never held as a list of
+/// encodings first.  The finished frame is byte for byte the frame of the
+/// [`WalRecord::Insert`] / [`WalRecord::InsertMany`] with the same fields.
+#[derive(Debug)]
+pub struct InsertFrame {
+    bytes: Vec<u8>,
+    /// `InsertMany` only: where its row count goes, and the bytes held
+    /// there for it so far.
+    count: Option<(usize, usize)>,
+    rows: u64,
+    txn: TxnId,
+}
+
+impl InsertFrame {
+    /// A single-row [`WalRecord::Insert`] of row `row`: push exactly one
+    /// datum.
+    pub fn one(table: &str, row: u64, txn: TxnId) -> Self {
+        Self::start(TAG_INSERT, table, row, None, txn)
+    }
+
+    /// A [`WalRecord::InsertMany`] of rows from `first_row` on, expected
+    /// to be about `expected` rows long (a size hint: the count field is
+    /// sized for it and moved over once if the batch ends another width).
+    pub fn many(table: &str, first_row: u64, expected: u64, txn: TxnId) -> Self {
+        Self::start(TAG_INSERT_MANY, table, first_row, Some(expected), txn)
+    }
+
+    fn start(tag: u8, table: &str, row: u64, expected: Option<u64>, txn: TxnId) -> Self {
+        let mut bytes = Frame::begin();
+        tag.encode(&mut bytes);
+        put_varint(&mut bytes, table.len() as u64);
+        bytes.extend_from_slice(table.as_bytes());
+        row.encode(&mut bytes);
+        let count = expected.map(|rows| {
+            let at = bytes.len();
+            put_varint(&mut bytes, rows);
+            (at, bytes.len() - at)
+        });
+        InsertFrame {
+            bytes,
+            count,
+            rows: 0,
+            txn,
+        }
+    }
+
+    /// Appends the next row's encoded datum, or refuses it (and the
+    /// statement) when the record would outgrow what a frame's length field
+    /// describes.
+    pub fn push(&mut self, datum: &[u8]) -> StorageResult<()> {
+        // Room for the datum's length, the longest row count and the
+        // transaction id that `finish` appends.
+        if self.bytes.len() + datum.len() + 3 * 10 > MAX_PAYLOAD_BYTES {
+            return Err(StorageError::Unsupported(format!(
+                "a statement's redo record may hold at most {MAX_PAYLOAD_BYTES} bytes"
+            )));
+        }
+        put_varint(&mut self.bytes, datum.len() as u64);
+        self.bytes.extend_from_slice(datum);
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// The finished frame.
+    pub fn finish(mut self) -> Frame {
+        match self.count {
+            Some((at, held)) => {
+                let mut count = Vec::new();
+                put_varint(&mut count, self.rows);
+                self.bytes.splice(at..at + held, count);
+            }
+            None => debug_assert_eq!(self.rows, 1, "an Insert record holds one row"),
+        }
+        self.txn.encode(&mut self.bytes);
+        Frame::end(self.bytes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,6 +445,47 @@ mod tests {
             Some("t")
         );
         assert_eq!(WalRecord::CommitTxn { txn: 9 }.table(), None);
+    }
+
+    /// A record streamed row by row is the frame of the record built whole,
+    /// byte for byte: a single-row `Insert`, and an `InsertMany` whose
+    /// count ends the width its size hint promised or another (the field
+    /// moves once), empty included.
+    #[test]
+    fn a_streamed_insert_frame_is_the_frame_of_its_record() {
+        let datum = |i: usize| vec![i as u8; i % 200];
+        let one = WalRecord::Insert {
+            table: "words".into(),
+            row: 70_000,
+            datum: datum(130),
+            txn: 9,
+        };
+        let mut streamed = InsertFrame::one("words", 70_000, 9);
+        streamed.push(&datum(130)).unwrap();
+        assert_eq!(streamed.finish(), Frame::of(&one));
+
+        for (rows, hint) in [
+            (0, 0),
+            (5, 5),
+            (5, 300),
+            (300, 0),
+            (20_000, 127),
+            (128, 128),
+        ] {
+            let many = WalRecord::InsertMany {
+                table: "t".into(),
+                first_row: 12,
+                datums: (0..rows).map(datum).collect(),
+                txn: AUTOCOMMIT,
+            };
+            let mut streamed = InsertFrame::many("t", 12, hint, AUTOCOMMIT);
+            (0..rows).for_each(|i| streamed.push(&datum(i)).unwrap());
+            assert_eq!(
+                streamed.finish(),
+                Frame::of(&many),
+                "{rows} rows, hint {hint}"
+            );
+        }
     }
 
     #[test]

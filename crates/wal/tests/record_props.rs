@@ -14,10 +14,15 @@
 //! (Trailing garbage is also rejected: `from_bytes` demands full
 //! consumption.  The log's framing adds a CRC on top; these properties
 //! hold even without it.)
+//!
+//! And one property of the log around them: a group-committed batch of
+//! many frames of every variant, written by the flusher in one vectored
+//! write, is on disk as exactly those frames and one seal, and reads back
+//! whole.
 
 use spgist_datagen::rng::DetRng;
 use spgist_storage::Codec;
-use spgist_wal::{TxnId, WalRecord};
+use spgist_wal::{Frame, TxnId, Wal, WalConfig, WalRecord};
 
 fn random_name(rng: &mut DetRng) -> String {
     match rng.gen_range(0u32..8) {
@@ -153,4 +158,41 @@ fn unknown_tags_are_rejected() {
             "tag {tag} decoded as a record"
         );
     }
+}
+
+#[test]
+fn a_multi_frame_batch_reads_back_whole() {
+    let dir = std::env::temp_dir().join(format!("spgist-wal-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let prefix = dir.join("db.wal");
+    let mut rng = DetRng::seed_from_u64(0x0BA7_C4ED);
+    let mut records: Vec<WalRecord> = (0..40).map(|i| random_record(&mut rng, i)).collect();
+    records.push(WalRecord::InsertMany {
+        table: "words".into(),
+        first_row: 7,
+        datums: (0..3_000).map(|_| random_blob(&mut rng)).collect(),
+        txn: 0,
+    });
+    {
+        let wal = Wal::create(&prefix, WalConfig::default()).unwrap();
+        // Nobody waits until every record is queued: one batch, one sync.
+        let last = records.iter().map(|r| wal.submit(r).unwrap()).last();
+        wal.wait_durable(last.unwrap()).unwrap();
+        assert_eq!(wal.sync_count(), 1);
+    }
+    // Header, the frames where the writers built them, then the seal.
+    let segment = std::fs::read(dir.join("db.wal.000001")).unwrap();
+    let frames: Vec<u8> = records
+        .iter()
+        .flat_map(|r| Frame::of(r).bytes().to_vec())
+        .collect();
+    assert_eq!(segment.len(), 16 + frames.len() + 20);
+    assert!(segment[16..16 + frames.len()] == frames[..]);
+
+    let (wal, back) = Wal::open(&prefix, WalConfig::default(), 0).unwrap();
+    drop(wal);
+    let expected: Vec<(u64, WalRecord)> = (0..).zip(records).collect();
+    assert!(back == expected, "the batch read back differs");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
