@@ -272,8 +272,8 @@ impl Database {
         self.layout.is_some()
     }
 
-    /// Test hook: poisons the write-ahead log exactly as a flusher I/O
-    /// failure would, so the fail-fast behavior above it (DML and queries
+    /// Test hook: poisons the write-ahead log exactly as an I/O failure in
+    /// a log write or sync would, so the fail-fast behavior above it (DML and queries
     /// rejected until a reopen recovers) can be exercised without a real
     /// disk fault.  No-op for in-memory databases.
     #[doc(hidden)]
@@ -284,8 +284,9 @@ impl Database {
     }
 
     /// The write-ahead log of a durable database (`None` in-memory), with
-    /// its durable-LSN watermark.  Its record and fsync counts are
-    /// `wal.records` / `wal.syncs` in [`Database::metrics`].
+    /// its durable-LSN watermark.  Its record and fsync counts and its
+    /// write-and-sync time are `wal.records` / `wal.syncs` /
+    /// `wal.sync_nanos` in [`Database::metrics`].
     pub fn wal(&self) -> Option<&Arc<Wal>> {
         self.wal.as_ref()
     }
@@ -293,8 +294,8 @@ impl Database {
     /// Every engine counter in one snapshot, named `<section>.<field>`:
     /// `buffer.*` (the pool's `IoStats`), `checkpoint.*` (with
     /// `checkpoint.data_pages_flushed.<table>.<owner>`, the flushed pages of
-    /// each table's heap and indexes), `wal.records` and `wal.syncs` on a
-    /// durable database, and `index.<table>.<index>.*` (each index's latch
+    /// each table's heap and indexes), `wal.records`, `wal.syncs` and
+    /// `wal.sync_nanos` on a durable database, and `index.<table>.<index>.*` (each index's latch
     /// and epoch counters and its pending list).  Built only when called.
     /// Meter a window with [`Metrics::delta_since`]: counters subtract,
     /// gauges keep their end value.
@@ -308,6 +309,7 @@ impl Database {
         if let Some(wal) = &self.wal {
             metrics.push("wal.records", MetricKind::Counter, wal.written_count());
             metrics.push("wal.syncs", MetricKind::Counter, wal.sync_count());
+            metrics.push("wal.sync_nanos", MetricKind::Counter, wal.sync_nanos());
         }
         for table in self.tables.values() {
             table.export_metrics(&mut metrics);

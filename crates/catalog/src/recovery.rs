@@ -304,7 +304,7 @@ mod tests {
             txn2.insert("words", "winner-4").unwrap();
             txn2.commit().unwrap();
             txn.crash_for_test();
-            // Crash without close(): drop(db) drains the WAL flusher, so
+            // Crash without close(): drop(db) drains the WAL queue, so
             // every submitted record is on disk — but no CommitTxn for the
             // first transaction ever was.
         }

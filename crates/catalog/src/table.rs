@@ -934,9 +934,9 @@ impl Table {
 
 /// Fails when the database's write-ahead log has been poisoned by an I/O
 /// failure.  At that point the in-memory state may be ahead of stable
-/// storage with no way to close the gap (the flusher is dead), so the
-/// database stops serving queries and opening transactions rather than hand
-/// out rows whose durability is unknown; DML is already rejected by
+/// storage with no way to close the gap (the log accepts nothing more), so
+/// the database stops serving queries and opening transactions rather than
+/// hand out rows whose durability is unknown; DML is already rejected by
 /// `Wal::submit`.  Reopening recovers to the acknowledged-durable state.
 pub(crate) fn wal_health(wal: &Option<Arc<Wal>>) -> StorageResult<()> {
     match wal {

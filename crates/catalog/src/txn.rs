@@ -248,9 +248,9 @@ impl<'db> Transaction<'db> {
     /// `Database` and reopening, which drops the transaction as a loser.
     ///
     /// The undo list is released first: its entries hold `Arc<Table>`
-    /// handles, and leaking those would keep the WAL (and its flusher
-    /// thread) alive past the `Database` drop — the kill-point harnesses
-    /// rely on that drop draining every submitted record to disk.
+    /// handles, and leaking those would keep the WAL alive past the
+    /// `Database` drop — the kill-point harnesses rely on that drop
+    /// draining every submitted record to disk.
     #[doc(hidden)]
     pub fn crash_for_test(mut self) {
         self.undo.clear();

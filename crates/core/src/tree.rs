@@ -306,18 +306,6 @@ impl<O: SpGistOps> SpGistTree<O> {
         Ok(())
     }
 
-    /// Inserts every `(value, row)` pair, as the loop of
-    /// [`SpGistTree::insert`] does: the reference the equivalence tests
-    /// compare [`SpGistTree::bulk_build`] against.
-    pub fn insert_all<I>(&self, items: I) -> StorageResult<()>
-    where
-        I: IntoIterator<Item = (O::Key, RowId)>,
-    {
-        items
-            .into_iter()
-            .try_for_each(|(value, row)| self.insert(value, row))
-    }
-
     /// One uncounted insert; the caller holds the write gate shared.
     fn insert_one(&self, key: &O::Key, row: RowId) -> StorageResult<()> {
         loop {
@@ -1651,26 +1639,14 @@ mod tests {
     }
 
     #[test]
-    fn insert_all_matches_individual_inserts() {
-        let bulk = new_tree();
-        bulk.insert_all((0..200u32).map(|k| (k, u64::from(k))))
-            .unwrap();
-        let single = new_tree();
-        for k in 0..200u32 {
-            single.insert(k, u64::from(k)).unwrap();
-        }
-        for k in (0..200u32).step_by(13) {
-            assert_eq!(bulk.search(&k).unwrap(), single.search(&k).unwrap());
-        }
-    }
-
-    #[test]
     fn bulk_build_matches_insert_loop_results() {
         let items: Vec<(u32, u64)> = (0..2500u32).map(|k| (k, u64::from(k))).collect();
         let bulk = new_tree();
         let build_stats = bulk.bulk_build(items.clone()).unwrap();
         let loop_tree = new_tree();
-        loop_tree.insert_all(items).unwrap();
+        for (k, row) in items {
+            loop_tree.insert(k, row).unwrap();
+        }
 
         assert_eq!(bulk.len(), loop_tree.len());
         for k in (0..2500u32).step_by(97) {
@@ -1761,7 +1737,9 @@ mod tests {
         let loop_tree =
             SpGistTree::create(Arc::clone(&loop_pool), DigitTrieOps::default()).unwrap();
         let before = loop_pool.stats();
-        loop_tree.insert_all(items.clone()).unwrap();
+        for &(k, row) in &items {
+            loop_tree.insert(k, row).unwrap();
+        }
         loop_pool.flush_all().unwrap();
         let loop_writes = loop_pool.stats().delta_since(&before).physical_writes;
 

@@ -134,13 +134,6 @@ pub trait SpIndex: SpGistBacked {
     /// Inserts one `(key, row)` item (page latches crabbed internally).
     fn insert(&self, key: Self::Key, row: RowId) -> StorageResult<()>;
 
-    /// Inserts a batch of `(key, row)` items — the DML-statement form of
-    /// [`SpIndex::insert`].  The batch is *not* atomic with respect to
-    /// concurrent cursors (readers are never blocked); callers needing
-    /// statement atomicity serialize at a higher layer, as the catalog's
-    /// per-table DML lock does.
-    fn insert_batch(&self, items: Vec<(Self::Key, RowId)>) -> StorageResult<()>;
-
     /// Builds the index from the full `(key, row)` set in one pass — the
     /// paper's `spgistbuild` (Section 4) carried to the index layer.
     ///
@@ -342,10 +335,6 @@ impl<O: SpGistOps> SpIndex for SpGistIndex<O> {
         self.tree.insert(key, row)
     }
 
-    fn insert_batch(&self, items: Vec<(O::Key, RowId)>) -> StorageResult<()> {
-        self.tree.insert_all(items)
-    }
-
     fn bulk_build(&self, items: Vec<(O::Key, RowId)>) -> StorageResult<TreeStats> {
         self.tree.bulk_build(items)
     }
@@ -517,9 +506,9 @@ mod tests {
         );
     }
 
-    /// Bulk build vs. insert loop vs. one-latch batch: identical answers,
-    /// identical logical counts, and a second bulk load is refused —
-    /// compiled once, exercised for all five indexes.
+    /// Bulk build vs. insert loop: identical answers, identical logical
+    /// counts, and a second bulk load is refused — compiled once, exercised
+    /// for all five indexes.
     fn exercise_bulk<I: SpIndex>(
         make: impl Fn() -> I,
         items: Vec<(I::Key, RowId)>,
@@ -532,8 +521,6 @@ mod tests {
         for (key, row) in items.clone() {
             looped.insert(key, row).unwrap();
         }
-        let batched = make();
-        batched.insert_batch(items.clone()).unwrap();
 
         let rows = |ix: &I| {
             let mut rows = ix.cursor(&query).unwrap().rows().unwrap();
@@ -542,13 +529,7 @@ mod tests {
         };
         let expected = rows(&looped);
         assert_eq!(rows(&bulk), expected, "bulk build answers like the loop");
-        assert_eq!(
-            rows(&batched),
-            expected,
-            "batch insert answers like the loop"
-        );
         assert_eq!(bulk.len(), looped.len());
-        assert_eq!(batched.len(), looped.len());
         assert!(
             bulk.bulk_build(items).is_err(),
             "bulk build refuses a populated index"

@@ -104,6 +104,12 @@ impl Drop for TempDb {
     }
 }
 
+/// Where the log's last sealed batch ends in its active segment: the file
+/// itself runs past it, sized ahead.
+fn log_end(db: &Database) -> u64 {
+    db.wal().unwrap().active_end_for_test()
+}
+
 fn word(i: usize) -> String {
     format!("word-{i:04}")
 }
@@ -189,16 +195,16 @@ fn torn_log_tail_recovers_exactly_the_acknowledged_prefix() {
     let mut db = Database::create(tmp.path()).unwrap();
     db.create_table("words", KeyType::Varchar).unwrap();
 
-    // `boundaries[i]` = segment length once insert `i` is durable: the
+    // `boundaries[i]` = the log's end once insert `i` is durable: the
     // record for insert `i` occupies bytes `boundaries[i-1]..boundaries[i]`.
     let segment = tmp.last_segment();
-    let base = std::fs::metadata(&segment).unwrap().len();
+    let base = log_end(&db);
     let mut boundaries = Vec::with_capacity(N);
     {
         let table = db.table_handle("words").unwrap();
         for i in 0..N {
             table.insert(word(i)).unwrap();
-            boundaries.push(std::fs::metadata(&segment).unwrap().len());
+            boundaries.push(log_end(&db));
         }
     }
     drop(db); // crash
@@ -263,9 +269,9 @@ fn torn_group_commit_batch_drops_as_a_unit() {
         for i in 0..SINGLES {
             table.insert(word(i)).unwrap();
         }
-        before_batch = std::fs::metadata(&segment).unwrap().len() as usize;
+        before_batch = log_end(&db) as usize;
         table.insert(word(SINGLES)).unwrap();
-        after_first = std::fs::metadata(&segment).unwrap().len() as usize;
+        after_first = log_end(&db) as usize;
         table.insert(word(SINGLES + 1)).unwrap();
     }
     drop(db); // crash
@@ -371,7 +377,7 @@ fn flipped_byte_in_the_last_record_drops_only_that_record() {
         for i in 0..N - 1 {
             table.insert(word(i)).unwrap();
         }
-        before_last = std::fs::metadata(&segment).unwrap().len();
+        before_last = log_end(&db);
         table.insert(word(N - 1)).unwrap();
     }
     drop(db); // crash
@@ -541,7 +547,7 @@ fn insert_many_batch_recovers_atomically() {
         for i in 0..SINGLES {
             table.insert(word(i)).unwrap();
         }
-        before_batch = std::fs::metadata(&segment).unwrap().len();
+        before_batch = log_end(&db);
         let batch: Vec<Datum> = (SINGLES..SINGLES + BATCH)
             .map(|i| Datum::Text(word(i)))
             .collect();
@@ -873,7 +879,7 @@ fn torn_tail_across_a_commit_boundary_is_all_or_nothing() {
         }
     }
     let segment = tmp.last_segment();
-    let before_txn = std::fs::metadata(&segment).unwrap().len();
+    let before_txn = log_end(&db);
     {
         let mut txn = db.begin().unwrap();
         txn.insert("words", word(BASE)).unwrap();
@@ -1459,7 +1465,7 @@ fn log_ending_in_a_delete(tmp: &TempDb) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let mut db = Database::create(tmp.path()).unwrap();
     db.create_table("words", KeyType::Varchar).unwrap();
     let segment = tmp.last_segment();
-    let len = || std::fs::metadata(&segment).unwrap().len() as usize;
+    let len = || log_end(&db) as usize;
     let table = db.table_handle("words").unwrap();
     table.insert(word(0)).unwrap();
     table.insert(word(1)).unwrap();

@@ -162,7 +162,7 @@ fn every_name_and_kind_is_pinned_in_order() {
         let name = format!("checkpoint.data_pages_flushed.{owner}");
         expected.push((name, Counter));
     }
-    for name in ["wal.records", "wal.syncs"] {
+    for name in ["wal.records", "wal.syncs", "wal.sync_nanos"] {
         expected.push((name.to_string(), Counter));
     }
     for index in INDEXES {

@@ -369,8 +369,7 @@ where
         items.extend(pile);
         index.bulk_build(items).unwrap();
     } else {
-        index.insert_batch(background).unwrap();
-        for (key, row) in pile {
+        for (key, row) in background.into_iter().chain(pile) {
             index.insert(key, row).unwrap();
         }
     }
@@ -492,10 +491,10 @@ fn file_pool(path: &std::path::Path, create: bool) -> Arc<BufferPool> {
     ))
 }
 
-/// Bulk build ≡ insert loop ≡ `insert_batch`; then, on a file: the planner's
-/// height hint stays within one page of the exact walk while the pile grows,
-/// `repack` and a close → reopen preserve the contents, and the reopened
-/// tree keeps taking DML.
+/// Bulk build ≡ insert loop; then, on a file: the planner's height hint
+/// stays within one page of the exact walk while the pile grows, `repack`
+/// and a close → reopen preserve the contents, and the reopened tree keeps
+/// taking DML.
 fn loads_agree_and_survive_repack_and_reopen<C: Class>() {
     let items = heavy_duplicates::<C>(4_000, SEED ^ 7);
     let oracle: Oracle<C> = items.iter().map(|(key, row)| (*row, key.clone())).collect();
@@ -505,15 +504,6 @@ fn loads_agree_and_survive_repack_and_reopen<C: Class>() {
         looped.insert(key, row).unwrap();
     }
     expect_contents::<C>(&looped, &oracle, "insert loop");
-    let batched = C::create(BufferPool::in_memory());
-    batched.insert_batch(items.clone()).unwrap();
-    expect_contents::<C>(&batched, &oracle, "insert_batch");
-    assert_eq!(
-        batched.owned_pages().len(),
-        looped.owned_pages().len(),
-        "{}: insert_batch reuses retired records like the insert loop",
-        C::TAG
-    );
 
     let dir = std::env::temp_dir().join(format!("spgist-rows-{}-{}", C::TAG, std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -623,37 +613,6 @@ fn point_quadtree_loads_agree_and_survive_repack_and_reopen() {
 #[test]
 fn pmr_quadtree_loads_agree_and_survive_repack_and_reopen() {
     loads_agree_and_survive_repack_and_reopen::<Pmr>();
-}
-
-/// `SpGistTree::insert_all` pays gate, meta write and reclamation once per
-/// small chunk, not once per call: a long batch must end on about the pages
-/// the insert loop ends on (deferring reclamation to the end of an 8 000-key
-/// batch left the trie at seven times the pages).
-fn insert_all_reuses_pages_like_the_insert_loop<C: Class>()
-where
-    C::Index: SpGistBacked,
-    <C::Index as SpGistBacked>::Ops: SpGistOps<Key = Key<C>>,
-{
-    let items = heavy_duplicates::<C>(8_000, SEED ^ 11);
-    let looped = C::create(BufferPool::in_memory());
-    for (key, row) in items.clone() {
-        looped.backing().insert(key, row).unwrap();
-    }
-    let batched = C::create(BufferPool::in_memory());
-    batched.backing().insert_all(items).unwrap();
-    assert_eq!(batched.backing().len(), looped.backing().len());
-    let (batched, looped) = (batched.owned_pages().len(), looped.owned_pages().len());
-    assert!(
-        batched * 10 <= looped * 11,
-        "{}: insert_all ended on {batched} pages, the insert loop on {looped}",
-        C::TAG
-    );
-}
-
-#[test]
-fn insert_all_reuses_pages_like_the_insert_loop_in_trie_and_kdtree() {
-    insert_all_reuses_pages_like_the_insert_loop::<Trie>();
-    insert_all_reuses_pages_like_the_insert_loop::<Kd>();
 }
 
 #[test]

@@ -149,7 +149,9 @@ fn rest_leaves_answer_like_whole_suffixes_through_churn_and_reopen() {
     for (word, row) in &fresh {
         bulk.insert(word.clone(), *row).unwrap();
         looped.insert(word.clone(), *row).unwrap();
-        reference.insert_batch(suffixes(word, *row)).unwrap();
+        for (suffix, row) in suffixes(word, *row) {
+            reference.insert(suffix, row).unwrap();
+        }
     }
     assert_eq!(bulk.len(), looped.len());
     assert_agree("churned", &[&bulk, &looped], &reference, &qs);

@@ -13,11 +13,15 @@
 //!   [`TxnId`] on every DML record so recovery can drop loser transactions,
 //! * [`log`] — the **append-only segmented log** ([`Wal`]): per-record
 //!   CRC-32 framing, torn-tail detection on open, checkpoint-driven
-//!   rotation ([`Wal::rotate`]) and truncation ([`Wal::prune`]),
-//! * group commit: writers [`Wal::submit`] and then [`Wal::wait_durable`]
-//!   while a dedicated flusher thread batches one `fsync` per group — the
-//!   one commit protocol: everything that queued up behind the sync in
-//!   flight rides the next one.
+//!   rotation ([`Wal::rotate`]) and truncation ([`Wal::prune`]).  The
+//!   active segment may run past its last seal in zeros, sized ahead so a
+//!   commit's `fsync` flushes data and no new file size; the zeros end the
+//!   log like a torn tail.  A sealed segment ends at its last seal,
+//! * group commit: writers [`Wal::submit`] and then [`Wal::wait_durable`],
+//!   and the committing writer syncs the log itself — no log thread.  A
+//!   waiter whose record is not yet durable, finding no sync running,
+//!   leads one `fsync` for everything queued; the commits that queue up
+//!   behind a sync in flight ride the next one.
 //!
 //! Record and batch-seal checksums use `spgist_storage::crc::crc32`, the
 //! same dependency-free CRC-32 the checkpoint journal uses.
@@ -118,8 +122,7 @@ mod tests {
             let wal = Wal::create(dir.prefix(), WalConfig::default()).unwrap();
             for i in 0..6 {
                 wal.append(&insert("t", i)).unwrap();
-                let path = segment_1(&dir);
-                boundaries.push(std::fs::metadata(path).unwrap().len());
+                boundaries.push(wal.active_end_for_test());
             }
         }
         let full = std::fs::read(segment_1(&dir)).unwrap();
@@ -333,18 +336,14 @@ mod tests {
         assert_eq!(wal.sync_count(), syncs + 1, "one sync for the transaction");
         assert_eq!(wal.durable_lsn(), 10);
 
-        // A full batch is flushed with nobody waiting (the queue is bounded).
+        // A full batch is written with nobody waiting (the queue is
+        // bounded), by its submitter and unsynced.
         for row in 0..64 {
             wal.submit(&insert("t", 100 + row)).unwrap();
         }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        while wal.durable_lsn() < 74 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "a full batch never synced"
-            );
-            std::thread::yield_now();
-        }
+        assert_eq!(wal.written_count(), 74, "the full batch is written");
+        assert_eq!(wal.sync_count(), syncs + 1, "and not synced");
+        assert_eq!(wal.durable_lsn(), 10);
 
         // Rotation seals whatever is queued...
         for row in 0..3 {
@@ -359,6 +358,125 @@ mod tests {
         let records = reopen_records(&dir.prefix(), 0);
         assert_eq!(records.len(), 79, "every submitted record replays");
         assert_eq!(records[9].1, WalRecord::CommitTxn { txn: 7 });
+    }
+
+    #[test]
+    fn a_long_transaction_keeps_the_queue_bounded_and_syncs_once() {
+        let dir = TempDir::new("long-txn");
+        let wal = Wal::create(dir.prefix(), WalConfig::default()).unwrap();
+        append_n(&wal, 1);
+        let syncs = wal.sync_count();
+        // A 1 000-statement transaction: every full queue is written out by
+        // the submitter that filled it, so at most one batch (64 records)
+        // waits in memory, and none of those writes syncs.
+        for row in 1..=1000 {
+            wal.submit(&insert("t", row)).unwrap();
+            let queued = wal.next_lsn() - wal.written_count();
+            assert!(queued <= 64, "{queued} records queued after {row}");
+        }
+        assert_eq!(wal.sync_count(), syncs, "no statement syncs");
+        let commit = wal.submit(&WalRecord::CommitTxn { txn: 3 }).unwrap();
+        wal.wait_durable(commit).unwrap();
+        assert_eq!(wal.sync_count(), syncs + 1, "the commit's one sync");
+        assert_eq!(wal.durable_lsn(), 1002);
+        assert_eq!(wal.written_count(), 1002);
+        drop(wal);
+        assert_eq!(reopen_records(&dir.prefix(), 0).len(), 1002);
+    }
+
+    #[test]
+    fn dropping_the_log_leaves_unawaited_records_for_open() {
+        let dir = TempDir::new("drop-drain");
+        {
+            let wal = Wal::create(dir.prefix(), WalConfig::default()).unwrap();
+            append_n(&wal, 2);
+            // One full batch written unsynced, six more still queued, and
+            // nobody waits on any of them.
+            for row in 2..72 {
+                wal.submit(&insert("t", row)).unwrap();
+            }
+            assert_eq!(wal.durable_lsn(), 2);
+        }
+        let len = std::fs::metadata(segment_1(&dir)).unwrap().len();
+        let (wal, records) = Wal::open(dir.prefix(), WalConfig::default(), 0).unwrap();
+        assert_eq!(records.len(), 72, "the drop wrote every queued record");
+        for (i, (lsn, record)) in records.iter().enumerate() {
+            assert_eq!(*lsn, i as u64);
+            assert_eq!(*record, insert("t", i as u64));
+        }
+        assert_eq!(
+            wal.active_end_for_test(),
+            len,
+            "a cleanly closed segment ends at its last seal"
+        );
+    }
+
+    #[test]
+    fn a_torn_write_into_the_sized_tail_recovers_the_acknowledged_records() {
+        // Past its last acknowledged seal the segment holds a full batch
+        // written and not yet synced, then the zeros it was sized ahead
+        // with.  A crash tears that tail anywhere: zero it from every byte
+        // in turn to the end, the file's length kept.
+        let dir = TempDir::new("sized-tail");
+        let (acked, written, image) = {
+            let wal = Wal::create(dir.prefix(), WalConfig::default()).unwrap();
+            append_n(&wal, 3);
+            let acked = wal.active_end_for_test();
+            for row in 3..67 {
+                wal.submit(&insert("t", row)).unwrap();
+            }
+            let written = wal.active_end_for_test();
+            (acked, written, std::fs::read(segment_1(&dir)).unwrap())
+        };
+        assert!(
+            acked < written && written < image.len() as u64,
+            "sized ahead"
+        );
+        for cut in acked as usize..image.len() {
+            let mut torn = image.clone();
+            torn[cut..].fill(0);
+            std::fs::write(segment_1(&dir), &torn).unwrap();
+            // The unsynced batch comes back whole or not at all.
+            let (expected, end) = if cut as u64 >= written {
+                (67, written)
+            } else {
+                (3, acked)
+            };
+            let (wal, records) = Wal::open(dir.prefix(), WalConfig::default(), 0).unwrap();
+            assert_eq!(records.len(), expected, "zeros from byte {cut}");
+            assert_eq!(wal.active_end_for_test(), end, "zeros from byte {cut}");
+            // The next commit appends right after them.
+            assert_eq!(wal.append(&insert("t", 99)).unwrap(), expected as u64);
+            let frame = Frame::of(&insert("t", 99));
+            let at = end as usize..end as usize + frame.bytes().len();
+            let bytes = std::fs::read(segment_1(&dir)).unwrap();
+            assert!(bytes[at] == *frame.bytes(), "zeros from byte {cut}");
+        }
+    }
+
+    #[test]
+    fn a_sealed_segment_ends_at_its_last_seal() {
+        let dir = TempDir::new("sealed-end");
+        let wal = Wal::create(dir.prefix(), WalConfig::default()).unwrap();
+        append_n(&wal, 5);
+        let end = wal.active_end_for_test();
+        let len = || std::fs::metadata(segment_1(&dir)).unwrap().len();
+        assert!(len() > end, "the active segment is sized ahead");
+        assert_eq!(wal.rotate().unwrap(), 5);
+        assert_eq!(len(), end, "sealing cuts the segment back to its last seal");
+        append_n(&wal, 2);
+        drop(wal);
+        // Any byte past a sealed segment's last seal is damage, not a tail.
+        let sealed = std::fs::read(segment_1(&dir)).unwrap();
+        for byte in [0x5A, 0x00] {
+            let mut grown = sealed.clone();
+            grown.push(byte);
+            std::fs::write(segment_1(&dir), &grown).unwrap();
+            match Wal::open(dir.prefix(), WalConfig::default(), 0) {
+                Err(StorageError::Corrupt(_)) => {}
+                other => panic!("a byte {byte:#x} past a seal must be Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

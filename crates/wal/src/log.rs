@@ -1,4 +1,4 @@
-//! The append-only segmented log and its group-commit flusher.
+//! The append-only segmented log and its group commit.
 //!
 //! # On-disk format
 //!
@@ -21,9 +21,9 @@
 //! `base_lsn` must equal its predecessor's end — a gap or overlap is
 //! [`StorageError::Corrupt`].
 //!
-//! Every group-committed batch (the set of frames covered by one `fsync`)
-//! is terminated by a **batch seal**, distinguished from a record frame by
-//! a zero length field:
+//! Every group-committed batch (the set of frames written together) is
+//! terminated by a **batch seal**, distinguished from a record frame by a
+//! zero length field:
 //!
 //! ```text
 //! 0 (u32 LE) | magic "SPGS" (u32 LE) | record_count (u32 LE)
@@ -36,17 +36,25 @@
 //! seal, a crash mid-batch could surface a prefix of a batch whose commit
 //! was never acknowledged yet whose early frames happened to hit disk.
 //!
+//! The active segment is sized ahead of its last seal: a batch that would
+//! pass the file's length first extends it by a small step (sparse, no
+//! bytes written) inside the same sync, so the syncs in between flush data
+//! and never a new file size.  The tail past the last seal reads as zeros,
+//! which end the log like any torn tail.  A segment is cut back to its last
+//! seal when it is sealed and when the log closes cleanly, so a sealed
+//! segment ends exactly at its last seal.
+//!
 //! # Torn tails vs. corruption
 //!
 //! Only the **last** segment can legitimately end mid-batch (the process
 //! died between `write` and `fsync`): on open, the first short frame,
-//! CRC-failing frame, or missing/invalid seal in the last segment ends the
-//! log and the file is truncated back to the end of the last *sealed
-//! batch*.  Sealed segments are fully synced before their successor is
-//! created, so damage there — including an unsealed trailing batch — is
-//! real corruption and fails the open.  A record whose CRC matches but
-//! whose payload does not decode is corruption everywhere — a torn write
-//! cannot produce a matching CRC.
+//! CRC-failing frame, zero tail, or missing/invalid seal in the last
+//! segment ends the log and the file is truncated back to the end of the
+//! last *sealed batch*.  Sealed segments are fully synced and cut to their
+//! last seal before their successor is created, so damage there —
+//! including any byte past the last seal — is real corruption and fails
+//! the open.  A record whose CRC matches but whose payload does not decode
+//! is corruption everywhere — a torn write cannot produce a matching CRC.
 //!
 //! # Group commit
 //!
@@ -54,24 +62,27 @@
 //! mutex, returning the assigned LSN) and then [`Wal::wait_durable`] on
 //! that LSN.  A record is encoded once, straight into its [`Frame`] (a
 //! bulk insert row by row, through [`InsertFrame`](crate::InsertFrame)),
-//! and never copied after: a dedicated flusher thread drains the
-//! submission queue, writes the batch's frames and seal where they lie in
-//! one vectored `write`, issues **one** `fsync` for the whole batch, and
-//! wakes every waiter the sync covered.  It syncs only when someone waits on a
-//! queued record (or the queue reaches a full batch, or the log rotates or
-//! shuts down): records submitted and not awaited — a transaction's
-//! statements ahead of its `CommitTxn` — buy no `fsync` of their own.
-//! The flusher never holds a batch open to let it fill: it syncs as soon
-//! as it gets the queue, and batching arises from the commits that arrive
-//! while an `fsync` is in flight and queue up for the next one, at most
-//! `MAX_BATCH` (64) records per sync.
+//! and never copied after.  There is no log thread: the committing writer
+//! syncs the log itself, as PostgreSQL's `XLogFlush` does.  A waiter whose
+//! record is not yet durable, finding no flush running, **leads** one: it
+//! takes the queue (at most `MAX_BATCH`, 64, records), writes the batch's
+//! frames and seal where they lie in one vectored `write`, issues **one**
+//! `fsync`, publishes durability and wakes the other waiters, who recheck
+//! and lead the next batch if theirs is still queued.  Batching arises from
+//! the commits that queue up while a sync is in flight; a leader never
+//! holds a batch open to let it fill.  Records submitted and not awaited —
+//! a transaction's statements ahead of its `CommitTxn` — buy no `fsync` of
+//! their own: a submitter that fills the queue writes that batch out sealed
+//! but unsynced, so the queue stays bounded and no `fsync` runs under the
+//! submitter's locks, and the commit's sync covers it.  Dropping the log
+//! writes and syncs whatever is still queued.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, IoSlice, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 use spgist_storage::codec::{take, take_header};
 use spgist_storage::crc::{crc32, crc32_update};
@@ -104,16 +115,20 @@ const SEAL_MAGIC: u32 = 0x5350_4753;
 /// seal CRC.
 const SEAL_BYTES: usize = 20;
 
-/// Most records covered by one `fsync`; a queue this long is flushed even
-/// with nobody waiting, so the submission queue stays bounded.
+/// Most records in one batch; a queue this long is written out by the
+/// submitter that filled it, sealed but unsynced, so the submission queue
+/// stays bounded.
 const MAX_BATCH: usize = 64;
+/// How far past a batch that crosses the active segment's length the file
+/// is extended, so the syncs of the batches after it commit no new size.
+const SIZE_STEP: u64 = 8 << 10;
 
 /// Tuning knobs for the log.
 #[derive(Debug, Clone, Copy)]
 pub struct WalConfig {
     /// Rotate to a fresh segment once the active one exceeds this many
-    /// bytes (checked at batch boundaries, so segments overshoot by at most
-    /// one batch).
+    /// bytes (checked when a batch is synced, so segments overshoot by the
+    /// batches written since the last sync).
     pub segment_bytes: u64,
 }
 
@@ -125,8 +140,8 @@ impl Default for WalConfig {
     }
 }
 
-/// Submission queue: what writers have handed over but the flusher has not
-/// yet taken.
+/// Submission queue and durability: what writers have handed over but
+/// nobody has written yet, and how far the log is on stable storage.
 struct Core {
     /// Next LSN to assign.
     next_lsn: Lsn,
@@ -134,16 +149,16 @@ struct Core {
     pending: VecDeque<Frame>,
     /// LSN of `pending.front()` (meaningless while `pending` is empty).
     pending_first: Lsn,
-    /// One past the highest LSN a [`Wal::wait_durable`] caller has asked
-    /// for: the flusher syncs on its own account only while a record below
-    /// this is still queued.
-    wanted: Lsn,
-    /// True while one thread (flusher or a rotation) owns the write path;
-    /// the queue must not be drained by anyone else until it clears.
+    /// True while one writer (a flush's leader, the submitter writing out a
+    /// full queue, or a rotation) owns the write path; the queue must not
+    /// be drained by anyone else until it clears.
     flushing: bool,
-    /// Set by [`Wal::drop`] (clean drain) or by the flusher on I/O error
-    /// (poison): no further submissions are accepted.
-    shutdown: bool,
+    /// Everything below this LSN is on stable storage.
+    durable: Lsn,
+    /// Poison: a write or sync failed; every current and future waiter
+    /// gets this instead of an acknowledgment, and no further submission
+    /// is accepted.
+    error: Option<String>,
 }
 
 /// A sealed (immutable, fully synced) segment.
@@ -162,36 +177,29 @@ struct IoState {
     active_path: PathBuf,
     active_base: Lsn,
     active_records: u64,
+    /// Where the active segment's last seal ends: the log's end.
     active_bytes: u64,
+    /// The active segment file's length, at or past `active_bytes`.
+    sized: u64,
+    /// Batches written since the last sync.
+    unsynced: bool,
     sealed: Vec<Sealed>,
-    /// `fsync`s issued since open (one per group).
+    /// Batch `fsync`s issued since open.
     syncs: u64,
+    /// Nanoseconds spent in batch writes and their syncs since open.
+    sync_nanos: u64,
     /// Records written since open.
     written: u64,
 }
 
-/// What `wait_durable` blocks on.
-struct DurableState {
-    lsn: Lsn,
-    /// Poison: the flusher hit an I/O error; every current and future
-    /// waiter gets this instead of an acknowledgment.
-    error: Option<String>,
-}
-
-struct Shared {
-    config: WalConfig,
-    core: Mutex<Core>,
-    /// Signaled on submit, on shutdown, and when `flushing` clears.
-    work: Condvar,
-    io: Mutex<IoState>,
-    durable: Mutex<DurableState>,
-    durable_cv: Condvar,
-}
-
 /// The write-ahead log: see the module docs for format and protocol.
 pub struct Wal {
-    shared: Arc<Shared>,
-    flusher: Mutex<Option<JoinHandle<()>>>,
+    config: WalConfig,
+    core: Mutex<Core>,
+    /// Signaled whenever `flushing` clears, with durability published or
+    /// the log poisoned.
+    flushed: Condvar,
+    io: Mutex<IoState>,
 }
 
 fn io_err(msg: String) -> StorageError {
@@ -503,17 +511,17 @@ impl Wal {
                  {checkpoint_lsn}: the log is older than the data file"
             )));
         }
-        let shared = Arc::new(Shared {
+        let wal = Wal {
             config,
             core: Mutex::new(Core {
                 next_lsn: end,
                 pending: VecDeque::new(),
                 pending_first: end,
-                wanted: end,
                 flushing: false,
-                shutdown: false,
+                durable: end,
+                error: None,
             }),
-            work: Condvar::new(),
+            flushed: Condvar::new(),
             io: Mutex::new(IoState {
                 dir,
                 prefix: name,
@@ -523,86 +531,62 @@ impl Wal {
                 active_base: base,
                 active_records: end - base,
                 active_bytes: good_end,
+                sized: good_end,
+                unsynced: false,
                 sealed,
                 syncs: 0,
+                sync_nanos: 0,
                 written: 0,
             }),
-            durable: Mutex::new(DurableState {
-                lsn: end,
-                error: None,
-            }),
-            durable_cv: Condvar::new(),
-        });
-        let flusher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("wal-flusher".into())
-                .spawn(move || flusher_loop(&shared))
-                .expect("spawning the wal flusher thread")
-        };
-        let wal = Wal {
-            shared,
-            flusher: Mutex::new(Some(flusher)),
         };
         Ok((wal, records))
     }
 
-    /// Hands a record to the flusher and returns its LSN **without waiting
-    /// for durability**.  The caller must [`Wal::wait_durable`] on the
-    /// returned LSN before acknowledging the write — but may (and, for
-    /// group commit to batch, should) release its own locks in between.
+    /// Queues a record and returns its LSN **without waiting for
+    /// durability**.  The caller must [`Wal::wait_durable`] on the returned
+    /// LSN before acknowledging the write — but may (and, for group commit
+    /// to batch, should) release its own locks in between.
     pub fn submit(&self, record: &WalRecord) -> StorageResult<Lsn> {
         self.submit_frame(Frame::of(record))
     }
 
     /// [`Wal::submit`] for a record already framed, such as an
-    /// [`InsertFrame`](crate::InsertFrame) built row by row.
+    /// [`InsertFrame`](crate::InsertFrame) built row by row.  The submitter
+    /// that fills the queue writes that batch out, sealed but unsynced.
     pub fn submit_frame(&self, frame: Frame) -> StorageResult<Lsn> {
-        let mut core = self.shared.core.lock().expect("wal core mutex");
-        if core.shutdown {
-            drop(core);
-            return Err(self
-                .poison()
-                .unwrap_or_else(|| io_err("write-ahead log is shut down".into())));
-        }
+        let mut core = self.core.lock().expect("wal core mutex");
+        poisoned(&core)?;
         let lsn = core.next_lsn;
         if core.pending.is_empty() {
             core.pending_first = lsn;
         }
         core.pending.push_back(frame);
         core.next_lsn += 1;
-        drop(core);
-        self.shared.work.notify_all();
+        if core.pending.len() >= MAX_BATCH && !core.flushing {
+            poisoned(&self.flush(core, false))?;
+        }
         Ok(lsn)
     }
 
     /// Blocks until every record up to **and including** `lsn` is on stable
-    /// storage (or the flusher has failed, in which case the failure is
-    /// returned — the record's durability is then unknown).
+    /// storage (or a write or sync has failed, in which case the failure is
+    /// returned — the record's durability is then unknown).  While the
+    /// record is not durable and no flush runs, the caller leads one.
     pub fn wait_durable(&self, lsn: Lsn) -> StorageResult<()> {
-        let mut durable = self.shared.durable.lock().expect("wal durable mutex");
-        if durable.error.is_none() && durable.lsn <= lsn {
-            // Tell the flusher someone is waiting: submitted records it has
-            // no waiter for stay queued until one arrives.
-            drop(durable);
-            let mut core = self.shared.core.lock().expect("wal core mutex");
-            core.wanted = core.wanted.max(lsn + 1);
-            drop(core);
-            self.shared.work.notify_all();
-            durable = self.shared.durable.lock().expect("wal durable mutex");
+        let mut core = self.core.lock().expect("wal core mutex");
+        if lsn >= core.next_lsn {
+            return Err(io_err(format!("wal lsn {lsn} was never submitted")));
         }
         loop {
-            if let Some(msg) = &durable.error {
-                return Err(io_err(msg.clone()));
-            }
-            if durable.lsn > lsn {
+            poisoned(&core)?;
+            if core.durable > lsn {
                 return Ok(());
             }
-            durable = self
-                .shared
-                .durable_cv
-                .wait(durable)
-                .expect("wal durable mutex");
+            core = if core.flushing {
+                self.flushed.wait(core).expect("wal core mutex")
+            } else {
+                self.flush(core, true)
+            };
         }
     }
 
@@ -614,6 +598,49 @@ impl Wal {
         Ok(lsn)
     }
 
+    /// Takes the write path and writes up to `MAX_BATCH` queued frames as
+    /// one sealed batch; with `sync` it then syncs the segment (rotating
+    /// first when the batch would pass `segment_bytes`) and publishes
+    /// everything written as durable.  Called holding `core` with no flush
+    /// running; the lock is let go across the I/O and held again on return,
+    /// with every waiter woken.  An I/O error poisons the log.
+    fn flush<'a>(&'a self, mut core: MutexGuard<'a, Core>, sync: bool) -> MutexGuard<'a, Core> {
+        let take = core.pending.len().min(MAX_BATCH);
+        let frames: Vec<Frame> = core.pending.drain(..take).collect();
+        let first = core.pending_first;
+        core.pending_first += take as u64;
+        core.flushing = true;
+        drop(core);
+
+        let result = {
+            let mut io = self.io.lock().expect("wal io mutex");
+            let over_budget = sync
+                && io.active_records > 0
+                && io.active_bytes + frames_len(&frames) > self.config.segment_bytes;
+            let opened = if over_budget {
+                seal_and_open(&mut io, first)
+            } else {
+                Ok(())
+            };
+            opened
+                .and_then(|()| write_batch(&mut io, &frames, sync))
+                .map(|()| io.active_base + io.active_records)
+        };
+        // Written: the frames go before their writers wake.
+        drop(frames);
+        let mut core = self.core.lock().expect("wal core mutex");
+        core.flushing = false;
+        match result {
+            Ok(end) if sync => core.durable = core.durable.max(end),
+            Ok(_) => {}
+            Err(e) => {
+                core.error.get_or_insert(format!("wal flush failed: {e}"));
+            }
+        }
+        self.flushed.notify_all();
+        core
+    }
+
     /// Seals the active segment and starts a fresh one, returning the new
     /// segment's base LSN (the **cut**): every record below it is durable in
     /// sealed segments when this returns, and every record at or above it
@@ -621,16 +648,11 @@ impl Wal {
     /// persists a catalog claiming `checkpoint_lsn = cut`, and then
     /// [`Wal::prune`]s the sealed segments the catalog made redundant.
     pub fn rotate(&self) -> StorageResult<Lsn> {
-        let mut core = self.shared.core.lock().expect("wal core mutex");
+        let mut core = self.core.lock().expect("wal core mutex");
         while core.flushing {
-            core = self.shared.work.wait(core).expect("wal core mutex");
+            core = self.flushed.wait(core).expect("wal core mutex");
         }
-        if core.shutdown {
-            drop(core);
-            return Err(self
-                .poison()
-                .unwrap_or_else(|| io_err("write-ahead log is shut down".into())));
-        }
+        poisoned(&core)?;
         let frames: Vec<Frame> = core.pending.drain(..).collect();
         let cut = core.next_lsn;
         core.pending_first = cut;
@@ -638,41 +660,36 @@ impl Wal {
         drop(core);
 
         let result = (|| -> StorageResult<()> {
-            let mut io = self.shared.io.lock().expect("wal io mutex");
+            let mut io = self.io.lock().expect("wal io mutex");
             debug_assert_eq!(
                 io.active_base + io.active_records + frames.len() as u64,
                 cut
             );
-            if !frames.is_empty() {
-                write_frames(&mut io, &frames)?;
-            }
+            write_batch(&mut io, &frames, !frames.is_empty())?;
             if io.active_records > 0 {
                 seal_and_open(&mut io, cut)?;
             }
             Ok(())
         })();
 
-        match result {
-            Ok(()) => {
-                self.publish_durable(cut);
-                let mut core = self.shared.core.lock().expect("wal core mutex");
-                core.flushing = false;
-                drop(core);
-                self.shared.work.notify_all();
-                Ok(cut)
-            }
+        let mut core = self.core.lock().expect("wal core mutex");
+        core.flushing = false;
+        match &result {
+            Ok(()) => core.durable = core.durable.max(cut),
             Err(e) => {
-                self.fail(format!("wal rotation failed: {e}"));
-                Err(e)
+                core.error
+                    .get_or_insert(format!("wal rotation failed: {e}"));
             }
         }
+        self.flushed.notify_all();
+        result.map(|()| cut)
     }
 
     /// Deletes sealed segments whose every record is below `upto` (their
     /// contents are fully reflected in a durable checkpoint).  The active
     /// segment is never touched.
     pub fn prune(&self, upto: Lsn) -> StorageResult<()> {
-        let mut io = self.shared.io.lock().expect("wal io mutex");
+        let mut io = self.io.lock().expect("wal io mutex");
         let mut err = None;
         io.sealed.retain(|seg| {
             if seg.end <= upto && err.is_none() {
@@ -696,97 +713,89 @@ impl Wal {
 
     /// The next LSN to be assigned (= records ever submitted).
     pub fn next_lsn(&self) -> Lsn {
-        self.shared.core.lock().expect("wal core mutex").next_lsn
+        self.core.lock().expect("wal core mutex").next_lsn
     }
 
     /// Everything below this LSN is on stable storage.
     pub fn durable_lsn(&self) -> Lsn {
-        self.shared.durable.lock().expect("wal durable mutex").lsn
+        self.core.lock().expect("wal core mutex").durable
     }
 
-    /// Number of `fsync`s issued since open — with group commit this stays
-    /// well below the number of records; `Database::metrics()` reports it
-    /// as `wal.syncs`.
+    /// Number of batch `fsync`s issued since open — with group commit this
+    /// stays well below the number of records; `Database::metrics()`
+    /// reports it as `wal.syncs`.
     pub fn sync_count(&self) -> u64 {
-        self.shared.io.lock().expect("wal io mutex").syncs
+        self.io.lock().expect("wal io mutex").syncs
+    }
+
+    /// Nanoseconds spent since open inside batch writes and their `fsync`s,
+    /// summed: the I/O share of the commit wait, which `Database::metrics()`
+    /// reports as `wal.sync_nanos`.
+    pub fn sync_nanos(&self) -> u64 {
+        self.io.lock().expect("wal io mutex").sync_nanos
     }
 
     /// Number of records written since open.
     pub fn written_count(&self) -> u64 {
-        self.shared.io.lock().expect("wal io mutex").written
+        self.io.lock().expect("wal io mutex").written
     }
 
     /// Number of live segment files (sealed + active).
     pub fn segment_count(&self) -> usize {
-        self.shared.io.lock().expect("wal io mutex").sealed.len() + 1
+        self.io.lock().expect("wal io mutex").sealed.len() + 1
     }
 
-    fn publish_durable(&self, lsn: Lsn) {
-        let mut durable = self.shared.durable.lock().expect("wal durable mutex");
-        if lsn > durable.lsn {
-            durable.lsn = lsn;
-        }
-        drop(durable);
-        self.shared.durable_cv.notify_all();
+    /// Test hook: where the active segment's last seal ends, in bytes —
+    /// the log's end, which the segment file's length runs past once the
+    /// segment is sized ahead.
+    #[doc(hidden)]
+    pub fn active_end_for_test(&self) -> u64 {
+        self.io.lock().expect("wal io mutex").active_bytes
     }
 
     /// `Ok` while the log can still accept and persist records.  After any
-    /// flusher I/O failure the log is **poisoned** — every subsequent
+    /// write or sync failure the log is **poisoned** — every subsequent
     /// `submit`/`append` fails, and this returns the original failure.
     /// Callers that serve reads from state whose durability the poisoned
     /// log can no longer vouch for check this and fail fast instead of
     /// serving possibly-non-durable data; the recovery path is to reopen
     /// the database and replay.
     pub fn health(&self) -> StorageResult<()> {
-        match self.poison() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        poisoned(&self.core.lock().expect("wal core mutex"))
     }
 
-    /// Test hook: poisons the log as an I/O failure in the flusher would,
-    /// so failure-handling above the WAL can be exercised without a real
-    /// disk fault.
+    /// Test hook: poisons the log as an I/O failure in a flush would, so
+    /// failure-handling above the WAL can be exercised without a real disk
+    /// fault.
     #[doc(hidden)]
     pub fn fail_for_test(&self, msg: &str) {
-        self.fail(msg.to_string());
-    }
-
-    fn poison(&self) -> Option<StorageError> {
-        let durable = self.shared.durable.lock().expect("wal durable mutex");
-        durable.error.as_ref().map(|msg| io_err(msg.clone()))
-    }
-
-    fn fail(&self, msg: String) {
-        fail_shared(&self.shared, msg);
+        let mut core = self.core.lock().expect("wal core mutex");
+        core.error.get_or_insert_with(|| msg.to_string());
+        self.flushed.notify_all();
     }
 }
 
-fn fail_shared(shared: &Shared, msg: String) {
-    {
-        let mut durable = shared.durable.lock().expect("wal durable mutex");
-        if durable.error.is_none() {
-            durable.error = Some(msg);
-        }
+/// The log's poison, as the error every refused call returns.
+fn poisoned(core: &Core) -> StorageResult<()> {
+    match &core.error {
+        Some(msg) => Err(io_err(msg.clone())),
+        None => Ok(()),
     }
-    shared.durable_cv.notify_all();
-    {
-        let mut core = shared.core.lock().expect("wal core mutex");
-        core.shutdown = true;
-        core.flushing = false;
-    }
-    shared.work.notify_all();
 }
 
 impl Drop for Wal {
+    /// Writes whatever is still queued, syncs it and cuts the active
+    /// segment back to its last seal: a cleanly closed segment ends exactly
+    /// at its last seal.
     fn drop(&mut self) {
-        {
-            let mut core = self.shared.core.lock().expect("wal core mutex");
-            core.shutdown = true;
+        let mut core = self.core.lock().expect("wal core mutex");
+        while !core.pending.is_empty() && core.error.is_none() {
+            core = self.flush(core, false);
         }
-        self.shared.work.notify_all();
-        if let Some(handle) = self.flusher.lock().expect("wal flusher handle").take() {
-            let _ = handle.join();
+        let io = self.io.lock().expect("wal io mutex");
+        if core.error.is_none() && (io.unsynced || io.sized > io.active_bytes) {
+            let _ = io.file.set_len(io.active_bytes);
+            let _ = io.file.sync_data();
         }
     }
 }
@@ -817,35 +826,46 @@ fn split_prefix(prefix: &Path) -> StorageResult<(PathBuf, String)> {
     Ok((dir, name.to_string()))
 }
 
-/// Appends `frames` to the active segment as one sealed batch and syncs
-/// it: every record frame, then the batch seal, in one vectored write,
-/// then a single `fsync`.  The frames are written where they lie, never
-/// gathered into one buffer.  Replay ignores records past the last valid
-/// seal, so a crash anywhere before the sync loses the batch as a unit —
-/// never a prefix of it.
-fn write_frames(io: &mut IoState, frames: &[Frame]) -> StorageResult<()> {
-    if frames.is_empty() {
-        return Ok(());
+/// Appends `frames` to the active segment as one sealed batch — every
+/// record frame, then the batch seal, in one vectored write, the frames
+/// written where they lie — and with `sync` then issues one `fsync`.  A
+/// batch that would pass the file's length first extends it by `SIZE_STEP`
+/// past the batch's end, inside the same sync.  Replay ignores records past
+/// the last valid seal, so a crash anywhere before the sync loses the batch
+/// as a unit — never a prefix of it.
+fn write_batch(io: &mut IoState, frames: &[Frame], sync: bool) -> StorageResult<()> {
+    let started = Instant::now();
+    if !frames.is_empty() {
+        let batch_crc = frames
+            .iter()
+            .fold(u32::MAX, |crc, frame| crc32_update(crc, frame.bytes()));
+        let seal = Seal {
+            records: frames.len() as u32,
+            batch_crc: !batch_crc,
+        }
+        .to_bytes();
+        let end = io.active_bytes + frames_len(frames) + seal.len() as u64;
+        if end > io.sized {
+            io.file.set_len(end + SIZE_STEP)?;
+            io.sized = end + SIZE_STEP;
+        }
+        let mut slices: Vec<IoSlice<'_>> = frames
+            .iter()
+            .map(|frame| IoSlice::new(frame.bytes()))
+            .chain(std::iter::once(IoSlice::new(&seal)))
+            .collect();
+        write_all_vectored(&mut io.file, &mut slices)?;
+        io.active_records += frames.len() as u64;
+        io.active_bytes = end;
+        io.written += frames.len() as u64;
+        io.unsynced = true;
     }
-    let batch_crc = frames
-        .iter()
-        .fold(u32::MAX, |crc, frame| crc32_update(crc, frame.bytes()));
-    let seal = Seal {
-        records: frames.len() as u32,
-        batch_crc: !batch_crc,
+    if sync {
+        io.file.sync_data()?;
+        io.syncs += 1;
+        io.unsynced = false;
     }
-    .to_bytes();
-    let mut slices: Vec<IoSlice<'_>> = frames
-        .iter()
-        .map(|frame| IoSlice::new(frame.bytes()))
-        .chain(std::iter::once(IoSlice::new(&seal)))
-        .collect();
-    write_all_vectored(&mut io.file, &mut slices)?;
-    io.file.sync_data()?;
-    io.active_records += frames.len() as u64;
-    io.active_bytes += frames_len(frames) + seal.len() as u64;
-    io.syncs += 1;
-    io.written += frames.len() as u64;
+    io.sync_nanos += started.elapsed().as_nanos() as u64;
     Ok(())
 }
 
@@ -874,10 +894,13 @@ fn write_all_vectored(out: &mut impl Write, mut slices: &mut [IoSlice<'_>]) -> i
     Ok(())
 }
 
-/// Seals the active segment (already fully synced) at `end` and opens a
+/// Seals the active segment at `end` — cut back to its last seal and
+/// synced, so a sealed segment ends exactly at its last seal — and opens a
 /// fresh one based there.
 fn seal_and_open(io: &mut IoState, end: Lsn) -> StorageResult<()> {
     debug_assert_eq!(io.active_base + io.active_records, end);
+    io.file.set_len(io.active_bytes)?;
+    io.file.sync_data()?;
     let (file, path) = create_segment(&io.dir, &io.prefix, io.active_seq + 1, end)?;
     let old_path = std::mem::replace(&mut io.active_path, path);
     io.sealed.push(Sealed {
@@ -890,72 +913,9 @@ fn seal_and_open(io: &mut IoState, end: Lsn) -> StorageResult<()> {
     io.active_base = end;
     io.active_records = 0;
     io.active_bytes = HEADER_BYTES;
+    io.sized = HEADER_BYTES;
+    io.unsynced = false;
     Ok(())
-}
-
-/// The dedicated flusher: drains the submission queue in batches when a
-/// waiter, a full batch or shutdown calls for it, one `fsync` per batch,
-/// and publishes durability to the waiters.
-fn flusher_loop(shared: &Shared) {
-    loop {
-        let mut core = shared.core.lock().expect("wal core mutex");
-        // Wait for work (or exit once shut down and drained).
-        loop {
-            if core.shutdown && core.pending.is_empty() {
-                return;
-            }
-            // A sync is owed only to a waiter (or to a full batch, or to
-            // shutdown): a transaction's statements are submitted without
-            // waiting and ride along with the sync its commit asks for.
-            let due = core.wanted > core.pending_first
-                || core.pending.len() >= MAX_BATCH
-                || core.shutdown;
-            if due && !core.pending.is_empty() && !core.flushing {
-                break;
-            }
-            core = shared.work.wait(core).expect("wal core mutex");
-        }
-        let take = core.pending.len().min(MAX_BATCH);
-        let frames: Vec<Frame> = core.pending.drain(..take).collect();
-        let first = core.pending_first;
-        core.pending_first += take as u64;
-        core.flushing = true;
-        drop(core);
-
-        let end = first + frames.len() as u64;
-        let result = {
-            let mut io = shared.io.lock().expect("wal io mutex");
-            let over_budget = io.active_records > 0
-                && io.active_bytes + frames_len(&frames) > shared.config.segment_bytes;
-            if over_budget {
-                seal_and_open(&mut io, first).and_then(|()| write_frames(&mut io, &frames))
-            } else {
-                write_frames(&mut io, &frames)
-            }
-        };
-        // Written: the frames go before their writers wake.
-        drop(frames);
-        match result {
-            Ok(()) => {
-                {
-                    let mut durable = shared.durable.lock().expect("wal durable mutex");
-                    if end > durable.lsn {
-                        durable.lsn = end;
-                    }
-                }
-                shared.durable_cv.notify_all();
-                {
-                    let mut core = shared.core.lock().expect("wal core mutex");
-                    core.flushing = false;
-                }
-                shared.work.notify_all();
-            }
-            Err(e) => {
-                fail_shared(shared, format!("wal flush failed: {e}"));
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1018,5 +978,49 @@ mod tests {
         };
         let err = write_all_vectored(&mut stuck, &mut parts.map(IoSlice::new)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn an_io_error_in_the_leading_writer_fails_every_waiter_and_poisons_the_log() {
+        let dir = std::env::temp_dir().join(format!("spgist-wal-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let prefix = dir.join("db.wal");
+        let record = |row| WalRecord::Insert {
+            table: "t".into(),
+            row,
+            datum: vec![7; 12],
+            txn: crate::AUTOCOMMIT,
+        };
+        let wal = Wal::create(&prefix, WalConfig::default()).unwrap();
+        wal.append(&record(0)).unwrap();
+        // A read-only handle in place of the segment's: the next batch write
+        // fails with a real I/O error in whichever waiter leads it.
+        wal.io.lock().unwrap().file = File::open(segment_path(&dir, "db.wal", 1)).unwrap();
+        let lsns: Vec<Lsn> = (1..9)
+            .map(|row| wal.submit(&record(row)).unwrap())
+            .collect();
+        std::thread::scope(|scope| {
+            let wal = &wal;
+            let waiters: Vec<_> = lsns
+                .iter()
+                .map(|&lsn| scope.spawn(move || wal.wait_durable(lsn)))
+                .collect();
+            for waiter in waiters {
+                assert!(waiter.join().unwrap().is_err(), "a waiter was acknowledged");
+            }
+        });
+        let poison = wal.health().unwrap_err().to_string();
+        assert!(poison.contains("wal flush failed"), "{poison}");
+        assert!(
+            wal.submit(&record(9)).is_err(),
+            "a poisoned log accepts nothing"
+        );
+        assert_eq!(wal.durable_lsn(), 1);
+        drop(wal);
+        let (wal, records) = Wal::open(&prefix, WalConfig::default(), 0).unwrap();
+        assert_eq!(records.len(), 1, "only the acknowledged record");
+        drop(wal);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
