@@ -23,7 +23,10 @@
 //! contiguous run (in the order the split listed them), the run's keys are
 //! cut in place by [`SpGistOps::leaf_key`], and each leaf is encoded straight
 //! from its run.  Only a split that puts one item in several partitions (the
-//! PMR quadtree's) copies each partition it recurses into.
+//! PMR quadtree's) copies each partition it descends into, and drops the
+//! copy once that child is built.  The inner nodes whose children are
+//! still being built wait on a stack the builder keeps, not on the call
+//! stack, so a tree thousands of levels deep builds on any thread.
 //!
 //! A class that stores a value as several entries
 //! ([`SpGistOps::MULTI_ENTRY`]; the suffix tree's words as their suffixes)
@@ -50,9 +53,12 @@
 //!   decomposition, since recursing would multiply replicas without
 //!   separating anything.
 //! * Wherever keys stop separating a partition (that brake, a degenerate
-//!   split, the resolution), `BulkBuilder::build_rows` takes over: one
-//!   leaf within the byte budget, row nodes above small leaves past it — the
-//!   shape the insert path grows, which calls the same function.
+//!   split, the resolution), row ids take over: one leaf within the byte
+//!   budget, row nodes above small leaves past it — the shape the insert
+//!   path grows, which builds it with the same code
+//!   (`BulkBuilder::subtree`).  A leaf past its page that row ids cannot
+//!   separate splits by key at any depth, while every part comes out
+//!   smaller.
 //! * Items that [`SpGistOps::picksplit`] assigns to *no* partition (a PMR
 //!   segment outside the world rectangle) are parked in the first partition,
 //!   mirroring the `Choose::Descend(0)` fallback of the insert path,
@@ -64,13 +70,17 @@
 //! partitions in half instead of wherever insertion order happened to put
 //! the first key.
 
+use std::ops::Range;
+
 use spgist_storage::StorageResult;
 
 use crate::config::NodeShrink;
-use crate::node::{encode_leaf, row_slot, Entry, Node, NodeId, ROW_BITS, ROW_FANOUT};
+use crate::node::{
+    encode_leaf, leaf_len_to, row_slot, Entry, Node, NodeId, ROW_BITS, ROW_FANOUT, ROW_SPLIT_BYTES,
+};
 use crate::ops::{Choose, PickSplit, SpGistOps};
 use crate::stats::TreeStats;
-use crate::store::{Group, NodeStore, UNPLACED};
+use crate::store::{Group, NodeStore, MAX_NODE_BYTES, UNPLACED};
 use crate::RowId;
 
 /// One bulk build over an empty tree's node store; created by
@@ -95,13 +105,30 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
     /// buffer, partitioned and cut in place level by level: the root's
     /// address, and the statistics accumulated while building, completed
     /// with the store's size figures.
-    pub(crate) fn build(
-        mut self,
-        mut items: Vec<(O::Key, RowId)>,
-    ) -> StorageResult<(NodeId, TreeStats)> {
-        let ctx = self.ops.root_context();
-        let tree = self.build_partition(&mut items, 0, &ctx, 1)?;
+    pub(crate) fn build(mut self, items: Items<O>) -> StorageResult<(NodeId, TreeStats)> {
+        let tree = self.subtree(items, 0, &self.ops.root_context(), 1, None)?;
         self.place(tree)
+    }
+
+    /// Builds the subtree over `items` at decomposition depth `level` and
+    /// traversal context `ctx`, its root `depth` nodes down the tree, below
+    /// row nodes that consumed `rows` row-id bits (`None` above them all),
+    /// and hands it to the placer.  The insert path calls this too: to fan
+    /// a leaf out by row id, and to rebuild a leaf that would pass its page,
+    /// so both paths grow one shape.
+    pub(crate) fn subtree(
+        &mut self,
+        mut items: Items<O>,
+        level: u32,
+        ctx: &O::Context,
+        depth: u32,
+        rows: Option<u32>,
+    ) -> StorageResult<Group> {
+        let all = 0..items.len();
+        match self.partition(&mut items, all, level, ctx.clone(), depth, rows)? {
+            Step::Built(tree) => Ok(tree),
+            Step::Split(top) => self.build_inner(&mut items, top),
+        }
     }
 
     /// Builds and places the tree over the entries of `values`
@@ -189,7 +216,9 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
             ops.bulk_prepare(&mut run, 0, &ctx);
             Ok((pred, run))
         });
-        let tree = self.build_inner(prefix, runs, 0, &ctx, 1)?;
+        let runs = Runs::Made(Box::new(runs));
+        let top = Inner::new(Kind::Key(prefix), runs, (0, ctx.clone(), 1));
+        let tree = self.build_inner(&mut [], top)?;
         self.place(tree)
     }
 
@@ -208,153 +237,310 @@ impl<'a, O: SpGistOps> BulkBuilder<'a, O> {
         Ok((root, stats))
     }
 
-    /// Recursively builds the subtree holding `items`, which the caller
-    /// reaches at decomposition depth `level` through traversal context
-    /// `ctx`, its root `depth` nodes down the tree, and hands it to the
-    /// placer.  `items` is the partition's run of the build's buffer; the
-    /// build reorders and cuts it in place.
-    fn build_partition(
+    /// What the partition `run` of the build's buffer `items` becomes,
+    /// reached at decomposition depth `level` through traversal context
+    /// `ctx`, its root `depth` nodes down the tree, below row nodes that
+    /// consumed `rows` row-id bits: a leaf, handed to the placer, or an
+    /// inner node or a row node whose children [`BulkBuilder::build_inner`]
+    /// builds.  A disjoint split and a row fan-out reorder the run in place
+    /// so that each child's items are one range of it.
+    ///
+    /// Keys split a partition past the bucket short of the resolution.
+    /// Wherever they stop (a degenerate or replicating split, the
+    /// resolution, row nodes above), a leaf past [`ROW_SPLIT_BYTES`] fans
+    /// out by row id while rows and bits are left, and the rest is a leaf.
+    /// A leaf past its page that row ids cannot separate — every item of
+    /// one row, as a long word's suffixes are — splits by key at any depth,
+    /// while every part comes out smaller.
+    fn partition<'r>(
         &mut self,
         items: &mut [(O::Key, RowId)],
+        run: Range<usize>,
         level: u32,
-        ctx: &O::Context,
+        ctx: O::Context,
         depth: u32,
-    ) -> StorageResult<Group> {
+        rows: Option<u32>,
+    ) -> StorageResult<Step<'r, O>> {
         let cfg = self.ops.config();
-        if items.len() <= cfg.bucket_size {
-            return self.build_leaf(items, depth);
+        let part = &mut items[run.clone()];
+        let len = part.len();
+        if rows.is_none() && len <= cfg.bucket_size {
+            let mut bytes = Vec::new();
+            encode_leaf(part, &mut bytes);
+            if bytes.len() <= MAX_NODE_BYTES {
+                return self.place_leaf(bytes, len, depth).map(Step::Built);
+            }
         }
-        let split = if level >= cfg.resolution {
-            None
-        } else {
-            self.ops.bulk_prepare(items, level, ctx);
-            let mut split = self.ops.picksplit(items, level, ctx);
+        let short = level < cfg.resolution;
+        let by_key = (rows.is_none() && short)
+            || part.iter().all(|item| item.1 == part[0].1)
+                && leaf_len_to(part, MAX_NODE_BYTES + 1) > MAX_NODE_BYTES;
+        if by_key {
+            self.ops.bulk_prepare(part, level, &ctx);
+            let mut split = self.ops.picksplit(part, level, &ctx);
             // A split must never drop items (a PMR segment outside the
             // world rectangle intersects no quadrant): park strays with the
             // insert fallback rule before judging progress.
-            split.park_unassigned(items.len());
+            split.park_unassigned(len);
             // Degenerate splits end the key decomposition.  Beyond the
-            // insert path's check, a replicating picksplit (PMR)
-            // that copies the *whole* input into two or more partitions has
+            // insert path's check, a replicating picksplit (PMR) that
+            // copies the *whole* input into two or more partitions has
             // separated nothing — recursing would multiply identical
             // replicas level after level (identical or heavily overlapping
             // segments past the splitting threshold) all the way to the
             // resolution.  The insert path is shielded from this by the
             // once-per-insert PMR rule; the builder stops here instead.
-            (!split.is_degenerate(items.len()) && !split.replicates_without_separating(items.len()))
-                .then_some(split)
-        };
-        let Some(PickSplit {
-            prefix,
-            mut partitions,
-        }) = split
-        else {
-            return self.build_rows(items.to_vec(), 0, depth);
-        };
-
-        // Every item lies in some partition now; when each lies in exactly
-        // one, partition k becomes run k of `items`, in its members' order,
-        // and only the run sizes are kept.  A replicating split (PMR) copies
-        // each partition as its child is built instead.
-        let sizes: Vec<usize> = partitions
-            .iter()
-            .map(|(_, members)| members.len())
-            .collect();
-        if sizes.iter().sum::<usize>() != items.len() {
-            let items = &*items;
-            let runs = partitions.into_iter().map(|(pred, members)| {
-                let run: Vec<_> = members.iter().map(|&idx| items[idx].clone()).collect();
-                Ok((pred, run))
-            });
-            return self.build_inner(prefix, runs, level, ctx, depth);
+            // Past the resolution nothing bounds the depth but the parts
+            // shrinking.
+            let progress =
+                !split.replicates_without_separating(len) && (short || split.shrinks(len));
+            if !split.is_degenerate(len) && progress {
+                let node = self.split(items, run, split, (level, ctx, depth));
+                return Ok(Step::Split(node));
+            }
         }
-        assert!(items.len() <= u32::MAX as usize, "order held as u32");
-        let mut order = Vec::with_capacity(items.len());
+        let shift = rows.unwrap_or(0);
+        let over = || leaf_len_to(part, ROW_SPLIT_BYTES + 1);
+        if !Node::<O>::outgrows(len, over, shift) {
+            let mut bytes = Vec::new();
+            encode_leaf(part, &mut bytes);
+            return self.place_leaf(bytes, len, depth).map(Step::Built);
+        }
+        // A row node over ROW_FANOUT children, one range of the run each,
+        // the items of each in their order.
+        part.sort_by_key(|item| row_slot(item.1, shift));
+        let mut sizes = vec![0; ROW_FANOUT];
+        part.iter()
+            .for_each(|item| sizes[row_slot(item.1, shift)] += 1);
+        let runs = lent(run.start, sizes.into_iter().map(|size| (None, size)));
+        let node = Inner::new(Kind::Rows(shift), runs, (level, ctx, depth));
+        Ok(Step::Split(node))
+    }
+
+    /// The inner node of a key split of the partition `run`: a disjoint
+    /// split reorders the run so that partition k is range k of it, in its
+    /// members' order; a replicating split (PMR) copies each partition as
+    /// its child is built instead, and drops the copy once it is built.
+    fn split<'r>(
+        &self,
+        items: &mut [(O::Key, RowId)],
+        run: Range<usize>,
+        split: PickSplit<O::Prefix, O::Pred>,
+        at: (u32, O::Context, u32),
+    ) -> Inner<'r, O> {
+        let (node, mut partitions) = (Kind::Key(split.prefix), split.partitions);
+        let sizes: Vec<usize> = partitions.iter().map(|part| part.1.len()).collect();
+        if sizes.iter().sum::<usize>() != run.len() {
+            return Inner::new(node, Runs::Copied(run, partitions.into_iter()), at);
+        }
+        assert!(run.len() <= u32::MAX as usize, "order held as u32");
+        let mut order = Vec::with_capacity(run.len());
         for (_, members) in &mut partitions {
             order.extend(std::mem::take(members).into_iter().map(|i| i as u32));
         }
-        permute(items, order);
-        let mut rest = items;
-        let runs = partitions.into_iter().zip(sizes).map(|((pred, _), size)| {
-            let (run, tail) = std::mem::take(&mut rest).split_at_mut(size);
-            rest = tail;
-            Ok((pred, run))
-        });
-        self.build_inner(prefix, runs, level, ctx, depth)
+        permute(&mut items[run.clone()], order);
+        let parts = partitions.into_iter().zip(sizes);
+        let runs = lent(run.start, parts.map(|((pred, _), size)| (Some(pred), size)));
+        Inner::new(node, runs, at)
     }
 
-    /// The children-first tail of a split at `level`: builds each child
-    /// from its predicate's run of `runs`, cutting the run's keys to what
-    /// the child stores, and hands it to the placer before the inner node
-    /// with `prefix` that points at them all.  An empty run gets no entry
-    /// under [`NodeShrink::OmitEmpty`].
-    fn build_inner<R: AsMut<[(O::Key, RowId)]>>(
+    /// Builds the subtree whose root is the inner or row node `top`,
+    /// children first: each child from its run, handed to the placer before
+    /// the node that points at them all.  A key split's child has its keys
+    /// cut to what it stores, and an empty run gets no entry under
+    /// [`NodeShrink::OmitEmpty`]; a row node's children keep level, context
+    /// and keys, and every one has a place.  The nodes whose children are
+    /// still being built wait on a stack of their own, not the call stack:
+    /// a periodic word's suffixes split one level per suffix, a subtree
+    /// thousands of levels deep.  Only a child with items of its own (a
+    /// replicating split's, a root partition of entries) is built by a call
+    /// of its own, a few levels deep at most.
+    fn build_inner(
         &mut self,
-        prefix: Option<O::Prefix>,
-        runs: impl Iterator<Item = StorageResult<(O::Pred, R)>>,
-        level: u32,
-        ctx: &O::Context,
-        depth: u32,
+        items: &mut [(O::Key, RowId)],
+        top: Inner<'_, O>,
     ) -> StorageResult<Group> {
         let omit_empty = self.ops.config().node_shrink == NodeShrink::OmitEmpty;
-        let delta = self.ops.descend_levels(prefix.as_ref());
-        let (mut entries, mut kids) = (Vec::new(), Vec::new());
-        for child in runs {
-            let (pred, mut run) = child?;
-            let run = run.as_mut();
-            if run.is_empty() && omit_empty {
+        let mut stack = vec![top];
+        while let Some(node) = stack.last_mut() {
+            let Some((pred, mut run)) = node.runs.next(items)? else {
+                let Inner {
+                    node,
+                    entries,
+                    kids,
+                    ..
+                } = stack.pop().expect("the node on top");
+                self.stats.inner_nodes += 1;
+                let node = match node {
+                    Kind::Key(prefix) => Node::<O>::Inner { prefix, entries },
+                    Kind::Rows(shift) => Node::Rows {
+                        shift,
+                        children: vec![UNPLACED; ROW_FANOUT],
+                    },
+                };
+                let tree = self.store.group(&node, kids)?;
+                match stack.last_mut() {
+                    Some(parent) => parent.kids.push(tree),
+                    None => return Ok(tree),
+                }
                 continue;
+            };
+            let (mut level, mut ctx, depth) = (node.level, node.ctx.clone(), node.depth + 1);
+            let rows = match (&node.node, pred) {
+                (Kind::Rows(shift), _) => Some(shift + ROW_BITS),
+                (Kind::Key(_), _) if run.items(items).is_empty() && omit_empty => continue,
+                (Kind::Key(prefix), pred) => {
+                    let pred = pred.expect("a key split's child has its predicate");
+                    let delta = self.ops.descend_levels(prefix.as_ref());
+                    run.items(items)
+                        .iter_mut()
+                        .for_each(|(key, _)| self.ops.leaf_key(key, delta));
+                    ctx = (self.ops).child_context(&ctx, prefix.as_ref(), &pred, level);
+                    level += delta;
+                    node.entries.push(Entry {
+                        pred,
+                        child: UNPLACED,
+                    });
+                    None
+                }
+            };
+            match run {
+                Run::Lent(run) => match self.partition(items, run, level, ctx, depth, rows)? {
+                    Step::Built(tree) => node.kids.push(tree),
+                    Step::Split(child) => stack.push(child),
+                },
+                Run::Owned(run) => {
+                    let tree = self.subtree(run, level, &ctx, depth, rows)?;
+                    node.kids.push(tree);
+                }
             }
-            run.iter_mut()
-                .for_each(|(key, _)| self.ops.leaf_key(key, delta));
-            let child_ctx = self.ops.child_context(ctx, prefix.as_ref(), &pred, level);
-            kids.push(self.build_partition(run, level + delta, &child_ctx, depth + 1)?);
-            entries.push(Entry {
-                pred,
-                child: UNPLACED,
-            });
         }
-        self.stats.inner_nodes += 1;
-        self.store
-            .group(&Node::<O>::Inner { prefix, entries }, kids)
+        unreachable!("the last node built returns its tree")
     }
 
-    /// Builds the subtree for `items` that keys cannot separate, below row
-    /// nodes that consumed `shift` row-id bits, its root `depth` nodes down:
-    /// one leaf while it fits the byte budget, else a row node over
-    /// [`ROW_FANOUT`] such subtrees.  The insert path calls this too when a
-    /// leaf outgrows the budget, so both grow one shape.
-    pub(crate) fn build_rows(
-        &mut self,
-        items: Vec<(O::Key, RowId)>,
-        shift: u32,
-        depth: u32,
-    ) -> StorageResult<Group> {
-        if !Node::<O>::outgrows_leaf(&items, shift) {
-            return self.build_leaf(&items, depth);
-        }
-        let mut buckets = vec![Vec::new(); ROW_FANOUT];
-        for item in items {
-            buckets[row_slot(item.1, shift)].push(item);
-        }
-        let kids = buckets
-            .into_iter()
-            .map(|bucket| self.build_rows(bucket, shift + ROW_BITS, depth + 1))
-            .collect::<StorageResult<_>>()?;
-        self.stats.inner_nodes += 1;
-        let children = vec![UNPLACED; ROW_FANOUT];
-        self.store.group(&Node::<O>::Rows { shift, children }, kids)
-    }
-
-    /// A leaf encoded straight from `items`, wherever they lie.
-    fn build_leaf(&mut self, items: &[(O::Key, RowId)], depth: u32) -> StorageResult<Group> {
+    /// Hands the placer a leaf of `len` items encoded as `bytes`.
+    fn place_leaf(&mut self, bytes: Vec<u8>, len: usize, depth: u32) -> StorageResult<Group> {
         self.stats.leaf_nodes += 1;
-        self.stats.items += items.len() as u64;
+        self.stats.items += len as u64;
         // Leaves end every path.
         self.stats.max_node_height = self.stats.max_node_height.max(depth);
-        let mut bytes = Vec::new();
-        encode_leaf(items, &mut bytes);
         self.store.join(bytes, &[], Vec::new())
+    }
+}
+
+/// What one partition of a build becomes.
+enum Step<'r, O: SpGistOps> {
+    /// A leaf handed to the placer.
+    Built(Group),
+    /// An inner or row node whose children are still to build.
+    Split(Inner<'r, O>),
+}
+
+/// A node of a build over children: an inner node with its prefix, or a
+/// row node with the first row-id bit it consumes.
+enum Kind<P> {
+    Key(Option<P>),
+    Rows(u32),
+}
+
+/// A node of a build whose children are not all built: what it is, where
+/// it sits, the children built so far with their entries, and the runs of
+/// the build's buffer the rest are built from.
+struct Inner<'r, O: SpGistOps> {
+    node: Kind<O::Prefix>,
+    runs: Runs<'r, O>,
+    level: u32,
+    ctx: O::Context,
+    depth: u32,
+    entries: Vec<Entry<O::Pred>>,
+    kids: Vec<Group>,
+}
+
+impl<'r, O: SpGistOps> Inner<'r, O> {
+    /// A node at `(level, ctx, depth)` whose children are `runs`.
+    fn new(
+        node: Kind<O::Prefix>,
+        runs: Runs<'r, O>,
+        (level, ctx, depth): (u32, O::Context, u32),
+    ) -> Self {
+        Inner {
+            node,
+            runs,
+            level,
+            ctx,
+            depth,
+            entries: Vec::new(),
+            kids: Vec::new(),
+        }
+    }
+}
+
+/// The runs of consecutive ranges of the buffer from `start`, one per
+/// `(predicate, size)` of `parts`.
+fn lent<'r, O: SpGistOps>(
+    mut start: usize,
+    parts: impl Iterator<Item = (Option<O::Pred>, usize)>,
+) -> Runs<'r, O> {
+    let ranges = parts.map(|(pred, size)| {
+        start += size;
+        (pred, start - size..start)
+    });
+    Runs::Lent(ranges.collect::<Vec<_>>().into_iter())
+}
+
+/// A build's items, its one buffer or a partition made apart.
+type Items<O> = Vec<(<O as SpGistOps>::Key, RowId)>;
+
+/// A root partition of a multi-entry build: its predicate and its entries.
+type Made<O> = StorageResult<(<O as SpGistOps>::Pred, Items<O>)>;
+
+/// The items of a child still to build: a range of the build's buffer, or
+/// items of its own.
+enum Run<O: SpGistOps> {
+    Lent(Range<usize>),
+    Owned(Items<O>),
+}
+
+impl<O: SpGistOps> Run<O> {
+    fn items<'s>(&'s mut self, buffer: &'s mut [(O::Key, RowId)]) -> &'s mut [(O::Key, RowId)] {
+        match self {
+            Run::Lent(range) => &mut buffer[range.clone()],
+            Run::Owned(items) => items,
+        }
+    }
+}
+
+/// A child still to build: a key split's predicate (none under a row
+/// node), and its items.
+type Child<O> = (Option<<O as SpGistOps>::Pred>, Run<O>);
+
+/// The children of a node still to build.
+enum Runs<'r, O: SpGistOps> {
+    /// A disjoint split or a row fan-out: each run is a range of the
+    /// partition, which was reordered in place.
+    Lent(std::vec::IntoIter<(Option<O::Pred>, Range<usize>)>),
+    /// A replicating split of the partition at the range: each child's
+    /// members are copied as the child starts.
+    Copied(Range<usize>, std::vec::IntoIter<(O::Pred, Vec<usize>)>),
+    /// The root partitions of a multi-entry build, each made when its child
+    /// starts.
+    Made(Box<dyn Iterator<Item = Made<O>> + 'r>),
+}
+
+impl<O: SpGistOps> Runs<'_, O> {
+    /// The next child's predicate and items, read from `buffer`.
+    fn next(&mut self, buffer: &[(O::Key, RowId)]) -> StorageResult<Option<Child<O>>> {
+        Ok(match self {
+            Runs::Lent(ranges) => ranges.next().map(|(pred, range)| (pred, Run::Lent(range))),
+            Runs::Copied(from, parts) => parts.next().map(|(pred, members)| {
+                let copy = members.iter().map(|&i| buffer[from.start + i].clone());
+                (Some(pred), Run::Owned(copy.collect()))
+            }),
+            Runs::Made(runs) => runs
+                .next()
+                .transpose()?
+                .map(|(pred, run)| (Some(pred), Run::Owned(run))),
+        })
     }
 }
 

@@ -75,7 +75,7 @@ pub use node::{Node, NodeId};
 pub use ops::{Choose, PickSplit, SpGistOps};
 pub use pending::PENDING_PAGES;
 pub use stats::TreeStats;
-pub use store::NodeStore;
+pub use store::{NodeStore, MAX_NODE_BYTES};
 pub use tree::{SearchCursor, SpGistTree};
 
 pub use spgist_storage::{ConcurrencyStats, EpochPin};

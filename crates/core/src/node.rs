@@ -163,17 +163,14 @@ impl<O: SpGistOps> Node<O> {
     /// that consumed `shift` row-id bits, must fan out by row id: it outgrew
     /// the byte budget and there are rows and bits left to tell apart.
     pub fn outgrows_leaf(items: &[(O::Key, RowId)], shift: u32) -> bool {
-        if items.len() < 2 || shift >= RowId::BITS {
-            return false;
-        }
-        // The leaf's own encoding, stopped once the budget is passed: a
-        // 50 000-row pile answers after the first few hundred items.
-        let mut bytes = Vec::with_capacity(2 * ROW_SPLIT_BYTES);
-        leaf_header(items.len(), &mut bytes);
-        items.iter().any(|item| {
-            encode_item(item, &mut bytes);
-            bytes.len() > ROW_SPLIT_BYTES
-        })
+        let len = || leaf_len_to(items, ROW_SPLIT_BYTES + 1);
+        Self::outgrows(items.len(), len, shift)
+    }
+
+    /// [`Node::outgrows_leaf`] for a leaf of `count` items whose encoded
+    /// length `len` tells, asked only when rows and bits are left.
+    pub(crate) fn outgrows(count: usize, len: impl FnOnce() -> usize, shift: u32) -> bool {
+        count >= 2 && shift < RowId::BITS && len() > ROW_SPLIT_BYTES
     }
 
     /// Serializes the node for storage in a slotted page.
@@ -351,6 +348,21 @@ pub(crate) fn encode_leaf<K: Codec>(items: &[(K, RowId)], out: &mut Vec<u8>) {
     for item in items {
         encode_item(item, out);
     }
+}
+
+/// The encoded length of a leaf of `items`, or `cap` once it reaches that:
+/// the encoding stops there, so a 50 000-row pile answers after the first
+/// few hundred items.
+pub(crate) fn leaf_len_to<K: Codec>(items: &[(K, RowId)], cap: usize) -> usize {
+    let mut bytes = Vec::with_capacity(cap.min(2 * ROW_SPLIT_BYTES));
+    leaf_header(items.len(), &mut bytes);
+    for item in items {
+        if bytes.len() >= cap {
+            break;
+        }
+        encode_item(item, &mut bytes);
+    }
+    bytes.len().min(cap)
 }
 
 /// The tag and the varint item count.

@@ -89,13 +89,23 @@ impl<Prefix, Pred> PickSplit<Prefix, Pred> {
         }
     }
 
+    /// True if every partition is smaller than the input, unassigned items
+    /// parked ([`PickSplit::park_unassigned`]): a leaf past its page that
+    /// splits again until each part fits then stops, at any depth.
+    pub fn shrinks(&self, input_len: usize) -> bool {
+        self.partitions
+            .iter()
+            .all(|(_, members)| members.len() < input_len)
+    }
+
     /// True if the split *replicated* the whole input without separating it:
     /// two or more partitions each received every item.  Recursing into such
     /// a split multiplies identical copies level after level (identical or
     /// heavily overlapping PMR segments) without ever shrinking a partition,
     /// so the bulk builder stops and partitions by row id instead.  A
     /// *single* full partition is fine — that is a plain descent chain,
-    /// bounded by the resolution.
+    /// bounded by the resolution.  (Past the resolution a leaf past its
+    /// page splits only where [`PickSplit::shrinks`].)
     pub fn replicates_without_separating(&self, input_len: usize) -> bool {
         self.partitions
             .iter()

@@ -45,19 +45,16 @@
 //!   behind a mutex; page content itself is protected by the buffer pool's
 //!   per-frame locks.
 //! * [`NodeStore::update`] is copy-on-write when a node must relocate: the
-//!   old record (and its spill chain) stays intact and readable until the
-//!   caller has re-linked the parent and calls [`NodeStore::retire_node`],
-//!   which hands the old records to the [`EpochManager`].  Retired records
-//!   are physically deleted by [`NodeStore::reclaim`] only once every
-//!   reader epoch pinned before the retirement has ended.
-//! * Spill-chain continuation records are immutable: a rewrite of a chained
-//!   node always places *fresh* continuations and retires the old ones, so
-//!   a reader that caught the old head mid-rewrite still reassembles the
-//!   complete old node.
-//! * Readers take a node where it lies: [`node_in`] lends an inline
-//!   record's bytes on the pinned, read-locked page, and
-//!   [`NodeStore::visit`] falls back to reassembling a chained one only
-//!   after that page is released, so no reader holds two page guards.
+//!   old record stays intact and readable until the caller has re-linked the
+//!   parent and calls [`NodeStore::retire_node`], which hands the old record
+//!   to the [`EpochManager`].  Retired records are physically deleted by
+//!   [`NodeStore::reclaim`] only once every reader epoch pinned before the
+//!   retirement has ended.
+//! * Every node is one record on one page, as in PostgreSQL's SP-GiST: a
+//!   reader takes it where it lies ([`node_in`] lends its bytes on the
+//!   pinned, read-locked page), so no reader holds two page guards, and a
+//!   node no record holds ([`MAX_NODE_BYTES`]) is refused before anything is
+//!   written.
 
 use std::cmp::{max_by_key, Reverse};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -65,7 +62,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use spgist_storage::{
-    AccessHint, BufferPool, Codec, EpochManager, EpochPin, Page, PageId, RetiredItem, SlotId,
+    AccessHint, BufferPool, EpochManager, EpochPin, Page, PageId, RetiredItem, SlotId,
     StorageError, StorageResult, MAX_RECORD_SIZE, PAGE_SIZE,
 };
 
@@ -76,83 +73,59 @@ use crate::ops::SpGistOps;
 /// node placement.
 const OPEN_PAGE_LIMIT: usize = 16;
 
-/// Record-header tags.  Every node record starts with one byte saying how
-/// the node's bytes are laid out.
-///
-/// A node is usually far smaller than a page, and a leaf of duplicate keys
-/// fans out by row id long before it fills one
-/// ([`crate::node::ROW_SPLIT_BYTES`]).  What can still outgrow a page is a
-/// single record no partitioning shrinks: a key longer than a page, a bucket
-/// of very long keys, a giant inner-node prefix, or one `(key, row)` pair
-/// inserted so often that the row-id bits run out.  Such a node is spilled
-/// transparently across a chain of records — the TOAST idea scaled down to
-/// tree nodes — so the internal methods never see a size limit.  The chain
-/// is rewritten whole on every update, which is fine for a rarity and was
-/// ruinous as the duplicate-key path.
-const TAG_INLINE: u8 = 0;
-const TAG_CHAIN_HEAD: u8 = 1;
-const TAG_CHAIN_CONT: u8 = 2;
+/// The byte every node record starts with, ahead of the node's bytes.  It
+/// is always 0; any other value is [`StorageError::Corrupt`].  (It once
+/// told an inline node from a chain of records spilling one larger than a
+/// page; every node now fits one record, and the byte stays until the page
+/// format's next version drops it.)
+const RECORD_HEADER: u8 = 0;
 
-/// Per-record header overhead: tag byte + continuation pointer
-/// (page `u32` + slot `u16`).
-const CHAIN_HEADER: usize = 7;
+/// The most bytes an encoded node may have: what one record holds past its
+/// header byte.  The tree splits a leaf before it would pass this
+/// ([`crate::build`]), and a class bounds its keys so that every node it
+/// builds stays below it; a node past it is refused with
+/// [`StorageError::RecordTooLarge`] before anything is written.
+pub const MAX_NODE_BYTES: usize = MAX_RECORD_SIZE - 1;
 
-/// Largest node-byte payload a single record can carry.  Slack is reserved
-/// below the hard record limit because dead slot-directory entries are never
-/// reclaimed: a full-size chunk would stop fitting on a page after a single
-/// free/reallocate cycle, defeating space reuse.
-const MAX_CHUNK: usize = MAX_RECORD_SIZE - CHAIN_HEADER - 256;
-
-/// Continuation pointer marking the end of a chain.
-const CHAIN_END: NodeId = NodeId {
-    page: u32::MAX,
-    slot: u16::MAX,
-};
-
-fn encode_chain_record(tag: u8, next: NodeId, chunk: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(CHAIN_HEADER + chunk.len());
-    tag.encode(&mut out);
-    next.page.encode(&mut out);
-    next.slot.encode(&mut out);
-    out.extend_from_slice(chunk);
-    out
+/// Refuses an encoded node of `len` bytes that no record holds.
+fn check_node(len: usize) -> StorageResult<()> {
+    if len > MAX_NODE_BYTES {
+        return Err(StorageError::RecordTooLarge {
+            size: 1 + len,
+            max: MAX_RECORD_SIZE,
+        });
+    }
+    Ok(())
 }
 
-fn encode_inline_record(bytes: &[u8]) -> Vec<u8> {
+/// The record holding `bytes`, an encoded node: the header byte, then the
+/// node — or `RecordTooLarge` for a node no record holds.
+fn node_record(bytes: &[u8]) -> StorageResult<Vec<u8>> {
+    check_node(bytes.len())?;
     let mut out = Vec::with_capacity(1 + bytes.len());
-    TAG_INLINE.encode(&mut out);
+    out.push(RECORD_HEADER);
     out.extend_from_slice(bytes);
-    out
+    Ok(out)
 }
 
-/// Splits a record into its payload and its continuation pointer: a node
-/// record (inline, with [`CHAIN_END`], or a chain head), or with `cont` a
-/// chain continuation.
-fn split_record(mut record: &[u8], cont: bool) -> StorageResult<(&[u8], NodeId)> {
-    match (u8::decode(&mut record)?, cont) {
-        (TAG_INLINE, false) => Ok((record, CHAIN_END)),
-        (TAG_CHAIN_HEAD, false) | (TAG_CHAIN_CONT, true) => {
-            let next = NodeId::new(u32::decode(&mut record)?, u16::decode(&mut record)?);
-            Ok((record, next))
-        }
-        (tag, _) => Err(StorageError::Corrupt(format!(
-            "node or chain record has unexpected tag {tag}"
+/// The encoded node in `slot` of a pinned page, borrowed in place.
+pub fn node_in(page: &Page, slot: SlotId) -> StorageResult<&[u8]> {
+    match page.get(slot)?.split_first() {
+        Some((&RECORD_HEADER, node)) => Ok(node),
+        header => Err(StorageError::Corrupt(format!(
+            "node record {slot} has header {:?}, not {RECORD_HEADER}",
+            header.map(|(byte, _)| byte)
         ))),
     }
-}
-
-/// The encoded node in `slot` of a pinned page, borrowed in place — or
-/// `None` when the node spills across a record chain, which
-/// [`NodeStore::visit`] reassembles once the page is released.
-pub fn node_in(page: &Page, slot: SlotId) -> StorageResult<Option<&[u8]>> {
-    let (bytes, next) = split_record(page.get(slot)?, false)?;
-    Ok((next == CHAIN_END).then_some(bytes))
 }
 
 /// The child address a node handed to [`NodeStore::group`] carries, an
 /// address no record has: the placer writes the real one once the child
 /// has it.
-pub(crate) const UNPLACED: NodeId = CHAIN_END;
+pub(crate) const UNPLACED: NodeId = NodeId {
+    page: u32::MAX,
+    slot: u16::MAX,
+};
 
 /// Bytes a record costs its page besides its own: the slot-directory entry.
 const SLOT: usize = 4;
@@ -317,8 +290,8 @@ impl NodeStore {
         Ok(used as f64 / (pages.len() * PAGE_SIZE).max(1) as f64)
     }
 
-    /// Reads and decodes the node at `id`, reassembling spilled chains
-    /// transparently, under the store's current access hint.
+    /// Reads and decodes the node at `id` under the store's current access
+    /// hint.
     pub fn read<O: SpGistOps>(&self, id: NodeId) -> StorageResult<Node<O>> {
         self.read_hinted(id, self.access_hint())
     }
@@ -334,50 +307,27 @@ impl NodeStore {
         self.visit(id, hint, Node::decode)
     }
 
-    /// Runs `f` on the encoded node at `id`: in place on its pinned,
-    /// read-locked page ([`node_in`]), or — for a node spilled across a
-    /// record chain — on its bytes reassembled after that page is released,
-    /// so a reader never holds two page guards.
+    /// Runs `f` on the encoded node at `id`, in place on its pinned,
+    /// read-locked page ([`node_in`]).
     pub fn visit<R>(
         &self,
         id: NodeId,
         hint: AccessHint,
-        mut f: impl FnMut(&[u8]) -> StorageResult<R>,
+        f: impl FnOnce(&[u8]) -> StorageResult<R>,
     ) -> StorageResult<R> {
-        let inline = self.pool.with_page_hinted(id.page, hint, |p| {
-            node_in(p, id.slot).map(|node| node.map(&mut f))
-        })??;
-        inline.unwrap_or_else(|| f(&self.read_bytes(id, hint)?))
-    }
-
-    /// The node bytes at `id`, copied out of the page and, when the node
-    /// spills, reassembled from its chain one page at a time.  The head is
-    /// read afresh: a writer may have rewritten it inline since a reader saw
-    /// it chained, and either version is a valid node.
-    fn read_bytes(&self, id: NodeId, hint: AccessHint) -> StorageResult<Vec<u8>> {
-        let (mut bytes, mut cursor) = self.pool.with_page_hinted(id.page, hint, |p| {
-            split_record(p.get(id.slot)?, false).map(|(chunk, next)| (chunk.to_vec(), next))
-        })??;
-        while cursor != CHAIN_END {
-            cursor = self.pool.with_page_hinted(cursor.page, hint, |p| {
-                let (chunk, next) = split_record(p.get(cursor.slot)?, true)?;
-                bytes.extend_from_slice(chunk);
-                StorageResult::Ok(next)
-            })??;
-        }
-        Ok(bytes)
+        self.pool
+            .with_page_hinted(id.page, hint, |p| f(node_in(p, id.slot)?))?
     }
 
     /// Places a brand-new node whose children (if any) already have
     /// addresses, preferring the page `near` (its parent's): the one-node
-    /// case of the placer.  Nodes larger than a page spill across a record
-    /// chain.  Returns the node's address.
+    /// case of the placer.  Returns the node's address.
     pub fn allocate<O: SpGistOps>(
         &self,
         node: &Node<O>,
         near: Option<PageId>,
     ) -> StorageResult<NodeId> {
-        self.place_record(&self.encode_node_record(&node.encode())?, near)
+        self.place_record(&node_record(&node.encode())?, near)
     }
 
     /// Hands the placer `node`, children-first: `kids` are its children's
@@ -403,12 +353,12 @@ impl NodeStore {
         pointers: &[usize],
         kids: Vec<Group>,
     ) -> StorageResult<Group> {
+        // Refused before any child is placed.
+        check_node(bytes.len())?;
         // The root's page keeps the tallest children's groups when they fit,
         // so the page height grows only where it must; every other child is
         // placed now.  Children go largest first, so the small groups placed
-        // apart fill the gaps the large ones leave.  (A node spilled across a
-        // chain, cut into chunks once its bytes are final, is past the budget
-        // and keeps none.)
+        // apart fill the gaps the large ones leave.
         let height = kids.iter().map(|kid| kid.height).max().unwrap_or(0);
         let tallest: usize = kids
             .iter()
@@ -420,7 +370,7 @@ impl NodeStore {
         kids.sort_by_key(|(_, kid)| Reverse(kid.bytes));
         let (mut placed, mut kept, mut near) = (Vec::new(), Vec::new(), (0, None));
         for (at, kid) in kids {
-            // The record starts with its one-byte tag.
+            // The record starts with its one-byte header.
             if keep && kid.height == height {
                 kept.push((at + 1, kid));
             } else {
@@ -430,7 +380,7 @@ impl NodeStore {
                 near = max_by_key(near, (height, Some(child.page)), |near| near.0);
             }
         }
-        let record = self.encode_node_record(&bytes)?;
+        let record = node_record(&bytes)?;
         let mut group = Group {
             bytes: record.len() + SLOT,
             drafts: vec![Draft {
@@ -489,87 +439,40 @@ impl NodeStore {
         Ok((root, height))
     }
 
-    /// Encodes node bytes into the record written at the node's address:
-    /// inline when they fit a single record, otherwise a chain head whose
-    /// continuation records are placed as a side effect.
-    fn encode_node_record(&self, bytes: &[u8]) -> StorageResult<Vec<u8>> {
-        if bytes.len() < MAX_RECORD_SIZE {
-            return Ok(encode_inline_record(bytes));
-        }
-        let next = self.place_continuations(bytes)?;
-        Ok(encode_chain_record(
-            TAG_CHAIN_HEAD,
-            next,
-            &bytes[..MAX_CHUNK],
-        ))
-    }
-
-    /// Writes every chunk of `bytes` past the first into continuation
-    /// records (tail-first, so each record knows its successor) and returns
-    /// the id of the first continuation.
-    fn place_continuations(&self, bytes: &[u8]) -> StorageResult<NodeId> {
-        let mut next = CHAIN_END;
-        let mut chunks: Vec<&[u8]> = bytes[MAX_CHUNK..].chunks(MAX_CHUNK).collect();
-        while let Some(chunk) = chunks.pop() {
-            let record = encode_chain_record(TAG_CHAIN_CONT, next, chunk);
-            next = self.place_record(&record, None)?;
-        }
-        Ok(next)
-    }
-
-    /// Retires every continuation record from `cursor` to the end of a
-    /// chain.  The records stay readable until [`NodeStore::reclaim`]
-    /// collects them past the last protecting reader epoch.
-    fn retire_chain_from(&self, mut cursor: NodeId) -> StorageResult<()> {
-        while cursor != CHAIN_END {
-            let next = self.next_record(cursor, true)?;
-            self.epochs
-                .retire(RetiredItem::Slot(cursor.page, cursor.slot));
-            cursor = next;
-        }
-        Ok(())
-    }
-
-    /// The continuation pointer of the record at `id` (see [`split_record`]).
-    fn next_record(&self, id: NodeId, cont: bool) -> StorageResult<NodeId> {
-        self.pool
-            .with_page_hinted(id.page, self.access_hint(), |p| {
-                split_record(p.get(id.slot)?, cont).map(|(_, next)| next)
-            })?
-    }
-
     /// Rewrites the node at `id` in place when possible.  If the new encoding
     /// no longer fits in its page the node is relocated copy-on-write
     /// (preferring `near`) and the new address is returned: the *old* record
-    /// and its spill chain stay intact for concurrent snapshot readers, and
-    /// the caller must fix the parent's child pointer and then call
-    /// [`NodeStore::retire_node`] on the old address.  Returns `None` when
-    /// the update happened in place (any superseded spill chain is retired
-    /// here).  Even a shrinking update can relocate — an inline record is up
-    /// to `CHAIN_HEADER - 1` bytes larger than the chain head it replaces —
-    /// so every caller knows the parent pointer.
+    /// stays intact for concurrent snapshot readers, and the caller must fix
+    /// the parent's child pointer and then call [`NodeStore::retire_node`]
+    /// on the old address.  Returns `None` when the update happened in
+    /// place.
     pub fn update<O: SpGistOps>(
         &self,
         id: NodeId,
         node: &Node<O>,
         near: Option<PageId>,
     ) -> StorageResult<Option<NodeId>> {
-        // Any previous spill chain is replaced wholesale by fresh
-        // continuation records; the old ones are retired, never mutated, so
-        // a reader holding the old head still reassembles the old node.
-        let record = self.encode_node_record(&node.encode())?;
-        let (updated, old_chain) =
-            self.pool
-                .with_page_mut_hinted(id.page, self.access_hint(), |p| {
-                    let (_, old_chain) = split_record(p.get(id.slot)?, false)?;
-                    StorageResult::Ok((p.update(id.slot, &record)?, old_chain))
-                })??;
-        if updated {
-            self.retire_chain_from(old_chain)?;
+        self.rewrite(id, &node.encode(), near)
+    }
+
+    /// [`NodeStore::update`] for a node already encoded: the insert path
+    /// sizes a leaf by its encoding and writes that.
+    pub(crate) fn rewrite(
+        &self,
+        id: NodeId,
+        bytes: &[u8],
+        near: Option<PageId>,
+    ) -> StorageResult<Option<NodeId>> {
+        let record = node_record(bytes)?;
+        let hint = self.access_hint();
+        if self
+            .pool
+            .with_page_mut_hinted(id.page, hint, |p| p.update(id.slot, &record))??
+        {
             return Ok(None);
         }
-        // Relocate copy-on-write: the old record keeps its content (and its
-        // chain) until the caller retires it.
+        // Relocate copy-on-write: the old record keeps its content until the
+        // caller retires it.
         self.place_record(&record, near).map(Some)
     }
 
@@ -584,14 +487,12 @@ impl NodeStore {
         }
     }
 
-    /// Retires the node record at `id` and its spill chain, handing them to
-    /// the epoch manager.  Call after the last pointer to `id` has been
-    /// unlinked from the tree; readers pinned before the unlink keep reading
-    /// the records until [`NodeStore::reclaim`] passes their epoch.
-    pub fn retire_node(&self, id: NodeId) -> StorageResult<()> {
-        let chain = self.next_record(id, false)?;
+    /// Retires the node record at `id`, handing it to the epoch manager.
+    /// Call after the last pointer to `id` has been unlinked from the tree;
+    /// readers pinned before the unlink keep reading the record until
+    /// [`NodeStore::reclaim`] passes their epoch.
+    pub fn retire_node(&self, id: NodeId) {
         self.epochs.retire(RetiredItem::Slot(id.page, id.slot));
-        self.retire_chain_from(chain)
     }
 
     /// Physically frees every retired item that no live reader epoch can
@@ -795,7 +696,7 @@ mod tests {
     fn update_retiring(store: &NodeStore, id: NodeId, node: &TestNode) -> NodeId {
         match store.update(id, node, None).unwrap() {
             Some(new_id) => {
-                store.retire_node(id).unwrap();
+                store.retire_node(id);
                 store.reclaim().unwrap();
                 new_id
             }
@@ -956,7 +857,7 @@ mod tests {
         // Copy-on-write: until the caller retires it, the old address still
         // serves the old content (a snapshot reader may hold it).
         assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), leaf(1));
-        store.retire_node(id).unwrap();
+        store.retire_node(id);
         store.reclaim().unwrap();
         assert!(store.read::<DigitTrieOps>(id).is_err());
     }
@@ -966,7 +867,7 @@ mod tests {
         let store = store();
         let id = store.allocate(&leaf(7), None).unwrap();
         let pin = store.pin();
-        store.retire_node(id).unwrap();
+        store.retire_node(id);
         store.reclaim().unwrap();
         assert_eq!(
             store.read::<DigitTrieOps>(id).unwrap(),
@@ -986,7 +887,7 @@ mod tests {
         while store.page_count() == 1 {
             store.allocate(&leaf(50), Some(id.page)).unwrap();
         }
-        store.retire_node(id).unwrap();
+        store.retire_node(id);
         store.reclaim().unwrap();
         assert!(store.read::<DigitTrieOps>(id).is_err());
         // The freed bytes host the next node of that size on the old page.
@@ -1003,14 +904,14 @@ mod tests {
             store.allocate(&leaf(50), Some(small.page)).unwrap();
         }
         // A full page with one small dead slot, flushed clean.
-        store.retire_node(small).unwrap();
+        store.retire_node(small);
         store.reclaim().unwrap();
         store.pool().flush_all().unwrap();
         let page = small.page;
         let before = store.pool().with_page(page, Page::clone).unwrap();
         assert!(before.num_live_records() < before.num_slots());
         // A record that even a compacted page cannot take.
-        let record = encode_inline_record(&leaf(100).encode());
+        let record = node_record(&leaf(100).encode()).unwrap();
         let mut compacted = before.clone();
         compacted.compact();
         assert!(!compacted.fits(record.len()));
@@ -1041,110 +942,35 @@ mod tests {
     }
 
     #[test]
-    fn oversized_nodes_spill_across_a_record_chain() {
+    fn a_node_no_record_holds_is_refused_and_writes_nothing() {
         let store = store();
-        // ~36 KB of items (six bytes each past row 127): several
-        // continuation records.
-        let huge = leaf(6000);
-        assert!(
-            huge.encode().len() > 4 * PAGE_SIZE,
-            "test node must be oversized"
-        );
-        let id = store.allocate(&huge, None).unwrap();
-        let read: TestNode = store.read(id).unwrap();
-        assert_eq!(read, huge);
-
-        // Growing and shrinking the chained node keeps it readable.
-        let bigger = leaf(7000);
-        let id = update_retiring(&store, id, &bigger);
-        assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), bigger);
-        let small = leaf(2);
-        let id = update_retiring(&store, id, &small);
-        assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), small);
-
-        // Freeing a chained node reclaims its continuation records: a fresh
-        // oversized allocation reuses the freed space instead of only
-        // growing the file.
-        let id = store.allocate(&huge, None).unwrap();
-        let pages_before = store.page_count();
-        store.retire_node(id).unwrap();
-        store.reclaim().unwrap();
-        let id2 = store.allocate(&huge, None).unwrap();
-        assert_eq!(
-            store.page_count(),
-            pages_before,
-            "freed chain space is reused"
-        );
-        assert_eq!(store.read::<DigitTrieOps>(id2).unwrap(), huge);
-    }
-
-    #[test]
-    fn shrinking_a_chained_node_keeps_its_contents_wherever_it_lands() {
-        let store = store();
-        let huge = leaf(3500);
-        let id = store.allocate(&huge, None).unwrap();
-        // Fill the head's page so an in-place rewrite larger than the old
-        // head record cannot fit.
-        let filler = leaf(1);
-        let filler_len = filler.encode().len() + 1;
-        loop {
-            let free = store.pool().with_page(id.page, |p| p.free_space()).unwrap();
-            if free < filler_len + 8 {
-                break;
-            }
-            store.allocate(&filler, Some(id.page)).unwrap();
-        }
-        // Shrink into the awkward window just below the inline threshold,
-        // where the inline record (1 + len) is larger than the chain head
-        // record it replaces (MAX_RECORD_SIZE - 256 bytes): the one shrink
-        // that may have to move, which is why every caller of `update`
-        // (deletes included) carries the parent pointer.
-        let n = (0..u32::MAX)
-            .find(|&n| {
-                let len = leaf(n).encode().len();
-                len > MAX_RECORD_SIZE - 250 && len < MAX_RECORD_SIZE
-            })
-            .expect("item granularity is far below the 250-byte window");
-        let shrunk = leaf(n);
-        let id = update_retiring(&store, id, &shrunk);
-        assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), shrunk);
-        store.reclaim().unwrap();
-        assert_eq!(store.epochs().backlog(), 0, "the old chain is reclaimed");
-        // Shrinking all the way down to a trivial node stays in place.
-        let tiny = leaf(2);
-        assert!(store.update(id, &tiny, None).unwrap().is_none());
-        assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), tiny);
-    }
-
-    #[test]
-    fn chained_rewrite_keeps_old_chain_readable_for_pinned_readers() {
-        let store = store();
-        let old = leaf(3500);
-        let id = store.allocate(&old, None).unwrap();
-        let pin = store.pin();
-        // An in-place head rewrite replaces the spill chain with fresh
-        // continuations and retires the old ones; with the pin live they
-        // must not be reclaimed (the reader may hold the old head bytes and
-        // walk the old chain).
-        let new = leaf(3600);
-        let relocated = store.update(id, &new, None).unwrap();
-        store.reclaim().unwrap();
-        let id = match relocated {
-            Some(new_id) => {
-                store.retire_node(id).unwrap();
-                new_id
-            }
-            None => id,
-        };
-        assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), new);
-        assert!(
-            store.epochs().backlog() > 0,
-            "old chain records must still be parked in the retire list"
-        );
-        drop(pin);
-        store.reclaim().unwrap();
-        assert_eq!(store.epochs().backlog(), 0);
-        assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), new);
+        let id = store.allocate(&leaf(2), None).unwrap();
+        store.pool().flush_all().unwrap();
+        let before = store.pool().with_page(id.page, Page::clone).unwrap();
+        // The largest leaf one record holds, and the next one.
+        let n = (1..)
+            .find(|&n| leaf(n).encode().len() > MAX_NODE_BYTES)
+            .unwrap();
+        let huge = leaf(n);
+        assert!(matches!(
+            store.allocate(&huge, None),
+            Err(StorageError::RecordTooLarge { size, max: MAX_RECORD_SIZE }) if size > MAX_RECORD_SIZE
+        ));
+        assert!(matches!(
+            store.update(id, &huge, None),
+            Err(StorageError::RecordTooLarge { .. })
+        ));
+        let group = store.group(&huge, Vec::new());
+        assert!(matches!(group, Err(StorageError::RecordTooLarge { .. })));
+        assert_eq!(store.page_count(), 1, "no page allocated");
+        assert!(store.pool().dirty_page_ids().is_empty(), "no page written");
+        let after = store.pool().with_page(id.page, Page::clone).unwrap();
+        assert_eq!(after.as_bytes(), before.as_bytes());
+        assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), leaf(2));
+        // One item fewer fits, in place of the small leaf.
+        let full = leaf(n - 1);
+        let id = update_retiring(&store, id, &full);
+        assert_eq!(store.read::<DigitTrieOps>(id).unwrap(), full);
     }
 
     #[test]

@@ -61,11 +61,11 @@ use spgist_storage::{
 use crate::build::BulkBuilder;
 use crate::config::NodeShrink;
 use crate::nn::NnIter;
-use crate::node::{row_slot, walk, Entry, Node, NodeId, Part, Slots, ROW_BITS};
+use crate::node::{encode_leaf, row_slot, walk, Entry, Node, NodeId, Part, Slots, ROW_BITS};
 use crate::ops::{Choose, PickSplit, SpGistOps};
 use crate::pending::{self, PendingList, Tag, PENDING_PAGES};
 use crate::stats::TreeStats;
-use crate::store::{node_in, Group, NodeStore, UNPLACED};
+use crate::store::{node_in, Group, NodeStore, MAX_NODE_BYTES, UNPLACED};
 use crate::RowId;
 
 /// Where a delete found an item: its leaf, its index there, and the leaf's
@@ -364,11 +364,12 @@ impl<O: SpGistOps> SpGistTree<O> {
     /// Classes steer the build through [`SpGistOps::bulk_prepare`].
     ///
     /// The tree must be empty; loading into a populated tree is an
-    /// [`StorageError::Unsupported`] error.  An empty `values` set is a
-    /// no-op.  Query results are identical to inserting the same values with
-    /// the insert loop (the tree *shape* may differ — and usually improves:
-    /// data-driven classes split on medians, split-once classes decompose
-    /// fully).
+    /// [`StorageError::Unsupported`] error, and a value
+    /// [`SpGistTree::admits`] refuses fails the build before it writes.  An
+    /// empty `values` set is a no-op.  Query results are identical to
+    /// inserting the same values with the insert loop (the tree *shape* may
+    /// differ — and usually improves: data-driven classes split on medians,
+    /// split-once classes decompose fully).
     ///
     /// [`BulkBuilder`]: crate::build::BulkBuilder
     pub fn bulk_build(&self, values: Vec<(O::Key, RowId)>) -> StorageResult<TreeStats> {
@@ -381,6 +382,10 @@ impl<O: SpGistOps> SpGistTree<O> {
         let len = values.len() as u64;
         if len == 0 {
             return self.stats();
+        }
+        // What an insert refuses, the build refuses, before it writes.
+        for (value, _) in &values {
+            self.admits(value)?;
         }
         // The build writes each page roughly once, front to back — a scan
         // pattern.  Hint the pool so loading one index does not flush every
@@ -432,6 +437,18 @@ impl<O: SpGistOps> SpGistTree<O> {
             Node::Leaf { mut items } => {
                 let cfg = self.ops.config();
                 items.push((self.stored(key, level), row));
+                // The leaf is encoded once: its size decides, and a leaf that
+                // stays one is written from these bytes.
+                let mut bytes = Vec::new();
+                encode_leaf(&items, &mut bytes);
+                let mut builder = BulkBuilder::new(&self.ops, &self.store);
+                if bytes.len() > MAX_NODE_BYTES {
+                    // Past its page: rebuilt as the bulk build builds a
+                    // partition, split by key or fanned out by row id.
+                    let tree = builder.subtree(items, level, ctx, 1, rows)?;
+                    self.publish(node_id, tree, parent, parent_pages)?;
+                    return Ok(Descent::Done);
+                }
                 // Keys have a say only above row nodes and past the bucket.
                 let overfull = rows.is_none() && items.len() > cfg.bucket_size;
                 if overfull && level < cfg.resolution {
@@ -448,12 +465,13 @@ impl<O: SpGistOps> SpGistTree<O> {
                 // past the byte budget fans out by row id instead, built and
                 // published like a split.
                 let shift = rows.unwrap_or(0);
-                if (overfull || rows.is_some()) && Node::<O>::outgrows_leaf(&items, shift) {
-                    let mut builder = BulkBuilder::new(&self.ops, &self.store);
-                    let fan = builder.build_rows(items, shift, 1)?;
+                if (overfull || rows.is_some())
+                    && Node::<O>::outgrows(items.len(), || bytes.len(), shift)
+                {
+                    let fan = builder.subtree(items, level, ctx, 1, Some(shift))?;
                     self.publish(node_id, fan, parent, parent_pages)?;
                 } else {
-                    let at = self.write_node(node_id, &Node::Leaf { items }, parent)?;
+                    let at = self.write_node(node_id, &bytes, parent)?;
                     self.note_height(path_pages(parent_page, parent_pages, at.page));
                 }
                 Ok(Descent::Done)
@@ -490,8 +508,8 @@ impl<O: SpGistOps> SpGistTree<O> {
                         let child = self.store.allocate(&leaf, Some(node_id.page))?;
                         let mut entries = entries;
                         entries.push(Entry { pred, child });
-                        let at =
-                            self.write_node(node_id, &Node::Inner { prefix, entries }, parent)?;
+                        let inner = Node::<O>::Inner { prefix, entries };
+                        let at = self.write_node(node_id, &inner.encode(), parent)?;
                         let pages = path_pages(parent_page, parent_pages, at.page);
                         self.note_height(pages + u32::from(child.page != at.page));
                         Ok(Descent::Done)
@@ -517,7 +535,7 @@ impl<O: SpGistOps> SpGistTree<O> {
                                 child: lower_id,
                             }],
                         };
-                        let current = self.write_node(node_id, &upper, parent)?;
+                        let current = self.write_node(node_id, &upper.encode(), parent)?;
                         // The restructure is complete and consistent; if the
                         // relocated upper node's page cannot be latched, a
                         // plain restart retries the insert against it.
@@ -644,8 +662,7 @@ impl<O: SpGistOps> SpGistTree<O> {
 
     /// Builds the subtree replacing an overfull leaf from `split`, PickSplit's
     /// answer for `items`, and hands it to the placer: one child per
-    /// partition, itself split again while it exceeds the bucket size
-    /// (unless the instantiation uses the split-once / PMR rule).
+    /// partition, each built by [`SpGistTree::build_child`].
     fn build_split(
         &self,
         items: &[(O::Key, RowId)],
@@ -672,15 +689,7 @@ impl<O: SpGistOps> SpGistTree<O> {
             let child_ctx = self.ops.child_context(ctx, prefix.as_ref(), &pred, level);
             let (level, ctx) = (level + delta, &child_ctx);
             let again = part.len() > cfg.bucket_size && level < cfg.resolution && !cfg.split_once;
-            let split = again.then(|| self.ops.picksplit(&part, level, ctx));
-            kids.push(
-                match split.filter(|split| !split.is_degenerate(part.len())) {
-                    Some(split) => self.build_split(&part, split, level, ctx)?,
-                    None => self
-                        .store
-                        .group(&Node::<O>::Leaf { items: part }, Vec::new())?,
-                },
-            );
+            kids.push(self.build_child(part, again, level, ctx)?);
             entries.push(Entry {
                 pred,
                 child: UNPLACED,
@@ -690,20 +699,45 @@ impl<O: SpGistOps> SpGistTree<O> {
             .group(&Node::<O>::Inner { prefix, entries }, kids)
     }
 
-    /// Writes `node` at `node_id`, relocating it copy-on-write if it no
-    /// longer fits in its page and fixing the parent (or root) pointer.
-    /// Returns the node's current address.
+    /// The subtree of one partition of a split at `level`: split again by
+    /// key when `again` says it passed the bucket (unless the instantiation
+    /// uses the split-once / PMR rule), else one leaf — or, past its page,
+    /// what the bulk build makes of it.
+    fn build_child(
+        &self,
+        part: Vec<(O::Key, RowId)>,
+        again: bool,
+        level: u32,
+        ctx: &O::Context,
+    ) -> StorageResult<Group> {
+        if again {
+            let split = self.ops.picksplit(&part, level, ctx);
+            if !split.is_degenerate(part.len()) {
+                return self.build_split(&part, split, level, ctx);
+            }
+        }
+        let mut bytes = Vec::new();
+        encode_leaf(&part, &mut bytes);
+        if bytes.len() > MAX_NODE_BYTES {
+            return BulkBuilder::new(&self.ops, &self.store).subtree(part, level, ctx, 1, None);
+        }
+        self.store.join(bytes, &[], Vec::new())
+    }
+
+    /// Writes the encoded node `bytes` at `node_id`, relocating it
+    /// copy-on-write if it no longer fits in its page and fixing the parent
+    /// (or root) pointer.  Returns the node's current address.
     ///
     /// The caller must hold the page latches for `node_id` and the parent
     /// (insert descents do; gate-exclusive paths hold the whole tree).
     fn write_node(
         &self,
         node_id: NodeId,
-        node: &Node<O>,
+        bytes: &[u8],
         parent: Option<(NodeId, usize)>,
     ) -> StorageResult<NodeId> {
         let near = parent.map(|(p, _)| p.page).unwrap_or(node_id.page);
-        match self.store.update(node_id, node, Some(near))? {
+        match self.store.rewrite(node_id, bytes, Some(near))? {
             None => Ok(node_id),
             Some(new_id) => {
                 self.relink(node_id, new_id, parent)?;
@@ -738,7 +772,8 @@ impl<O: SpGistOps> SpGistTree<O> {
                 self.store.patch(parent_id, &parent_node)?;
             }
         }
-        self.store.retire_node(old)
+        self.store.retire_node(old);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -872,7 +907,7 @@ impl<O: SpGistOps> SpGistTree<O> {
             // A shrinking leaf normally stays in place; should it move,
             // write_node fixes the captured parent pointer (valid under the
             // exclusive gate — only leaves move here).
-            self.write_node(leaf_id, &Node::Leaf { items }, parent)?;
+            self.write_node(leaf_id, &Node::<O>::Leaf { items }.encode(), parent)?;
             rest = &rest[group..];
         }
         Ok(true)
@@ -1317,30 +1352,22 @@ where
 
     /// Expands the node on top of the stack and, under the same pin, every
     /// node the stack offers next on `page`: the run ends at a pending
-    /// result, at another page, or at a node spilled across a chain (that
-    /// one is expanded after the page is released).  The guard is dropped
-    /// before `next` yields, so a suspended cursor holds no page and a
-    /// writer on the same thread never waits for it.
+    /// result or at another page.  The guard is dropped before `next`
+    /// yields, so a suspended cursor holds no page and a writer on the same
+    /// thread never waits for it.
     fn expand_run(&mut self, page: PageId) -> StorageResult<()> {
         let (store, ops, query) = (&self.tree.store, &self.tree.ops, &self.query);
         let frontier = &mut self.frontier;
-        let chained = store.pool().with_page_hinted(page, self.hint, |p| {
+        store.pool().with_page_hinted(page, self.hint, |p| {
             while let Some(&(id, level)) = frontier.stack.last() {
                 if id.page != page || !frontier.pending.is_empty() {
                     break;
                 }
                 frontier.stack.pop();
-                match node_in(p, id.slot)? {
-                    Some(bytes) => frontier.expand(ops, query, bytes, level)?,
-                    None => return Ok(Some((id, level))),
-                }
+                frontier.expand(ops, query, node_in(p, id.slot)?, level)?;
             }
-            StorageResult::Ok(None)
-        })??;
-        if let Some((id, level)) = chained {
-            store.visit(id, self.hint, |b| frontier.expand(ops, query, b, level))?;
-        }
-        Ok(())
+            Ok(())
+        })?
     }
 }
 

@@ -44,4 +44,4 @@ pub use quadtree::{PointQuadtreeIndex, PointQuadtreeOps};
 pub use query::{PointQuery, SegmentQuery, StringQuery};
 pub use spindex::{Cursor, SpGistBacked, SpGistIndex, SpIndex};
 pub use suffix::{SuffixOps, SuffixTreeIndex};
-pub use trie::{LeafMode, TrieIndex, TrieOps};
+pub use trie::{TrieIndex, TrieOps};

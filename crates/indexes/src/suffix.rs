@@ -14,10 +14,11 @@
 //! `@=` as `#=`, and the index is the generic [`SpGistIndex`], which inserts,
 //! builds and deletes a word as all of its suffixes, counts it once, and
 //! reports each row once.  A leaf keeps only the rest of a suffix, the bytes
-//! its path has not spelled ([`LeafMode::Rest`](crate::LeafMode::Rest)), as
-//! PostgreSQL's SP-GiST text class does: an `L`-byte word costs `L`
-//! suffixes, but not `L²/2` bytes of them.  Suffixes and rests are cut at
-//! byte positions, so the class refuses a word that is not ASCII.
+//! its path has not spelled (see [`Trie`]), as PostgreSQL's SP-GiST text
+//! class does: an `L`-byte word costs `L` suffixes, but not `L²/2` bytes of
+//! them.  Suffixes and rests are cut at byte positions, so the class
+//! refuses a word that is not ASCII, and, like the trie, a word past
+//! [`MAX_KEY_LEN`](crate::trie::MAX_KEY_LEN).
 
 use spgist_core::RowId;
 use spgist_storage::StorageResult;

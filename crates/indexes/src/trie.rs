@@ -11,7 +11,9 @@
 //! single-character wildcard `?`), and `@@` (incremental nearest neighbour
 //! under the Hamming-style distance).
 
-use spgist_core::{Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps};
+use spgist_core::{
+    Choose, NodeShrink, PathShrink, PickSplit, RowId, SpGistConfig, SpGistOps, MAX_NODE_BYTES,
+};
 use spgist_storage::{StorageError, StorageResult};
 
 use crate::query::{hamming_distance, StringQuery};
@@ -22,27 +24,28 @@ use crate::suffix::Suffixes;
 /// *blank* predicate).  Zero never collides with real characters.
 pub const BLANK: u8 = 0;
 
-/// What a trie leaf stores of a key.  The mode follows from the class —
-/// [`TrieOps`] stores `Full`, [`SuffixOps`](crate::SuffixOps) `Rest` — and
-/// is neither persisted nor configurable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeafMode {
-    /// The whole key: a cursor yields the indexed value, so a scan can
-    /// answer without the heap.
-    Full,
-    /// Only what the path has not spelled: at depth `level` a key keeps its
-    /// bytes from `level` on.  `leaf_consistent` compares the rest with the
-    /// query past `level`, whose earlier characters `consistent` and
-    /// `prefix_consistent` checked on the way down — which holds for `=`,
-    /// `#=` and `?=` (and `@@` matches all), and for `@=`, which the suffix
-    /// tree reads as `#=` over its suffixes.
-    Rest,
-}
+/// The longest key the trie stores, in bytes: the longest prefix with
+/// which an inner node of full fan-out — [`BLANK`] and 26 letters — still
+/// fits one record, as PostgreSQL's text class bounds an inner tuple's
+/// prefix (`SPGIST_MAX_PREFIX_LENGTH`).  Such a node holds its tag, the
+/// prefix's presence byte and two-byte length, its entry count, and 27
+/// entries of a predicate byte and a 6-byte child.  A longer key is
+/// refused with [`StorageError::RecordTooLarge`] naming this limit.
+pub const MAX_KEY_LEN: usize = MAX_NODE_BYTES - (1 + 1 + 2 + 1 + 27 * 7);
 
 /// External methods of the SP-GiST trie: [`TrieOps`] (`SUFFIXES` false) is
 /// the patricia trie, [`SuffixOps`](crate::SuffixOps) (`SUFFIXES` true) the
-/// suffix tree — the same trie storing a word as its suffixes, each leaf
-/// keeping only the rest ([`LeafMode::Rest`]).
+/// suffix tree — the same trie storing a word as its suffixes
+/// ([`SpGistOps::MULTI_ENTRY`]).
+///
+/// A trie leaf stores the whole key, so a cursor yields the indexed value
+/// and a scan can answer without the heap.  A suffix-tree leaf stores only
+/// what the path has not spelled: at depth `level` a suffix keeps its bytes
+/// from `level` on.  `leaf_consistent` compares that rest with the query
+/// past `level`, whose earlier characters `consistent` and
+/// `prefix_consistent` checked on the way down — which holds for `=`, `#=`
+/// and `?=` (and `@@` matches all), and for `@=`, which the suffix tree
+/// reads as `#=` over its suffixes.
 #[derive(Debug, Clone)]
 pub struct Trie<const SUFFIXES: bool> {
     config: SpGistConfig,
@@ -82,15 +85,6 @@ impl<const SUFFIXES: bool> Trie<SUFFIXES> {
     /// Builds the ops from an explicit configuration.
     pub fn with_config(config: SpGistConfig) -> Self {
         Trie { config }
-    }
-
-    /// What this trie's leaves store of a key.
-    pub fn leaf_mode(&self) -> LeafMode {
-        if SUFFIXES {
-            LeafMode::Rest
-        } else {
-            LeafMode::Full
-        }
     }
 
     /// The bytes of a key that its leaf at depth `level` no longer holds.
@@ -140,10 +134,16 @@ impl<const SUFFIXES: bool> SpGistOps for Trie<SUFFIXES> {
         StringQuery::Equals(key.clone())
     }
 
-    /// A word is stored as itself, or as each of its suffixes.  The suffix
-    /// tree cuts suffixes and rests at byte positions, so it refuses a word
-    /// that is not ASCII.
+    /// A word is stored as itself, or as each of its suffixes.  A word past
+    /// [`MAX_KEY_LEN`] is refused.  The suffix tree cuts suffixes and rests
+    /// at byte positions, so it refuses a word that is not ASCII.
     fn entries(&self, word: &String) -> StorageResult<impl Iterator<Item = String>> {
+        if word.len() > MAX_KEY_LEN {
+            return Err(StorageError::RecordTooLarge {
+                size: word.len(),
+                max: MAX_KEY_LEN,
+            });
+        }
         if SUFFIXES && !word.is_ascii() {
             return Err(StorageError::Unsupported(format!(
                 "the suffix tree indexes ASCII words only, not {word:?}"
@@ -560,6 +560,18 @@ mod tests {
         let pa = patricia.stats().unwrap();
         let pl = plain.stats().unwrap();
         assert!(pa.total_nodes() <= pl.total_nodes());
+    }
+
+    #[test]
+    fn a_full_inner_node_with_the_longest_prefix_fills_one_record() {
+        use spgist_core::node::{Entry, Node, NodeId};
+        let child = NodeId::new(1, 1);
+        let full = Node::<TrieOps>::Inner {
+            prefix: Some(vec![b'q'; MAX_KEY_LEN]),
+            entries: (0..27).map(|pred| Entry { pred, child }).collect(),
+        };
+        assert_eq!(full.encode().len(), MAX_NODE_BYTES);
+        assert_eq!(MAX_KEY_LEN, 7_989);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use spgist::catalog::durable::{
     decode_chunk, encode_chunk, CatalogChunk, PersistedIndex, TableMetaChunk,
 };
+use spgist::core::store::node_in;
 use spgist::core::SpGistConfig;
 use spgist::prelude::*;
 use spgist::storage::{journal, HeapFile, Page, PageId, RecordId, StorageError, PAGE_SIZE};
@@ -246,4 +247,50 @@ fn slotted_page_flips_are_corrupt_or_read_in_bounds() {
         });
         pager.write(id, &page).unwrap();
     }
+}
+
+/// A node record starts with one header byte, always 0.  The values that
+/// once marked a record spilling across a chain (1, the head, and 2, a
+/// continuation) and every other are `Corrupt`, to a reader in place and
+/// to a search.
+#[test]
+fn a_node_record_header_other_than_zero_is_corrupt() {
+    let tree = SpGistTree::create(BufferPool::in_memory(), TrieOps::default()).unwrap();
+    for i in 0..200u64 {
+        tree.insert(format!("k{i:03}"), i).unwrap();
+    }
+    let root = tree.root().unwrap();
+    let record = tree
+        .pool()
+        .with_page(root.page, |p| p.get(root.slot).unwrap().to_vec())
+        .unwrap();
+    assert_eq!(record[0], 0);
+    for header in [1, 2, 0x80, 0xFF] {
+        let mut damaged = record.clone();
+        damaged[0] = header;
+        tree.pool()
+            .with_page_mut(root.page, |p| p.update(root.slot, &damaged))
+            .unwrap()
+            .unwrap();
+        let read = tree
+            .pool()
+            .with_page(root.page, |p| node_in(p, root.slot).map(drop))
+            .unwrap();
+        assert!(matches!(read, Err(StorageError::Corrupt(_))), "{read:?}");
+        let searched = tree.search(&StringQuery::Prefix("k1".into()));
+        assert!(
+            matches!(searched, Err(StorageError::Corrupt(_))),
+            "{searched:?}"
+        );
+    }
+    tree.pool()
+        .with_page_mut(root.page, |p| p.update(root.slot, &record))
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        tree.search(&StringQuery::Prefix("k1".into()))
+            .unwrap()
+            .len(),
+        100
+    );
 }

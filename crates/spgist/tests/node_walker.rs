@@ -4,11 +4,17 @@
 //! search cursor, the NN iterator and delete's `locate` run the external
 //! methods through it on the pinned page, one pin per same-page run.  These
 //! tests hold it to the owned `Node` on every record of the five bulk-built
-//! trees and of an insert-built trie with row nodes and a chained record;
-//! replay the old whole-node expansion and ask the cursor and the NN
-//! iterator for the same sequence; feed the walker hostile bytes; count one
-//! pool request per page run; and suspend cursors mid-run while the same
-//! thread rewrites the very page they were reading.
+//! trees and of an insert-built trie with row nodes and a long key; replay
+//! the old whole-node expansion and ask the cursor and the NN iterator for
+//! the same sequence; feed the walker hostile bytes; count one pool request
+//! per page run; and suspend cursors mid-run while the same thread rewrites
+//! the very page they were reading.
+//!
+//! Every node is one record on one page.  The shapes that once spilled a
+//! node across a chain of records — long trie keys, a periodic word's
+//! suffixes piling up past the resolution — split until every record fits,
+//! and answer like brute force; a key past the trie's limit is refused
+//! before anything changes.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -19,9 +25,11 @@ use spgist::core::node::{walk, Part, Slots};
 use spgist::core::store::node_in;
 use spgist::core::{Node, NodeId, NodeStore};
 use spgist::indexes::pmr::DEFAULT_WORLD;
-use spgist::indexes::SpGistBacked;
+use spgist::indexes::query::hamming_distance;
+use spgist::indexes::trie::MAX_KEY_LEN;
+use spgist::indexes::{SpGistBacked, SpGistIndex};
 use spgist::prelude::*;
-use spgist::storage::{PageId, StorageError, StorageResult};
+use spgist::storage::{PageId, StorageError, StorageResult, MAX_RECORD_SIZE};
 use spgist_datagen::rng::DetRng;
 use spgist_datagen::{points, segments, words, QueryWorkload};
 
@@ -74,10 +82,9 @@ fn expected<O: SpGistOps>(node: &Node<O>) -> Vec<String> {
     }
 }
 
-/// Every node reachable from the root, with its encoded bytes and whether
-/// its record spills across a chain.
-fn records<O: SpGistOps>(tree: &SpGistTree<O>) -> Vec<(NodeId, Vec<u8>, bool)> {
-    let store = store_of(tree);
+/// Every node reachable from the root, with its encoded bytes; each
+/// record fits a page.
+fn records<O: SpGistOps>(tree: &SpGistTree<O>) -> Vec<(NodeId, Vec<u8>)> {
     let mut out = Vec::new();
     let mut seen = HashSet::new();
     let mut stack = Vec::from_iter(tree.root());
@@ -85,26 +92,26 @@ fn records<O: SpGistOps>(tree: &SpGistTree<O>) -> Vec<(NodeId, Vec<u8>, bool)> {
         if !seen.insert(id) {
             continue;
         }
-        let chained = tree
+        let (record, bytes) = tree
             .pool()
-            .with_page(id.page, |p| node_in(p, id.slot).map(|b| b.is_none()))
+            .with_page(id.page, |p| {
+                let bytes = node_in(p, id.slot)?.to_vec();
+                StorageResult::Ok((p.get(id.slot)?.len(), bytes))
+            })
             .unwrap()
             .unwrap();
-        let bytes = store
-            .visit(id, AccessHint::Normal, |b| Ok(b.to_vec()))
-            .unwrap();
+        assert!(record <= MAX_RECORD_SIZE, "{id:?}: a {record}-byte record");
         stack.extend(Node::<O>::decode(&bytes).unwrap().children());
-        out.push((id, bytes, chained));
+        out.push((id, bytes));
     }
     out
 }
 
-/// Node counts of one tree: (nodes, row nodes, chained records).
+/// Node counts of one tree: (nodes, row nodes).
 #[derive(Debug, Default)]
 struct Census {
     nodes: usize,
     rows: usize,
-    chained: usize,
 }
 
 /// The walker reports exactly what the owned node holds, on every record of
@@ -113,7 +120,7 @@ struct Census {
 fn assert_walker_matches_decode<O: SpGistOps>(tree: &SpGistTree<O>) -> Census {
     let mut slots = Slots::<O>::default();
     let mut census = Census::default();
-    for (id, bytes, chained) in records(tree) {
+    for (id, bytes) in records(tree) {
         let node = Node::<O>::decode(&bytes).unwrap();
         assert_eq!(node.encode(), bytes, "{id:?}: the owned node is its record");
         assert_eq!(
@@ -123,7 +130,6 @@ fn assert_walker_matches_decode<O: SpGistOps>(tree: &SpGistTree<O>) -> Census {
         );
         census.nodes += 1;
         census.rows += usize::from(matches!(node, Node::Rows { .. }));
-        census.chained += usize::from(chained);
     }
     census
 }
@@ -390,23 +396,32 @@ fn walker_and_cursor_agree_with_the_owned_node_on_every_bulk_built_tree() {
 }
 
 #[test]
-fn walker_and_cursor_agree_on_row_nodes_and_a_chained_record() {
+fn walker_and_cursor_agree_on_row_nodes_and_a_long_key() {
     let trie = TrieIndex::create(BufferPool::in_memory()).unwrap();
     let ws = words(2_000, SEED);
     for (row, word) in ws.iter().enumerate() {
         trie.insert(word.clone(), row as RowId).unwrap();
     }
-    // A pile under one key fans out by row id; a key longer than a page
-    // spills its leaf across a record chain.
+    // A pile under one key fans out by row id.
     for row in 0..400 {
         trie.insert("pile".into(), 10_000 + row).unwrap();
     }
-    let giant = "z".repeat(12_000);
+    // A key longer than the trie stores is refused and changes nothing; a
+    // long one inside the limit is a leaf item like any other.
+    let refused = "z".repeat(12_000);
+    assert!(matches!(
+        trie.insert(refused.clone(), 99_998),
+        Err(StorageError::RecordTooLarge {
+            size: 12_000,
+            max: MAX_KEY_LEN
+        })
+    ));
+    assert_eq!(trie.len(), 2_400);
+    let giant = "z".repeat(7_000);
     trie.insert(giant.clone(), 99_999).unwrap();
     let tree = trie.backing();
     let census = assert_walker_matches_decode(tree);
     assert!(census.rows >= 1, "{census:?}");
-    assert!(census.chained >= 1, "{census:?}");
 
     let queries = [
         StringQuery::Equals("pile".into()),
@@ -425,8 +440,12 @@ fn walker_and_cursor_agree_on_row_nodes_and_a_chained_record() {
         trie.execute(&StringQuery::Equals(giant.clone())).unwrap(),
         vec![(giant.clone(), 99_999)]
     );
+    assert!(trie
+        .execute(&StringQuery::Equals(refused))
+        .unwrap()
+        .is_empty());
     // Delete's `locate` walks the same way: through the row nodes to one
-    // small leaf, and into the chained leaf.
+    // small leaf, and to the long key's leaf.
     assert!(trie.delete(&"pile".into(), 10_123).unwrap());
     assert!(!trie.delete(&"pile".into(), 10_123).unwrap());
     assert!(trie.delete(&giant, 99_999).unwrap());
@@ -442,6 +461,209 @@ fn walker_and_cursor_agree_on_row_nodes_and_a_chained_record() {
         .is_empty());
 }
 
+/// The rows holding a value one of whose entries matches `query` as a
+/// whole key, by brute force over `items`; sorted, each row once.
+fn brute_force<O>(ops: &O, items: &[(String, RowId)], query: &StringQuery) -> Vec<RowId>
+where
+    O: SpGistOps<Key = String>,
+{
+    let mut rows: Vec<RowId> = items
+        .iter()
+        .filter(|(value, _)| ops.entries(value).unwrap().any(|e| query.matches(&e)))
+        .map(|&(_, row)| row)
+        .collect();
+    rows.dedup();
+    rows
+}
+
+/// Every record of the index's tree fits a page, and every query answers
+/// with brute force's rows; returns the rows matched.
+fn assert_fits_and_answers<O>(
+    index: &SpGistIndex<O>,
+    items: &[(String, RowId)],
+    queries: &[StringQuery],
+) -> usize
+where
+    O: SpGistOps<Key = String, Query = StringQuery>,
+{
+    assert_walker_matches_decode(index.backing());
+    let mut matched = 0;
+    for query in queries {
+        let mut rows = index.cursor(query).unwrap().rows().unwrap();
+        rows.sort_unstable();
+        let expected = brute_force(index.backing().ops(), items, query);
+        assert_eq!(rows, expected, "{:.60?}", query);
+        matched += rows.len();
+    }
+    matched
+}
+
+/// Five 3 000-byte keys sharing a 1 500-byte prefix once made one chained
+/// 15 KB root leaf: a leaf splits by key when its record would pass a
+/// page, not only past the bucket.
+#[test]
+fn long_trie_keys_split_until_every_record_fits() {
+    let long: Vec<String> = (0..5u8)
+        .map(|i| {
+            format!(
+                "{}{}{}",
+                "q".repeat(1_500),
+                char::from(b'a' + i),
+                "z".repeat(1_499)
+            )
+        })
+        .collect();
+    // The long keys first: they alone fill the root leaf.
+    let items = rowed(long.iter().cloned().chain(words(300, SEED)));
+    let mut wildcard = long[3].clone();
+    wildcard.replace_range(1_500..1_501, "?");
+    let queries = [
+        StringQuery::Equals(long[0].clone()),
+        StringQuery::Equals(long[4].clone()),
+        StringQuery::Equals(long[2][..2_999].to_string()),
+        StringQuery::Prefix("q".repeat(1_500)),
+        StringQuery::Prefix(long[2][..1_501].to_string()),
+        StringQuery::Prefix("q".into()),
+        StringQuery::Regex(wildcard),
+        StringQuery::Substring("z".repeat(20)),
+        StringQuery::Substring(format!("qc{}", "z".repeat(100))),
+        StringQuery::Substring(items[40].0[1..].to_string()),
+    ];
+    let inserted = TrieIndex::create(BufferPool::in_memory()).unwrap();
+    for (key, row) in &items {
+        inserted.insert(key.clone(), *row).unwrap();
+    }
+    let built = bulk(TrieIndex::create(BufferPool::in_memory()), items.clone());
+    for trie in [&inserted, &built] {
+        assert!(assert_fits_and_answers(trie, &items, &queries) >= 5 * 6);
+        // `@@` ranks like brute force: the k smallest distances.
+        for target in [&long[1], &items[100].0] {
+            let found = trie.nearest(target, 8).unwrap();
+            let mut all: Vec<f64> = items
+                .iter()
+                .map(|(key, _)| hamming_distance(key, target))
+                .collect();
+            all.sort_by(f64::total_cmp);
+            let found: Vec<f64> = found.iter().map(|hit| hit.2).collect();
+            assert_eq!(found, all[..8]);
+        }
+    }
+}
+
+/// A periodic word's suffixes share their first 128 bytes and one row id,
+/// so neither the resolution nor row fan-out separates them: they once
+/// made a 2 MB chained leaf.  Past the resolution a leaf past its page
+/// splits on by key, one level per suffix that ends, until each leaf fits
+/// — built in bulk, and merged from the pending list.
+#[test]
+fn a_periodic_word_splits_by_key_past_the_resolution() {
+    let periodic = "ab".repeat(1_500);
+    let mut ws = words(2_000, SEED);
+    ws.push(periodic.clone());
+    let items = rowed(ws);
+    let queries = |items: &[(String, RowId)]| {
+        let mut qs = vec![
+            StringQuery::Equals("ab".repeat(700)),
+            StringQuery::Equals("b".into()),
+            StringQuery::Prefix("ab".repeat(200)),
+            StringQuery::Prefix(format!("{}b", "ba".repeat(600))),
+            StringQuery::Substring("ab".repeat(1_000)),
+            StringQuery::Substring("bab".into()),
+            StringQuery::Substring(periodic.clone()),
+            StringQuery::Regex("?b".repeat(750)),
+        ];
+        for (word, _) in items.iter().step_by(211) {
+            qs.push(StringQuery::Substring(word[word.len() / 2..].to_string()));
+            qs.push(StringQuery::Equals(word[1..].to_string()));
+        }
+        qs
+    };
+
+    let built = bulk(
+        SuffixTreeIndex::create(BufferPool::in_memory()),
+        items.clone(),
+    );
+    assert!(built.backing().stats().unwrap().max_node_height > 1_000);
+    assert!(assert_fits_and_answers(&built, &items, &queries(&items)) > 100);
+
+    // The same word through the pending list: inserted, then merged by the
+    // statement that passes the list's page budget.
+    let merged = SuffixTreeIndex::create(BufferPool::in_memory()).unwrap();
+    let mut items = items;
+    for (word, row) in &items {
+        merged.insert(word.clone(), *row).unwrap();
+    }
+    for word in words(8_000, SEED + 1) {
+        if merged.backing().pending_merges() > 0 {
+            break;
+        }
+        let row = items.len() as RowId;
+        merged.insert(word.clone(), row).unwrap();
+        items.push((word, row));
+    }
+    assert_eq!(merged.backing().pending_pages(), 0, "the list merged");
+    assert!(assert_fits_and_answers(&merged, &items, &queries(&items)) > 100);
+}
+
+/// A trie key one byte past [`MAX_KEY_LEN`] is refused by every way into a
+/// table's index — `insert`, `insert_many` and `CREATE INDEX` — before
+/// anything changes: no row, no index entry, no WAL record, and the
+/// database reopens with the rows it had.  A key at the limit is stored.
+#[test]
+fn a_trie_key_past_the_limit_changes_nothing() {
+    let dir = std::env::temp_dir().join(format!("spgist-key-limit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.pages");
+    let refused = |result: StorageResult<()>| {
+        assert!(
+            matches!(
+                result,
+                Err(StorageError::RecordTooLarge { size, max: MAX_KEY_LEN }) if size == MAX_KEY_LEN + 1
+            ),
+            "{result:?}"
+        );
+    };
+    let over = "x".repeat(MAX_KEY_LEN + 1);
+    let at = "y".repeat(MAX_KEY_LEN);
+    {
+        let mut db = Database::create(&path).unwrap();
+        db.create_table("words", KeyType::Varchar).unwrap();
+        db.create_index("words", "words_trie", IndexSpec::Trie)
+            .unwrap();
+        db.create_table("names", KeyType::Varchar).unwrap();
+        db.table("names").unwrap().insert(over.as_str()).unwrap();
+        let logged = |db: &Database| {
+            let end = db.wal().unwrap().active_end_for_test();
+            (db.metrics().get("wal.records"), end)
+        };
+        let words = db.table("words").unwrap();
+        words.insert_many(["cafe", "tea"]).unwrap();
+        let before = logged(&db);
+        refused(words.insert(over.as_str()).map(drop));
+        refused(words.insert_many(["mint", over.as_str(), "sage"]).map(drop));
+        // CREATE INDEX over a table holding such a key leaves no index.
+        refused(db.create_index("names", "names_trie", IndexSpec::Trie));
+        assert_eq!(logged(&db), before, "nothing logged");
+        assert!(db.table("names").unwrap().index_names().is_empty());
+        let words = db.table("words").unwrap();
+        assert_eq!(words.len(), 2);
+        // The refused statements took no row id.
+        assert_eq!(words.insert(at.as_str()).unwrap(), 2);
+        db.close().unwrap();
+    }
+    let db = Database::open(&path).unwrap();
+    let words = db.table("words").unwrap();
+    assert_eq!(words.len(), 3);
+    assert_eq!(words.index_names(), ["words_trie"]);
+    let hits = db.query("words", Predicate::str_prefix("yy")).unwrap();
+    assert_eq!(hits.rows().unwrap(), [2]);
+    assert_eq!(db.table("names").unwrap().len(), 1);
+    assert!(db.table("names").unwrap().index_names().is_empty());
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Records of a real trie: a leaf holding string keys and an inner node
 /// carrying a prefix.
 fn trie_records() -> (Vec<u8>, Vec<u8>) {
@@ -452,7 +674,7 @@ fn trie_records() -> (Vec<u8>, Vec<u8>) {
     let all = records(trie.backing());
     let find = |want: fn(&Node<TrieOps>) -> bool| {
         all.iter()
-            .map(|(_, bytes, _)| bytes.clone())
+            .map(|(_, bytes)| bytes.clone())
             .find(|bytes| want(&Node::decode(bytes).unwrap()))
             .expect("the trie holds such a node")
     };
@@ -606,8 +828,7 @@ fn mid_run_yield<O: SpGistOps>(tree: &SpGistTree<O>, query: &O::Query) -> Option
 fn page_nodes<O: SpGistOps>(tree: &SpGistTree<O>, page: PageId) -> Vec<(NodeId, Vec<u8>)> {
     records(tree)
         .into_iter()
-        .filter(|(id, _, _)| id.page == page)
-        .map(|(id, bytes, _)| (id, bytes))
+        .filter(|(id, _)| id.page == page)
         .collect()
 }
 

@@ -39,7 +39,7 @@ use crate::page::{PageId, SlotId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetiredItem {
     /// A single record slot superseded by a relocation (the old copy of a
-    /// moved node, or an orphaned spill-chain record).
+    /// moved node) or unlinked by a split.
     Slot(PageId, SlotId),
     /// A whole page superseded by a repack.
     Page(PageId),
